@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::amount::Amount;
 use crate::caches::SimCaches;
-use crate::contract::{CallEnv, Contract, ContractMessage, UndoOp};
+use crate::contract::{unwind, CallEnv, Contract, ContractMessage, UndoOp};
 use crate::error::ChainError;
 #[cfg(test)]
 use crate::error::ContractError;
@@ -98,29 +98,25 @@ pub struct ReorgStats {
     pub redelivery_failures: u64,
 }
 
-/// One speculative round: the chain state at the round's start plus the
-/// effective actions applied during it (the replay log a reorg re-delivers).
+/// One speculative round's journal: the marks and undo entries that rewind
+/// the chain to the round's start, plus the effective actions applied
+/// during it (the replay log a reorg re-delivers).
+#[derive(Clone)]
 struct SpecRound {
-    base: ChainSnapshot,
+    /// The height the round opened at. Heights never rewind; the restore
+    /// integrity checks read it.
+    height: Time,
+    /// Contract count, event-log length and gas `last_call` at the start.
+    contracts: usize,
+    events: usize,
+    last_call: u64,
+    /// Ledger transfers and mints, in execution order.
+    undo: Vec<UndoOp>,
+    /// Each committed call's pre-call contract state, in call order.
+    backups: Vec<(usize, Box<dyn Contract>)>,
+    /// Every gas charge: publishes and calls, failed calls included.
+    gas: Vec<(PartyId, u64)>,
     actions: Vec<RecordedAction>,
-}
-
-impl SpecRound {
-    fn clone_data(&self) -> SpecRound {
-        SpecRound {
-            base: self.base.clone_data(),
-            actions: self.actions.iter().map(RecordedAction::clone_data).collect(),
-        }
-    }
-}
-
-impl fmt::Debug for SpecRound {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SpecRound")
-            .field("base_height", &self.base.height)
-            .field("actions", &self.actions.len())
-            .finish()
-    }
 }
 
 /// An action recorded in the speculative window for possible re-delivery.
@@ -129,8 +125,8 @@ enum RecordedAction {
     Call { caller: PartyId, contract: ContractId, msg: Box<dyn ContractMessage>, desc: CallDesc },
 }
 
-impl RecordedAction {
-    fn clone_data(&self) -> RecordedAction {
+impl Clone for RecordedAction {
+    fn clone(&self) -> RecordedAction {
         match self {
             RecordedAction::Publish { publisher, contract } => {
                 RecordedAction::Publish { publisher: *publisher, contract: contract.clone_box() }
@@ -156,7 +152,9 @@ impl RecordedAction {
 /// Contracts are stored in a dense `Vec` indexed by their sequentially
 /// assigned [`ContractId`]s, and the whole chain can be recycled between
 /// scenario runs (see [`crate::World::reset`]) without dropping the ledger,
-/// contract-store or event-log allocations.
+/// contract-store or event-log allocations. A clone is a full snapshot of
+/// the chain, speculative window included.
+#[derive(Clone)]
 pub struct Blockchain {
     id: ChainId,
     name: String,
@@ -171,12 +169,13 @@ pub struct Blockchain {
     gas_schedule: GasSchedule,
     gas: GasMeter,
     finality: FinalityParams,
-    /// The speculative window: one entry per revertible round, oldest first.
-    /// Empty whenever `finality.depth == 0`.
+    /// The speculative window: one journal per revertible round, oldest
+    /// first. Empty whenever `finality.depth == 0`.
     window: VecDeque<SpecRound>,
     reorg_stats: ReorgStats,
-    /// Pooled backing allocation for the per-call undo journal.
-    undo_pool: Vec<UndoOp>,
+    /// The undo journal of calls made outside a finality window, where a
+    /// committed call is final at once; empty between calls.
+    undo: Vec<UndoOp>,
 }
 
 impl Blockchain {
@@ -201,7 +200,7 @@ impl Blockchain {
             finality: FinalityParams::INSTANT,
             window: VecDeque::new(),
             reorg_stats: ReorgStats::default(),
-            undo_pool: Vec::new(),
+            undo: Vec::new(),
         }
     }
 
@@ -256,7 +255,12 @@ impl Blockchain {
         &self.ledger
     }
 
-    /// Mutable access to the ledger, intended for initial endowments.
+    /// Mutable access to the ledger, intended for setup (initial
+    /// endowments, [`Ledger::reserve`]).
+    ///
+    /// Edits made through it are final: they bypass the speculative
+    /// window's journal, so a reorg does not rewind them. Use
+    /// [`Blockchain::mint`] to endow a party inside an open window.
     pub fn ledger_mut(&mut self) -> &mut Ledger {
         &mut self.ledger
     }
@@ -266,13 +270,18 @@ impl Blockchain {
         self.ledger.balance(account, asset)
     }
 
-    /// Mints `amount` of `asset` to a party and records the event.
+    /// Mints `amount` of `asset` to a party and records the event. Inside a
+    /// finality window the mint is speculative: a reorg rewinds it.
     pub fn mint(&mut self, party: PartyId, asset: AssetId, amount: Amount) {
-        self.ledger.mint(AccountRef::Party(party), asset, amount);
+        let account = AccountRef::Party(party);
+        if let Some(round) = self.window.back_mut() {
+            round.undo.push(UndoOp::mint(&self.ledger, account, asset, amount));
+        }
+        self.ledger.mint(account, asset, amount);
         if self.trace.is_full() {
             self.events.push(ChainEvent {
                 height: self.height,
-                kind: EventKind::Mint { account: AccountRef::Party(party), asset, amount },
+                kind: EventKind::Mint { account, asset, amount },
             });
         }
     }
@@ -310,7 +319,7 @@ impl Blockchain {
         self.finality = params;
         self.window.clear();
         if params.depth > 0 {
-            self.window.push_back(SpecRound { base: self.capture_core(), actions: Vec::new() });
+            self.window.push_back(self.open_round());
         }
     }
 
@@ -325,7 +334,7 @@ impl Blockchain {
     /// publisher.
     pub fn publish(&mut self, publisher: PartyId, contract: Box<dyn Contract>) -> ContractId {
         let id = ContractId(self.contracts.len() as u64);
-        self.gas.charge(publisher, self.gas_schedule.publish);
+        self.charge(publisher, self.gas_schedule.publish);
         if self.trace.is_full() {
             self.events.push(ChainEvent {
                 height: self.height,
@@ -382,7 +391,8 @@ impl Blockchain {
             .and_then(Option::take)
             .ok_or(ChainError::NoSuchContract { chain: self.id, contract: id })?;
         // The rollback target: a failed call must restore the contract's
-        // internal state along with the ledger.
+        // internal state along with the ledger, and inside a finality window
+        // a committed call leaves it in the round's journal for a reorg.
         let backup = contract.clone_box();
         let events_before = self.events.len();
         #[cfg(any(debug_assertions, feature = "strict-rollback"))]
@@ -401,31 +411,33 @@ impl Blockchain {
                 })
                 .collect::<Vec<_>>()
         };
-        let undo_pool = std::mem::take(&mut self.undo_pool);
-        let (result, gas_used) = {
-            let mut env = CallEnv::with_undo_pool(
-                self.id,
-                id,
-                caller,
-                self.height,
-                &mut self.ledger,
-                &mut self.events,
-                directory,
-                caches,
-                self.trace,
-                self.gas_schedule,
-                undo_pool,
-            );
-            let result = contract.handle(&mut env, msg.as_any());
-            let gas_used = env.gas_used();
-            self.undo_pool = match &result {
-                Ok(()) => env.into_undo_pool(),
-                Err(_) => env.rollback_all(),
-            };
-            (result, gas_used)
+        // Inside a finality window the call journals into the open round,
+        // where its committed transfers stay reversible.
+        let journal = match self.window.back_mut() {
+            Some(round) => &mut round.undo,
+            None => &mut self.undo,
         };
+        let mut env = CallEnv::new(
+            self.id,
+            id,
+            caller,
+            self.height,
+            &mut self.ledger,
+            &mut self.events,
+            journal,
+            directory,
+            caches,
+            self.trace,
+            self.gas_schedule,
+        );
+        let result = contract.handle(&mut env, msg.as_any());
+        let gas_used = env.gas_used();
+        if result.is_err() {
+            env.rollback_all();
+        }
+        self.undo.clear();
         // Failed calls still burn the gas they consumed before failing.
-        self.gas.charge(caller, gas_used);
+        self.charge(caller, gas_used);
         match result {
             Ok(()) => {
                 self.contracts[slot] = Some(contract);
@@ -436,6 +448,7 @@ impl Blockchain {
                     });
                 }
                 if let Some(round) = self.window.back_mut() {
+                    round.backups.push((slot, backup));
                     round.actions.push(RecordedAction::Call {
                         caller,
                         contract: id,
@@ -524,14 +537,38 @@ impl Blockchain {
         self.height = self.height.plus(blocks);
     }
 
+    /// Meters `gas` to `party`, journaled in the open round (if any) so a
+    /// reorg takes it back.
+    fn charge(&mut self, party: PartyId, gas: u64) {
+        self.gas.charge(party, gas);
+        if let Some(round) = self.window.back_mut() {
+            round.gas.push((party, gas));
+        }
+    }
+
+    /// An empty round journal opening at the chain's current state.
+    fn open_round(&self) -> SpecRound {
+        SpecRound {
+            height: self.height,
+            contracts: self.contracts.len(),
+            events: self.events.len(),
+            last_call: self.gas.last_call(),
+            undo: Vec::new(),
+            backups: Vec::new(),
+            gas: Vec::new(),
+            actions: Vec::new(),
+        }
+    }
+
     /// Closes the current world round: advances the height by `blocks` and,
     /// when finality lag is configured, rolls the speculative window forward
-    /// (opening the next round's entry and finalizing rounds that fall off
-    /// the window). Called by the world at every round boundary.
+    /// (opening the next round's journal and dropping the journals of rounds
+    /// that fall off the window, which are final). Called by the world at
+    /// every round boundary.
     pub(crate) fn end_round(&mut self, blocks: u64) {
         self.height = self.height.plus(blocks);
         if self.finality.depth > 0 {
-            self.window.push_back(SpecRound { base: self.capture_core(), actions: Vec::new() });
+            self.window.push_back(self.open_round());
             while self.window.len() > self.finality.depth as usize {
                 self.window.pop_front();
             }
@@ -539,11 +576,11 @@ impl Blockchain {
     }
 
     /// Executes a reorg of `depth` rounds (clamped to the speculative
-    /// window) at the current height: rewinds the chain to the start of the
-    /// oldest rewound round — heights never move backwards — then
-    /// re-delivers the rewound publishes and, per `policy`, the rewound
-    /// calls, in their original order at the current height. Returns the
-    /// number of rounds actually rewound.
+    /// window) at the current height: unwinds the rewound rounds' journals
+    /// newest-first back to the start of the oldest — heights never move
+    /// backwards — then re-delivers the rewound publishes and, per `policy`,
+    /// the rewound calls, in their original order at the current height.
+    /// Returns the number of rounds actually rewound.
     pub(crate) fn reorg(
         &mut self,
         depth: u32,
@@ -555,16 +592,19 @@ impl Blockchain {
         if rewound == 0 {
             return 0;
         }
-        let drained: Vec<SpecRound> = {
-            let keep = self.window.len() - rewound;
-            self.window.split_off(keep).into_iter().collect()
-        };
-        let reorg_height = self.height;
-        self.restore_core_from(&drained[0].base, self.trace);
-        self.height = reorg_height;
+        let mut drained = self.window.split_off(self.window.len() - rewound);
+        for round in drained.iter_mut().rev() {
+            unwind(&mut self.ledger, &mut round.undo, 0);
+            for (slot, backup) in round.backups.drain(..).rev() {
+                self.contracts[slot] = Some(backup);
+            }
+            self.contracts.truncate(round.contracts);
+            self.events.truncate(round.events);
+            self.gas.unwind(&round.gas, round.last_call);
+        }
         // Re-open the current round on top of the rewound state; re-delivered
         // actions are recorded into it like any other call of this round.
-        self.window.push_back(SpecRound { base: self.capture_core(), actions: Vec::new() });
+        self.window.push_back(self.open_round());
         self.reorg_stats.reorgs += 1;
         for round in drained {
             for action in round.actions {
@@ -600,123 +640,40 @@ impl Blockchain {
         rewound as u32
     }
 
-    /// Captures the chain state minus the speculative window (the form
-    /// stored inside window entries themselves).
-    fn capture_core(&self) -> ChainSnapshot {
-        ChainSnapshot {
-            id: self.id,
-            name: self.name.clone(),
-            native_asset: self.native_asset,
-            height: self.height,
-            ledger: self.ledger.clone(),
-            contracts: self
-                .contracts
-                .iter()
-                .map(|slot| slot.as_ref().expect("no call in flight during snapshot").clone_box())
-                .collect(),
-            events: self.events.clone(),
-            gas_schedule: self.gas_schedule,
-            gas: self.gas.clone(),
-            finality: self.finality,
-            window: Vec::new(),
-            reorg_stats: self.reorg_stats,
-        }
-    }
-
-    /// Captures the chain's full state for [`crate::World::snapshot`],
-    /// including the speculative/finalized split (finality parameters, the
-    /// speculative window and reorg counters).
-    ///
-    /// Contracts are deep-cloned via [`Contract::clone_box`]; the event log
-    /// is cloned as-is (empty under [`TraceMode::Off`], so snapshots of
-    /// trace-free sweep worlds never copy events).
-    pub(crate) fn capture(&self) -> ChainSnapshot {
-        let mut snap = self.capture_core();
-        snap.window = self.window.iter().map(SpecRound::clone_data).collect();
-        snap
-    }
-
-    /// Restores everything except the speculative window bookkeeping.
-    fn restore_core_from(&mut self, snap: &ChainSnapshot, trace: TraceMode) {
+    /// Restores the chain (possibly a recycled spare shell) to `snap`, a
+    /// clone taken by [`crate::World::snapshot`], reusing the ledger,
+    /// event-log and name allocations. The speculative/finalized split is
+    /// restored exactly: finality parameters, the round journals and reorg
+    /// counters all come from the snapshot, so state a reorg reverted before
+    /// the snapshot can never resurrect (debug builds assert the restored
+    /// window's integrity).
+    pub(crate) fn restore_from(&mut self, snap: &Blockchain) {
         self.id = snap.id;
         self.name.clone_from(&snap.name);
         self.native_asset = snap.native_asset;
         self.height = snap.height;
         self.ledger.clone_from(&snap.ledger);
-        self.contracts.clear();
-        self.contracts.extend(snap.contracts.iter().map(|c| Some(c.clone_box())));
+        self.contracts.clone_from(&snap.contracts);
         self.events.clone_from(&snap.events);
-        self.trace = trace;
+        self.trace = snap.trace;
         self.gas_schedule = snap.gas_schedule;
         self.gas.restore_from(&snap.gas);
-    }
-
-    /// Restores the chain (possibly a recycled spare shell) to the captured
-    /// state, reusing the ledger, event-log and name allocations. The
-    /// speculative/finalized split is restored exactly: finality parameters,
-    /// the speculative window and reorg counters all come from the snapshot,
-    /// so state a reorg reverted before the snapshot can never resurrect
-    /// (debug builds assert the restored window's integrity).
-    pub(crate) fn restore_from(&mut self, snap: &ChainSnapshot, trace: TraceMode) {
-        self.restore_core_from(snap, trace);
         self.finality = snap.finality;
+        self.window.clone_from(&snap.window);
         self.reorg_stats = snap.reorg_stats;
-        self.window.clear();
-        self.window.extend(snap.window.iter().map(SpecRound::clone_data));
         debug_assert!(
             self.window.len() <= self.finality.depth as usize,
             "restored speculative window exceeds the finality depth"
         );
         debug_assert!(
-            self.window.iter().all(|round| round.base.height <= self.height),
+            self.window.iter().all(|round| round.height <= self.height),
             "restored speculative window reaches past the chain tip: a \
              restore must never resurrect reverted speculative state"
         );
         debug_assert!(
-            self.window
-                .iter()
-                .zip(self.window.iter().skip(1))
-                .all(|(a, b)| { a.base.height <= b.base.height }),
+            self.window.iter().zip(self.window.iter().skip(1)).all(|(a, b)| a.height <= b.height),
             "restored speculative window must be oldest-first"
         );
-    }
-}
-
-/// The captured state of one chain inside a [`crate::WorldSnapshot`].
-#[derive(Debug)]
-pub(crate) struct ChainSnapshot {
-    pub(crate) id: ChainId,
-    name: String,
-    native_asset: AssetId,
-    height: Time,
-    ledger: Ledger,
-    contracts: Vec<Box<dyn Contract>>,
-    events: Vec<ChainEvent>,
-    gas_schedule: GasSchedule,
-    gas: GasMeter,
-    finality: FinalityParams,
-    window: Vec<SpecRound>,
-    reorg_stats: ReorgStats,
-}
-
-impl ChainSnapshot {
-    /// Deep-clones the snapshot (contracts via `clone_box`, recorded
-    /// messages via `clone_message`).
-    fn clone_data(&self) -> ChainSnapshot {
-        ChainSnapshot {
-            id: self.id,
-            name: self.name.clone(),
-            native_asset: self.native_asset,
-            height: self.height,
-            ledger: self.ledger.clone(),
-            contracts: self.contracts.iter().map(|c| c.clone_box()).collect(),
-            events: self.events.clone(),
-            gas_schedule: self.gas_schedule,
-            gas: self.gas.clone(),
-            finality: self.finality,
-            window: self.window.iter().map(SpecRound::clone_data).collect(),
-            reorg_stats: self.reorg_stats,
-        }
     }
 }
 
@@ -1092,6 +1049,40 @@ mod tests {
     }
 
     #[test]
+    fn mint_inside_the_window_is_rewound_by_a_reorg() {
+        let mut chain = chain_fixture();
+        chain.mint(PartyId(0), AssetId(0), Amount::new(10));
+        chain.set_finality(FinalityParams { depth: 2, delta: 0 });
+        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        chain.end_round(1);
+        let gas = chain.gas_meter().total();
+        let events = chain.events().len();
+        // A speculative mint, a deposit spending it, and a mint of an asset
+        // the ledger has never held.
+        chain.mint(PartyId(0), AssetId(0), Amount::new(5));
+        chain
+            .call(
+                PartyId(0),
+                id,
+                &CounterMsg::Deposit(Amount::new(12)),
+                "Deposit",
+                &dir(),
+                &mut caches(),
+            )
+            .unwrap();
+        chain.mint(PartyId(1), AssetId(7), Amount::new(3));
+
+        assert_eq!(chain.reorg(1, ReorgPolicy::DropCalls, &dir(), &mut caches()), 1);
+        assert_eq!(chain.balance(AccountRef::Party(PartyId(0)), AssetId(0)), Amount::new(10));
+        assert_eq!(chain.balance(AccountRef::Contract(id), AssetId(0)), Amount::ZERO);
+        assert_eq!(chain.ledger().total_supply(AssetId(0)), Amount::new(10));
+        assert_eq!(chain.ledger().total_supply(AssetId(7)), Amount::ZERO);
+        assert_eq!(chain.contract_as::<Counter>(id).unwrap().deposited, Amount::ZERO);
+        assert_eq!(chain.gas_meter().total(), gas);
+        assert_eq!(chain.events().len(), events);
+    }
+
+    #[test]
     fn reorg_depth_is_clamped_to_the_speculative_window() {
         let mut chain = chain_fixture();
         chain.set_finality(FinalityParams { depth: 2, delta: 0 });
@@ -1144,10 +1135,10 @@ mod tests {
         chain.call(PartyId(0), id, &CounterMsg::Bump, "Bump", &dir(), &mut caches()).unwrap();
         chain.reorg(1, ReorgPolicy::Redeliver, &dir(), &mut caches());
 
-        let snap = chain.capture();
+        let snap = chain.clone();
         chain.call(PartyId(0), id, &CounterMsg::Bump, "Bump", &dir(), &mut caches()).unwrap();
         chain.end_round(1);
-        chain.restore_from(&snap, TraceMode::Full);
+        chain.restore_from(&snap);
 
         assert_eq!(chain.finality(), FinalityParams { depth: 2, delta: 3 });
         assert_eq!(chain.reorg_stats().reorgs, 1);

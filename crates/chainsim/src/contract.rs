@@ -58,10 +58,10 @@ pub trait Contract: fmt::Debug + Send {
 
     /// Clones the contract into a fresh box, preserving its full state.
     ///
-    /// Snapshots ([`crate::World::snapshot`]) capture contract state by
-    /// cloning every live contract, so every contract must be cloneable;
-    /// concrete contracts derive [`Clone`] and implement this as
-    /// `Box::new(self.clone())`.
+    /// Calls keep a pre-call clone to roll back to, and snapshots
+    /// ([`crate::World::snapshot`]) clone every live contract, so every
+    /// contract must be cloneable; concrete contracts derive [`Clone`] and
+    /// implement this as `Box::new(self.clone())`.
     fn clone_box(&self) -> Box<dyn Contract>;
 
     /// Handles a call from `env.caller()` carrying the typed message `msg`.
@@ -96,6 +96,12 @@ pub trait Contract: fmt::Debug + Send {
     }
 }
 
+impl Clone for Box<dyn Contract> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
+}
+
 /// The execution environment handed to a contract during a call.
 ///
 /// The environment scopes every ledger mutation to the contract's own chain
@@ -116,25 +122,28 @@ pub struct CallEnv<'a> {
     trace: TraceMode,
     gas_schedule: GasSchedule,
     gas_used: u64,
-    /// Journal of applied ledger transfers, in execution order. The chain
-    /// reverse-applies it when `handle` fails (and
-    /// [`CallEnv::with_transaction`] reverse-applies its own suffix), so
-    /// multi-op contract steps commit or roll back atomically. The backing
-    /// `Vec` is pooled by the chain across calls.
-    undo: Vec<UndoOp>,
+    /// The chain's undo journal: this call appends its applied ledger
+    /// transfers, in execution order, past `undo_floor`. A failed `handle`
+    /// unwinds them (and [`CallEnv::with_transaction`] unwinds its own
+    /// suffix), so multi-op contract steps commit or roll back atomically;
+    /// inside a finality window committed entries stay for a reorg.
+    undo: &'a mut Vec<UndoOp>,
+    /// Journal length at call entry: where a failed call unwinds to.
+    undo_floor: usize,
     /// Event-log length at call entry; the rollback truncation floor.
     event_mark: usize,
 }
 
-/// One applied ledger transfer, with enough context to reverse it.
+/// One applied ledger transfer or mint (`from: None`), with enough context
+/// to reverse it.
 ///
 /// `from_before`/`to_before` record the touched balances before the
-/// transfer; the rollback assertions (debug builds, or release with the
+/// operation; the rollback assertions (debug builds, or release with the
 /// `strict-rollback` feature) verify each reversed operation restores them
 /// exactly.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct UndoOp {
-    from: AccountRef,
+    from: Option<AccountRef>,
     to: AccountRef,
     asset: AssetId,
     amount: Amount,
@@ -146,29 +155,66 @@ pub(crate) struct UndoOp {
     to_before: Amount,
 }
 
+impl UndoOp {
+    /// Journals a mint of `amount` into `to`, taken before it is applied.
+    pub(crate) fn mint(ledger: &Ledger, to: AccountRef, asset: AssetId, amount: Amount) -> Self {
+        let to_before = ledger.balance(to, asset);
+        UndoOp { from: None, to, asset, amount, from_before: Amount::ZERO, to_before }
+    }
+}
+
+/// Reverse-applies the `journal` entries past `mark`, newest first, and
+/// truncates the journal to `mark`: the one rollback routine behind failed
+/// calls, [`CallEnv::with_transaction`] frames and, round by round, reorgs.
+/// A transfer is reversed by the opposite transfer and a mint by burning
+/// what it created.
+pub(crate) fn unwind(ledger: &mut Ledger, journal: &mut Vec<UndoOp>, mark: usize) {
+    for op in journal.drain(mark..).rev() {
+        match op.from {
+            Some(from) => ledger
+                .transfer(op.to, from, op.asset, op.amount)
+                .expect("reversing an applied transfer cannot fail"),
+            None => ledger.burn(op.to, op.asset, op.amount),
+        }
+        #[cfg(any(debug_assertions, feature = "strict-rollback"))]
+        {
+            if let Some(from) = op.from {
+                assert_eq!(
+                    ledger.balance(from, op.asset),
+                    op.from_before,
+                    "rollback must restore the debited balance exactly"
+                );
+            }
+            assert_eq!(
+                ledger.balance(op.to, op.asset),
+                op.to_before,
+                "rollback must restore the credited balance exactly"
+            );
+        }
+    }
+}
+
 impl<'a> CallEnv<'a> {
-    /// Creates a call environment. Used by [`crate::Blockchain`]; protocol
-    /// code never constructs one directly. The undo-journal allocation is
-    /// pooled by the chain across calls (handed in here, reclaimed via
-    /// [`CallEnv::into_undo_pool`] / [`CallEnv::rollback_all`] afterwards).
+    /// Creates a call environment that journals into `undo`. Used by
+    /// [`crate::Blockchain`]; protocol code never constructs one directly.
     ///
     /// The call's base gas cost ([`GasSchedule::call_base`]) is charged at
     /// construction: dispatching a contract step is work in itself.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_undo_pool(
+    pub(crate) fn new(
         chain: ChainId,
         contract: ContractId,
         caller: PartyId,
         now: Time,
         ledger: &'a mut Ledger,
         events: &'a mut Vec<ChainEvent>,
+        undo: &'a mut Vec<UndoOp>,
         directory: &'a KeyDirectory,
         caches: &'a mut SimCaches,
         trace: TraceMode,
         gas_schedule: GasSchedule,
-        mut undo: Vec<UndoOp>,
     ) -> Self {
-        undo.clear();
+        let undo_floor = undo.len();
         let event_mark = events.len();
         CallEnv {
             chain,
@@ -183,47 +229,22 @@ impl<'a> CallEnv<'a> {
             gas_schedule,
             gas_used: gas_schedule.call_base,
             undo,
+            undo_floor,
             event_mark,
         }
     }
 
     /// Rolls back every ledger operation and note this call has applied so
-    /// far, returning the journal's backing allocation to the caller. Used
-    /// by [`crate::Blockchain::call`] when `handle` fails; gas already
-    /// metered is deliberately left charged.
-    pub(crate) fn rollback_all(mut self) -> Vec<UndoOp> {
-        let event_mark = self.event_mark;
-        self.rollback_to(0, event_mark);
-        self.undo
+    /// far. Used by [`crate::Blockchain::call`] when `handle` fails; gas
+    /// already metered is deliberately left charged.
+    pub(crate) fn rollback_all(mut self) {
+        self.rollback_to(self.undo_floor, self.event_mark);
     }
 
-    /// Reclaims the pooled undo allocation after a successful call.
-    pub(crate) fn into_undo_pool(self) -> Vec<UndoOp> {
-        self.undo
-    }
-
-    /// Reverse-applies journal entries past `undo_mark` and truncates the
-    /// event log to `event_mark` (never below the call-entry floor).
+    /// Unwinds journal entries past `undo_mark` and truncates the event log
+    /// to `event_mark` (never below the call-entry floor).
     fn rollback_to(&mut self, undo_mark: usize, event_mark: usize) {
-        while self.undo.len() > undo_mark {
-            let op = self.undo.pop().expect("length checked above");
-            self.ledger
-                .transfer(op.to, op.from, op.asset, op.amount)
-                .expect("reversing an applied transfer cannot fail");
-            #[cfg(any(debug_assertions, feature = "strict-rollback"))]
-            {
-                assert_eq!(
-                    self.ledger.balance(op.from, op.asset),
-                    op.from_before,
-                    "rollback must restore the debited balance exactly"
-                );
-                assert_eq!(
-                    self.ledger.balance(op.to, op.asset),
-                    op.to_before,
-                    "rollback must restore the credited balance exactly"
-                );
-            }
-        }
+        unwind(self.ledger, self.undo, undo_mark);
         self.events.truncate(event_mark.max(self.event_mark));
     }
 
@@ -440,7 +461,7 @@ impl<'a> CallEnv<'a> {
         let from_before = self.ledger.balance(from, asset);
         let to_before = self.ledger.balance(to, asset);
         self.ledger.transfer(from, to, asset, amount)?;
-        self.undo.push(UndoOp { from, to, asset, amount, from_before, to_before });
+        self.undo.push(UndoOp { from: Some(from), to, asset, amount, from_before, to_before });
         self.gas_used += self.gas_schedule.ledger_op;
         if self.trace.is_full() {
             self.events.push(ChainEvent {
@@ -479,18 +500,19 @@ mod tests {
         caches: &'a mut SimCaches,
         now: Time,
     ) -> CallEnv<'a> {
-        CallEnv::with_undo_pool(
+        CallEnv::new(
             ChainId(0),
             ContractId(7),
             PartyId(1),
             now,
             ledger,
             events,
+            // A fresh journal that outlives the env; the leak is per test.
+            Box::leak(Box::default()),
             empty_directory(),
             caches,
             TraceMode::Full,
             GasSchedule::DEFAULT,
-            Vec::new(),
         )
     }
 
@@ -501,18 +523,19 @@ mod tests {
         let mut caches = SimCaches::new();
         ledger.mint(AccountRef::Party(PartyId(1)), AssetId(0), Amount::new(10));
         {
-            let mut env = CallEnv::with_undo_pool(
+            let mut journal = Vec::new();
+            let mut env = CallEnv::new(
                 ChainId(0),
                 ContractId(7),
                 PartyId(1),
                 Time(2),
                 &mut ledger,
                 &mut events,
+                &mut journal,
                 empty_directory(),
                 &mut caches,
                 TraceMode::Off,
                 GasSchedule::DEFAULT,
-                Vec::new(),
             );
             env.debit_caller(AssetId(0), Amount::new(4)).unwrap();
             env.emit_note("invisible");
@@ -647,7 +670,6 @@ mod tests {
         assert_eq!(env.contract_balance(AssetId(0)), Amount::new(4));
         assert_eq!(env.caller_balance(AssetId(0)), Amount::new(6));
         assert!(env.gas_used() > gas_before, "attempted work stays metered");
-        drop(env);
         let notes: Vec<String> = events
             .iter()
             .filter(|e| matches!(e.kind, EventKind::Note { .. }))

@@ -55,9 +55,9 @@ impl Default for GasSchedule {
 ///
 /// The meter is part of a chain's observable state: it is captured by
 /// [`World::snapshot`](crate::World::snapshot), restored by
-/// [`World::restore`](crate::World::restore) and cleared when a chain shell
-/// is recycled, so deviation-tree sweeps that resume runs mid-way see
-/// exactly the gas a full replay would have metered.
+/// [`World::restore`](crate::World::restore), rewound by reorgs and cleared
+/// when a chain shell is recycled, so deviation-tree sweeps that resume runs
+/// mid-way see exactly the gas a full replay would have metered.
 #[derive(Clone, Default, Debug, Serialize, Deserialize)]
 pub struct GasMeter {
     total: u64,
@@ -113,6 +113,16 @@ impl GasMeter {
         self.total = 0;
         self.by_party.clear();
         self.last_call = 0;
+    }
+
+    /// Reverses journaled `charges` and restores `last_call`: a reorg
+    /// rewinding a round's gas.
+    pub(crate) fn unwind(&mut self, charges: &[(PartyId, u64)], last_call: u64) {
+        for &(party, gas) in charges {
+            self.total -= gas;
+            self.by_party[party.0 as usize] -= gas;
+        }
+        self.last_call = last_call;
     }
 
     /// Restores this meter to the captured state, reusing allocations.

@@ -190,6 +190,14 @@ impl Ledger {
         *self.slot_mut(account, asset) += amount;
     }
 
+    /// Destroys `amount` of `asset` held by `account`: the inverse of
+    /// [`Ledger::mint`], used only to roll a journaled mint back.
+    pub(crate) fn burn(&mut self, account: AccountRef, asset: AssetId, amount: Amount) {
+        if !amount.is_zero() {
+            *self.slot_mut(account, asset) -= amount;
+        }
+    }
+
     /// Moves `amount` of `asset` from `from` to `to`.
     ///
     /// # Errors

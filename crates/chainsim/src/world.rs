@@ -8,7 +8,7 @@ use cryptosim::KeyDirectory;
 
 use crate::amount::Amount;
 use crate::caches::SimCaches;
-use crate::chain::{Blockchain, ChainSnapshot, FinalityParams, ReorgEvent};
+use crate::chain::{Blockchain, FinalityParams, ReorgEvent};
 use crate::contract::ContractMessage;
 use crate::error::ChainError;
 use crate::events::{CallDesc, TraceMode};
@@ -379,14 +379,9 @@ impl World {
     /// to the live state only, no matter how many runs the world has pooled.
     /// The [`SimCaches`] memo store is also excluded — it memoises pure
     /// computations and is shared across runs by design.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called from inside a contract call (a contract slot is
-    /// transiently empty while its contract executes).
     pub fn snapshot(&self) -> WorldSnapshot {
         WorldSnapshot {
-            chains: self.chains.iter().map(Blockchain::capture).collect(),
+            chains: self.chains.clone(),
             directory: self.directory.clone(),
             labels: self.labels.clone(),
             asset_names: self.asset_names.clone(),
@@ -425,7 +420,7 @@ impl World {
             self.chains.push(shell);
         }
         for (chain, captured) in self.chains.iter_mut().zip(&snap.chains) {
-            chain.restore_from(captured, snap.trace);
+            chain.restore_from(captured);
         }
         // Registries only need re-cloning when the world's current ones
         // differ from the snapshot's (equal versions imply equal contents;
@@ -457,7 +452,7 @@ impl World {
 /// them to execute a shared compliant prefix once and fan many deviation
 /// scenarios out from the same mid-run state.
 pub struct WorldSnapshot {
-    chains: Vec<ChainSnapshot>,
+    chains: Vec<Blockchain>,
     directory: KeyDirectory,
     labels: BTreeMap<Label, ContractAddr>,
     asset_names: Vec<String>,

@@ -16,17 +16,23 @@
 //! * **no stranded funds** — after the final deadline has passed and every
 //!   party has run the settle/refund paths, the contract account holds
 //!   nothing;
+//! * **exact rewinds** — a call-dropping reorg leaves its chain exactly as
+//!   the `World::snapshot` taken at the start of the oldest rewound round
+//!   (balances, contract states, gas, event-log length): the finality
+//!   window's round journal agrees with the snapshot path the deviation
+//!   tree restores from;
 //! * **determinism** — the whole suite is a pure function of `FUZZ_SEED`,
 //!   so any failure reproduces from the printed iteration seed alone.
 //!
 //! `FUZZ_ITERS` overrides the per-family iteration count (default 300; CI
 //! runs the same pinned budget).
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use chainsim::{
     AccountRef, Amount, AssetId, ChainId, ContractAddr, FinalityParams, PartyId, ReorgEvent,
-    ReorgPolicy, Time, World,
+    ReorgPolicy, Time, World, WorldSnapshot,
 };
 use contracts::{
     ArcDeadlines, ArcEscrow, ArcEscrowMsg, ArcEscrowParams, AuctionCoinContract, AuctionCoinMsg,
@@ -90,19 +96,115 @@ fn maybe_secret(real: &Secret, rng: &mut SplitMix64) -> Secret {
     }
 }
 
+/// A chain's observable state minus its height and reorg counters: what a
+/// call-dropping reorg must restore exactly.
+#[derive(Debug, PartialEq)]
+struct ChainState {
+    balances: Vec<(AccountRef, AssetId, Amount)>,
+    contracts: Vec<String>,
+    gas_total: u64,
+    gas_last_call: u64,
+    events: usize,
+}
+
+fn chain_state(world: &World, chain: ChainId) -> ChainState {
+    let chain = world.chain(chain);
+    ChainState {
+        balances: chain.ledger().iter().collect(),
+        contracts: chain.contracts().map(|contract| format!("{contract:?}")).collect(),
+        gas_total: chain.gas_meter().total(),
+        gas_last_call: chain.gas_meter().last_call(),
+        events: chain.events().len(),
+    }
+}
+
+/// The differential rewind oracle: a `World::snapshot` from the start of
+/// every round still inside each chain's finality window, oldest first, so
+/// the lists mirror the chains' own windows (a reorg reshapes only its
+/// chain's).
+struct RoundStarts {
+    seed: u64,
+    depth: usize,
+    chains: Vec<ChainId>,
+    starts: Vec<Vec<Rc<WorldSnapshot>>>,
+}
+
+impl RoundStarts {
+    /// Opens the mirror where the windows open: right after `set_finality`.
+    fn new(world: &World, chains: &[ChainId], depth: u32, seed: u64) -> Self {
+        let open = Rc::new(world.snapshot());
+        RoundStarts {
+            seed,
+            depth: depth as usize,
+            chains: chains.to_vec(),
+            starts: chains.iter().map(|_| vec![Rc::clone(&open)]).collect(),
+        }
+    }
+
+    /// Follows one `advance_delta` that fired `reorg`, if any. A
+    /// call-dropping reorg re-delivers nothing (every publish predates the
+    /// window), so its chain must match the snapshot from the start of the
+    /// oldest rewound round.
+    fn round_ended(&mut self, world: &World, reorg: Option<ReorgEvent>) {
+        if self.depth == 0 {
+            return;
+        }
+        if let Some(event) = reorg {
+            let index = self.chains.iter().position(|chain| *chain == event.chain).unwrap();
+            let starts = &mut self.starts[index];
+            let kept = starts.len() - (event.depth as usize).min(starts.len());
+            let oldest = Rc::clone(&starts[kept]);
+            if event.policy == ReorgPolicy::DropCalls {
+                let mut expected = World::new(1);
+                expected.restore(&oldest);
+                assert_eq!(
+                    chain_state(world, event.chain),
+                    chain_state(&expected, event.chain),
+                    "seed {:#x}: a call-dropping reorg of depth {} must rewind {:?} to the \
+                     start of its oldest rewound round",
+                    self.seed,
+                    event.depth,
+                    event.chain
+                );
+            }
+            // The reorg reopens the current round on the rewound state.
+            starts.truncate(kept);
+            starts.push(oldest);
+        }
+        let start = Rc::new(world.snapshot());
+        for starts in &mut self.starts {
+            starts.push(Rc::clone(&start));
+            if starts.len() > self.depth {
+                starts.remove(0);
+            }
+        }
+    }
+}
+
 /// Ends a round; when the chain keeps a finality window, sometimes strikes
-/// it with a reorg first (random depth within the window, random policy).
-fn advance_round(world: &mut World, chains: &[ChainId], depth: u32, rng: &mut SplitMix64) {
+/// it with a reorg first (random depth within the window, random policy),
+/// and checks the rewind against `starts`.
+fn advance_round(
+    world: &mut World,
+    chains: &[ChainId],
+    depth: u32,
+    rng: &mut SplitMix64,
+    starts: &mut RoundStarts,
+) {
+    let mut reorg = None;
     if depth > 0 && rng.chance(4) {
         let policy = if rng.chance(2) { ReorgPolicy::Redeliver } else { ReorgPolicy::DropCalls };
-        world.schedule_reorg(ReorgEvent {
+        let event = ReorgEvent {
             chain: chains[rng.below(chains.len() as u64) as usize],
             at_round: world.rounds_elapsed(),
             depth: 1 + rng.below(u64::from(depth)) as u32,
             policy,
-        });
+        };
+        world.schedule_reorg(event);
+        reorg = Some(event);
     }
     world.advance_delta();
+    starts.round_ended(world, reorg);
 }
 
 /// Rounds (reorg-free) until every chain is past `deadline` by a margin.
@@ -159,11 +261,12 @@ fn fuzz_htlc_once(seed: u64) {
     if depth > 0 {
         world.set_finality(chain, FinalityParams { depth, delta: 0 });
     }
+    let mut starts = RoundStarts::new(&world, &[chain], depth, seed);
 
     for _ in 0..8 + rng.below(17) {
         let caller = any_party(&mut rng);
         match rng.below(5) {
-            0 => advance_round(&mut world, &[chain], depth, &mut rng),
+            0 => advance_round(&mut world, &[chain], depth, &mut rng, &mut starts),
             1 => drop(world.call(caller, addr, &HtlcMsg::Escrow, "fuzz escrow")),
             2 => {
                 let secret = maybe_secret(&secret, &mut rng);
@@ -220,11 +323,12 @@ fn fuzz_hedged_once(seed: u64) {
     if depth > 0 {
         world.set_finality(chain, FinalityParams { depth, delta: 0 });
     }
+    let mut starts = RoundStarts::new(&world, &[chain], depth, seed);
 
     for _ in 0..8 + rng.below(17) {
         let caller = any_party(&mut rng);
         match rng.below(6) {
-            0 => advance_round(&mut world, &[chain], depth, &mut rng),
+            0 => advance_round(&mut world, &[chain], depth, &mut rng, &mut starts),
             1 => drop(world.call(caller, addr, &HedgedEscrowMsg::DepositPremium, "fuzz premium")),
             2 => drop(world.call(caller, addr, &HedgedEscrowMsg::EscrowPrincipal, "fuzz escrow")),
             3 => {
@@ -302,11 +406,12 @@ fn fuzz_arc_once(seed: u64) {
     if depth > 0 {
         world.set_finality(chain, FinalityParams { depth, delta: 0 });
     }
+    let mut starts = RoundStarts::new(&world, &[chain], depth, seed);
 
     for _ in 0..10 + rng.below(21) {
         let caller = any_party(&mut rng);
         match rng.below(6) {
-            0 => advance_round(&mut world, &[chain], depth, &mut rng),
+            0 => advance_round(&mut world, &[chain], depth, &mut rng, &mut starts),
             1 => drop(world.call(caller, addr, &ArcEscrowMsg::DepositEscrowPremium, "fuzz E")),
             2 => {
                 // Legal (receiver's own length-1 path) and illegal (no such
@@ -392,12 +497,13 @@ fn fuzz_auction_once(seed: u64) {
             world.set_finality(chain, FinalityParams { depth, delta: 0 });
         }
     }
+    let mut starts = RoundStarts::new(&world, &chains, depth, seed);
 
     for _ in 0..10 + rng.below(21) {
         let caller = any_party(&mut rng);
         let bidder = PARTIES[1 + rng.below(2) as usize];
         match rng.below(7) {
-            0 => advance_round(&mut world, &chains, depth, &mut rng),
+            0 => advance_round(&mut world, &chains, depth, &mut rng, &mut starts),
             1 => drop(world.call(caller, coin_addr, &AuctionCoinMsg::DepositPremium, "fuzz endow")),
             2 => {
                 let amount = Amount::new(1 + rng.below(40) as u128);

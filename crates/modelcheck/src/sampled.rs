@@ -162,7 +162,12 @@ fn sample_profile(spec: &SampleSpec, rng: &mut StdRng) -> BTreeMap<PartyId, Stra
 
 /// The deepest reorg the sampled realism axis draws; both chains of a
 /// reorg family run a finality window of this depth. A family whose config
-/// carries `finality_margin ≥ MAX_REORG_DEPTH − 1` is expected to hold.
+/// carries `finality_margin ≥ MAX_REORG_DEPTH − 1` was expected to hold.
+///
+/// Open finding: that margin does not absorb every re-delivery. At
+/// `finality_margin: 1`, sample 7904 of seed `0xdaa66d2c6feb2247` leaves
+/// compliant Bob unhedged (pinned in `tests/sampled.rs` as
+/// `sampled_regression_seed_daa66d2c6feb2247_sample_7904`).
 pub const MAX_REORG_DEPTH: u32 = 2;
 
 /// Draws the chain-realism overlay for one reorg-family sample: both
@@ -292,11 +297,17 @@ impl SampledSweep {
     /// besides a full-axis strategy profile, up to one redelivering reorg
     /// (chain × round × depth). With
     /// [`TwoPartyConfig::finality_margin`]` ≥ MAX_REORG_DEPTH − 1` the
-    /// padded contract deadlines absorb every re-delivery and the family
-    /// is expected to hold; with a zero margin a reorg can push a
-    /// conforming party's last-tick call past its unpadded deadline — the
-    /// documented sore-loser-by-reorg violation the rendered-regression
-    /// tests pin.
+    /// padded contract deadlines were expected to absorb every
+    /// re-delivery; with a zero margin a reorg can push a conforming
+    /// party's last-tick call past its unpadded deadline — the documented
+    /// sore-loser-by-reorg violation the rendered-regression tests pin.
+    ///
+    /// Open finding: margin `MAX_REORG_DEPTH − 1` does not absorb every
+    /// re-delivery. At `finality_margin: 1`, sample 7904 of seed
+    /// `0xdaa66d2c6feb2247` shrinks to Alice compliant with a ¾Δ outage at
+    /// her first step, Bob eager and one depth-2 redelivering reorg of
+    /// chain 1 at round 3, and leaves compliant Bob unhedged; see
+    /// [`MAX_REORG_DEPTH`].
     ///
     /// Reorg scenarios rewind speculative rounds from the very first
     /// round, so the shared-prefix resumption the other two-party families

@@ -14,7 +14,7 @@
 //! canary feature (the bug is real); CI runs this target alone with it.
 #![cfg(feature = "canary-bugs")]
 
-use modelcheck::engine::{ParallelSweep, ScenarioGen};
+use modelcheck::engine::ParallelSweep;
 use modelcheck::sampled::{SampledScenario, SampledSweep};
 use protocols::script::{Fault, Strategy, Timing};
 use protocols::two_party::{TwoPartyConfig, BOB};

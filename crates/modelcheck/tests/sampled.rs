@@ -5,7 +5,7 @@
 
 use chainsim::PartyId;
 use modelcheck::engine::{ParallelSweep, ScenarioGen};
-use modelcheck::sampled::{SampledBootstrap, SampledScenario, SampledSweep};
+use modelcheck::sampled::{SampledScenario, SampledSweep};
 use modelcheck::{check_sampled, sampled_families};
 use protocols::auction::AuctionConfig;
 use protocols::multi_party::{cycle_config, figure3_config};
@@ -80,6 +80,8 @@ fn every_violating_sample_is_rederivable_and_shrinkable() {
 #[cfg(feature = "replay-oracle")]
 #[test]
 fn sampled_sweeps_match_the_replay_oracle() {
+    use modelcheck::sampled::SampledBootstrap;
+
     // The sampled tier rides the same shared-prefix entry points as the
     // enumerated tier; diff its summaries against brute-force replays of
     // the identical samples, across thread counts.
@@ -213,4 +215,57 @@ fn sampled_scenarios_cover_the_new_axes() {
     assert!(saw_delay, "no delay vector in 400 samples");
     assert!(saw_outage, "no variable outage in 400 samples");
     assert!(saw_two_deviators, "no two-deviator sample in 400 samples");
+}
+
+/// Minimal still-violating profile shrunk from sample #7904 of seed 0xdaa66d2c6feb2247
+/// of the family `sampled hedged two-party swap under reorgs (margin 1)`.
+///
+/// An open finding, pinned at today's verdict: a finality margin of
+/// `MAX_REORG_DEPTH − 1` does not absorb every re-delivery. Alice, otherwise
+/// compliant, is offline for ¾Δ at her first step; Bob is eager; one
+/// depth-2 redelivering reorg of chain 1 at round 3 then leaves compliant
+/// Bob unhedged.
+#[test]
+fn sampled_regression_seed_daa66d2c6feb2247_sample_7904() {
+    use chainsim::PartyId;
+    use modelcheck::sampled::{SampledScenario, SampledSweep};
+    use protocols::script::{Fault, Strategy, Timing};
+
+    let family = SampledSweep::hedged_two_party_reorgs(
+        TwoPartyConfig { finality_margin: 1, ..TwoPartyConfig::default() },
+        0xdaa6_6d2c_6feb_2247,
+        40_000,
+    );
+    let scenario = SampledScenario::TwoPartyReorg {
+        alice: Strategy {
+            stop_after: None,
+            timing: Timing::Eager,
+            fault: Fault::Outage { step: 0, quarters: 3 },
+        },
+        bob: Strategy { stop_after: None, timing: Timing::Eager, fault: Fault::None },
+        realism: protocols::two_party::SwapRealism {
+            apricot_depth: 2,
+            banana_depth: 2,
+            reorgs: vec![chainsim::ReorgEvent {
+                chain: chainsim::ChainId(1),
+                at_round: 3,
+                depth: 2,
+                policy: chainsim::ReorgPolicy::Redeliver,
+            }],
+        },
+    };
+    let violations = family.check_scenario(&scenario);
+    assert!(
+        violations.iter().any(|violation| violation.property == "hedged"),
+        "shrunken sample must still violate hedged: {violations:?}"
+    );
+    // Today's verdict exactly: compliant Bob alone is left unhedged, and the
+    // drawn sample still shrinks to this scenario.
+    assert!(
+        violations
+            .iter()
+            .all(|violation| violation.party == PartyId(1) && violation.property == "hedged"),
+        "only Bob's hedge breaks: {violations:?}"
+    );
+    assert_eq!(family.shrink(7904).map(|shrunk| shrunk.minimal), Some(scenario));
 }

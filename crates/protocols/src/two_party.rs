@@ -968,8 +968,15 @@ pub struct SwapRealism {
 ///
 /// This is the entry point for the reorg fault axis in sampled sweeps: with
 /// [`TwoPartyConfig::finality_margin`] at least `depth − 1`, re-delivering
-/// reorgs are absorbed by the padded contract deadlines; with a zero margin
-/// they can push a compliant party's last-tick call past its deadline.
+/// reorgs were expected to be absorbed by the padded contract deadlines;
+/// with a zero margin they can push a compliant party's last-tick call past
+/// its deadline.
+///
+/// Open finding: margin `depth − 1` does not absorb every re-delivery. With
+/// `finality_margin: 1`, both chains at depth 2, Alice compliant but offline
+/// for ¾Δ at her first step and Bob eager, one depth-2 redelivering reorg
+/// of the banana chain at round 3 leaves compliant Bob unhedged (pinned in
+/// `modelcheck`'s `tests/sampled.rs`).
 pub fn run_swap_with_realism_in(
     world: &mut World,
     config: &TwoPartyConfig,

@@ -6,7 +6,8 @@
 //! terminal state, funds conserve fee-adjusted on every shard) and a
 //! byte-identical settlement report across worker counts — and writes
 //! `BENCH_market.json` with settled-deals/sec, p50/p99 settlement latency
-//! in rounds, and gas-per-deal.
+//! in rounds, and gas-per-deal, plus the 1-worker setup and execute times
+//! of the same market under reorg injection.
 //!
 //! ```text
 //! cargo run --release --example bench_market
@@ -110,7 +111,8 @@ fn main() {
     // verbatim, so settlement must stay clean — and the report must stay
     // byte-identical across worker counts with reorgs firing.
     let reorg_cfg = MarketConfig { reorg_interval: 4, reorg_depth: 1, ..cfg.clone() };
-    let reorg_base = run_market(&reorg_cfg).report;
+    let reorg_run = run_market(&reorg_cfg);
+    let reorg_base = &reorg_run.report;
     assert!(reorg_base.reorgs > 0, "reorg injector never fired");
     assert_eq!(
         reorg_base.violations, 0,
@@ -131,6 +133,11 @@ fn main() {
         "reorg run: {} reorgs, {} calls rewound+replayed, digest {reorg_digest} identical \
          across workers {WORKER_COUNTS:?}",
         reorg_base.reorgs, reorg_base.reorg_rewound_calls
+    );
+    println!(
+        "reorg run (1 worker): setup {:.3} s, execute {:.3} s",
+        reorg_run.setup.as_secs_f64(),
+        reorg_run.execute.as_secs_f64()
     );
 
     let mut json = String::new();
@@ -177,6 +184,8 @@ fn main() {
         writeln!(json, "    \"redelivery_failures\": {},", reorg_base.reorg_redelivery_failures);
     let _ = writeln!(json, "    \"settled\": {},", reorg_base.settled);
     let _ = writeln!(json, "    \"violations\": {},", reorg_base.violations);
+    let _ = writeln!(json, "    \"setup_seconds\": {:.4},", reorg_run.setup.as_secs_f64());
+    let _ = writeln!(json, "    \"execute_seconds\": {:.4},", reorg_run.execute.as_secs_f64());
     let _ = writeln!(json, "    \"digest\": \"{reorg_digest}\"");
     json.push_str("  },\n");
     json.push_str("  \"settled_deals_per_sec\": {\n");
