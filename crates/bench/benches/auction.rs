@@ -1,10 +1,9 @@
 //! Experiment C5 — the §9 auction: Lemmas 7–8 and the n·p premium.
 
-use std::collections::BTreeMap;
-
-use chainsim::Amount;
+use chainsim::{Amount, World};
 use criterion::{criterion_group, criterion_main, Criterion};
-use protocols::auction::{run_auction, AuctionConfig, AuctioneerBehaviour};
+use protocols::auction::{AuctionConfig, AuctioneerBehaviour};
+use protocols::script::{Protocol, Strategy};
 
 fn report() {
     bench::header(
@@ -17,7 +16,7 @@ fn report() {
         AuctioneerBehaviour::Abandon,
     ] {
         let config = AuctionConfig { auctioneer: behaviour, ..AuctionConfig::default() };
-        let r = run_auction(&config, &BTreeMap::new());
+        let r = config.run(&|_| Strategy::compliant(), &mut World::new(1));
         bench::row(&[
             format!("{behaviour:?}"),
             format!("{:?}", r.outcome),
@@ -40,7 +39,7 @@ fn bench_auction(c: &mut Criterion) {
     report();
     let config = AuctionConfig::default();
     c.bench_function("auction_honest_two_bidders", |b| {
-        b.iter(|| run_auction(&config, &BTreeMap::new()))
+        b.iter(|| config.run(&|_| Strategy::compliant(), &mut World::new(1)))
     });
 }
 

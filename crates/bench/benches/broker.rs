@@ -2,11 +2,10 @@
 
 use std::collections::BTreeMap;
 
+use chainsim::World;
 use criterion::{criterion_group, criterion_main, Criterion};
-use protocols::broker::{
-    broker_deal_config, run_brokered_sale, BrokerConfig, BROKER, BUYER, SELLER,
-};
-use protocols::script::Strategy;
+use protocols::broker::{broker_deal_config, BrokerConfig, BROKER, BUYER, SELLER};
+use protocols::script::{profile, Protocol, Strategy};
 
 fn report() {
     let config = BrokerConfig::default();
@@ -30,7 +29,7 @@ fn report() {
         ("buyer defects", BTreeMap::from([(BUYER, Strategy::stop_after(2))])),
         ("broker defects", BTreeMap::from([(BROKER, Strategy::stop_after(2))])),
     ] {
-        let r = run_brokered_sale(&config, &strategies);
+        let r = broker_deal_config(&config).run(&profile(&strategies), &mut World::new(1));
         bench::row(&[name.into(), r.completed.to_string(), r.all_compliant_hedged().to_string()]);
     }
 }
@@ -39,7 +38,7 @@ fn bench_broker(c: &mut Criterion) {
     report();
     let config = BrokerConfig::default();
     c.bench_function("brokered_sale_compliant", |b| {
-        b.iter(|| run_brokered_sale(&config, &BTreeMap::new()))
+        b.iter(|| broker_deal_config(&config).run(&|_| Strategy::compliant(), &mut World::new(1)))
     });
 }
 

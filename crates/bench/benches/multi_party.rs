@@ -2,10 +2,10 @@
 
 use std::collections::BTreeMap;
 
-use chainsim::PartyId;
+use chainsim::{PartyId, World};
 use criterion::{criterion_group, criterion_main, Criterion};
-use protocols::multi_party::{cycle_config, figure3_config, run_multi_party_swap};
-use protocols::script::Strategy;
+use protocols::multi_party::{cycle_config, figure3_config};
+use protocols::script::{profile, Protocol, Strategy};
 use swapgraph::{premiums, Digraph};
 
 fn report() {
@@ -31,14 +31,14 @@ fn report() {
         "F3: three-party swap outcomes",
         &["scenario", "completed", "all compliant hedged"],
     );
-    let compliant = run_multi_party_swap(&figure3_config(), &BTreeMap::new());
+    let compliant = figure3_config().run(&|_| Strategy::compliant(), &mut World::new(1));
     bench::row(&[
         "compliant".into(),
         compliant.completed.to_string(),
         compliant.all_compliant_hedged().to_string(),
     ]);
     let strategies = BTreeMap::from([(PartyId(2), Strategy::stop_after(2))]);
-    let carol_defects = run_multi_party_swap(&figure3_config(), &strategies);
+    let carol_defects = figure3_config().run(&profile(&strategies), &mut World::new(1));
     bench::row(&[
         "carol defects".into(),
         carol_defects.completed.to_string(),
@@ -50,12 +50,12 @@ fn bench_multi_party(c: &mut Criterion) {
     report();
     let config = figure3_config();
     c.bench_function("figure3_swap_compliant", |b| {
-        b.iter(|| run_multi_party_swap(&config, &BTreeMap::new()))
+        b.iter(|| config.run(&|_| Strategy::compliant(), &mut World::new(1)))
     });
     for n in [3u32, 5] {
         let config = cycle_config(n);
         c.bench_function(&format!("cycle_swap_n{n}"), |b| {
-            b.iter(|| run_multi_party_swap(&config, &BTreeMap::new()))
+            b.iter(|| config.run(&|_| Strategy::compliant(), &mut World::new(1)))
         });
     }
 }

@@ -1,8 +1,9 @@
 //! Experiment F1/C1 — Figure 1 and the §5.1/§5.2 deviation payoff matrix.
 
+use chainsim::World;
 use criterion::{criterion_group, criterion_main, Criterion};
-use protocols::script::Strategy;
-use protocols::two_party::{run_base_swap, run_hedged_swap, TwoPartyConfig};
+use protocols::script::{Protocol, Strategy};
+use protocols::two_party::{profile, TwoPartyConfig, TwoPartySwap};
 
 fn report() {
     let config = TwoPartyConfig::default();
@@ -23,13 +24,13 @@ fn report() {
         ("bob absent", Strategy::compliant(), Strategy::stop_after(0)),
         ("alice aborts after escrow", Strategy::stop_after(2), Strategy::compliant()),
     ];
+    let swaps =
+        [("base", TwoPartySwap::base(config.clone())), ("hedged", TwoPartySwap::hedged(config))];
     for (name, alice, bob) in scenarios {
-        for (proto, r) in [
-            ("base", run_base_swap(&config, alice, bob)),
-            ("hedged", run_hedged_swap(&config, alice, bob)),
-        ] {
+        for (proto, swap) in &swaps {
+            let r = swap.run(&profile(alice, bob), &mut World::new(1));
             bench::row(&[
-                proto.into(),
+                (*proto).into(),
                 name.into(),
                 r.alice_premium_payoff.to_string(),
                 r.bob_premium_payoff.to_string(),
@@ -42,15 +43,18 @@ fn report() {
 
 fn bench_two_party(c: &mut Criterion) {
     report();
-    let config = TwoPartyConfig::default();
+    let hedged = TwoPartySwap::hedged(TwoPartyConfig::default());
+    let base = TwoPartySwap::base(TwoPartyConfig::default());
+    let compliant = profile(Strategy::compliant(), Strategy::compliant());
+    let bob_walks = profile(Strategy::compliant(), Strategy::stop_after(1));
     c.bench_function("hedged_two_party_compliant", |b| {
-        b.iter(|| run_hedged_swap(&config, Strategy::compliant(), Strategy::compliant()))
+        b.iter(|| hedged.run(&compliant, &mut World::new(1)))
     });
     c.bench_function("base_two_party_compliant", |b| {
-        b.iter(|| run_base_swap(&config, Strategy::compliant(), Strategy::compliant()))
+        b.iter(|| base.run(&compliant, &mut World::new(1)))
     });
     c.bench_function("hedged_two_party_bob_reneges", |b| {
-        b.iter(|| run_hedged_swap(&config, Strategy::compliant(), Strategy::stop_after(1)))
+        b.iter(|| hedged.run(&bob_walks, &mut World::new(1)))
     });
 }
 

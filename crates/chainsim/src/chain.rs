@@ -369,9 +369,10 @@ impl Blockchain {
     /// # Errors
     ///
     /// Returns [`ChainError::NoSuchContract`] if `id` is unknown, or
-    /// [`ChainError::ContractFailed`] wrapping the [`ContractError`] if the
-    /// contract rejects the call. Rejected calls are also recorded in the
-    /// event log (under [`TraceMode::Full`]).
+    /// [`ChainError::ContractFailed`] wrapping the
+    /// [`ContractError`](crate::ContractError) if the contract rejects the
+    /// call. Rejected calls are also recorded in the event log (under
+    /// [`TraceMode::Full`]).
     pub fn call(
         &mut self,
         caller: PartyId,

@@ -87,7 +87,7 @@ pub trait Contract: fmt::Debug + Send {
     /// Production contract families return a [`StateSpec`] describing their
     /// states, depositable funds and disposition edges so the `staticcheck`
     /// analyzer can prove disposition-completeness without executing calls;
-    /// see the [`crate::spec`] module docs (exported via [`StateSpec`]) for
+    /// see the `spec` module docs (exported via [`StateSpec`]) for
     /// the obligations a spec carries — custody fidelity, window fidelity
     /// and composite-state completeness. The default is `None`, which the
     /// analyzer treats as "opted out" (test doubles, fixtures).

@@ -20,7 +20,8 @@ use contracts::{
     HedgedEscrow, HedgedEscrowMsg, HtlcEscrow, HtlcMsg,
 };
 use cryptosim::Secret;
-use protocols::market::{AccountPool, HedgedSwapSchedule, HedgedSwapSpec};
+use protocols::market::{AccountPool, HedgedSwapSpec};
+use protocols::two_party::TwoPartyConfig;
 
 use super::shard::{MarketCall, MarketMsg, NATIVE_ASSET, TOKEN_ASSET};
 use super::{MarketConfig, SplitMix64};
@@ -355,9 +356,10 @@ fn build_hedged(
     };
     let delta = cfg.delta_blocks;
     let anchor = Time(u64::from(start_round + 1) * delta);
-    let schedule = HedgedSwapSchedule::PAPER;
-    let leader_leg = spec.leader_leg(anchor, delta, &schedule);
-    let follower_leg = spec.follower_leg(anchor, delta, &schedule);
+    let schedule =
+        TwoPartyConfig { delta_blocks: delta, ..TwoPartyConfig::default() }.hedged_schedule();
+    let leader_leg = spec.leader_leg(anchor, &schedule);
+    let follower_leg = spec.follower_leg(anchor, &schedule);
 
     let mut plan = Plan::new(home);
     // Leader (home) leg: publish at spawn, follower's premium at 1, leader's

@@ -11,8 +11,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::PricePath;
-use protocols::script::Strategy;
-use protocols::two_party::{run_base_swap, run_hedged_swap, TwoPartyConfig};
+use chainsim::World;
+use protocols::script::{Protocol, Strategy};
+use protocols::two_party::{profile, TwoPartyConfig, TwoPartySwap};
 
 /// Parameters of a rational-agent experiment.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -85,6 +86,9 @@ pub fn compare_protocols(experiment: &RationalExperiment) -> RationalComparison 
     let mut hedged_successes = 0usize;
     let mut base_abort_payoff = 0.0;
     let mut hedged_abort_payoff = 0.0;
+    let base_swap = TwoPartySwap::base(config.clone());
+    let hedged_swap = TwoPartySwap::hedged(config);
+    let mut world = World::new(1);
 
     for trial in 0..experiment.trials {
         // Price of Alice's asset in units of Bob's asset, observed by Bob at
@@ -101,11 +105,8 @@ pub fn compare_protocols(experiment: &RationalExperiment) -> RationalComparison 
 
         // Base protocol: Bob aborts on any adverse move (he loses nothing).
         let bob_aborts_base = drop > 0.0;
-        let report = if bob_aborts_base {
-            run_base_swap(&config, Strategy::compliant(), Strategy::stop_after(0))
-        } else {
-            run_base_swap(&config, Strategy::compliant(), Strategy::compliant())
-        };
+        let bob = if bob_aborts_base { Strategy::stop_after(0) } else { Strategy::compliant() };
+        let report = base_swap.run(&profile(Strategy::compliant(), bob), &mut world);
         if report.swap_completed {
             base_successes += 1;
         } else {
@@ -116,11 +117,8 @@ pub fn compare_protocols(experiment: &RationalExperiment) -> RationalComparison 
         // Hedged protocol: walking away costs Bob p_b, so he only aborts when
         // the adverse move exceeds the premium fraction.
         let bob_aborts_hedged = drop > experiment.premium_fraction;
-        let report = if bob_aborts_hedged {
-            run_hedged_swap(&config, Strategy::compliant(), Strategy::stop_after(1))
-        } else {
-            run_hedged_swap(&config, Strategy::compliant(), Strategy::compliant())
-        };
+        let bob = if bob_aborts_hedged { Strategy::stop_after(1) } else { Strategy::compliant() };
+        let report = hedged_swap.run(&profile(Strategy::compliant(), bob), &mut world);
         if report.swap_completed {
             hedged_successes += 1;
         } else {

@@ -10,17 +10,15 @@
 //! [`CheckSummary`] is bit-for-bit identical no matter how many threads ran
 //! the sweep.
 //!
-//! # Worker-local state: worlds and family caches
+//! # Worker-local state: worlds and family slots
 //!
 //! Each worker owns a single *scratch* [`chainsim::World`] plus one
-//! [`FamilyScratch`] cache slot per family, and hands both to every
-//! scenario it runs. The world is reset (or snapshot-restored) rather than
-//! rebuilt, so ledgers, contract stores and trace buffers are allocated
-//! once per worker; the family slot is where prefix-sharing families keep
-//! their per-worker deviation tree — the recorded compliant prefix whose
-//! checkpoints ([`chainsim::World::snapshot`]) every deviation scenario
-//! resumes from instead of replaying the shared prefix (see
-//! [`crate::scenarios`]).
+//! [`FamilyScratch`] slot per family, and hands both to every scenario
+//! it runs. The world is reset (or snapshot-restored) rather than rebuilt,
+//! so ledgers, contract stores and trace buffers are allocated once per
+//! worker; the slot records the family's compliant [`Prefix`] on first
+//! use, and every later scenario resumes from its checkpoints
+//! ([`chainsim::World::snapshot`]) instead of replaying the shared prefix.
 //!
 //! # Determinism contract
 //!
@@ -30,9 +28,9 @@
 //! positions, and every cache entry memoises a pure function, so a
 //! scenario's violations are identical whether its prefix was shared or
 //! replayed, whatever worker ran it, in whatever order. This is pinned by
-//! the `replay-oracle` differential tests, which diff whole summaries (and
-//! reports) between the deviation-tree and brute-force paths across thread
-//! counts.
+//! the differential tests in `tests/replay_oracle.rs`, which diff whole
+//! summaries (and reports) between the default runner and
+//! [`ParallelSweep::replay_oracle`] across thread counts.
 //!
 //! Scratch worlds default to [`TraceMode::Off`] — sweeps judge reports and
 //! payoffs, never rendered traces — which skips event construction
@@ -41,40 +39,102 @@
 //! immutable generator and the chunk cursor, which is why the engine needs
 //! no locks and no dependencies beyond `std::thread::scope`.
 
-use std::any::Any;
+use std::any::{Any, TypeId};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use chainsim::{SimCaches, TraceMode, World};
+use chainsim::{TraceMode, World};
+use protocols::script::{Prefix, Profile, Protocol};
 
 use crate::{CheckSummary, Violation};
 
-/// A worker-local, type-erased cache slot owned by one (worker, family)
-/// pair.
+/// A worker's slot for one family: whether the sweep replays every
+/// scenario from scratch, and the prefixes recorded so far.
 ///
-/// Families use it to keep state that is expensive to build and reusable
-/// across the scenarios one worker runs — prefix-sharing families store
-/// their recorded compliant prefix here. The slot must only ever hold
-/// *performance* state: anything in it is rebuilt from scratch by a fresh
-/// worker, and results must be identical either way.
+/// Each (worker, family) pair owns one slot, built by
+/// [`ParallelSweep::scratch`]. In the default mode a family's scenarios
+/// resume from the compliant [`Prefix`] the slot records on first use; in
+/// replay mode ([`ParallelSweep::replay_oracle`]) every scenario runs from
+/// scratch and no prefix is recorded. Results are identical either way, and
+/// for any prior slot contents: prefixes hold performance state only.
 #[derive(Default)]
-pub struct FamilyScratch(SimCaches);
+pub struct FamilyScratch {
+    replay: bool,
+    /// Recorded prefixes, keyed by type and the family's variant index.
+    prefixes: BTreeMap<(TypeId, usize), Box<dyn Any + Send>>,
+    recorded: usize,
+}
 
 impl FamilyScratch {
-    /// Returns the slot's cache of type `T`, creating it on first use.
-    ///
-    /// Backed by the same `TypeId`-keyed store as [`chainsim::SimCaches`],
-    /// so a family may keep several independently typed caches in its slot
-    /// without them evicting each other.
-    pub fn get_or_default<T: Any + Default + Send>(&mut self) -> &mut T {
-        self.0.get_or_default::<T>()
+    /// Runs `profile` of `protocol` inside `world`: from scratch in replay
+    /// mode, else resumed from this slot's prefix number `variant`, which is
+    /// recorded from `protocol` on first use. A family whose scenarios run
+    /// several protocol instances (the auction's auctioneer behaviours)
+    /// gives each its own `variant`.
+    pub fn run<P>(
+        &mut self,
+        protocol: &P,
+        variant: usize,
+        profile: Profile<'_>,
+        world: &mut World,
+    ) -> P::Report
+    where
+        P: Protocol + Clone + Send + 'static,
+        P::Setup: Send + 'static,
+        P::Capture: Send + 'static,
+    {
+        self.run_with(
+            variant,
+            world,
+            |world| protocol.run(profile, world),
+            |prefix: &mut Option<Prefix<P>>, world| {
+                prefix
+                    .get_or_insert_with(|| Prefix::record(protocol.clone(), world))
+                    .run(profile, world)
+            },
+        )
+    }
+
+    /// [`FamilyScratch::run`] for runners that are not [`Protocol`]s (the
+    /// bootstrap cascade): `scratch` runs a scenario from scratch, `shared`
+    /// runs it through the slot's prefix of type `T`, recording it into the
+    /// empty `Option` on first use.
+    pub fn run_with<T: Any + Send, R>(
+        &mut self,
+        variant: usize,
+        world: &mut World,
+        scratch: impl FnOnce(&mut World) -> R,
+        shared: impl FnOnce(&mut Option<T>, &mut World) -> R,
+    ) -> R {
+        if self.replay {
+            return scratch(world);
+        }
+        let prefix = self
+            .prefixes
+            .entry((TypeId::of::<T>(), variant))
+            .or_insert_with(|| Box::new(None::<T>))
+            .downcast_mut::<Option<T>>()
+            .expect("prefixes are keyed by type");
+        let fresh = prefix.is_none();
+        let result = shared(prefix, world);
+        self.recorded += usize::from(fresh && prefix.is_some());
+        result
+    }
+
+    /// The number of prefixes this slot has recorded.
+    pub fn prefixes(&self) -> usize {
+        self.recorded
     }
 }
 
 impl fmt::Debug for FamilyScratch {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FamilyScratch").field("caches", &self.0).finish()
+        f.debug_struct("FamilyScratch")
+            .field("replay", &self.replay)
+            .field("prefixes", &self.recorded)
+            .finish()
     }
 }
 
@@ -112,8 +172,8 @@ pub trait ScenarioGen: Sync {
     /// scratch world and returns every property violation it exhibits.
     ///
     /// The scratch world arrives in an arbitrary prior state; the scenario
-    /// must pass it to a `*_in`/`*_shared` protocol entry point (which
-    /// resets or restores it) or reset it itself. `cache` is this worker's
+    /// runs through `cache` ([`FamilyScratch::run`], which resets or
+    /// restores the world) or resets it itself. `cache` is this worker's
     /// [`FamilyScratch`] for this family. The result must be identical for
     /// any prior state, any cache contents and any [`TraceMode`].
     fn check(&self, index: usize, scratch: &mut World, cache: &mut FamilyScratch)
@@ -143,6 +203,7 @@ pub struct ParallelSweep {
     /// [`ParallelSweep::chunk_size`] for the policy).
     chunk: Option<usize>,
     trace: TraceMode,
+    replay: bool,
 }
 
 impl Default for ParallelSweep {
@@ -169,7 +230,7 @@ impl ParallelSweep {
     /// Panics if `threads` is zero.
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "a sweep needs at least one worker");
-        ParallelSweep { threads, chunk: None, trace: TraceMode::Off }
+        ParallelSweep { threads, chunk: None, trace: TraceMode::Off, replay: false }
     }
 
     /// Creates a sweep runner sized to the machine.
@@ -211,6 +272,21 @@ impl ParallelSweep {
     pub fn trace_mode(mut self, trace: TraceMode) -> Self {
         self.trace = trace;
         self
+    }
+
+    /// Makes this runner the replay oracle: every scenario runs from
+    /// scratch instead of resuming from a recorded prefix. Differential
+    /// tests compare its summaries with the default runner's, which must be
+    /// identical.
+    pub fn replay_oracle(mut self) -> Self {
+        self.replay = true;
+        self
+    }
+
+    /// A fresh worker slot for one family, in this runner's mode (see
+    /// [`FamilyScratch`]).
+    pub fn scratch(&self) -> FamilyScratch {
+        FamilyScratch { replay: self.replay, ..FamilyScratch::default() }
     }
 
     /// The number of worker threads this runner spawns.
@@ -256,6 +332,7 @@ impl ParallelSweep {
         // setup to then go idle. Results are identical for any pool size.
         let workers = self.threads.min(total.div_ceil(chunk)).max(1);
         let trace = self.trace;
+        let sweep = *self;
         let mut found: Vec<(usize, Vec<Violation>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
@@ -267,7 +344,7 @@ impl ParallelSweep {
                         // reuses their allocations and prefix caches.
                         let mut scratch = World::with_trace(1, trace);
                         let mut slots: Vec<FamilyScratch> =
-                            gens.iter().map(|_| FamilyScratch::default()).collect();
+                            gens.iter().map(|_| sweep.scratch()).collect();
                         let mut local: Vec<(usize, Vec<Violation>)> = Vec::new();
                         loop {
                             let start = cursor.fetch_add(chunk, Ordering::Relaxed);
@@ -330,12 +407,19 @@ mod tests {
         fn check(
             &self,
             index: usize,
-            _scratch: &mut World,
+            scratch: &mut World,
             cache: &mut FamilyScratch,
         ) -> Vec<Violation> {
-            // Exercise the worker-local cache slot: a counter of how many
+            // Exercise the worker-local slot: a counter of how many
             // scenarios this worker ran must never influence results.
-            *cache.get_or_default::<usize>() += 1;
+            cache.run_with(
+                0,
+                scratch,
+                |_| (),
+                |count: &mut Option<usize>, _| {
+                    *count.get_or_insert(0) += 1;
+                },
+            );
             if index.is_multiple_of(7) {
                 vec![Violation {
                     scenario: format!("synthetic #{index}"),
@@ -375,14 +459,38 @@ mod tests {
 
     #[test]
     fn family_scratch_is_typed_and_reusable() {
-        let mut slot = FamilyScratch::default();
-        *slot.get_or_default::<usize>() += 2;
-        assert_eq!(*slot.get_or_default::<usize>(), 2);
+        fn bump(slot: &mut FamilyScratch, variant: usize, world: &mut World) -> usize {
+            slot.run_with(
+                variant,
+                world,
+                |_| 0,
+                |count: &mut Option<usize>, _| {
+                    let count = count.get_or_insert(0);
+                    *count += 1;
+                    *count
+                },
+            )
+        }
+        let mut world = World::new(1);
+        let mut slot = ParallelSweep::new(1).scratch();
+        assert_eq!(bump(&mut slot, 0, &mut world), 1);
+        assert_eq!(bump(&mut slot, 0, &mut world), 2, "a recorded prefix is kept");
+        assert_eq!(bump(&mut slot, 1, &mut world), 1, "variants do not share prefixes");
         // Distinct types coexist in one slot without evicting each other.
-        *slot.get_or_default::<u32>() += 9;
-        assert_eq!(*slot.get_or_default::<usize>(), 2);
-        assert_eq!(*slot.get_or_default::<u32>(), 9);
+        let tag = slot.run_with(
+            0,
+            &mut world,
+            |_| 0u32,
+            |tag: &mut Option<u32>, _| *tag.get_or_insert(9),
+        );
+        assert_eq!(tag, 9);
+        assert_eq!(bump(&mut slot, 0, &mut world), 3);
+        assert_eq!(slot.prefixes(), 3);
         assert!(format!("{slot:?}").contains("FamilyScratch"));
+        // A replay slot runs from scratch and records nothing.
+        let mut replay = ParallelSweep::new(1).replay_oracle().scratch();
+        assert_eq!(bump(&mut replay, 0, &mut world), 0);
+        assert_eq!(replay.prefixes(), 0);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! crate generalises the paper's two hand-built models to a parallel sweep
 //! engine over **arbitrary** protocol entry points:
 //!
-//! * [`engine`] — a [`ScenarioGen`](engine::ScenarioGen) trait that exposes
+//! * [`engine`] — a [`ScenarioGen`] trait that exposes
 //!   a scenario family through a random-access index space, and a
-//!   [`ParallelSweep`](engine::ParallelSweep) runner that fans indices out
+//!   [`ParallelSweep`] runner that fans indices out
 //!   over scoped worker threads and merges results deterministically (the
 //!   summary is identical for 1 and N threads);
 //! * [`scenarios`] — families for two-party swaps, deal-engine protocols

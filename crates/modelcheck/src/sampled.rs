@@ -39,22 +39,21 @@ use std::fmt::Write as _;
 
 use chainsim::{ChainId, PartyId, ReorgEvent, ReorgPolicy, World};
 use marketsim::rational::best_response;
-use protocols::auction::{self, run_auction_in, run_auction_shared, AuctionConfig, AUCTIONEER};
+use protocols::auction::{self, AuctionConfig, AUCTIONEER};
 use protocols::bootstrap::{run_bootstrap_in, run_bootstrap_shared, BootstrapDeviation};
-use protocols::deal::{self, run_deal_in, run_deal_shared, DealConfig};
+use protocols::deal::{self, DealConfig};
 use protocols::outcome::Payoffs;
-use protocols::script::{DelayVector, Fault, Strategy, Timing, MAX_DELAY_STEPS};
+use protocols::script::{self, DelayVector, Fault, Protocol, Strategy, Timing, MAX_DELAY_STEPS};
 use protocols::two_party::{
-    self, run_base_swap_in, run_hedged_swap_in, run_swap_shared, run_swap_with_realism_in,
-    swap_max_rounds, SwapProtocol, SwapRealism, TwoPartyConfig, TwoPartyReport, ALICE, BOB,
+    self, swap_max_rounds, SwapProtocol, SwapRealism, TwoPartyConfig, TwoPartyReport, TwoPartySwap,
+    ALICE, BOB,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::{FamilyScratch, ScenarioGen};
 use crate::scenarios::{
-    judge_auction, judge_bootstrap, judge_deal, judge_two_party, oracle_or, AuctionPrefixSlots,
-    BEHAVIOURS,
+    auction_variants, judge_auction, judge_bootstrap, judge_deal, judge_two_party, BEHAVIOURS,
 };
 use crate::Violation;
 
@@ -162,11 +161,14 @@ fn sample_profile(spec: &SampleSpec, rng: &mut StdRng) -> BTreeMap<PartyId, Stra
 
 /// The deepest reorg the sampled realism axis draws; both chains of a
 /// reorg family run a finality window of this depth. A family whose config
-/// carries `finality_margin ≥ MAX_REORG_DEPTH − 1` was expected to hold.
+/// carries a `finality_margin` of at least
+/// [`min_finality_margin`](two_party::min_finality_margin)`(MAX_REORG_DEPTH, Δ)`
+/// holds.
 ///
-/// Open finding: that margin does not absorb every re-delivery. At
-/// `finality_margin: 1`, sample 7904 of seed `0xdaa66d2c6feb2247` leaves
-/// compliant Bob unhedged (pinned in `tests/sampled.rs` as
+/// The smaller margin `MAX_REORG_DEPTH − 1` covers compliant runs only: at
+/// `finality_margin: 1` and Δ = 2, sample 7904 of seed `0xdaa66d2c6feb2247`
+/// leaves compliant Bob unhedged when Alice's outage pushes her premium to
+/// its deadline (pinned in `tests/sampled.rs` as
 /// `sampled_regression_seed_daa66d2c6feb2247_sample_7904`).
 pub const MAX_REORG_DEPTH: u32 = 2;
 
@@ -259,10 +261,22 @@ impl SampledScenario {
 /// The protocol a [`SampledSweep`] draws scenarios for.
 #[derive(Clone, Debug)]
 enum SampledTarget {
-    TwoParty { config: TwoPartyConfig, protocol: SwapProtocol, conforming_only: bool },
-    TwoPartyReorg { config: TwoPartyConfig },
-    Deal { name: String, config: DealConfig },
-    Auction { config: AuctionConfig },
+    TwoParty {
+        swap: TwoPartySwap,
+        conforming_only: bool,
+    },
+    TwoPartyReorg {
+        swap: TwoPartySwap,
+    },
+    Deal {
+        name: String,
+        config: DealConfig,
+    },
+    /// The configuration under each auctioneer behaviour, in
+    /// [`BEHAVIOURS`] order.
+    Auction {
+        configs: Vec<AuctionConfig>,
+    },
 }
 
 /// A [`ScenarioGen`] family of `samples` randomized deviation profiles
@@ -272,7 +286,6 @@ pub struct SampledSweep {
     target: SampledTarget,
     seed: u64,
     samples: usize,
-    replay: bool,
 }
 
 impl SampledSweep {
@@ -282,42 +295,35 @@ impl SampledSweep {
     pub fn hedged_two_party(config: TwoPartyConfig, seed: u64, samples: usize) -> Self {
         SampledSweep {
             target: SampledTarget::TwoParty {
-                config,
-                protocol: SwapProtocol::Hedged,
+                swap: TwoPartySwap::hedged(config),
                 conforming_only: false,
             },
             seed,
             samples,
-            replay: false,
         }
     }
 
     /// Samples the hedged swap under chain realism: both chains run a
     /// [`MAX_REORG_DEPTH`]-deep finality window and each sample draws,
     /// besides a full-axis strategy profile, up to one redelivering reorg
-    /// (chain × round × depth). With
-    /// [`TwoPartyConfig::finality_margin`]` ≥ MAX_REORG_DEPTH − 1` the
-    /// padded contract deadlines were expected to absorb every
-    /// re-delivery; with a zero margin a reorg can push a conforming
-    /// party's last-tick call past its unpadded deadline — the documented
-    /// sore-loser-by-reorg violation the rendered-regression tests pin.
-    ///
-    /// Open finding: margin `MAX_REORG_DEPTH − 1` does not absorb every
-    /// re-delivery. At `finality_margin: 1`, sample 7904 of seed
-    /// `0xdaa66d2c6feb2247` shrinks to Alice compliant with a ¾Δ outage at
-    /// her first step, Bob eager and one depth-2 redelivering reorg of
-    /// chain 1 at round 3, and leaves compliant Bob unhedged; see
-    /// [`MAX_REORG_DEPTH`].
+    /// (chain × round × depth). From a
+    /// [`TwoPartyConfig::finality_margin`] of
+    /// [`min_finality_margin`](two_party::min_finality_margin)`(MAX_REORG_DEPTH, Δ)`
+    /// up, the padded contract deadlines absorb every re-delivery; with a
+    /// zero margin a reorg can push a conforming party's last-tick call past
+    /// its unpadded deadline — the documented sore-loser-by-reorg violation
+    /// the rendered-regression tests pin. Between the two, at
+    /// `MAX_REORG_DEPTH − 1`, a deviator's outage can still break the
+    /// compliant party's hedge; see [`MAX_REORG_DEPTH`].
     ///
     /// Reorg scenarios rewind speculative rounds from the very first
-    /// round, so the shared-prefix resumption the other two-party families
-    /// use is not sound here: every sample replays in full.
+    /// round, so no recorded prefix is sound here: every sample runs from
+    /// scratch.
     pub fn hedged_two_party_reorgs(config: TwoPartyConfig, seed: u64, samples: usize) -> Self {
         SampledSweep {
-            target: SampledTarget::TwoPartyReorg { config },
+            target: SampledTarget::TwoPartyReorg { swap: TwoPartySwap::hedged(config) },
             seed,
             samples,
-            replay: false,
         }
     }
 
@@ -336,32 +342,26 @@ impl SampledSweep {
     pub fn base_two_party(config: TwoPartyConfig, seed: u64, samples: usize) -> Self {
         SampledSweep {
             target: SampledTarget::TwoParty {
-                config,
-                protocol: SwapProtocol::Base,
+                swap: TwoPartySwap::base(config),
                 conforming_only: true,
             },
             seed,
             samples,
-            replay: false,
         }
     }
 
     /// Samples a deal-engine configuration (multi-party swap or brokered
     /// sale) with up to two simultaneous deviators.
     pub fn deal(name: impl Into<String>, config: DealConfig, seed: u64, samples: usize) -> Self {
-        SampledSweep {
-            target: SampledTarget::Deal { name: name.into(), config },
-            seed,
-            samples,
-            replay: false,
-        }
+        SampledSweep { target: SampledTarget::Deal { name: name.into(), config }, seed, samples }
     }
 
     /// Samples the auction (§9): a uniform auctioneer behaviour plus one
     /// deviating party per sample (the enumerated sweep's budget, extended
     /// to the delay/outage axes).
     pub fn auction(config: AuctionConfig, seed: u64, samples: usize) -> Self {
-        SampledSweep { target: SampledTarget::Auction { config }, seed, samples, replay: false }
+        let configs = auction_variants(&config);
+        SampledSweep { target: SampledTarget::Auction { configs }, seed, samples }
     }
 
     /// The family seed samples are derived from.
@@ -374,26 +374,17 @@ impl SampledSweep {
         self.samples
     }
 
-    /// Switches this family to the brute-force path (fresh full run per
-    /// sample instead of resuming from the shared compliant prefix); the
-    /// differential tests diff the two paths' summaries.
-    #[cfg(feature = "replay-oracle")]
-    pub fn replay_oracle(mut self) -> Self {
-        self.replay = true;
-        self
-    }
-
     /// Re-derives sample `index`'s scenario from the family seed — the
     /// reproduction entry point: same `(seed, index)`, same scenario,
     /// forever and everywhere.
     pub fn scenario_at(&self, index: usize) -> SampledScenario {
         let mut rng = StdRng::seed_from_u64(sample_seed(self.seed, index));
         match &self.target {
-            SampledTarget::TwoParty { config, protocol, conforming_only } => {
-                let steps = script_steps(*protocol);
+            SampledTarget::TwoParty { swap, conforming_only } => {
+                let steps = script_steps(swap.protocol);
                 let spec = SampleSpec {
                     parties: vec![(ALICE, steps), (BOB, steps)],
-                    delta_blocks: config.delta_blocks,
+                    delta_blocks: swap.config.delta_blocks,
                     // Conforming-only (canary) sampling stays single-laggard:
                     // the base timelock schedule does not tolerate two.
                     max_deviators: if *conforming_only { 1 } else { 2 },
@@ -405,16 +396,16 @@ impl SampledSweep {
                     bob: profile.get(&BOB).copied().unwrap_or(Strategy::compliant()),
                 }
             }
-            SampledTarget::TwoPartyReorg { config } => {
+            SampledTarget::TwoPartyReorg { swap } => {
                 let steps = script_steps(SwapProtocol::Hedged);
                 let spec = SampleSpec {
                     parties: vec![(ALICE, steps), (BOB, steps)],
-                    delta_blocks: config.delta_blocks,
+                    delta_blocks: swap.config.delta_blocks,
                     max_deviators: 2,
                     conforming_only: false,
                 };
                 let profile = sample_profile(&spec, &mut rng);
-                let realism = sample_realism(&mut rng, swap_max_rounds(config));
+                let realism = sample_realism(&mut rng, swap_max_rounds(&swap.config));
                 SampledScenario::TwoPartyReorg {
                     alice: profile.get(&ALICE).copied().unwrap_or(Strategy::compliant()),
                     bob: profile.get(&BOB).copied().unwrap_or(Strategy::compliant()),
@@ -434,7 +425,8 @@ impl SampledSweep {
                 };
                 SampledScenario::Deal { profile: sample_profile(&spec, &mut rng) }
             }
-            SampledTarget::Auction { config } => {
+            SampledTarget::Auction { configs } => {
+                let config = &configs[0];
                 let behaviour = rng.gen_range(0..BEHAVIOURS.len());
                 let mut parties = vec![(AUCTIONEER, auction::SCRIPT_STEPS)];
                 parties.extend(config.bidders().into_iter().map(|b| (b, auction::SCRIPT_STEPS)));
@@ -525,20 +517,16 @@ impl SampledSweep {
     /// `None` for targets without a per-party margin (auctions).
     pub fn climb(&self, deviator: PartyId, seed: u64, budget: usize) -> Option<RationalClimb> {
         match &self.target {
-            SampledTarget::TwoParty { config, protocol, .. } => {
-                let steps = script_steps(*protocol);
+            SampledTarget::TwoParty { swap, .. } => {
+                let (config, steps) = (&swap.config, script_steps(swap.protocol));
                 let compliant_party = if deviator == ALICE { BOB } else { ALICE };
                 let evaluate = |strategy: &Strategy| -> (i128, i128) {
-                    let mut world = World::new(1);
                     let (alice, bob) = if deviator == ALICE {
                         (*strategy, Strategy::compliant())
                     } else {
                         (Strategy::compliant(), *strategy)
                     };
-                    let report = match protocol {
-                        SwapProtocol::Hedged => run_hedged_swap_in(&mut world, config, alice, bob),
-                        SwapProtocol::Base => run_base_swap_in(&mut world, config, alice, bob),
-                    };
+                    let report = swap.run(&two_party::profile(alice, bob), &mut World::new(1));
                     (
                         party_total(&report.payoffs, deviator),
                         two_party_margin(&report, config, compliant_party),
@@ -570,10 +558,9 @@ impl SampledSweep {
                     return None;
                 }
                 let evaluate = |strategy: &Strategy| -> (i128, i128) {
-                    let mut world = World::new(1);
-                    let profile: BTreeMap<PartyId, Strategy> =
-                        [(deviator, *strategy)].into_iter().collect();
-                    let report = run_deal_in(&mut world, config, &profile);
+                    let profile =
+                        |party| if party == deviator { *strategy } else { Strategy::compliant() };
+                    let report = config.run(&profile, &mut World::new(1));
                     let margin = report
                         .parties
                         .iter()
@@ -628,33 +615,33 @@ impl SampledSweep {
     /// axis alone.
     pub fn sampled_space(&self) -> f64 {
         match &self.target {
-            SampledTarget::TwoParty { config, protocol, conforming_only } => {
+            SampledTarget::TwoParty { swap, conforming_only } => {
                 let per = per_party_domain(
-                    script_steps(*protocol),
-                    config.delta_blocks,
+                    script_steps(swap.protocol),
+                    swap.config.delta_blocks,
                     *conforming_only,
                 );
                 profile_space(2, per, if *conforming_only { 1 } else { 2 })
             }
-            SampledTarget::TwoPartyReorg { config } => {
+            SampledTarget::TwoPartyReorg { swap } => {
                 let per = per_party_domain(
                     script_steps(SwapProtocol::Hedged),
-                    config.delta_blocks,
+                    swap.config.delta_blocks,
                     false,
                 );
                 // The realism axis: no reorg, or one redelivering reorg with
                 // a free chain (2), round (1..horizon) and depth.
-                let realism_axis =
-                    1.0 + 2.0 * f64::from(MAX_REORG_DEPTH) * (swap_max_rounds(config) - 1) as f64;
+                let realism_axis = 1.0
+                    + 2.0 * f64::from(MAX_REORG_DEPTH) * (swap_max_rounds(&swap.config) - 1) as f64;
                 profile_space(2, per, 2) * realism_axis
             }
             SampledTarget::Deal { config, .. } => {
                 let per = per_party_domain(deal::SCRIPT_STEPS, config.delta_blocks, false);
                 profile_space(config.parties().len(), per, 2)
             }
-            SampledTarget::Auction { config } => {
-                let per = per_party_domain(auction::SCRIPT_STEPS, config.delta_blocks, false);
-                BEHAVIOURS.len() as f64 * profile_space(1 + config.bidders().len(), per, 1)
+            SampledTarget::Auction { configs } => {
+                let per = per_party_domain(auction::SCRIPT_STEPS, configs[0].delta_blocks, false);
+                BEHAVIOURS.len() as f64 * profile_space(1 + configs[0].bidders().len(), per, 1)
             }
         }
     }
@@ -666,9 +653,9 @@ impl SampledSweep {
         self.samples as f64 / self.sampled_space()
     }
 
-    /// Runs `scenario` through the shared-prefix entry points (or the
-    /// brute-force oracle in replay mode) and judges the report with the
-    /// enumerated tier's judges.
+    /// Runs `scenario` through the worker's family slot (resumed from the shared
+    /// prefix, or from scratch for a replay oracle) and judges the report
+    /// with the enumerated tier's judges.
     fn judge_in(
         &self,
         scenario: &SampledScenario,
@@ -677,79 +664,31 @@ impl SampledSweep {
         cache: &mut FamilyScratch,
     ) -> Vec<Violation> {
         match (&self.target, scenario) {
-            (
-                SampledTarget::TwoParty { config, protocol, .. },
-                SampledScenario::TwoParty { alice, bob },
-            ) => {
-                let (alice, bob) = (*alice, *bob);
-                let report = oracle_or(
-                    self.replay,
-                    (scratch, cache),
-                    |(scratch, _)| match protocol {
-                        SwapProtocol::Hedged => run_hedged_swap_in(scratch, config, alice, bob),
-                        SwapProtocol::Base => run_base_swap_in(scratch, config, alice, bob),
-                    },
-                    |(scratch, cache)| {
-                        run_swap_shared(
-                            scratch,
-                            config,
-                            *protocol,
-                            alice,
-                            bob,
-                            cache.get_or_default(),
-                        )
-                    },
-                );
-                judge_two_party(&report, alice, bob, label)
+            (SampledTarget::TwoParty { swap, .. }, SampledScenario::TwoParty { alice, bob }) => {
+                let report = cache.run(swap, 0, &two_party::profile(*alice, *bob), scratch);
+                judge_two_party(&report, *alice, *bob, label)
             }
             (
-                SampledTarget::TwoPartyReorg { config },
+                SampledTarget::TwoPartyReorg { swap },
                 SampledScenario::TwoPartyReorg { alice, bob, realism },
             ) => {
-                // No shared-prefix fast path: reorgs rewind speculative
-                // rounds from round one, so the full run is the only sound
-                // execution (and the replay oracle coincides with it).
-                let report = run_swap_with_realism_in(
-                    scratch,
-                    config,
-                    SwapProtocol::Hedged,
-                    *alice,
-                    *bob,
-                    realism,
-                );
+                // Always from scratch: reorgs rewind speculative rounds from
+                // round one, so no recorded prefix is sound here.
+                let swap = TwoPartySwap { realism: realism.clone(), ..swap.clone() };
+                let report = swap.run(&two_party::profile(*alice, *bob), scratch);
                 judge_two_party(&report, *alice, *bob, label)
             }
             (SampledTarget::Deal { config, .. }, SampledScenario::Deal { profile }) => {
-                let report = oracle_or(
-                    self.replay,
-                    (scratch, cache),
-                    |(scratch, _)| run_deal_in(scratch, config, profile),
-                    |(scratch, cache)| {
-                        run_deal_shared(scratch, config, profile, cache.get_or_default())
-                    },
-                );
+                let report = cache.run(config, 0, &script::profile(profile), scratch);
                 judge_deal(&report, profile, label)
             }
             (
-                SampledTarget::Auction { config },
+                SampledTarget::Auction { configs },
                 SampledScenario::Auction { behaviour, profile },
             ) => {
-                let config = AuctionConfig { auctioneer: BEHAVIOURS[*behaviour], ..config.clone() };
                 let deviator = profile.keys().next().copied();
-                let report = oracle_or(
-                    self.replay,
-                    (scratch, cache),
-                    |(scratch, _)| run_auction_in(scratch, &config, profile),
-                    |(scratch, cache)| {
-                        let slots = cache.get_or_default::<AuctionPrefixSlots>();
-                        run_auction_shared(
-                            scratch,
-                            &config,
-                            profile,
-                            slots.entry(*behaviour).or_default(),
-                        )
-                    },
-                );
+                let report =
+                    cache.run(&configs[*behaviour], *behaviour, &script::profile(profile), scratch);
                 judge_auction(&report, deviator, label)
             }
             _ => unreachable!("scenario kind always matches its originating target"),
@@ -760,8 +699,8 @@ impl SampledSweep {
 impl ScenarioGen for SampledSweep {
     fn family(&self) -> String {
         match &self.target {
-            SampledTarget::TwoParty { protocol, conforming_only, .. } => {
-                let kind = match protocol {
+            SampledTarget::TwoParty { swap, conforming_only } => {
+                let kind = match swap.protocol {
                     SwapProtocol::Hedged => "hedged",
                     SwapProtocol::Base => "base",
                 };
@@ -771,9 +710,9 @@ impl ScenarioGen for SampledSweep {
                     format!("sampled {kind} two-party swap")
                 }
             }
-            SampledTarget::TwoPartyReorg { config } => format!(
+            SampledTarget::TwoPartyReorg { swap } => format!(
                 "sampled hedged two-party swap under reorgs (margin {})",
-                config.finality_margin
+                swap.config.finality_margin
             ),
             SampledTarget::Deal { name, .. } => format!("sampled {name}"),
             SampledTarget::Auction { .. } => "sampled auction".into(),
@@ -1282,22 +1221,13 @@ pub struct SampledBootstrap {
     rounds: u32,
     seed: u64,
     samples: usize,
-    replay: bool,
 }
 
 impl SampledBootstrap {
     /// Samples the cascade of `a` against `b` at premium ratio `ratio`
     /// with `rounds` premium rounds.
     pub fn new(a: u128, b: u128, ratio: u128, rounds: u32, seed: u64, samples: usize) -> Self {
-        SampledBootstrap { a, b, ratio, rounds, seed, samples, replay: false }
-    }
-
-    /// Switches this family to the brute-force path; see
-    /// [`SampledSweep::replay_oracle`].
-    #[cfg(feature = "replay-oracle")]
-    pub fn replay_oracle(mut self) -> Self {
-        self.replay = true;
-        self
+        SampledBootstrap { a, b, ratio, rounds, seed, samples }
     }
 
     /// Re-derives sample `index`'s deviation from the family seed.
@@ -1341,23 +1271,12 @@ impl ScenarioGen for SampledBootstrap {
     ) -> Vec<Violation> {
         let deviation = self.deviation_at(index);
         let deviator = deviation.party();
-        let report = oracle_or(
-            self.replay,
-            (scratch, cache),
-            |(scratch, _)| {
-                run_bootstrap_in(scratch, self.a, self.b, self.ratio, self.rounds, deviation)
-            },
-            |(scratch, cache)| {
-                run_bootstrap_shared(
-                    scratch,
-                    self.a,
-                    self.b,
-                    self.ratio,
-                    self.rounds,
-                    deviation,
-                    cache.get_or_default(),
-                )
-            },
+        let (a, b, ratio, rounds) = (self.a, self.b, self.ratio, self.rounds);
+        let report = cache.run_with(
+            0,
+            scratch,
+            |world| run_bootstrap_in(world, a, b, ratio, rounds, deviation),
+            |prefix, world| run_bootstrap_shared(world, a, b, ratio, rounds, deviation, prefix),
         );
         let label = || {
             format!(
@@ -1374,6 +1293,16 @@ impl ScenarioGen for SampledBootstrap {
 mod tests {
     use super::*;
     use crate::engine::ParallelSweep;
+    use protocols::two_party::min_finality_margin;
+
+    /// The reorg family's configuration at the corrected margin.
+    fn margined() -> TwoPartyConfig {
+        let delta = TwoPartyConfig::default().delta_blocks;
+        TwoPartyConfig {
+            finality_margin: min_finality_margin(MAX_REORG_DEPTH, delta),
+            ..TwoPartyConfig::default()
+        }
+    }
 
     #[test]
     fn sample_seeds_are_index_sensitive() {
@@ -1561,10 +1490,7 @@ mod tests {
 
     #[test]
     fn reorg_scenarios_rederive_and_respect_their_axes() {
-        let config = TwoPartyConfig {
-            finality_margin: u64::from(MAX_REORG_DEPTH - 1),
-            ..TwoPartyConfig::default()
-        };
+        let config = margined();
         let horizon = swap_max_rounds(&config);
         let family = SampledSweep::hedged_two_party_reorgs(config, 0x5EED, 256);
         let mut with_reorg = 0usize;
@@ -1589,13 +1515,10 @@ mod tests {
 
     #[test]
     fn reorg_family_with_margin_holds_on_the_engine() {
-        // The documented fix: a finality margin of `MAX_REORG_DEPTH − 1`
+        // The documented fix: a finality margin of `min_finality_margin`
         // absorbs every redelivering reorg the family samples, so the
         // hedged theorem holds across the full strategy × reorg space.
-        let config = TwoPartyConfig {
-            finality_margin: u64::from(MAX_REORG_DEPTH - 1),
-            ..TwoPartyConfig::default()
-        };
+        let config = margined();
         let family = SampledSweep::hedged_two_party_reorgs(config, 0xFACE, 300);
         let serial = ParallelSweep::new(1).run(&family);
         let parallel = ParallelSweep::new(4).run(&family);

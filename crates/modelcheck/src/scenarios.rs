@@ -9,52 +9,16 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use chainsim::{PartyId, World};
-use protocols::auction::{run_auction_shared, AuctionConfig, AuctionPrefix, AuctioneerBehaviour};
-use protocols::bootstrap::{run_bootstrap_shared, BootstrapDeviation};
+use protocols::auction::{AuctionConfig, AuctioneerBehaviour};
+use protocols::bootstrap::{run_bootstrap_in, run_bootstrap_shared, BootstrapDeviation};
 use protocols::broker::{broker_deal_config, BrokerConfig};
-use protocols::deal::{self, run_deal_shared, DealConfig, DealReport};
-use protocols::script::Strategy;
-use protocols::two_party::{
-    self, run_swap_shared, SwapProtocol, TwoPartyConfig, TwoPartyPrefix, TwoPartyReport,
-};
+use protocols::deal::{self, DealConfig, DealReport};
+use protocols::script::{self, Strategy};
+use protocols::two_party::{self, SwapProtocol, TwoPartyConfig, TwoPartyReport, TwoPartySwap};
 use swapgraph::{Automorphism, Digraph};
 
 use crate::engine::{FamilyScratch, ScenarioGen};
 use crate::Violation;
-
-use protocols::auction::run_auction_in;
-use protocols::bootstrap::run_bootstrap_in;
-use protocols::deal::run_deal_in;
-use protocols::two_party::{run_base_swap_in, run_hedged_swap_in};
-
-/// Dispatches between the brute-force replay path and the deviation-tree
-/// path, moving the worker context (`&mut` world and cache) into whichever
-/// closure runs. Without the `replay-oracle` feature the oracle closure is
-/// dead (families cannot be switched to replay mode) and the shared path
-/// always runs; the `cfg` lives here once instead of in every family.
-#[cfg(feature = "replay-oracle")]
-pub(crate) fn oracle_or<C, R>(
-    replay: bool,
-    context: C,
-    oracle: impl FnOnce(C) -> R,
-    shared: impl FnOnce(C) -> R,
-) -> R {
-    if replay {
-        oracle(context)
-    } else {
-        shared(context)
-    }
-}
-
-#[cfg(not(feature = "replay-oracle"))]
-pub(crate) fn oracle_or<C, R>(
-    _replay: bool,
-    context: C,
-    _oracle: impl FnOnce(C) -> R,
-    shared: impl FnOnce(C) -> R,
-) -> R {
-    shared(context)
-}
 
 /// The synthetic party id used for violations that concern the run as a
 /// whole (conservation of funds) rather than a specific party.
@@ -75,43 +39,31 @@ pub const WHOLE_RUN: PartyId = PartyId(u32::MAX);
 /// stop-points and double-count the compliant outcome in summaries.
 #[derive(Clone, Debug)]
 pub struct TwoPartySweep {
-    config: TwoPartyConfig,
-    hedged: bool,
+    swap: TwoPartySwap,
     space: Vec<Strategy>,
-    replay: bool,
 }
 
 impl TwoPartySweep {
     /// Sweeps the hedged two-party swap (§5.2).
     pub fn hedged(config: TwoPartyConfig) -> Self {
-        TwoPartySweep { config, hedged: true, space: two_party::strategy_space(), replay: false }
+        TwoPartySweep { swap: TwoPartySwap::hedged(config), space: two_party::strategy_space() }
     }
 
     /// Sweeps the base (unhedged) two-party swap (§5.1) over its own
     /// (three-step) strategy space. The sweep is expected to *find*
     /// hedged-property violations: that is the paper's motivating attack.
     pub fn base(config: TwoPartyConfig) -> Self {
-        TwoPartySweep {
-            config,
-            hedged: false,
-            space: two_party::base_strategy_space(),
-            replay: false,
-        }
-    }
-
-    /// Switches this family to the brute-force path: every scenario
-    /// replays its full run instead of resuming from the shared compliant
-    /// prefix. Differential tests diff the two paths' summaries.
-    #[cfg(feature = "replay-oracle")]
-    pub fn replay_oracle(mut self) -> Self {
-        self.replay = true;
-        self
+        TwoPartySweep { swap: TwoPartySwap::base(config), space: two_party::base_strategy_space() }
     }
 }
 
 impl ScenarioGen for TwoPartySweep {
     fn family(&self) -> String {
-        format!("{} two-party swap", if self.hedged { "hedged" } else { "base" })
+        let kind = match self.swap.protocol {
+            SwapProtocol::Hedged => "hedged",
+            SwapProtocol::Base => "base",
+        };
+        format!("{kind} two-party swap")
     }
 
     fn total(&self) -> usize {
@@ -126,22 +78,7 @@ impl ScenarioGen for TwoPartySweep {
     ) -> Vec<Violation> {
         let alice = self.space[index / self.space.len()];
         let bob = self.space[index % self.space.len()];
-        let protocol = if self.hedged { SwapProtocol::Hedged } else { SwapProtocol::Base };
-        let report = oracle_or(
-            self.replay,
-            (scratch, cache),
-            |(scratch, _)| {
-                if self.hedged {
-                    run_hedged_swap_in(scratch, &self.config, alice, bob)
-                } else {
-                    run_base_swap_in(scratch, &self.config, alice, bob)
-                }
-            },
-            |(scratch, cache)| {
-                let slot = cache.get_or_default::<Option<TwoPartyPrefix>>();
-                run_swap_shared(scratch, &self.config, protocol, alice, bob, slot)
-            },
-        );
+        let report = cache.run(&self.swap, 0, &two_party::profile(alice, bob), scratch);
         // Scenario labels are only rendered for violating runs, so the
         // (overwhelmingly common) clean scenario allocates nothing here.
         let scenario = || format!("{}, alice={alice}, bob={bob}", self.family());
@@ -267,7 +204,6 @@ pub struct DealSweep {
     /// Canonical representative profile → scenario index, for mapping
     /// arbitrary profiles onto their executed representative.
     rep_index: Option<BTreeMap<ProfileKey, usize>>,
-    replay: bool,
 }
 
 impl DealSweep {
@@ -308,7 +244,6 @@ impl DealSweep {
             pruned: 0,
             group: Vec::new(),
             rep_index: None,
-            replay: false,
         }
     }
 
@@ -482,7 +417,6 @@ impl DealSweep {
             pruned,
             group,
             rep_index: Some(rep_index),
-            replay: false,
         }
     }
 
@@ -504,14 +438,6 @@ impl DealSweep {
     /// The deviation budget of this family.
     pub fn budget(&self) -> DeviationBudget {
         self.budget
-    }
-
-    /// Switches this family to the brute-force path; see
-    /// [`TwoPartySweep::replay_oracle`].
-    #[cfg(feature = "replay-oracle")]
-    pub fn replay_oracle(mut self) -> Self {
-        self.replay = true;
-        self
     }
 
     /// Whether this sweep was built by [`DealSweep::reduced`].
@@ -618,14 +544,7 @@ impl ScenarioGen for DealSweep {
                 &owned_profile
             }
         };
-        let report = oracle_or(
-            self.replay,
-            (scratch, cache),
-            |(scratch, _)| run_deal_in(scratch, &self.config, profile),
-            |(scratch, cache)| {
-                run_deal_shared(scratch, &self.config, profile, cache.get_or_default())
-            },
-        );
+        let report = cache.run(&self.config, 0, &script::profile(profile), scratch);
         // Rendered only for violating runs; clean scenarios allocate nothing.
         let scenario = || format!("{} with profile {profile:?}", self.name);
         judge_deal(&report, profile, &scenario)
@@ -747,11 +666,8 @@ fn enumerate_profiles(
 
 /// The brokered-sale family: a [`BrokerConfig`] swept on the
 /// [`ParallelSweep`](crate::engine::ParallelSweep) engine through the
-/// generic deal machinery, with pooled worlds and per-worker deviation-tree
-/// prefixes — the same hot path as every other deal family. (Before this
-/// family existed, brokered sales were only reachable through ad-hoc
-/// `DealSweep` constructions and the non-pooled `run_brokered_sale` entry
-/// point.)
+/// generic deal machinery, with pooled worlds and per-worker recorded
+/// prefixes — the same hot path as every other deal family.
 #[derive(Clone, Debug)]
 pub struct BrokerSweep {
     inner: DealSweep,
@@ -768,14 +684,6 @@ impl BrokerSweep {
     /// deviators.
     pub fn at_most(config: &BrokerConfig, max_deviators: usize) -> Self {
         Self::new(config, DeviationBudget::AtMost(max_deviators))
-    }
-
-    /// Switches this family to the brute-force path; see
-    /// [`TwoPartySweep::replay_oracle`].
-    #[cfg(feature = "replay-oracle")]
-    pub fn replay_oracle(mut self) -> Self {
-        self.inner = self.inner.replay_oracle();
-        self
     }
 
     /// Decodes scenario `index` into a (deviators-only) strategy profile.
@@ -828,22 +736,13 @@ pub struct BootstrapSweep {
     ratio: u128,
     /// Number of premium rounds (levels above the principal swap).
     rounds: u32,
-    replay: bool,
 }
 
 impl BootstrapSweep {
     /// Sweeps the cascade of `a` against `b` with premium ratio `ratio`
     /// and `rounds` premium rounds.
     pub fn new(a: u128, b: u128, ratio: u128, rounds: u32) -> Self {
-        BootstrapSweep { a, b, ratio, rounds, replay: false }
-    }
-
-    /// Switches this family to the brute-force path; see
-    /// [`TwoPartySweep::replay_oracle`].
-    #[cfg(feature = "replay-oracle")]
-    pub fn replay_oracle(mut self) -> Self {
-        self.replay = true;
-        self
+        BootstrapSweep { a, b, ratio, rounds }
     }
 
     /// Arithmetic decode of scenario `index` into its deviation — the same
@@ -885,23 +784,12 @@ impl ScenarioGen for BootstrapSweep {
     ) -> Vec<Violation> {
         let deviation = self.deviation_at(index);
         let deviator = deviation.party();
-        let report = oracle_or(
-            self.replay,
-            (scratch, cache),
-            |(scratch, _)| {
-                run_bootstrap_in(scratch, self.a, self.b, self.ratio, self.rounds, deviation)
-            },
-            |(scratch, cache)| {
-                run_bootstrap_shared(
-                    scratch,
-                    self.a,
-                    self.b,
-                    self.ratio,
-                    self.rounds,
-                    deviation,
-                    cache.get_or_default(),
-                )
-            },
+        let (a, b, ratio, rounds) = (self.a, self.b, self.ratio, self.rounds);
+        let report = cache.run_with(
+            0,
+            scratch,
+            |world| run_bootstrap_in(world, a, b, ratio, rounds, deviation),
+            |prefix, world| run_bootstrap_shared(world, a, b, ratio, rounds, deviation, prefix),
         );
         let scenario = || format!("{}, deviation {deviation:?}", self.family());
         judge_bootstrap(&report, deviator, &scenario)
@@ -954,7 +842,8 @@ pub(crate) fn judge_bootstrap(
 /// non-compliant strategy — `3 × (1 + parties × (|space| − 1))` scenarios.
 #[derive(Clone, Debug)]
 pub struct AuctionSweep {
-    config: AuctionConfig,
+    /// The configuration under each of [`BEHAVIOURS`], in order.
+    configs: Vec<AuctionConfig>,
     /// All parties (auctioneer + bidders), precomputed: `check` decodes an
     /// index on the engine's per-scenario hot path and must not allocate.
     parties: Vec<PartyId>,
@@ -962,7 +851,6 @@ pub struct AuctionSweep {
     /// (everything but the canonical eager compliant strategy —
     /// conforming-but-lazy behaviour included), precomputed.
     deviating: Vec<Strategy>,
-    replay: bool,
 }
 
 impl Default for AuctionSweep {
@@ -971,16 +859,18 @@ impl Default for AuctionSweep {
     }
 }
 
-/// Per-worker auction prefixes, one per auctioneer behaviour (the
-/// behaviour changes the recorded compliant trajectory).
-pub(crate) type AuctionPrefixSlots = BTreeMap<usize, Option<AuctionPrefix>>;
-
 /// Auctioneer behaviours the sweep ranges over.
 pub(crate) const BEHAVIOURS: [AuctioneerBehaviour; 3] = [
     AuctioneerBehaviour::DeclareHighBidder,
     AuctioneerBehaviour::DeclareLowBidder,
     AuctioneerBehaviour::Abandon,
 ];
+
+/// `config` under each of [`BEHAVIOURS`], in order. Each behaviour changes
+/// the compliant trajectory, so each is its own prefix variant.
+pub(crate) fn auction_variants(config: &AuctionConfig) -> Vec<AuctionConfig> {
+    BEHAVIOURS.iter().map(|&auctioneer| AuctionConfig { auctioneer, ..config.clone() }).collect()
+}
 
 impl AuctionSweep {
     /// Sweeps the given auction configuration (the `auctioneer` field is
@@ -992,15 +882,7 @@ impl AuctionSweep {
             .into_iter()
             .filter(|s| *s != Strategy::compliant())
             .collect();
-        AuctionSweep { config, parties, deviating, replay: false }
-    }
-
-    /// Switches this family to the brute-force path; see
-    /// [`TwoPartySweep::replay_oracle`].
-    #[cfg(feature = "replay-oracle")]
-    pub fn replay_oracle(mut self) -> Self {
-        self.replay = true;
-        self
+        AuctionSweep { configs: auction_variants(&config), parties, deviating }
     }
 
     /// Scenarios per auctioneer behaviour: all-compliant plus one per
@@ -1026,8 +908,8 @@ impl ScenarioGen for AuctionSweep {
         cache: &mut FamilyScratch,
     ) -> Vec<Violation> {
         let per_behaviour = self.per_behaviour();
-        let behaviour_index = index / per_behaviour;
-        let behaviour = BEHAVIOURS[behaviour_index];
+        let variant = index / per_behaviour;
+        let behaviour = BEHAVIOURS[variant];
         let offset = index % per_behaviour;
         let (party, strategy) = if offset == 0 {
             (None, Strategy::compliant())
@@ -1035,23 +917,8 @@ impl ScenarioGen for AuctionSweep {
             let party = self.parties[(offset - 1) / self.deviating.len()];
             (Some(party), self.deviating[(offset - 1) % self.deviating.len()])
         };
-        let config = AuctionConfig { auctioneer: behaviour, ..self.config.clone() };
-        let strategies: BTreeMap<PartyId, Strategy> =
-            party.map(|p| (p, strategy)).into_iter().collect();
-        let report = oracle_or(
-            self.replay,
-            (scratch, cache),
-            |(scratch, _)| run_auction_in(scratch, &config, &strategies),
-            |(scratch, cache)| {
-                let slots = cache.get_or_default::<AuctionPrefixSlots>();
-                run_auction_shared(
-                    scratch,
-                    &config,
-                    &strategies,
-                    slots.entry(behaviour_index).or_default(),
-                )
-            },
-        );
+        let profile = |p| if Some(p) == party { strategy } else { Strategy::compliant() };
+        let report = cache.run(&self.configs[variant], variant, &profile, scratch);
         let scenario = || match party {
             Some(party) => format!("auction {behaviour:?}, {party} plays {strategy}"),
             None => format!("auction {behaviour:?}, all compliant"),

@@ -14,9 +14,9 @@
 
 use std::collections::BTreeMap;
 
-use chainsim::PartyId;
-use protocols::multi_party::{random_config, run_multi_party_swap};
-use protocols::script::Strategy;
+use chainsim::{PartyId, World};
+use protocols::multi_party::random_config;
+use protocols::script::{profile, Protocol, Strategy};
 
 /// Runs the pinned deviation and asserts the §7 guarantee for every
 /// compliant party: net premium payoff of at least `p` whenever an escrow
@@ -27,7 +27,7 @@ fn boundary_run(seed: u64) -> BTreeMap<PartyId, (i128, usize)> {
     let config = random_config(5, 4, seed);
     let p = config.base_premium.value() as i128;
     let strategies = BTreeMap::from([(PartyId(3), Strategy::stop_after(1))]);
-    let report = run_multi_party_swap(&config, &strategies);
+    let report = config.run(&profile(&strategies), &mut World::new(1));
     assert!(!report.completed, "seed {seed}: the walk-away must abort the swap");
     assert!(report.payoffs.conserved(), "seed {seed}");
     for (party, outcome) in &report.parties {

@@ -3,9 +3,9 @@
 //! skips is replayed brute-force here and compared against the executed
 //! canonical representative (field-for-field per-party outcomes, mapped
 //! through the witnessing automorphism), and POR-pruned profiles must
-//! uphold the §7 properties outright. Mirrors the `replay-oracle` suite's
-//! differential structure; the `reduction-oracle` feature gates it the same
-//! way.
+//! uphold the §7 properties outright. Mirrors the replay-oracle suite's
+//! differential structure; the default-on `reduction-oracle` feature gates
+//! it.
 
 #![cfg(feature = "reduction-oracle")]
 
@@ -16,7 +16,7 @@ use modelcheck::engine::{ParallelSweep, ScenarioGen};
 use modelcheck::scenarios::DealSweep;
 use protocols::deal::{run_deal_shared, DealConfig, DealPartyOutcome};
 use protocols::multi_party::{clique_config, cycle_config, random_config};
-use protocols::script::Strategy;
+use protocols::script::{Prefix, Strategy};
 
 /// One run's comparable core: completion plus per-party outcomes. The
 /// outcome fields (payoff, escrow tallies, hedged/safety verdicts) are all
@@ -28,7 +28,7 @@ fn run_core(
     world: &mut World,
     config: &DealConfig,
     profile: &BTreeMap<PartyId, Strategy>,
-    cache: &mut Option<protocols::deal::DealPrefix>,
+    cache: &mut Option<Prefix<DealConfig>>,
 ) -> RunCore {
     let report = run_deal_shared(world, config, profile, cache);
     (report.completed, report.parties)

@@ -1,53 +1,43 @@
-//! Differential tests: the prefix-sharing deviation-tree sweeps must be
-//! **byte-identical** to the brute-force replay sweeps (the `replay-oracle`
-//! feature keeps the old path selectable), across 1, 2 and 4 worker
-//! threads — and the underlying protocol reports must match field-for-field
-//! for every profile, not just the violation summaries.
-
-#![cfg(feature = "replay-oracle")]
+//! Differential tests: every sweep family run through recorded prefixes
+//! (`ParallelSweep::new(threads)`) must be **byte-identical** to the replay
+//! oracle (`ParallelSweep::new(1).replay_oracle()`), which runs every
+//! scenario from scratch, at 1, 2 and 4 worker threads — and the underlying
+//! protocol reports must match field-for-field for every profile, not just
+//! the violation summaries.
 
 use std::collections::BTreeMap;
 
 use chainsim::{PartyId, TraceMode, World};
 use modelcheck::engine::{ParallelSweep, ScenarioGen};
 use modelcheck::scenarios::{AuctionSweep, BootstrapSweep, BrokerSweep, DealSweep, TwoPartySweep};
-use protocols::auction::{run_auction_in, run_auction_shared, AuctionConfig, AuctioneerBehaviour};
+use protocols::auction::{AuctionConfig, AuctioneerBehaviour};
 use protocols::bootstrap::{run_bootstrap_in, run_bootstrap_shared, BootstrapDeviation};
 use protocols::broker::{broker_deal_config, BrokerConfig};
-use protocols::deal::{self, run_deal_in, run_deal_shared, DealConfig};
+use protocols::deal::{self, DealConfig};
 use protocols::multi_party::{cycle_config, figure3_config, random_config};
-use protocols::script::Strategy;
-use protocols::two_party::{self, run_swap_shared, SwapProtocol, TwoPartyConfig};
+use protocols::script::{profile, Prefix, Protocol, Strategy};
+use protocols::two_party::{self, run_swap_shared, SwapProtocol, TwoPartyConfig, TwoPartySwap};
 
-/// Sweeps `tree` (prefix-sharing) and `oracle` (brute force) at 1, 2 and 4
-/// threads and asserts all six summaries are byte-identical.
-fn assert_tree_matches_oracle(tree: &dyn ScenarioGen, oracle: &dyn ScenarioGen) {
-    let baseline = format!("{:?}", ParallelSweep::new(1).run(oracle));
+/// Sweeps `family` through recorded prefixes at 1, 2 and 4 threads and
+/// asserts every summary is byte-identical to the replay oracle's.
+fn assert_prefix_matches_oracle(family: &dyn ScenarioGen) {
+    let oracle = format!("{:?}", ParallelSweep::new(1).replay_oracle().run(family));
     for threads in [1usize, 2, 4] {
-        let tree_summary = format!("{:?}", ParallelSweep::new(threads).run(tree));
+        let shared = format!("{:?}", ParallelSweep::new(threads).run(family));
         assert_eq!(
-            tree_summary,
-            baseline,
-            "deviation tree diverged from the replay oracle for {:?} at {threads} threads",
-            tree.family()
+            shared,
+            oracle,
+            "recorded prefixes diverged from the replay oracle for {:?} at {threads} threads",
+            family.family()
         );
-        let oracle_summary = format!("{:?}", ParallelSweep::new(threads).run(oracle));
-        assert_eq!(oracle_summary, baseline, "oracle must itself be thread-invariant");
     }
 }
 
 #[test]
 fn two_party_sweeps_match_the_replay_oracle() {
-    let config = TwoPartyConfig::default();
-    assert_tree_matches_oracle(
-        &TwoPartySweep::hedged(config.clone()),
-        &TwoPartySweep::hedged(config.clone()).replay_oracle(),
-    );
+    assert_prefix_matches_oracle(&TwoPartySweep::hedged(TwoPartyConfig::default()));
     // The base protocol *has* violations; both paths must find the same ones.
-    assert_tree_matches_oracle(
-        &TwoPartySweep::base(config.clone()),
-        &TwoPartySweep::base(config).replay_oracle(),
-    );
+    assert_prefix_matches_oracle(&TwoPartySweep::base(TwoPartyConfig::default()));
 }
 
 #[test]
@@ -55,17 +45,14 @@ fn deal_sweeps_match_the_replay_oracle() {
     // Single-deviator budgets sweep the full per-party
     // `stop_after × timing × faults` space — 70 non-default strategies per
     // party — so every timing and fault profile is diffed against the
-    // brute-force oracle here.
+    // replay oracle here.
     for (name, config) in [
         ("figure3", figure3_config()),
         ("broker", broker_deal_config(&BrokerConfig::default())),
         ("cycle-4", cycle_config(4)),
         ("random-4", random_config(4, 3, 7)),
     ] {
-        assert_tree_matches_oracle(
-            &DealSweep::at_most(name, config.clone(), 1),
-            &DealSweep::at_most(name, config, 1).replay_oracle(),
-        );
+        assert_prefix_matches_oracle(&DealSweep::at_most(name, config, 1));
     }
 }
 
@@ -73,28 +60,45 @@ fn deal_sweeps_match_the_replay_oracle() {
 fn full_product_deal_sweep_matches_the_replay_oracle() {
     // The full joint product (71² profiles, timing and fault pairs
     // included) on the two-party cycle.
-    assert_tree_matches_oracle(
-        &DealSweep::full("cycle-2-full", cycle_config(2)),
-        &DealSweep::full("cycle-2-full", cycle_config(2)).replay_oracle(),
-    );
+    assert_prefix_matches_oracle(&DealSweep::full("cycle-2-full", cycle_config(2)));
 }
 
 #[test]
 fn broker_sweep_matches_the_replay_oracle() {
-    let config = BrokerConfig::default();
-    assert_tree_matches_oracle(
-        &BrokerSweep::at_most(&config, 1),
-        &BrokerSweep::at_most(&config, 1).replay_oracle(),
-    );
+    assert_prefix_matches_oracle(&BrokerSweep::at_most(&BrokerConfig::default(), 1));
 }
 
 #[test]
 fn auction_and_bootstrap_sweeps_match_the_replay_oracle() {
-    assert_tree_matches_oracle(&AuctionSweep::default(), &AuctionSweep::default().replay_oracle());
-    assert_tree_matches_oracle(
-        &BootstrapSweep::new(5_000, 20_000, 10, 3),
-        &BootstrapSweep::new(5_000, 20_000, 10, 3).replay_oracle(),
-    );
+    assert_prefix_matches_oracle(&AuctionSweep::default());
+    assert_prefix_matches_oracle(&BootstrapSweep::new(5_000, 20_000, 10, 3));
+}
+
+/// The replay switch must be live: a replay-mode slot runs every
+/// scenario from scratch and records no prefix, while a default slot
+/// records one per family. Otherwise the differentials above would compare
+/// the prefix path with itself.
+#[test]
+fn replay_mode_records_no_prefix() {
+    let families: Vec<Box<dyn ScenarioGen>> = vec![
+        Box::new(TwoPartySweep::hedged(TwoPartyConfig::default())),
+        Box::new(DealSweep::at_most("figure3", figure3_config(), 1)),
+        Box::new(AuctionSweep::default()),
+        Box::new(BootstrapSweep::new(5_000, 20_000, 10, 1)),
+    ];
+    for family in &families {
+        let mut world = World::new(1);
+        let mut shared = ParallelSweep::new(1).scratch();
+        let mut replay = ParallelSweep::new(1).replay_oracle().scratch();
+        // The first eight scenarios: one auctioneer behaviour, one prefix.
+        for index in 0..8 {
+            let from_prefix = family.check(index, &mut world, &mut shared);
+            let from_scratch = family.check(index, &mut world, &mut replay);
+            assert_eq!(from_prefix, from_scratch, "{} #{index}", family.family());
+        }
+        assert_eq!(shared.prefixes(), 1, "{}", family.family());
+        assert_eq!(replay.prefixes(), 0, "{}", family.family());
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -104,7 +108,7 @@ fn auction_and_bootstrap_sweeps_match_the_replay_oracle() {
 /// Every single-deviator profile of `config` (the full per-party
 /// `stop_after × timing × faults` space), plus a batch of handcrafted
 /// two-deviator profiles mixing the axes, reports compared field-for-field
-/// between the deviation tree and from-scratch execution, in both trace
+/// between the recorded prefix and from-scratch execution, in both trace
 /// modes.
 fn assert_deal_reports_identical(config: &DealConfig) {
     use protocols::script::Fault;
@@ -128,16 +132,16 @@ fn assert_deal_reports_identical(config: &DealConfig) {
     for trace in [TraceMode::Off, TraceMode::Full] {
         let mut tree_world = World::with_trace(1, trace);
         let mut oracle_world = World::with_trace(1, trace);
-        let mut cache = None;
+        let mut prefix = Prefix::record(config.clone(), &mut tree_world);
         let sweep = DealSweep::at_most("diff", config.clone(), 1);
         let profiles = (0..sweep.total()).map(|i| sweep.profile(i)).chain(mixed_pairs.clone());
-        for profile in profiles {
-            let tree = run_deal_shared(&mut tree_world, config, &profile, &mut cache);
-            let oracle = run_deal_in(&mut oracle_world, config, &profile);
+        for strategies in profiles {
+            let tree = prefix.run(&profile(&strategies), &mut tree_world);
+            let oracle = config.run(&profile(&strategies), &mut oracle_world);
             assert_eq!(
                 format!("{tree:?}"),
                 format!("{oracle:?}"),
-                "profile {profile:?} under {trace:?}"
+                "profile {strategies:?} under {trace:?}"
             );
         }
     }
@@ -161,14 +165,8 @@ fn two_party_reports_are_byte_identical_per_profile() {
             for &bob in &space {
                 let tree =
                     run_swap_shared(&mut tree_world, &config, protocol, alice, bob, &mut cache);
-                let oracle = match protocol {
-                    SwapProtocol::Hedged => {
-                        two_party::run_hedged_swap_in(&mut oracle_world, &config, alice, bob)
-                    }
-                    SwapProtocol::Base => {
-                        two_party::run_base_swap_in(&mut oracle_world, &config, alice, bob)
-                    }
-                };
+                let oracle = TwoPartySwap::new(config.clone(), protocol)
+                    .run(&two_party::profile(alice, bob), &mut oracle_world);
                 assert_eq!(
                     format!("{tree:?}"),
                     format!("{oracle:?}"),
@@ -189,12 +187,12 @@ fn auction_reports_are_byte_identical_per_profile() {
         let config = AuctionConfig { auctioneer: behaviour, ..AuctionConfig::default() };
         let mut tree_world = World::with_trace(1, TraceMode::Off);
         let mut oracle_world = World::with_trace(1, TraceMode::Off);
-        let mut cache = None;
+        let mut prefix = Prefix::record(config.clone(), &mut tree_world);
         for party in 0..3u32 {
             for strategy in protocols::auction::strategy_space() {
                 let strategies = BTreeMap::from([(PartyId(party), strategy)]);
-                let tree = run_auction_shared(&mut tree_world, &config, &strategies, &mut cache);
-                let oracle = run_auction_in(&mut oracle_world, &config, &strategies);
+                let tree = prefix.run(&profile(&strategies), &mut tree_world);
+                let oracle = config.run(&profile(&strategies), &mut oracle_world);
                 assert_eq!(
                     format!("{tree:?}"),
                     format!("{oracle:?}"),

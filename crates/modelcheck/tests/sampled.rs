@@ -1,11 +1,11 @@
 //! Acceptance suite for the sampled tier: fixed-seed smoke sweeps over
 //! every protocol family, seed-pinned reproduction, shrinking on real
-//! protocol violations, differential validation against the brute-force
-//! replay path, and the rational best-response climber's margins.
+//! protocol violations, differential validation against the replay
+//! oracle, and the rational best-response climber's margins.
 
 use chainsim::PartyId;
 use modelcheck::engine::{ParallelSweep, ScenarioGen};
-use modelcheck::sampled::{SampledScenario, SampledSweep};
+use modelcheck::sampled::{SampledBootstrap, SampledScenario, SampledSweep};
 use modelcheck::{check_sampled, sampled_families};
 use protocols::auction::AuctionConfig;
 use protocols::multi_party::{cycle_config, figure3_config};
@@ -77,49 +77,27 @@ fn every_violating_sample_is_rederivable_and_shrinkable() {
     }
 }
 
-#[cfg(feature = "replay-oracle")]
 #[test]
 fn sampled_sweeps_match_the_replay_oracle() {
-    use modelcheck::sampled::SampledBootstrap;
-
-    // The sampled tier rides the same shared-prefix entry points as the
-    // enumerated tier; diff its summaries against brute-force replays of
-    // the identical samples, across thread counts.
-    let pairs: Vec<(Box<dyn ScenarioGen>, Box<dyn ScenarioGen>)> = vec![
-        (
-            Box::new(SampledSweep::hedged_two_party(TwoPartyConfig::default(), 77, 300)),
-            Box::new(
-                SampledSweep::hedged_two_party(TwoPartyConfig::default(), 77, 300).replay_oracle(),
-            ),
-        ),
-        (
-            Box::new(SampledSweep::base_two_party(TwoPartyConfig::default(), 77, 300)),
-            Box::new(
-                SampledSweep::base_two_party(TwoPartyConfig::default(), 77, 300).replay_oracle(),
-            ),
-        ),
-        (
-            Box::new(SampledSweep::deal("figure3", figure3_config(), 77, 120)),
-            Box::new(SampledSweep::deal("figure3", figure3_config(), 77, 120).replay_oracle()),
-        ),
-        (
-            Box::new(SampledSweep::auction(AuctionConfig::default(), 77, 150)),
-            Box::new(SampledSweep::auction(AuctionConfig::default(), 77, 150).replay_oracle()),
-        ),
-        (
-            Box::new(SampledBootstrap::new(5_000, 20_000, 10, 3, 77, 100)),
-            Box::new(SampledBootstrap::new(5_000, 20_000, 10, 3, 77, 100).replay_oracle()),
-        ),
+    // The sampled tier rides the same recorded prefixes as the enumerated
+    // tier; diff its summaries against the replay oracle, which runs the
+    // identical samples from scratch, across thread counts.
+    let families: Vec<Box<dyn ScenarioGen>> = vec![
+        Box::new(SampledSweep::hedged_two_party(TwoPartyConfig::default(), 77, 300)),
+        Box::new(SampledSweep::base_two_party(TwoPartyConfig::default(), 77, 300)),
+        Box::new(SampledSweep::deal("figure3", figure3_config(), 77, 120)),
+        Box::new(SampledSweep::auction(AuctionConfig::default(), 77, 150)),
+        Box::new(SampledBootstrap::new(5_000, 20_000, 10, 3, 77, 100)),
     ];
-    for (tree, oracle) in &pairs {
-        let baseline = ParallelSweep::new(1).run(oracle.as_ref());
+    for family in &families {
+        let oracle = ParallelSweep::new(1).replay_oracle().run(family.as_ref());
         for threads in [1usize, 2, 4] {
-            let summary = ParallelSweep::new(threads).run(tree.as_ref());
+            let summary = ParallelSweep::new(threads).run(family.as_ref());
             assert_eq!(
                 summary,
-                baseline,
+                oracle,
                 "sampled family {:?} diverged from its replay oracle at {threads} threads",
-                tree.family()
+                family.family()
             );
         }
     }

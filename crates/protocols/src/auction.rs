@@ -17,7 +17,7 @@ use contracts::{
 use cryptosim::Secret;
 
 use crate::outcome::{BalanceSnapshot, Payoffs};
-use crate::script::{run_parties, DeviationTree, ScriptedParty, Step, StepOutcome, Strategy};
+use crate::script::{Profile, Protocol, ScriptedParty, Step, StepOutcome, Strategy};
 
 /// The auctioneer's party id.
 pub const AUCTIONEER: PartyId = PartyId(0);
@@ -106,14 +106,19 @@ pub struct AuctionReport {
     pub rounds: usize,
 }
 
-#[derive(Clone)]
-struct AuctionSetup {
+/// What an auction's setup leaves behind: both contracts, the bidders'
+/// secrets and the balances before the first round.
+#[derive(Clone, Debug)]
+pub struct AuctionSetup {
     coin_addr: ContractAddr,
     ticket_addr: ContractAddr,
     coin: AssetId,
     ticket: AssetId,
     secrets: BTreeMap<PartyId, Secret>,
     params: AuctionParams,
+    /// The auctioneer, then every bidder.
+    parties: Vec<PartyId>,
+    before: BalanceSnapshot,
 }
 
 fn build(world: &mut World, config: &AuctionConfig) -> AuctionSetup {
@@ -165,7 +170,10 @@ fn build(world: &mut World, config: &AuctionConfig) -> AuctionSetup {
         "auction/ticket",
         Box::new(AuctionTicketContract::new(params.clone())),
     );
-    AuctionSetup { coin_addr, ticket_addr, coin, ticket, secrets, params }
+    let mut parties = vec![AUCTIONEER];
+    parties.extend(bidders);
+    let before = BalanceSnapshot::capture(world, &parties, &[coin, ticket]);
+    AuctionSetup { coin_addr, ticket_addr, coin, ticket, secrets, params, parties, before }
 }
 
 fn coin_contract(world: &World, addr: ContractAddr) -> &AuctionCoinContract {
@@ -384,204 +392,130 @@ fn bidder_steps(config: &AuctionConfig, setup: &AuctionSetup, bidder: PartyId) -
     ]
 }
 
-/// Runs the auction with the given per-party strategies (keyed by party id;
-/// missing parties are compliant). The auctioneer's *declaration content*
-/// (honest, low-bidder, abandon) is part of [`AuctionConfig`].
-pub fn run_auction(
-    config: &AuctionConfig,
-    strategies: &BTreeMap<PartyId, Strategy>,
-) -> AuctionReport {
-    run_auction_in(&mut World::new(1), config, strategies)
+/// The final state of an auction run.
+#[derive(Clone, Debug)]
+pub struct AuctionCapture {
+    payoffs: Payoffs,
+    outcome: Option<AuctionOutcome>,
+    ticket_winner: Option<PartyId>,
+    failed_actions: usize,
+    rounds: usize,
+}
+
+/// An auction configuration is the auction's [`Protocol`]. The
+/// auctioneer's *declaration content* (honest, low-bidder, abandon) is part
+/// of the configuration, so each behaviour records its own [`Prefix`].
+///
+/// [`Prefix`]: crate::script::Prefix
+impl Protocol for AuctionConfig {
+    type Setup = AuctionSetup;
+    type Capture = AuctionCapture;
+    type Report = AuctionReport;
+
+    fn setup(&self, world: &mut World) -> AuctionSetup {
+        build(world, self)
+    }
+
+    fn script(&self, setup: &AuctionSetup, profile: Profile<'_>) -> Vec<ScriptedParty> {
+        let actors: Vec<ScriptedParty> = setup
+            .parties
+            .iter()
+            .map(|&party| {
+                let steps = if party == AUCTIONEER {
+                    auctioneer_steps(self, setup)
+                } else {
+                    bidder_steps(self, setup, party)
+                };
+                ScriptedParty::new(party, steps, profile(party)).with_delta(self.delta_blocks)
+            })
+            .collect();
+        debug_assert!(
+            actors.iter().all(|a| a.total_steps() == SCRIPT_STEPS),
+            "SCRIPT_STEPS must match every auction script so sweeps cover exactly the stop-points"
+        );
+        actors
+    }
+
+    fn max_rounds(&self) -> u64 {
+        8 * self.delta_blocks + 4
+    }
+
+    fn capture(
+        &self,
+        world: &World,
+        setup: &AuctionSetup,
+        rounds: usize,
+        failed_actions: usize,
+    ) -> AuctionCapture {
+        let after = BalanceSnapshot::capture(world, &setup.parties, &[setup.coin, setup.ticket]);
+        AuctionCapture {
+            payoffs: Payoffs::between(&setup.before, &after),
+            outcome: coin_contract(world, setup.coin_addr).outcome(),
+            ticket_winner: ticket_contract(world, setup.ticket_addr).winner(),
+            failed_actions,
+            rounds,
+        }
+    }
+
+    fn judge(
+        &self,
+        setup: &AuctionSetup,
+        capture: &AuctionCapture,
+        profile: Profile<'_>,
+    ) -> AuctionReport {
+        let payoffs = &capture.payoffs;
+        let mut bidder_coin_payoffs = BTreeMap::new();
+        let mut bidder_ticket_payoffs = BTreeMap::new();
+        let mut no_bid_stolen = true;
+        let mut bidders_compensated = true;
+        for (bidder, bid) in setup.parties[1..].iter().zip(&self.bids) {
+            let coin_payoff = payoffs.of(*bidder, setup.coin).value();
+            let ticket_payoff = payoffs.of(*bidder, setup.ticket).value();
+            bidder_coin_payoffs.insert(*bidder, coin_payoff);
+            bidder_ticket_payoffs.insert(*bidder, ticket_payoff);
+            if profile(*bidder).is_compliant() {
+                let got_tickets = ticket_payoff > 0;
+                if !got_tickets && coin_payoff < 0 {
+                    no_bid_stolen = false;
+                }
+                if bid.is_some()
+                    && matches!(capture.outcome, Some(AuctionOutcome::Aborted))
+                    && coin_payoff < self.premium.value() as i128
+                {
+                    bidders_compensated = false;
+                }
+            }
+        }
+        AuctionReport {
+            outcome: capture.outcome,
+            ticket_winner: capture.ticket_winner,
+            bidder_coin_payoffs,
+            bidder_ticket_payoffs,
+            auctioneer_coin_payoff: payoffs.of(AUCTIONEER, setup.coin).value(),
+            no_bid_stolen,
+            bidders_compensated,
+            payoffs: payoffs.clone(),
+            failed_actions: capture.failed_actions,
+            rounds: capture.rounds,
+        }
+    }
 }
 
 /// Builds the auction's world (both contracts published with their real
 /// deadline parameters) and compliant scripted parties without executing a
-/// single round. Static analyzers consume the contracts' state specs and
-/// the scripts' deadline annotations from the result.
+/// single round; see [`Protocol::static_setup`].
 pub fn auction_static_setup(config: &AuctionConfig) -> (World, Vec<ScriptedParty>) {
-    let mut world = World::new(1);
-    let setup = build(&mut world, config);
-    let actors = auction_actors(config, &setup, &|_| Strategy::compliant());
-    (world, actors)
-}
-
-/// Runs the auction inside a caller-provided world (reset first; its
-/// [`chainsim::TraceMode`] is preserved). Hot-path variant of
-/// [`run_auction`] for sweep engines that pool worlds across scenarios.
-pub fn run_auction_in(
-    world: &mut World,
-    config: &AuctionConfig,
-    strategies: &BTreeMap<PartyId, Strategy>,
-) -> AuctionReport {
-    let setup = build(world, config);
-    let parties = auction_parties(config);
-    let before = BalanceSnapshot::capture(world, &parties, &[setup.coin, setup.ticket]);
-    let actors = auction_actors(config, &setup, &|party| {
-        strategies.get(&party).copied().unwrap_or(Strategy::compliant())
-    });
-    let run_report = run_parties(world, actors, auction_max_rounds(config));
-    finish_auction_report(
-        world,
-        config,
-        strategies,
-        &setup,
-        &before,
-        run_report.failures().len(),
-        run_report.rounds(),
-    )
-}
-
-fn auction_parties(config: &AuctionConfig) -> Vec<PartyId> {
-    let mut parties = vec![AUCTIONEER];
-    parties.extend(config.bidders());
-    parties
-}
-
-fn auction_max_rounds(config: &AuctionConfig) -> u64 {
-    8 * config.delta_blocks + 4
-}
-
-fn auction_actors(
-    config: &AuctionConfig,
-    setup: &AuctionSetup,
-    strategy_of: &dyn Fn(PartyId) -> Strategy,
-) -> Vec<ScriptedParty> {
-    let mut actors = vec![ScriptedParty::new(
-        AUCTIONEER,
-        auctioneer_steps(config, setup),
-        strategy_of(AUCTIONEER),
-    )
-    .with_delta(config.delta_blocks)];
-    for bidder in config.bidders() {
-        actors.push(
-            ScriptedParty::new(bidder, bidder_steps(config, setup, bidder), strategy_of(bidder))
-                .with_delta(config.delta_blocks),
-        );
-    }
-    debug_assert!(
-        actors.iter().all(|a| a.total_steps() == SCRIPT_STEPS),
-        "SCRIPT_STEPS must match every auction script so sweeps cover exactly the stop-points"
-    );
-    actors
-}
-
-/// Derives the [`AuctionReport`] from the final world state. Shared by the
-/// from-scratch and deviation-tree paths, which keeps their reports
-/// byte-identical.
-fn finish_auction_report(
-    world: &World,
-    config: &AuctionConfig,
-    strategies: &BTreeMap<PartyId, Strategy>,
-    setup: &AuctionSetup,
-    before: &BalanceSnapshot,
-    failed_actions: usize,
-    rounds: usize,
-) -> AuctionReport {
-    let bidders = config.bidders();
-    let parties = auction_parties(config);
-    let after = BalanceSnapshot::capture(world, &parties, &[setup.coin, setup.ticket]);
-    let payoffs = Payoffs::between(before, &after);
-
-    let outcome = coin_contract(world, setup.coin_addr).outcome();
-    let ticket_winner = ticket_contract(world, setup.ticket_addr).winner();
-
-    let mut bidder_coin_payoffs = BTreeMap::new();
-    let mut bidder_ticket_payoffs = BTreeMap::new();
-    let mut no_bid_stolen = true;
-    let mut bidders_compensated = true;
-    for bidder in &bidders {
-        let coin_payoff = payoffs.of(*bidder, setup.coin).value();
-        let ticket_payoff = payoffs.of(*bidder, setup.ticket).value();
-        bidder_coin_payoffs.insert(*bidder, coin_payoff);
-        bidder_ticket_payoffs.insert(*bidder, ticket_payoff);
-        let compliant =
-            strategies.get(bidder).copied().unwrap_or(Strategy::compliant()).is_compliant();
-        let placed_bid = config.bids[(bidder.0 - 1) as usize].is_some();
-        if compliant {
-            let got_tickets = ticket_payoff > 0;
-            if !got_tickets && coin_payoff < 0 {
-                no_bid_stolen = false;
-            }
-            if placed_bid
-                && matches!(outcome, Some(AuctionOutcome::Aborted))
-                && coin_payoff < config.premium.value() as i128
-            {
-                bidders_compensated = false;
-            }
-        }
-    }
-
-    AuctionReport {
-        outcome,
-        ticket_winner,
-        bidder_coin_payoffs,
-        bidder_ticket_payoffs,
-        auctioneer_coin_payoff: payoffs.of(AUCTIONEER, setup.coin).value(),
-        no_bid_stolen,
-        bidders_compensated,
-        payoffs,
-        failed_actions,
-        rounds,
-    }
-}
-
-/// The per-worker deviation-tree cache for one auction configuration (one
-/// per auctioneer behaviour): the recorded compliant-strategy prefix plus
-/// the setup report derivation needs.
-///
-/// "Compliant" here means every party follows its script to the end; the
-/// auctioneer's *declaration content* (honest, low-bidder, abandon) is part
-/// of the configuration, so each behaviour records its own prefix.
-pub struct AuctionPrefix {
-    prefix: DeviationTree,
-    setup: AuctionSetup,
-    before: BalanceSnapshot,
-}
-
-impl std::fmt::Debug for AuctionPrefix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AuctionPrefix").field("prefix", &self.prefix).finish()
-    }
-}
-
-/// Runs the auction through the deviation tree; reports are byte-identical
-/// to [`run_auction_in`] for every strategy profile.
-pub fn run_auction_shared(
-    world: &mut World,
-    config: &AuctionConfig,
-    strategies: &BTreeMap<PartyId, Strategy>,
-    cache: &mut Option<AuctionPrefix>,
-) -> AuctionReport {
-    if cache.is_none() {
-        let setup = build(world, config);
-        let parties = auction_parties(config);
-        let before = BalanceSnapshot::capture(world, &parties, &[setup.coin, setup.ticket]);
-        let actors = auction_actors(config, &setup, &|_| Strategy::compliant());
-        let prefix = DeviationTree::record(world, actors, auction_max_rounds(config));
-        *cache = Some(AuctionPrefix { prefix, setup, before });
-    }
-    let cached = cache.as_mut().expect("cache populated above");
-    let resumed = cached
-        .prefix
-        .resume(world, &|party| strategies.get(&party).copied().unwrap_or(Strategy::compliant()));
-    finish_auction_report(
-        world,
-        config,
-        strategies,
-        &cached.setup,
-        &cached.before,
-        resumed.failed_actions,
-        resumed.rounds,
-    )
+    config.static_setup()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::profile;
 
     #[test]
     fn honest_auction_awards_high_bidder() {
-        let report = run_auction(&AuctionConfig::default(), &BTreeMap::new());
+        let report = AuctionConfig::default().run(&|_| Strategy::compliant(), &mut World::new(1));
         assert!(
             matches!(report.outcome, Some(AuctionOutcome::Completed { winner, .. }) if winner == PartyId(1))
         );
@@ -600,7 +534,7 @@ mod tests {
             auctioneer: AuctioneerBehaviour::DeclareLowBidder,
             ..AuctionConfig::default()
         };
-        let report = run_auction(&config, &BTreeMap::new());
+        let report = config.run(&|_| Strategy::compliant(), &mut World::new(1));
         assert_eq!(report.outcome, Some(AuctionOutcome::Aborted));
         assert!(report.no_bid_stolen, "{report:?}");
         assert!(report.bidders_compensated);
@@ -613,7 +547,7 @@ mod tests {
     fn absent_auctioneer_still_compensates_bidders() {
         let config =
             AuctionConfig { auctioneer: AuctioneerBehaviour::Abandon, ..AuctionConfig::default() };
-        let report = run_auction(&config, &BTreeMap::new());
+        let report = config.run(&|_| Strategy::compliant(), &mut World::new(1));
         assert_eq!(report.outcome, Some(AuctionOutcome::Aborted));
         assert!(report.no_bid_stolen);
         assert!(report.bidders_compensated);
@@ -625,7 +559,7 @@ mod tests {
         // auction still completes for Bob because Alice's hashkey appears on
         // both chains without Carol's help.
         let strategies = BTreeMap::from([(PartyId(2), Strategy::stop_after(1))]);
-        let report = run_auction(&AuctionConfig::default(), &strategies);
+        let report = AuctionConfig::default().run(&profile(&strategies), &mut World::new(1));
         assert!(
             matches!(report.outcome, Some(AuctionOutcome::Completed { winner, .. }) if winner == PartyId(1))
         );
@@ -637,7 +571,7 @@ mod tests {
     fn abstaining_bidder_is_harmless() {
         let config =
             AuctionConfig { bids: vec![Some(Amount::new(60)), None], ..AuctionConfig::default() };
-        let report = run_auction(&config, &BTreeMap::new());
+        let report = config.run(&|_| Strategy::compliant(), &mut World::new(1));
         assert!(
             matches!(report.outcome, Some(AuctionOutcome::Completed { winner, .. }) if winner == PartyId(1))
         );
@@ -647,7 +581,7 @@ mod tests {
     #[test]
     fn auctioneer_walking_away_before_endowment_steals_nothing() {
         let strategies = BTreeMap::from([(AUCTIONEER, Strategy::stop_after(0))]);
-        let report = run_auction(&AuctionConfig::default(), &strategies);
+        let report = AuctionConfig::default().run(&profile(&strategies), &mut World::new(1));
         assert!(report.no_bid_stolen);
         // Without the premium endowment the bids are still refunded.
         assert_eq!(report.bidder_coin_payoffs[&PartyId(1)], 0);

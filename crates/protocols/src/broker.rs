@@ -12,13 +12,12 @@
 //! float): the step dependencies, premium structure and sore-loser payoffs
 //! are identical, only the broker's inventory financing differs.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use chainsim::{Amount, PartyId};
 use swapgraph::{premiums, Digraph};
 
-use crate::deal::{run_deal, ArcSpec, DealConfig, DealReport};
-use crate::script::Strategy;
+use crate::deal::{ArcSpec, DealConfig};
 
 /// Every distinct per-party strategy of the brokered sale. The broker runs
 /// on the generic deal engine, so its space is exactly
@@ -146,32 +145,18 @@ pub fn broker_deal_config(config: &BrokerConfig) -> DealConfig {
     }
 }
 
-/// Runs the hedged brokered sale with the given strategies.
-pub fn run_brokered_sale(
-    config: &BrokerConfig,
-    strategies: &BTreeMap<PartyId, Strategy>,
-) -> DealReport {
-    run_deal(&broker_deal_config(config), strategies)
-}
-
-/// Runs the hedged brokered sale inside a caller-provided world; see
-/// [`crate::deal::run_deal_in`].
-pub fn run_brokered_sale_in(
-    world: &mut chainsim::World,
-    config: &BrokerConfig,
-    strategies: &BTreeMap<PartyId, Strategy>,
-) -> DealReport {
-    crate::deal::run_deal_in(world, &broker_deal_config(config), strategies)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::{profile, Protocol, Strategy};
+    use chainsim::World;
+    use std::collections::BTreeMap;
 
     #[test]
     fn compliant_brokered_sale_completes_with_the_spread() {
         let config = BrokerConfig::default();
-        let report = run_brokered_sale(&config, &BTreeMap::new());
+        let report =
+            broker_deal_config(&config).run(&|_| Strategy::compliant(), &mut World::new(1));
         assert!(report.completed, "{report:?}");
         assert!(report.all_compliant_hedged());
         assert_eq!(report.failed_actions, 0);
@@ -189,7 +174,8 @@ mod tests {
     fn seller_walking_away_compensates_broker_and_buyer() {
         // Bob deposits premiums but never escrows his ticket.
         let strategies = BTreeMap::from([(SELLER, Strategy::stop_after(2))]);
-        let report = run_brokered_sale(&BrokerConfig::default(), &strategies);
+        let report = broker_deal_config(&BrokerConfig::default())
+            .run(&profile(&strategies), &mut World::new(1));
         assert!(!report.completed);
         assert!(report.parties[&BROKER].hedged);
         assert!(report.parties[&BUYER].hedged);
@@ -201,7 +187,8 @@ mod tests {
     fn broker_walking_away_compensates_seller_and_buyer() {
         // Alice stops before her trading-phase transfers.
         let strategies = BTreeMap::from([(BROKER, Strategy::stop_after(2))]);
-        let report = run_brokered_sale(&BrokerConfig::default(), &strategies);
+        let report = broker_deal_config(&BrokerConfig::default())
+            .run(&profile(&strategies), &mut World::new(1));
         assert!(!report.completed);
         assert!(report.parties[&SELLER].hedged, "{report:?}");
         assert!(report.parties[&BUYER].hedged, "{report:?}");
@@ -214,7 +201,8 @@ mod tests {
         for party in [BROKER, SELLER, BUYER] {
             for stop_after in 0..5usize {
                 let strategies = BTreeMap::from([(party, Strategy::stop_after(stop_after))]);
-                let report = run_brokered_sale(&config, &strategies);
+                let report =
+                    broker_deal_config(&config).run(&profile(&strategies), &mut World::new(1));
                 assert!(
                     report.all_compliant_hedged(),
                     "{party} stopping after {stop_after} broke the hedge: {report:?}"

@@ -26,7 +26,8 @@ use swapgraph::Digraph;
 
 use crate::outcome::{BalanceSnapshot, Payoffs};
 use crate::script::{
-    run_parties, DeviationTree, HashkeyMemo, ScriptedParty, Step, StepMemo, StepOutcome, Strategy,
+    profile, HashkeyMemo, Prefix, Profile, Protocol, ScriptedParty, Step, StepMemo, StepOutcome,
+    Strategy,
 };
 
 /// The number of scripted steps in each deal-engine role: escrow premiums,
@@ -381,12 +382,23 @@ impl DealReport {
     }
 }
 
-struct DealSetup {
+/// What a deal's setup leaves behind: the arc escrows, the parties' keys
+/// and secrets, and the balances before the first round.
+pub struct DealSetup {
     arc_addrs: Arc<BTreeMap<(PartyId, PartyId), ContractAddr>>,
+    parties: Vec<PartyId>,
     native_assets: Vec<AssetId>,
-    traded_assets: Vec<AssetId>,
+    /// Traded assets first, then every chain's native asset.
+    all_assets: Vec<AssetId>,
     secrets: BTreeMap<PartyId, Secret>,
     keypairs: BTreeMap<PartyId, KeyPair>,
+    before: BalanceSnapshot,
+}
+
+impl fmt::Debug for DealSetup {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DealSetup").field("arcs", &self.arc_addrs.len()).finish()
+    }
 }
 
 fn arc_label(from: PartyId, to: PartyId) -> Label {
@@ -424,8 +436,7 @@ fn leader_secret(leader: PartyId) -> Secret {
 }
 
 /// Builds the deal's world state inside `world`, which is reset first (its
-/// trace mode is preserved, so pooled sweep worlds stay trace-free while
-/// the public one-shot entry points keep full traces).
+/// trace mode is preserved, so pooled sweep worlds stay trace-free).
 fn build(world: &mut World, config: &DealConfig) -> DealSetup {
     world.reset(1);
     // Pre-warm the configuration's read-only tables (leader hashkeys) so
@@ -527,8 +538,18 @@ fn build(world: &mut World, config: &DealConfig) -> DealSetup {
         arc_addrs.insert((arc.from, arc.to), addr);
     }
 
-    let traded_assets: Vec<AssetId> = asset_ids.values().copied().collect();
-    DealSetup { arc_addrs: Arc::new(arc_addrs), native_assets, traded_assets, secrets, keypairs }
+    let mut all_assets: Vec<AssetId> = asset_ids.values().copied().collect();
+    all_assets.extend(native_assets.iter().copied());
+    let before = BalanceSnapshot::capture(world, &parties, &all_assets);
+    DealSetup {
+        arc_addrs: Arc::new(arc_addrs),
+        parties,
+        native_assets,
+        all_assets,
+        secrets,
+        keypairs,
+        before,
+    }
 }
 
 /// The earliest of `deadlines` still in the future — the next time a
@@ -942,265 +963,145 @@ fn party_steps(config: &DealConfig, setup: &DealSetup, me: PartyId) -> Vec<Step>
     steps
 }
 
-/// Builds the deal's world (every arc escrow published with its real
-/// deadline parameters) and compliant scripted parties without executing a
-/// single round. Static analyzers consume the contracts' state specs and
-/// the scripts' deadline annotations from the result.
-pub fn deal_static_setup(config: &DealConfig) -> (World, Vec<ScriptedParty>) {
-    let mut world = World::new(1);
-    let setup = build(&mut world, config);
-    let actors = deal_actors(config, &setup, &|_| Strategy::compliant());
-    (world, actors)
-}
-
-/// Runs a hedged deal with the given per-party strategies.
-///
-/// Parties not present in `strategies` default to [`Strategy::compliant()`].
-pub fn run_deal(config: &DealConfig, strategies: &BTreeMap<PartyId, Strategy>) -> DealReport {
-    run_deal_in(&mut World::new(1), config, strategies)
-}
-
-/// Runs a hedged deal inside a caller-provided world, which is reset first.
-///
-/// This is the hot-path entry point for sweep engines: a pooled world keeps
-/// its ledgers, contract stores and trace buffers allocated across
-/// thousands of scenario runs, and its [`chainsim::TraceMode`] decides
-/// whether the run records event traces. The report is identical to
-/// [`run_deal`]'s for any world state and trace mode.
-pub fn run_deal_in(
-    world: &mut World,
-    config: &DealConfig,
-    strategies: &BTreeMap<PartyId, Strategy>,
-) -> DealReport {
-    let setup = build(world, config);
-    let tables = DealTables::from_setup(config, &setup);
-    let before = BalanceSnapshot::capture(world, &tables.parties, &tables.all_assets);
-    let actors = deal_actors(config, &setup, &|party| {
-        strategies.get(&party).copied().unwrap_or(Strategy::compliant())
-    });
-    let run_report = run_parties(world, actors, deal_max_rounds(config));
-    let resumed = crate::script::ResumedRun {
-        rounds: run_report.rounds(),
-        failed_actions: run_report.failures().len(),
-        state_key: 0,
-        zero_tail: false,
-    };
-    let state = FinalState::capture(world, &tables, &before, &resumed);
-    finish_report(config, strategies, &tables, &state)
-}
-
-/// The per-worker deviation-tree cache for one deal configuration: the
-/// recorded compliant prefix plus the setup tables report derivation needs.
-///
-/// Built lazily by the first [`run_deal_shared`] call on a worker and
-/// reused for every scenario of the same configuration that worker runs.
-pub struct DealPrefix {
-    prefix: DeviationTree,
-    tables: DealTables,
-    before: BalanceSnapshot,
-    /// Final-state data of zero-tail resumes, keyed by the resume's
-    /// divergence-round state key: a profile whose fork runs zero tail
-    /// rounds ends in a state that is a pure function of that key, so the
-    /// (relatively expensive) balance capture, payoff diff and
-    /// contract-state scan are done once per checkpoint instead of once
-    /// per profile.
-    zero_tail: BTreeMap<u64, FinalState>,
-}
-
-impl fmt::Debug for DealPrefix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DealPrefix").field("prefix", &self.prefix).finish()
-    }
-}
-
-/// Runs a hedged deal through the deviation tree: the compliant prefix is
-/// executed (and checkpointed) once per worker, and each profile resumes
-/// from the snapshot at its divergence round instead of replaying the
-/// shared prefix.
-///
-/// The report is byte-identical to [`run_deal_in`]'s for every profile —
-/// pinned by the `replay-oracle` differential tests in `modelcheck`.
-pub fn run_deal_shared(
-    world: &mut World,
-    config: &DealConfig,
-    strategies: &BTreeMap<PartyId, Strategy>,
-    cache: &mut Option<DealPrefix>,
-) -> DealReport {
-    if cache.is_none() {
-        let setup = build(world, config);
-        let tables = DealTables::from_setup(config, &setup);
-        let before = BalanceSnapshot::capture(world, &tables.parties, &tables.all_assets);
-        let actors = deal_actors(config, &setup, &|_| Strategy::compliant());
-        let prefix = DeviationTree::record(world, actors, deal_max_rounds(config));
-        *cache = Some(DealPrefix { prefix, tables, before, zero_tail: BTreeMap::new() });
-    }
-    let DealPrefix { prefix, tables, before, zero_tail } =
-        cache.as_mut().expect("cache populated above");
-    let strategy_of =
-        |party: PartyId| strategies.get(&party).copied().unwrap_or(Strategy::compliant());
-    let resumed = prefix.resume(world, &strategy_of);
-    if resumed.zero_tail {
-        // The profile's final state is exactly its divergence checkpoint:
-        // capture it once, then derive every such profile's report from the
-        // cached capture.
-        let state = zero_tail
-            .entry(resumed.state_key)
-            .or_insert_with(|| FinalState::capture(world, tables, before, &resumed));
-        return finish_report(config, strategies, tables, state);
-    }
-    let state = FinalState::capture(world, tables, before, &resumed);
-    finish_report(config, strategies, tables, &state)
-}
-
-/// The round budget of a deal run: past the final deadline plus slack for
-/// the settlement steps.
-fn deal_max_rounds(config: &DealConfig) -> u64 {
-    config.final_deadline().height() + 3 * config.delta_blocks + 4
-}
-
-/// The scripted parties of a deal run, in party-id order.
-fn deal_actors(
-    config: &DealConfig,
-    setup: &DealSetup,
-    strategy_of: &dyn Fn(PartyId) -> Strategy,
-) -> Vec<ScriptedParty> {
-    config
-        .parties()
-        .iter()
-        .map(|&party| {
-            let steps = party_steps(config, setup, party);
-            debug_assert_eq!(
-                steps.len(),
-                SCRIPT_STEPS,
-                "SCRIPT_STEPS must match the deal script so sweeps cover all stop-points"
-            );
-            ScriptedParty::new(party, steps, strategy_of(party)).with_delta(config.delta_blocks)
-        })
-        .collect()
-}
-
-/// The slices of a [`DealSetup`] that report derivation needs (the rest —
-/// secrets, key pairs — is baked into the step closures).
-struct DealTables {
-    arc_addrs: Arc<BTreeMap<(PartyId, PartyId), ContractAddr>>,
-    parties: Vec<PartyId>,
-    native_assets: Vec<AssetId>,
-    all_assets: Vec<AssetId>,
-}
-
-impl DealTables {
-    fn from_setup(config: &DealConfig, setup: &DealSetup) -> Self {
-        let mut all_assets = setup.traded_assets.clone();
-        all_assets.extend(setup.native_assets.iter().copied());
-        DealTables {
-            arc_addrs: Arc::clone(&setup.arc_addrs),
-            parties: config.parties(),
-            native_assets: setup.native_assets.clone(),
-            all_assets,
-        }
-    }
-}
-
-/// Everything a [`DealReport`] derivation reads from the final world
-/// state: the post-run balances/payoffs and each arc's principal state.
-/// Capturing it is the per-scenario cost floor, so zero-tail resumes cache
-/// one per divergence checkpoint.
-struct FinalState {
+/// The final state of a deal run: the payoffs and each arc's principal
+/// state. Capturing it is the per-scenario cost floor, so a [`Prefix`]
+/// keeps one per zero-tail checkpoint.
+#[derive(Clone, Debug)]
+pub struct DealCapture {
     payoffs: Payoffs,
     arc_states: Vec<((PartyId, PartyId), PrincipalState)>,
     failed_actions: usize,
     rounds: usize,
 }
 
-impl FinalState {
+/// A deal configuration is the deal engine's [`Protocol`]: multi-party
+/// swaps (§7) and brokered sales (§8) are both run through it.
+impl Protocol for DealConfig {
+    type Setup = DealSetup;
+    type Capture = DealCapture;
+    type Report = DealReport;
+
+    fn setup(&self, world: &mut World) -> DealSetup {
+        build(world, self)
+    }
+
+    fn script(&self, setup: &DealSetup, profile: Profile<'_>) -> Vec<ScriptedParty> {
+        setup
+            .parties
+            .iter()
+            .map(|&party| {
+                let steps = party_steps(self, setup, party);
+                debug_assert_eq!(
+                    steps.len(),
+                    SCRIPT_STEPS,
+                    "SCRIPT_STEPS must match the deal script so sweeps cover all stop-points"
+                );
+                ScriptedParty::new(party, steps, profile(party)).with_delta(self.delta_blocks)
+            })
+            .collect()
+    }
+
+    /// Past the final deadline plus slack for the settlement steps.
+    fn max_rounds(&self) -> u64 {
+        self.final_deadline().height() + 3 * self.delta_blocks + 4
+    }
+
     fn capture(
+        &self,
         world: &World,
-        tables: &DealTables,
-        before: &BalanceSnapshot,
-        resumed: &crate::script::ResumedRun,
-    ) -> Self {
-        let after = BalanceSnapshot::capture(world, &tables.parties, &tables.all_assets);
-        FinalState {
-            payoffs: Payoffs::between(before, &after),
-            arc_states: tables
+        setup: &DealSetup,
+        rounds: usize,
+        failed_actions: usize,
+    ) -> DealCapture {
+        let after = BalanceSnapshot::capture(world, &setup.parties, &setup.all_assets);
+        DealCapture {
+            payoffs: Payoffs::between(&setup.before, &after),
+            arc_states: setup
                 .arc_addrs
                 .iter()
                 .map(|(arc, addr)| (*arc, arc_contract(world, *addr).principal_state()))
                 .collect(),
-            failed_actions: resumed.failed_actions,
-            rounds: resumed.rounds,
+            failed_actions,
+            rounds,
+        }
+    }
+
+    fn judge(&self, setup: &DealSetup, capture: &DealCapture, profile: Profile<'_>) -> DealReport {
+        let payoffs = &capture.payoffs;
+        let mut outcomes: BTreeMap<PartyId, DealPartyOutcome> = BTreeMap::new();
+        let mut completed = true;
+        for &party in &setup.parties {
+            let strategy = profile(party);
+            let mut outcome = DealPartyOutcome {
+                premium_payoff: payoffs.total_over(party, &setup.native_assets).value(),
+                ..DealPartyOutcome::default()
+            };
+            for (arc, principal_state) in &capture.arc_states {
+                if *principal_state != PrincipalState::Redeemed {
+                    completed = false;
+                }
+                if arc.0 == party {
+                    match principal_state {
+                        PrincipalState::Redeemed => outcome.escrowed_redeemed += 1,
+                        PrincipalState::Refunded => outcome.escrowed_unredeemed += 1,
+                        PrincipalState::Held => outcome.escrowed_stuck += 1,
+                        PrincipalState::NotEscrowed => {}
+                    }
+                }
+                if arc.1 == party {
+                    outcome.incoming_arcs += 1;
+                    if *principal_state == PrincipalState::Redeemed {
+                        outcome.received += 1;
+                    }
+                }
+            }
+            // §7's guarantee is *total*: a failed swap leaves a compliant
+            // party with at least one base premium p in net compensation,
+            // not p per unredeemed arc. The Equation (1) recursion is
+            // pass-the-parcel sized — the premium deposited on an arc covers
+            // the receiver's own p plus everything the receiver forfeits
+            // upstream — so on digraphs with heavily overlapping redemption
+            // paths a compliant party with several unredeemed escrows
+            // legitimately nets exactly +p (see the README theorem notes;
+            // `random_config(5, 4, seeds 2 and 4)` pin the boundary case).
+            let compensation_due =
+                if outcome.escrowed_unredeemed > 0 { self.base_premium.value() as i128 } else { 0 };
+            outcome.hedged = !strategy.is_compliant() || outcome.premium_payoff >= compensation_due;
+            outcome.safety = !strategy.is_compliant()
+                || outcome.escrowed_redeemed == 0
+                || outcome.received == outcome.incoming_arcs;
+            outcomes.insert(party, outcome);
+        }
+        DealReport {
+            strategies: setup.parties.iter().map(|&party| (party, profile(party))).collect(),
+            completed,
+            parties: outcomes,
+            payoffs: payoffs.clone(),
+            failed_actions: capture.failed_actions,
+            rounds: capture.rounds,
         }
     }
 }
 
-/// Derives the [`DealReport`] from the captured final state. Shared by the
-/// from-scratch and deviation-tree paths, which is what keeps their reports
-/// byte-identical.
-fn finish_report(
+/// Builds the deal's world (every arc escrow published with its real
+/// deadline parameters) and compliant scripted parties without executing a
+/// single round; see [`Protocol::static_setup`].
+pub fn deal_static_setup(config: &DealConfig) -> (World, Vec<ScriptedParty>) {
+    config.static_setup()
+}
+
+/// Runs one profile of `config` (parties `strategies` does not name are
+/// compliant) through the [`Prefix`] in `cache`, recording it on first
+/// use. The cache belongs to one configuration.
+pub fn run_deal_shared(
+    world: &mut World,
     config: &DealConfig,
     strategies: &BTreeMap<PartyId, Strategy>,
-    tables: &DealTables,
-    state: &FinalState,
+    cache: &mut Option<Prefix<DealConfig>>,
 ) -> DealReport {
-    let parties = &tables.parties;
-    let payoffs = &state.payoffs;
-
-    let mut outcomes: BTreeMap<PartyId, DealPartyOutcome> = BTreeMap::new();
-    let mut completed = true;
-    for &party in parties {
-        let strategy = strategies.get(&party).copied().unwrap_or(Strategy::compliant());
-        let mut outcome = DealPartyOutcome {
-            premium_payoff: payoffs.total_over(party, &tables.native_assets).value(),
-            ..DealPartyOutcome::default()
-        };
-        for (arc, principal_state) in &state.arc_states {
-            if *principal_state != PrincipalState::Redeemed {
-                completed = false;
-            }
-            if arc.0 == party {
-                match principal_state {
-                    PrincipalState::Redeemed => outcome.escrowed_redeemed += 1,
-                    PrincipalState::Refunded => outcome.escrowed_unredeemed += 1,
-                    PrincipalState::Held => outcome.escrowed_stuck += 1,
-                    PrincipalState::NotEscrowed => {}
-                }
-            }
-            if arc.1 == party {
-                outcome.incoming_arcs += 1;
-                if *principal_state == PrincipalState::Redeemed {
-                    outcome.received += 1;
-                }
-            }
-        }
-        // §7's guarantee is *total*: a failed swap leaves a compliant party
-        // with at least one base premium p in net compensation, not p per
-        // unredeemed arc. The Equation (1) recursion is pass-the-parcel
-        // sized — the premium deposited on an arc covers the receiver's own
-        // p plus everything the receiver forfeits upstream — so on digraphs
-        // with heavily overlapping redemption paths a compliant party with
-        // several unredeemed escrows legitimately nets exactly +p (see the
-        // README theorem notes; `random_config(5, 4, seeds 2 and 4)` pin
-        // the boundary case).
-        let compensation_due =
-            if outcome.escrowed_unredeemed > 0 { config.base_premium.value() as i128 } else { 0 };
-        outcome.hedged = !strategy.is_compliant() || outcome.premium_payoff >= compensation_due;
-        outcome.safety = !strategy.is_compliant()
-            || outcome.escrowed_redeemed == 0
-            || outcome.received == outcome.incoming_arcs;
-        outcomes.insert(party, outcome);
-    }
-
-    DealReport {
-        strategies: parties
-            .iter()
-            .map(|&p| (p, strategies.get(&p).copied().unwrap_or(Strategy::compliant())))
-            .collect(),
-        completed,
-        parties: outcomes,
-        payoffs: payoffs.clone(),
-        failed_actions: state.failed_actions,
-        rounds: state.rounds,
-    }
+    cache
+        .get_or_insert_with(|| Prefix::record(config.clone(), world))
+        .run(&profile(strategies), world)
 }
 
 #[cfg(test)]
@@ -1211,7 +1112,7 @@ mod tests {
     #[test]
     fn compliant_figure3_deal_completes() {
         let config = figure3_config();
-        let report = run_deal(&config, &BTreeMap::new());
+        let report = config.run(&|_| Strategy::compliant(), &mut World::new(1));
         assert!(report.completed, "all arcs should be redeemed: {report:?}");
         assert!(report.all_compliant_hedged());
         assert_eq!(report.failed_actions, 0);

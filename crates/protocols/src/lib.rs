@@ -15,21 +15,29 @@
 //! * [`broker`] — the hedged brokered-commerce deal of §8;
 //! * [`auction`] — the hedged auction of §9;
 //! * [`outcome`] — payoff accounting and the *hedged* predicate;
-//! * [`script`] — the scripted-party machinery and deviation strategies used
-//!   to model compliant parties and sore losers.
+//! * [`script`] — the scripted-party machinery, deviation strategies and
+//!   the [`Protocol`](script::Protocol) trait the scripted protocols
+//!   implement.
 //!
-//! Every protocol module exposes a `run_*` entry point that builds a fresh
-//! simulated world, executes the protocol with the requested strategies and
-//! returns a report with payoffs, lock-up durations and property checks.
+//! Each scripted protocol is defined once, as a [`Protocol`](script::Protocol):
+//! a [`two_party::TwoPartySwap`], a [`deal::DealConfig`] (multi-party swaps
+//! and the brokered sale) or an [`auction::AuctionConfig`]. It runs one of
+//! two ways with identical reports: from scratch with
+//! [`Protocol::run`](script::Protocol::run), or resumed from a recorded
+//! compliant run through a [`Prefix`](script::Prefix). The bootstrap
+//! cascade, which is not scripted, has its own runners.
 //!
 //! # Examples
 //!
 //! ```
-//! use protocols::script::Strategy;
-//! use protocols::two_party::{run_hedged_swap, TwoPartyConfig};
+//! use chainsim::World;
+//! use protocols::script::{Protocol, Strategy};
+//! use protocols::two_party::{profile, TwoPartyConfig, TwoPartySwap};
 //!
 //! // Both parties comply: principals are swapped, premiums refunded.
-//! let report = run_hedged_swap(&TwoPartyConfig::default(), Strategy::compliant(), Strategy::compliant());
+//! let swap = TwoPartySwap::hedged(TwoPartyConfig::default());
+//! let compliant = profile(Strategy::compliant(), Strategy::compliant());
+//! let report = swap.run(&compliant, &mut World::new(1));
 //! assert!(report.swap_completed);
 //! assert!(report.hedged_for_alice && report.hedged_for_bob);
 //! ```

@@ -8,15 +8,17 @@
 //! `ALICE`/`BOB` ids, and builders that anchor the §5.2 hedged-swap contract
 //! schedule at an arbitrary start height instead of `Time::ZERO`.
 //!
-//! The deadline offsets reproduce [`crate::two_party`]'s hedged setup
-//! exactly (premium 1Δ/2Δ, escrow 4Δ/3Δ, redeem 5Δ/6Δ), so a market deal's
-//! contracts behave precisely like the conformance-tested ones, just shifted
-//! in time and renamed in party space.
+//! The legs take their deadlines from [`crate::two_party`]'s own
+//! [`HedgedSchedule`] (premium 1Δ/2Δ, escrow 4Δ/3Δ, redeem 5Δ/6Δ), so a
+//! market deal's contracts behave precisely like the conformance-tested
+//! ones, just shifted in time and renamed in party space.
 
 use chainsim::{Amount, AssetId, PartyId, Time};
 use contracts::HedgedEscrowParams;
 use cryptosim::Hashlock;
 use serde::{Deserialize, Serialize};
+
+use crate::two_party::HedgedSchedule;
 
 /// A contiguous slice of the shared party-id space from which deal instances
 /// draw their participants.
@@ -98,45 +100,6 @@ impl AccountPool {
     }
 }
 
-/// The §5.2 hedged-swap deadline schedule, in Δ-steps from the deal's start
-/// height. Mirrors [`crate::two_party`]'s hedged setup verbatim.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HedgedSwapSchedule {
-    /// Leader-side (apricot) premium deadline, in Δ-steps: the follower
-    /// deposits `p_b` here.
-    pub leader_premium_steps: u64,
-    /// Leader-side escrow deadline (`t_{a,e}`), in Δ-steps.
-    pub leader_escrow_steps: u64,
-    /// Leader-side redeem timelock (`t_A`), in Δ-steps.
-    pub leader_redeem_steps: u64,
-    /// Follower-side (banana) premium deadline: the leader deposits
-    /// `p_a + p_b` here.
-    pub follower_premium_steps: u64,
-    /// Follower-side escrow deadline (`t_{b,e}`), in Δ-steps.
-    pub follower_escrow_steps: u64,
-    /// Follower-side redeem timelock (`t_B`), in Δ-steps.
-    pub follower_redeem_steps: u64,
-}
-
-impl HedgedSwapSchedule {
-    /// The paper's §5.2 schedule, as pinned by the two-party conformance
-    /// sweeps: premiums by 2Δ/1Δ, escrows by 3Δ/4Δ, redeems by 6Δ/5Δ.
-    pub const PAPER: HedgedSwapSchedule = HedgedSwapSchedule {
-        leader_premium_steps: 2,
-        leader_escrow_steps: 3,
-        leader_redeem_steps: 6,
-        follower_premium_steps: 1,
-        follower_escrow_steps: 4,
-        follower_redeem_steps: 5,
-    };
-
-    /// The number of Δ-steps after which both contracts of a swap following
-    /// this schedule are guaranteed settleable (the later redeem timelock).
-    pub fn horizon_steps(&self) -> u64 {
-        self.leader_redeem_steps.max(self.follower_redeem_steps)
-    }
-}
-
 /// A hedged two-party swap instance drawn from shared account pools: the
 /// leader plays the paper's Alice (knows the secret, escrows on the leader
 /// chain), the follower plays Bob.
@@ -170,14 +133,9 @@ pub struct HedgedSwapSpec {
 
 impl HedgedSwapSpec {
     /// Builds the leader-chain escrow parameters (leader escrows, follower
-    /// deposits `p_b` and redeems), anchored at `start` with synchrony
-    /// bound `delta` blocks.
-    pub fn leader_leg(
-        &self,
-        start: Time,
-        delta: u64,
-        schedule: &HedgedSwapSchedule,
-    ) -> HedgedEscrowParams {
+    /// deposits `p_b` and redeems): the apricot leg of `schedule`, shifted
+    /// to start at `anchor`.
+    pub fn leader_leg(&self, anchor: Time, schedule: &HedgedSchedule) -> HedgedEscrowParams {
         HedgedEscrowParams {
             escrower: self.leader,
             redeemer: self.follower,
@@ -186,21 +144,16 @@ impl HedgedSwapSpec {
             premium_asset: self.leader_native,
             premium_amount: self.premium_follower,
             hashlock: self.hashlock,
-            premium_deadline: start.plus(delta * schedule.leader_premium_steps),
-            escrow_deadline: start.plus(delta * schedule.leader_escrow_steps),
-            redeem_deadline: start.plus(delta * schedule.leader_redeem_steps),
+            premium_deadline: shifted(anchor, schedule.premium_apricot),
+            escrow_deadline: shifted(anchor, schedule.escrow_apricot),
+            redeem_deadline: shifted(anchor, schedule.redeem_apricot),
         }
     }
 
     /// Builds the follower-chain escrow parameters (follower escrows, leader
-    /// deposits `p_a + p_b` and redeems with the secret); see
-    /// [`HedgedSwapSpec::leader_leg`].
-    pub fn follower_leg(
-        &self,
-        start: Time,
-        delta: u64,
-        schedule: &HedgedSwapSchedule,
-    ) -> HedgedEscrowParams {
+    /// deposits `p_a + p_b` and redeems with the secret): the banana leg of
+    /// `schedule`, shifted to start at `anchor`.
+    pub fn follower_leg(&self, anchor: Time, schedule: &HedgedSchedule) -> HedgedEscrowParams {
         HedgedEscrowParams {
             escrower: self.follower,
             redeemer: self.leader,
@@ -209,17 +162,21 @@ impl HedgedSwapSpec {
             premium_asset: self.follower_native,
             premium_amount: self.premium_leader + self.premium_follower,
             hashlock: self.hashlock,
-            premium_deadline: start.plus(delta * schedule.follower_premium_steps),
-            escrow_deadline: start.plus(delta * schedule.follower_escrow_steps),
-            redeem_deadline: start.plus(delta * schedule.follower_redeem_steps),
+            premium_deadline: shifted(anchor, schedule.premium_banana),
+            escrow_deadline: shifted(anchor, schedule.escrow_banana),
+            redeem_deadline: shifted(anchor, schedule.redeem_banana),
         }
     }
+}
+
+/// `deadline` of a schedule anchored at `Time::ZERO`, re-anchored at `anchor`.
+fn shifted(anchor: Time, deadline: Time) -> Time {
+    anchor.plus(deadline.height())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cryptosim::Secret;
 
     #[test]
     fn pool_indexing_and_membership() {
@@ -257,36 +214,55 @@ mod tests {
 
     #[test]
     fn legs_mirror_the_two_party_schedule() {
-        let secret = Secret::from_seed(3);
-        let spec = HedgedSwapSpec {
-            leader: PartyId(7),
-            follower: PartyId(9),
-            leader_token: AssetId(10),
-            follower_token: AssetId(11),
-            leader_native: AssetId(0),
-            follower_native: AssetId(1),
-            leader_amount: Amount::new(100),
-            follower_amount: Amount::new(100),
-            premium_leader: Amount::new(2),
-            premium_follower: Amount::new(3),
-            hashlock: secret.hashlock(),
+        use crate::two_party::{swap_static_setup, SwapProtocol, TwoPartyConfig, ALICE, BOB};
+        use contracts::HedgedEscrow;
+
+        // The contracts the two-party hedged setup publishes, apricot
+        // (Alice's) then banana (Bob's).
+        let config = TwoPartyConfig::default();
+        let (world, _) = swap_static_setup(&config, SwapProtocol::Hedged);
+        let published = |label: &'static str| {
+            let addr = world.lookup(label).expect("two-party escrow published");
+            let chain = world.chain(addr.chain);
+            chain
+                .contract_as::<HedgedEscrow>(addr.contract)
+                .expect("hedged escrow")
+                .params()
+                .clone()
         };
-        let schedule = HedgedSwapSchedule::PAPER;
-        // Anchored at t0 = 20 with Δ = 2.
-        let leader = spec.leader_leg(Time(20), 2, &schedule);
-        assert_eq!(leader.escrower, PartyId(7));
-        assert_eq!(leader.redeemer, PartyId(9));
-        assert_eq!(leader.premium_amount, Amount::new(3));
-        assert_eq!(leader.premium_deadline, Time(24));
-        assert_eq!(leader.escrow_deadline, Time(26));
-        assert_eq!(leader.redeem_deadline, Time(32));
-        let follower = spec.follower_leg(Time(20), 2, &schedule);
-        assert_eq!(follower.escrower, PartyId(9));
-        assert_eq!(follower.redeemer, PartyId(7));
-        assert_eq!(follower.premium_amount, Amount::new(5));
-        assert_eq!(follower.premium_deadline, Time(22));
-        assert_eq!(follower.escrow_deadline, Time(28));
-        assert_eq!(follower.redeem_deadline, Time(30));
-        assert_eq!(schedule.horizon_steps(), 6);
+        let apricot = published("two-party/apricot-escrow");
+        let banana = published("two-party/banana-escrow");
+        let spec = HedgedSwapSpec {
+            leader: ALICE,
+            follower: BOB,
+            leader_token: apricot.principal_asset,
+            follower_token: banana.principal_asset,
+            leader_native: apricot.premium_asset,
+            follower_native: banana.premium_asset,
+            leader_amount: config.alice_tokens,
+            follower_amount: config.bob_tokens,
+            premium_leader: config.premium_a,
+            premium_follower: config.premium_b,
+            hashlock: apricot.hashlock,
+        };
+        let schedule = config.hedged_schedule();
+        // Anchored at the origin the legs are the two-party contracts.
+        assert_eq!(spec.leader_leg(Time::ZERO, &schedule), apricot);
+        assert_eq!(spec.follower_leg(Time::ZERO, &schedule), banana);
+        // Anchored later, every deadline shifts by the anchor and nothing
+        // else changes.
+        let anchor = Time(20);
+        let shift = |mut params: HedgedEscrowParams| {
+            for deadline in [
+                &mut params.premium_deadline,
+                &mut params.escrow_deadline,
+                &mut params.redeem_deadline,
+            ] {
+                *deadline = deadline.plus(anchor.height());
+            }
+            params
+        };
+        assert_eq!(spec.leader_leg(anchor, &schedule), shift(apricot));
+        assert_eq!(spec.follower_leg(anchor, &schedule), shift(banana));
     }
 }

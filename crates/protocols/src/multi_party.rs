@@ -6,13 +6,12 @@
 //! form a feedback vertex set; escrow premiums follow Equation (2) and
 //! redemption premiums Equation (1).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use chainsim::{Amount, PartyId};
 use swapgraph::{premiums, Digraph, Vertex};
 
-use crate::deal::{run_deal, ArcSpec, DealConfig, DealReport};
-use crate::script::Strategy;
+use crate::deal::{ArcSpec, DealConfig};
 
 /// Builds a [`DealConfig`] for a multi-party swap over `digraph` with the
 /// given leaders, per-arc principal `amount` and base premium `p`.
@@ -117,32 +116,16 @@ pub fn digraph_config(digraph: &Digraph) -> DealConfig {
     swap_config(digraph, &leaders, Amount::new(100), Amount::new(1), 2)
 }
 
-/// Runs a hedged multi-party swap. Parties missing from `strategies` are
-/// compliant.
-pub fn run_multi_party_swap(
-    config: &DealConfig,
-    strategies: &BTreeMap<PartyId, Strategy>,
-) -> DealReport {
-    run_deal(config, strategies)
-}
-
-/// Runs a hedged multi-party swap inside a caller-provided world; see
-/// [`crate::deal::run_deal_in`].
-pub fn run_multi_party_swap_in(
-    world: &mut chainsim::World,
-    config: &DealConfig,
-    strategies: &BTreeMap<PartyId, Strategy>,
-) -> DealReport {
-    crate::deal::run_deal_in(world, config, strategies)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::{profile, Protocol, Strategy};
+    use chainsim::World;
+    use std::collections::BTreeMap;
 
     #[test]
     fn figure3_compliant_run_swaps_every_arc() {
-        let report = run_multi_party_swap(&figure3_config(), &BTreeMap::new());
+        let report = figure3_config().run(&|_| Strategy::compliant(), &mut World::new(1));
         assert!(report.completed);
         assert!(report.all_compliant_hedged());
         assert_eq!(report.failed_actions, 0);
@@ -159,7 +142,7 @@ mod tests {
         // Carol (2) deposits premiums but never escrows her asset: the
         // classic Figure 3 dilemma. Compliant Alice and Bob must stay hedged.
         let strategies = BTreeMap::from([(PartyId(2), Strategy::stop_after(2))]);
-        let report = run_multi_party_swap(&figure3_config(), &strategies);
+        let report = figure3_config().run(&profile(&strategies), &mut World::new(1));
         assert!(!report.completed);
         assert!(report.parties[&PartyId(0)].hedged, "Alice hedged: {report:?}");
         assert!(report.parties[&PartyId(0)].safety);
@@ -174,7 +157,7 @@ mod tests {
     fn absent_leader_costs_compliant_followers_nothing_major() {
         // Alice (leader, 0) never participates at all.
         let strategies = BTreeMap::from([(PartyId(0), Strategy::stop_after(0))]);
-        let report = run_multi_party_swap(&figure3_config(), &strategies);
+        let report = figure3_config().run(&profile(&strategies), &mut World::new(1));
         assert!(!report.completed);
         for party in [PartyId(1), PartyId(2)] {
             assert!(report.parties[&party].hedged);
@@ -190,7 +173,7 @@ mod tests {
             for stop_after in 0..5usize {
                 let strategies =
                     BTreeMap::from([(PartyId(party), Strategy::stop_after(stop_after))]);
-                let report = run_multi_party_swap(&config, &strategies);
+                let report = config.run(&profile(&strategies), &mut World::new(1));
                 assert!(
                     report.all_compliant_hedged(),
                     "party {party} stopping after {stop_after} broke the hedge: {report:?}"
@@ -203,7 +186,7 @@ mod tests {
     #[test]
     fn cycle_swap_completes_for_various_sizes() {
         for n in [2u32, 3, 4] {
-            let report = run_multi_party_swap(&cycle_config(n), &BTreeMap::new());
+            let report = cycle_config(n).run(&|_| Strategy::compliant(), &mut World::new(1));
             assert!(report.completed, "cycle of {n} should complete");
             assert!(report.all_compliant_hedged());
         }
@@ -214,7 +197,7 @@ mod tests {
         for n in [3u32, 4] {
             let config = clique_config(n);
             assert_eq!(config.leaders.len(), n as usize - 1, "clique FVS is n-1 leaders");
-            let report = run_multi_party_swap(&config, &BTreeMap::new());
+            let report = config.run(&|_| Strategy::compliant(), &mut World::new(1));
             assert!(report.completed, "clique of {n} should complete: {report:?}");
             assert!(report.all_compliant_hedged());
             assert_eq!(report.failed_actions, 0);
@@ -228,7 +211,7 @@ mod tests {
     fn random_digraph_swap_completes() {
         for seed in 0..4u64 {
             let config = random_config(4, 3, seed);
-            let report = run_multi_party_swap(&config, &BTreeMap::new());
+            let report = config.run(&|_| Strategy::compliant(), &mut World::new(1));
             assert!(report.completed, "seed {seed}: {report:?}");
             assert!(report.all_compliant_hedged());
             assert!(report.payoffs.conserved());

@@ -23,8 +23,15 @@
 //! exact same round primitive ([`chainsim::run_round`]) over forked
 //! copies of the exact same party state, the resumed run is bit-for-bit
 //! identical to a from-scratch execution of the profile — pinned by
-//! differential tests against the `replay-oracle` brute-force sweeps in
-//! `modelcheck`.
+//! `modelcheck`'s differential tests against its replay-oracle sweeps.
+//!
+//! # Protocols
+//!
+//! A scripted protocol implements [`Protocol`] once: setup, scripts, round
+//! budget, final-state capture and judgement. [`Protocol::run`] runs a
+//! profile from scratch; a [`Prefix`] records the compliant run once and
+//! resumes every profile from its [`DeviationTree`] checkpoint. Both paths
+//! share the capture and the judge, so their reports are identical.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -877,7 +884,7 @@ fn pure_wait_rounds(actors: &[ScriptedParty], world: &mut World, budget: u64) ->
 /// every recorded party under its profile strategy, and drives the tail
 /// with the shared round primitive ([`chainsim::run_round`]) — making the
 /// resumed run bit-for-bit identical to a from-scratch execution (pinned by
-/// the `replay-oracle` differential tests in `modelcheck`). Profiles whose
+/// the replay-oracle differential tests in `modelcheck`). Profiles whose
 /// stop-points are never observably hit resume at the terminal checkpoint
 /// and execute zero tail rounds; protocol layers cache their derived
 /// outcomes per checkpoint via [`ResumedRun::state_key`].
@@ -1145,6 +1152,137 @@ impl DeviationTree {
             state_key: divergence,
             zero_tail,
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Protocols: one definition, one from-scratch runner, one shared prefix.
+// ---------------------------------------------------------------------------
+
+/// A strategy profile: the strategy each party plays. Profiles built from a
+/// strategy map ([`profile`]) leave the parties they do not name compliant.
+pub type Profile<'a> = &'a dyn Fn(PartyId) -> Strategy;
+
+/// The profile that plays `strategies[party]`, and [`Strategy::compliant`]
+/// for every party `strategies` does not name.
+pub fn profile(strategies: &BTreeMap<PartyId, Strategy>) -> impl Fn(PartyId) -> Strategy + '_ {
+    |party| strategies.get(&party).copied().unwrap_or(Strategy::compliant())
+}
+
+/// A scripted protocol, defined once: its world, its scripts, its round
+/// budget, the final state a run leaves and the report judged from it.
+///
+/// Every scripted run goes through one of two paths built on these methods:
+/// [`Protocol::run`] executes a profile from scratch (the one-off path and
+/// the replay oracle), and a [`Prefix`] resumes it from the recorded
+/// compliant run. Both capture the final state with [`Protocol::capture`]
+/// and judge it with [`Protocol::judge`], so their reports are identical.
+pub trait Protocol {
+    /// What setup leaves for scripting, capture and judging: contract
+    /// addresses, asset ids, pre-run balances.
+    type Setup;
+    /// The final state a report is judged from. A capture must not depend
+    /// on the strategies: a [`Prefix`] judges every profile whose run ends
+    /// in the same state from one capture.
+    type Capture;
+    /// The protocol's report.
+    type Report;
+
+    /// Resets `world` (keeping its trace mode) and builds the protocol's
+    /// chains, endowments and contracts.
+    fn setup(&self, world: &mut World) -> Self::Setup;
+
+    /// Every party's script under `profile`, in party-id order.
+    fn script(&self, setup: &Self::Setup, profile: Profile<'_>) -> Vec<ScriptedParty>;
+
+    /// The round budget of one run.
+    fn max_rounds(&self) -> u64;
+
+    /// Captures the final state of a run that executed `rounds` rounds and
+    /// saw `failed_actions` rejected actions.
+    fn capture(
+        &self,
+        world: &World,
+        setup: &Self::Setup,
+        rounds: usize,
+        failed_actions: usize,
+    ) -> Self::Capture;
+
+    /// Judges `capture` under `profile`: payoffs, lock-ups and the hedged
+    /// predicates of the parties `profile` leaves compliant.
+    fn judge(
+        &self,
+        setup: &Self::Setup,
+        capture: &Self::Capture,
+        profile: Profile<'_>,
+    ) -> Self::Report;
+
+    /// Runs `profile` from scratch inside `world`, which is reset first (its
+    /// [`chainsim::TraceMode`] is kept, so pooled trace-free worlds stay
+    /// trace-free).
+    fn run(&self, profile: Profile<'_>, world: &mut World) -> Self::Report {
+        let setup = self.setup(world);
+        let parties = self.script(&setup, profile);
+        let report = run_parties(world, parties, self.max_rounds());
+        let capture = self.capture(world, &setup, report.rounds(), report.failures().len());
+        self.judge(&setup, &capture, profile)
+    }
+
+    /// The protocol's world and compliant parties, without executing a
+    /// round. Static analyzers read the contracts' state specs and the
+    /// scripts' deadline annotations from it.
+    fn static_setup(&self) -> (World, Vec<ScriptedParty>) {
+        let mut world = World::new(1);
+        let setup = self.setup(&mut world);
+        let parties = self.script(&setup, &|_| Strategy::compliant());
+        (world, parties)
+    }
+}
+
+/// The recorded compliant run of one [`Protocol`], shared by every profile
+/// run through it: each resumes from its divergence checkpoint of a
+/// [`DeviationTree`], and profiles that run no tail share one capture per
+/// checkpoint. Reports are identical to [`Protocol::run`]'s.
+pub struct Prefix<P: Protocol> {
+    protocol: P,
+    setup: P::Setup,
+    tree: DeviationTree,
+    /// Captures of zero-tail resumes, keyed by divergence round: such a
+    /// run ends exactly in its checkpoint's state (see
+    /// [`ResumedRun::zero_tail`]), so the capture is a pure function of the
+    /// key.
+    zero_tail: BTreeMap<u64, P::Capture>,
+}
+
+impl<P: Protocol> fmt::Debug for Prefix<P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Prefix")
+            .field("tree", &self.tree)
+            .field("zero_tail", &self.zero_tail.len())
+            .finish()
+    }
+}
+
+impl<P: Protocol> Prefix<P> {
+    /// Sets `protocol` up inside `world` and records its all-compliant run.
+    pub fn record(protocol: P, world: &mut World) -> Self {
+        let setup = protocol.setup(world);
+        let parties = protocol.script(&setup, &|_| Strategy::compliant());
+        let tree = DeviationTree::record(world, parties, protocol.max_rounds());
+        Prefix { protocol, setup, tree, zero_tail: BTreeMap::new() }
+    }
+
+    /// Runs `profile` inside `world` by resuming the recorded run.
+    pub fn run(&mut self, profile: Profile<'_>, world: &mut World) -> P::Report {
+        let Prefix { protocol, setup, tree, zero_tail } = self;
+        let resumed = tree.resume(world, profile);
+        let capture =
+            |world: &World| protocol.capture(world, setup, resumed.rounds, resumed.failed_actions);
+        if resumed.zero_tail {
+            let cached = zero_tail.entry(resumed.state_key).or_insert_with(|| capture(world));
+            return protocol.judge(setup, cached, profile);
+        }
+        protocol.judge(setup, &capture(world), profile)
     }
 }
 

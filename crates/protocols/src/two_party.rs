@@ -9,7 +9,7 @@
 //! schedule, after which every unilateral walk-away costs the deviator a
 //! premium that compensates the victim.
 
-use chainsim::{Action, Amount, AssetId, ContractAddr, PartyId, Time, World};
+use chainsim::{Action, Amount, AssetId, ChainId, ContractAddr, PartyId, Time, World};
 use contracts::{
     HedgedEscrow, HedgedEscrowMsg, HedgedEscrowParams, HedgedPremiumState, HedgedPrincipalState,
     HtlcEscrow, HtlcMsg, HtlcState,
@@ -18,7 +18,7 @@ use cryptosim::Secret;
 use serde::{Deserialize, Serialize};
 
 use crate::outcome::{BalanceSnapshot, Lockup, Payoffs};
-use crate::script::{run_parties, DeviationTree, ScriptedParty, Step, StepOutcome, Strategy};
+use crate::script::{Prefix, Profile, Protocol, ScriptedParty, Step, StepOutcome, Strategy};
 
 /// Alice's party id in two-party protocols.
 pub const ALICE: PartyId = PartyId(0);
@@ -89,9 +89,8 @@ pub struct TwoPartyConfig {
     #[serde(default)]
     pub delta_banana: u64,
     /// Finality margin in blocks, padded into every *contract* deadline but
-    /// never into the compliant scripts' give-up times. A re-delivered call
-    /// displaced by a depth-`d` reorg lands at most `d − 1` rounds late, so
-    /// a margin of `d − 1` makes re-delivering reorgs observationally
+    /// never into the compliant scripts' give-up times. From
+    /// [`min_finality_margin`] up, re-delivering reorgs are observationally
     /// harmless to compliant parties; with a margin of zero a reorg can
     /// push a last-tick call past its deadline (the sore-loser-by-reorg
     /// scenario the sampled sweeps hunt).
@@ -234,8 +233,10 @@ pub struct TwoPartyReport {
     pub rounds: usize,
 }
 
-#[derive(Clone)]
-struct Setup {
+/// What a two-party swap's setup leaves behind: the two escrows, the four
+/// assets, the secret and the balances before the first round.
+#[derive(Clone, Debug)]
+pub struct SwapSetup {
     apricot_token: AssetId,
     banana_token: AssetId,
     apricot_native: AssetId,
@@ -243,6 +244,13 @@ struct Setup {
     apricot_contract: ContractAddr,
     banana_contract: ContractAddr,
     secret: Secret,
+    before: BalanceSnapshot,
+}
+
+impl SwapSetup {
+    fn assets(&self) -> [AssetId; 4] {
+        [self.apricot_token, self.banana_token, self.apricot_native, self.banana_native]
+    }
 }
 
 /// Labels under which the two escrow contracts are registered.
@@ -250,10 +258,16 @@ const APRICOT_LABEL: &str = "two-party/apricot-escrow";
 /// See [`APRICOT_LABEL`].
 const BANANA_LABEL: &str = "two-party/banana-escrow";
 
+/// The apricot and banana chains of a two-party world.
+const APRICOT: ChainId = ChainId(0);
+/// See [`APRICOT`].
+const BANANA: ChainId = ChainId(1);
+
 fn build_world(world: &mut World, config: &TwoPartyConfig) -> (AssetId, AssetId, AssetId, AssetId) {
     world.reset(1);
     let apricot = world.add_chain("apricot");
     let banana = world.add_chain("banana");
+    debug_assert_eq!((apricot, banana), (APRICOT, BANANA));
     let apricot_native = world.chain(apricot).native_asset();
     let banana_native = world.chain(banana).native_asset();
     let apricot_token = world.register_asset("apricot-token");
@@ -266,109 +280,105 @@ fn build_world(world: &mut World, config: &TwoPartyConfig) -> (AssetId, AssetId,
     (apricot_token, banana_token, apricot_native, banana_native)
 }
 
-fn hedged_setup(world: &mut World, config: &TwoPartyConfig) -> Setup {
-    let (apricot_token, banana_token, apricot_native, banana_native) = build_world(world, config);
-    let apricot = world.chains().next().expect("apricot chain").id();
-    let banana = world.chains().nth(1).expect("banana chain").id();
-    let secret = Secret::from_seed(0xA11CE);
-    let hashlock = secret.hashlock();
+/// The hedged escrow parameters of the §5.2 setup, contract deadlines padded
+/// with the finality margin: `(apricot leg, banana leg)`.
+fn hedged_params(
+    config: &TwoPartyConfig,
+    [apricot_token, banana_token, apricot_native, banana_native]: [AssetId; 4],
+    hashlock: cryptosim::Hashlock,
+) -> (HedgedEscrowParams, HedgedEscrowParams) {
     let sched = config.hedged_schedule();
-
-    // Contract deadlines are padded with the finality margin; the compliant
-    // scripts act against the unpadded ladder, so a reorg re-delivering a
-    // last-tick call up to `finality_margin` blocks late still lands.
-    // Banana-chain contract: Bob escrows B, Alice deposits p_a + p_b.
-    let banana_contract = world.publish_labeled(
-        banana,
-        BOB,
-        BANANA_LABEL,
-        Box::new(HedgedEscrow::new(HedgedEscrowParams {
-            escrower: BOB,
-            redeemer: ALICE,
-            principal_asset: banana_token,
-            principal_amount: config.bob_tokens,
-            premium_asset: banana_native,
-            premium_amount: config.premium_a + config.premium_b,
-            hashlock,
-            premium_deadline: config.padded(sched.premium_banana),
-            escrow_deadline: config.padded(sched.escrow_banana),
-            redeem_deadline: config.padded(sched.redeem_banana),
-        })),
-    );
-    // Apricot-chain contract: Alice escrows A, Bob deposits p_b.
-    let apricot_contract = world.publish_labeled(
-        apricot,
-        ALICE,
-        APRICOT_LABEL,
-        Box::new(HedgedEscrow::new(HedgedEscrowParams {
-            escrower: ALICE,
-            redeemer: BOB,
-            principal_asset: apricot_token,
-            principal_amount: config.alice_tokens,
-            premium_asset: apricot_native,
-            premium_amount: config.premium_b,
-            hashlock,
-            premium_deadline: config.padded(sched.premium_apricot),
-            escrow_deadline: config.padded(sched.escrow_apricot),
-            redeem_deadline: config.padded(sched.redeem_apricot),
-        })),
-    );
-    Setup {
-        apricot_token,
-        banana_token,
-        apricot_native,
-        banana_native,
-        apricot_contract,
-        banana_contract,
-        secret,
-    }
+    // The compliant scripts act against the unpadded ladder, so a reorg
+    // re-delivering a last-tick call up to `finality_margin` blocks late
+    // still lands.
+    let apricot = HedgedEscrowParams {
+        escrower: ALICE,
+        redeemer: BOB,
+        principal_asset: apricot_token,
+        principal_amount: config.alice_tokens,
+        premium_asset: apricot_native,
+        premium_amount: config.premium_b,
+        hashlock,
+        premium_deadline: config.padded(sched.premium_apricot),
+        escrow_deadline: config.padded(sched.escrow_apricot),
+        redeem_deadline: config.padded(sched.redeem_apricot),
+    };
+    let banana = HedgedEscrowParams {
+        escrower: BOB,
+        redeemer: ALICE,
+        principal_asset: banana_token,
+        principal_amount: config.bob_tokens,
+        premium_asset: banana_native,
+        premium_amount: config.premium_a + config.premium_b,
+        hashlock,
+        premium_deadline: config.padded(sched.premium_banana),
+        escrow_deadline: config.padded(sched.escrow_banana),
+        redeem_deadline: config.padded(sched.redeem_banana),
+    };
+    (apricot, banana)
 }
 
-fn base_setup(world: &mut World, config: &TwoPartyConfig) -> Setup {
-    let (apricot_token, banana_token, apricot_native, banana_native) = build_world(world, config);
-    let apricot = world.chains().next().expect("apricot chain").id();
-    let banana = world.chains().nth(1).expect("banana chain").id();
-    let secret = Secret::from_seed(0xA11CE);
-    let hashlock = secret.hashlock();
-
-    // §5.1: Alice's apricot escrow with timelock 3Δ, Bob's banana escrow
-    // with 2Δ (both generalized over per-chain Δ and padded with the
-    // finality margin, like the hedged contracts).
-    let (banana_timelock, apricot_timelock) = config.base_timelocks();
-    let apricot_contract = world.publish_labeled(
-        apricot,
-        ALICE,
-        APRICOT_LABEL,
-        Box::new(HtlcEscrow::new(
-            ALICE,
-            BOB,
-            apricot_token,
-            config.alice_tokens,
-            hashlock,
-            config.padded(apricot_timelock),
-        )),
-    );
-    let banana_contract = world.publish_labeled(
-        banana,
-        BOB,
-        BANANA_LABEL,
-        Box::new(HtlcEscrow::new(
-            BOB,
-            ALICE,
-            banana_token,
-            config.bob_tokens,
-            hashlock,
-            config.padded(banana_timelock),
-        )),
-    );
-    Setup {
-        apricot_token,
-        banana_token,
-        apricot_native,
-        banana_native,
-        apricot_contract,
-        banana_contract,
-        secret,
+/// Publishes the swap's two escrows: `(apricot, banana)`.
+fn publish(
+    world: &mut World,
+    config: &TwoPartyConfig,
+    protocol: SwapProtocol,
+    assets: [AssetId; 4],
+    hashlock: cryptosim::Hashlock,
+) -> (ContractAddr, ContractAddr) {
+    match protocol {
+        SwapProtocol::Hedged => {
+            // Banana-chain contract: Bob escrows B, Alice deposits p_a + p_b;
+            // apricot-chain contract: Alice escrows A, Bob deposits p_b.
+            let (apricot, banana) = hedged_params(config, assets, hashlock);
+            let banana = world.publish_labeled(
+                BANANA,
+                BOB,
+                BANANA_LABEL,
+                Box::new(HedgedEscrow::new(banana)),
+            );
+            let apricot = world.publish_labeled(
+                APRICOT,
+                ALICE,
+                APRICOT_LABEL,
+                Box::new(HedgedEscrow::new(apricot)),
+            );
+            (apricot, banana)
+        }
+        SwapProtocol::Base => {
+            // §5.1: Alice's apricot escrow with timelock 3Δ, Bob's banana
+            // escrow with 2Δ (both generalized over per-chain Δ and padded
+            // with the finality margin, like the hedged contracts).
+            let [apricot_token, banana_token, ..] = assets;
+            let (banana_timelock, apricot_timelock) = config.base_timelocks();
+            let apricot = world.publish_labeled(
+                APRICOT,
+                ALICE,
+                APRICOT_LABEL,
+                Box::new(HtlcEscrow::new(
+                    ALICE,
+                    BOB,
+                    apricot_token,
+                    config.alice_tokens,
+                    hashlock,
+                    config.padded(apricot_timelock),
+                )),
+            );
+            let banana = world.publish_labeled(
+                BANANA,
+                BOB,
+                BANANA_LABEL,
+                Box::new(HtlcEscrow::new(
+                    BOB,
+                    ALICE,
+                    banana_token,
+                    config.bob_tokens,
+                    hashlock,
+                    config.padded(banana_timelock),
+                )),
+            );
+            (apricot, banana)
+        }
     }
 }
 
@@ -399,7 +409,7 @@ fn hedged_resolved(contract: &HedgedEscrow) -> bool {
 }
 
 /// Alice's script for the hedged swap.
-fn hedged_alice_steps(setup: &Setup, config: &TwoPartyConfig) -> Vec<Step> {
+fn hedged_alice_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
     let banana = setup.banana_contract;
     let apricot = setup.apricot_contract;
     let secret = setup.secret.clone();
@@ -454,7 +464,7 @@ fn hedged_alice_steps(setup: &Setup, config: &TwoPartyConfig) -> Vec<Step> {
 }
 
 /// Bob's script for the hedged swap.
-fn hedged_bob_steps(setup: &Setup, config: &TwoPartyConfig) -> Vec<Step> {
+fn hedged_bob_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
     let banana = setup.banana_contract;
     let apricot = setup.apricot_contract;
     let sched = config.hedged_schedule();
@@ -534,7 +544,7 @@ fn settle_step(name: &'static str, contracts: Vec<ContractAddr>, final_deadline:
 }
 
 /// Alice's script for the base (unhedged) swap.
-fn base_alice_steps(setup: &Setup, config: &TwoPartyConfig) -> Vec<Step> {
+fn base_alice_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
     let apricot = setup.apricot_contract;
     let banana = setup.banana_contract;
     let secret = setup.secret.clone();
@@ -579,7 +589,7 @@ fn base_alice_steps(setup: &Setup, config: &TwoPartyConfig) -> Vec<Step> {
 }
 
 /// Bob's script for the base (unhedged) swap.
-fn base_bob_steps(setup: &Setup, config: &TwoPartyConfig) -> Vec<Step> {
+fn base_bob_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
     let apricot = setup.apricot_contract;
     let banana = setup.banana_contract;
     let (banana_timelock, apricot_timelock) = config.base_timelocks();
@@ -675,53 +685,263 @@ fn base_recovery_step(
     })
 }
 
-fn swap_setup(world: &mut World, config: &TwoPartyConfig, protocol: SwapProtocol) -> Setup {
-    match protocol {
-        SwapProtocol::Hedged => hedged_setup(world, config),
-        SwapProtocol::Base => base_setup(world, config),
+/// Chain-realism overlay for a two-party run: per-chain finality lag plus a
+/// deterministic reorg schedule, applied by the swap's setup before the
+/// first protocol round. The default overlay (zero depths, no reorgs)
+/// changes nothing.
+///
+/// Reorgs rewind speculative rounds from the very first round, so a swap
+/// with a non-default overlay must run from scratch
+/// ([`Protocol::run`]), never through a
+/// [`Prefix`]. With [`TwoPartyConfig::finality_margin`] at least
+/// [`min_finality_margin`], re-delivering reorgs are absorbed by the padded
+/// contract deadlines; below it they can push a party's last-tick call past
+/// its deadline.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SwapRealism {
+    /// Finality lag (revertible trailing rounds) of the apricot chain.
+    pub apricot_depth: u32,
+    /// Finality lag of the banana chain.
+    pub banana_depth: u32,
+    /// Reorgs to schedule, in firing order. In two-party worlds the apricot
+    /// chain is [`chainsim::ChainId`]`(0)` and the banana chain is
+    /// `ChainId(1)`; `at_round` counts protocol rounds from setup.
+    pub reorgs: Vec<chainsim::ReorgEvent>,
+}
+
+impl SwapRealism {
+    fn apply(&self, world: &mut World) {
+        for (chain, depth) in [(APRICOT, self.apricot_depth), (BANANA, self.banana_depth)] {
+            if depth > 0 {
+                world.set_finality(chain, chainsim::FinalityParams { depth, delta: 0 });
+            }
+        }
+        for event in &self.reorgs {
+            world.schedule_reorg(*event);
+        }
     }
 }
 
-fn swap_actors(
-    setup: &Setup,
-    config: &TwoPartyConfig,
-    protocol: SwapProtocol,
-    alice: Strategy,
-    bob: Strategy,
-) -> Vec<ScriptedParty> {
-    let (alice_steps, bob_steps) = match protocol {
-        SwapProtocol::Hedged => {
-            (hedged_alice_steps(setup, config), hedged_bob_steps(setup, config))
+/// The smallest [`TwoPartyConfig::finality_margin`] that absorbs every
+/// re-delivering reorg on chains of finality depth `depth` at synchrony
+/// bound `delta_blocks`: `(depth − 1) + (Δ − 1)`, and zero when no reorg
+/// can move a call (`depth ≤ 1`).
+///
+/// A re-delivered call lands up to `depth − 1` rounds late, which a margin
+/// of `depth − 1` absorbs when every party complies. A deviator's last
+/// legal call can land later, and the other party can still act on it for
+/// `Δ − 1` ticks: when an outage delays Alice's premium to its deadline,
+/// Bob answers with his own premium, a reorg re-delivers hers past the
+/// padded cut-off, his stands, and settlement pays it to her. The margin
+/// must cover both delays.
+pub fn min_finality_margin(depth: u32, delta_blocks: u64) -> u64 {
+    if depth <= 1 {
+        return 0;
+    }
+    u64::from(depth - 1) + delta_blocks.saturating_sub(1)
+}
+
+/// One two-party swap: the configuration, the protocol variant and the
+/// chain-realism overlay its setup applies.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TwoPartySwap {
+    /// Amounts, premiums, Δ and finality margin.
+    pub config: TwoPartyConfig,
+    /// The hedged (§5.2) or base (§5.1) protocol.
+    pub protocol: SwapProtocol,
+    /// Finality lag and reorgs (default: none).
+    pub realism: SwapRealism,
+}
+
+impl TwoPartySwap {
+    /// The `protocol` swap of `config`, without chain realism.
+    pub fn new(config: TwoPartyConfig, protocol: SwapProtocol) -> Self {
+        TwoPartySwap { config, protocol, realism: SwapRealism::default() }
+    }
+
+    /// The hedged swap (§5.2) of `config`.
+    pub fn hedged(config: TwoPartyConfig) -> Self {
+        Self::new(config, SwapProtocol::Hedged)
+    }
+
+    /// The unhedged base swap (§5.1) of `config`.
+    pub fn base(config: TwoPartyConfig) -> Self {
+        Self::new(config, SwapProtocol::Base)
+    }
+
+    /// This swap under the given chain-realism overlay.
+    pub fn with_realism(mut self, realism: SwapRealism) -> Self {
+        self.realism = realism;
+        self
+    }
+}
+
+/// The two-party profile in which Alice plays `alice` and Bob plays `bob`.
+pub fn profile(alice: Strategy, bob: Strategy) -> impl Fn(PartyId) -> Strategy {
+    move |party| if party == ALICE { alice } else { bob }
+}
+
+/// The final state of a two-party swap run.
+#[derive(Clone, Debug)]
+pub struct SwapCapture {
+    payoffs: Payoffs,
+    alice_lockup: Lockup,
+    bob_lockup: Lockup,
+    rounds: usize,
+    failed_actions: usize,
+}
+
+impl Protocol for TwoPartySwap {
+    type Setup = SwapSetup;
+    type Capture = SwapCapture;
+    type Report = TwoPartyReport;
+
+    fn setup(&self, world: &mut World) -> SwapSetup {
+        let (apricot_token, banana_token, apricot_native, banana_native) =
+            build_world(world, &self.config);
+        let assets = [apricot_token, banana_token, apricot_native, banana_native];
+        let secret = Secret::from_seed(0xA11CE);
+        let (apricot_contract, banana_contract) =
+            publish(world, &self.config, self.protocol, assets, secret.hashlock());
+        self.realism.apply(world);
+        SwapSetup {
+            apricot_token,
+            banana_token,
+            apricot_native,
+            banana_native,
+            apricot_contract,
+            banana_contract,
+            secret,
+            before: BalanceSnapshot::capture(world, &[ALICE, BOB], &assets),
         }
-        SwapProtocol::Base => (base_alice_steps(setup, config), base_bob_steps(setup, config)),
-    };
-    let expected = match protocol {
-        SwapProtocol::Hedged => SCRIPT_STEPS,
-        SwapProtocol::Base => BASE_SCRIPT_STEPS,
-    };
-    debug_assert!(
-        alice_steps.len() == expected && bob_steps.len() == expected,
-        "script constants must match the scripts so sweeps cover exactly the stop-points"
-    );
-    vec![
-        ScriptedParty::new(ALICE, alice_steps, alice).with_delta(config.delta_blocks),
-        ScriptedParty::new(BOB, bob_steps, bob).with_delta(config.delta_blocks),
-    ]
+    }
+
+    fn script(&self, setup: &SwapSetup, profile: Profile<'_>) -> Vec<ScriptedParty> {
+        let config = &self.config;
+        let (alice_steps, bob_steps, expected) = match self.protocol {
+            SwapProtocol::Hedged => {
+                (hedged_alice_steps(setup, config), hedged_bob_steps(setup, config), SCRIPT_STEPS)
+            }
+            SwapProtocol::Base => {
+                (base_alice_steps(setup, config), base_bob_steps(setup, config), BASE_SCRIPT_STEPS)
+            }
+        };
+        debug_assert!(
+            alice_steps.len() == expected && bob_steps.len() == expected,
+            "script constants must match the scripts so sweeps cover exactly the stop-points"
+        );
+        vec![
+            ScriptedParty::new(ALICE, alice_steps, profile(ALICE)).with_delta(config.delta_blocks),
+            ScriptedParty::new(BOB, bob_steps, profile(BOB)).with_delta(config.delta_blocks),
+        ]
+    }
+
+    fn max_rounds(&self) -> u64 {
+        swap_max_rounds(&self.config)
+    }
+
+    fn capture(
+        &self,
+        world: &World,
+        setup: &SwapSetup,
+        rounds: usize,
+        failed_actions: usize,
+    ) -> SwapCapture {
+        let after = BalanceSnapshot::capture(world, &[ALICE, BOB], &setup.assets());
+        let now = world.now();
+        let (alice_lockup, bob_lockup) = match self.protocol {
+            SwapProtocol::Hedged => {
+                let lockup = |addr| {
+                    let escrow = hedged_contract(world, addr);
+                    lockup_from_times(
+                        escrow.escrowed_at(),
+                        escrow.principal_settled_at(),
+                        escrow.principal_state() == HedgedPrincipalState::Redeemed,
+                        now,
+                    )
+                };
+                (lockup(setup.apricot_contract), lockup(setup.banana_contract))
+            }
+            SwapProtocol::Base => {
+                let lockup = |addr| {
+                    let escrow = htlc_contract(world, addr);
+                    lockup_from_times(
+                        escrow.escrowed_at(),
+                        escrow.settled_at(),
+                        escrow.state() == HtlcState::Redeemed,
+                        now,
+                    )
+                };
+                (lockup(setup.apricot_contract), lockup(setup.banana_contract))
+            }
+        };
+        SwapCapture {
+            payoffs: Payoffs::between(&setup.before, &after),
+            alice_lockup,
+            bob_lockup,
+            rounds,
+            failed_actions,
+        }
+    }
+
+    fn judge(
+        &self,
+        setup: &SwapSetup,
+        capture: &SwapCapture,
+        profile: Profile<'_>,
+    ) -> TwoPartyReport {
+        let config = &self.config;
+        let SwapCapture { payoffs, alice_lockup, bob_lockup, .. } = capture;
+        let (alice, bob) = (profile(ALICE), profile(BOB));
+        let premiums = [setup.apricot_native, setup.banana_native];
+        let alice_premium_payoff = payoffs.total_over(ALICE, &premiums).value();
+        let bob_premium_payoff = payoffs.total_over(BOB, &premiums).value();
+        // A deviating party's hedge is vacuously true.
+        let hedged_for_alice = !alice.is_compliant()
+            || hedged_check(
+                *alice_lockup,
+                payoffs.of(ALICE, setup.banana_token).value(),
+                config.bob_tokens,
+                alice_premium_payoff,
+                config.premium_b,
+            );
+        let hedged_for_bob = !bob.is_compliant()
+            || hedged_check(
+                *bob_lockup,
+                payoffs.of(BOB, setup.apricot_token).value(),
+                config.alice_tokens,
+                bob_premium_payoff,
+                config.premium_a,
+            );
+        TwoPartyReport {
+            protocol: self.protocol,
+            strategies: (alice, bob),
+            swap_completed: alice_lockup.redeemed && bob_lockup.redeemed,
+            alice_apricot_payoff: payoffs.of(ALICE, setup.apricot_token).value(),
+            alice_banana_payoff: payoffs.of(ALICE, setup.banana_token).value(),
+            bob_apricot_payoff: payoffs.of(BOB, setup.apricot_token).value(),
+            bob_banana_payoff: payoffs.of(BOB, setup.banana_token).value(),
+            alice_premium_payoff,
+            bob_premium_payoff,
+            alice_lockup: *alice_lockup,
+            bob_lockup: *bob_lockup,
+            hedged_for_alice,
+            hedged_for_bob,
+            failed_actions: capture.failed_actions,
+            rounds: capture.rounds,
+            payoffs: payoffs.clone(),
+        }
+    }
 }
 
 /// Builds the swap's world (contracts published with their real deadline
 /// parameters) and compliant scripted parties without executing a single
-/// round. Static analyzers consume the contracts' state specs and the
-/// scripts' deadline annotations from the result.
+/// round; see [`Protocol::static_setup`].
 pub fn swap_static_setup(
     config: &TwoPartyConfig,
     protocol: SwapProtocol,
 ) -> (World, Vec<ScriptedParty>) {
-    let mut world = World::new(1);
-    let setup = swap_setup(&mut world, config, protocol);
-    let actors =
-        swap_actors(&setup, config, protocol, Strategy::compliant(), Strategy::compliant());
-    (world, actors)
+    TwoPartySwap::new(config.clone(), protocol).static_setup()
 }
 
 /// The round budget a two-party run gets before the driver declares it
@@ -735,146 +955,6 @@ pub fn swap_max_rounds(config: &TwoPartyConfig) -> u64 {
     config.padded(config.hedged_schedule().redeem_apricot).0
         + 2 * config.delta_a().max(config.delta_b())
         + 4
-}
-
-fn swap_assets(setup: &Setup) -> [AssetId; 4] {
-    [setup.apricot_token, setup.banana_token, setup.apricot_native, setup.banana_native]
-}
-
-fn run(
-    world: &mut World,
-    config: &TwoPartyConfig,
-    protocol: SwapProtocol,
-    alice: Strategy,
-    bob: Strategy,
-) -> TwoPartyReport {
-    let setup = swap_setup(world, config, protocol);
-    let before = BalanceSnapshot::capture(world, &[ALICE, BOB], &swap_assets(&setup));
-    let actors = swap_actors(&setup, config, protocol, alice, bob);
-    let run_report = run_parties(world, actors, swap_max_rounds(config));
-    finish_swap_report(
-        world,
-        config,
-        protocol,
-        alice,
-        bob,
-        &setup,
-        &before,
-        run_report.failures().len(),
-        run_report.rounds(),
-    )
-}
-
-/// Derives the [`TwoPartyReport`] from the final world state. Shared by the
-/// from-scratch and deviation-tree paths, which keeps their reports
-/// byte-identical.
-#[allow(clippy::too_many_arguments)]
-fn finish_swap_report(
-    world: &World,
-    config: &TwoPartyConfig,
-    protocol: SwapProtocol,
-    alice: Strategy,
-    bob: Strategy,
-    setup: &Setup,
-    before: &BalanceSnapshot,
-    failed_actions: usize,
-    rounds: usize,
-) -> TwoPartyReport {
-    let after = BalanceSnapshot::capture(world, &[ALICE, BOB], &swap_assets(setup));
-    let payoffs = Payoffs::between(before, &after);
-
-    let (alice_lockup, bob_lockup, alice_redeemed, bob_redeemed) = match protocol {
-        SwapProtocol::Hedged => {
-            let apricot = hedged_contract(world, setup.apricot_contract);
-            let banana = hedged_contract(world, setup.banana_contract);
-            (
-                lockup_from_times(
-                    apricot.escrowed_at(),
-                    apricot.principal_settled_at(),
-                    apricot.principal_state() == HedgedPrincipalState::Redeemed,
-                    world.now(),
-                ),
-                lockup_from_times(
-                    banana.escrowed_at(),
-                    banana.principal_settled_at(),
-                    banana.principal_state() == HedgedPrincipalState::Redeemed,
-                    world.now(),
-                ),
-                apricot.principal_state() == HedgedPrincipalState::Redeemed,
-                banana.principal_state() == HedgedPrincipalState::Redeemed,
-            )
-        }
-        SwapProtocol::Base => {
-            let apricot = htlc_contract(world, setup.apricot_contract);
-            let banana = htlc_contract(world, setup.banana_contract);
-            (
-                lockup_from_times(
-                    apricot.escrowed_at(),
-                    apricot.settled_at(),
-                    apricot.state() == HtlcState::Redeemed,
-                    world.now(),
-                ),
-                lockup_from_times(
-                    banana.escrowed_at(),
-                    banana.settled_at(),
-                    banana.state() == HtlcState::Redeemed,
-                    world.now(),
-                ),
-                apricot.state() == HtlcState::Redeemed,
-                banana.state() == HtlcState::Redeemed,
-            )
-        }
-    };
-
-    let alice_premium_payoff =
-        payoffs.total_over(ALICE, &[setup.apricot_native, setup.banana_native]).value();
-    let bob_premium_payoff =
-        payoffs.total_over(BOB, &[setup.apricot_native, setup.banana_native]).value();
-    let swap_completed = alice_redeemed && bob_redeemed;
-
-    let hedged_for_alice = if alice.is_compliant() {
-        hedged_check(
-            alice_lockup,
-            alice_redeemed,
-            payoffs.of(ALICE, setup.banana_token).value(),
-            config.bob_tokens,
-            alice_premium_payoff,
-            config.premium_b,
-        )
-    } else {
-        true
-    };
-    let hedged_for_bob = if bob.is_compliant() {
-        hedged_check(
-            bob_lockup,
-            bob_redeemed,
-            payoffs.of(BOB, setup.apricot_token).value(),
-            config.alice_tokens,
-            bob_premium_payoff,
-            config.premium_a,
-        )
-    } else {
-        true
-    };
-
-    TwoPartyReport {
-        protocol,
-        strategies: (alice, bob),
-        swap_completed,
-        alice_apricot_payoff: payoffs.of(ALICE, setup.apricot_token).value(),
-        alice_banana_payoff: payoffs.of(ALICE, setup.banana_token).value(),
-        bob_apricot_payoff: payoffs.of(BOB, setup.apricot_token).value(),
-        bob_banana_payoff: payoffs.of(BOB, setup.banana_token).value(),
-        alice_premium_payoff,
-        bob_premium_payoff,
-        alice_lockup,
-        bob_lockup,
-        hedged_for_alice,
-        hedged_for_bob,
-        failed_actions,
-        rounds,
-        payoffs,
-    }
 }
 
 fn lockup_from_times(
@@ -898,13 +978,12 @@ fn lockup_from_times(
 /// payoff covers the agreed compensation (zero when nothing was locked up).
 fn hedged_check(
     lockup: Lockup,
-    own_principal_redeemed: bool,
     counter_asset_gain: i128,
     counter_asset_expected: Amount,
     premium_payoff: i128,
     compensation: Amount,
 ) -> bool {
-    if own_principal_redeemed {
+    if lockup.redeemed {
         counter_asset_gain >= counter_asset_expected.value() as i128 && premium_payoff >= 0
     } else if lockup.principal_blocks > 0 {
         premium_payoff >= compensation.value() as i128
@@ -913,164 +992,20 @@ fn hedged_check(
     }
 }
 
-/// Runs the hedged two-party swap (§5.2) with the given strategies.
-pub fn run_hedged_swap(config: &TwoPartyConfig, alice: Strategy, bob: Strategy) -> TwoPartyReport {
-    run(&mut World::new(1), config, SwapProtocol::Hedged, alice, bob)
-}
-
-/// Runs the unhedged base swap (§5.1) with the given strategies.
-pub fn run_base_swap(config: &TwoPartyConfig, alice: Strategy, bob: Strategy) -> TwoPartyReport {
-    run(&mut World::new(1), config, SwapProtocol::Base, alice, bob)
-}
-
-/// Runs the hedged two-party swap inside a caller-provided world (reset
-/// first; its [`chainsim::TraceMode`] is preserved). Hot-path variant of
-/// [`run_hedged_swap`] for sweep engines that pool worlds across scenarios.
-pub fn run_hedged_swap_in(
-    world: &mut World,
-    config: &TwoPartyConfig,
-    alice: Strategy,
-    bob: Strategy,
-) -> TwoPartyReport {
-    run(world, config, SwapProtocol::Hedged, alice, bob)
-}
-
-/// Runs the unhedged base swap inside a caller-provided world; see
-/// [`run_hedged_swap_in`].
-pub fn run_base_swap_in(
-    world: &mut World,
-    config: &TwoPartyConfig,
-    alice: Strategy,
-    bob: Strategy,
-) -> TwoPartyReport {
-    run(world, config, SwapProtocol::Base, alice, bob)
-}
-
-/// Chain-realism overlay for a two-party run: per-chain finality lag plus a
-/// deterministic reorg schedule, applied to the freshly set-up world before
-/// the first protocol round. The default overlay (zero depths, no reorgs)
-/// reproduces [`run_hedged_swap_in`]/[`run_base_swap_in`] exactly.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SwapRealism {
-    /// Finality lag (revertible trailing rounds) of the apricot chain.
-    pub apricot_depth: u32,
-    /// Finality lag of the banana chain.
-    pub banana_depth: u32,
-    /// Reorgs to schedule, in firing order. In two-party worlds the apricot
-    /// chain is [`chainsim::ChainId`]`(0)` and the banana chain is
-    /// `ChainId(1)`; `at_round` counts protocol rounds from setup.
-    pub reorgs: Vec<chainsim::ReorgEvent>,
-}
-
-/// Runs a two-party swap under a [`SwapRealism`] overlay: finality lag on
-/// either chain and scheduled reorgs that rewind speculative rounds and
-/// re-deliver (or drop) the affected calls.
-///
-/// This is the entry point for the reorg fault axis in sampled sweeps: with
-/// [`TwoPartyConfig::finality_margin`] at least `depth − 1`, re-delivering
-/// reorgs were expected to be absorbed by the padded contract deadlines;
-/// with a zero margin they can push a compliant party's last-tick call past
-/// its deadline.
-///
-/// Open finding: margin `depth − 1` does not absorb every re-delivery. With
-/// `finality_margin: 1`, both chains at depth 2, Alice compliant but offline
-/// for ¾Δ at her first step and Bob eager, one depth-2 redelivering reorg
-/// of the banana chain at round 3 leaves compliant Bob unhedged (pinned in
-/// `modelcheck`'s `tests/sampled.rs`).
-pub fn run_swap_with_realism_in(
-    world: &mut World,
-    config: &TwoPartyConfig,
-    protocol: SwapProtocol,
-    alice: Strategy,
-    bob: Strategy,
-    realism: &SwapRealism,
-) -> TwoPartyReport {
-    let setup = swap_setup(world, config, protocol);
-    let apricot = world.chains().next().expect("apricot chain").id();
-    let banana = world.chains().nth(1).expect("banana chain").id();
-    if realism.apricot_depth > 0 {
-        world.set_finality(
-            apricot,
-            chainsim::FinalityParams { depth: realism.apricot_depth, delta: 0 },
-        );
-    }
-    if realism.banana_depth > 0 {
-        world.set_finality(
-            banana,
-            chainsim::FinalityParams { depth: realism.banana_depth, delta: 0 },
-        );
-    }
-    for event in &realism.reorgs {
-        world.schedule_reorg(*event);
-    }
-    let before = BalanceSnapshot::capture(world, &[ALICE, BOB], &swap_assets(&setup));
-    let actors = swap_actors(&setup, config, protocol, alice, bob);
-    let run_report = run_parties(world, actors, swap_max_rounds(config));
-    finish_swap_report(
-        world,
-        config,
-        protocol,
-        alice,
-        bob,
-        &setup,
-        &before,
-        run_report.failures().len(),
-        run_report.rounds(),
-    )
-}
-
-/// The per-worker deviation-tree cache for one two-party configuration
-/// (one per protocol variant): the recorded compliant prefix plus the
-/// setup report derivation needs.
-pub struct TwoPartyPrefix {
-    protocol: SwapProtocol,
-    prefix: DeviationTree,
-    setup: Setup,
-    before: BalanceSnapshot,
-}
-
-impl std::fmt::Debug for TwoPartyPrefix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TwoPartyPrefix")
-            .field("protocol", &self.protocol)
-            .field("prefix", &self.prefix)
-            .finish()
-    }
-}
-
-/// Runs a two-party swap through the deviation tree: the compliant prefix
-/// is executed (and checkpointed) once per worker and every `(alice, bob)`
-/// profile resumes from the snapshot at its divergence round. Reports are
-/// byte-identical to [`run_hedged_swap_in`]/[`run_base_swap_in`].
+/// Runs one `(alice, bob)` profile of the `protocol` swap of `config`
+/// through the [`Prefix`] in `cache`, recording it on first use. The cache
+/// belongs to one `(config, protocol)` pair.
 pub fn run_swap_shared(
     world: &mut World,
     config: &TwoPartyConfig,
     protocol: SwapProtocol,
     alice: Strategy,
     bob: Strategy,
-    cache: &mut Option<TwoPartyPrefix>,
+    cache: &mut Option<Prefix<TwoPartySwap>>,
 ) -> TwoPartyReport {
-    if cache.as_ref().is_none_or(|c| c.protocol != protocol) {
-        let setup = swap_setup(world, config, protocol);
-        let before = BalanceSnapshot::capture(world, &[ALICE, BOB], &swap_assets(&setup));
-        let actors =
-            swap_actors(&setup, config, protocol, Strategy::compliant(), Strategy::compliant());
-        let prefix = DeviationTree::record(world, actors, swap_max_rounds(config));
-        *cache = Some(TwoPartyPrefix { protocol, prefix, setup, before });
-    }
-    let cached = cache.as_mut().expect("cache populated above");
-    let resumed = cached.prefix.resume(world, &|party| if party == ALICE { alice } else { bob });
-    finish_swap_report(
-        world,
-        config,
-        protocol,
-        alice,
-        bob,
-        &cached.setup,
-        &cached.before,
-        resumed.failed_actions,
-        resumed.rounds,
-    )
+    cache
+        .get_or_insert_with(|| Prefix::record(TwoPartySwap::new(config.clone(), protocol), world))
+        .run(&profile(alice, bob), world)
 }
 
 #[cfg(test)]
@@ -1081,9 +1016,21 @@ mod tests {
         TwoPartyConfig::default()
     }
 
+    fn run_with_realism(
+        config: &TwoPartyConfig,
+        alice: Strategy,
+        bob: Strategy,
+        realism: &SwapRealism,
+    ) -> TwoPartyReport {
+        TwoPartySwap::hedged(config.clone())
+            .with_realism(realism.clone())
+            .run(&profile(alice, bob), &mut World::new(1))
+    }
+
     #[test]
     fn hedged_compliant_run_swaps_and_refunds_premiums() {
-        let report = run_hedged_swap(&config(), Strategy::compliant(), Strategy::compliant());
+        let report = TwoPartySwap::hedged(config())
+            .run(&profile(Strategy::compliant(), Strategy::compliant()), &mut World::new(1));
         assert!(report.swap_completed);
         assert_eq!(report.alice_apricot_payoff, -100);
         assert_eq!(report.alice_banana_payoff, 100);
@@ -1100,7 +1047,8 @@ mod tests {
     #[test]
     fn hedged_bob_reneging_after_premiums_pays_alice() {
         // Bob deposits his premium but never escrows (stop after 1 step).
-        let report = run_hedged_swap(&config(), Strategy::compliant(), Strategy::stop_after(1));
+        let report = TwoPartySwap::hedged(config())
+            .run(&profile(Strategy::compliant(), Strategy::stop_after(1)), &mut World::new(1));
         assert!(!report.swap_completed);
         // Alice escrowed, was not redeemed, and collects p_b = 2.
         assert_eq!(report.alice_apricot_payoff, 0, "principal refunded");
@@ -1113,7 +1061,8 @@ mod tests {
     #[test]
     fn hedged_alice_reneging_after_bob_escrows_pays_bob() {
         // Alice stops after escrowing (never reveals the secret).
-        let report = run_hedged_swap(&config(), Strategy::stop_after(2), Strategy::compliant());
+        let report = TwoPartySwap::hedged(config())
+            .run(&profile(Strategy::stop_after(2), Strategy::compliant()), &mut World::new(1));
         assert!(!report.swap_completed);
         // Bob nets +p_a = +2, Alice nets -p_a = -2 (she pays p_a+p_b, receives p_b).
         assert_eq!(report.bob_premium_payoff, 2);
@@ -1125,7 +1074,8 @@ mod tests {
 
     #[test]
     fn hedged_bob_never_participating_costs_nobody_anything() {
-        let report = run_hedged_swap(&config(), Strategy::compliant(), Strategy::stop_after(0));
+        let report = TwoPartySwap::hedged(config())
+            .run(&profile(Strategy::compliant(), Strategy::stop_after(0)), &mut World::new(1));
         assert!(!report.swap_completed);
         assert_eq!(report.alice_premium_payoff, 0);
         assert_eq!(report.bob_premium_payoff, 0);
@@ -1137,7 +1087,8 @@ mod tests {
     #[test]
     fn base_protocol_leaves_alice_locked_and_uncompensated() {
         // Bob walks away immediately after Alice escrows (claim C1).
-        let report = run_base_swap(&config(), Strategy::compliant(), Strategy::stop_after(0));
+        let report = TwoPartySwap::base(config())
+            .run(&profile(Strategy::compliant(), Strategy::stop_after(0)), &mut World::new(1));
         assert!(!report.swap_completed);
         assert_eq!(report.alice_apricot_payoff, 0, "refunded after the timelock");
         assert_eq!(report.alice_premium_payoff, 0, "no compensation in the base protocol");
@@ -1149,7 +1100,8 @@ mod tests {
     #[test]
     fn base_protocol_leaves_bob_locked_when_alice_aborts() {
         // Alice escrows but never redeems Bob's escrow (claim C1, second half).
-        let report = run_base_swap(&config(), Strategy::stop_after(1), Strategy::compliant());
+        let report = TwoPartySwap::base(config())
+            .run(&profile(Strategy::stop_after(1), Strategy::compliant()), &mut World::new(1));
         assert!(!report.swap_completed);
         assert_eq!(report.bob_banana_payoff, 0, "refunded after the timelock");
         assert!(!report.hedged_for_bob);
@@ -1159,7 +1111,8 @@ mod tests {
 
     #[test]
     fn base_compliant_run_completes() {
-        let report = run_base_swap(&config(), Strategy::compliant(), Strategy::compliant());
+        let report = TwoPartySwap::base(config())
+            .run(&profile(Strategy::compliant(), Strategy::compliant()), &mut World::new(1));
         assert!(report.swap_completed);
         assert_eq!(report.alice_banana_payoff, 100);
         assert_eq!(report.bob_apricot_payoff, 100);
@@ -1171,10 +1124,12 @@ mod tests {
     fn all_unilateral_deviations_keep_compliant_parties_hedged() {
         // Sweep every deviation point for each party in the hedged protocol.
         for k in 0..4 {
-            let report = run_hedged_swap(&config(), Strategy::compliant(), Strategy::stop_after(k));
+            let report = TwoPartySwap::hedged(config())
+                .run(&profile(Strategy::compliant(), Strategy::stop_after(k)), &mut World::new(1));
             assert!(report.hedged_for_alice, "Alice must be hedged when Bob stops after {k}");
             assert!(report.payoffs.conserved());
-            let report = run_hedged_swap(&config(), Strategy::stop_after(k), Strategy::compliant());
+            let report = TwoPartySwap::hedged(config())
+                .run(&profile(Strategy::stop_after(k), Strategy::compliant()), &mut World::new(1));
             assert!(report.hedged_for_bob, "Bob must be hedged when Alice stops after {k}");
             assert!(report.payoffs.conserved());
         }
@@ -1184,7 +1139,8 @@ mod tests {
     fn larger_delta_scales_lockup_durations() {
         let mut cfg = config();
         cfg.delta_blocks = 6;
-        let report = run_base_swap(&cfg, Strategy::compliant(), Strategy::stop_after(0));
+        let report = TwoPartySwap::base(cfg.clone())
+            .run(&profile(Strategy::compliant(), Strategy::stop_after(0)), &mut World::new(1));
         assert_eq!(report.alice_lockup.principal_blocks, 18);
     }
 
@@ -1219,15 +1175,22 @@ mod tests {
     fn heterogeneous_delta_swaps_complete_and_stay_hedged() {
         for (da, db) in [(1, 3), (3, 1), (2, 5)] {
             let cfg = TwoPartyConfig { delta_apricot: da, delta_banana: db, ..config() };
-            let report = run_hedged_swap(&cfg, Strategy::compliant(), Strategy::compliant());
+            let report = TwoPartySwap::hedged(cfg.clone())
+                .run(&profile(Strategy::compliant(), Strategy::compliant()), &mut World::new(1));
             assert!(report.swap_completed, "compliant hedged swap completes at Δ=({da},{db})");
             assert!(report.hedged_for_alice && report.hedged_for_bob);
             assert!(report.payoffs.conserved());
             // Unilateral walk-aways stay compensated under skewed Δ too.
             for k in 0..4 {
-                let r = run_hedged_swap(&cfg, Strategy::compliant(), Strategy::stop_after(k));
+                let r = TwoPartySwap::hedged(cfg.clone()).run(
+                    &profile(Strategy::compliant(), Strategy::stop_after(k)),
+                    &mut World::new(1),
+                );
                 assert!(r.hedged_for_alice, "Alice hedged at Δ=({da},{db}), Bob stops after {k}");
-                let r = run_hedged_swap(&cfg, Strategy::stop_after(k), Strategy::compliant());
+                let r = TwoPartySwap::hedged(cfg.clone()).run(
+                    &profile(Strategy::stop_after(k), Strategy::compliant()),
+                    &mut World::new(1),
+                );
                 assert!(r.hedged_for_bob, "Bob hedged at Δ=({da},{db}), Alice stops after {k}");
             }
         }
@@ -1235,19 +1198,33 @@ mod tests {
 
     #[test]
     fn default_realism_reproduces_the_plain_run() {
-        let plain = run_hedged_swap(&config(), Strategy::compliant(), Strategy::compliant());
-        let overlay = run_swap_with_realism_in(
-            &mut World::new(1),
-            &config(),
-            SwapProtocol::Hedged,
-            Strategy::compliant(),
-            Strategy::compliant(),
-            &SwapRealism::default(),
-        );
-        assert_eq!(plain.swap_completed, overlay.swap_completed);
-        assert_eq!(plain.payoffs, overlay.payoffs);
-        assert_eq!(plain.rounds, overlay.rounds);
-        assert_eq!(plain.failed_actions, overlay.failed_actions);
+        let plain = TwoPartySwap::hedged(config())
+            .run(&profile(Strategy::compliant(), Strategy::compliant()), &mut World::new(1));
+        // Instant finality and a reorg past the horizon change nothing.
+        let idle = SwapRealism {
+            apricot_depth: 0,
+            banana_depth: 0,
+            reorgs: vec![chainsim::ReorgEvent {
+                chain: BANANA,
+                at_round: swap_max_rounds(&config()),
+                depth: 1,
+                policy: chainsim::ReorgPolicy::Redeliver,
+            }],
+        };
+        for realism in [SwapRealism::default(), idle] {
+            let overlay =
+                run_with_realism(&config(), Strategy::compliant(), Strategy::compliant(), &realism);
+            assert_eq!(format!("{plain:?}"), format!("{overlay:?}"));
+        }
+    }
+
+    #[test]
+    fn min_finality_margin_adds_one_delta_of_reaction_time() {
+        assert_eq!(min_finality_margin(0, 3), 0);
+        assert_eq!(min_finality_margin(1, 3), 0, "a depth-1 reorg moves no call");
+        assert_eq!(min_finality_margin(2, 1), 1);
+        assert_eq!(min_finality_margin(2, 2), 2);
+        assert_eq!(min_finality_margin(3, 3), 4);
     }
 
     #[test]
@@ -1271,14 +1248,7 @@ mod tests {
             (Strategy::compliant().late(), Strategy::compliant()),
             (Strategy::compliant(), Strategy::compliant().late()),
         ] {
-            let report = run_swap_with_realism_in(
-                &mut World::new(1),
-                &cfg,
-                SwapProtocol::Hedged,
-                alice,
-                bob,
-                &realism,
-            );
+            let report = run_with_realism(&cfg, alice, bob, &realism);
             assert!(report.swap_completed, "reorgs within the margin cannot break the swap");
             assert!(report.hedged_for_alice && report.hedged_for_bob);
             assert!(report.payoffs.conserved());
@@ -1307,10 +1277,8 @@ mod tests {
         };
         let mut violating_rounds = Vec::new();
         for at_round in 1..horizon {
-            let report = run_swap_with_realism_in(
-                &mut World::new(1),
+            let report = run_with_realism(
                 &cfg,
-                SwapProtocol::Hedged,
                 Strategy::compliant().late(),
                 Strategy::compliant().late(),
                 &realism_at(at_round),
@@ -1328,10 +1296,8 @@ mod tests {
         // previously violating reorg round now completes, hedged for both.
         let fixed_cfg = TwoPartyConfig { finality_margin: 1, ..cfg };
         for at_round in violating_rounds {
-            let fixed = run_swap_with_realism_in(
-                &mut World::new(1),
+            let fixed = run_with_realism(
                 &fixed_cfg,
-                SwapProtocol::Hedged,
                 Strategy::compliant().late(),
                 Strategy::compliant().late(),
                 &realism_at(at_round),

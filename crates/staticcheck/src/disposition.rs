@@ -7,7 +7,8 @@
 //!    declared funds and the initial state must be declared.
 //! 2. **Earliest-entry reachability** (`SC002`, `SC003`): a fixpoint
 //!    computes, per state, the earliest height the machine can reach it,
-//!    relaxing each transition through [`TimeWindow::earliest_from`]. A
+//!    relaxing each transition through
+//!    [`TimeWindow::earliest_from`](chainsim::TimeWindow::earliest_from). A
 //!    window that is unsatisfiable, or that closes before its source state
 //!    can first be entered, is *dead* — the transition can never fire.
 //! 3. **May-hold**: a forward fixpoint over reachable transitions computes

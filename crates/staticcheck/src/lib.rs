@@ -44,7 +44,7 @@ use protocols::auction::AuctionConfig;
 use protocols::broker::{broker_deal_config, BrokerConfig};
 use protocols::deal::DealConfig;
 use protocols::multi_party::{clique_config, cycle_config, figure3_config, random_config};
-use protocols::two_party::{SwapProtocol, TwoPartyConfig};
+use protocols::two_party::{min_finality_margin, SwapProtocol, TwoPartyConfig};
 
 /// One structured analyzer finding.
 ///
@@ -94,7 +94,7 @@ pub mod codes {
     /// The §5.2 two-party ladder or base timelocks violate the per-chain
     /// Δ-window schedule.
     pub const HEDGED_SCHEDULE: &str = "SC102";
-    /// A configured finality margin is smaller than `depth − 1`.
+    /// A configured finality margin is smaller than `(depth − 1) + (Δ − 1)`.
     pub const FINALITY_MARGIN: &str = "SC103";
     /// The §9 auction ladder violates its Δ-window schedule.
     pub const AUCTION_SCHEDULE: &str = "SC104";
@@ -194,17 +194,27 @@ pub fn tier1_two_party_configs() -> Vec<(String, TwoPartyConfig)> {
         ),
         (
             "finality-margin".to_string(),
-            TwoPartyConfig { finality_margin: 1, ..TwoPartyConfig::default() },
+            TwoPartyConfig {
+                finality_margin: min_finality_margin(2, TwoPartyConfig::default().delta_blocks),
+                ..TwoPartyConfig::default()
+            },
         ),
     ]
 }
 
-/// The finality pairings tier-1 exercises: instant finality with no margin,
-/// and the reorg tier's depth-2 lag absorbed by a margin of 1.
-pub fn tier1_finality_pairings() -> Vec<(String, FinalityParams, u64)> {
+/// The finality pairings tier-1 exercises, as `(label, finality, Δ,
+/// margin)`: instant finality with no margin, and the reorg tier's depth-2
+/// lag at the default Δ = 2 absorbed by [`min_finality_margin`].
+pub fn tier1_finality_pairings() -> Vec<(String, FinalityParams, u64, u64)> {
+    let delta = TwoPartyConfig::default().delta_blocks;
     vec![
-        ("instant".to_string(), FinalityParams::INSTANT, 0),
-        ("depth2-margin1".to_string(), FinalityParams { depth: 2, delta: 0 }, 1),
+        ("instant".to_string(), FinalityParams::INSTANT, delta, 0),
+        (
+            "depth2".to_string(),
+            FinalityParams { depth: 2, delta: 0 },
+            delta,
+            min_finality_margin(2, delta),
+        ),
     ]
 }
 
@@ -303,9 +313,9 @@ pub fn analyze_suite(repo_root: &Path) -> SuiteReport {
             chainsim::Time(u64::from(rounds + 2) * 6 * 2),
         ));
     }
-    for (label, finality, margin) in tier1_finality_pairings() {
+    for (label, finality, delta, margin) in tier1_finality_pairings() {
         schedules_checked += 1;
-        family_findings.extend(schedule::check_finality(&label, &finality, margin));
+        family_findings.extend(schedule::check_finality(&label, &finality, delta, margin));
     }
     schedule_findings.extend(family_findings);
 

@@ -10,7 +10,7 @@ use chainsim::{FinalityParams, Time};
 use contracts::ArcDeadlines;
 use protocols::deal::DealConfig;
 use protocols::script::ScriptedParty;
-use protocols::two_party::{HedgedSchedule, TwoPartyConfig};
+use protocols::two_party::{min_finality_margin, HedgedSchedule, TwoPartyConfig};
 use swapgraph::Digraph;
 
 use crate::{codes, Finding};
@@ -154,16 +154,23 @@ pub fn check_two_party(label: &str, config: &TwoPartyConfig) -> Vec<Finding> {
     findings
 }
 
-/// Checks a configured finality margin against the chain's finality depth:
-/// a block is only final `depth − 1` blocks after it lands, so compliant
-/// scripts must act at least that margin clear of every contract cut-off.
-pub fn check_finality(label: &str, finality: &FinalityParams, margin: u64) -> Vec<Finding> {
+/// Checks a configured finality margin against the chain's finality depth
+/// and the protocol's synchrony bound Δ (`delta_blocks`): a re-delivered
+/// call lands up to `depth − 1` blocks late, and a party may still be
+/// answering a deviator's last legal call `Δ − 1` ticks after it, so the
+/// margin must be at least [`min_finality_margin`].
+pub fn check_finality(
+    label: &str,
+    finality: &FinalityParams,
+    delta_blocks: u64,
+    margin: u64,
+) -> Vec<Finding> {
     let subject = format!("finality/{label}");
     let mut findings = Vec::new();
-    let needed = u64::from(finality.depth.saturating_sub(1));
+    let needed = min_finality_margin(finality.depth, delta_blocks);
     require(&mut findings, codes::FINALITY_MARGIN, &subject, margin >= needed, || {
         format!(
-            "finality margin {margin} is smaller than depth − 1 = {needed}: a compliant call can land in a block that is rolled back"
+            "finality margin {margin} is smaller than (depth − 1) + (Δ − 1) = {needed}: a re-delivered call can land past its padded deadline"
         )
     });
     findings
@@ -315,11 +322,17 @@ mod tests {
 
     #[test]
     fn finality_margin_rule() {
-        assert!(check_finality("ok", &FinalityParams { depth: 2, delta: 0 }, 1).is_empty());
-        assert!(check_finality("ok", &FinalityParams::INSTANT, 0).is_empty());
-        let findings = check_finality("lagging", &FinalityParams { depth: 3, delta: 0 }, 1);
+        let depth2 = FinalityParams { depth: 2, delta: 0 };
+        assert!(check_finality("ok", &depth2, 1, 1).is_empty());
+        assert!(check_finality("ok", &depth2, 2, 2).is_empty());
+        assert!(check_finality("ok", &FinalityParams::INSTANT, 2, 0).is_empty());
+        let findings = check_finality("lagging", &depth2, 2, 1);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].code, codes::FINALITY_MARGIN);
+        assert_eq!(
+            check_finality("lagging", &FinalityParams { depth: 3, delta: 0 }, 1, 1).len(),
+            1
+        );
     }
 
     #[test]

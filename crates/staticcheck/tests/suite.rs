@@ -130,9 +130,10 @@ fn auction_bootstrap_and_finality_are_tight() {
         assert!(findings.iter().any(|f| f.code == codes::BOOTSTRAP_SCHEDULE));
     }
 
-    // A finality margin below depth − 1 trips SC103.
-    assert!(schedule::check_finality("ok", &FinalityParams { depth: 2, delta: 0 }, 1).is_empty());
-    let findings = schedule::check_finality("short", &FinalityParams { depth: 2, delta: 0 }, 0);
+    // A finality margin below (depth − 1) + (Δ − 1) trips SC103.
+    let depth2 = FinalityParams { depth: 2, delta: 0 };
+    assert!(schedule::check_finality("ok", &depth2, delta, 2).is_empty());
+    let findings = schedule::check_finality("short", &depth2, delta, 1);
     assert!(findings.iter().any(|f| f.code == codes::FINALITY_MARGIN));
 }
 

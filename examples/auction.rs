@@ -1,8 +1,8 @@
 //! The hedged ticket auction of §9: honest, cheating and absent auctioneers.
 
-use std::collections::BTreeMap;
-
-use sore_loser_hedging::protocols::auction::{run_auction, AuctionConfig, AuctioneerBehaviour};
+use sore_loser_hedging::chainsim::World;
+use sore_loser_hedging::protocols::auction::{AuctionConfig, AuctioneerBehaviour};
+use sore_loser_hedging::protocols::script::{Protocol, Strategy};
 
 fn main() {
     for behaviour in [
@@ -11,7 +11,7 @@ fn main() {
         AuctioneerBehaviour::Abandon,
     ] {
         let config = AuctionConfig { auctioneer: behaviour, ..AuctionConfig::default() };
-        let report = run_auction(&config, &BTreeMap::new());
+        let report = config.run(&|_| Strategy::compliant(), &mut World::new(1));
         println!("== auctioneer behaviour: {behaviour:?} ==");
         println!("  outcome: {:?}", report.outcome);
         println!("  ticket winner: {:?}", report.ticket_winner);

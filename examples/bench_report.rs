@@ -46,7 +46,7 @@ use sore_loser_hedging::modelcheck::scenarios::{
 use sore_loser_hedging::protocols::auction::AuctionConfig;
 use sore_loser_hedging::protocols::broker::BrokerConfig;
 use sore_loser_hedging::protocols::multi_party::{cycle_config, figure3_config, random_config};
-use sore_loser_hedging::protocols::two_party::{TwoPartyConfig, ALICE, BOB};
+use sore_loser_hedging::protocols::two_party::{min_finality_margin, TwoPartyConfig, ALICE, BOB};
 
 /// 1-thread scenarios/second measured at PR 2 (the `BTreeMap` ledger,
 /// eager `format!` traces and per-scenario world construction), kept for
@@ -213,10 +213,10 @@ fn family_sets() -> Vec<FamilySet> {
     // The chain-realism family: both chains at a MAX_REORG_DEPTH finality
     // window, each sample drawing a full-axis strategy profile plus up to
     // one redelivering reorg. The margin-padded deadlines must absorb
-    // every re-delivery (margin = MAX_REORG_DEPTH − 1 is the theorem's
-    // threshold); the budget is smaller than the reorg-free families'
-    // because reorg samples forgo the shared-prefix fast path.
-    let margin = u64::from(MAX_REORG_DEPTH - 1);
+    // every re-delivery at `min_finality_margin`, (depth − 1) + (Δ − 1);
+    // the budget is smaller than the reorg-free families' because reorg
+    // samples run from scratch.
+    let margin = min_finality_margin(MAX_REORG_DEPTH, TwoPartyConfig::default().delta_blocks);
     sets.push(sampled_set_realism(
         "sampled two-party hedged under reorgs",
         SampledSweep::hedged_two_party_reorgs(

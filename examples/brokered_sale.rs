@@ -3,14 +3,15 @@
 
 use std::collections::BTreeMap;
 
-use sore_loser_hedging::protocols::broker::{run_brokered_sale, BrokerConfig, BROKER, SELLER};
-use sore_loser_hedging::protocols::script::Strategy;
+use sore_loser_hedging::chainsim::World;
+use sore_loser_hedging::protocols::broker::{broker_deal_config, BrokerConfig, BROKER, SELLER};
+use sore_loser_hedging::protocols::script::{profile, Protocol, Strategy};
 
 fn main() {
     let config = BrokerConfig::default();
 
     println!("== Compliant brokered sale ==");
-    let report = run_brokered_sale(&config, &BTreeMap::new());
+    let report = broker_deal_config(&config).run(&|_| Strategy::compliant(), &mut World::new(1));
     println!(
         "completed: {} | everyone hedged: {}",
         report.completed,
@@ -19,7 +20,7 @@ fn main() {
 
     println!("\n== The broker walks away before trading ==");
     let strategies = BTreeMap::from([(BROKER, Strategy::stop_after(2))]);
-    let report = run_brokered_sale(&config, &strategies);
+    let report = broker_deal_config(&config).run(&profile(&strategies), &mut World::new(1));
     for (party, outcome) in &report.parties {
         println!(
             "  {party}: premium payoff {:+}, hedged {}",
@@ -29,7 +30,7 @@ fn main() {
 
     println!("\n== The seller walks away after premiums ==");
     let strategies = BTreeMap::from([(SELLER, Strategy::stop_after(2))]);
-    let report = run_brokered_sale(&config, &strategies);
+    let report = broker_deal_config(&config).run(&profile(&strategies), &mut World::new(1));
     for (party, outcome) in &report.parties {
         println!(
             "  {party}: premium payoff {:+}, hedged {}",

@@ -11,21 +11,21 @@
 //! and paste the output over the `HEDGED_GOLDEN` / `BASE_GOLDEN` constants
 //! after reviewing every changed row against §5 of the paper.
 
+use sore_loser_hedging::chainsim::World;
+use sore_loser_hedging::protocols::script::Protocol;
 use sore_loser_hedging::protocols::two_party::{
-    run_base_swap, run_hedged_swap, strategy_space, TwoPartyConfig,
+    profile, strategy_space, TwoPartyConfig, TwoPartySwap,
 };
 
 fn main() {
     let config = TwoPartyConfig::default();
-    for (name, hedged) in [("HEDGED", true), ("BASE", false)] {
+    for (name, swap) in
+        [("HEDGED", TwoPartySwap::hedged(config.clone())), ("BASE", TwoPartySwap::base(config))]
+    {
         println!("const {name}_GOLDEN: &[(&str, &str, bool, [i128; 6])] = &[");
         for alice in strategy_space() {
             for bob in strategy_space() {
-                let r = if hedged {
-                    run_hedged_swap(&config, alice, bob)
-                } else {
-                    run_base_swap(&config, alice, bob)
-                };
+                let r = swap.run(&profile(alice, bob), &mut World::new(1));
                 println!(
                     "    (\"{alice}\", \"{bob}\", {}, [{}, {}, {}, {}, {}, {}]),",
                     r.swap_completed,

@@ -2,9 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use sore_loser_hedging::chainsim::PartyId;
-use sore_loser_hedging::protocols::multi_party::{figure3_config, run_multi_party_swap};
-use sore_loser_hedging::protocols::script::Strategy;
+use sore_loser_hedging::chainsim::{PartyId, World};
+use sore_loser_hedging::protocols::multi_party::figure3_config;
+use sore_loser_hedging::protocols::script::{profile, Protocol, Strategy};
 use sore_loser_hedging::swapgraph::{premiums, Digraph};
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
     }
 
     println!("\n== Compliant three-party swap ==");
-    let report = run_multi_party_swap(&figure3_config(), &BTreeMap::new());
+    let report = figure3_config().run(&|_| Strategy::compliant(), &mut World::new(1));
     println!(
         "completed: {} | everyone hedged: {}",
         report.completed,
@@ -25,7 +25,7 @@ fn main() {
 
     println!("\n== Carol never escrows her asset ==");
     let strategies = BTreeMap::from([(PartyId(2), Strategy::stop_after(2))]);
-    let report = run_multi_party_swap(&figure3_config(), &strategies);
+    let report = figure3_config().run(&profile(&strategies), &mut World::new(1));
     println!("completed: {}", report.completed);
     for (party, outcome) in &report.parties {
         println!(

@@ -2,11 +2,13 @@
 //! swap (§5.2) under every unilateral deviation point — the paper's
 //! motivating table.
 
-use sore_loser_hedging::protocols::script::Strategy;
-use sore_loser_hedging::protocols::two_party::{run_base_swap, run_hedged_swap, TwoPartyConfig};
+use sore_loser_hedging::chainsim::World;
+use sore_loser_hedging::protocols::script::{Protocol, Strategy};
+use sore_loser_hedging::protocols::two_party::{profile, TwoPartyConfig, TwoPartySwap};
 
 fn main() {
-    let config = TwoPartyConfig::default();
+    let base_swap = TwoPartySwap::base(TwoPartyConfig::default());
+    let hedged_swap = TwoPartySwap::hedged(TwoPartyConfig::default());
     println!(
         "{:<34} {:>9} {:>9} {:>11} {:>8}",
         "scenario", "A premium", "B premium", "A lockup", "hedged"
@@ -17,8 +19,8 @@ fn main() {
         ("compliant / Bob quits mid-swap", Strategy::compliant(), Strategy::stop_after(1)),
         ("Alice quits mid-swap / compliant", Strategy::stop_after(2), Strategy::compliant()),
     ] {
-        let base = run_base_swap(&config, alice, bob);
-        let hedged = run_hedged_swap(&config, alice, bob);
+        let base = base_swap.run(&profile(alice, bob), &mut World::new(1));
+        let hedged = hedged_swap.run(&profile(alice, bob), &mut World::new(1));
         println!(
             "base   {:<27} {:>9} {:>9} {:>11} {:>8}",
             label,

@@ -19,16 +19,21 @@
 //!
 //! # Quick start
 //!
+//! Every scripted protocol is a
+//! [`Protocol`](protocols::script::Protocol); [`Protocol::run`] runs one
+//! strategy profile from scratch in a world it resets first.
+//!
+//! [`Protocol::run`]: protocols::script::Protocol::run
+//!
 //! ```
-//! use sore_loser_hedging::protocols::script::Strategy;
-//! use sore_loser_hedging::protocols::two_party::{run_hedged_swap, TwoPartyConfig};
+//! use sore_loser_hedging::chainsim::World;
+//! use sore_loser_hedging::protocols::script::{Protocol, Strategy};
+//! use sore_loser_hedging::protocols::two_party::{profile, TwoPartyConfig, TwoPartySwap};
 //!
 //! // Bob deposits his premium and then walks away; Alice is compensated.
-//! let report = run_hedged_swap(
-//!     &TwoPartyConfig::default(),
-//!     Strategy::compliant(),
-//!     Strategy::stop_after(1),
-//! );
+//! let swap = TwoPartySwap::hedged(TwoPartyConfig::default());
+//! let bob_walks = profile(Strategy::compliant(), Strategy::stop_after(1));
+//! let report = swap.run(&bob_walks, &mut World::new(1));
 //! assert!(!report.swap_completed);
 //! assert!(report.hedged_for_alice);
 //! assert!(report.alice_premium_payoff > 0);

@@ -15,19 +15,17 @@
 
 use std::collections::BTreeMap;
 
-use sore_loser_hedging::chainsim::{Amount, PartyId};
-use sore_loser_hedging::protocols::auction::{
-    run_auction, AuctionConfig, AuctioneerBehaviour, AUCTIONEER,
-};
+use sore_loser_hedging::chainsim::{Amount, PartyId, World};
+use sore_loser_hedging::protocols::auction::{AuctionConfig, AuctioneerBehaviour, AUCTIONEER};
 use sore_loser_hedging::protocols::bootstrap::{run_bootstrap, BootstrapDeviation};
-use sore_loser_hedging::protocols::broker::{broker_deal_config, run_brokered_sale, BrokerConfig};
+use sore_loser_hedging::protocols::broker::{broker_deal_config, BrokerConfig};
 use sore_loser_hedging::protocols::deal::{DealConfig, DealReport};
-use sore_loser_hedging::protocols::multi_party::{
-    cycle_config, figure3_config, run_multi_party_swap,
+use sore_loser_hedging::protocols::multi_party::{cycle_config, figure3_config};
+use sore_loser_hedging::protocols::script::{
+    profile, Fault, Protocol, Strategy, CRASH_OUTAGE_DELTAS,
 };
-use sore_loser_hedging::protocols::script::{Fault, Strategy, CRASH_OUTAGE_DELTAS};
 use sore_loser_hedging::protocols::two_party::{
-    run_base_swap, run_hedged_swap, TwoPartyConfig, BASE_SCRIPT_STEPS,
+    self, TwoPartyConfig, TwoPartySwap, BASE_SCRIPT_STEPS,
 };
 
 /// Steps per two-party role; pinned against `protocols::two_party`.
@@ -59,9 +57,10 @@ fn two_party_configs() -> Vec<TwoPartyConfig> {
 #[test]
 fn hedged_two_party_matrix_is_hedged_under_all_configs() {
     for (i, config) in two_party_configs().iter().enumerate() {
+        let swap = TwoPartySwap::hedged(config.clone());
         for alice in Strategy::all(TWO_PARTY_STEPS) {
             for bob in Strategy::all(TWO_PARTY_STEPS) {
-                let report = run_hedged_swap(config, alice, bob);
+                let report = swap.run(&two_party::profile(alice, bob), &mut World::new(1));
                 let ctx = format!("config #{i}, alice={alice}, bob={bob}");
 
                 // The core theorem: conformance implies the hedged outcome —
@@ -113,7 +112,10 @@ fn hedged_two_party_matrix_is_hedged_under_all_configs() {
         }
 
         // Fully compliant run: principals swap, premiums come back.
-        let report = run_hedged_swap(config, Strategy::compliant(), Strategy::compliant());
+        let report = swap.run(
+            &two_party::profile(Strategy::compliant(), Strategy::compliant()),
+            &mut World::new(1),
+        );
         assert!(report.swap_completed, "config #{i}");
         assert_eq!(report.alice_banana_payoff, config.bob_tokens.value() as i128);
         assert_eq!(report.bob_apricot_payoff, config.alice_tokens.value() as i128);
@@ -195,7 +197,10 @@ const BASE_GOLDEN: &[(&str, &str, bool, [i128; 6])] = &[
 #[test]
 fn two_party_deviation_matrix_matches_the_golden_tables() {
     let config = TwoPartyConfig::default();
-    for (golden, hedged) in [(HEDGED_GOLDEN, true), (BASE_GOLDEN, false)] {
+    for (golden, swap) in [
+        (HEDGED_GOLDEN, TwoPartySwap::hedged(config.clone())),
+        (BASE_GOLDEN, TwoPartySwap::base(config.clone())),
+    ] {
         let mut rows = golden.iter();
         for alice in Strategy::stop_only(TWO_PARTY_STEPS) {
             for bob in Strategy::stop_only(TWO_PARTY_STEPS) {
@@ -205,11 +210,7 @@ fn two_party_deviation_matrix_matches_the_golden_tables() {
                     (*g_alice, *g_bob),
                     (alice.to_string().as_str(), bob.to_string().as_str())
                 );
-                let report = if hedged {
-                    run_hedged_swap(&config, alice, bob)
-                } else {
-                    run_base_swap(&config, alice, bob)
-                };
+                let report = swap.run(&two_party::profile(alice, bob), &mut World::new(1));
                 let observed = [
                     report.alice_apricot_payoff,
                     report.alice_banana_payoff,
@@ -218,14 +219,14 @@ fn two_party_deviation_matrix_matches_the_golden_tables() {
                     report.bob_banana_payoff,
                     report.bob_premium_payoff,
                 ];
-                let protocol = if hedged { "hedged" } else { "base" };
+                let protocol = swap.protocol;
                 assert_eq!(
                     report.swap_completed, *g_completed,
-                    "{protocol}: completion shifted for alice={alice}, bob={bob}"
+                    "{protocol:?}: completion shifted for alice={alice}, bob={bob}"
                 );
                 assert_eq!(
                     observed, *g_payoffs,
-                    "{protocol}: payoffs shifted for alice={alice}, bob={bob} \
+                    "{protocol:?}: payoffs shifted for alice={alice}, bob={bob} \
                      (regenerate with `cargo run --example deviation_matrix` \
                      only if the change is intentional)"
                 );
@@ -239,9 +240,10 @@ fn two_party_deviation_matrix_matches_the_golden_tables() {
 fn base_two_party_matrix_shows_sore_loser_losses_but_conserves_funds() {
     let mut unhedged_compliant = 0usize;
     for config in two_party_configs() {
+        let swap = TwoPartySwap::base(config.clone());
         for alice in Strategy::all(BASE_SCRIPT_STEPS) {
             for bob in Strategy::all(BASE_SCRIPT_STEPS) {
-                let report = run_base_swap(&config, alice, bob);
+                let report = swap.run(&two_party::profile(alice, bob), &mut World::new(1));
                 if (alice.is_compliant() && !report.hedged_for_alice)
                     || (bob.is_compliant() && !report.hedged_for_bob)
                 {
@@ -363,7 +365,7 @@ fn multi_party_swaps_single_deviator_sweep_is_hedged() {
                 } else {
                     BTreeMap::from([(party, strategy)])
                 };
-                let report = run_multi_party_swap(config, &strategies);
+                let report = config.run(&profile(&strategies), &mut World::new(1));
                 let ctx = format!("{name}, {party} plays {strategy}");
                 assert_deal_conformance(config, &strategies, &report, &ctx);
             }
@@ -383,7 +385,7 @@ fn multi_party_figure3_two_deviators_is_hedged_for_the_rest() {
                         (a, Strategy::stop_after(stop_a)),
                         (b, Strategy::stop_after(stop_b)),
                     ]);
-                    let report = run_multi_party_swap(&config, &strategies);
+                    let report = config.run(&profile(&strategies), &mut World::new(1));
                     let ctx = format!("figure3, {a} stops@{stop_a}, {b} stops@{stop_b}");
                     assert_deal_conformance(&config, &strategies, &report, &ctx);
                 }
@@ -412,7 +414,8 @@ fn brokered_sale_single_deviator_sweep_is_hedged() {
                 } else {
                     BTreeMap::from([(party, strategy)])
                 };
-                let report = run_brokered_sale(config, &strategies);
+                let report =
+                    broker_deal_config(config).run(&profile(&strategies), &mut World::new(1));
                 let ctx = format!("broker config #{i}, {party} plays {strategy}");
                 assert_deal_conformance(&deal, &strategies, &report, &ctx);
             }
@@ -435,7 +438,7 @@ fn auction_sweep_never_steals_bids_and_conserves_funds() {
         for &party in &parties {
             for stop_after in 0..4usize {
                 let strategies = BTreeMap::from([(party, Strategy::stop_after(stop_after))]);
-                let report = run_auction(&config, &strategies);
+                let report = config.run(&profile(&strategies), &mut World::new(1));
                 let ctx = format!("{behaviour:?}, {party} stops after {stop_after}");
                 assert!(report.no_bid_stolen, "bid stolen: {ctx}");
                 assert!(report.payoffs.conserved(), "funds not conserved: {ctx}");
@@ -447,7 +450,7 @@ fn auction_sweep_never_steals_bids_and_conserves_funds() {
 #[test]
 fn auction_declares_the_true_high_bidder_and_compensates_when_cheated() {
     // Honest auctioneer, compliant bidders: highest bid wins the ticket.
-    let honest = run_auction(&AuctionConfig::default(), &BTreeMap::new());
+    let honest = AuctionConfig::default().run(&|_| Strategy::compliant(), &mut World::new(1));
     assert_eq!(honest.ticket_winner, Some(PartyId(1)), "default bids are [60, 40]");
     assert!(honest.no_bid_stolen);
     assert!(honest.payoffs.conserved());
@@ -456,14 +459,14 @@ fn auction_declares_the_true_high_bidder_and_compensates_when_cheated() {
         bids: vec![Some(Amount::new(30)), Some(Amount::new(90)), Some(Amount::new(50))],
         ..AuctionConfig::default()
     };
-    let report = run_auction(&three_bidders, &BTreeMap::new());
+    let report = three_bidders.run(&|_| Strategy::compliant(), &mut World::new(1));
     assert_eq!(report.ticket_winner, Some(PartyId(2)), "90 is the highest bid");
     assert!(report.payoffs.conserved());
 
     // A cheating auctioneer cannot both keep the premium and steal a bid.
     for behaviour in [AuctioneerBehaviour::DeclareLowBidder, AuctioneerBehaviour::Abandon] {
         let config = AuctionConfig { auctioneer: behaviour, ..AuctionConfig::default() };
-        let cheated = run_auction(&config, &BTreeMap::new());
+        let cheated = config.run(&|_| Strategy::compliant(), &mut World::new(1));
         assert!(cheated.no_bid_stolen, "{behaviour:?}");
         assert!(cheated.payoffs.conserved(), "{behaviour:?}");
         if behaviour == AuctioneerBehaviour::DeclareLowBidder {

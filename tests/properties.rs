@@ -4,13 +4,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
-use sore_loser_hedging::chainsim::{Amount, PartyId, Time};
+use sore_loser_hedging::chainsim::{Amount, PartyId, Time, World};
 use sore_loser_hedging::modelcheck::sampled::{shrink_profile, SampledScenario, SampledSweep};
 use sore_loser_hedging::protocols::script::{
-    delayed_emission_tick, DelayVector, Fault, Strategy, Timing,
+    delayed_emission_tick, DelayVector, Fault, Protocol, Strategy, Timing,
 };
 use sore_loser_hedging::protocols::two_party::{
-    run_base_swap, run_hedged_swap, TwoPartyConfig, SCRIPT_STEPS,
+    profile, TwoPartyConfig, TwoPartySwap, SCRIPT_STEPS,
 };
 use sore_loser_hedging::swapgraph::bootstrap::{bootstrap_plan, rounds_needed};
 use sore_loser_hedging::swapgraph::{premiums, Digraph};
@@ -41,7 +41,7 @@ proptest! {
         };
         let alice = if alice_compliant { Strategy::compliant() } else { Strategy::stop_after(alice_stop) };
         let bob = if bob_compliant { Strategy::compliant() } else { Strategy::stop_after(bob_stop) };
-        let report = run_hedged_swap(&config, alice, bob);
+        let report = TwoPartySwap::hedged(config).run(&profile(alice, bob), &mut World::new(1));
         if alice_compliant {
             prop_assert!(report.hedged_for_alice);
         }
@@ -56,11 +56,8 @@ proptest! {
     /// In the base protocol a compliant escrower is never compensated.
     #[test]
     fn base_swap_never_compensates(bob_stop in 0usize..3) {
-        let report = run_base_swap(
-            &TwoPartyConfig::default(),
-            Strategy::compliant(),
-            Strategy::stop_after(bob_stop),
-        );
+        let swap = TwoPartySwap::base(TwoPartyConfig::default());
+        let report = swap.run(&profile(Strategy::compliant(), Strategy::stop_after(bob_stop)), &mut World::new(1));
         prop_assert_eq!(report.alice_premium_payoff, 0);
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The zero-allocation hot path lets sweeps run worlds with event tracing
 //! disabled and reuse pooled worlds across scenarios. Neither may change a
-//! single observable outcome: this suite drives all five protocol entry
-//! points through `TraceMode::Off` and `TraceMode::Full` worlds (both fresh
+//! single observable outcome: this suite runs all five protocols from
+//! scratch through `TraceMode::Off` and `TraceMode::Full` worlds (both fresh
 //! and deliberately dirty, to exercise `World::reset`) and asserts payoffs
 //! and reports are identical, then pins that `CheckSummary` is bit-for-bit
 //! identical across thread counts *and* trace modes.
@@ -15,17 +15,17 @@ use sore_loser_hedging::modelcheck::engine::{FamilyScratch, ParallelSweep, Scena
 use sore_loser_hedging::modelcheck::sampled::SampledSweep;
 use sore_loser_hedging::modelcheck::scenarios::{DealSweep, TwoPartySweep};
 use sore_loser_hedging::modelcheck::{check_auction, check_bootstrap, sampled_families};
-use sore_loser_hedging::protocols::auction::{run_auction_in, AuctionConfig, AuctioneerBehaviour};
+use sore_loser_hedging::protocols::auction::{AuctionConfig, AuctioneerBehaviour};
 use sore_loser_hedging::protocols::bootstrap::{run_bootstrap_in, BootstrapDeviation};
-use sore_loser_hedging::protocols::broker::{run_brokered_sale_in, BrokerConfig};
-use sore_loser_hedging::protocols::multi_party::{figure3_config, run_multi_party_swap_in};
-use sore_loser_hedging::protocols::script::Strategy;
+use sore_loser_hedging::protocols::broker::{broker_deal_config, BrokerConfig};
+use sore_loser_hedging::protocols::multi_party::figure3_config;
+use sore_loser_hedging::protocols::script::{profile, Protocol, Strategy};
 use sore_loser_hedging::protocols::two_party::{
-    run_base_swap_in, run_hedged_swap_in, TwoPartyConfig, SCRIPT_STEPS,
+    self, SwapProtocol, TwoPartyConfig, TwoPartySwap, SCRIPT_STEPS,
 };
 
 /// A world in the given trace mode that has already hosted an unrelated
-/// run, so entry points must prove `World::reset` leaves no residue.
+/// run, so every run must prove `World::reset` leaves no residue.
 fn dirty_world(trace: TraceMode) -> World {
     let mut world = World::with_trace(1, trace);
     let chain = world.add_chain("leftover");
@@ -49,14 +49,11 @@ fn two_party_swaps_are_identical_across_trace_modes_and_world_reuse() {
     let config = TwoPartyConfig::default();
     for alice in Strategy::all(SCRIPT_STEPS) {
         for bob in Strategy::all(SCRIPT_STEPS) {
-            for hedged in [true, false] {
-                let mut reports = worlds().into_iter().map(|mut world| {
-                    if hedged {
-                        run_hedged_swap_in(&mut world, &config, alice, bob)
-                    } else {
-                        run_base_swap_in(&mut world, &config, alice, bob)
-                    }
-                });
+            for protocol in [SwapProtocol::Hedged, SwapProtocol::Base] {
+                let swap = TwoPartySwap::new(config.clone(), protocol);
+                let mut reports = worlds()
+                    .into_iter()
+                    .map(|mut world| swap.run(&two_party::profile(alice, bob), &mut world));
                 let reference = reports.next().unwrap();
                 for report in reports {
                     assert_eq!(report.payoffs, reference.payoffs, "alice={alice}, bob={bob}");
@@ -77,9 +74,8 @@ fn multi_party_swap_is_identical_across_trace_modes_and_world_reuse() {
     for party in config.parties() {
         for stop in 0..5usize {
             let strategies = BTreeMap::from([(party, Strategy::stop_after(stop))]);
-            let mut reports = worlds()
-                .into_iter()
-                .map(|mut world| run_multi_party_swap_in(&mut world, &config, &strategies));
+            let mut reports =
+                worlds().into_iter().map(|mut world| config.run(&profile(&strategies), &mut world));
             let reference = reports.next().unwrap();
             for report in reports {
                 assert_eq!(report.payoffs, reference.payoffs, "{party} stops@{stop}");
@@ -93,12 +89,11 @@ fn multi_party_swap_is_identical_across_trace_modes_and_world_reuse() {
 
 #[test]
 fn brokered_sale_is_identical_across_trace_modes_and_world_reuse() {
-    let config = BrokerConfig::default();
+    let config = broker_deal_config(&BrokerConfig::default());
     for party in [PartyId(0), PartyId(1), PartyId(2)] {
         let strategies = BTreeMap::from([(party, Strategy::stop_after(2))]);
-        let mut reports = worlds()
-            .into_iter()
-            .map(|mut world| run_brokered_sale_in(&mut world, &config, &strategies));
+        let mut reports =
+            worlds().into_iter().map(|mut world| config.run(&profile(&strategies), &mut world));
         let reference = reports.next().unwrap();
         for report in reports {
             assert_eq!(report.payoffs, reference.payoffs, "{party}");
@@ -117,7 +112,7 @@ fn auction_is_identical_across_trace_modes_and_world_reuse() {
         let config = AuctionConfig { auctioneer: behaviour, ..AuctionConfig::default() };
         let strategies = BTreeMap::from([(PartyId(1), Strategy::stop_after(1))]);
         let mut reports =
-            worlds().into_iter().map(|mut world| run_auction_in(&mut world, &config, &strategies));
+            worlds().into_iter().map(|mut world| config.run(&profile(&strategies), &mut world));
         let reference = reports.next().unwrap();
         for report in reports {
             assert_eq!(report.payoffs, reference.payoffs, "{behaviour:?}");
