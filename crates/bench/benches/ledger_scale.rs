@@ -1,12 +1,12 @@
 //! Experiment C10 — the dense ledger at market scale: 1,000,000 accounts.
 //!
-//! PR 3 replaced the `BTreeMap`-backed ledger with dense `Vec` rows indexed
-//! by sequentially-assigned ids, keeping the old map as the
-//! `map-ledger-oracle` differential oracle. ROADMAP open item 1 asks for the
-//! receipts at realistic account cardinality: populate one million party
-//! accounts and measure transfer ops/sec on both implementations. The
-//! transfer mix draws uniform random account pairs from a pinned SplitMix64
-//! stream, so both ledgers replay byte-identical operation sequences.
+//! The dense ledger indexes flat balance tables by sequentially assigned
+//! ids, keeping the old `BTreeMap` layout as the `map-ledger-oracle`
+//! differential oracle. This bench takes the receipts at realistic account
+//! cardinality: populate one million party accounts and measure transfer
+//! ops/sec on both implementations. The transfer mix draws uniform random
+//! account pairs from a pinned SplitMix64 stream, so both ledgers replay
+//! byte-identical operation sequences.
 
 use chainsim::{AccountRef, Amount, AssetId, Ledger, MapLedger, PartyId};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

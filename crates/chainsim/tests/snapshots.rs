@@ -260,3 +260,28 @@ fn restore_rebuilds_label_and_asset_registries() {
     let next = world.publish_labeled(chain, PartyId(0), "vault2", Box::new(Vault::default()));
     assert_eq!(next.contract.0, addr.contract.0 + 1);
 }
+
+#[test]
+fn restore_mutate_restore_reproduces_every_ledger_entry() {
+    // `World::restore` copies each ledger into the chain's existing tables.
+    // A mutation between two restores — a new account, a new asset that
+    // widens every row, a contract balance — must leave no trace in the
+    // second restore's entries.
+    let (mut world, addr) = build_world(TraceMode::Off);
+    let chain = addr.chain;
+    let entries = |world: &World| world.chain(chain).ledger().iter().collect::<Vec<_>>();
+    let snap = world.snapshot();
+    world.restore(&snap);
+    let first = entries(&world);
+    assert!(!first.is_empty());
+
+    let token = world.register_asset("late-token");
+    world.chain_mut(chain).mint(PartyId(9), token, Amount::new(11));
+    world.chain_mut(chain).mint(PartyId(0), AssetId(0), Amount::new(5));
+    world.call(PartyId(0), addr, &VaultMsg::Deposit(Amount::new(3)), "more").unwrap();
+    assert_ne!(entries(&world), first);
+
+    world.restore(&snap);
+    assert_eq!(entries(&world), first, "restore -> mutate -> restore diverged");
+    assert_eq!(world.chain(chain).ledger().assets(), vec![AssetId(0)]);
+}

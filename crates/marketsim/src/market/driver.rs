@@ -41,6 +41,9 @@ pub struct MarketRun {
     pub setup: Duration,
     /// Time spent executing rounds (the throughput denominator).
     pub execute: Duration,
+    /// Wall time of the whole run: deal generation, setup, rounds,
+    /// verification, metering and dropping the shards.
+    pub total: Duration,
 }
 
 impl MarketRun {
@@ -53,6 +56,15 @@ impl MarketRun {
             0.0
         }
     }
+
+    /// Whole-run wall time per settled deal, in microseconds.
+    pub fn us_per_settled_deal(&self) -> f64 {
+        if self.report.settled > 0 {
+            self.total.as_secs_f64() * 1e6 / f64::from(self.report.settled)
+        } else {
+            0.0
+        }
+    }
 }
 
 /// Runs one market to completion.
@@ -61,6 +73,7 @@ impl MarketRun {
 /// the returned report is byte-identical for any values of either.
 pub fn run_market(cfg: &MarketConfig) -> MarketRun {
     cfg.validate();
+    let start = Instant::now();
     let rounds = cfg.rounds();
     // One price sample per round sizes each deal from its start round; the
     // strict accessor turns a mis-computed horizon into an immediate panic.
@@ -86,7 +99,9 @@ pub fn run_market(cfg: &MarketConfig) -> MarketRun {
     }
     let execute = execute_start.elapsed();
 
-    MarketRun { report: build_report(cfg, rounds, &shards), setup, execute }
+    let report = build_report(cfg, rounds, &shards);
+    drop(shards);
+    MarketRun { report, setup, execute, total: start.elapsed() }
 }
 
 /// Runs `f` once per shard, fanned out over at most `workers` scoped
@@ -384,6 +399,8 @@ mod tests {
         assert!(report.gas_total > 0);
         assert!(report.latency_p50_rounds >= 5);
         assert!(report.latency_max_rounds <= 8);
+        assert!(run.total >= run.setup + run.execute, "the whole run covers both phases");
+        assert!(run.us_per_settled_deal() > 0.0);
         let by_kind = report.settled_by_kind;
         assert_eq!(by_kind.hedged_swap + by_kind.cycle3 + by_kind.auction + by_kind.brokered, 60);
     }

@@ -13,7 +13,7 @@
 //!   payoff is exactly `-fees`: the market as a whole pays the chains, and
 //!   nothing else leaks.
 
-use chainsim::AccountRef;
+use chainsim::AssetId;
 
 use super::shard::{Shard, NATIVE_ASSET, TOKEN_ASSET};
 
@@ -51,28 +51,31 @@ impl ShardMetering {
 }
 
 /// Measures one shard: gas totals, supplies and aggregate party positions
-/// relative to the minted endowment.
-pub fn meter_shard(shard: &Shard, endowment: u128, gas_price: u64) -> ShardMetering {
+/// relative to what setup minted.
+///
+/// Party holdings are each asset's total supply minus its contract supply,
+/// so an account that spent its whole endowment still counts its
+/// `-endowment` position; the nets are holdings minus
+/// [`Shard::minted_per_asset`], the shard's own record of the endowments
+/// `Shard::new` minted. `_endowment` (the per-account endowment) is implied
+/// by that record and is kept only so existing callers compile.
+pub fn meter_shard(shard: &Shard, _endowment: u128, gas_price: u64) -> ShardMetering {
     let chain = shard.chain();
     let ledger = chain.ledger();
     let gas = chain.gas_meter().total();
+    let minted = shard.minted_per_asset() as i128;
 
-    let mut contract_residue: u128 = 0;
-    let mut net_token: i128 = 0;
-    let mut net_native: i128 = 0;
-    for (account, asset, amount) in ledger.iter() {
-        match account {
-            AccountRef::Contract(_) => contract_residue += amount.value(),
-            AccountRef::Party(_) => {
-                let delta = amount.value() as i128 - endowment as i128;
-                if asset == TOKEN_ASSET {
-                    net_token += delta;
-                } else if asset == NATIVE_ASSET {
-                    net_native += delta;
-                }
-            }
-        }
-    }
+    // One strided walk of each asset's party column: the supply, and the
+    // parties' net position (holdings minus what setup minted).
+    let position = |asset: AssetId| {
+        let supply = ledger.total_supply(asset);
+        let holdings = supply - ledger.contract_supply(asset);
+        (supply.value(), holdings.value() as i128 - minted)
+    };
+    let (token_supply, net_token) = position(TOKEN_ASSET);
+    let (native_supply, net_native) = position(NATIVE_ASSET);
+    let contract_residue =
+        ledger.assets().into_iter().map(|asset| ledger.contract_supply(asset).value()).sum();
 
     ShardMetering {
         shard: shard.id(),
@@ -80,8 +83,8 @@ pub fn meter_shard(shard: &Shard, endowment: u128, gas_price: u64) -> ShardMeter
         fees: u128::from(gas) * u128::from(gas_price),
         calls: shard.calls(),
         failed_calls: shard.failed_calls(),
-        token_supply: ledger.total_supply(TOKEN_ASSET).value(),
-        native_supply: ledger.total_supply(NATIVE_ASSET).value(),
+        token_supply,
+        native_supply,
         contract_residue,
         net_token,
         net_native,
@@ -128,4 +131,48 @@ pub fn conservation_violations(m: &ShardMetering, minted_per_asset: u128) -> Vec
         violations.push(format!("shard {}: {} failed contract calls", m.shard, m.failed_calls));
     }
     violations
+}
+
+#[cfg(test)]
+mod tests {
+    use chainsim::{AccountRef, Amount, PartyId};
+
+    use super::*;
+    use crate::market::MarketConfig;
+
+    #[test]
+    fn a_party_that_spends_its_whole_endowment_still_conserves() {
+        // A party left at zero still counts its `-endowment` position, so
+        // one conserving transfer of a whole endowment breaks neither law.
+        let cfg = MarketConfig { shards: 1, accounts: 2, ..MarketConfig::default() };
+        let mut shard = Shard::new(0, &cfg, 0);
+        let (alice, bob) = (AccountRef::Party(PartyId(0)), AccountRef::Party(PartyId(1)));
+        shard
+            .chain_mut()
+            .ledger_mut()
+            .transfer(alice, bob, TOKEN_ASSET, Amount::new(cfg.endowment))
+            .unwrap();
+
+        let m = meter_shard(&shard, cfg.endowment, cfg.gas_price);
+        assert_eq!((m.net_token, m.net_native, m.contract_residue), (0, 0, 0));
+        assert_eq!(conservation_violations(&m, shard.minted_per_asset()), Vec::<String>::new());
+    }
+
+    #[test]
+    fn stranded_units_and_leaks_are_reported() {
+        let cfg = MarketConfig { shards: 1, accounts: 3, ..MarketConfig::default() };
+        let mut shard = Shard::new(0, &cfg, 1);
+        let escrow = AccountRef::Contract(chainsim::ContractId(0));
+        let ledger = shard.chain_mut().ledger_mut();
+        ledger
+            .transfer(AccountRef::Party(PartyId(2)), escrow, NATIVE_ASSET, Amount::new(5))
+            .unwrap();
+        ledger.mint(AccountRef::Party(PartyId(0)), TOKEN_ASSET, Amount::new(7));
+
+        let m = meter_shard(&shard, cfg.endowment, cfg.gas_price);
+        assert_eq!(m.contract_residue, 5);
+        assert_eq!((m.net_token, m.net_native), (7, -5));
+        let violations = conservation_violations(&m, shard.minted_per_asset());
+        assert_eq!(violations.len(), 4, "{violations:?}");
+    }
 }

@@ -184,6 +184,12 @@ impl Shard {
         self.world.chain(self.chain)
     }
 
+    /// Mutable chain state, for tests that edit the ledger directly.
+    #[cfg(test)]
+    pub(super) fn chain_mut(&mut self) -> &mut Blockchain {
+        self.world.chain_mut(self.chain)
+    }
+
     /// The home deals scheduled on this shard.
     pub fn deals(&self) -> &[Deal] {
         &self.deals

@@ -6,8 +6,9 @@
 //! terminal state, funds conserve fee-adjusted on every shard) and a
 //! byte-identical settlement report across worker counts — and writes
 //! `BENCH_market.json` with settled-deals/sec, p50/p99 settlement latency
-//! in rounds, and gas-per-deal, plus the 1-worker setup and execute times
-//! of the same market under reorg injection.
+//! in rounds, and gas-per-deal, plus the 1-worker setup, execute and
+//! whole-run times (and whole-run microseconds per settled deal) of the
+//! market with and without reorg injection.
 //!
 //! ```text
 //! cargo run --release --example bench_market
@@ -22,6 +23,7 @@
 use std::fmt::Write as _;
 
 use sore_loser_hedging::chainsim::TraceMode;
+use sore_loser_hedging::marketsim::market::driver::MarketRun;
 use sore_loser_hedging::marketsim::market::{run_market, MarketConfig};
 
 /// The pinned seed of the committed benchmark run.
@@ -59,7 +61,7 @@ fn main() {
         "{} shards x {} accounts, {} deals ({} per round), delta={} blocks",
         cfg.shards, cfg.accounts, cfg.deals, cfg.deals_per_round, cfg.delta_blocks
     );
-    println!("workers | settled | deals/sec | setup s | execute s");
+    println!("workers | settled | deals/sec | setup s | execute s | total s | us/deal");
 
     // One untimed warm-up run: the first market pays the allocator's and
     // page cache's cold-start costs, which would otherwise be billed
@@ -77,11 +79,13 @@ fn main() {
         );
         assert_eq!(run.report.settled, cfg.deals, "workers={workers}: not every deal settled");
         println!(
-            "{workers} | {} | {:.0} | {:.3} | {:.3}",
+            "{workers} | {} | {:.0} | {:.3} | {:.3} | {:.3} | {:.1}",
             run.report.settled,
             run.settled_per_sec(),
             run.setup.as_secs_f64(),
-            run.execute.as_secs_f64()
+            run.execute.as_secs_f64(),
+            run.total.as_secs_f64(),
+            run.us_per_settled_deal()
         );
         runs.push((workers, run));
     }
@@ -135,9 +139,11 @@ fn main() {
         reorg_base.reorgs, reorg_base.reorg_rewound_calls
     );
     println!(
-        "reorg run (1 worker): setup {:.3} s, execute {:.3} s",
+        "reorg run (1 worker): setup {:.3} s, execute {:.3} s, total {:.3} s, {:.1} us/deal",
         reorg_run.setup.as_secs_f64(),
-        reorg_run.execute.as_secs_f64()
+        reorg_run.execute.as_secs_f64(),
+        reorg_run.total.as_secs_f64(),
+        reorg_run.us_per_settled_deal()
     );
 
     let mut json = String::new();
@@ -184,9 +190,11 @@ fn main() {
         writeln!(json, "    \"redelivery_failures\": {},", reorg_base.reorg_redelivery_failures);
     let _ = writeln!(json, "    \"settled\": {},", reorg_base.settled);
     let _ = writeln!(json, "    \"violations\": {},", reorg_base.violations);
-    let _ = writeln!(json, "    \"setup_seconds\": {:.4},", reorg_run.setup.as_secs_f64());
-    let _ = writeln!(json, "    \"execute_seconds\": {:.4},", reorg_run.execute.as_secs_f64());
-    let _ = writeln!(json, "    \"digest\": \"{reorg_digest}\"");
+    let _ = writeln!(json, "    \"digest\": \"{reorg_digest}\",");
+    write_timing(&mut json, &reorg_run);
+    json.push_str("  },\n");
+    json.push_str("  \"main_run_1_worker\": {\n");
+    write_timing(&mut json, &runs[0].1);
     json.push_str("  },\n");
     json.push_str("  \"settled_deals_per_sec\": {\n");
     for (i, (workers, run)) in runs.iter().enumerate() {
@@ -203,4 +211,13 @@ fn main() {
 
     std::fs::write("BENCH_market.json", &json).expect("write BENCH_market.json");
     println!("wrote BENCH_market.json ({} bytes)", json.len());
+}
+
+/// Writes `run`'s setup, execute and whole-run seconds and its whole-run
+/// microseconds per settled deal as the closing fields of a JSON object.
+fn write_timing(json: &mut String, run: &MarketRun) {
+    let _ = writeln!(json, "    \"setup_seconds\": {:.4},", run.setup.as_secs_f64());
+    let _ = writeln!(json, "    \"execute_seconds\": {:.4},", run.execute.as_secs_f64());
+    let _ = writeln!(json, "    \"total_seconds\": {:.4},", run.total.as_secs_f64());
+    let _ = writeln!(json, "    \"us_per_settled_deal\": {:.2}", run.us_per_settled_deal());
 }
