@@ -1,7 +1,9 @@
 //! Experiments F2/C2 — Figure 2 and the §6 bootstrapping-round claims.
 
+use chainsim::World;
 use criterion::{criterion_group, criterion_main, Criterion};
-use protocols::bootstrap::{run_bootstrap, BootstrapDeviation};
+use protocols::bootstrap::{BootstrapConfig, BootstrapDeviation};
+use protocols::script::Protocol;
 use swapgraph::bootstrap::{bootstrap_plan, lockup_durations, rounds_needed};
 
 fn report() {
@@ -38,8 +40,10 @@ fn report() {
 
 fn bench_bootstrap(c: &mut Criterion) {
     report();
+    let cascade = BootstrapConfig::new(500_000, 500_000, 100, 3);
+    let compliant = BootstrapDeviation::None.profile(cascade.rounds);
     c.bench_function("bootstrap_cascade_3_rounds_compliant", |b| {
-        b.iter(|| run_bootstrap(500_000, 500_000, 100, 3, BootstrapDeviation::None))
+        b.iter(|| cascade.run(&compliant, &mut World::new(1)))
     });
     c.bench_function("bootstrap_plan_million", |b| {
         b.iter(|| bootstrap_plan(500_000, 500_000, 100, 3))

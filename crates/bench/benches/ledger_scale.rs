@@ -1,8 +1,8 @@
 //! Experiment C10 — the dense ledger at market scale: 1,000,000 accounts.
 //!
 //! The dense ledger indexes flat balance tables by sequentially assigned
-//! ids, keeping the old `BTreeMap` layout as the `map-ledger-oracle`
-//! differential oracle. This bench takes the receipts at realistic account
+//! ids, keeping the old `BTreeMap` layout as the `MapLedger` differential
+//! oracle. This bench takes the receipts at realistic account
 //! cardinality: populate one million party accounts and measure transfer
 //! ops/sec on both implementations. The transfer mix draws uniform random
 //! account pairs from a pinned SplitMix64 stream, so both ledgers replay

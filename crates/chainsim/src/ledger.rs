@@ -10,9 +10,8 @@
 //! one heap row per account. A whole ledger is two allocations, so building,
 //! cloning, restoring and dropping it costs one buffer each rather than one
 //! per account. The historical map-backed implementation is kept as
-//! [`oracle::MapLedger`] (behind the default `map-ledger-oracle` feature)
-//! and differential tests assert that both agree on arbitrary operation
-//! sequences.
+//! [`oracle::MapLedger`], and differential tests assert that both agree on
+//! arbitrary operation sequences.
 
 use std::fmt;
 
@@ -340,15 +339,13 @@ impl Ledger {
     }
 }
 
-#[cfg(any(test, feature = "map-ledger-oracle"))]
 pub mod oracle {
     //! The historical `BTreeMap`-backed ledger, retained verbatim as a
     //! differential oracle for the dense [`Ledger`](super::Ledger).
     //!
-    //! `MapLedger` is compiled under the default `map-ledger-oracle` feature
-    //! (and in tests); production consumers can disable the feature. It must
-    //! never be used on a hot path — its whole purpose is to be the slow,
-    //! obviously-correct reference that property tests compare against.
+    //! `MapLedger` must never be used on a hot path — its whole purpose is
+    //! to be the slow, obviously-correct reference that property tests
+    //! compare against.
 
     use super::*;
     use std::collections::BTreeMap;

@@ -3,12 +3,9 @@
 //!
 //! The dense ledger replaced the original `BTreeMap<(AccountRef, AssetId),
 //! Amount>` layout on the simulator's hot path; the original implementation
-//! is retained verbatim as `MapLedger` (behind the default
-//! `map-ledger-oracle` feature) precisely so these properties can pin that
-//! the two agree on arbitrary operation sequences — balances, iteration
-//! order, asset lists, total supplies, and the error paths.
-
-#![cfg(feature = "map-ledger-oracle")]
+//! is retained verbatim as `MapLedger` precisely so these properties can
+//! pin that the two agree on arbitrary operation sequences — balances,
+//! iteration order, asset lists, total supplies, and the error paths.
 
 use chainsim::{AccountRef, Amount, AssetId, ContractId, Ledger, MapLedger, PartyId};
 use proptest::prelude::*;

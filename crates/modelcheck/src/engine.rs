@@ -16,9 +16,11 @@
 //! [`FamilyScratch`] slot per family, and hands both to every scenario
 //! it runs. The world is reset (or snapshot-restored) rather than rebuilt,
 //! so ledgers, contract stores and trace buffers are allocated once per
-//! worker; the slot records the family's compliant [`Prefix`] on first
-//! use, and every later scenario resumes from its checkpoints
-//! ([`chainsim::World::snapshot`]) instead of replaying the shared prefix.
+//! worker. Every family runs its scenarios through one entry point,
+//! [`FamilyScratch::run`]: the slot records the family's compliant
+//! [`Prefix`] on first use, and every later scenario resumes from its
+//! checkpoints ([`chainsim::World::snapshot`]) instead of replaying the
+//! shared prefix.
 //!
 //! # Determinism contract
 //!
@@ -54,7 +56,8 @@ use crate::{CheckSummary, Violation};
 /// scenario from scratch, and the prefixes recorded so far.
 ///
 /// Each (worker, family) pair owns one slot, built by
-/// [`ParallelSweep::scratch`]. In the default mode a family's scenarios
+/// [`ParallelSweep::scratch`], and every [`Protocol`] a family checks runs
+/// through [`FamilyScratch::run`]. In the default mode a family's scenarios
 /// resume from the compliant [`Prefix`] the slot records on first use; in
 /// replay mode ([`ParallelSweep::replay_oracle`]) every scenario runs from
 /// scratch and no prefix is recorded. Results are identical either way, and
@@ -85,42 +88,19 @@ impl FamilyScratch {
         P::Setup: Send + 'static,
         P::Capture: Send + 'static,
     {
-        self.run_with(
-            variant,
-            world,
-            |world| protocol.run(profile, world),
-            |prefix: &mut Option<Prefix<P>>, world| {
-                prefix
-                    .get_or_insert_with(|| Prefix::record(protocol.clone(), world))
-                    .run(profile, world)
-            },
-        )
-    }
-
-    /// [`FamilyScratch::run`] for runners that are not [`Protocol`]s (the
-    /// bootstrap cascade): `scratch` runs a scenario from scratch, `shared`
-    /// runs it through the slot's prefix of type `T`, recording it into the
-    /// empty `Option` on first use.
-    pub fn run_with<T: Any + Send, R>(
-        &mut self,
-        variant: usize,
-        world: &mut World,
-        scratch: impl FnOnce(&mut World) -> R,
-        shared: impl FnOnce(&mut Option<T>, &mut World) -> R,
-    ) -> R {
         if self.replay {
-            return scratch(world);
+            return protocol.run(profile, world);
         }
-        let prefix = self
-            .prefixes
-            .entry((TypeId::of::<T>(), variant))
-            .or_insert_with(|| Box::new(None::<T>))
-            .downcast_mut::<Option<T>>()
-            .expect("prefixes are keyed by type");
-        let fresh = prefix.is_none();
-        let result = shared(prefix, world);
-        self.recorded += usize::from(fresh && prefix.is_some());
-        result
+        let FamilyScratch { prefixes, recorded, .. } = self;
+        prefixes
+            .entry((TypeId::of::<P>(), variant))
+            .or_insert_with(|| {
+                *recorded += 1;
+                Box::new(Prefix::record(protocol.clone(), world))
+            })
+            .downcast_mut::<Prefix<P>>()
+            .expect("prefixes are keyed by type")
+            .run(profile, world)
     }
 
     /// The number of prefixes this slot has recorded.
@@ -391,6 +371,36 @@ impl ParallelSweep {
 mod tests {
     use super::*;
     use chainsim::PartyId;
+    use protocols::script::{ScriptedParty, Step, StepOutcome, Strategy};
+
+    /// A one-party protocol of `STEPS` empty steps; its report is the
+    /// number of rounds the run took.
+    #[derive(Clone)]
+    struct Ticks<const STEPS: usize>;
+
+    impl<const STEPS: usize> Protocol for Ticks<STEPS> {
+        type Setup = ();
+        type Capture = usize;
+        type Report = usize;
+
+        fn setup(&self, world: &mut World) {
+            world.reset(1);
+            world.add_chain("ticks");
+        }
+        fn script(&self, _: &(), profile: Profile<'_>) -> Vec<ScriptedParty> {
+            let steps = (0..STEPS).map(|_| Step::new("tick", |_| StepOutcome::Complete(vec![])));
+            vec![ScriptedParty::new(PartyId(0), steps.collect(), profile(PartyId(0)))]
+        }
+        fn max_rounds(&self) -> u64 {
+            16
+        }
+        fn capture(&self, _: &World, _: &(), rounds: usize, _: usize) -> usize {
+            rounds
+        }
+        fn judge(&self, _: &(), rounds: &usize, _: Profile<'_>) -> usize {
+            *rounds
+        }
+    }
 
     /// A synthetic family: scenario `i` violates iff `i` is divisible by 7.
     struct Synthetic {
@@ -410,16 +420,9 @@ mod tests {
             scratch: &mut World,
             cache: &mut FamilyScratch,
         ) -> Vec<Violation> {
-            // Exercise the worker-local slot: a counter of how many
-            // scenarios this worker ran must never influence results.
-            cache.run_with(
-                0,
-                scratch,
-                |_| (),
-                |count: &mut Option<usize>, _| {
-                    *count.get_or_insert(0) += 1;
-                },
-            );
+            // Exercise the worker-local slot: its prefix must never
+            // influence results.
+            assert_eq!(cache.run(&Ticks::<2>, 0, &|_| Strategy::compliant(), scratch), 2);
             if index.is_multiple_of(7) {
                 vec![Violation {
                     scenario: format!("synthetic #{index}"),
@@ -459,37 +462,23 @@ mod tests {
 
     #[test]
     fn family_scratch_is_typed_and_reusable() {
-        fn bump(slot: &mut FamilyScratch, variant: usize, world: &mut World) -> usize {
-            slot.run_with(
-                variant,
-                world,
-                |_| 0,
-                |count: &mut Option<usize>, _| {
-                    let count = count.get_or_insert(0);
-                    *count += 1;
-                    *count
-                },
-            )
-        }
         let mut world = World::new(1);
+        let compliant = |_| Strategy::compliant();
+        let stops = |_| Strategy::stop_after(1);
         let mut slot = ParallelSweep::new(1).scratch();
-        assert_eq!(bump(&mut slot, 0, &mut world), 1);
-        assert_eq!(bump(&mut slot, 0, &mut world), 2, "a recorded prefix is kept");
-        assert_eq!(bump(&mut slot, 1, &mut world), 1, "variants do not share prefixes");
+        assert_eq!(slot.run(&Ticks::<3>, 0, &compliant, &mut world), 3);
+        assert_eq!(slot.run(&Ticks::<3>, 0, &stops, &mut world), 1, "resumed from the prefix");
+        assert_eq!(slot.prefixes(), 1, "a recorded prefix is kept");
+        assert_eq!(slot.run(&Ticks::<3>, 1, &stops, &mut world), 1);
+        assert_eq!(slot.prefixes(), 2, "variants do not share prefixes");
         // Distinct types coexist in one slot without evicting each other.
-        let tag = slot.run_with(
-            0,
-            &mut world,
-            |_| 0u32,
-            |tag: &mut Option<u32>, _| *tag.get_or_insert(9),
-        );
-        assert_eq!(tag, 9);
-        assert_eq!(bump(&mut slot, 0, &mut world), 3);
+        assert_eq!(slot.run(&Ticks::<2>, 0, &compliant, &mut world), 2);
+        assert_eq!(slot.run(&Ticks::<3>, 0, &compliant, &mut world), 3);
         assert_eq!(slot.prefixes(), 3);
         assert!(format!("{slot:?}").contains("FamilyScratch"));
         // A replay slot runs from scratch and records nothing.
         let mut replay = ParallelSweep::new(1).replay_oracle().scratch();
-        assert_eq!(bump(&mut replay, 0, &mut world), 0);
+        assert_eq!(replay.run(&Ticks::<3>, 0, &stops, &mut world), 1);
         assert_eq!(replay.prefixes(), 0);
     }
 

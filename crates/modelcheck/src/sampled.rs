@@ -40,7 +40,7 @@ use std::fmt::Write as _;
 use chainsim::{ChainId, PartyId, ReorgEvent, ReorgPolicy, World};
 use marketsim::rational::best_response;
 use protocols::auction::{self, AuctionConfig, AUCTIONEER};
-use protocols::bootstrap::{run_bootstrap_in, run_bootstrap_shared, BootstrapDeviation};
+use protocols::bootstrap::{BootstrapConfig, BootstrapDeviation};
 use protocols::deal::{self, DealConfig};
 use protocols::outcome::Payoffs;
 use protocols::script::{self, DelayVector, Fault, Protocol, Strategy, Timing, MAX_DELAY_STEPS};
@@ -1215,10 +1215,7 @@ fn strategy_expr(strategy: &Strategy) -> String {
 /// protocol family.
 #[derive(Clone, Copy, Debug)]
 pub struct SampledBootstrap {
-    a: u128,
-    b: u128,
-    ratio: u128,
-    rounds: u32,
+    config: BootstrapConfig,
     seed: u64,
     samples: usize,
 }
@@ -1227,7 +1224,7 @@ impl SampledBootstrap {
     /// Samples the cascade of `a` against `b` at premium ratio `ratio`
     /// with `rounds` premium rounds.
     pub fn new(a: u128, b: u128, ratio: u128, rounds: u32, seed: u64, samples: usize) -> Self {
-        SampledBootstrap { a, b, ratio, rounds, seed, samples }
+        SampledBootstrap { config: BootstrapConfig::new(a, b, ratio, rounds), seed, samples }
     }
 
     /// Re-derives sample `index`'s deviation from the family seed.
@@ -1237,7 +1234,7 @@ impl SampledBootstrap {
             return BootstrapDeviation::None;
         }
         let party = PartyId(rng.gen_range(0..2u32));
-        let level = rng.gen_range(0..self.rounds + 1);
+        let level = rng.gen_range(0..self.config.rounds + 1);
         match rng.gen_range(0..3u32) {
             0 => BootstrapDeviation::StopAtLevel { party, level },
             1 => BootstrapDeviation::LateAtLevel { party, level },
@@ -1247,16 +1244,14 @@ impl SampledBootstrap {
 
     /// The enumerable deviation space the samples draw from.
     pub fn sampled_space(&self) -> f64 {
-        1.0 + 6.0 * (self.rounds as f64 + 1.0)
+        1.0 + 6.0 * (self.config.rounds as f64 + 1.0)
     }
 }
 
 impl ScenarioGen for SampledBootstrap {
     fn family(&self) -> String {
-        format!(
-            "sampled bootstrap a={}, b={}, ratio={}, rounds={}",
-            self.a, self.b, self.ratio, self.rounds
-        )
+        let BootstrapConfig { a, b, ratio, rounds } = self.config;
+        format!("sampled bootstrap a={a}, b={b}, ratio={ratio}, rounds={rounds}")
     }
 
     fn total(&self) -> usize {
@@ -1270,14 +1265,8 @@ impl ScenarioGen for SampledBootstrap {
         cache: &mut FamilyScratch,
     ) -> Vec<Violation> {
         let deviation = self.deviation_at(index);
-        let deviator = deviation.party();
-        let (a, b, ratio, rounds) = (self.a, self.b, self.ratio, self.rounds);
-        let report = cache.run_with(
-            0,
-            scratch,
-            |world| run_bootstrap_in(world, a, b, ratio, rounds, deviation),
-            |prefix, world| run_bootstrap_shared(world, a, b, ratio, rounds, deviation, prefix),
-        );
+        let profile = deviation.profile(self.config.rounds);
+        let report = cache.run(&self.config, 0, &profile, scratch);
         let label = || {
             format!(
                 "{} [seed={:#x}, sample={index}], deviation {deviation:?}",
@@ -1285,7 +1274,7 @@ impl ScenarioGen for SampledBootstrap {
                 self.seed
             )
         };
-        judge_bootstrap(&report, deviator, &label)
+        judge_bootstrap(&report, deviation.party(), &label)
     }
 }
 

@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use chainsim::{PartyId, World};
 use protocols::auction::{AuctionConfig, AuctioneerBehaviour};
-use protocols::bootstrap::{run_bootstrap_in, run_bootstrap_shared, BootstrapDeviation};
+use protocols::bootstrap::{BootstrapConfig, BootstrapDeviation, BootstrapRunReport};
 use protocols::broker::{broker_deal_config, BrokerConfig};
 use protocols::deal::{self, DealConfig, DealReport};
 use protocols::script::{self, Strategy};
@@ -165,8 +165,9 @@ fn apply_automorphism(
 /// direction, so no escrow's fate depends on more than one of them. Such a
 /// profile's outcome per compliant party is already witnessed by the
 /// single-deviator sub-profiles (each arc sees exactly the same deviation
-/// schedule), so partial-order reduction skips it. The `reduction-oracle`
-/// tests replay pruned profiles brute-force to validate the criterion.
+/// schedule), so partial-order reduction skips it.
+/// `tests/reduction_oracle.rs` replays pruned profiles brute-force to
+/// validate the criterion.
 fn commuting_deviations(digraph: &Digraph, profile: &BTreeMap<PartyId, Strategy>) -> bool {
     if profile.len() < 2 {
         return false;
@@ -265,9 +266,9 @@ impl DealSweep {
     ///   (into the pruned tally) but never executed.
     ///
     /// The orbit weights plus the pruned tally are asserted to sum exactly
-    /// to the unreduced closed form `Σ_{j≤k} C(n,j)·(|space|−1)^j`, and the
-    /// default-on `reduction-oracle` test suite replays folded orbits and
-    /// pruned profiles brute-force on small graphs to pin byte-level parity.
+    /// to the unreduced closed form `Σ_{j≤k} C(n,j)·(|space|−1)^j`, and
+    /// `tests/reduction_oracle.rs` replays folded orbits and pruned profiles
+    /// brute-force on small graphs to pin byte-level parity.
     ///
     /// # Panics
     ///
@@ -728,21 +729,14 @@ impl ScenarioGen for BrokerSweep {
 /// `1 + 6·(rounds + 1)` scenarios per configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct BootstrapSweep {
-    /// Alice's principal.
-    a: u128,
-    /// Bob's principal.
-    b: u128,
-    /// The per-round premium ratio `P`.
-    ratio: u128,
-    /// Number of premium rounds (levels above the principal swap).
-    rounds: u32,
+    config: BootstrapConfig,
 }
 
 impl BootstrapSweep {
     /// Sweeps the cascade of `a` against `b` with premium ratio `ratio`
     /// and `rounds` premium rounds.
     pub fn new(a: u128, b: u128, ratio: u128, rounds: u32) -> Self {
-        BootstrapSweep { a, b, ratio, rounds }
+        BootstrapSweep { config: BootstrapConfig::new(a, b, ratio, rounds) }
     }
 
     /// Arithmetic decode of scenario `index` into its deviation — the same
@@ -752,7 +746,7 @@ impl BootstrapSweep {
         if index == 0 {
             return BootstrapDeviation::None;
         }
-        let levels = self.rounds as usize + 1;
+        let levels = self.config.rounds as usize + 1;
         let offset = index - 1;
         let party = PartyId((offset / (3 * levels)) as u32);
         let level = ((offset % (3 * levels)) / 3) as u32;
@@ -766,14 +760,12 @@ impl BootstrapSweep {
 
 impl ScenarioGen for BootstrapSweep {
     fn family(&self) -> String {
-        format!(
-            "bootstrap a={}, b={}, ratio={}, rounds={}",
-            self.a, self.b, self.ratio, self.rounds
-        )
+        let BootstrapConfig { a, b, ratio, rounds } = self.config;
+        format!("bootstrap a={a}, b={b}, ratio={ratio}, rounds={rounds}")
     }
 
     fn total(&self) -> usize {
-        1 + 6 * (self.rounds as usize + 1)
+        1 + 6 * (self.config.rounds as usize + 1)
     }
 
     fn check(
@@ -783,16 +775,10 @@ impl ScenarioGen for BootstrapSweep {
         cache: &mut FamilyScratch,
     ) -> Vec<Violation> {
         let deviation = self.deviation_at(index);
-        let deviator = deviation.party();
-        let (a, b, ratio, rounds) = (self.a, self.b, self.ratio, self.rounds);
-        let report = cache.run_with(
-            0,
-            scratch,
-            |world| run_bootstrap_in(world, a, b, ratio, rounds, deviation),
-            |prefix, world| run_bootstrap_shared(world, a, b, ratio, rounds, deviation, prefix),
-        );
+        let profile = deviation.profile(self.config.rounds);
+        let report = cache.run(&self.config, 0, &profile, scratch);
         let scenario = || format!("{}, deviation {deviation:?}", self.family());
-        judge_bootstrap(&report, deviator, &scenario)
+        judge_bootstrap(&report, deviation.party(), &scenario)
     }
 }
 
@@ -800,7 +786,7 @@ impl ScenarioGen for BootstrapSweep {
 /// the compliant survivor plus pure-transfer conservation. Shared between
 /// the enumerated sweep and the sampled tier.
 pub(crate) fn judge_bootstrap(
-    report: &protocols::bootstrap::BootstrapRunReport,
+    report: &BootstrapRunReport,
     deviator: Option<PartyId>,
     scenario: &dyn Fn() -> String,
 ) -> Vec<Violation> {

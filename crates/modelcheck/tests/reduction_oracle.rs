@@ -4,10 +4,7 @@
 //! canonical representative (field-for-field per-party outcomes, mapped
 //! through the witnessing automorphism), and POR-pruned profiles must
 //! uphold the §7 properties outright. Mirrors the replay-oracle suite's
-//! differential structure; the default-on `reduction-oracle` feature gates
-//! it.
-
-#![cfg(feature = "reduction-oracle")]
+//! differential structure.
 
 use std::collections::BTreeMap;
 

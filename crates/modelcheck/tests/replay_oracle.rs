@@ -11,7 +11,7 @@ use chainsim::{PartyId, TraceMode, World};
 use modelcheck::engine::{ParallelSweep, ScenarioGen};
 use modelcheck::scenarios::{AuctionSweep, BootstrapSweep, BrokerSweep, DealSweep, TwoPartySweep};
 use protocols::auction::{AuctionConfig, AuctioneerBehaviour};
-use protocols::bootstrap::{run_bootstrap_in, run_bootstrap_shared, BootstrapDeviation};
+use protocols::bootstrap::{BootstrapConfig, BootstrapDeviation};
 use protocols::broker::{broker_deal_config, BrokerConfig};
 use protocols::deal::{self, DealConfig};
 use protocols::multi_party::{cycle_config, figure3_config, random_config};
@@ -205,15 +205,17 @@ fn auction_reports_are_byte_identical_per_profile() {
 
 #[test]
 fn bootstrap_reports_are_byte_identical_per_deviation() {
-    let (a, b, ratio, rounds) = (100_000u128, 100_000u128, 10u128, 3u32);
-    let mut tree_world = World::with_trace(1, TraceMode::Off);
-    let mut oracle_world = World::with_trace(1, TraceMode::Off);
-    let mut cache = None;
-    for deviation in BootstrapDeviation::all(rounds) {
-        let tree =
-            run_bootstrap_shared(&mut tree_world, a, b, ratio, rounds, deviation, &mut cache);
-        let oracle = run_bootstrap_in(&mut oracle_world, a, b, ratio, rounds, deviation);
-        assert_eq!(format!("{tree:?}"), format!("{oracle:?}"), "{deviation:?}");
+    for rounds in 0..=4u32 {
+        let config = BootstrapConfig::new(100_000, 100_000, 10, rounds);
+        let mut tree_world = World::with_trace(1, TraceMode::Off);
+        let mut oracle_world = World::with_trace(1, TraceMode::Off);
+        let mut prefix = Prefix::record(config, &mut tree_world);
+        for deviation in BootstrapDeviation::all(rounds) {
+            let profile = deviation.profile(rounds);
+            let tree = prefix.run(&profile, &mut tree_world);
+            let oracle = config.run(&profile, &mut oracle_world);
+            assert_eq!(format!("{tree:?}"), format!("{oracle:?}"), "rounds={rounds} {deviation:?}");
+        }
     }
 }
 

@@ -77,6 +77,12 @@ impl AuctionConfig {
     pub fn bidders(&self) -> Vec<PartyId> {
         (0..self.bids.len() as u32).map(|i| PartyId(i + 1)).collect()
     }
+
+    /// The §9 ladder both contracts are published with: bids close at `Δ`,
+    /// challenges at `6Δ`.
+    pub fn deadlines(&self) -> (Time, Time) {
+        (Time(self.delta_blocks), Time(6 * self.delta_blocks))
+    }
 }
 
 /// The outcome of an auction run.
@@ -146,7 +152,7 @@ fn build(world: &mut World, config: &AuctionConfig) -> AuctionSetup {
         secrets.insert(*bidder, secret);
     }
 
-    let d = config.delta_blocks;
+    let (bid_deadline, challenge_deadline) = config.deadlines();
     let params = AuctionParams {
         auctioneer: AUCTIONEER,
         bidders: bidders.clone(),
@@ -155,8 +161,8 @@ fn build(world: &mut World, config: &AuctionConfig) -> AuctionSetup {
         ticket_amount: config.tickets,
         premium_per_bidder: config.premium,
         hashlocks,
-        bid_deadline: Time(d),
-        challenge_deadline: Time(6 * d),
+        bid_deadline,
+        challenge_deadline,
     };
     let coin_addr = world.publish_labeled(
         coin_chain,
@@ -499,13 +505,6 @@ impl Protocol for AuctionConfig {
             rounds: capture.rounds,
         }
     }
-}
-
-/// Builds the auction's world (both contracts published with their real
-/// deadline parameters) and compliant scripted parties without executing a
-/// single round; see [`Protocol::static_setup`].
-pub fn auction_static_setup(config: &AuctionConfig) -> (World, Vec<ScriptedParty>) {
-    config.static_setup()
 }
 
 #[cfg(test)]

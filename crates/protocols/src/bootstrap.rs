@@ -1,88 +1,71 @@
-//! Premium bootstrapping (§6): running the two-round premium protocol of
-//! Figure 2 on chain, plus analytic exposure accounting for arbitrary round
-//! counts.
+//! Premium bootstrapping (§6): the Figure 2 cascade of hedged premium
+//! deposits, scripted as a [`Protocol`].
 //!
-//! The arithmetic of how many rounds are needed lives in
-//! [`swapgraph::bootstrap`]; this module (a) executes the premium-deposit
-//! rounds as chained [`contracts::HedgedEscrow`]s in the simulator so the
-//! deviation payoffs can be observed, and (b) summarises the exposure of a
-//! bootstrapped swap for reporting.
+//! The arithmetic of how many rounds are needed and what each level holds
+//! lives in [`swapgraph::bootstrap`]. [`BootstrapConfig`] runs that plan on
+//! chain: every level's two deposits sit in [`HedgedEscrow`]s, and the
+//! level-`k` deposits are the premiums that protect the level-`k − 1`
+//! ones. A party that skips its level-`k − 1` deposit forfeits its level-`k`
+//! deposit to the counterparty; otherwise every premium level is refunded
+//! after the horizon and only the level-0 principals change hands.
 
-use chainsim::{
-    AccountRef, Amount, AssetId, ChainId, ContractAddr, Label, PartyId, Time, World, WorldSnapshot,
+use chainsim::{Action, Amount, AssetId, ContractAddr, Label, PartyId, Time, World};
+use contracts::{
+    HedgedEscrow, HedgedEscrowMsg, HedgedEscrowParams, HedgedPremiumState, HedgedPrincipalState,
 };
-use contracts::{HedgedEscrow, HedgedEscrowMsg, HedgedEscrowParams};
-use cryptosim::{Hashlock, Secret};
-use swapgraph::bootstrap::{bootstrap_plan, lockup_durations, BootstrapPlan};
+use cryptosim::Secret;
+use swapgraph::bootstrap::{bootstrap_plan, BootstrapPlan};
+
+use crate::script::{
+    DelayVector, Fault, Profile, Protocol, ScriptedParty, Step, StepOutcome, Strategy,
+    MAX_DELAY_STEPS,
+};
+use crate::two_party::{hedged_contract, settle_step};
 
 /// Alice's party id.
 pub const ALICE: PartyId = PartyId(0);
 /// Bob's party id.
 pub const BOB: PartyId = PartyId(1);
 
-/// Summary of a bootstrapped swap's risk profile.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BootstrapExposure {
-    /// The deposit plan (per-level amounts).
-    pub plan: BootstrapPlan,
-    /// The largest value either party ever has at risk without premium
-    /// protection (the outermost deposit).
-    pub unprotected_risk: u128,
-    /// The lock-up risk duration in Δ-steps (independent of rounds).
-    pub risk_duration_steps: u64,
-    /// The total protocol length in Δ-steps.
-    pub total_steps: u64,
-}
-
-/// Computes the exposure summary for a bootstrapped swap of `a` against `b`
-/// with premium ratio `ratio` and `rounds` premium rounds.
-pub fn exposure(a: u128, b: u128, ratio: u128, rounds: u32) -> BootstrapExposure {
-    let plan = bootstrap_plan(a, b, ratio, rounds);
-    let (risk_duration_steps, total_steps) = lockup_durations(6, rounds);
-    BootstrapExposure {
-        unprotected_risk: plan.initial_risk(),
-        plan,
-        risk_duration_steps,
-        total_steps,
-    }
-}
-
-/// A deviation point in the on-chain bootstrap simulation.
+/// A deviation point of the cascade, in §6's vocabulary.
 ///
-/// The cascade driver is synchronous (it is not scripted through
-/// [`crate::script::ScriptedParty`]), so the three deviation axes of
-/// [`crate::script::Strategy`] — walking away, last-instant timing and
-/// garbage emissions — appear here in the cascade's own vocabulary.
+/// Each variant names one axis of [`Strategy`] at the script step of one
+/// level (see [`BootstrapDeviation::profile`]): walking away, last-instant
+/// timing and garbage emissions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BootstrapDeviation {
     /// Both parties comply at every level.
     None,
-    /// The named party stops before making its deposit at the given level
-    /// (levels are numbered as in [`BootstrapPlan`]: high = outermost).
+    /// The named party stops before its step at the given level (levels
+    /// are numbered as in [`BootstrapPlan`]: high = outermost), so it never
+    /// makes that level's deposit: [`Strategy::stop_after`] the steps of
+    /// the levels above.
     StopAtLevel {
         /// The deviating party.
         party: PartyId,
         /// The level at which it stops.
         level: u32,
     },
-    /// The named party procrastinates its deposit at the given level to the
-    /// last block before the level's escrow deadline (the timing axis). A
-    /// late depositor is still conforming, so the cascade must complete
+    /// The named party holds every emission of its step at the given level
+    /// to the last legal tick (a one-step [`crate::script::Timing::Delay`]).
+    /// A late depositor is still conforming, so the cascade must complete
     /// with exactly the compliant payoffs.
     LateAtLevel {
         /// The deviating party.
         party: PartyId,
-        /// The level whose deposit lands at the deadline edge.
+        /// The level whose emissions are delayed.
         level: u32,
     },
-    /// The named party attempts to redeem the counterparty's deposit at the
-    /// given level with a wrong preimage (the garbage axis). The contract
-    /// rejects the call, so the cascade must complete with exactly the
-    /// compliant payoffs.
+    /// The named party sends a garbage message alongside every call of its
+    /// first emission at the given level ([`Fault::Garbage`]). The
+    /// contracts reject it, so the cascade must complete with exactly the
+    /// compliant payoffs. (The escrow's rejection of a wrong preimage
+    /// itself is pinned by the `contracts` unit tests and raw-call fuzz
+    /// harness.)
     WrongSecretAtLevel {
         /// The deviating party.
         party: PartyId,
-        /// The level at which the garbage redemption is attempted.
+        /// The level at which the garbage volley is sent.
         level: u32,
     },
 }
@@ -123,9 +106,49 @@ impl BootstrapDeviation {
         }
         deviations
     }
+
+    /// The strategy profile this deviation plays in a cascade of `rounds`
+    /// premium rounds; the other party complies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the level exceeds `rounds`, or if a [`LateAtLevel`]
+    /// deviation's step lies past the [`MAX_DELAY_STEPS`] a
+    /// [`DelayVector`] can address (levels more than seven below the
+    /// outermost one), rather than running it as a compliant profile.
+    ///
+    /// [`LateAtLevel`]: BootstrapDeviation::LateAtLevel
+    pub fn profile(&self, rounds: u32) -> impl Fn(PartyId) -> Strategy {
+        let deviant = self.party().zip(self.level()).map(|(party, level)| {
+            assert!(level <= rounds, "level {level} is outside a {rounds}-round cascade");
+            let step = (rounds - level) as usize;
+            let strategy = match self {
+                BootstrapDeviation::StopAtLevel { .. } => Strategy::stop_after(step),
+                BootstrapDeviation::LateAtLevel { .. } => {
+                    assert!(
+                        step < MAX_DELAY_STEPS,
+                        "a late deposit at level {level} of a {rounds}-round cascade is past \
+                         the steps a delay vector can address"
+                    );
+                    let mut delays = DelayVector::ZERO;
+                    delays.set(step, u8::MAX);
+                    Strategy::compliant().with_delays(delays)
+                }
+                BootstrapDeviation::WrongSecretAtLevel { .. } => {
+                    Strategy::compliant().with_fault(Fault::Garbage { step })
+                }
+                BootstrapDeviation::None => Strategy::compliant(),
+            };
+            (party, strategy)
+        });
+        move |party| match deviant {
+            Some((deviator, strategy)) if deviator == party => strategy,
+            _ => Strategy::compliant(),
+        }
+    }
 }
 
-/// The outcome of the on-chain bootstrapped premium simulation.
+/// The outcome of one bootstrapped cascade.
 #[derive(Clone, Debug)]
 pub struct BootstrapRunReport {
     /// The plan that was executed.
@@ -135,449 +158,333 @@ pub struct BootstrapRunReport {
     /// Net native-currency payoff for Bob.
     pub bob_payoff: i128,
     /// The deepest level whose deposits both completed (0 means the
-    /// principals themselves were exchanged).
+    /// principals themselves were exchanged; `rounds + 1` means not even
+    /// the outermost level completed).
     pub deepest_completed_level: u32,
-    /// Whether the compliant party's uncompensated loss stayed within the
-    /// outermost (unprotected) deposit, which is the §6 guarantee.
+    /// Whether the compliant parties' payoffs meet the §6 guarantee: when
+    /// nobody walks away or crashes, exactly the compliant payoffs;
+    /// otherwise each compliant party ends with either no loss or its side
+    /// of the completed swap.
     pub loss_bounded_by_initial_risk: bool,
 }
 
-/// Executes a bootstrapped premium cascade on a single chain pair.
+/// A bootstrapped cascade of `a` against `b` with premium ratio `ratio`
+/// and `rounds` premium rounds, run on an apricot and a banana chain.
 ///
-/// Level `r` (the outermost) is deposited unprotected; every inner level `k`
-/// is protected by the level `k+1` deposits through [`HedgedEscrow`]
-/// contracts whose "principal" is the level-`k` deposit and whose premium is
-/// the level-`k+1` deposit. Level 0 is the principal swap itself. The
-/// simulation runs levels sequentially, applying `deviation` if one is
-/// given, and settles every contract at the end.
-pub fn run_bootstrap(
-    a: u128,
-    b: u128,
-    ratio: u128,
-    rounds: u32,
-    deviation: BootstrapDeviation,
-) -> BootstrapRunReport {
-    run_bootstrap_in(&mut World::new(1), a, b, ratio, rounds, deviation)
+/// Every level's escrows are published up front with deadlines in their
+/// own `6·Δ` slot of the schedule, the outermost level first. Levels run in that order, each as soon as the one above
+/// completes: both parties open the premium slot of the counterparty's
+/// escrow, then deposit into their own, and the level completes once both
+/// deposits are in. A party whose counterparty misses the level's escrow
+/// deadline redeems the defaulter's deposit of the level above as
+/// compensation, and the cascade halts. After level 0 both sides redeem
+/// the principals, and once the horizon passes the parties settle every
+/// escrow still holding funds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BootstrapConfig {
+    /// Alice's principal `A`.
+    pub a: u128,
+    /// Bob's principal `B`.
+    pub b: u128,
+    /// The per-round premium ratio `P`.
+    pub ratio: u128,
+    /// Premium rounds (levels above the principal swap).
+    pub rounds: u32,
 }
 
-/// Executes a bootstrapped premium cascade inside a caller-provided world
-/// (reset first; its [`chainsim::TraceMode`] is preserved). Hot-path
-/// variant of [`run_bootstrap`] for sweep engines that pool worlds across
-/// scenarios.
-pub fn run_bootstrap_in(
-    world: &mut World,
-    a: u128,
-    b: u128,
-    ratio: u128,
-    rounds: u32,
-    deviation: BootstrapDeviation,
-) -> BootstrapRunReport {
-    let ctx = bootstrap_setup(world, a, b, ratio, rounds);
-    let mut state = CascadeState::new(rounds);
-    for k in (0..=rounds).rev() {
-        run_level(world, &ctx, &mut state, k, deviation);
-    }
-    settle_and_report(world, &ctx, &state, a, b, deviation)
-}
-
-/// The fixed context of one bootstrap configuration's cascade.
-struct BootstrapCtx {
-    plan: BootstrapPlan,
-    delta: u64,
-    horizon: Time,
-    banana: ChainId,
-    apricot: ChainId,
-    banana_native: AssetId,
-    apricot_native: AssetId,
-    before_alice: i128,
-    before_bob: i128,
-    secret: Secret,
-    hashlock: Hashlock,
-}
-
-/// The mutable cascade state the level iterations thread through.
-#[derive(Clone, Debug)]
-struct CascadeState {
-    contracts: Vec<(u32, ContractAddr, ContractAddr)>,
-    deepest_completed_level: u32,
-    halted: bool,
-}
-
-impl CascadeState {
-    fn new(rounds: u32) -> Self {
-        CascadeState { contracts: Vec::new(), deepest_completed_level: rounds, halted: false }
-    }
-}
-
-/// Resets the world and builds the cascade's chains and endowments.
-fn bootstrap_setup(world: &mut World, a: u128, b: u128, ratio: u128, rounds: u32) -> BootstrapCtx {
-    let plan = bootstrap_plan(a, b, ratio, rounds);
-    let delta = 2u64;
-    world.reset(1);
-    let apricot = world.add_chain("apricot");
-    let banana = world.add_chain("banana");
-    let apricot_native = world.chain(apricot).native_asset();
-    let banana_native = world.chain(banana).native_asset();
-
-    // Endow both parties with enough native currency for every level.
-    let alice_total: u128 = plan.levels.iter().map(|l| l.alice_deposit).sum();
-    let bob_total: u128 = plan.levels.iter().map(|l| l.bob_deposit).sum();
-    world.chain_mut(banana).mint(ALICE, banana_native, Amount::new(alice_total.max(1)));
-    world.chain_mut(apricot).mint(BOB, apricot_native, Amount::new(bob_total.max(1)));
-
-    let before_alice = world.party_balance(ALICE, banana_native).value() as i128
-        + world.party_balance(ALICE, apricot_native).value() as i128;
-    let before_bob = world.party_balance(BOB, banana_native).value() as i128
-        + world.party_balance(BOB, apricot_native).value() as i128;
-
-    let secret = Secret::from_seed(0xB00757);
-    let hashlock = secret.hashlock();
-    let horizon = Time(u64::from(rounds + 2) * 6 * delta);
-    BootstrapCtx {
-        plan,
-        delta,
-        horizon,
-        banana,
-        apricot,
-        banana_native,
-        apricot_native,
-        before_alice,
-        before_bob,
-        secret,
-        hashlock,
-    }
-}
-
-/// Walks one level of the cascade, from the outermost premiums down to the
-/// principals. The level-`k` deposits are the premiums protecting the
-/// level-`k-1` deposits: if a party fails to make its level-`k-1` deposit,
-/// the counterparty redeems that party's level-`k` deposit as compensation;
-/// otherwise every premium level is refunded at the end and only the
-/// level-0 principals change hands.
-fn run_level(
-    world: &mut World,
-    ctx: &BootstrapCtx,
-    state: &mut CascadeState,
-    k: u32,
-    deviation: BootstrapDeviation,
-) {
-    let level = &ctx.plan.levels[k as usize];
-    let start = world.now();
-    // Alice's deposit of this level lives on the banana chain (if she
-    // later defaults, Bob redeems it there as compensation) and vice versa.
-    let banana_escrow = world.publish_labeled(
-        ctx.banana,
-        ALICE,
-        Label::Indexed { ns: "bootstrap/banana", index: u64::from(k) },
-        Box::new(HedgedEscrow::new(HedgedEscrowParams {
-            escrower: ALICE,
-            redeemer: BOB,
-            principal_asset: ctx.banana_native,
-            principal_amount: Amount::new(level.alice_deposit),
-            premium_asset: ctx.banana_native,
-            premium_amount: Amount::ZERO,
-            hashlock: ctx.hashlock,
-            premium_deadline: start.plus(ctx.delta),
-            escrow_deadline: start.plus(2 * ctx.delta),
-            redeem_deadline: ctx.horizon,
-        })),
-    );
-    let apricot_escrow = world.publish_labeled(
-        ctx.apricot,
-        BOB,
-        Label::Indexed { ns: "bootstrap/apricot", index: u64::from(k) },
-        Box::new(HedgedEscrow::new(HedgedEscrowParams {
-            escrower: BOB,
-            redeemer: ALICE,
-            principal_asset: ctx.apricot_native,
-            principal_amount: Amount::new(level.bob_deposit),
-            premium_asset: ctx.apricot_native,
-            premium_amount: Amount::ZERO,
-            hashlock: ctx.hashlock,
-            premium_deadline: start.plus(ctx.delta),
-            escrow_deadline: start.plus(2 * ctx.delta),
-            redeem_deadline: ctx.horizon,
-        })),
-    );
-    state.contracts.push((k, banana_escrow, apricot_escrow));
-
-    let hits = |party: PartyId| deviation.party() == Some(party) && deviation.level() == Some(k);
-    let is_stop = matches!(deviation, BootstrapDeviation::StopAtLevel { .. });
-    let is_late = matches!(deviation, BootstrapDeviation::LateAtLevel { .. });
-    let is_wrong = matches!(deviation, BootstrapDeviation::WrongSecretAtLevel { .. });
-    let alice_stops = is_stop && hits(ALICE);
-    let bob_stops = is_stop && hits(BOB);
-    let alice_late = is_late && hits(ALICE);
-    let bob_late = is_late && hits(BOB);
-
-    if state.halted {
-        return;
+impl BootstrapConfig {
+    /// The cascade of `a` against `b` at premium ratio `ratio` with
+    /// `rounds` premium rounds.
+    pub fn new(a: u128, b: u128, ratio: u128, rounds: u32) -> Self {
+        BootstrapConfig { a, b, ratio, rounds }
     }
 
-    // Open the (zero-value) premium slots so the deposits can follow,
-    // then make this level's deposits.
-    let _ = world.call(BOB, banana_escrow, &HedgedEscrowMsg::DepositPremium, "open premium slot");
-    let _ =
-        world.call(ALICE, apricot_escrow, &HedgedEscrowMsg::DepositPremium, "open premium slot");
-    world.advance_delta();
-    if !alice_stops && !alice_late {
-        let _ =
-            world.call(ALICE, banana_escrow, &HedgedEscrowMsg::EscrowPrincipal, "level deposit");
+    /// The synchrony bound Δ, in blocks.
+    pub fn delta_blocks(&self) -> u64 {
+        2
     }
-    if !bob_stops && !bob_late {
-        let _ = world.call(BOB, apricot_escrow, &HedgedEscrowMsg::EscrowPrincipal, "level deposit");
+
+    /// The blocks of one level's slot: `6·Δ`.
+    fn level_blocks(&self) -> u64 {
+        6 * self.delta_blocks()
     }
-    if alice_late || bob_late {
-        // A procrastinator deposits at the last block strictly before the
-        // level's escrow deadline (`start + 2Δ`): the deadline edge the
-        // contracts must accept.
-        let edge = start.plus(2 * ctx.delta - 1);
-        world.advance_blocks(edge - world.now());
-        if alice_late {
-            let _ = world.call(
-                ALICE,
-                banana_escrow,
-                &HedgedEscrowMsg::EscrowPrincipal,
-                "deadline-edge deposit",
-            );
-        }
-        if bob_late {
-            let _ = world.call(
-                BOB,
-                apricot_escrow,
-                &HedgedEscrowMsg::EscrowPrincipal,
-                "deadline-edge deposit",
-            );
-        }
+
+    /// The redeem deadline of every escrow: one slot past the innermost
+    /// level's, `6·Δ·(rounds + 2)`.
+    pub fn horizon(&self) -> Time {
+        Time(u64::from(self.rounds + 2) * self.level_blocks())
     }
-    if is_wrong && hits(ALICE) {
-        // Garbage axis: Alice tries to grab Bob's deposit with a wrong
-        // preimage; the contract must reject it without state damage.
-        let _ = world.call(
-            ALICE,
-            apricot_escrow,
-            &HedgedEscrowMsg::Redeem { secret: Secret::from_seed(0xBAD5EC) },
-            "wrong-preimage redemption attempt",
-        );
+
+    /// The premium and escrow deadlines of `level`'s two escrows: Δ and 2Δ
+    /// into the level's slot.
+    fn level_deadlines(&self, level: u32) -> (Time, Time) {
+        let start = Time(u64::from(self.rounds - level) * self.level_blocks());
+        (start.plus(self.delta_blocks()), start.plus(2 * self.delta_blocks()))
     }
-    if is_wrong && hits(BOB) {
-        let _ = world.call(
-            BOB,
-            banana_escrow,
-            &HedgedEscrowMsg::Redeem { secret: Secret::from_seed(0xBAD5EC) },
-            "wrong-preimage redemption attempt",
-        );
-    }
-    world.advance_delta();
-    if alice_stops || bob_stops {
-        // The defaulter's guard deposit (made at level k+1, if any) is
-        // redeemed by the compliant counterparty as compensation.
-        state.halted = true;
-        state.deepest_completed_level = k + 1;
-        if let Some((_, prev_banana, prev_apricot)) =
-            state.contracts.iter().find(|(lvl, _, _)| *lvl == k + 1)
-        {
-            if alice_stops {
-                let _ = world.call(
-                    BOB,
-                    *prev_banana,
-                    &HedgedEscrowMsg::Redeem { secret: ctx.secret.clone() },
-                    "redeem the defaulter's guard deposit",
-                );
+
+    /// `party`'s script step at `level`: one per level, outermost first.
+    fn level_step(&self, setup: &BootstrapSetup, party: PartyId, level: u32) -> Step {
+        let (own, counter) = setup.escrows_of(party, level);
+        let above = (level < self.rounds).then(|| setup.escrows_of(party, level + 1));
+        let (premium_deadline, escrow_deadline) = self.level_deadlines(level);
+        let secret = setup.secret.clone();
+        Step::new("bootstrap: level deposit", move |world: &World| {
+            let escrowed = |addr| hedged_contract(world, addr).escrowed_at().is_some();
+            // Each level builds on a completed level above; after a
+            // default the cascade halts.
+            if above.is_some_and(|(own_above, counter_above)| {
+                !(escrowed(own_above) && escrowed(counter_above))
+            }) {
+                return StepOutcome::Complete(vec![]);
+            }
+            if escrowed(own) && escrowed(counter) {
+                return StepOutcome::Complete(vec![]);
+            }
+            let (mine, theirs) = (hedged_contract(world, own), hedged_contract(world, counter));
+            if world.now().has_reached(escrow_deadline) {
+                // The counterparty defaulted if its deposit is missing
+                // although this party opened its slot and either deposited
+                // or never had its own slot opened.
+                let defaulted = !escrowed(counter)
+                    && theirs.premium_state() != HedgedPremiumState::NotDeposited
+                    && (escrowed(own) || mine.premium_state() == HedgedPremiumState::NotDeposited);
+                let claim = above.filter(|_| defaulted).map(|(_, guard)| {
+                    Action::call(
+                        guard,
+                        HedgedEscrowMsg::Redeem { secret: secret.clone() },
+                        "redeem the defaulter's guard deposit",
+                    )
+                });
+                return StepOutcome::Complete(claim.into_iter().collect());
+            }
+            let mut calls = Vec::new();
+            if theirs.premium_state() == HedgedPremiumState::NotDeposited
+                && world.now().is_before(premium_deadline)
+            {
+                calls.push(Action::call(
+                    counter,
+                    HedgedEscrowMsg::DepositPremium,
+                    "open the counterparty's premium slot",
+                ));
+            }
+            if mine.premium_state() == HedgedPremiumState::Held && !escrowed(own) {
+                calls.push(Action::call(own, HedgedEscrowMsg::EscrowPrincipal, "level deposit"));
+            }
+            if calls.is_empty() {
+                StepOutcome::WaitUntil(escrow_deadline)
             } else {
-                let _ = world.call(
-                    ALICE,
-                    *prev_apricot,
-                    &HedgedEscrowMsg::Redeem { secret: ctx.secret.clone() },
-                    "redeem the defaulter's guard deposit",
-                );
+                StepOutcome::Progress(calls)
             }
-        }
-        world.advance_delta();
-        return;
-    }
-    if k == 0 {
-        // The innermost level is the swap itself: both sides redeem.
-        let _ = world.call(
-            BOB,
-            banana_escrow,
-            &HedgedEscrowMsg::Redeem { secret: ctx.secret.clone() },
-            "redeem principal",
-        );
-        let _ = world.call(
-            ALICE,
-            apricot_escrow,
-            &HedgedEscrowMsg::Redeem { secret: ctx.secret.clone() },
-            "redeem principal",
-        );
-    }
-    world.advance_delta();
-    state.deepest_completed_level = k;
-}
-
-/// Lets every outstanding deadline expire, settles all contracts
-/// (undisturbed premium levels are refunded to their depositors) and
-/// derives the report. Shared by the from-scratch and snapshot-tree paths,
-/// which keeps their reports byte-identical.
-fn settle_and_report(
-    world: &mut World,
-    ctx: &BootstrapCtx,
-    state: &CascadeState,
-    a: u128,
-    b: u128,
-    deviation: BootstrapDeviation,
-) -> BootstrapRunReport {
-    let remaining = ctx.horizon - world.now();
-    world.advance_blocks(remaining + ctx.delta);
-    for (_, banana_escrow, apricot_escrow) in &state.contracts {
-        let _ = world.call(ALICE, *banana_escrow, &HedgedEscrowMsg::Settle, "settle");
-        let _ = world.call(BOB, *apricot_escrow, &HedgedEscrowMsg::Settle, "settle");
-    }
-
-    let after_alice = world.party_balance(ALICE, ctx.banana_native).value() as i128
-        + world.party_balance(ALICE, ctx.apricot_native).value() as i128;
-    let after_bob = world.party_balance(BOB, ctx.banana_native).value() as i128
-        + world.party_balance(BOB, ctx.apricot_native).value() as i128;
-    let alice_payoff = after_alice - ctx.before_alice;
-    let bob_payoff = after_bob - ctx.before_bob;
-
-    // Sanity: nothing should remain locked in contracts.
-    let locked: u128 = state
-        .contracts
-        .iter()
-        .flat_map(|(_, b, a)| [*b, *a])
-        .map(|addr| {
-            let chain = world.chain(addr.chain);
-            chain
-                .ledger()
-                .iter()
-                .filter(|(acct, _, _)| *acct == AccountRef::Contract(addr.contract))
-                .map(|(_, _, amount)| amount.value())
-                .sum::<u128>()
         })
-        .sum();
-    debug_assert_eq!(locked, 0, "all escrows settle by the end of the run");
+        .with_deadline(escrow_deadline)
+    }
 
-    let compliant_losses_bounded = match deviation {
-        // Deadline-edge deposits and rejected wrong-preimage grabs must be
-        // outcome-neutral: the cascade completes with exactly the compliant
-        // payoffs.
-        BootstrapDeviation::None
-        | BootstrapDeviation::LateAtLevel { .. }
-        | BootstrapDeviation::WrongSecretAtLevel { .. } => {
-            alice_payoff + bob_payoff == 0 && alice_payoff == b as i128 - a as i128
-        }
-        BootstrapDeviation::StopAtLevel { party, .. } => {
-            let compliant_payoff = if party == ALICE { bob_payoff } else { alice_payoff };
-            compliant_payoff >= 0
-        }
-    };
-
-    BootstrapRunReport {
-        plan: ctx.plan.clone(),
-        alice_payoff,
-        bob_payoff,
-        deepest_completed_level: state.deepest_completed_level,
-        loss_bounded_by_initial_risk: compliant_losses_bounded,
+    /// `party`'s whole script: a step per level, then the principal
+    /// redemption and settlement.
+    fn steps(&self, setup: &BootstrapSetup, party: PartyId) -> Vec<Step> {
+        let mut steps: Vec<Step> =
+            (0..=self.rounds).rev().map(|level| self.level_step(setup, party, level)).collect();
+        let (own, counter) = setup.escrows_of(party, 0);
+        let secret = setup.secret.clone();
+        steps.push(
+            Step::new("bootstrap: redeem principal", move |world: &World| {
+                let swapped = hedged_contract(world, own).escrowed_at().is_some()
+                    && hedged_contract(world, counter).principal_state()
+                        == HedgedPrincipalState::Held;
+                StepOutcome::Complete(if swapped {
+                    vec![Action::call(
+                        counter,
+                        HedgedEscrowMsg::Redeem { secret: secret.clone() },
+                        "redeem principal",
+                    )]
+                } else {
+                    vec![]
+                })
+            })
+            .with_deadline(self.horizon()),
+        );
+        // Bob settles a round after Alice: in a compliant run he finds
+        // nothing left, and if Alice walked away he settles for both.
+        let settle_at = if party == ALICE { self.horizon() } else { self.horizon().plus(1) };
+        let escrows = setup.escrows.iter().flatten().copied().collect();
+        steps.push(settle_step("bootstrap: settle", escrows, settle_at));
+        steps
     }
 }
 
-/// The per-worker snapshot tree for one bootstrap configuration: the world
-/// as of the start of each level of the compliant cascade, plus the
-/// completed compliant cascade itself.
-///
-/// A `StopAtLevel { level, .. }` deviation replays only levels `level..0`
-/// from the level's snapshot; the all-compliant scenario restores the final
-/// snapshot and runs settlement alone.
-pub struct BootstrapPrefix {
-    ctx: BootstrapCtx,
-    rounds: u32,
-    /// `levels[i]` is the state just before processing level `rounds - i`.
-    levels: Vec<(WorldSnapshot, CascadeState)>,
-    final_world: WorldSnapshot,
-    final_state: CascadeState,
+/// What a cascade's setup leaves behind: the plan, every level's escrows,
+/// the secret and the balances before the first round.
+#[derive(Clone, Debug)]
+pub struct BootstrapSetup {
+    plan: BootstrapPlan,
+    natives: [AssetId; 2],
+    /// Per level: Alice's deposit escrow (banana), Bob's (apricot).
+    escrows: Vec<[ContractAddr; 2]>,
+    secret: Secret,
+    /// Alice's and Bob's holdings before the first round.
+    before: [i128; 2],
 }
 
-impl std::fmt::Debug for BootstrapPrefix {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BootstrapPrefix")
-            .field("rounds", &self.rounds)
-            .field("levels", &self.levels.len())
-            .finish()
+impl BootstrapSetup {
+    /// `party`'s own escrow at `level`, then the counterparty's.
+    fn escrows_of(&self, party: PartyId, level: u32) -> (ContractAddr, ContractAddr) {
+        let [alice, bob] = self.escrows[level as usize];
+        if party == ALICE {
+            (alice, bob)
+        } else {
+            (bob, alice)
+        }
     }
 }
 
-/// Runs a bootstrapped cascade through the per-level snapshot tree;
-/// reports are byte-identical to [`run_bootstrap_in`] for every deviation.
-pub fn run_bootstrap_shared(
-    world: &mut World,
-    a: u128,
-    b: u128,
-    ratio: u128,
-    rounds: u32,
-    deviation: BootstrapDeviation,
-    cache: &mut Option<BootstrapPrefix>,
-) -> BootstrapRunReport {
-    if cache.is_none() {
-        let ctx = bootstrap_setup(world, a, b, ratio, rounds);
-        let mut state = CascadeState::new(rounds);
-        let mut levels = Vec::new();
-        for k in (0..=rounds).rev() {
-            levels.push((world.snapshot(), state.clone()));
-            run_level(world, &ctx, &mut state, k, BootstrapDeviation::None);
+/// Alice's and Bob's native-currency holdings across both chains.
+fn holdings(world: &World, natives: &[AssetId; 2]) -> [i128; 2] {
+    [ALICE, BOB].map(|party| {
+        natives.iter().map(|asset| world.party_balance(party, *asset).value() as i128).sum()
+    })
+}
+
+/// The final state of a cascade run.
+#[derive(Clone, Debug)]
+pub struct BootstrapCapture {
+    alice_payoff: i128,
+    bob_payoff: i128,
+    deepest_completed_level: u32,
+}
+
+impl Protocol for BootstrapConfig {
+    type Setup = BootstrapSetup;
+    type Capture = BootstrapCapture;
+    type Report = BootstrapRunReport;
+
+    fn setup(&self, world: &mut World) -> BootstrapSetup {
+        let plan = bootstrap_plan(self.a, self.b, self.ratio, self.rounds);
+        world.reset(1);
+        let apricot = world.add_chain("apricot");
+        let banana = world.add_chain("banana");
+        let natives = [world.chain(apricot).native_asset(), world.chain(banana).native_asset()];
+        // Endow both parties with enough native currency for every level.
+        let alice_total: u128 = plan.levels.iter().map(|l| l.alice_deposit).sum();
+        let bob_total: u128 = plan.levels.iter().map(|l| l.bob_deposit).sum();
+        world.chain_mut(banana).mint(ALICE, natives[1], Amount::new(alice_total.max(1)));
+        world.chain_mut(apricot).mint(BOB, natives[0], Amount::new(bob_total.max(1)));
+        let before = holdings(world, &natives);
+
+        // Alice's deposit of each level lives on the banana chain (if she
+        // later defaults, Bob redeems it there) and Bob's on apricot. The
+        // premium slots carry no value: they only order the deposits.
+        let secret = Secret::from_seed(0xB00757);
+        let mut publish = |level: u32, escrower: PartyId, amount: u128| {
+            let (chain, ns, redeemer, asset) = if escrower == ALICE {
+                (banana, "bootstrap/banana", BOB, natives[1])
+            } else {
+                (apricot, "bootstrap/apricot", ALICE, natives[0])
+            };
+            let (premium_deadline, escrow_deadline) = self.level_deadlines(level);
+            let params = HedgedEscrowParams {
+                escrower,
+                redeemer,
+                principal_asset: asset,
+                principal_amount: Amount::new(amount),
+                premium_asset: asset,
+                premium_amount: Amount::ZERO,
+                hashlock: secret.hashlock(),
+                premium_deadline,
+                escrow_deadline,
+                redeem_deadline: self.horizon(),
+            };
+            let label = Label::Indexed { ns, index: u64::from(level) };
+            world.publish_labeled(chain, escrower, label, Box::new(HedgedEscrow::new(params)))
+        };
+        let escrows = plan
+            .levels
+            .iter()
+            .map(|l| {
+                [publish(l.level, ALICE, l.alice_deposit), publish(l.level, BOB, l.bob_deposit)]
+            })
+            .collect();
+        BootstrapSetup { plan, natives, escrows, secret, before }
+    }
+
+    fn script(&self, setup: &BootstrapSetup, profile: Profile<'_>) -> Vec<ScriptedParty> {
+        [ALICE, BOB]
+            .into_iter()
+            .map(|party| {
+                ScriptedParty::new(party, self.steps(setup, party), profile(party))
+                    .with_delta(self.delta_blocks())
+            })
+            .collect()
+    }
+
+    fn max_rounds(&self) -> u64 {
+        self.horizon().height() + 2 * self.delta_blocks() + 4
+    }
+
+    fn capture(
+        &self,
+        world: &World,
+        setup: &BootstrapSetup,
+        _rounds: usize,
+        _failed_actions: usize,
+    ) -> BootstrapCapture {
+        let [alice, bob] = holdings(world, &setup.natives);
+        let both_in = |escrows: &&[ContractAddr; 2]| {
+            escrows.iter().all(|addr| hedged_contract(world, *addr).escrowed_at().is_some())
+        };
+        // Levels complete from the outermost inwards until the first miss.
+        let completed = setup.escrows.iter().rev().take_while(both_in).count();
+        BootstrapCapture {
+            alice_payoff: alice - setup.before[0],
+            bob_payoff: bob - setup.before[1],
+            deepest_completed_level: self.rounds + 1 - completed as u32,
         }
-        *cache = Some(BootstrapPrefix {
-            ctx,
-            rounds,
-            levels,
-            final_world: world.snapshot(),
-            final_state: state,
+    }
+
+    fn judge(
+        &self,
+        setup: &BootstrapSetup,
+        capture: &BootstrapCapture,
+        profile: Profile<'_>,
+    ) -> BootstrapRunReport {
+        let BootstrapCapture { alice_payoff, bob_payoff, deepest_completed_level } = *capture;
+        // Each side's payoff when the principals change hands.
+        let trade = self.b as i128 - self.a as i128;
+        let parties = [(profile(ALICE), alice_payoff, trade), (profile(BOB), bob_payoff, -trade)];
+        // Deadline-edge timing and rejected garbage must be outcome-neutral:
+        // unless someone walks away or crashes, the cascade completes with
+        // exactly the compliant payoffs. Otherwise no compliant party may
+        // end worse off than before, unless the swap itself went through.
+        let completes = parties.iter().all(|(s, ..)| {
+            s.stop_after.is_none() && matches!(s.fault, Fault::None | Fault::Garbage { .. })
         });
-    }
-    let cached = cache.as_ref().expect("cache populated above");
-    match deviation.level() {
-        None => {
-            world.restore(&cached.final_world);
-            settle_and_report(world, &cached.ctx, &cached.final_state, a, b, deviation)
-        }
-        Some(level) => {
-            // Any deviation kind first acts at its level, so the compliant
-            // snapshot taken just before that level is a shared prefix for
-            // stop, late and wrong-secret runs alike.
-            let level = level.min(cached.rounds);
-            let index = (cached.rounds - level) as usize;
-            let (snapshot, state) = &cached.levels[index];
-            world.restore(snapshot);
-            let mut state = state.clone();
-            for k in (0..=level).rev() {
-                run_level(world, &cached.ctx, &mut state, k, deviation);
-            }
-            settle_and_report(world, &cached.ctx, &state, a, b, deviation)
+        let loss_bounded_by_initial_risk = if completes {
+            parties.iter().all(|(_, payoff, traded)| payoff == traded)
+        } else {
+            parties
+                .iter()
+                .all(|(s, payoff, traded)| !s.is_compliant() || *payoff >= 0 || payoff == traded)
+        };
+        BootstrapRunReport {
+            plan: setup.plan.clone(),
+            alice_payoff,
+            bob_payoff,
+            deepest_completed_level,
+            loss_bounded_by_initial_risk,
         }
     }
-}
-
-/// Verifies the paper's Figure-2 scenario: if the follower of a round fails
-/// to make its deposit, the counterparty keeps the follower's smaller
-/// premium as compensation.
-pub fn follower_default_is_compensated() -> bool {
-    let report = run_bootstrap(
-        1_000_000,
-        1_000_000,
-        100,
-        2,
-        BootstrapDeviation::StopAtLevel { party: ALICE, level: 1 },
-    );
-    report.loss_bounded_by_initial_risk && report.bob_payoff >= 0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn run(config: BootstrapConfig, deviation: BootstrapDeviation) -> BootstrapRunReport {
+        config.run(&deviation.profile(config.rounds), &mut World::new(1))
+    }
+
     #[test]
     fn compliant_cascade_completes_all_levels() {
-        let report = run_bootstrap(10_000, 10_000, 10, 3, BootstrapDeviation::None);
+        let report = run(BootstrapConfig::new(10_000, 10_000, 10, 3), BootstrapDeviation::None);
         assert_eq!(report.deepest_completed_level, 0);
         assert!(report.loss_bounded_by_initial_risk);
         // The deposits net out: what Alice redeems from Bob's side equals
@@ -587,26 +494,11 @@ mod tests {
     }
 
     #[test]
-    fn exposure_matches_plan() {
-        let e = exposure(1_000_000, 1_000_000, 100, 3);
-        assert!(e.unprotected_risk <= 4);
-        assert_eq!(e.plan.rounds(), 3);
-        let e0 = exposure(1_000_000, 1_000_000, 100, 0);
-        assert_eq!(e.risk_duration_steps, e0.risk_duration_steps);
-        assert!(e.total_steps > e0.total_steps);
-    }
-
-    #[test]
     fn deviations_at_every_level_leave_compliant_party_bounded() {
+        let config = BootstrapConfig::new(100_000, 100_000, 10, 3);
         for level in 0..=3u32 {
             for party in [ALICE, BOB] {
-                let report = run_bootstrap(
-                    100_000,
-                    100_000,
-                    10,
-                    3,
-                    BootstrapDeviation::StopAtLevel { party, level },
-                );
+                let report = run(config, BootstrapDeviation::StopAtLevel { party, level });
                 assert!(
                     report.loss_bounded_by_initial_risk,
                     "deviation by {party} at level {level}: {report:?}"
@@ -616,7 +508,68 @@ mod tests {
     }
 
     #[test]
-    fn figure2_follower_default_scenario() {
-        assert!(follower_default_is_compensated());
+    fn deviations_map_onto_one_step_of_the_strategy_axes() {
+        let rounds = 3;
+        let step_of = |level: u32| (rounds - level) as usize;
+        for level in 0..=rounds {
+            let stop = BootstrapDeviation::StopAtLevel { party: BOB, level }.profile(rounds);
+            assert_eq!(stop(BOB), Strategy::stop_after(step_of(level)));
+            assert_eq!(stop(ALICE), Strategy::compliant());
+            let late = BootstrapDeviation::LateAtLevel { party: ALICE, level }.profile(rounds);
+            let mut delays = DelayVector::ZERO;
+            delays.set(step_of(level), u8::MAX);
+            assert_eq!(late(ALICE), Strategy::compliant().with_delays(delays));
+            let wrong = BootstrapDeviation::WrongSecretAtLevel { party: ALICE, level };
+            assert_eq!(
+                wrong.profile(rounds)(ALICE),
+                Strategy::compliant().with_fault(Fault::Garbage { step: step_of(level) })
+            );
+        }
+        assert_eq!(BootstrapDeviation::None.profile(rounds)(ALICE), Strategy::compliant());
+    }
+
+    #[test]
+    fn walking_away_after_the_swap_leaves_the_survivor_its_trade() {
+        // Alice skips settlement, or crashes at level 0 and recovers in
+        // time: Bob settles for both and the trade stands.
+        let config = BootstrapConfig::new(5_000, 20_000, 10, 1);
+        for alice in
+            [Strategy::stop_after(3), Strategy::compliant().with_fault(Fault::Crash { step: 1 })]
+        {
+            let report = config.run(
+                &|p| if p == ALICE { alice } else { Strategy::compliant() },
+                &mut World::new(1),
+            );
+            assert_eq!((report.alice_payoff, report.bob_payoff), (15_000, -15_000), "{alice}");
+            assert!(report.loss_bounded_by_initial_risk, "{alice}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the steps a delay vector can address")]
+    fn late_deposits_past_the_delay_vector_are_rejected() {
+        let _ = BootstrapDeviation::LateAtLevel { party: ALICE, level: 0 }
+            .profile(MAX_DELAY_STEPS as u32);
+    }
+
+    #[test]
+    fn every_level_fits_its_static_slot() {
+        for rounds in [0u32, 1, 3, 5, 10] {
+            let config = BootstrapConfig::new(1_000_000, 1_000_000, 100, rounds);
+            let (world, parties) = config.static_setup();
+            let escrows: Vec<&HedgedEscrow> = world
+                .chains()
+                .flat_map(|chain| chain.contracts())
+                .map(|c| c.as_any().downcast_ref::<HedgedEscrow>().expect("hedged escrow"))
+                .collect();
+            assert_eq!(escrows.len(), 2 * (rounds as usize + 1));
+            for escrow in escrows {
+                let p = escrow.params();
+                assert!(p.premium_deadline < p.escrow_deadline);
+                assert!(p.escrow_deadline.plus(config.level_blocks()) <= config.horizon());
+                assert_eq!(p.redeem_deadline, config.horizon());
+            }
+            assert!(parties.iter().all(|p| p.total_steps() == rounds as usize + 3));
+        }
     }
 }

@@ -16,16 +16,15 @@
 //! * [`auction`] — the hedged auction of §9;
 //! * [`outcome`] — payoff accounting and the *hedged* predicate;
 //! * [`script`] — the scripted-party machinery, deviation strategies and
-//!   the [`Protocol`](script::Protocol) trait the scripted protocols
-//!   implement.
+//!   the [`Protocol`](script::Protocol) trait every protocol implements.
 //!
-//! Each scripted protocol is defined once, as a [`Protocol`](script::Protocol):
-//! a [`two_party::TwoPartySwap`], a [`deal::DealConfig`] (multi-party swaps
-//! and the brokered sale) or an [`auction::AuctionConfig`]. It runs one of
-//! two ways with identical reports: from scratch with
-//! [`Protocol::run`](script::Protocol::run), or resumed from a recorded
-//! compliant run through a [`Prefix`](script::Prefix). The bootstrap
-//! cascade, which is not scripted, has its own runners.
+//! Each protocol is defined once, as a [`Protocol`](script::Protocol): a
+//! [`two_party::TwoPartySwap`], a [`bootstrap::BootstrapConfig`], a
+//! [`deal::DealConfig`] (multi-party swaps and the brokered sale) or an
+//! [`auction::AuctionConfig`]. It runs one of two ways with identical
+//! reports: from scratch with [`Protocol::run`](script::Protocol::run), or
+//! resumed from a recorded compliant run through a
+//! [`Prefix`](script::Prefix).
 //!
 //! # Examples
 //!

@@ -1,17 +1,19 @@
 //! Shared-account-pool deal parameterization for market-scale workloads.
 //!
-//! Every `run_*` entry point in this crate builds a private world per
-//! scenario; the market engine (`marketsim::market`) is the opposite — many
-//! thousands of overlapping deals contend on the *same* sharded ledgers with
-//! 100k+ accounts. This module provides the pieces that let deal instances
-//! be parameterized by a shared [`AccountPool`] instead of the fixed
-//! `ALICE`/`BOB` ids, and builders that anchor the §5.2 hedged-swap contract
-//! schedule at an arbitrary start height instead of `Time::ZERO`.
+//! Every [`Protocol`](crate::script::Protocol) in this crate sets up a
+//! private world per run; the market engine (`marketsim::market`) is the
+//! opposite — many thousands of overlapping deals contend on the *same*
+//! sharded ledgers with 100k+ accounts. This module provides the pieces
+//! that let deal instances be parameterized by a shared [`AccountPool`]
+//! instead of the fixed `ALICE`/`BOB` ids, and the one builder of the §5.2
+//! hedged legs, anchored at an arbitrary start height.
 //!
 //! The legs take their deadlines from [`crate::two_party`]'s own
-//! [`HedgedSchedule`] (premium 1Δ/2Δ, escrow 4Δ/3Δ, redeem 5Δ/6Δ), so a
-//! market deal's contracts behave precisely like the conformance-tested
-//! ones, just shifted in time and renamed in party space.
+//! [`HedgedSchedule`] (premium 1Δ/2Δ, escrow 4Δ/3Δ, redeem 5Δ/6Δ). The
+//! two-party swap builds its contracts with the same [`HedgedSwapSpec`],
+//! anchored at its finality margin, so a market deal's contracts behave
+//! precisely like the conformance-tested ones, just shifted in time and
+//! renamed in party space.
 
 use chainsim::{Amount, AssetId, PartyId, Time};
 use contracts::HedgedEscrowParams;

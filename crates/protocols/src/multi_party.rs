@@ -218,6 +218,26 @@ mod tests {
         }
     }
 
+    /// Characterizes an open finding, tracked in the ROADMAP: on the seed-33
+    /// random digraph with leaders {0, 1}, party 3 stopping after its
+    /// escrow step (it never releases hashkeys) leaves compliant party 4
+    /// with its escrow to party 1 refunded unredeemed and a premium payoff
+    /// of 0, below the base premium p = 1. This pins the broken verdict:
+    /// once the finding is fixed, party 4 is hedged and this test fails —
+    /// flip its assertions then.
+    #[test]
+    fn random_digraph_seed_33_leaves_a_compliant_party_unhedged() {
+        let config = random_config(5, 4, 33);
+        assert_eq!(config.leaders, BTreeSet::from([PartyId(0), PartyId(1)]));
+        let strategies = BTreeMap::from([(PartyId(3), Strategy::stop_after(3))]);
+        let report = config.run(&profile(&strategies), &mut World::new(1));
+        let victim = &report.parties[&PartyId(4)];
+        assert!(!victim.hedged, "the finding is fixed: {report:?}");
+        assert_eq!(victim.premium_payoff, 0);
+        assert!(victim.escrowed_unredeemed > 0);
+        assert!(report.payoffs.conserved());
+    }
+
     #[test]
     #[should_panic(expected = "feedback vertex set")]
     fn invalid_leader_set_is_rejected() {

@@ -993,8 +993,9 @@ impl DeviationTree {
     /// * `stop_after(k)` — the first recorded emission at or past the
     ///   budget (the withheld action), plus an earlier all-done round;
     /// * `Procrastinate` / non-zero `Delay` vectors — the party's first
-    ///   recorded emission (the delaying party may hold exactly that
-    ///   action; before it, lazy and eager parties are both silent);
+    ///   recorded emission at a step the profile delays (the delaying party
+    ///   may hold exactly that action; before it, the party acts eagerly,
+    ///   since a zero entry skips both the peek and the hold);
     /// * `Garbage { step }` — the step's first recorded emission (the
     ///   garbage volley rides on it; the party's own progress is
     ///   unchanged);
@@ -1018,11 +1019,13 @@ impl DeviationTree {
             // predict: resume from their first possible effect and skip the
             // all-done shortcut.
             let mut unpredictable = false;
-            if strategy.timing.may_delay_any() {
-                if let Some(&(round, _)) = record.emissions.first() {
+            if strategy.timing.may_delay_any() && !record.emissions.is_empty() {
+                if let Some(&(round, _)) =
+                    record.emissions.iter().find(|(_, step)| strategy.timing.delays_step(*step))
+                {
                     divergence = divergence.min(round);
-                    unpredictable = true;
                 }
+                unpredictable = true;
             }
             match strategy.fault {
                 Fault::None => {}
@@ -1533,6 +1536,101 @@ mod tests {
             }
             other => panic!("expected the real call, got {other:?}"),
         }
+    }
+
+    /// A contract that logs the height of every call it accepts.
+    #[derive(Clone, Debug, Default)]
+    struct Log(Vec<u64>);
+
+    impl chainsim::Contract for Log {
+        fn type_name(&self) -> &'static str {
+            "Log"
+        }
+        fn clone_box(&self) -> Box<dyn chainsim::Contract> {
+            Box::new(self.clone())
+        }
+        fn handle(
+            &mut self,
+            env: &mut chainsim::CallEnv<'_>,
+            _msg: &dyn std::any::Any,
+        ) -> Result<(), chainsim::ContractError> {
+            self.0.push(env.now().height());
+            Ok(())
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+
+    /// One party pinging a [`Log`] three times: step `i` waits for height
+    /// `3i` and must land before `3i + 3`. The report is the logged heights.
+    #[derive(Clone, Copy)]
+    struct Beacons;
+
+    impl Protocol for Beacons {
+        type Setup = chainsim::ContractAddr;
+        type Capture = Vec<u64>;
+        type Report = Vec<u64>;
+
+        fn setup(&self, world: &mut World) -> chainsim::ContractAddr {
+            world.reset(1);
+            let chain = world.add_chain("a");
+            world.publish_labeled(chain, PartyId(0), "log", Box::new(Log::default()))
+        }
+        fn script(&self, log: &chainsim::ContractAddr, profile: Profile<'_>) -> Vec<ScriptedParty> {
+            let log = *log;
+            let steps = (0..3u64)
+                .map(|i| {
+                    Step::new("ping", move |world: &World| {
+                        if world.now().has_reached(Time(3 * i)) {
+                            StepOutcome::Complete(vec![Action::call(log, Ping, "ping")])
+                        } else {
+                            StepOutcome::WaitUntil(Time(3 * i))
+                        }
+                    })
+                    .with_deadline(Time(3 * i + 3))
+                })
+                .collect();
+            vec![ScriptedParty::new(PartyId(0), steps, profile(PartyId(0))).with_delta(3)]
+        }
+        fn max_rounds(&self) -> u64 {
+            16
+        }
+        fn capture(
+            &self,
+            world: &World,
+            log: &chainsim::ContractAddr,
+            _: usize,
+            _: usize,
+        ) -> Vec<u64> {
+            world.chain(log.chain).contract_as::<Log>(log.contract).expect("log").0.clone()
+        }
+        fn judge(
+            &self,
+            _: &chainsim::ContractAddr,
+            heights: &Vec<u64>,
+            _: Profile<'_>,
+        ) -> Vec<u64> {
+            heights.clone()
+        }
+    }
+
+    #[test]
+    fn delaying_one_step_resumes_at_that_steps_first_emission() {
+        let mut delays = DelayVector::ZERO;
+        delays.set(2, u8::MAX);
+        let late = |_| Strategy::compliant().with_delays(delays);
+        let from_scratch = Beacons.run(&late, &mut World::new(1));
+        assert_eq!(from_scratch, vec![0, 3, 8], "only step 2 is held, to its last legal tick");
+
+        let mut world = World::new(1);
+        let log = Beacons.setup(&mut world);
+        let parties = Beacons.script(&log, &|_| Strategy::compliant());
+        let mut tree = DeviationTree::record(&mut world, parties, Beacons.max_rounds());
+        let resumed = tree.resume(&mut world, &late);
+        assert_eq!(resumed.state_key, 6, "eager until step 2 first emits, in round 6");
+        assert_eq!(Beacons.capture(&world, &log, resumed.rounds, 0), from_scratch);
+        assert_eq!(Prefix::record(Beacons, &mut world).run(&late, &mut world), from_scratch);
     }
 
     /// Minimal contract/message fixtures for the fault tests.

@@ -11,12 +11,13 @@
 
 use chainsim::{Action, Amount, AssetId, ChainId, ContractAddr, PartyId, Time, World};
 use contracts::{
-    HedgedEscrow, HedgedEscrowMsg, HedgedEscrowParams, HedgedPremiumState, HedgedPrincipalState,
-    HtlcEscrow, HtlcMsg, HtlcState,
+    HedgedEscrow, HedgedEscrowMsg, HedgedPremiumState, HedgedPrincipalState, HtlcEscrow, HtlcMsg,
+    HtlcState,
 };
 use cryptosim::Secret;
 use serde::{Deserialize, Serialize};
 
+use crate::market::HedgedSwapSpec;
 use crate::outcome::{BalanceSnapshot, Lockup, Payoffs};
 use crate::script::{Prefix, Profile, Protocol, ScriptedParty, Step, StepOutcome, Strategy};
 
@@ -280,44 +281,6 @@ fn build_world(world: &mut World, config: &TwoPartyConfig) -> (AssetId, AssetId,
     (apricot_token, banana_token, apricot_native, banana_native)
 }
 
-/// The hedged escrow parameters of the §5.2 setup, contract deadlines padded
-/// with the finality margin: `(apricot leg, banana leg)`.
-fn hedged_params(
-    config: &TwoPartyConfig,
-    [apricot_token, banana_token, apricot_native, banana_native]: [AssetId; 4],
-    hashlock: cryptosim::Hashlock,
-) -> (HedgedEscrowParams, HedgedEscrowParams) {
-    let sched = config.hedged_schedule();
-    // The compliant scripts act against the unpadded ladder, so a reorg
-    // re-delivering a last-tick call up to `finality_margin` blocks late
-    // still lands.
-    let apricot = HedgedEscrowParams {
-        escrower: ALICE,
-        redeemer: BOB,
-        principal_asset: apricot_token,
-        principal_amount: config.alice_tokens,
-        premium_asset: apricot_native,
-        premium_amount: config.premium_b,
-        hashlock,
-        premium_deadline: config.padded(sched.premium_apricot),
-        escrow_deadline: config.padded(sched.escrow_apricot),
-        redeem_deadline: config.padded(sched.redeem_apricot),
-    };
-    let banana = HedgedEscrowParams {
-        escrower: BOB,
-        redeemer: ALICE,
-        principal_asset: banana_token,
-        principal_amount: config.bob_tokens,
-        premium_asset: banana_native,
-        premium_amount: config.premium_a + config.premium_b,
-        hashlock,
-        premium_deadline: config.padded(sched.premium_banana),
-        escrow_deadline: config.padded(sched.escrow_banana),
-        redeem_deadline: config.padded(sched.redeem_banana),
-    };
-    (apricot, banana)
-}
-
 /// Publishes the swap's two escrows: `(apricot, banana)`.
 fn publish(
     world: &mut World,
@@ -330,7 +293,26 @@ fn publish(
         SwapProtocol::Hedged => {
             // Banana-chain contract: Bob escrows B, Alice deposits p_a + p_b;
             // apricot-chain contract: Alice escrows A, Bob deposits p_b.
-            let (apricot, banana) = hedged_params(config, assets, hashlock);
+            // The compliant scripts act against the unpadded ladder, so
+            // anchoring the legs at the finality margin lets a reorg
+            // re-deliver a last-tick call up to that many blocks late.
+            let [apricot_token, banana_token, apricot_native, banana_native] = assets;
+            let spec = HedgedSwapSpec {
+                leader: ALICE,
+                follower: BOB,
+                leader_token: apricot_token,
+                follower_token: banana_token,
+                leader_native: apricot_native,
+                follower_native: banana_native,
+                leader_amount: config.alice_tokens,
+                follower_amount: config.bob_tokens,
+                premium_leader: config.premium_a,
+                premium_follower: config.premium_b,
+                hashlock,
+            };
+            let (anchor, schedule) = (Time(config.finality_margin), config.hedged_schedule());
+            let apricot = spec.leader_leg(anchor, &schedule);
+            let banana = spec.follower_leg(anchor, &schedule);
             let banana = world.publish_labeled(
                 BANANA,
                 BOB,
@@ -382,7 +364,7 @@ fn publish(
     }
 }
 
-fn hedged_contract(world: &World, addr: ContractAddr) -> &HedgedEscrow {
+pub(crate) fn hedged_contract(world: &World, addr: ContractAddr) -> &HedgedEscrow {
     world
         .chain(addr.chain)
         .contract_as::<HedgedEscrow>(addr.contract)
@@ -524,7 +506,11 @@ fn hedged_bob_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
 
 /// A recovery step: once every contract is resolved the step completes; once
 /// the final deadline passes it settles whatever still needs it.
-fn settle_step(name: &'static str, contracts: Vec<ContractAddr>, final_deadline: Time) -> Step {
+pub(crate) fn settle_step(
+    name: &'static str,
+    contracts: Vec<ContractAddr>,
+    final_deadline: Time,
+) -> Step {
     Step::new(name, move |world: &World| {
         let all_resolved =
             contracts.iter().all(|addr| hedged_resolved(hedged_contract(world, *addr)));

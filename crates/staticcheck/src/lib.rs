@@ -41,9 +41,11 @@ pub mod schedule;
 
 use chainsim::FinalityParams;
 use protocols::auction::AuctionConfig;
+use protocols::bootstrap::BootstrapConfig;
 use protocols::broker::{broker_deal_config, BrokerConfig};
 use protocols::deal::DealConfig;
 use protocols::multi_party::{clique_config, cycle_config, figure3_config, random_config};
+use protocols::script::Protocol;
 use protocols::two_party::{min_finality_margin, SwapProtocol, TwoPartyConfig};
 
 /// One structured analyzer finding.
@@ -292,25 +294,27 @@ pub fn analyze_suite(repo_root: &Path) -> SuiteReport {
     }
     {
         let config = AuctionConfig::default();
-        let (world, actors) = protocols::auction::auction_static_setup(&config);
+        let (world, actors) = config.static_setup();
         merge(analyze_world("auction/default", &world, &actors, true));
         schedules_checked += 1;
+        let (bid, challenge) = config.deadlines();
         family_findings.extend(schedule::check_auction(
             "default",
-            chainsim::Time(config.delta_blocks),
-            chainsim::Time(6 * config.delta_blocks),
+            bid,
+            challenge,
             config.delta_blocks,
         ));
     }
-    // The §6 bootstrap cascade publishes its per-level escrows with the
-    // committed Δ = 2 and horizon = 6·Δ·(rounds + 2) schedule.
     for rounds in [1u32, 5, 10] {
+        let config = BootstrapConfig::new(5_000, 20_000, 10, rounds);
+        let (world, actors) = config.static_setup();
+        merge(analyze_world(&format!("bootstrap/r{rounds}"), &world, &actors, true));
         schedules_checked += 1;
         family_findings.extend(schedule::check_bootstrap(
             &format!("r{rounds}"),
             rounds,
-            2,
-            chainsim::Time(u64::from(rounds + 2) * 6 * 2),
+            config.delta_blocks(),
+            config.horizon(),
         ));
     }
     for (label, finality, delta, margin) in tier1_finality_pairings() {

@@ -206,10 +206,9 @@ pub fn check_auction(label: &str, bid: Time, challenge: Time, delta: u64) -> Vec
     findings
 }
 
-/// Checks a §6 bootstrap cascade horizon: every one of the `rounds + 2`
-/// levels (premium rounds plus the two principal escrows) occupies a
-/// `6·Δ` slice of the schedule, so the redemption horizon must be at
-/// least `6·Δ·(rounds + 2)`.
+/// Checks a §6 bootstrap cascade horizon: each of the `rounds + 1` levels
+/// has a `6·Δ` slot of the schedule and the principal redemption one more,
+/// so the redemption horizon must be at least `6·Δ·(rounds + 2)`.
 pub fn check_bootstrap(label: &str, rounds: u32, delta: u64, horizon: Time) -> Vec<Finding> {
     let subject = format!("bootstrap/{label}");
     let mut findings = Vec::new();

@@ -6,6 +6,8 @@
 
 use chainsim::{FinalityParams, Time};
 use contracts::ArcDeadlines;
+use protocols::auction::AuctionConfig;
+use protocols::bootstrap::BootstrapConfig;
 use protocols::two_party::TwoPartyConfig;
 use staticcheck::{
     analyze_default_suite, codes, schedule, tier1_deal_configs, tier1_two_party_configs,
@@ -112,9 +114,10 @@ fn hedged_ladders_are_tight_under_one_tick_perturbation() {
 
 #[test]
 fn auction_bootstrap_and_finality_are_tight() {
-    // The committed auction ladder (bid = Δ, challenge = 6Δ) passes…
-    let delta = 2;
-    let (bid, challenge) = (Time(delta), Time(6 * delta));
+    // The auction's published ladder passes…
+    let auction = AuctionConfig::default();
+    let (bid, challenge) = auction.deadlines();
+    let delta = auction.delta_blocks;
     assert!(schedule::check_auction("default", bid, challenge, delta).is_empty());
     // …and either deadline one tick earlier trips SC104.
     for (b, c) in [(back(bid), challenge), (bid, back(challenge))] {
@@ -122,11 +125,12 @@ fn auction_bootstrap_and_finality_are_tight() {
         assert!(findings.iter().any(|f| f.code == codes::AUCTION_SCHEDULE));
     }
 
-    // The committed bootstrap horizon (6·Δ·(rounds + 2), Δ = 2) is exact.
+    // The cascade's published horizon is exact.
     for rounds in [1u32, 3, 10] {
-        let horizon = Time(u64::from(rounds + 2) * 6 * 2);
-        assert!(schedule::check_bootstrap("exact", rounds, 2, horizon).is_empty());
-        let findings = schedule::check_bootstrap("short", rounds, 2, back(horizon));
+        let cascade = BootstrapConfig::new(5_000, 20_000, 10, rounds);
+        let (delta, horizon) = (cascade.delta_blocks(), cascade.horizon());
+        assert!(schedule::check_bootstrap("exact", rounds, delta, horizon).is_empty());
+        let findings = schedule::check_bootstrap("short", rounds, delta, back(horizon));
         assert!(findings.iter().any(|f| f.code == codes::BOOTSTRAP_SCHEDULE));
     }
 

@@ -1,7 +1,9 @@
 //! §6's headline example: hedging a $1,000,000 swap with 1% premiums and a
 //! $4 initial lock-up risk needs just 3 bootstrapping rounds.
 
-use sore_loser_hedging::protocols::bootstrap::{run_bootstrap, BootstrapDeviation, ALICE};
+use sore_loser_hedging::chainsim::World;
+use sore_loser_hedging::protocols::bootstrap::{BootstrapConfig, BootstrapDeviation, ALICE};
+use sore_loser_hedging::protocols::script::Protocol;
 use sore_loser_hedging::swapgraph::bootstrap::{bootstrap_plan, rounds_needed};
 
 fn main() {
@@ -21,13 +23,9 @@ fn main() {
     println!("initial (unprotected) risk: {}", plan.initial_risk());
 
     println!("\nOn-chain cascade, Alice defaults at level 1:");
-    let report = run_bootstrap(
-        a,
-        b,
-        ratio,
-        rounds,
-        BootstrapDeviation::StopAtLevel { party: ALICE, level: 1 },
-    );
+    let deviation = BootstrapDeviation::StopAtLevel { party: ALICE, level: 1 };
+    let report = BootstrapConfig::new(a, b, ratio, rounds)
+        .run(&deviation.profile(rounds), &mut World::new(1));
     println!(
         "  Alice payoff {:+}, Bob payoff {:+}, compliant loss bounded: {}",
         report.alice_payoff, report.bob_payoff, report.loss_bounded_by_initial_risk

@@ -17,7 +17,12 @@ use std::collections::BTreeMap;
 
 use sore_loser_hedging::chainsim::{Amount, PartyId, World};
 use sore_loser_hedging::protocols::auction::{AuctionConfig, AuctioneerBehaviour, AUCTIONEER};
-use sore_loser_hedging::protocols::bootstrap::{run_bootstrap, BootstrapDeviation};
+use sore_loser_hedging::protocols::bootstrap::BootstrapDeviation::{
+    LateAtLevel, StopAtLevel, WrongSecretAtLevel,
+};
+use sore_loser_hedging::protocols::bootstrap::{
+    BootstrapConfig, BootstrapDeviation, BootstrapRunReport,
+};
 use sore_loser_hedging::protocols::broker::{broker_deal_config, BrokerConfig};
 use sore_loser_hedging::protocols::deal::{DealConfig, DealReport};
 use sore_loser_hedging::protocols::multi_party::{cycle_config, figure3_config};
@@ -475,6 +480,100 @@ fn auction_declares_the_true_high_bidder_and_compensates_when_cheated() {
     }
 }
 
+/// Alice and Bob in the bootstrap golden table.
+const A: PartyId = PartyId(0);
+/// See [`A`].
+const B: PartyId = PartyId(1);
+
+/// Golden reports of the §6 cascade the sweeps and the sampled tier check,
+/// `(5_000, 20_000, 10, 3)`: for every deviation of
+/// [`BootstrapDeviation::all`], in its order, the exact `(alice_payoff,
+/// bob_payoff, deepest_completed_level, loss_bounded_by_initial_risk)`.
+///
+/// A walk-away at level `k` costs the defaulter its level-`k + 1` guard
+/// deposit (nothing at the outermost level, which no deposit guards); a
+/// late deposit or a rejected wrong-secret (garbage) call leaves the
+/// compliant payoffs. An unexplained diff means a change to `bootstrap.rs` moved
+/// money.
+const BOOTSTRAP_GOLDEN: &[(BootstrapDeviation, i128, i128, u32, bool)] = &[
+    (BootstrapDeviation::None, 15_000, -15_000, 0, true),
+    (StopAtLevel { party: A, level: 0 }, -2_500, 2_500, 1, true),
+    (LateAtLevel { party: A, level: 0 }, 15_000, -15_000, 0, true),
+    (WrongSecretAtLevel { party: A, level: 0 }, 15_000, -15_000, 0, true),
+    (StopAtLevel { party: A, level: 1 }, -50, 50, 2, true),
+    (LateAtLevel { party: A, level: 1 }, 15_000, -15_000, 0, true),
+    (WrongSecretAtLevel { party: A, level: 1 }, 15_000, -15_000, 0, true),
+    (StopAtLevel { party: A, level: 2 }, -35, 35, 3, true),
+    (LateAtLevel { party: A, level: 2 }, 15_000, -15_000, 0, true),
+    (WrongSecretAtLevel { party: A, level: 2 }, 15_000, -15_000, 0, true),
+    (StopAtLevel { party: A, level: 3 }, 0, 0, 4, true),
+    (LateAtLevel { party: A, level: 3 }, 15_000, -15_000, 0, true),
+    (WrongSecretAtLevel { party: A, level: 3 }, 15_000, -15_000, 0, true),
+    (StopAtLevel { party: B, level: 0 }, 500, -500, 1, true),
+    (LateAtLevel { party: B, level: 0 }, 15_000, -15_000, 0, true),
+    (WrongSecretAtLevel { party: B, level: 0 }, 15_000, -15_000, 0, true),
+    (StopAtLevel { party: B, level: 1 }, 300, -300, 2, true),
+    (LateAtLevel { party: B, level: 1 }, 15_000, -15_000, 0, true),
+    (WrongSecretAtLevel { party: B, level: 1 }, 15_000, -15_000, 0, true),
+    (StopAtLevel { party: B, level: 2 }, 5, -5, 3, true),
+    (LateAtLevel { party: B, level: 2 }, 15_000, -15_000, 0, true),
+    (WrongSecretAtLevel { party: B, level: 2 }, 15_000, -15_000, 0, true),
+    (StopAtLevel { party: B, level: 3 }, 0, 0, 4, true),
+    (LateAtLevel { party: B, level: 3 }, 15_000, -15_000, 0, true),
+    (WrongSecretAtLevel { party: B, level: 3 }, 15_000, -15_000, 0, true),
+];
+
+#[test]
+fn bootstrap_deviations_match_the_golden_table() {
+    let (a, b, ratio, rounds) = (5_000, 20_000, 10, 3);
+    let deviations: Vec<BootstrapDeviation> = BOOTSTRAP_GOLDEN.iter().map(|row| row.0).collect();
+    assert_eq!(deviations, BootstrapDeviation::all(rounds), "one row per deviation, in order");
+    for &(deviation, alice, bob, deepest, bounded) in BOOTSTRAP_GOLDEN {
+        let report = cascade(a, b, ratio, rounds, deviation);
+        assert_eq!(
+            (
+                report.alice_payoff,
+                report.bob_payoff,
+                report.deepest_completed_level,
+                report.loss_bounded_by_initial_risk
+            ),
+            (alice, bob, deepest, bounded),
+            "{deviation:?}"
+        );
+    }
+}
+
+/// The cascade's guarantee holds beyond the §6 vocabulary: against every
+/// single-deviator strategy of the full `stop_after × timing × faults`
+/// space, each compliant survivor ends with no loss or its side of the
+/// completed swap, and every escrow settles.
+#[test]
+fn bootstrap_bounds_losses_under_every_single_deviator_strategy() {
+    for rounds in 0..=3u32 {
+        let config = BootstrapConfig::new(5_000, 20_000, 10, rounds);
+        for strategy in Strategy::all(rounds as usize + 3) {
+            for deviator in [A, B] {
+                let profile = |p| if p == deviator { strategy } else { Strategy::compliant() };
+                let report = config.run(&profile, &mut World::new(1));
+                let ctx = format!("rounds={rounds}, {deviator} plays {strategy}");
+                assert!(report.loss_bounded_by_initial_risk, "{ctx}: {report:?}");
+                assert_eq!(report.alice_payoff + report.bob_payoff, 0, "{ctx}");
+            }
+        }
+    }
+}
+
+/// Runs the cascade of `a` against `b` under `deviation` from scratch.
+fn cascade(
+    a: u128,
+    b: u128,
+    ratio: u128,
+    rounds: u32,
+    deviation: BootstrapDeviation,
+) -> BootstrapRunReport {
+    BootstrapConfig::new(a, b, ratio, rounds).run(&deviation.profile(rounds), &mut World::new(1))
+}
+
 #[test]
 fn bootstrap_sweep_bounds_losses_by_the_initial_risk() {
     let scenarios: [(u128, u128, u128, u32); 4] = [
@@ -487,7 +586,7 @@ fn bootstrap_sweep_bounds_losses_by_the_initial_risk() {
         // Both compliant: the cascade settles, premiums are refunded and
         // only the level-0 principals change hands, so each side's payoff is
         // exactly the value imbalance of the trade.
-        let clean = run_bootstrap(a, b, ratio, rounds, BootstrapDeviation::None);
+        let clean = cascade(a, b, ratio, rounds, BootstrapDeviation::None);
         let ctx = format!("a={a}, b={b}, ratio={ratio}, rounds={rounds}");
         assert!(clean.loss_bounded_by_initial_risk, "{ctx}");
         assert_eq!(clean.alice_payoff, b as i128 - a as i128, "{ctx}");
@@ -498,13 +597,8 @@ fn bootstrap_sweep_bounds_losses_by_the_initial_risk() {
         // nets a loss — the defaulter's guard deposit compensates it.
         for level in 0..=rounds {
             for deviator in [PartyId(0), PartyId(1)] {
-                let report = run_bootstrap(
-                    a,
-                    b,
-                    ratio,
-                    rounds,
-                    BootstrapDeviation::StopAtLevel { party: deviator, level },
-                );
+                let deviation = StopAtLevel { party: deviator, level };
+                let report = cascade(a, b, ratio, rounds, deviation);
                 let ctx = format!("{ctx}, {deviator} stops at level {level}");
                 assert!(report.loss_bounded_by_initial_risk, "{ctx}");
                 let survivor_payoff =

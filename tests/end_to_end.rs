@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use sore_loser_hedging::chainsim::{Amount, PartyId, World};
 use sore_loser_hedging::protocols::auction::{AuctionConfig, AuctioneerBehaviour};
-use sore_loser_hedging::protocols::bootstrap::{run_bootstrap, BootstrapDeviation};
+use sore_loser_hedging::protocols::bootstrap::{BootstrapConfig, BootstrapDeviation};
 use sore_loser_hedging::protocols::broker::{broker_deal_config, BrokerConfig};
 use sore_loser_hedging::protocols::multi_party::{cycle_config, figure3_config};
 use sore_loser_hedging::protocols::script::{self, Protocol, Strategy};
@@ -89,14 +89,10 @@ fn brokered_sale_and_auction_end_to_end() {
 
 #[test]
 fn bootstrap_cascade_bounds_compliant_losses() {
+    let config = BootstrapConfig::new(1_000_000, 1_000_000, 100, 2);
     for level in 0..=2 {
-        let report = run_bootstrap(
-            1_000_000,
-            1_000_000,
-            100,
-            2,
-            BootstrapDeviation::StopAtLevel { party: PartyId(1), level },
-        );
+        let deviation = BootstrapDeviation::StopAtLevel { party: PartyId(1), level };
+        let report = config.run(&deviation.profile(config.rounds), &mut World::new(1));
         assert!(report.loss_bounded_by_initial_risk, "level {level}");
         assert!(report.alice_payoff >= 0);
     }

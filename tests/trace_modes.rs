@@ -16,7 +16,7 @@ use sore_loser_hedging::modelcheck::sampled::SampledSweep;
 use sore_loser_hedging::modelcheck::scenarios::{DealSweep, TwoPartySweep};
 use sore_loser_hedging::modelcheck::{check_auction, check_bootstrap, sampled_families};
 use sore_loser_hedging::protocols::auction::{AuctionConfig, AuctioneerBehaviour};
-use sore_loser_hedging::protocols::bootstrap::{run_bootstrap_in, BootstrapDeviation};
+use sore_loser_hedging::protocols::bootstrap::{BootstrapConfig, BootstrapDeviation};
 use sore_loser_hedging::protocols::broker::{broker_deal_config, BrokerConfig};
 use sore_loser_hedging::protocols::multi_party::figure3_config;
 use sore_loser_hedging::protocols::script::{profile, Protocol, Strategy};
@@ -130,9 +130,10 @@ fn bootstrap_is_identical_across_trace_modes_and_world_reuse() {
         BootstrapDeviation::StopAtLevel { party: PartyId(0), level: 1 },
         BootstrapDeviation::StopAtLevel { party: PartyId(1), level: 0 },
     ] {
+        let config = BootstrapConfig::new(5_000, 20_000, 10, 2);
         let mut reports = worlds()
             .into_iter()
-            .map(|mut world| run_bootstrap_in(&mut world, 5_000, 20_000, 10, 2, deviation));
+            .map(|mut world| config.run(&deviation.profile(config.rounds), &mut world));
         let reference = reports.next().unwrap();
         for report in reports {
             assert_eq!(report.alice_payoff, reference.alice_payoff, "{deviation:?}");
