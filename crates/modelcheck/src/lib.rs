@@ -16,9 +16,13 @@
 //!   [`ParallelSweep`] runner that fans indices out
 //!   over scoped worker threads and merges results deterministically (the
 //!   summary is identical for 1 and N threads);
-//! * [`scenarios`] — families for two-party swaps, deal-engine protocols
-//!   (multi-party swaps over arbitrary digraphs and brokered sales),
-//!   premium bootstrapping and auctions;
+//! * [`scenarios`] — the [`scenarios::Checked`] trait, in which each
+//!   protocol (two-party swaps, deal-engine protocols — multi-party swaps
+//!   over arbitrary digraphs and brokered sales — premium bootstrapping and
+//!   auctions) states its model-checking facts once, and the one
+//!   enumerated family over it, [`scenarios::Sweep`];
+//! * [`sampled`] — the seed-pinned sampled tier over the same trait, with
+//!   shrinking and a rational climber;
 //! * top-level `check_*` helpers that bundle the common sweeps, including
 //!   [`check_hedged_multi_party`] over cycles and cliques of up to six
 //!   parties and [`check_random_digraphs`] over seeded random
@@ -86,7 +90,7 @@ pub struct Violation {
 /// profile of the family's documented space is executed exactly once
 /// (full-product families sweep the product of per-party stop-points;
 /// bounded families sweep the deviator-bounded subset — see
-/// [`scenarios::DeviationBudget`]). Symmetry- and partial-order-reduced
+/// [`scenarios::Sweep::at_most`]). Symmetry- and partial-order-reduced
 /// families ([`scenarios::DealSweep::reduced`]) execute one canonical
 /// representative per automorphism orbit and skip commuting-deviation
 /// profiles outright, so `runs < strategies` there — each run carries its
@@ -149,7 +153,7 @@ pub fn check_figure3_swap() -> CheckSummary {
 }
 
 /// Model checks the brokered sale of §8 with up to two simultaneous
-/// deviators, through the engine-native [`BrokerSweep`] family.
+/// deviators, as the deal family [`BrokerSweep::at_most`] compiles it to.
 pub fn check_brokered_sale() -> CheckSummary {
     default_sweep().run(&BrokerSweep::at_most(&BrokerConfig::default(), 2))
 }

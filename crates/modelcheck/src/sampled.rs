@@ -7,7 +7,8 @@
 //! delay vectors ([`Timing::Delay`] — any tick within Δ of the trigger and
 //! strictly before the step deadline, independently per step) and
 //! variable-length crash outages ([`Fault::Outage`] — ¼Δ through 4Δ in
-//! quarter-Δ increments). This module *samples* those axes instead:
+//! quarter-Δ increments). This module *samples* those axes instead, for
+//! every protocol that implements [`Checked`]:
 //!
 //! * [`SampledSweep`] is a [`ScenarioGen`] whose scenario `i` is drawn from
 //!   a deterministic RNG keyed only on `(family_seed, i)` — never on thread
@@ -39,22 +40,16 @@ use std::fmt::Write as _;
 
 use chainsim::{ChainId, PartyId, ReorgEvent, ReorgPolicy, World};
 use marketsim::rational::best_response;
-use protocols::auction::{self, AuctionConfig, AUCTIONEER};
-use protocols::bootstrap::{BootstrapConfig, BootstrapDeviation};
-use protocols::deal::{self, DealConfig};
-use protocols::outcome::Payoffs;
-use protocols::script::{self, DelayVector, Fault, Protocol, Strategy, Timing, MAX_DELAY_STEPS};
-use protocols::two_party::{
-    self, swap_max_rounds, SwapProtocol, SwapRealism, TwoPartyConfig, TwoPartyReport, TwoPartySwap,
-    ALICE, BOB,
-};
+use protocols::auction::AuctionConfig;
+use protocols::bootstrap::BootstrapConfig;
+use protocols::deal::DealConfig;
+use protocols::script::{self, DelayVector, Fault, Strategy, Timing, MAX_DELAY_STEPS};
+use protocols::two_party::{self, SwapRealism, TwoPartyConfig, TwoPartySwap, ALICE, BOB};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::engine::{FamilyScratch, ScenarioGen};
-use crate::scenarios::{
-    auction_variants, judge_auction, judge_bootstrap, judge_deal, judge_two_party, BEHAVIOURS,
-};
+use crate::scenarios::{auction_variants, deviators, judge, Checked};
 use crate::Violation;
 
 /// Derives the per-sample RNG seed from the family seed and sample index:
@@ -67,17 +62,6 @@ fn sample_seed(family_seed: u64, index: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// What one family samples over: its parties (with per-party script
-/// lengths), the synchrony bound the delay/outage axes are scaled by, how
-/// many parties may deviate at once, and whether sampling is restricted to
-/// conforming (timing-only) strategies.
-struct SampleSpec {
-    parties: Vec<(PartyId, usize)>,
-    delta_blocks: u64,
-    max_deviators: usize,
-    conforming_only: bool,
 }
 
 /// Draws a timing profile: eager and last-instant endpoints each with
@@ -135,14 +119,21 @@ fn sample_strategy(
     Strategy { stop_after, timing, fault }
 }
 
-/// Draws a joint deviation profile: a uniform deviator count in
-/// `1..=max_deviators`, a uniform subset of that many parties (partial
-/// Fisher–Yates), and an independent strategy per chosen party. Parties
-/// whose draw comes out canonical-compliant are simply absent, so a sample
-/// can also be the all-compliant profile.
-fn sample_profile(spec: &SampleSpec, rng: &mut StdRng) -> BTreeMap<PartyId, Strategy> {
-    let n = spec.parties.len();
-    let deviators = 1 + rng.gen_range(0..spec.max_deviators.min(n));
+/// Draws a joint deviation profile over `players` (each with its script
+/// length): a uniform deviator count in `1..=max_deviators`, a uniform
+/// subset of that many parties (partial Fisher–Yates), and an independent
+/// strategy per chosen party. Parties whose draw comes out
+/// canonical-compliant are simply absent, so a sample can also be the
+/// all-compliant profile. This is [`Checked::draw`]'s default.
+pub(crate) fn sample_profile(
+    rng: &mut StdRng,
+    players: &[(PartyId, usize)],
+    delta_blocks: u64,
+    max_deviators: usize,
+    conforming_only: bool,
+) -> BTreeMap<PartyId, Strategy> {
+    let n = players.len();
+    let deviators = 1 + rng.gen_range(0..max_deviators.min(n));
     let mut order: Vec<usize> = (0..n).collect();
     for i in 0..deviators {
         let j = i + rng.gen_range(0..n - i);
@@ -150,8 +141,8 @@ fn sample_profile(spec: &SampleSpec, rng: &mut StdRng) -> BTreeMap<PartyId, Stra
     }
     let mut profile = BTreeMap::new();
     for &slot in &order[..deviators] {
-        let (party, steps) = spec.parties[slot];
-        let strategy = sample_strategy(rng, steps, spec.delta_blocks, spec.conforming_only);
+        let (party, steps) = players[slot];
+        let strategy = sample_strategy(rng, steps, delta_blocks, conforming_only);
         if strategy != Strategy::compliant() {
             profile.insert(party, strategy);
         }
@@ -197,7 +188,8 @@ fn sample_realism(rng: &mut StdRng, horizon: u64) -> SwapRealism {
 }
 
 /// One decoded sampled scenario — the reproducible object a `(seed, index)`
-/// pair re-derives, and the unit the shrinker minimizes.
+/// pair re-derives, and the unit the shrinker minimizes. Each protocol
+/// builds its own kind ([`Checked::scenario`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SampledScenario {
     /// A two-party swap joint strategy.
@@ -217,7 +209,9 @@ pub enum SampledScenario {
         /// The sampled finality/reorg overlay.
         realism: SwapRealism,
     },
-    /// A deal-engine (multi-party swap or broker) deviators-only profile.
+    /// A deviators-only profile of a protocol with one variant: a
+    /// deal-engine protocol (multi-party swap or broker) or a bootstrap
+    /// cascade.
     Deal {
         /// The deviating parties' strategies (absent parties are compliant).
         profile: BTreeMap<PartyId, Strategy>,
@@ -235,72 +229,49 @@ pub enum SampledScenario {
 }
 
 impl SampledScenario {
-    /// A compact human-readable rendering for scenario labels.
-    fn describe(&self) -> String {
+    /// The scenario's variant, deviators-only profile and realism overlay.
+    fn parts(&self) -> (usize, BTreeMap<PartyId, Strategy>, Option<SwapRealism>) {
+        let pair = |alice: Strategy, bob: Strategy| {
+            deviators([ALICE, BOB], &two_party::profile(alice, bob))
+        };
         match self {
-            SampledScenario::TwoParty { alice, bob } => format!("alice={alice}, bob={bob}"),
+            SampledScenario::TwoParty { alice, bob } => (0, pair(*alice, *bob), None),
             SampledScenario::TwoPartyReorg { alice, bob, realism } => {
-                let mut out = format!("alice={alice}, bob={bob}");
-                for reorg in &realism.reorgs {
-                    let _ = write!(
-                        out,
-                        ", reorg(chain={}, round={}, depth={})",
-                        reorg.chain.0, reorg.at_round, reorg.depth
-                    );
-                }
-                out
+                (0, pair(*alice, *bob), Some(realism.clone()))
             }
-            SampledScenario::Deal { profile } => format!("profile {profile:?}"),
-            SampledScenario::Auction { behaviour, profile } => {
-                format!("behaviour {:?}, profile {profile:?}", BEHAVIOURS[*behaviour])
-            }
+            SampledScenario::Deal { profile } => (0, profile.clone(), None),
+            SampledScenario::Auction { behaviour, profile } => (*behaviour, profile.clone(), None),
         }
     }
 }
 
-/// The protocol a [`SampledSweep`] draws scenarios for.
+/// A [`ScenarioGen`] family of `samples` randomized deviation profiles of
+/// one [`Checked`] protocol, drawn from a seed-pinned RNG; see the module
+/// docs for the guarantees.
 #[derive(Clone, Debug)]
-enum SampledTarget {
-    TwoParty {
-        swap: TwoPartySwap,
-        conforming_only: bool,
-    },
-    TwoPartyReorg {
-        swap: TwoPartySwap,
-    },
-    Deal {
-        name: String,
-        config: DealConfig,
-    },
-    /// The configuration under each auctioneer behaviour, in
-    /// [`BEHAVIOURS`] order.
-    Auction {
-        configs: Vec<AuctionConfig>,
-    },
-}
-
-/// A [`ScenarioGen`] family of `samples` randomized deviation profiles
-/// drawn from a seed-pinned RNG; see the module docs for the guarantees.
-#[derive(Clone, Debug)]
-pub struct SampledSweep {
-    target: SampledTarget,
+pub struct SampledSweep<P> {
+    name: String,
+    /// The protocol under each variant (the auction's auctioneer
+    /// behaviours); with several, a sample draws one uniformly first.
+    variants: Vec<P>,
     seed: u64,
     samples: usize,
+    /// How many parties one sample may let deviate.
+    max_deviators: usize,
+    /// Whether samples draw the timing axis alone.
+    conforming_only: bool,
+    /// Reorg families only: puts a sample's drawn chain-realism overlay on
+    /// the protocol.
+    overlay: Option<fn(P, SwapRealism) -> P>,
 }
 
-impl SampledSweep {
+impl SampledSweep<TwoPartySwap> {
     /// Samples the hedged two-party swap (§5.2) over the full
     /// `stop × delay-vector/outage × faults` axes with up to two
     /// simultaneous deviators. Expected to hold.
     pub fn hedged_two_party(config: TwoPartyConfig, seed: u64, samples: usize) -> Self {
-        SampledSweep {
-            target: SampledTarget::TwoParty {
-                swap: TwoPartySwap::hedged(config),
-                conforming_only: false,
-            },
-            seed,
-            samples,
-        }
+        let swap = TwoPartySwap::hedged(config);
+        Self::of("sampled hedged two-party swap", vec![swap], seed, samples, 2, false)
     }
 
     /// Samples the hedged swap under chain realism: both chains run a
@@ -320,10 +291,14 @@ impl SampledSweep {
     /// round, so no recorded prefix is sound here: every sample runs from
     /// scratch.
     pub fn hedged_two_party_reorgs(config: TwoPartyConfig, seed: u64, samples: usize) -> Self {
+        let name = format!(
+            "sampled hedged two-party swap under reorgs (margin {})",
+            config.finality_margin
+        );
+        let swap = TwoPartySwap::hedged(config);
         SampledSweep {
-            target: SampledTarget::TwoPartyReorg { swap: TwoPartySwap::hedged(config) },
-            seed,
-            samples,
+            overlay: Some(TwoPartySwap::with_realism),
+            ..Self::of(name, vec![swap], seed, samples, 2, false)
         }
     }
 
@@ -340,28 +315,66 @@ impl SampledSweep {
     /// unhedged protocol, already surfaced by the enumerated tier, not a
     /// canary.)
     pub fn base_two_party(config: TwoPartyConfig, seed: u64, samples: usize) -> Self {
-        SampledSweep {
-            target: SampledTarget::TwoParty {
-                swap: TwoPartySwap::base(config),
-                conforming_only: true,
-            },
-            seed,
-            samples,
-        }
+        let name = "sampled base two-party swap (conforming timings)";
+        // Conforming-only (canary) sampling stays single-laggard: the base
+        // timelock schedule does not tolerate two.
+        Self::of(name, vec![TwoPartySwap::base(config)], seed, samples, 1, true)
     }
+}
 
+impl SampledSweep<DealConfig> {
     /// Samples a deal-engine configuration (multi-party swap or brokered
     /// sale) with up to two simultaneous deviators.
     pub fn deal(name: impl Into<String>, config: DealConfig, seed: u64, samples: usize) -> Self {
-        SampledSweep { target: SampledTarget::Deal { name: name.into(), config }, seed, samples }
+        Self::of(format!("sampled {}", name.into()), vec![config], seed, samples, 2, false)
     }
+}
 
+impl SampledSweep<AuctionConfig> {
     /// Samples the auction (§9): a uniform auctioneer behaviour plus one
     /// deviating party per sample (the enumerated sweep's budget, extended
     /// to the delay/outage axes).
     pub fn auction(config: AuctionConfig, seed: u64, samples: usize) -> Self {
-        let configs = auction_variants(&config);
-        SampledSweep { target: SampledTarget::Auction { configs }, seed, samples }
+        Self::of("sampled auction", auction_variants(&config), seed, samples, 1, false)
+    }
+}
+
+/// The sampled bootstrap-cascade family: each sample draws one
+/// [`BootstrapDeviation`](protocols::bootstrap::BootstrapDeviation)
+/// (party × level × kind, or none with probability ⅛) from the seed-pinned
+/// RNG. The deviation space here is small and atomic, but sampling it keeps
+/// the whole sampled tier's determinism and reproduction story uniform
+/// across every protocol family.
+pub type SampledBootstrap = SampledSweep<BootstrapConfig>;
+
+impl SampledSweep<BootstrapConfig> {
+    /// Samples the cascade of `a` against `b` at premium ratio `ratio`
+    /// with `rounds` premium rounds.
+    pub fn new(a: u128, b: u128, ratio: u128, rounds: u32, seed: u64, samples: usize) -> Self {
+        let name = format!("sampled bootstrap a={a}, b={b}, ratio={ratio}, rounds={rounds}");
+        let config = BootstrapConfig::new(a, b, ratio, rounds);
+        Self::of(name, vec![config], seed, samples, 1, false)
+    }
+}
+
+impl<P: Checked> SampledSweep<P> {
+    fn of(
+        name: impl Into<String>,
+        variants: Vec<P>,
+        seed: u64,
+        samples: usize,
+        max_deviators: usize,
+        conforming_only: bool,
+    ) -> Self {
+        SampledSweep {
+            name: name.into(),
+            variants,
+            seed,
+            samples,
+            max_deviators,
+            conforming_only,
+            overlay: None,
+        }
     }
 
     /// The family seed samples are derived from.
@@ -374,81 +387,35 @@ impl SampledSweep {
         self.samples
     }
 
+    /// Sample `index`'s variant, profile and realism overlay. The RNG draws
+    /// the variant first (when there are several), then the profile, then
+    /// the overlay.
+    fn draw_at(&self, index: usize) -> (usize, BTreeMap<PartyId, Strategy>, Option<SwapRealism>) {
+        let mut rng = StdRng::seed_from_u64(sample_seed(self.seed, index));
+        let variant =
+            if self.variants.len() > 1 { rng.gen_range(0..self.variants.len()) } else { 0 };
+        let protocol = &self.variants[variant];
+        let profile = protocol.draw(&mut rng, self.max_deviators, self.conforming_only);
+        let realism = self.overlay.map(|_| sample_realism(&mut rng, protocol.max_rounds()));
+        (variant, profile, realism)
+    }
+
     /// Re-derives sample `index`'s scenario from the family seed — the
     /// reproduction entry point: same `(seed, index)`, same scenario,
     /// forever and everywhere.
     pub fn scenario_at(&self, index: usize) -> SampledScenario {
-        let mut rng = StdRng::seed_from_u64(sample_seed(self.seed, index));
-        match &self.target {
-            SampledTarget::TwoParty { swap, conforming_only } => {
-                let steps = script_steps(swap.protocol);
-                let spec = SampleSpec {
-                    parties: vec![(ALICE, steps), (BOB, steps)],
-                    delta_blocks: swap.config.delta_blocks,
-                    // Conforming-only (canary) sampling stays single-laggard:
-                    // the base timelock schedule does not tolerate two.
-                    max_deviators: if *conforming_only { 1 } else { 2 },
-                    conforming_only: *conforming_only,
-                };
-                let profile = sample_profile(&spec, &mut rng);
-                SampledScenario::TwoParty {
-                    alice: profile.get(&ALICE).copied().unwrap_or(Strategy::compliant()),
-                    bob: profile.get(&BOB).copied().unwrap_or(Strategy::compliant()),
-                }
-            }
-            SampledTarget::TwoPartyReorg { swap } => {
-                let steps = script_steps(SwapProtocol::Hedged);
-                let spec = SampleSpec {
-                    parties: vec![(ALICE, steps), (BOB, steps)],
-                    delta_blocks: swap.config.delta_blocks,
-                    max_deviators: 2,
-                    conforming_only: false,
-                };
-                let profile = sample_profile(&spec, &mut rng);
-                let realism = sample_realism(&mut rng, swap_max_rounds(&swap.config));
-                SampledScenario::TwoPartyReorg {
-                    alice: profile.get(&ALICE).copied().unwrap_or(Strategy::compliant()),
-                    bob: profile.get(&BOB).copied().unwrap_or(Strategy::compliant()),
-                    realism,
-                }
-            }
-            SampledTarget::Deal { config, .. } => {
-                let spec = SampleSpec {
-                    parties: config
-                        .parties()
-                        .into_iter()
-                        .map(|party| (party, deal::SCRIPT_STEPS))
-                        .collect(),
-                    delta_blocks: config.delta_blocks,
-                    max_deviators: 2,
-                    conforming_only: false,
-                };
-                SampledScenario::Deal { profile: sample_profile(&spec, &mut rng) }
-            }
-            SampledTarget::Auction { configs } => {
-                let config = &configs[0];
-                let behaviour = rng.gen_range(0..BEHAVIOURS.len());
-                let mut parties = vec![(AUCTIONEER, auction::SCRIPT_STEPS)];
-                parties.extend(config.bidders().into_iter().map(|b| (b, auction::SCRIPT_STEPS)));
-                let spec = SampleSpec {
-                    parties,
-                    delta_blocks: config.delta_blocks,
-                    max_deviators: 1,
-                    conforming_only: false,
-                };
-                SampledScenario::Auction { behaviour, profile: sample_profile(&spec, &mut rng) }
-            }
-        }
+        let (variant, profile, realism) = self.draw_at(index);
+        self.variants[variant].scenario(variant, profile, realism)
     }
 
     /// Runs one scenario in a fresh world and judges it with the exact
     /// judges the enumerated tier uses. This is the entry point shrunken
     /// regression tests call.
     pub fn check_scenario(&self, scenario: &SampledScenario) -> Vec<Violation> {
-        let mut world = World::new(1);
-        let mut cache = FamilyScratch::default();
-        let label = || format!("{}: {}", self.family(), scenario.describe());
-        self.judge_in(scenario, &label, &mut world, &mut cache)
+        let (variant, profile, realism) = scenario.parts();
+        let (mut world, mut cache) = (World::new(1), FamilyScratch::default());
+        let key = || self.name.clone();
+        self.judge_in(variant, &profile, realism.as_ref(), key, &mut world, &mut cache)
     }
 
     /// The first violating sample index below `limit` (capped at the
@@ -473,35 +440,27 @@ impl SampledSweep {
         }
         let targets: BTreeSet<(PartyId, &'static str)> =
             original_violations.iter().map(|v| (v.party, v.property)).collect();
+        let (variant, profile, realism) = original.parts();
+        let rebuild = |profile: &BTreeMap<PartyId, Strategy>, realism: &Option<SwapRealism>| {
+            self.variants[variant].scenario(variant, profile.clone(), realism.clone())
+        };
+        let violates = |scenario: SampledScenario| {
+            self.check_scenario(&scenario).iter().any(|v| targets.contains(&(v.party, v.property)))
+        };
         // Reorg scenarios shrink their realism overlay first (drop the
         // reorg, then reduce its depth), so the rendered regression carries
         // the smallest reorg that still witnesses the violation.
-        let base = if let SampledScenario::TwoPartyReorg { alice, bob, realism } = &original {
-            let minimal_realism = shrink_realism(realism, |candidate| {
-                let scenario = SampledScenario::TwoPartyReorg {
-                    alice: *alice,
-                    bob: *bob,
-                    realism: candidate.clone(),
-                };
-                self.check_scenario(&scenario)
-                    .iter()
-                    .any(|v| targets.contains(&(v.party, v.property)))
-            });
-            SampledScenario::TwoPartyReorg { alice: *alice, bob: *bob, realism: minimal_realism }
-        } else {
-            original.clone()
-        };
-        let profile = scenario_profile(&base);
-        let minimal_profile = shrink_profile(&profile, |candidate| {
-            let candidate_scenario = rebuild_scenario(&base, candidate);
-            self.check_scenario(&candidate_scenario)
-                .iter()
-                .any(|v| targets.contains(&(v.party, v.property)))
+        let realism = realism.map(|realism| {
+            shrink_realism(&realism, |candidate| {
+                violates(rebuild(&profile, &Some(candidate.clone())))
+            })
         });
-        let minimal = rebuild_scenario(&base, &minimal_profile);
+        let minimal_profile =
+            shrink_profile(&profile, |candidate| violates(rebuild(candidate, &realism)));
+        let minimal = rebuild(&minimal_profile, &realism);
         let violations = self.check_scenario(&minimal);
         Some(ShrunkViolation {
-            family: self.family(),
+            family: self.name.clone(),
             family_seed: self.seed,
             sample_index: index,
             original,
@@ -514,96 +473,41 @@ impl SampledSweep {
     /// deviation with [`best_response`] (ties broken toward *hurting* the
     /// compliant side, so payoff-indifferent walk-aways are found), and
     /// reports the worst compliant-party hedge margin the search reached.
-    /// `None` for targets without a per-party margin (auctions).
+    /// `None` for a party that does not play, for protocols without a
+    /// per-party margin (auctions, bootstrap cascades) and for reorg
+    /// families, where the adversary is the environment, not a strategy.
     pub fn climb(&self, deviator: PartyId, seed: u64, budget: usize) -> Option<RationalClimb> {
-        match &self.target {
-            SampledTarget::TwoParty { swap, .. } => {
-                let (config, steps) = (&swap.config, script_steps(swap.protocol));
-                let compliant_party = if deviator == ALICE { BOB } else { ALICE };
-                let evaluate = |strategy: &Strategy| -> (i128, i128) {
-                    let (alice, bob) = if deviator == ALICE {
-                        (*strategy, Strategy::compliant())
-                    } else {
-                        (Strategy::compliant(), *strategy)
-                    };
-                    let report = swap.run(&two_party::profile(alice, bob), &mut World::new(1));
-                    (
-                        party_total(&report.payoffs, deviator),
-                        two_party_margin(&report, config, compliant_party),
-                    )
-                };
-                let outcome = best_response(
-                    Strategy::compliant(),
-                    seed,
-                    budget,
-                    |strategy| {
-                        let (payoff, margin) = evaluate(strategy);
-                        payoff * SPITE_SCALE - margin
-                    },
-                    |strategy, rng| mutate_strategy(*strategy, rng, steps, config.delta_blocks),
-                );
-                let (deviator_payoff, compliant_margin) = evaluate(&outcome.best);
-                Some(RationalClimb {
-                    family: self.family(),
-                    deviator,
-                    best_strategy: outcome.best,
-                    deviator_payoff,
-                    compliant_margin,
-                    evaluations: outcome.evaluations,
-                    improvements: outcome.improvements,
-                })
-            }
-            SampledTarget::Deal { config, .. } => {
-                if !config.parties().contains(&deviator) {
-                    return None;
-                }
-                let evaluate = |strategy: &Strategy| -> (i128, i128) {
-                    let profile =
-                        |party| if party == deviator { *strategy } else { Strategy::compliant() };
-                    let report = config.run(&profile, &mut World::new(1));
-                    let margin = report
-                        .parties
-                        .iter()
-                        .filter(|(party, _)| **party != deviator)
-                        .map(|(_, outcome)| {
-                            let compensation = if outcome.escrowed_unredeemed > 0 {
-                                config.base_premium.value() as i128
-                            } else {
-                                0
-                            };
-                            outcome.premium_payoff - compensation
-                        })
-                        .min()
-                        .unwrap_or(0);
-                    (party_total(&report.payoffs, deviator), margin)
-                };
-                let outcome = best_response(
-                    Strategy::compliant(),
-                    seed,
-                    budget,
-                    |strategy| {
-                        let (payoff, margin) = evaluate(strategy);
-                        payoff * SPITE_SCALE - margin
-                    },
-                    |strategy, rng| {
-                        mutate_strategy(*strategy, rng, deal::SCRIPT_STEPS, config.delta_blocks)
-                    },
-                );
-                let (deviator_payoff, compliant_margin) = evaluate(&outcome.best);
-                Some(RationalClimb {
-                    family: self.family(),
-                    deviator,
-                    best_strategy: outcome.best,
-                    deviator_payoff,
-                    compliant_margin,
-                    evaluations: outcome.evaluations,
-                    improvements: outcome.improvements,
-                })
-            }
-            // No per-party margin to climb against for auctions; for reorg
-            // families the adversary is the environment, not a strategy.
-            SampledTarget::TwoPartyReorg { .. } | SampledTarget::Auction { .. } => None,
+        if self.overlay.is_some() {
+            return None;
         }
+        let protocol = &self.variants[0];
+        let (_, steps) = protocol.players().into_iter().find(|&(party, _)| party == deviator)?;
+        let evaluate = |strategy: &Strategy| {
+            let profile = |party| if party == deviator { *strategy } else { Strategy::compliant() };
+            protocol.climb_score(&protocol.run(&profile, &mut World::new(1)), deviator)
+        };
+        // Protocols without a per-party margin do not climb.
+        evaluate(&Strategy::compliant())?;
+        let outcome = best_response(
+            Strategy::compliant(),
+            seed,
+            budget,
+            |strategy| {
+                let (payoff, margin) = evaluate(strategy).expect("the protocol scores climbs");
+                payoff * SPITE_SCALE - margin
+            },
+            |strategy, rng| mutate_strategy(*strategy, rng, steps, protocol.delta()),
+        );
+        let (deviator_payoff, compliant_margin) = evaluate(&outcome.best)?;
+        Some(RationalClimb {
+            family: self.name.clone(),
+            deviator,
+            best_strategy: outcome.best,
+            deviator_payoff,
+            compliant_margin,
+            evaluations: outcome.evaluations,
+            improvements: outcome.improvements,
+        })
     }
 
     /// The size of the documented sampling space, as a float (these spaces
@@ -611,38 +515,21 @@ impl SampledSweep {
     /// `stops × timings × faults` with `(Δ+1)^steps + 1` timing profiles
     /// and `1 + 18·steps` fault profiles (garbage, fixed crash and 16
     /// outage lengths per step), combined over every deviator subset within
-    /// the family's budget. Conforming-only families document the timing
-    /// axis alone.
+    /// the family's budget ([`Checked::sampled_space`]), times the
+    /// variants and the realism axis. Conforming-only families document the
+    /// timing axis alone.
     pub fn sampled_space(&self) -> f64 {
-        match &self.target {
-            SampledTarget::TwoParty { swap, conforming_only } => {
-                let per = per_party_domain(
-                    script_steps(swap.protocol),
-                    swap.config.delta_blocks,
-                    *conforming_only,
-                );
-                profile_space(2, per, if *conforming_only { 1 } else { 2 })
+        let protocol = &self.variants[0];
+        let space = self.variants.len() as f64
+            * protocol.sampled_space(self.max_deviators, self.conforming_only);
+        match self.overlay {
+            // The realism axis: no reorg, or one redelivering reorg with a
+            // free chain (2), round (1..horizon) and depth.
+            Some(_) => {
+                space
+                    * (1.0 + 2.0 * f64::from(MAX_REORG_DEPTH) * (protocol.max_rounds() - 1) as f64)
             }
-            SampledTarget::TwoPartyReorg { swap } => {
-                let per = per_party_domain(
-                    script_steps(SwapProtocol::Hedged),
-                    swap.config.delta_blocks,
-                    false,
-                );
-                // The realism axis: no reorg, or one redelivering reorg with
-                // a free chain (2), round (1..horizon) and depth.
-                let realism_axis = 1.0
-                    + 2.0 * f64::from(MAX_REORG_DEPTH) * (swap_max_rounds(&swap.config) - 1) as f64;
-                profile_space(2, per, 2) * realism_axis
-            }
-            SampledTarget::Deal { config, .. } => {
-                let per = per_party_domain(deal::SCRIPT_STEPS, config.delta_blocks, false);
-                profile_space(config.parties().len(), per, 2)
-            }
-            SampledTarget::Auction { configs } => {
-                let per = per_party_domain(auction::SCRIPT_STEPS, configs[0].delta_blocks, false);
-                BEHAVIOURS.len() as f64 * profile_space(1 + configs[0].bidders().len(), per, 1)
-            }
+            None => space,
         }
     }
 
@@ -653,70 +540,48 @@ impl SampledSweep {
         self.samples as f64 / self.sampled_space()
     }
 
-    /// Runs `scenario` through the worker's family slot (resumed from the shared
-    /// prefix, or from scratch for a replay oracle) and judges the report
-    /// with the enumerated tier's judges.
+    /// Runs `profile` of variant `variant` through the worker's family
+    /// slot (resumed from the shared prefix, or from scratch for a replay
+    /// oracle or under a realism overlay) and judges the report with the
+    /// enumerated tier's judges. A violation's label is `key()`, the
+    /// protocol's rendering of the profile and the overlay's reorgs.
     fn judge_in(
         &self,
-        scenario: &SampledScenario,
-        label: &dyn Fn() -> String,
+        variant: usize,
+        profile: &BTreeMap<PartyId, Strategy>,
+        realism: Option<&SwapRealism>,
+        key: impl Fn() -> String,
         scratch: &mut World,
         cache: &mut FamilyScratch,
     ) -> Vec<Violation> {
-        match (&self.target, scenario) {
-            (SampledTarget::TwoParty { swap, .. }, SampledScenario::TwoParty { alice, bob }) => {
-                let report = cache.run(swap, 0, &two_party::profile(*alice, *bob), scratch);
-                judge_two_party(&report, *alice, *bob, label)
+        let protocol = &self.variants[variant];
+        let profile = &script::profile(profile);
+        let report = match realism {
+            // Always from scratch: reorgs rewind speculative rounds from
+            // round one, so no recorded prefix is sound here.
+            Some(realism) => {
+                let overlay = self.overlay.expect("only reorg families draw realism overlays");
+                overlay(protocol.clone(), realism.clone()).run(profile, scratch)
             }
-            (
-                SampledTarget::TwoPartyReorg { swap },
-                SampledScenario::TwoPartyReorg { alice, bob, realism },
-            ) => {
-                // Always from scratch: reorgs rewind speculative rounds from
-                // round one, so no recorded prefix is sound here.
-                let swap = TwoPartySwap { realism: realism.clone(), ..swap.clone() };
-                let report = swap.run(&two_party::profile(*alice, *bob), scratch);
-                judge_two_party(&report, *alice, *bob, label)
+            None => cache.run(protocol, variant, profile, scratch),
+        };
+        judge(protocol, &report, profile, || {
+            let mut label = key() + &protocol.label(profile);
+            for reorg in realism.iter().flat_map(|realism| &realism.reorgs) {
+                let _ = write!(
+                    label,
+                    ", reorg(chain={}, round={}, depth={})",
+                    reorg.chain.0, reorg.at_round, reorg.depth
+                );
             }
-            (SampledTarget::Deal { config, .. }, SampledScenario::Deal { profile }) => {
-                let report = cache.run(config, 0, &script::profile(profile), scratch);
-                judge_deal(&report, profile, label)
-            }
-            (
-                SampledTarget::Auction { configs },
-                SampledScenario::Auction { behaviour, profile },
-            ) => {
-                let deviator = profile.keys().next().copied();
-                let report =
-                    cache.run(&configs[*behaviour], *behaviour, &script::profile(profile), scratch);
-                judge_auction(&report, deviator, label)
-            }
-            _ => unreachable!("scenario kind always matches its originating target"),
-        }
+            label
+        })
     }
 }
 
-impl ScenarioGen for SampledSweep {
+impl<P: Checked> ScenarioGen for SampledSweep<P> {
     fn family(&self) -> String {
-        match &self.target {
-            SampledTarget::TwoParty { swap, conforming_only } => {
-                let kind = match swap.protocol {
-                    SwapProtocol::Hedged => "hedged",
-                    SwapProtocol::Base => "base",
-                };
-                if *conforming_only {
-                    format!("sampled {kind} two-party swap (conforming timings)")
-                } else {
-                    format!("sampled {kind} two-party swap")
-                }
-            }
-            SampledTarget::TwoPartyReorg { swap } => format!(
-                "sampled hedged two-party swap under reorgs (margin {})",
-                swap.config.finality_margin
-            ),
-            SampledTarget::Deal { name, .. } => format!("sampled {name}"),
-            SampledTarget::Auction { .. } => "sampled auction".into(),
-        }
+        self.name.clone()
     }
 
     fn total(&self) -> usize {
@@ -729,19 +594,12 @@ impl ScenarioGen for SampledSweep {
         scratch: &mut World,
         cache: &mut FamilyScratch,
     ) -> Vec<Violation> {
-        let scenario = self.scenario_at(index);
+        let (variant, profile, realism) = self.draw_at(index);
         // The label carries the reproduction key: re-deriving this exact
         // scenario needs only the family constructor, the seed and the
         // sample index (see `scenario_at`).
-        let label = || {
-            format!(
-                "{} [seed={:#x}, sample={index}], {}",
-                self.family(),
-                self.seed,
-                scenario.describe()
-            )
-        };
-        self.judge_in(&scenario, &label, scratch, cache)
+        let key = || format!("{} [seed={:#x}, sample={index}]", self.name, self.seed);
+        self.judge_in(variant, &profile, realism.as_ref(), key, scratch, cache)
     }
 }
 
@@ -816,50 +674,8 @@ fn mutate_strategy(
     next
 }
 
-/// A party's total payoff over every asset in the run.
-fn party_total(payoffs: &Payoffs, party: PartyId) -> i128 {
-    payoffs.iter().filter(|(p, _, _)| *p == party).map(|(_, _, payoff)| payoff.value()).sum()
-}
-
-/// The hedge margin of one compliant two-party participant: how far above
-/// (or below, negative) the hedged predicate's threshold the run left
-/// them. Mirrors `hedged_check` branch for branch.
-fn two_party_margin(report: &TwoPartyReport, config: &TwoPartyConfig, party: PartyId) -> i128 {
-    let (lockup, counter_gain, expected, premium, compensation) = if party == ALICE {
-        (
-            report.alice_lockup,
-            report.alice_banana_payoff,
-            config.bob_tokens,
-            report.alice_premium_payoff,
-            config.premium_b,
-        )
-    } else {
-        (
-            report.bob_lockup,
-            report.bob_apricot_payoff,
-            config.alice_tokens,
-            report.bob_premium_payoff,
-            config.premium_a,
-        )
-    };
-    if lockup.redeemed {
-        (counter_gain - expected.value() as i128).min(premium)
-    } else if lockup.principal_blocks > 0 {
-        premium - compensation.value() as i128
-    } else {
-        premium
-    }
-}
-
-fn script_steps(protocol: SwapProtocol) -> usize {
-    match protocol {
-        SwapProtocol::Hedged => two_party::SCRIPT_STEPS,
-        SwapProtocol::Base => two_party::BASE_SCRIPT_STEPS,
-    }
-}
-
 /// Per-party sampled domain size; see [`SampledSweep::sampled_space`].
-fn per_party_domain(steps: usize, delta_blocks: u64, conforming_only: bool) -> f64 {
+pub(crate) fn per_party_domain(steps: usize, delta_blocks: u64, conforming_only: bool) -> f64 {
     let timings = ((delta_blocks + 1) as f64).powi(steps as i32) + 1.0;
     if conforming_only {
         return timings;
@@ -872,50 +688,12 @@ fn per_party_domain(steps: usize, delta_blocks: u64, conforming_only: bool) -> f
 /// Profiles with at most `max_deviators` of `n` parties playing one of the
 /// `per_party - 1` non-compliant strategies — the same closed form as
 /// [`crate::scenarios::bounded_profile_count`], in floats.
-fn profile_space(n: usize, per_party: f64, max_deviators: usize) -> f64 {
+pub(crate) fn profile_space(n: usize, per_party: f64, max_deviators: usize) -> f64 {
     (0..=max_deviators.min(n)).map(|j| binomial_f64(n, j) * (per_party - 1.0).powi(j as i32)).sum()
 }
 
 fn binomial_f64(n: usize, k: usize) -> f64 {
     (0..k).map(|i| (n - i) as f64 / (i + 1) as f64).product()
-}
-
-/// The deviators-only profile view of a scenario (compliant defaults are
-/// absent), the representation the shrinker minimizes.
-fn scenario_profile(scenario: &SampledScenario) -> BTreeMap<PartyId, Strategy> {
-    match scenario {
-        SampledScenario::TwoParty { alice, bob }
-        | SampledScenario::TwoPartyReorg { alice, bob, .. } => [(ALICE, *alice), (BOB, *bob)]
-            .into_iter()
-            .filter(|(_, strategy)| *strategy != Strategy::compliant())
-            .collect(),
-        SampledScenario::Deal { profile } | SampledScenario::Auction { profile, .. } => {
-            profile.clone()
-        }
-    }
-}
-
-/// Rebuilds a scenario of `original`'s kind from a (possibly shrunken)
-/// profile; non-profile structure (the auction behaviour) is preserved.
-fn rebuild_scenario(
-    original: &SampledScenario,
-    profile: &BTreeMap<PartyId, Strategy>,
-) -> SampledScenario {
-    match original {
-        SampledScenario::TwoParty { .. } => SampledScenario::TwoParty {
-            alice: profile.get(&ALICE).copied().unwrap_or(Strategy::compliant()),
-            bob: profile.get(&BOB).copied().unwrap_or(Strategy::compliant()),
-        },
-        SampledScenario::TwoPartyReorg { realism, .. } => SampledScenario::TwoPartyReorg {
-            alice: profile.get(&ALICE).copied().unwrap_or(Strategy::compliant()),
-            bob: profile.get(&BOB).copied().unwrap_or(Strategy::compliant()),
-            realism: realism.clone(),
-        },
-        SampledScenario::Deal { .. } => SampledScenario::Deal { profile: profile.clone() },
-        SampledScenario::Auction { behaviour, .. } => {
-            SampledScenario::Auction { behaviour: *behaviour, profile: profile.clone() }
-        }
-    }
 }
 
 /// Greedily minimizes a violating profile under a caller-supplied
@@ -1203,86 +981,13 @@ fn strategy_expr(strategy: &Strategy) -> String {
     format!("Strategy {{ stop_after: {stop}, timing: {timing}, fault: {fault} }}")
 }
 
-// ---------------------------------------------------------------------------
-// Sampled bootstrap cascades.
-// ---------------------------------------------------------------------------
-
-/// The sampled bootstrap-cascade family: each sample draws one
-/// [`BootstrapDeviation`] (party × level × kind, or none with probability
-/// ⅛) from the seed-pinned RNG. The deviation space here is small and
-/// atomic — there is nothing to shrink — but sampling it keeps the whole
-/// sampled tier's determinism and reproduction story uniform across every
-/// protocol family.
-#[derive(Clone, Copy, Debug)]
-pub struct SampledBootstrap {
-    config: BootstrapConfig,
-    seed: u64,
-    samples: usize,
-}
-
-impl SampledBootstrap {
-    /// Samples the cascade of `a` against `b` at premium ratio `ratio`
-    /// with `rounds` premium rounds.
-    pub fn new(a: u128, b: u128, ratio: u128, rounds: u32, seed: u64, samples: usize) -> Self {
-        SampledBootstrap { config: BootstrapConfig::new(a, b, ratio, rounds), seed, samples }
-    }
-
-    /// Re-derives sample `index`'s deviation from the family seed.
-    pub fn deviation_at(&self, index: usize) -> BootstrapDeviation {
-        let mut rng = StdRng::seed_from_u64(sample_seed(self.seed, index));
-        if rng.gen_range(0..8u32) == 0 {
-            return BootstrapDeviation::None;
-        }
-        let party = PartyId(rng.gen_range(0..2u32));
-        let level = rng.gen_range(0..self.config.rounds + 1);
-        match rng.gen_range(0..3u32) {
-            0 => BootstrapDeviation::StopAtLevel { party, level },
-            1 => BootstrapDeviation::LateAtLevel { party, level },
-            _ => BootstrapDeviation::WrongSecretAtLevel { party, level },
-        }
-    }
-
-    /// The enumerable deviation space the samples draw from.
-    pub fn sampled_space(&self) -> f64 {
-        1.0 + 6.0 * (self.config.rounds as f64 + 1.0)
-    }
-}
-
-impl ScenarioGen for SampledBootstrap {
-    fn family(&self) -> String {
-        let BootstrapConfig { a, b, ratio, rounds } = self.config;
-        format!("sampled bootstrap a={a}, b={b}, ratio={ratio}, rounds={rounds}")
-    }
-
-    fn total(&self) -> usize {
-        self.samples
-    }
-
-    fn check(
-        &self,
-        index: usize,
-        scratch: &mut World,
-        cache: &mut FamilyScratch,
-    ) -> Vec<Violation> {
-        let deviation = self.deviation_at(index);
-        let profile = deviation.profile(self.config.rounds);
-        let report = cache.run(&self.config, 0, &profile, scratch);
-        let label = || {
-            format!(
-                "{} [seed={:#x}, sample={index}], deviation {deviation:?}",
-                self.family(),
-                self.seed
-            )
-        };
-        judge_bootstrap(&report, deviation.party(), &label)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::ParallelSweep;
-    use protocols::two_party::min_finality_margin;
+    use crate::scenarios::BEHAVIOURS;
+    use protocols::bootstrap::BootstrapDeviation;
+    use protocols::two_party::{min_finality_margin, swap_max_rounds};
 
     /// The reorg family's configuration at the corrected margin.
     fn margined() -> TwoPartyConfig {
@@ -1560,17 +1265,17 @@ mod tests {
     #[test]
     fn sampled_bootstrap_draws_legal_deviations() {
         let family = SampledBootstrap::new(5_000, 20_000, 10, 3, 21, 64);
+        let legal: Vec<SampledScenario> = BootstrapDeviation::all(3)
+            .iter()
+            .map(|deviation| {
+                let profile = deviation.profile(3);
+                SampledScenario::Deal { profile: deviators([ALICE, BOB], &profile) }
+            })
+            .collect();
         for index in 0..64 {
-            match family.deviation_at(index) {
-                BootstrapDeviation::None => {}
-                BootstrapDeviation::StopAtLevel { party, level }
-                | BootstrapDeviation::LateAtLevel { party, level }
-                | BootstrapDeviation::WrongSecretAtLevel { party, level } => {
-                    assert!(party.0 < 2);
-                    assert!(level <= 3);
-                }
-            }
-            assert_eq!(family.deviation_at(index), family.deviation_at(index));
+            let scenario = family.scenario_at(index);
+            assert!(legal.contains(&scenario), "sample {index} drew {scenario:?}");
+            assert_eq!(scenario, family.scenario_at(index));
         }
         let summary = ParallelSweep::new(2).run(&family);
         assert_eq!(summary.runs, 64);

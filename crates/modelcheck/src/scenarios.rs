@@ -1,23 +1,35 @@
 //! Scenario families for the sweep engine.
 //!
-//! Each family maps a dense index range onto one protocol's joint-strategy
-//! space and knows how to run a single scenario and judge its report. The
-//! families deliberately share the [`Violation`] vocabulary (`"hedged"`,
-//! `"safety"`, `"conservation"`, …) so summaries from different protocols
-//! merge cleanly.
+//! Each protocol states what model checking needs to know about it once,
+//! by implementing [`Checked`]: who plays and for how many script steps,
+//! its Δ, and which `(party, property)` pairs a report breaks. The
+//! enumerated family [`Sweep`] maps a dense index range onto a protocol's
+//! variants × a table of strategy profiles and judges every run through
+//! that trait, and the sampled tier's
+//! [`SampledSweep`](crate::sampled::SampledSweep) draws from the same
+//! trait, so a protocol joins both tiers by implementing it. The protocols
+//! deliberately share the [`Violation`] vocabulary (`"hedged"`, `"safety"`,
+//! `"conservation"`, …) so summaries from different protocols merge
+//! cleanly.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use chainsim::{PartyId, World};
-use protocols::auction::{AuctionConfig, AuctioneerBehaviour};
+use protocols::auction::{self, AuctionConfig, AuctionReport, AuctioneerBehaviour, AUCTIONEER};
 use protocols::bootstrap::{BootstrapConfig, BootstrapDeviation, BootstrapRunReport};
 use protocols::broker::{broker_deal_config, BrokerConfig};
 use protocols::deal::{self, DealConfig, DealReport};
-use protocols::script::{self, Strategy};
-use protocols::two_party::{self, SwapProtocol, TwoPartyConfig, TwoPartyReport, TwoPartySwap};
+use protocols::outcome::Payoffs;
+use protocols::script::{self, Profile, Protocol, Strategy};
+use protocols::two_party::{
+    self, SwapProtocol, SwapRealism, TwoPartyConfig, TwoPartyReport, TwoPartySwap, ALICE, BOB,
+};
+use rand::rngs::StdRng;
+use rand::Rng;
 use swapgraph::{Automorphism, Digraph};
 
 use crate::engine::{FamilyScratch, ScenarioGen};
+use crate::sampled::{per_party_domain, profile_space, sample_profile, SampledScenario};
 use crate::Violation;
 
 /// The synthetic party id used for violations that concern the run as a
@@ -25,8 +37,380 @@ use crate::Violation;
 pub const WHOLE_RUN: PartyId = PartyId(u32::MAX);
 
 // ---------------------------------------------------------------------------
+// What each protocol states once.
+// ---------------------------------------------------------------------------
+
+/// What model checking needs to know about one [`Protocol`], stated once.
+///
+/// The enumerated [`Sweep`] and the sampled
+/// [`SampledSweep`](crate::sampled::SampledSweep) are generic over this
+/// trait, so a protocol joins both tiers by implementing it. Three facts
+/// are required; the defaults cover protocols whose scripts all have the
+/// same length and whose parties all deviate on the
+/// `stop_after × timing × faults` axes.
+pub trait Checked:
+    Protocol<Setup: Send + 'static, Capture: Send + 'static> + Clone + Send + Sync + 'static
+{
+    /// Every party in id order, with the number of steps of its script.
+    fn players(&self) -> Vec<(PartyId, usize)>;
+
+    /// The synchrony bound Δ in blocks, which scales the sampled delay and
+    /// outage axes.
+    fn delta(&self) -> u64;
+
+    /// The `(party, property)` pairs `report` breaks under `profile`;
+    /// run-wide properties are charged to [`WHOLE_RUN`].
+    fn violations(
+        &self,
+        report: &Self::Report,
+        profile: Profile<'_>,
+    ) -> Vec<(PartyId, &'static str)>;
+
+    /// How a violating run's label renders `profile`, after the family
+    /// name.
+    fn label(&self, profile: Profile<'_>) -> String {
+        let parties = self.players().into_iter().map(|(party, _)| party);
+        format!(" with profile {:?}", deviators(parties, profile))
+    }
+
+    /// The rational climber's score of a run in which `deviator` alone
+    /// deviates: its total payoff and the worst compliant party's hedge
+    /// margin. `None` for protocols without a per-party margin, which do
+    /// not climb.
+    fn climb_score(&self, _report: &Self::Report, _deviator: PartyId) -> Option<(i128, i128)> {
+        None
+    }
+
+    /// Draws one deviators-only profile for the sampled tier: up to
+    /// `max_deviators` parties deviate, on the timing axis alone if
+    /// `conforming_only`.
+    fn draw(
+        &self,
+        rng: &mut StdRng,
+        max_deviators: usize,
+        conforming_only: bool,
+    ) -> BTreeMap<PartyId, Strategy> {
+        sample_profile(rng, &self.players(), self.delta(), max_deviators, conforming_only)
+    }
+
+    /// The size of the space [`Checked::draw`] samples from, as a float.
+    fn sampled_space(&self, max_deviators: usize, conforming_only: bool) -> f64 {
+        let players = self.players();
+        let per_party = per_party_domain(players[0].1, self.delta(), conforming_only);
+        profile_space(players.len(), per_party, max_deviators)
+    }
+
+    /// The sampled scenario in which variant `variant` plays `profile`
+    /// under the chain-realism overlay `realism`.
+    fn scenario(
+        &self,
+        _variant: usize,
+        profile: BTreeMap<PartyId, Strategy>,
+        _realism: Option<SwapRealism>,
+    ) -> SampledScenario {
+        SampledScenario::Deal { profile }
+    }
+}
+
+/// The deviators-only view of `profile` over `parties`: every party whose
+/// strategy is not the canonical eager compliant one. (A
+/// conforming-but-lazy party is a distinct behaviour and stays.)
+pub(crate) fn deviators(
+    parties: impl IntoIterator<Item = PartyId>,
+    profile: Profile<'_>,
+) -> BTreeMap<PartyId, Strategy> {
+    parties
+        .into_iter()
+        .map(|party| (party, profile(party)))
+        .filter(|(_, strategy)| *strategy != Strategy::compliant())
+        .collect()
+}
+
+/// The [`Violation`]s `report` shows under `profile`. `label` is only
+/// called for violating runs, so the (overwhelmingly common) clean run
+/// allocates nothing here.
+pub(crate) fn judge<P: Checked>(
+    protocol: &P,
+    report: &P::Report,
+    profile: Profile<'_>,
+    label: impl Fn() -> String,
+) -> Vec<Violation> {
+    protocol
+        .violations(report, profile)
+        .into_iter()
+        .map(|(party, property)| Violation { scenario: label(), party, property })
+        .collect()
+}
+
+/// A party's total payoff over every asset in the run.
+fn party_total(payoffs: &Payoffs, party: PartyId) -> i128 {
+    payoffs.iter().filter(|(p, _, _)| *p == party).map(|(_, _, payoff)| payoff.value()).sum()
+}
+
+// ---------------------------------------------------------------------------
+// The enumerated family.
+// ---------------------------------------------------------------------------
+
+/// An enumerated family: every profile of a table, run under each of a
+/// protocol's variants. Scenario `i` is variant `i / rows` playing row
+/// `i % rows`, so one variant's scenarios are adjacent and share its
+/// recorded prefix.
+#[derive(Clone, Debug)]
+pub struct Sweep<P> {
+    name: String,
+    /// The protocol under each variant (the auction's auctioneer
+    /// behaviours). Each changes the compliant trajectory, so each resumes
+    /// from its own recorded prefix.
+    variants: Vec<P>,
+    profiles: ProfileTable,
+    /// The symmetry and partial-order reduction of a
+    /// [`DealSweep::reduced`] family.
+    reduction: Option<Reduction>,
+}
+
+#[derive(Clone, Debug)]
+enum ProfileTable {
+    /// Every party ranges independently over `space`, decoded
+    /// arithmetically rather than stored (see [`product_strategy`]).
+    Product { parties: Vec<PartyId>, space: Vec<Strategy> },
+    /// An explicit list of deviators-only profiles.
+    List(Vec<BTreeMap<PartyId, Strategy>>),
+}
+
+impl ProfileTable {
+    fn len(&self) -> usize {
+        match self {
+            ProfileTable::Product { parties, space } => space.len().pow(parties.len() as u32),
+            ProfileTable::List(profiles) => profiles.len(),
+        }
+    }
+}
+
+/// Mixed-radix decode of a product row: party `k`'s strategy is digit `k`
+/// of `row` in base `space.len()`, most significant digit first, so
+/// profiles enumerate in lexicographic order.
+fn product_strategy(
+    parties: &[PartyId],
+    space: &[Strategy],
+    row: usize,
+    party: PartyId,
+) -> Strategy {
+    match parties.iter().position(|&p| p == party) {
+        Some(k) => space[row / space.len().pow((parties.len() - 1 - k) as u32) % space.len()],
+        None => Strategy::compliant(),
+    }
+}
+
+#[derive(Clone, Debug)]
+struct Reduction {
+    /// Orbit weight per representative.
+    weights: Vec<usize>,
+    /// The documented size of the family's *unreduced* profile space — the
+    /// closed form the orbit weights and pruned count must sum to.
+    strategies: usize,
+    /// Documented profiles covered without execution by partial-order
+    /// reduction (orbit-weighted).
+    pruned: usize,
+    /// The leader-stabilizing automorphism group the family quotients by.
+    group: Vec<Automorphism>,
+    /// Canonical representative profile → scenario index, for mapping
+    /// arbitrary profiles onto their executed representative.
+    rep_index: BTreeMap<ProfileKey, usize>,
+}
+
+/// The parties of `protocol` and the strategy space their scripts share.
+///
+/// # Panics
+///
+/// Panics if the scripts differ in length.
+fn shared_space<P: Checked>(protocol: &P) -> (Vec<PartyId>, Vec<Strategy>) {
+    let players = protocol.players();
+    let steps = players[0].1;
+    assert!(
+        players.iter().all(|&(_, s)| s == steps),
+        "enumerated tables need scripts of one length"
+    );
+    (players.into_iter().map(|(party, _)| party).collect(), Strategy::all(steps))
+}
+
+impl<P: Checked> Sweep<P> {
+    /// The full product space: every party independently ranges over the
+    /// whole `stop_after × timing × faults` space of its script,
+    /// `|space|^n` scenarios.
+    pub fn full(name: impl Into<String>, protocol: P) -> Self {
+        let (parties, space) = shared_space(&protocol);
+        Self::of(name, vec![protocol], ProfileTable::Product { parties, space })
+    }
+
+    /// Profiles with at most `max_deviators` parties playing something
+    /// other than the canonical eager compliant strategy:
+    /// `Σ_{j≤k} C(n,j)·(|space|−1)^j` scenarios. The paper's theorems are
+    /// per-compliant-party, so small budgets already cover the interesting
+    /// cases while keeping dense six-party graphs tractable.
+    pub fn at_most(name: impl Into<String>, protocol: P, max_deviators: usize) -> Self {
+        let (parties, space) = shared_space(&protocol);
+        let mut profiles = Vec::new();
+        let mut current = BTreeMap::new();
+        enumerate_profiles(&parties, &space, max_deviators, 0, &mut current, &mut |profile| {
+            profiles.push(profile.clone())
+        });
+        debug_assert_eq!(
+            profiles.len(),
+            bounded_profile_count(parties.len(), space.len() - 1, max_deviators),
+            "profile enumeration must match its closed form"
+        );
+        Self::of(name, vec![protocol], ProfileTable::List(profiles))
+    }
+
+    fn of(name: impl Into<String>, variants: Vec<P>, profiles: ProfileTable) -> Self {
+        Sweep { name: name.into(), variants, profiles, reduction: None }
+    }
+
+    /// Decodes scenario `index` into a (deviators-only) strategy profile.
+    pub fn profile(&self, index: usize) -> BTreeMap<PartyId, Strategy> {
+        let row = index % self.profiles.len();
+        match &self.profiles {
+            ProfileTable::Product { parties, space } => {
+                deviators(parties.iter().copied(), &|party| {
+                    product_strategy(parties, space, row, party)
+                })
+            }
+            ProfileTable::List(profiles) => profiles[row].clone(),
+        }
+    }
+}
+
+impl<P: Checked> ScenarioGen for Sweep<P> {
+    fn family(&self) -> String {
+        self.name.clone()
+    }
+
+    fn total(&self) -> usize {
+        self.variants.len() * self.profiles.len()
+    }
+
+    fn strategies(&self) -> usize {
+        self.reduction.as_ref().map_or(self.total(), |reduction| reduction.strategies)
+    }
+
+    fn check(
+        &self,
+        index: usize,
+        scratch: &mut World,
+        cache: &mut FamilyScratch,
+    ) -> Vec<Violation> {
+        let (variant, row) = (index / self.profiles.len(), index % self.profiles.len());
+        let protocol = &self.variants[variant];
+        let mut run = |profile: Profile<'_>| {
+            let report = cache.run(protocol, variant, profile, scratch);
+            judge(protocol, &report, profile, || {
+                format!("{}{}", self.name, protocol.label(profile))
+            })
+        };
+        match &self.profiles {
+            ProfileTable::Product { parties, space } => {
+                run(&|party| product_strategy(parties, space, row, party))
+            }
+            ProfileTable::List(profiles) => run(&script::profile(&profiles[row])),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Two-party swaps.
 // ---------------------------------------------------------------------------
+
+impl Checked for TwoPartySwap {
+    fn players(&self) -> Vec<(PartyId, usize)> {
+        let steps = match self.protocol {
+            SwapProtocol::Hedged => two_party::SCRIPT_STEPS,
+            SwapProtocol::Base => two_party::BASE_SCRIPT_STEPS,
+        };
+        vec![(ALICE, steps), (BOB, steps)]
+    }
+
+    fn delta(&self) -> u64 {
+        self.config.delta_blocks
+    }
+
+    /// The hedged predicate per compliant party, plus conservation whenever
+    /// at least one compliant party remains to settle the contracts (with
+    /// every party absent, value legitimately stays escrowed).
+    fn violations(
+        &self,
+        report: &TwoPartyReport,
+        profile: Profile<'_>,
+    ) -> Vec<(PartyId, &'static str)> {
+        let (alice, bob) = (profile(ALICE).is_compliant(), profile(BOB).is_compliant());
+        let mut violations = Vec::new();
+        if alice && !report.hedged_for_alice {
+            violations.push((ALICE, "hedged"));
+        }
+        if bob && !report.hedged_for_bob {
+            violations.push((BOB, "hedged"));
+        }
+        if (alice || bob) && !report.payoffs.conserved() {
+            violations.push((WHOLE_RUN, "conservation"));
+        }
+        violations
+    }
+
+    fn label(&self, profile: Profile<'_>) -> String {
+        format!(", alice={}, bob={}", profile(ALICE), profile(BOB))
+    }
+
+    fn climb_score(&self, report: &TwoPartyReport, deviator: PartyId) -> Option<(i128, i128)> {
+        let compliant = if deviator == ALICE { BOB } else { ALICE };
+        Some((
+            party_total(&report.payoffs, deviator),
+            hedge_margin(report, &self.config, compliant),
+        ))
+    }
+
+    fn scenario(
+        &self,
+        _variant: usize,
+        profile: BTreeMap<PartyId, Strategy>,
+        realism: Option<SwapRealism>,
+    ) -> SampledScenario {
+        let strategy = script::profile(&profile);
+        let (alice, bob) = (strategy(ALICE), strategy(BOB));
+        match realism {
+            None => SampledScenario::TwoParty { alice, bob },
+            Some(realism) => SampledScenario::TwoPartyReorg { alice, bob, realism },
+        }
+    }
+}
+
+/// The hedge margin of one compliant two-party participant: how far above
+/// (or below, negative) the hedged predicate's threshold the run left
+/// them. Mirrors `hedged_check` branch for branch.
+fn hedge_margin(report: &TwoPartyReport, config: &TwoPartyConfig, party: PartyId) -> i128 {
+    let (lockup, counter_gain, expected, premium, compensation) = if party == ALICE {
+        (
+            report.alice_lockup,
+            report.alice_banana_payoff,
+            config.bob_tokens,
+            report.alice_premium_payoff,
+            config.premium_b,
+        )
+    } else {
+        (
+            report.bob_lockup,
+            report.bob_apricot_payoff,
+            config.alice_tokens,
+            report.bob_premium_payoff,
+            config.premium_a,
+        )
+    };
+    if lockup.redeemed {
+        (counter_gain - expected.value() as i128).min(premium)
+    } else if lockup.principal_blocks > 0 {
+        premium - compensation.value() as i128
+    } else {
+        premium
+    }
+}
 
 /// The full product sweep over both parties' strategy spaces for a
 /// two-party swap (hedged §5.2 or base §5.1).
@@ -37,107 +421,101 @@ pub const WHOLE_RUN: PartyId = PartyId(u32::MAX);
 /// `31 × 31`. The spaces are exact-length per protocol: enumerating the
 /// base swap over the hedged bound would re-run behaviourally compliant
 /// stop-points and double-count the compliant outcome in summaries.
-#[derive(Clone, Debug)]
-pub struct TwoPartySweep {
-    swap: TwoPartySwap,
-    space: Vec<Strategy>,
-}
+pub type TwoPartySweep = Sweep<TwoPartySwap>;
 
-impl TwoPartySweep {
+impl Sweep<TwoPartySwap> {
     /// Sweeps the hedged two-party swap (§5.2).
     pub fn hedged(config: TwoPartyConfig) -> Self {
-        TwoPartySweep { swap: TwoPartySwap::hedged(config), space: two_party::strategy_space() }
+        Self::full("hedged two-party swap", TwoPartySwap::hedged(config))
     }
 
     /// Sweeps the base (unhedged) two-party swap (§5.1) over its own
     /// (three-step) strategy space. The sweep is expected to *find*
     /// hedged-property violations: that is the paper's motivating attack.
     pub fn base(config: TwoPartyConfig) -> Self {
-        TwoPartySweep { swap: TwoPartySwap::base(config), space: two_party::base_strategy_space() }
+        Self::full("base two-party swap", TwoPartySwap::base(config))
     }
-}
-
-impl ScenarioGen for TwoPartySweep {
-    fn family(&self) -> String {
-        let kind = match self.swap.protocol {
-            SwapProtocol::Hedged => "hedged",
-            SwapProtocol::Base => "base",
-        };
-        format!("{kind} two-party swap")
-    }
-
-    fn total(&self) -> usize {
-        self.space.len() * self.space.len()
-    }
-
-    fn check(
-        &self,
-        index: usize,
-        scratch: &mut World,
-        cache: &mut FamilyScratch,
-    ) -> Vec<Violation> {
-        let alice = self.space[index / self.space.len()];
-        let bob = self.space[index % self.space.len()];
-        let report = cache.run(&self.swap, 0, &two_party::profile(alice, bob), scratch);
-        // Scenario labels are only rendered for violating runs, so the
-        // (overwhelmingly common) clean scenario allocates nothing here.
-        let scenario = || format!("{}, alice={alice}, bob={bob}", self.family());
-        judge_two_party(&report, alice, bob, &scenario)
-    }
-}
-
-/// Judges one two-party report: the hedged predicate per compliant party,
-/// plus conservation whenever at least one compliant party remains to
-/// settle the contracts (with every party absent, value legitimately stays
-/// escrowed). Shared verbatim between the enumerated sweep and the sampled
-/// tier so both judge with identical predicates.
-pub(crate) fn judge_two_party(
-    report: &TwoPartyReport,
-    alice: Strategy,
-    bob: Strategy,
-    scenario: &dyn Fn() -> String,
-) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    if alice.is_compliant() && !report.hedged_for_alice {
-        violations.push(Violation {
-            scenario: scenario(),
-            party: two_party::ALICE,
-            property: "hedged",
-        });
-    }
-    if bob.is_compliant() && !report.hedged_for_bob {
-        violations.push(Violation {
-            scenario: scenario(),
-            party: two_party::BOB,
-            property: "hedged",
-        });
-    }
-    if (alice.is_compliant() || bob.is_compliant()) && !report.payoffs.conserved() {
-        violations.push(Violation {
-            scenario: scenario(),
-            party: WHOLE_RUN,
-            property: "conservation",
-        });
-    }
-    violations
 }
 
 // ---------------------------------------------------------------------------
 // Deal-engine protocols (multi-party swaps and brokered sales).
 // ---------------------------------------------------------------------------
 
-/// How much of a deal's joint strategy space a [`DealSweep`] explores.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeviationBudget {
-    /// The full product space: every party independently ranges over the
-    /// whole strategy space, `(1 + SCRIPT_STEPS)^n` scenarios.
-    Full,
-    /// Profiles with at most this many parties playing something other
-    /// than the canonical eager compliant strategy:
-    /// `Σ_{j≤k} C(n,j)·(|space|−1)^j` scenarios. The paper's theorems are
-    /// per-compliant-party, so small budgets already cover the interesting
-    /// cases while keeping dense six-party graphs tractable.
-    AtMost(usize),
+impl Checked for DealConfig {
+    fn players(&self) -> Vec<(PartyId, usize)> {
+        self.parties().into_iter().map(|party| (party, deal::SCRIPT_STEPS)).collect()
+    }
+
+    fn delta(&self) -> u64 {
+        self.delta_blocks
+    }
+
+    /// The per-compliant-party hedged, safety and stranded-principal
+    /// predicates plus the deviator-count-sensitive conservation check.
+    fn violations(
+        &self,
+        report: &DealReport,
+        profile: Profile<'_>,
+    ) -> Vec<(PartyId, &'static str)> {
+        let mut violations = Vec::new();
+        for (&party, outcome) in &report.parties {
+            let compliant = profile(party).is_compliant();
+            if compliant && !outcome.hedged {
+                violations.push((party, "hedged"));
+            }
+            if compliant && !outcome.safety {
+                violations.push((party, "safety"));
+            }
+            // A compliant party's settle step frees every incident arc
+            // after the final deadline, so none of its principals may end
+            // the run stuck in escrow — under any number of deviators.
+            if compliant && outcome.escrowed_stuck > 0 {
+                violations.push((party, "stranded-principal"));
+            }
+        }
+        // Funds conservation (payoffs sum to zero) holds whenever at most
+        // one party deviates. Several simultaneous walk-aways can strand
+        // their own deposits inside escrows nobody settles — a loss to the
+        // deviators, not a soundness bug — so for those profiles the check
+        // weakens to "no value is ever minted" per asset (the stranded
+        // value is pinned to the deviators by the stranded-principal check
+        // above plus each compliant party's hedged premium bound).
+        // Conforming-but-lazy parties settle everything they can reach, so
+        // they do not count against the strict-conservation budget.
+        let deviators = report.parties.keys().filter(|&&party| !profile(party).is_compliant());
+        if deviators.count() <= 1 {
+            if !report.payoffs.conserved() {
+                violations.push((WHOLE_RUN, "conservation"));
+            }
+        } else {
+            let mut per_asset: BTreeMap<chainsim::AssetId, i128> = BTreeMap::new();
+            for (_, asset, payoff) in report.payoffs.iter() {
+                *per_asset.entry(asset).or_insert(0) += payoff.value();
+            }
+            if per_asset.values().any(|&total| total > 0) {
+                violations.push((WHOLE_RUN, "minting"));
+            }
+        }
+        violations
+    }
+
+    fn climb_score(&self, report: &DealReport, deviator: PartyId) -> Option<(i128, i128)> {
+        let margin = report
+            .parties
+            .iter()
+            .filter(|(party, _)| **party != deviator)
+            .map(|(_, outcome)| {
+                let compensation = if outcome.escrowed_unredeemed > 0 {
+                    self.base_premium.value() as i128
+                } else {
+                    0
+                };
+                outcome.premium_payoff - compensation
+            })
+            .min()
+            .unwrap_or(0);
+        Some((party_total(&report.payoffs, deviator), margin))
+    }
 }
 
 /// A profile rendered as a sorted association list, the key the reduction
@@ -180,74 +558,13 @@ fn commuting_deviations(digraph: &Digraph, profile: &BTreeMap<PartyId, Strategy>
     })
 }
 
-/// A sweep over the joint strategy profiles of one [`DealConfig`].
-#[derive(Clone, Debug)]
-pub struct DealSweep {
-    name: String,
-    config: DealConfig,
-    space: Vec<Strategy>,
-    budget: DeviationBudget,
-    /// Materialised profile list for [`DeviationBudget::AtMost`]; `None`
-    /// for full sweeps, which decode indices arithmetically instead.
-    profiles: Option<Vec<BTreeMap<PartyId, Strategy>>>,
-    /// Orbit weight per materialised profile for reduced sweeps; `None`
-    /// means every profile weighs 1 (unreduced sweeps).
-    weights: Option<Vec<usize>>,
-    /// The documented size of the family's *unreduced* profile space — the
-    /// closed form the orbit weights and pruned count must sum to.
-    space_size: usize,
-    /// Documented profiles covered without execution by partial-order
-    /// reduction (orbit-weighted).
-    pruned: usize,
-    /// The leader-stabilizing automorphism group a reduced sweep quotients
-    /// by; empty for unreduced sweeps.
-    group: Vec<Automorphism>,
-    /// Canonical representative profile → scenario index, for mapping
-    /// arbitrary profiles onto their executed representative.
-    rep_index: Option<BTreeMap<ProfileKey, usize>>,
-}
+/// A sweep over the joint strategy profiles of one [`DealConfig`]: the
+/// full product ([`Sweep::full`]), a deviator budget ([`Sweep::at_most`])
+/// or a symmetry- and partial-order-reduced budget
+/// ([`DealSweep::reduced`]).
+pub type DealSweep = Sweep<DealConfig>;
 
-impl DealSweep {
-    /// Creates a sweep over `config` with the given deviation budget.
-    pub fn new(name: impl Into<String>, config: DealConfig, budget: DeviationBudget) -> Self {
-        let space = deal::strategy_space();
-        let parties = config.parties();
-        let (profiles, space_size) = match budget {
-            DeviationBudget::Full => (None, space.len().pow(parties.len() as u32)),
-            DeviationBudget::AtMost(max_deviators) => {
-                let mut profiles = Vec::new();
-                let mut current = BTreeMap::new();
-                enumerate_profiles(
-                    &parties,
-                    &space,
-                    max_deviators,
-                    0,
-                    &mut current,
-                    &mut |profile| profiles.push(profile.clone()),
-                );
-                debug_assert_eq!(
-                    profiles.len(),
-                    bounded_profile_count(parties.len(), space.len() - 1, max_deviators),
-                    "profile enumeration must match its closed form"
-                );
-                let space_size = profiles.len();
-                (Some(profiles), space_size)
-            }
-        };
-        DealSweep {
-            name: name.into(),
-            config,
-            space,
-            budget,
-            profiles,
-            weights: None,
-            space_size,
-            pruned: 0,
-            group: Vec::new(),
-            rep_index: None,
-        }
-    }
-
+impl Sweep<DealConfig> {
     /// Creates a symmetry- and partial-order-reduced sweep over the
     /// profiles of `config` with at most `max_deviators` deviators.
     ///
@@ -275,12 +592,11 @@ impl DealSweep {
     /// Panics if `max_deviators > 2` on a digraph with a non-trivial
     /// leader-stabilizing symmetry group (the orbit enumeration is
     /// closed-form up to pairs; larger budgets fall back to
-    /// [`DealSweep::at_most`] or a symmetry-free graph).
+    /// [`Sweep::at_most`] or a symmetry-free graph).
     pub fn reduced(name: impl Into<String>, config: DealConfig, max_deviators: usize) -> Self {
-        let space = deal::strategy_space();
+        let (parties, space) = shared_space(&config);
         let deviating: Vec<Strategy> =
             space.iter().copied().filter(|s| *s != Strategy::compliant()).collect();
-        let parties = config.parties();
         let leader_vertices: BTreeSet<swapgraph::Vertex> =
             config.leaders.iter().map(|party| party.0).collect();
         let group = config.digraph.automorphisms_stabilizing(&leader_vertices);
@@ -407,68 +723,41 @@ impl DealSweep {
             .collect();
         assert_eq!(rep_index.len(), profiles.len(), "representatives must be distinct");
 
-        DealSweep {
-            name: name.into(),
-            config,
-            space,
-            budget: DeviationBudget::AtMost(max_deviators),
-            profiles: Some(profiles),
-            weights: Some(weights),
-            space_size,
-            pruned,
-            group,
-            rep_index: Some(rep_index),
+        let reduction = Reduction { weights, strategies: space_size, pruned, group, rep_index };
+        Sweep {
+            reduction: Some(reduction),
+            ..Self::of(name, vec![config], ProfileTable::List(profiles))
         }
-    }
-
-    /// A sweep over the full product strategy space.
-    pub fn full(name: impl Into<String>, config: DealConfig) -> Self {
-        Self::new(name, config, DeviationBudget::Full)
-    }
-
-    /// A sweep over profiles with at most `max_deviators` deviators.
-    pub fn at_most(name: impl Into<String>, config: DealConfig, max_deviators: usize) -> Self {
-        Self::new(name, config, DeviationBudget::AtMost(max_deviators))
-    }
-
-    /// The deal configuration this family sweeps.
-    pub fn config(&self) -> &DealConfig {
-        &self.config
-    }
-
-    /// The deviation budget of this family.
-    pub fn budget(&self) -> DeviationBudget {
-        self.budget
     }
 
     /// Whether this sweep was built by [`DealSweep::reduced`].
     pub fn is_reduced(&self) -> bool {
-        self.weights.is_some()
+        self.reduction.is_some()
     }
 
     /// The orbit weight of scenario `index`: how many profiles of the
     /// unreduced space the executed representative stands for. Always 1 for
     /// unreduced sweeps.
     pub fn weight(&self, index: usize) -> usize {
-        self.weights.as_ref().map_or(1, |weights| weights[index])
+        self.reduction.as_ref().map_or(1, |reduction| reduction.weights[index])
     }
 
     /// Documented profiles skipped by partial-order reduction
     /// (orbit-weighted); 0 for unreduced sweeps.
     pub fn pruned_strategies(&self) -> usize {
-        self.pruned
+        self.reduction.as_ref().map_or(0, |reduction| reduction.pruned)
     }
 
     /// The leader-stabilizing automorphism group a reduced sweep quotients
     /// by (empty for unreduced sweeps).
     pub fn symmetry_group(&self) -> &[Automorphism] {
-        &self.group
+        self.reduction.as_ref().map(|reduction| reduction.group.as_slice()).unwrap_or_default()
     }
 
     /// Whether partial-order reduction would skip `profile`: at least two
     /// deviating-or-lazy parties, pairwise sharing no arc.
     pub fn por_pruned(&self, profile: &BTreeMap<PartyId, Strategy>) -> bool {
-        self.is_reduced() && commuting_deviations(&self.config.digraph, profile)
+        self.is_reduced() && commuting_deviations(&self.variants[0].digraph, profile)
     }
 
     /// Maps an arbitrary profile onto its executed canonical representative:
@@ -480,145 +769,18 @@ impl DealSweep {
         &self,
         profile: &BTreeMap<PartyId, Strategy>,
     ) -> Option<(usize, &Automorphism)> {
-        let rep_index = self.rep_index.as_ref()?;
-        self.group.iter().find_map(|perm| {
+        let reduction = self.reduction.as_ref()?;
+        reduction.group.iter().find_map(|perm| {
             let image = apply_automorphism(perm, profile);
-            rep_index.get(&profile_key(&image)).map(|&index| (index, perm))
+            reduction.rep_index.get(&profile_key(&image)).map(|&index| (index, perm))
         })
     }
-
-    /// Decodes scenario `index` into a (deviators-only) strategy profile.
-    pub fn profile(&self, index: usize) -> BTreeMap<PartyId, Strategy> {
-        match &self.profiles {
-            Some(profiles) => profiles[index].clone(),
-            None => {
-                // Mixed-radix decode: party k's strategy is digit k of
-                // `index` in base `space.len()`, most significant digit
-                // first so profiles enumerate in lexicographic order.
-                let parties = self.config.parties();
-                let mut remaining = index;
-                let mut profile = BTreeMap::new();
-                for &party in parties.iter().rev() {
-                    let strategy = self.space[remaining % self.space.len()];
-                    remaining /= self.space.len();
-                    // Key on exact equality with the canonical compliant
-                    // strategy: a conforming-but-lazy (`+late`) party is
-                    // still a distinct *behaviour* that must run, even
-                    // though `is_compliant` is true for it.
-                    if strategy != Strategy::compliant() {
-                        profile.insert(party, strategy);
-                    }
-                }
-                profile
-            }
-        }
-    }
-}
-
-impl ScenarioGen for DealSweep {
-    fn family(&self) -> String {
-        self.name.clone()
-    }
-
-    fn total(&self) -> usize {
-        match &self.profiles {
-            Some(profiles) => profiles.len(),
-            None => self.space.len().pow(self.config.parties().len() as u32),
-        }
-    }
-
-    fn strategies(&self) -> usize {
-        self.space_size
-    }
-
-    fn check(
-        &self,
-        index: usize,
-        scratch: &mut World,
-        cache: &mut FamilyScratch,
-    ) -> Vec<Violation> {
-        let owned_profile;
-        let profile: &BTreeMap<PartyId, Strategy> = match &self.profiles {
-            Some(profiles) => &profiles[index],
-            None => {
-                owned_profile = self.profile(index);
-                &owned_profile
-            }
-        };
-        let report = cache.run(&self.config, 0, &script::profile(profile), scratch);
-        // Rendered only for violating runs; clean scenarios allocate nothing.
-        let scenario = || format!("{} with profile {profile:?}", self.name);
-        judge_deal(&report, profile, &scenario)
-    }
-}
-
-/// Judges one deal report under the per-compliant-party hedged, safety and
-/// stranded-principal predicates plus the deviator-count-sensitive
-/// conservation check. Shared verbatim between the enumerated sweeps and
-/// the sampled tier.
-pub(crate) fn judge_deal(
-    report: &DealReport,
-    profile: &BTreeMap<PartyId, Strategy>,
-    scenario: &dyn Fn() -> String,
-) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    for (party, outcome) in &report.parties {
-        let compliant = profile.get(party).copied().unwrap_or(Strategy::compliant()).is_compliant();
-        if compliant && !outcome.hedged {
-            violations.push(Violation { scenario: scenario(), party: *party, property: "hedged" });
-        }
-        if compliant && !outcome.safety {
-            violations.push(Violation { scenario: scenario(), party: *party, property: "safety" });
-        }
-        // A compliant party's settle step frees every incident arc
-        // after the final deadline, so none of its principals may end
-        // the run stuck in escrow — under any number of deviators.
-        if compliant && outcome.escrowed_stuck > 0 {
-            violations.push(Violation {
-                scenario: scenario(),
-                party: *party,
-                property: "stranded-principal",
-            });
-        }
-    }
-    // Funds conservation (payoffs sum to zero) holds whenever at most
-    // one party deviates. Several simultaneous walk-aways can strand
-    // their own deposits inside escrows nobody settles — a loss to the
-    // deviators, not a soundness bug — so for those profiles the check
-    // weakens to "no value is ever minted" per asset (the stranded
-    // value is pinned to the deviators by the stranded-principal check
-    // above plus each compliant party's hedged premium bound).
-    // Conforming-but-lazy parties settle everything they can reach, so
-    // they do not count against the strict-conservation budget.
-    let deviators = profile.values().filter(|s| !s.is_compliant()).count();
-    if deviators <= 1 {
-        if !report.payoffs.conserved() {
-            violations.push(Violation {
-                scenario: scenario(),
-                party: WHOLE_RUN,
-                property: "conservation",
-            });
-        }
-    } else {
-        let mut per_asset: BTreeMap<chainsim::AssetId, i128> = BTreeMap::new();
-        for (_, asset, payoff) in report.payoffs.iter() {
-            *per_asset.entry(asset).or_insert(0) += payoff.value();
-        }
-        if per_asset.values().any(|&total| total > 0) {
-            violations.push(Violation {
-                scenario: scenario(),
-                party: WHOLE_RUN,
-                property: "minting",
-            });
-        }
-    }
-    violations
 }
 
 /// The number of profiles with at most `max_deviators` deviators: each of
 /// `j ≤ max_deviators` deviating parties independently picks one of
 /// `deviating` non-compliant strategies. This is the closed form that
-/// [`DealSweep::at_most`] executes in full and [`DealSweep::reduced`]
+/// [`Sweep::at_most`] executes in full and [`DealSweep::reduced`]
 /// documents through orbit weights plus its pruned tally.
 pub fn bounded_profile_count(parties: usize, deviating: usize, max_deviators: usize) -> usize {
     (0..=max_deviators.min(parties)).map(|j| binomial(parties, j) * deviating.pow(j as u32)).sum()
@@ -665,54 +827,17 @@ fn enumerate_profiles(
 // Brokered sales (§8).
 // ---------------------------------------------------------------------------
 
-/// The brokered-sale family: a [`BrokerConfig`] swept on the
-/// [`ParallelSweep`](crate::engine::ParallelSweep) engine through the
-/// generic deal machinery, with pooled worlds and per-worker recorded
-/// prefixes — the same hot path as every other deal family.
-#[derive(Clone, Debug)]
-pub struct BrokerSweep {
-    inner: DealSweep,
-}
+/// The brokered-sale family: a [`BrokerConfig`] swept as the deal it
+/// compiles to ([`broker_deal_config`]), with pooled worlds and per-worker
+/// recorded prefixes — the same hot path as every other deal family.
+#[derive(Debug)]
+pub enum BrokerSweep {}
 
 impl BrokerSweep {
-    /// Sweeps the brokered sale built from `config` under the given
-    /// deviation budget.
-    pub fn new(config: &BrokerConfig, budget: DeviationBudget) -> Self {
-        BrokerSweep { inner: DealSweep::new("brokered sale", broker_deal_config(config), budget) }
-    }
-
     /// The default brokered sale with up to `max_deviators` simultaneous
     /// deviators.
-    pub fn at_most(config: &BrokerConfig, max_deviators: usize) -> Self {
-        Self::new(config, DeviationBudget::AtMost(max_deviators))
-    }
-
-    /// Decodes scenario `index` into a (deviators-only) strategy profile.
-    pub fn profile(&self, index: usize) -> BTreeMap<PartyId, Strategy> {
-        self.inner.profile(index)
-    }
-}
-
-impl ScenarioGen for BrokerSweep {
-    fn family(&self) -> String {
-        self.inner.family()
-    }
-
-    fn total(&self) -> usize {
-        self.inner.total()
-    }
-
-    fn strategies(&self) -> usize {
-        self.inner.strategies()
-    }
-
-    fn check(
-        &self,
-        index: usize,
-        scratch: &mut World,
-        cache: &mut FamilyScratch,
-    ) -> Vec<Violation> {
-        self.inner.check(index, scratch, cache)
+    pub fn at_most(config: &BrokerConfig, max_deviators: usize) -> DealSweep {
+        DealSweep::at_most("brokered sale", broker_deal_config(config), max_deviators)
     }
 }
 
@@ -720,105 +845,144 @@ impl ScenarioGen for BrokerSweep {
 // Premium bootstrapping (§6).
 // ---------------------------------------------------------------------------
 
+impl Checked for BootstrapConfig {
+    fn players(&self) -> Vec<(PartyId, usize)> {
+        // A step per level, then the principal redeem and the settle step.
+        let steps = self.rounds as usize + 3;
+        vec![(ALICE, steps), (BOB, steps)]
+    }
+
+    fn delta(&self) -> u64 {
+        self.delta_blocks()
+    }
+
+    /// The §6 bounded-loss guarantee for the compliant survivor plus
+    /// pure-transfer conservation.
+    fn violations(
+        &self,
+        report: &BootstrapRunReport,
+        profile: Profile<'_>,
+    ) -> Vec<(PartyId, &'static str)> {
+        let mut violations = Vec::new();
+        if !report.loss_bounded_by_initial_risk {
+            // The wronged party is the compliant survivor (or the whole run
+            // when nobody deviated and settlement itself misbehaved).
+            let victim = match deviators([ALICE, BOB], profile).into_keys().next() {
+                Some(ALICE) => BOB,
+                Some(_) => ALICE,
+                None => WHOLE_RUN,
+            };
+            violations.push((victim, "bounded-loss"));
+        }
+        // Every cascade settles completely, so payoffs are a pure transfer.
+        if report.alice_payoff + report.bob_payoff != 0 {
+            violations.push((WHOLE_RUN, "conservation"));
+        }
+        violations
+    }
+
+    /// The cascade's own vocabulary: no deviation with probability ⅛,
+    /// otherwise a uniform party, level and [`BootstrapDeviation`] kind.
+    fn draw(&self, rng: &mut StdRng, _: usize, _: bool) -> BTreeMap<PartyId, Strategy> {
+        if rng.gen_range(0..8u32) == 0 {
+            return BTreeMap::new();
+        }
+        let party = PartyId(rng.gen_range(0..2u32));
+        let level = rng.gen_range(0..self.rounds + 1);
+        let deviation = match rng.gen_range(0..3u32) {
+            0 => BootstrapDeviation::StopAtLevel { party, level },
+            1 => BootstrapDeviation::LateAtLevel { party, level },
+            _ => BootstrapDeviation::WrongSecretAtLevel { party, level },
+        };
+        cascade_profile(&deviation, self.rounds)
+    }
+
+    /// The enumerable deviation space the draws come from.
+    fn sampled_space(&self, _: usize, _: bool) -> f64 {
+        1.0 + 6.0 * (self.rounds as f64 + 1.0)
+    }
+}
+
+/// The deviators-only profile `deviation` plays in a cascade of `rounds`
+/// premium rounds.
+fn cascade_profile(deviation: &BootstrapDeviation, rounds: u32) -> BTreeMap<PartyId, Strategy> {
+    deviators([ALICE, BOB], &deviation.profile(rounds))
+}
+
 /// A sweep over the deviation space of a bootstrapped premium cascade: the
 /// all-compliant run plus, per party and per level, a walk-away, a
 /// deadline-edge (procrastinated) deposit and a wrong-preimage redemption
 /// attempt — the cascade's projection of the `stop_after × timing × faults`
-/// axes (see [`BootstrapDeviation::all`]).
+/// axes, in [`BootstrapDeviation::all`]'s order.
 ///
 /// `1 + 6·(rounds + 1)` scenarios per configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct BootstrapSweep {
-    config: BootstrapConfig,
-}
+pub type BootstrapSweep = Sweep<BootstrapConfig>;
 
-impl BootstrapSweep {
+impl Sweep<BootstrapConfig> {
     /// Sweeps the cascade of `a` against `b` with premium ratio `ratio`
     /// and `rounds` premium rounds.
     pub fn new(a: u128, b: u128, ratio: u128, rounds: u32) -> Self {
-        BootstrapSweep { config: BootstrapConfig::new(a, b, ratio, rounds) }
+        let profiles = BootstrapDeviation::all(rounds)
+            .iter()
+            .map(|deviation| cascade_profile(deviation, rounds))
+            .collect();
+        Self::of(
+            format!("bootstrap a={a}, b={b}, ratio={ratio}, rounds={rounds}"),
+            vec![BootstrapConfig::new(a, b, ratio, rounds)],
+            ProfileTable::List(profiles),
+        )
     }
-
-    /// Arithmetic decode of scenario `index` into its deviation — the same
-    /// enumeration order as [`BootstrapDeviation::all`] (pinned by a unit
-    /// test) with no per-scenario allocation on the engine's hot path.
-    fn deviation_at(&self, index: usize) -> BootstrapDeviation {
-        if index == 0 {
-            return BootstrapDeviation::None;
-        }
-        let levels = self.config.rounds as usize + 1;
-        let offset = index - 1;
-        let party = PartyId((offset / (3 * levels)) as u32);
-        let level = ((offset % (3 * levels)) / 3) as u32;
-        match offset % 3 {
-            0 => BootstrapDeviation::StopAtLevel { party, level },
-            1 => BootstrapDeviation::LateAtLevel { party, level },
-            _ => BootstrapDeviation::WrongSecretAtLevel { party, level },
-        }
-    }
-}
-
-impl ScenarioGen for BootstrapSweep {
-    fn family(&self) -> String {
-        let BootstrapConfig { a, b, ratio, rounds } = self.config;
-        format!("bootstrap a={a}, b={b}, ratio={ratio}, rounds={rounds}")
-    }
-
-    fn total(&self) -> usize {
-        1 + 6 * (self.config.rounds as usize + 1)
-    }
-
-    fn check(
-        &self,
-        index: usize,
-        scratch: &mut World,
-        cache: &mut FamilyScratch,
-    ) -> Vec<Violation> {
-        let deviation = self.deviation_at(index);
-        let profile = deviation.profile(self.config.rounds);
-        let report = cache.run(&self.config, 0, &profile, scratch);
-        let scenario = || format!("{}, deviation {deviation:?}", self.family());
-        judge_bootstrap(&report, deviation.party(), &scenario)
-    }
-}
-
-/// Judges one bootstrap-cascade report: the §6 bounded-loss guarantee for
-/// the compliant survivor plus pure-transfer conservation. Shared between
-/// the enumerated sweep and the sampled tier.
-pub(crate) fn judge_bootstrap(
-    report: &BootstrapRunReport,
-    deviator: Option<PartyId>,
-    scenario: &dyn Fn() -> String,
-) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    if !report.loss_bounded_by_initial_risk {
-        // The wronged party is the compliant survivor (or the whole run
-        // when nobody deviated and settlement itself misbehaved).
-        let victim = match deviator {
-            Some(PartyId(0)) => PartyId(1),
-            Some(_) => PartyId(0),
-            None => WHOLE_RUN,
-        };
-        violations.push(Violation {
-            scenario: scenario(),
-            party: victim,
-            property: "bounded-loss",
-        });
-    }
-    // Every cascade settles completely, so payoffs are a pure transfer.
-    if report.alice_payoff + report.bob_payoff != 0 {
-        violations.push(Violation {
-            scenario: scenario(),
-            party: WHOLE_RUN,
-            property: "conservation",
-        });
-    }
-    violations
 }
 
 // ---------------------------------------------------------------------------
 // Auctions (§9).
 // ---------------------------------------------------------------------------
+
+impl Checked for AuctionConfig {
+    fn players(&self) -> Vec<(PartyId, usize)> {
+        std::iter::once(AUCTIONEER)
+            .chain(self.bidders())
+            .map(|party| (party, auction::SCRIPT_STEPS))
+            .collect()
+    }
+
+    fn delta(&self) -> u64 {
+        self.delta_blocks
+    }
+
+    /// Lemma 8's no-bid-stolen guarantee (blamed on the deviator when there
+    /// is exactly one) plus conservation.
+    fn violations(
+        &self,
+        report: &AuctionReport,
+        profile: Profile<'_>,
+    ) -> Vec<(PartyId, &'static str)> {
+        let mut violations = Vec::new();
+        if !report.no_bid_stolen {
+            let parties = self.players().into_iter().map(|(party, _)| party);
+            let deviator = deviators(parties, profile).into_keys().next();
+            violations.push((deviator.unwrap_or(WHOLE_RUN), "no-bid-stolen"));
+        }
+        if !report.payoffs.conserved() {
+            violations.push((WHOLE_RUN, "conservation"));
+        }
+        violations
+    }
+
+    fn label(&self, profile: Profile<'_>) -> String {
+        let parties = self.players().into_iter().map(|(party, _)| party);
+        format!(" {:?} with profile {:?}", self.auctioneer, deviators(parties, profile))
+    }
+
+    fn scenario(
+        &self,
+        variant: usize,
+        profile: BTreeMap<PartyId, Strategy>,
+        _realism: Option<SwapRealism>,
+    ) -> SampledScenario {
+        SampledScenario::Auction { behaviour: variant, profile }
+    }
+}
 
 /// The auction sweep: every auctioneer behaviour combined with every
 /// single-party deviation from the full `stop_after × timing × faults`
@@ -826,26 +990,15 @@ pub(crate) fn judge_bootstrap(
 ///
 /// Per behaviour: the all-compliant profile plus each party playing each
 /// non-compliant strategy — `3 × (1 + parties × (|space| − 1))` scenarios.
-#[derive(Clone, Debug)]
-pub struct AuctionSweep {
-    /// The configuration under each of [`BEHAVIOURS`], in order.
-    configs: Vec<AuctionConfig>,
-    /// All parties (auctioneer + bidders), precomputed: `check` decodes an
-    /// index on the engine's per-scenario hot path and must not allocate.
-    parties: Vec<PartyId>,
-    /// The non-default strategies a deviating party ranges over
-    /// (everything but the canonical eager compliant strategy —
-    /// conforming-but-lazy behaviour included), precomputed.
-    deviating: Vec<Strategy>,
-}
+pub type AuctionSweep = Sweep<AuctionConfig>;
 
-impl Default for AuctionSweep {
+impl Default for Sweep<AuctionConfig> {
     fn default() -> Self {
         Self::new(AuctionConfig::default())
     }
 }
 
-/// Auctioneer behaviours the sweep ranges over.
+/// Auctioneer behaviours the auction families range over.
 pub(crate) const BEHAVIOURS: [AuctioneerBehaviour; 3] = [
     AuctioneerBehaviour::DeclareHighBidder,
     AuctioneerBehaviour::DeclareLowBidder,
@@ -858,85 +1011,12 @@ pub(crate) fn auction_variants(config: &AuctionConfig) -> Vec<AuctionConfig> {
     BEHAVIOURS.iter().map(|&auctioneer| AuctionConfig { auctioneer, ..config.clone() }).collect()
 }
 
-impl AuctionSweep {
+impl Sweep<AuctionConfig> {
     /// Sweeps the given auction configuration (the `auctioneer` field is
-    /// overridden per scenario).
+    /// overridden per variant).
     pub fn new(config: AuctionConfig) -> Self {
-        let mut parties = vec![protocols::auction::AUCTIONEER];
-        parties.extend(config.bidders());
-        let deviating = protocols::auction::strategy_space()
-            .into_iter()
-            .filter(|s| *s != Strategy::compliant())
-            .collect();
-        AuctionSweep { configs: auction_variants(&config), parties, deviating }
+        Sweep { variants: auction_variants(&config), ..Self::at_most("auction", config, 1) }
     }
-
-    /// Scenarios per auctioneer behaviour: all-compliant plus one per
-    /// (party, deviating strategy).
-    fn per_behaviour(&self) -> usize {
-        1 + self.parties.len() * self.deviating.len()
-    }
-}
-
-impl ScenarioGen for AuctionSweep {
-    fn family(&self) -> String {
-        "auction".into()
-    }
-
-    fn total(&self) -> usize {
-        BEHAVIOURS.len() * self.per_behaviour()
-    }
-
-    fn check(
-        &self,
-        index: usize,
-        scratch: &mut World,
-        cache: &mut FamilyScratch,
-    ) -> Vec<Violation> {
-        let per_behaviour = self.per_behaviour();
-        let variant = index / per_behaviour;
-        let behaviour = BEHAVIOURS[variant];
-        let offset = index % per_behaviour;
-        let (party, strategy) = if offset == 0 {
-            (None, Strategy::compliant())
-        } else {
-            let party = self.parties[(offset - 1) / self.deviating.len()];
-            (Some(party), self.deviating[(offset - 1) % self.deviating.len()])
-        };
-        let profile = |p| if Some(p) == party { strategy } else { Strategy::compliant() };
-        let report = cache.run(&self.configs[variant], variant, &profile, scratch);
-        let scenario = || match party {
-            Some(party) => format!("auction {behaviour:?}, {party} plays {strategy}"),
-            None => format!("auction {behaviour:?}, all compliant"),
-        };
-        judge_auction(&report, party, &scenario)
-    }
-}
-
-/// Judges one auction report: Lemma 8's no-bid-stolen guarantee (blamed on
-/// the deviator when there is exactly one) plus conservation. Shared
-/// between the enumerated sweep and the sampled tier.
-pub(crate) fn judge_auction(
-    report: &protocols::auction::AuctionReport,
-    deviator: Option<PartyId>,
-    scenario: &dyn Fn() -> String,
-) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    if !report.no_bid_stolen {
-        violations.push(Violation {
-            scenario: scenario(),
-            party: deviator.unwrap_or(WHOLE_RUN),
-            property: "no-bid-stolen",
-        });
-    }
-    if !report.payoffs.conserved() {
-        violations.push(Violation {
-            scenario: scenario(),
-            party: WHOLE_RUN,
-            property: "conservation",
-        });
-    }
-    violations
 }
 
 #[cfg(test)]
@@ -992,11 +1072,15 @@ mod tests {
     fn bootstrap_and_auction_totals() {
         let gen = BootstrapSweep::new(1_000, 1_000, 10, 2);
         assert_eq!(gen.total(), 1 + 6 * 3, "stop/late/wrong-secret per party per level");
-        // The hot-path arithmetic decode matches the canonical enumeration.
+        // The profile table follows the canonical enumeration.
         let canonical = BootstrapDeviation::all(2);
         assert_eq!(gen.total(), canonical.len());
-        for (index, &expected) in canonical.iter().enumerate() {
-            assert_eq!(gen.deviation_at(index), expected, "index {index}");
+        for (index, deviation) in canonical.iter().enumerate() {
+            let (expected, profile) = (deviation.profile(2), gen.profile(index));
+            for party in [ALICE, BOB] {
+                assert_eq!(script::profile(&profile)(party), expected(party), "index {index}");
+            }
+            assert_eq!(profile.keys().next().copied(), deviation.party(), "index {index}");
         }
         // 3 behaviours × (all-compliant + 3 parties × 30 deviations).
         let deviating = protocols::auction::strategy_space().len() - 1;

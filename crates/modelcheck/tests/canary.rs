@@ -17,14 +17,14 @@
 use modelcheck::engine::ParallelSweep;
 use modelcheck::sampled::{SampledScenario, SampledSweep};
 use protocols::script::{Fault, Strategy, Timing};
-use protocols::two_party::{TwoPartyConfig, BOB};
+use protocols::two_party::{TwoPartyConfig, TwoPartySwap, BOB};
 
 /// The pinned reproduction key: this seed and budget found the canary when
 /// the suite was written, and being seed-pinned they always will.
 const CANARY_SEED: u64 = 0xCA9A;
 const CANARY_BUDGET: usize = 64;
 
-fn canary_family() -> SampledSweep {
+fn canary_family() -> SampledSweep<TwoPartySwap> {
     SampledSweep::base_two_party(TwoPartyConfig::default(), CANARY_SEED, CANARY_BUDGET)
 }
 

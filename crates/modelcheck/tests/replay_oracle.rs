@@ -5,7 +5,7 @@
 //! protocol reports must match field-for-field for every profile, not just
 //! the violation summaries.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use chainsim::{PartyId, TraceMode, World};
 use modelcheck::engine::{ParallelSweep, ScenarioGen};
@@ -230,10 +230,35 @@ fn deviation_tree_still_finds_base_protocol_violations() {
 
 /// Deal profile decoding must agree between the materialised and the
 /// arithmetic paths (guards the deviation tree's profile → divergence map).
+/// The arithmetic decode also serves the two-party sweeps.
 #[test]
 fn deal_profile_spaces_agree_between_budgets() {
     let full = DealSweep::full("f", figure3_config());
     let space = deal::strategy_space();
     assert_eq!(space.len(), Strategy::space_size(deal::SCRIPT_STEPS));
     assert_eq!(full.total(), space.len().pow(3));
+    // The product's profiles with at most one deviator are exactly the
+    // deviator-bounded list.
+    let decoded: BTreeSet<BTreeMap<PartyId, Strategy>> =
+        (0..full.total()).map(|index| full.profile(index)).filter(|p| p.len() <= 1).collect();
+    let bounded = DealSweep::at_most("b", figure3_config(), 1);
+    let listed: BTreeSet<BTreeMap<PartyId, Strategy>> =
+        (0..bounded.total()).map(|index| bounded.profile(index)).collect();
+    assert_eq!(listed.len(), 211);
+    assert_eq!(decoded, listed);
+    // The hedged two-party product decodes each `(alice, bob)` pair of its
+    // 49-strategy space exactly once.
+    let hedged = TwoPartySweep::hedged(TwoPartyConfig::default());
+    let pairs: BTreeSet<(Strategy, Strategy)> = (0..hedged.total())
+        .map(|index| {
+            let strategies = hedged.profile(index);
+            let strategy = profile(&strategies);
+            (strategy(two_party::ALICE), strategy(two_party::BOB))
+        })
+        .collect();
+    let space = two_party::strategy_space();
+    assert_eq!(space.len(), 49);
+    assert_eq!(hedged.total(), space.len() * space.len());
+    assert_eq!(pairs.len(), hedged.total());
+    assert!(pairs.iter().all(|(alice, bob)| space.contains(alice) && space.contains(bob)));
 }

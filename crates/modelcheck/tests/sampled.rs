@@ -3,13 +3,15 @@
 //! protocol violations, differential validation against the replay
 //! oracle, and the rational best-response climber's margins.
 
+use std::collections::BTreeMap;
+
 use chainsim::PartyId;
 use modelcheck::engine::{ParallelSweep, ScenarioGen};
 use modelcheck::sampled::{SampledBootstrap, SampledScenario, SampledSweep};
 use modelcheck::{check_sampled, sampled_families};
 use protocols::auction::AuctionConfig;
-use protocols::multi_party::{cycle_config, figure3_config};
-use protocols::script::{Fault, Strategy, Timing};
+use protocols::multi_party::{cycle_config, figure3_config, random_config};
+use protocols::script::{DelayVector, Fault, Strategy, Timing};
 use protocols::two_party::{TwoPartyConfig, ALICE, BOB};
 
 /// The pinned smoke seed. Nothing is special about it; what matters is
@@ -164,6 +166,45 @@ fn rational_climber_respects_deal_hedges_and_skips_auctions() {
     assert!(figure3.climb(PartyId(99), 1, 10).is_none());
     let auction = SampledSweep::auction(AuctionConfig::default(), 0, 1);
     assert!(auction.climb(PartyId(1), 1, 10).is_none());
+    // Nor does a party that is not in a two-party swap: it is not Bob.
+    for family in [
+        SampledSweep::hedged_two_party(TwoPartyConfig::default(), 0, 1),
+        SampledSweep::base_two_party(TwoPartyConfig::default(), 0, 1),
+    ] {
+        assert!(family.climb(PartyId(7), 0xBEEF, 50).is_none(), "{}", family.family());
+    }
+}
+
+/// The find → shrink → render loop on a deal family, at ROADMAP item 6's
+/// open finding: on the seed-33 random digraph, sample 153 shrinks to
+/// party 3 stopping after its escrow step, which leaves compliant party 4
+/// unhedged. Pinned at today's verdict like
+/// `multi_party::tests::random_digraph_seed_33_leaves_a_compliant_party_unhedged`:
+/// once item 6 is fixed the family holds and this test fails — flip it
+/// then.
+#[test]
+fn deal_violation_is_found_shrunk_and_rendered_on_the_seed_33_digraph() {
+    let family = SampledSweep::deal("random-5-4-seed33", random_config(5, 4, 33), 1, 20_000);
+    let index = family.find_violation(20_000).expect("the seed-33 digraph violates");
+    assert_eq!(index, 153);
+    let shrunk = family.shrink(index).expect("the violating sample must shrink");
+    let drawn = Strategy {
+        stop_after: Some(3),
+        timing: Timing::Delay(DelayVector::from_slice(&[1, 1, 0, 2, 1])),
+        fault: Fault::Garbage { step: 0 },
+    };
+    let deal =
+        |strategy| SampledScenario::Deal { profile: BTreeMap::from([(PartyId(3), strategy)]) };
+    assert_eq!(shrunk.original, deal(drawn));
+    assert_eq!(shrunk.minimal, deal(Strategy::stop_after(3)));
+    let verdicts: Vec<_> = shrunk.violations.iter().map(|v| (v.party, v.property)).collect();
+    assert_eq!(verdicts, [(PartyId(4), "hedged")]);
+    let rendered = shrunk.regression_test(
+        "SampledSweep::deal(\"random-5-4-seed33\", random_config(5, 4, 33), 1, 20_000)",
+    );
+    assert!(rendered.contains("fn sampled_regression_seed_1_sample_153()"), "{rendered}");
+    assert!(rendered.contains("stop_after: Some(3)"), "{rendered}");
+    assert!(rendered.contains("SampledScenario::Deal"), "{rendered}");
 }
 
 #[test]

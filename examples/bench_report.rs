@@ -41,7 +41,7 @@ use sore_loser_hedging::modelcheck::engine::{ParallelSweep, ScenarioGen};
 use sore_loser_hedging::modelcheck::multi_party_families;
 use sore_loser_hedging::modelcheck::sampled::{SampledBootstrap, SampledSweep, MAX_REORG_DEPTH};
 use sore_loser_hedging::modelcheck::scenarios::{
-    AuctionSweep, BootstrapSweep, BrokerSweep, DealSweep, TwoPartySweep,
+    AuctionSweep, BootstrapSweep, BrokerSweep, Checked, DealSweep, TwoPartySweep,
 };
 use sore_loser_hedging::protocols::auction::AuctionConfig;
 use sore_loser_hedging::protocols::broker::BrokerConfig;
@@ -113,15 +113,15 @@ struct FamilySet {
 
 /// Wraps one randomized family as a bench set, capturing its reproduction
 /// key and how much of the deviation space the budget covers.
-fn sampled_set(name: &'static str, family: SampledSweep) -> FamilySet {
+fn sampled_set<P: Checked>(name: &'static str, family: SampledSweep<P>) -> FamilySet {
     sampled_set_realism(name, family, None)
 }
 
 /// Like [`sampled_set`], additionally pinning the chain-realism parameters
 /// (finality depth, finality margin) into the reproduction key.
-fn sampled_set_realism(
+fn sampled_set_realism<P: Checked>(
     name: &'static str,
-    family: SampledSweep,
+    family: SampledSweep<P>,
     realism: Option<(u32, u64)>,
 ) -> FamilySet {
     let meta = SampledMeta {
@@ -242,19 +242,10 @@ fn family_sets() -> Vec<FamilySet> {
         "sampled auction",
         SampledSweep::auction(AuctionConfig::default(), SAMPLED_SEED, 25_000),
     ));
-    let bootstrap = SampledBootstrap::new(5_000, 20_000, 10, 3, SAMPLED_SEED, 25_000);
-    let space = bootstrap.sampled_space();
-    sets.push(FamilySet {
-        name: "sampled bootstrap rounds 3",
-        sampled: Some(SampledMeta {
-            seed: SAMPLED_SEED,
-            samples: 25_000,
-            space,
-            coverage: (25_000.0 / space).min(1.0),
-            realism: None,
-        }),
-        gens: vec![Box::new(bootstrap)],
-    });
+    sets.push(sampled_set(
+        "sampled bootstrap rounds 3",
+        SampledBootstrap::new(5_000, 20_000, 10, 3, SAMPLED_SEED, 25_000),
+    ));
     sets
 }
 
