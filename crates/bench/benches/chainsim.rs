@@ -21,8 +21,8 @@ fn escrow_redeem_round_trip() {
     );
     let id = world.chain_mut(chain).publish(PartyId(0), Box::new(escrow));
     let addr = chainsim::ContractAddr::new(chain, id);
-    world.call(PartyId(0), addr, &HtlcMsg::Escrow, "escrow").unwrap();
-    world.call(PartyId(1), addr, &HtlcMsg::Redeem { secret }, "redeem").unwrap();
+    world.call(PartyId(0), addr, &HtlcMsg::Escrow).unwrap();
+    world.call(PartyId(1), addr, &HtlcMsg::Redeem { secret }).unwrap();
     assert_eq!(world.chain(chain).balance(AccountRef::Party(PartyId(1)), token), Amount::new(1));
 }
 

@@ -11,7 +11,6 @@ use crate::contract::{unwind, CallEnv, Contract, ContractMessage, UndoOp};
 use crate::error::ChainError;
 #[cfg(test)]
 use crate::error::ContractError;
-use crate::events::{CallDesc, ChainEvent, EventKind, TraceMode};
 use crate::gas::{GasMeter, GasSchedule};
 use crate::ids::{AssetId, ChainId, ContractId, PartyId};
 use crate::ledger::{AccountRef, Ledger};
@@ -106,9 +105,8 @@ struct SpecRound {
     /// The height the round opened at. Heights never rewind; the restore
     /// integrity checks read it.
     height: Time,
-    /// Contract count, event-log length and gas `last_call` at the start.
+    /// Contract count and gas `last_call` at the start.
     contracts: usize,
-    events: usize,
     last_call: u64,
     /// Ledger transfers and mints, in execution order.
     undo: Vec<UndoOp>,
@@ -122,7 +120,7 @@ struct SpecRound {
 /// An action recorded in the speculative window for possible re-delivery.
 enum RecordedAction {
     Publish { publisher: PartyId, contract: Box<dyn Contract> },
-    Call { caller: PartyId, contract: ContractId, msg: Box<dyn ContractMessage>, desc: CallDesc },
+    Call { caller: PartyId, contract: ContractId, msg: Box<dyn ContractMessage> },
 }
 
 impl Clone for RecordedAction {
@@ -131,11 +129,10 @@ impl Clone for RecordedAction {
             RecordedAction::Publish { publisher, contract } => {
                 RecordedAction::Publish { publisher: *publisher, contract: contract.clone_box() }
             }
-            RecordedAction::Call { caller, contract, msg, desc } => RecordedAction::Call {
+            RecordedAction::Call { caller, contract, msg } => RecordedAction::Call {
                 caller: *caller,
                 contract: *contract,
                 msg: msg.clone_message(),
-                desc: *desc,
             },
         }
     }
@@ -145,15 +142,15 @@ impl Clone for RecordedAction {
 ///
 /// Chains are created through [`crate::World::add_chain`] and advance their
 /// heights in lock-step with the rest of the world. All state is public:
-/// any party may read the ledger, the event log and the state of any
+/// any party may read the ledger, the gas meter and the state of any
 /// contract (via [`Blockchain::contract_as`]), mirroring the transparency
 /// assumption of the paper.
 ///
 /// Contracts are stored in a dense `Vec` indexed by their sequentially
 /// assigned [`ContractId`]s, and the whole chain can be recycled between
-/// scenario runs (see [`crate::World::reset`]) without dropping the ledger,
-/// contract-store or event-log allocations. A clone is a full snapshot of
-/// the chain, speculative window included.
+/// scenario runs (see [`crate::World::reset`]) without dropping the ledger
+/// or contract-store allocations. A clone is a full snapshot of the chain,
+/// speculative window included.
 #[derive(Clone)]
 pub struct Blockchain {
     id: ChainId,
@@ -164,9 +161,6 @@ pub struct Blockchain {
     /// Slot `i` holds the contract with `ContractId(i)`; a slot is `None`
     /// only transiently while its contract is executing a call.
     contracts: Vec<Option<Box<dyn Contract>>>,
-    events: Vec<ChainEvent>,
-    trace: TraceMode,
-    gas_schedule: GasSchedule,
     gas: GasMeter,
     finality: FinalityParams,
     /// The speculative window: one journal per revertible round, oldest
@@ -180,12 +174,7 @@ pub struct Blockchain {
 
 impl Blockchain {
     /// Creates a new chain. Called by [`crate::World::add_chain`].
-    pub(crate) fn new(
-        id: ChainId,
-        name: impl Into<String>,
-        native_asset: AssetId,
-        trace: TraceMode,
-    ) -> Self {
+    pub(crate) fn new(id: ChainId, name: impl Into<String>, native_asset: AssetId) -> Self {
         Blockchain {
             id,
             name: name.into(),
@@ -193,9 +182,6 @@ impl Blockchain {
             height: Time::ZERO,
             ledger: Ledger::new(),
             contracts: Vec::new(),
-            events: Vec::new(),
-            trace,
-            gas_schedule: GasSchedule::DEFAULT,
             gas: GasMeter::new(),
             finality: FinalityParams::INSTANT,
             window: VecDeque::new(),
@@ -205,15 +191,9 @@ impl Blockchain {
     }
 
     /// Re-initialises a retired chain shell for a new run, retaining the
-    /// ledger, contract-store and event-log allocations. Called by
+    /// ledger and contract-store allocations. Called by
     /// [`crate::World::add_chain`] when a spare shell is available.
-    pub(crate) fn recycle(
-        &mut self,
-        id: ChainId,
-        name: &str,
-        native_asset: AssetId,
-        trace: TraceMode,
-    ) {
+    pub(crate) fn recycle(&mut self, id: ChainId, name: &str, native_asset: AssetId) {
         self.id = id;
         self.name.clear();
         self.name.push_str(name);
@@ -221,9 +201,6 @@ impl Blockchain {
         self.height = Time::ZERO;
         self.ledger.clear();
         self.contracts.clear();
-        self.events.clear();
-        self.trace = trace;
-        self.gas_schedule = GasSchedule::DEFAULT;
         self.gas.clear();
         self.finality = FinalityParams::INSTANT;
         self.window.clear();
@@ -270,31 +247,14 @@ impl Blockchain {
         self.ledger.balance(account, asset)
     }
 
-    /// Mints `amount` of `asset` to a party and records the event. Inside a
-    /// finality window the mint is speculative: a reorg rewinds it.
+    /// Mints `amount` of `asset` to a party. Inside a finality window the
+    /// mint is speculative: a reorg rewinds it.
     pub fn mint(&mut self, party: PartyId, asset: AssetId, amount: Amount) {
         let account = AccountRef::Party(party);
         if let Some(round) = self.window.back_mut() {
             round.undo.push(UndoOp::mint(&self.ledger, account, asset, amount));
         }
         self.ledger.mint(account, asset, amount);
-        if self.trace.is_full() {
-            self.events.push(ChainEvent {
-                height: self.height,
-                kind: EventKind::Mint { account, asset, amount },
-            });
-        }
-    }
-
-    /// The chain's gas cost table.
-    pub fn gas_schedule(&self) -> GasSchedule {
-        self.gas_schedule
-    }
-
-    /// Replaces the chain's gas cost table (intended for world setup, before
-    /// any calls are metered).
-    pub fn set_gas_schedule(&mut self, schedule: GasSchedule) {
-        self.gas_schedule = schedule;
     }
 
     /// The chain's gas meter: total burned, per-party attribution and the
@@ -334,17 +294,7 @@ impl Blockchain {
     /// publisher.
     pub fn publish(&mut self, publisher: PartyId, contract: Box<dyn Contract>) -> ContractId {
         let id = ContractId(self.contracts.len() as u64);
-        self.charge(publisher, self.gas_schedule.publish);
-        if self.trace.is_full() {
-            self.events.push(ChainEvent {
-                height: self.height,
-                kind: EventKind::ContractPublished {
-                    contract: id,
-                    publisher,
-                    type_name: contract.type_name(),
-                },
-            });
-        }
+        self.charge(publisher, GasSchedule::DEFAULT.publish);
         if let Some(round) = self.window.back_mut() {
             // Record the contract's initial state: a re-delivered publish
             // replays later calls on top, reproducing the rewound history.
@@ -360,8 +310,8 @@ impl Blockchain {
     ///
     /// Calls are transactional: the dispatch runs inside an implicit
     /// commit/rollback frame. On success every effect commits; on failure
-    /// the ledger operations and notes the contract performed before failing
-    /// are rolled back and the contract's pre-call state is restored, so a
+    /// the ledger operations the contract performed before failing are
+    /// rolled back and the contract's pre-call state is restored, so a
     /// failed call leaves **zero residue** — except gas, which stays charged
     /// for the work attempted (debug builds assert the residue-free
     /// property after every rollback).
@@ -371,18 +321,15 @@ impl Blockchain {
     /// Returns [`ChainError::NoSuchContract`] if `id` is unknown, or
     /// [`ChainError::ContractFailed`] wrapping the
     /// [`ContractError`](crate::ContractError) if the contract rejects the
-    /// call. Rejected calls are also recorded in the event log (under
-    /// [`TraceMode::Full`]).
+    /// call.
     pub fn call(
         &mut self,
         caller: PartyId,
         id: ContractId,
         msg: &dyn ContractMessage,
-        call_description: impl Into<CallDesc>,
         directory: &cryptosim::KeyDirectory,
         caches: &mut SimCaches,
     ) -> Result<(), ChainError> {
-        let desc: CallDesc = call_description.into();
         // Temporarily take the contract out of its slot so that it and the
         // ledger can be borrowed mutably at the same time.
         let slot = id.0 as usize;
@@ -395,7 +342,6 @@ impl Blockchain {
         // internal state along with the ledger, and inside a finality window
         // a committed call leaves it in the round's journal for a reorg.
         let backup = contract.clone_box();
-        let events_before = self.events.len();
         #[cfg(any(debug_assertions, feature = "strict-rollback"))]
         let balances_probe = {
             let contract_account = AccountRef::Contract(id);
@@ -424,12 +370,9 @@ impl Blockchain {
             caller,
             self.height,
             &mut self.ledger,
-            &mut self.events,
             journal,
             directory,
             caches,
-            self.trace,
-            self.gas_schedule,
         );
         let result = contract.handle(&mut env, msg.as_any());
         let gas_used = env.gas_used();
@@ -442,34 +385,22 @@ impl Blockchain {
         match result {
             Ok(()) => {
                 self.contracts[slot] = Some(contract);
-                if self.trace.is_full() {
-                    self.events.push(ChainEvent {
-                        height: self.height,
-                        kind: EventKind::CallSucceeded { contract: id, caller, call: desc },
-                    });
-                }
                 if let Some(round) = self.window.back_mut() {
                     round.backups.push((slot, backup));
                     round.actions.push(RecordedAction::Call {
                         caller,
                         contract: id,
                         msg: msg.clone_message(),
-                        desc,
                     });
                 }
                 Ok(())
             }
             Err(err) => {
-                // Rollback frame: the ledger and notes were unwound above;
-                // discard the half-mutated contract for its pre-call state.
+                // Rollback frame: the ledger was unwound above; discard the
+                // half-mutated contract for its pre-call state.
                 self.contracts[slot] = Some(backup);
                 #[cfg(any(debug_assertions, feature = "strict-rollback"))]
                 {
-                    assert_eq!(
-                        self.events.len(),
-                        events_before,
-                        "failed call must withdraw every note it emitted"
-                    );
                     for (asset, contract_before, caller_before) in balances_probe {
                         assert_eq!(
                             self.ledger.balance(AccountRef::Contract(id), asset),
@@ -482,19 +413,6 @@ impl Blockchain {
                             "failed call left residue in the caller account"
                         );
                     }
-                }
-                #[cfg(not(any(debug_assertions, feature = "strict-rollback")))]
-                let _ = events_before;
-                if self.trace.is_full() {
-                    self.events.push(ChainEvent {
-                        height: self.height,
-                        kind: EventKind::CallFailed {
-                            contract: id,
-                            caller,
-                            call: desc,
-                            error: err.clone(),
-                        },
-                    });
                 }
                 Err(ChainError::ContractFailed { contract: id, source: err })
             }
@@ -528,11 +446,6 @@ impl Blockchain {
         self.contracts.iter().filter_map(|slot| slot.as_deref())
     }
 
-    /// The chain's public event log (empty under [`TraceMode::Off`]).
-    pub fn events(&self) -> &[ChainEvent] {
-        &self.events
-    }
-
     /// Advances the chain by `blocks` blocks.
     pub(crate) fn advance_blocks(&mut self, blocks: u64) {
         self.height = self.height.plus(blocks);
@@ -552,7 +465,6 @@ impl Blockchain {
         SpecRound {
             height: self.height,
             contracts: self.contracts.len(),
-            events: self.events.len(),
             last_call: self.gas.last_call(),
             undo: Vec::new(),
             backups: Vec::new(),
@@ -600,7 +512,6 @@ impl Blockchain {
                 self.contracts[slot] = Some(backup);
             }
             self.contracts.truncate(round.contracts);
-            self.events.truncate(round.events);
             self.gas.unwind(&round.gas, round.last_call);
         }
         // Re-open the current round on top of the rewound state; re-delivered
@@ -616,19 +527,12 @@ impl Blockchain {
                         // later id on the chain.
                         self.publish(publisher, contract);
                     }
-                    RecordedAction::Call { caller, contract, msg, desc } => {
+                    RecordedAction::Call { caller, contract, msg } => {
                         self.reorg_stats.rewound_calls += 1;
                         match policy {
                             ReorgPolicy::DropCalls => self.reorg_stats.dropped_calls += 1,
                             ReorgPolicy::Redeliver => {
-                                match self.call(
-                                    caller,
-                                    contract,
-                                    msg.as_ref(),
-                                    desc,
-                                    directory,
-                                    caches,
-                                ) {
+                                match self.call(caller, contract, msg.as_ref(), directory, caches) {
                                     Ok(()) => self.reorg_stats.redelivered_calls += 1,
                                     Err(_) => self.reorg_stats.redelivery_failures += 1,
                                 }
@@ -642,8 +546,8 @@ impl Blockchain {
     }
 
     /// Restores the chain (possibly a recycled spare shell) to `snap`, a
-    /// clone taken by [`crate::World::snapshot`], reusing the ledger,
-    /// event-log and name allocations. The speculative/finalized split is
+    /// clone taken by [`crate::World::snapshot`], reusing the ledger and
+    /// name allocations. The speculative/finalized split is
     /// restored exactly: finality parameters, the round journals and reorg
     /// counters all come from the snapshot, so state a reorg reverted before
     /// the snapshot can never resurrect (debug builds assert the restored
@@ -655,9 +559,6 @@ impl Blockchain {
         self.height = snap.height;
         self.ledger.clone_from(&snap.ledger);
         self.contracts.clone_from(&snap.contracts);
-        self.events.clone_from(&snap.events);
-        self.trace = snap.trace;
-        self.gas_schedule = snap.gas_schedule;
         self.gas.restore_from(&snap.gas);
         self.finality = snap.finality;
         self.window.clone_from(&snap.window);
@@ -685,7 +586,6 @@ impl fmt::Debug for Blockchain {
             .field("name", &self.name)
             .field("height", &self.height)
             .field("contracts", &self.contracts.len())
-            .field("events", &self.events.len())
             .finish()
     }
 }
@@ -751,7 +651,7 @@ mod tests {
     }
 
     fn chain_fixture() -> Blockchain {
-        Blockchain::new(ChainId(0), "apricot", AssetId(100), TraceMode::Full)
+        Blockchain::new(ChainId(0), "apricot", AssetId(100))
     }
 
     fn dir() -> cryptosim::KeyDirectory {
@@ -766,8 +666,8 @@ mod tests {
     fn publish_and_call_contract() {
         let mut chain = chain_fixture();
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
-        chain.call(PartyId(0), id, &CounterMsg::Bump, "Bump", &dir(), &mut caches()).unwrap();
-        chain.call(PartyId(1), id, &CounterMsg::Bump, "Bump", &dir(), &mut caches()).unwrap();
+        chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
+        chain.call(PartyId(1), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
         let counter = chain.contract_as::<Counter>(id).unwrap();
         assert_eq!(counter.count, 2);
         assert_eq!(chain.contract_count(), 1);
@@ -777,7 +677,7 @@ mod tests {
     fn call_unknown_contract_fails() {
         let mut chain = chain_fixture();
         let err = chain
-            .call(PartyId(0), ContractId(9), &CounterMsg::Bump, "Bump", &dir(), &mut caches())
+            .call(PartyId(0), ContractId(9), &CounterMsg::Bump, &dir(), &mut caches())
             .unwrap_err();
         assert!(matches!(err, ChainError::NoSuchContract { .. }));
     }
@@ -786,14 +686,13 @@ mod tests {
     fn failed_calls_are_logged_and_propagated() {
         let mut chain = chain_fixture();
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
-        let err = chain
-            .call(PartyId(0), id, &CounterMsg::Fail, "Fail", &dir(), &mut caches())
-            .unwrap_err();
-        assert!(matches!(err, ChainError::ContractFailed { .. }));
-        assert!(chain.events().iter().any(|e| matches!(
-            &e.kind,
-            EventKind::CallFailed { error, .. } if error.to_string().contains("always fails")
-        )));
+        let err = chain.call(PartyId(0), id, &CounterMsg::Fail, &dir(), &mut caches()).unwrap_err();
+        assert!(matches!(
+            &err,
+            ChainError::ContractFailed { source, .. } if source.to_string().contains("always fails")
+        ));
+        // The gas meter records the rejected call.
+        assert_eq!(chain.gas_meter().last_call(), GasSchedule::DEFAULT.call_base);
         // The contract survives a failed call.
         assert!(chain.contract(id).is_some());
     }
@@ -804,7 +703,7 @@ mod tests {
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
         #[derive(Clone, Debug)]
         struct Bogus;
-        let err = chain.call(PartyId(0), id, &Bogus, "Bogus", &dir(), &mut caches()).unwrap_err();
+        let err = chain.call(PartyId(0), id, &Bogus, &dir(), &mut caches()).unwrap_err();
         assert!(matches!(
             err,
             ChainError::ContractFailed { source: ContractError::UnsupportedMessage, .. }
@@ -817,14 +716,7 @@ mod tests {
         chain.mint(PartyId(0), AssetId(0), Amount::new(10));
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
         chain
-            .call(
-                PartyId(0),
-                id,
-                &CounterMsg::Deposit(Amount::new(6)),
-                "Deposit",
-                &dir(),
-                &mut caches(),
-            )
+            .call(PartyId(0), id, &CounterMsg::Deposit(Amount::new(6)), &dir(), &mut caches())
             .unwrap();
         assert_eq!(chain.balance(AccountRef::Contract(id), AssetId(0)), Amount::new(6));
         assert_eq!(chain.balance(AccountRef::Party(PartyId(0)), AssetId(0)), Amount::new(4));
@@ -832,12 +724,11 @@ mod tests {
     }
 
     #[test]
-    fn heights_advance_and_are_recorded_in_events() {
+    fn heights_advance_and_contract_ids_start_at_zero() {
         let mut chain = chain_fixture();
         chain.advance_blocks(5);
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
         assert_eq!(chain.height(), Time(5));
-        assert_eq!(chain.events().last().unwrap().height, Time(5));
         assert_eq!(id, ContractId(0));
     }
 
@@ -851,44 +742,19 @@ mod tests {
     }
 
     #[test]
-    fn trace_off_records_no_events() {
-        let mut chain = Blockchain::new(ChainId(0), "quiet", AssetId(0), TraceMode::Off);
-        chain.mint(PartyId(0), AssetId(0), Amount::new(10));
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
-        chain
-            .call(
-                PartyId(0),
-                id,
-                &CounterMsg::Deposit(Amount::new(6)),
-                "Deposit",
-                &dir(),
-                &mut caches(),
-            )
-            .unwrap();
-        let _ = chain
-            .call(PartyId(0), id, &CounterMsg::Fail, "Fail", &dir(), &mut caches())
-            .unwrap_err();
-        assert!(chain.events().is_empty());
-        // State changes are identical to a traced run.
-        assert_eq!(chain.balance(AccountRef::Contract(id), AssetId(0)), Amount::new(6));
-        assert_eq!(chain.contract_as::<Counter>(id).unwrap().deposited, Amount::new(6));
-    }
-
-    #[test]
     fn recycle_resets_state_and_keeps_nothing_visible() {
         let mut chain = chain_fixture();
         chain.mint(PartyId(0), AssetId(0), Amount::new(10));
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
-        chain.call(PartyId(0), id, &CounterMsg::Bump, "Bump", &dir(), &mut caches()).unwrap();
+        chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
         chain.advance_blocks(7);
 
-        chain.recycle(ChainId(3), "banana", AssetId(9), TraceMode::Full);
+        chain.recycle(ChainId(3), "banana", AssetId(9));
         assert_eq!(chain.id(), ChainId(3));
         assert_eq!(chain.name(), "banana");
         assert_eq!(chain.native_asset(), AssetId(9));
         assert_eq!(chain.height(), Time::ZERO);
         assert_eq!(chain.contract_count(), 0);
-        assert!(chain.events().is_empty());
         assert_eq!(chain.balance(AccountRef::Party(PartyId(0)), AssetId(0)), Amount::ZERO);
         // Fresh publishes start over at contract id 0.
         let id = chain.publish(PartyId(1), Box::new(Counter::default()));
@@ -903,23 +769,14 @@ mod tests {
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
         assert_eq!(chain.gas_meter().total(), schedule.publish);
 
-        chain.call(PartyId(1), id, &CounterMsg::Bump, "Bump", &dir(), &mut caches()).unwrap();
+        chain.call(PartyId(1), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
         assert_eq!(chain.gas_meter().last_call(), schedule.call_base);
         chain
-            .call(
-                PartyId(0),
-                id,
-                &CounterMsg::Deposit(Amount::new(6)),
-                "Deposit",
-                &dir(),
-                &mut caches(),
-            )
+            .call(PartyId(0), id, &CounterMsg::Deposit(Amount::new(6)), &dir(), &mut caches())
             .unwrap();
         assert_eq!(chain.gas_meter().last_call(), schedule.call_base + schedule.ledger_op);
         // Failed calls still burn their base gas.
-        let _ = chain
-            .call(PartyId(1), id, &CounterMsg::Fail, "Fail", &dir(), &mut caches())
-            .unwrap_err();
+        let _ = chain.call(PartyId(1), id, &CounterMsg::Fail, &dir(), &mut caches()).unwrap_err();
         assert_eq!(chain.gas_meter().last_call(), schedule.call_base);
         assert_eq!(chain.gas_meter().spent_by(PartyId(1)), 2 * schedule.call_base);
         assert_eq!(
@@ -932,9 +789,9 @@ mod tests {
     fn gas_meter_is_cleared_by_recycle() {
         let mut chain = chain_fixture();
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
-        chain.call(PartyId(0), id, &CounterMsg::Bump, "Bump", &dir(), &mut caches()).unwrap();
+        chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
         assert!(chain.gas_meter().total() > 0);
-        chain.recycle(ChainId(1), "fresh", AssetId(0), TraceMode::Off);
+        chain.recycle(ChainId(1), "fresh", AssetId(0));
         assert_eq!(chain.gas_meter().total(), 0);
         assert_eq!(chain.gas_meter().last_call(), 0);
     }
@@ -970,7 +827,7 @@ mod tests {
         assert_eq!(chain.finality(), FinalityParams { depth: 2, delta: 0 });
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
         for _ in 0..5 {
-            chain.call(PartyId(0), id, &CounterMsg::Bump, "Bump", &dir(), &mut caches()).unwrap();
+            chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
             chain.end_round(1);
         }
         assert_eq!(chain.window.len(), 2);
@@ -989,17 +846,10 @@ mod tests {
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
         chain.end_round(1);
         chain
-            .call(
-                PartyId(0),
-                id,
-                &CounterMsg::Deposit(Amount::new(6)),
-                "Deposit",
-                &dir(),
-                &mut caches(),
-            )
+            .call(PartyId(0), id, &CounterMsg::Deposit(Amount::new(6)), &dir(), &mut caches())
             .unwrap();
         chain.end_round(1);
-        chain.call(PartyId(0), id, &CounterMsg::Bump, "Bump", &dir(), &mut caches()).unwrap();
+        chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
 
         let rewound = chain.reorg(2, ReorgPolicy::Redeliver, &dir(), &mut caches());
         assert_eq!(rewound, 2);
@@ -1028,14 +878,7 @@ mod tests {
         chain.end_round(1);
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
         chain
-            .call(
-                PartyId(0),
-                id,
-                &CounterMsg::Deposit(Amount::new(6)),
-                "Deposit",
-                &dir(),
-                &mut caches(),
-            )
+            .call(PartyId(0), id, &CounterMsg::Deposit(Amount::new(6)), &dir(), &mut caches())
             .unwrap();
 
         let rewound = chain.reorg(1, ReorgPolicy::DropCalls, &dir(), &mut caches());
@@ -1057,19 +900,11 @@ mod tests {
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
         chain.end_round(1);
         let gas = chain.gas_meter().total();
-        let events = chain.events().len();
         // A speculative mint, a deposit spending it, and a mint of an asset
         // the ledger has never held.
         chain.mint(PartyId(0), AssetId(0), Amount::new(5));
         chain
-            .call(
-                PartyId(0),
-                id,
-                &CounterMsg::Deposit(Amount::new(12)),
-                "Deposit",
-                &dir(),
-                &mut caches(),
-            )
+            .call(PartyId(0), id, &CounterMsg::Deposit(Amount::new(12)), &dir(), &mut caches())
             .unwrap();
         chain.mint(PartyId(1), AssetId(7), Amount::new(3));
 
@@ -1080,7 +915,6 @@ mod tests {
         assert_eq!(chain.ledger().total_supply(AssetId(7)), Amount::ZERO);
         assert_eq!(chain.contract_as::<Counter>(id).unwrap().deposited, Amount::ZERO);
         assert_eq!(chain.gas_meter().total(), gas);
-        assert_eq!(chain.events().len(), events);
     }
 
     #[test]
@@ -1104,7 +938,7 @@ mod tests {
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
         // Round 0: a last-tick bump that is only valid while now <= 0.
         chain
-            .call(PartyId(0), id, &CounterMsg::BumpBefore(Time(0)), "Bump", &dir(), &mut caches())
+            .call(PartyId(0), id, &CounterMsg::BumpBefore(Time(0)), &dir(), &mut caches())
             .unwrap();
         chain.end_round(1);
         assert_eq!(chain.contract_as::<Counter>(id).unwrap().count, 1);
@@ -1122,7 +956,7 @@ mod tests {
 
         // Failed calls are never recorded, so the reopened round only holds
         // the publish re-delivery, not the failed bump.
-        let _ = chain.call(PartyId(0), id, &CounterMsg::Fail, "Fail", &dir(), &mut caches());
+        let _ = chain.call(PartyId(0), id, &CounterMsg::Fail, &dir(), &mut caches());
         assert_eq!(chain.window.back().unwrap().actions.len(), 1);
     }
 
@@ -1133,11 +967,11 @@ mod tests {
         chain.set_finality(FinalityParams { depth: 2, delta: 3 });
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
         chain.end_round(1);
-        chain.call(PartyId(0), id, &CounterMsg::Bump, "Bump", &dir(), &mut caches()).unwrap();
+        chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
         chain.reorg(1, ReorgPolicy::Redeliver, &dir(), &mut caches());
 
         let snap = chain.clone();
-        chain.call(PartyId(0), id, &CounterMsg::Bump, "Bump", &dir(), &mut caches()).unwrap();
+        chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
         chain.end_round(1);
         chain.restore_from(&snap);
 

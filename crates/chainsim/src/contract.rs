@@ -8,7 +8,6 @@ use cryptosim::KeyDirectory;
 use crate::amount::Amount;
 use crate::caches::SimCaches;
 use crate::error::ContractError;
-use crate::events::{ChainEvent, EventKind, NoteText, TraceMode};
 use crate::gas::GasSchedule;
 use crate::ids::{AssetId, ChainId, ContractId, PartyId};
 use crate::ledger::{AccountRef, Ledger};
@@ -53,7 +52,7 @@ impl<T: Any + Clone + fmt::Debug + Send> ContractMessage for T {
 /// contract can only touch the ledger of the chain it resides on, which the
 /// [`CallEnv`] enforces by construction.
 pub trait Contract: fmt::Debug + Send {
-    /// A short, stable name for the contract type (used in event logs).
+    /// A short, stable name for the contract type (used in diagnostics).
     fn type_name(&self) -> &'static str;
 
     /// Clones the contract into a fresh box, preserving its full state.
@@ -72,8 +71,8 @@ pub trait Contract: fmt::Debug + Send {
     /// malformed, unauthorised, too early, too late, or inconsistent with
     /// the contract's current state. Calls are *transactional*: when
     /// `handle` returns an error, [`crate::Blockchain::call`] rolls back
-    /// every ledger operation and note the implementation performed before
-    /// failing and restores the contract's pre-call state, so a failed call
+    /// every ledger operation the implementation performed before failing
+    /// and restores the contract's pre-call state, so a failed call
     /// can never half-apply. Gas consumed up to the failure stays charged,
     /// mirroring real chains.
     fn handle(&mut self, env: &mut CallEnv<'_>, msg: &dyn Any) -> Result<(), ContractError>;
@@ -116,11 +115,8 @@ pub struct CallEnv<'a> {
     caller: PartyId,
     now: Time,
     ledger: &'a mut Ledger,
-    events: &'a mut Vec<ChainEvent>,
     directory: &'a KeyDirectory,
     caches: &'a mut SimCaches,
-    trace: TraceMode,
-    gas_schedule: GasSchedule,
     gas_used: u64,
     /// The chain's undo journal: this call appends its applied ledger
     /// transfers, in execution order, past `undo_floor`. A failed `handle`
@@ -130,8 +126,6 @@ pub struct CallEnv<'a> {
     undo: &'a mut Vec<UndoOp>,
     /// Journal length at call entry: where a failed call unwinds to.
     undo_floor: usize,
-    /// Event-log length at call entry; the rollback truncation floor.
-    event_mark: usize,
 }
 
 /// One applied ledger transfer or mint (`from: None`), with enough context
@@ -207,54 +201,38 @@ impl<'a> CallEnv<'a> {
         caller: PartyId,
         now: Time,
         ledger: &'a mut Ledger,
-        events: &'a mut Vec<ChainEvent>,
         undo: &'a mut Vec<UndoOp>,
         directory: &'a KeyDirectory,
         caches: &'a mut SimCaches,
-        trace: TraceMode,
-        gas_schedule: GasSchedule,
     ) -> Self {
         let undo_floor = undo.len();
-        let event_mark = events.len();
         CallEnv {
             chain,
             contract,
             caller,
             now,
             ledger,
-            events,
             directory,
             caches,
-            trace,
-            gas_schedule,
-            gas_used: gas_schedule.call_base,
+            gas_used: GasSchedule::DEFAULT.call_base,
             undo,
             undo_floor,
-            event_mark,
         }
     }
 
-    /// Rolls back every ledger operation and note this call has applied so
-    /// far. Used by [`crate::Blockchain::call`] when `handle` fails; gas
-    /// already metered is deliberately left charged.
-    pub(crate) fn rollback_all(mut self) {
-        self.rollback_to(self.undo_floor, self.event_mark);
-    }
-
-    /// Unwinds journal entries past `undo_mark` and truncates the event log
-    /// to `event_mark` (never below the call-entry floor).
-    fn rollback_to(&mut self, undo_mark: usize, event_mark: usize) {
-        unwind(self.ledger, self.undo, undo_mark);
-        self.events.truncate(event_mark.max(self.event_mark));
+    /// Rolls back every ledger operation this call has applied so far. Used
+    /// by [`crate::Blockchain::call`] when `handle` fails; gas already
+    /// metered is deliberately left charged.
+    pub(crate) fn rollback_all(self) {
+        unwind(self.ledger, self.undo, self.undo_floor);
     }
 
     /// Runs `f` inside an explicit commit/rollback frame.
     ///
-    /// On `Ok` the frame commits: every ledger operation and note `f`
-    /// performed stays applied. On `Err` the frame rolls back: transfers are
-    /// reverse-applied in reverse order and notes emitted inside the frame
-    /// are withdrawn, leaving the chain exactly as it was at frame entry —
-    /// except gas, which stays charged for the work actually attempted.
+    /// On `Ok` the frame commits: every ledger operation `f` performed stays
+    /// applied. On `Err` the frame rolls back: transfers are reverse-applied
+    /// in reverse order, leaving the chain exactly as it was at frame entry
+    /// — except gas, which stays charged for the work actually attempted.
     /// Frames nest: an inner rollback leaves the outer frame's effects
     /// intact.
     ///
@@ -271,11 +249,10 @@ impl<'a> CallEnv<'a> {
         f: impl FnOnce(&mut CallEnv<'a>) -> Result<T, ContractError>,
     ) -> Result<T, ContractError> {
         let undo_mark = self.undo.len();
-        let event_mark = self.events.len();
         match f(self) {
             Ok(value) => Ok(value),
             Err(err) => {
-                self.rollback_to(undo_mark, event_mark);
+                unwind(self.ledger, self.undo, undo_mark);
                 Err(err)
             }
         }
@@ -346,15 +323,11 @@ impl<'a> CallEnv<'a> {
     /// The gas this call has burned so far (base dispatch cost included).
     ///
     /// Gas is a pure function of the call's semantics — ledger operations
-    /// performed, notes emitted, explicit [`CallEnv::charge_gas`] charges —
-    /// and is independent of [`TraceMode`], threading and wall-clock time.
+    /// performed, [`CallEnv::charge_note`] and explicit
+    /// [`CallEnv::charge_gas`] charges — and is independent of threading
+    /// and wall-clock time.
     pub fn gas_used(&self) -> u64 {
         self.gas_used
-    }
-
-    /// The gas cost table this call is metered against.
-    pub fn gas_schedule(&self) -> GasSchedule {
-        self.gas_schedule
     }
 
     /// Charges `extra` gas for contract-specific work (signature-chain
@@ -433,17 +406,13 @@ impl<'a> CallEnv<'a> {
         )
     }
 
-    /// Emits a structured note into the chain event log (a no-op under
-    /// [`TraceMode::Off`]). The note's gas cost is charged either way: gas
-    /// must not depend on whether the world happens to be tracing.
-    pub fn emit_note(&mut self, text: impl Into<NoteText>) {
-        self.gas_used += self.gas_schedule.note;
-        if self.trace.is_full() {
-            self.events.push(ChainEvent {
-                height: self.now,
-                kind: EventKind::Note { contract: self.contract, text: text.into() },
-            });
-        }
+    /// Charges [`GasSchedule::note`], the cost of the log entry a chain
+    /// meters for a contract outcome. Contracts charge it where a real
+    /// contract would log one — a redemption, a refund, a premium payout, a
+    /// presented hashkey — though the simulator keeps no log: contract
+    /// state is public, and observers read it instead.
+    pub fn charge_note(&mut self) {
+        self.gas_used += GasSchedule::DEFAULT.note;
     }
 
     fn transfer_internal(
@@ -462,13 +431,7 @@ impl<'a> CallEnv<'a> {
         let to_before = self.ledger.balance(to, asset);
         self.ledger.transfer(from, to, asset, amount)?;
         self.undo.push(UndoOp { from: Some(from), to, asset, amount, from_before, to_before });
-        self.gas_used += self.gas_schedule.ledger_op;
-        if self.trace.is_full() {
-            self.events.push(ChainEvent {
-                height: self.now,
-                kind: EventKind::Transfer { from, to, asset, amount },
-            });
-        }
+        self.gas_used += GasSchedule::DEFAULT.ledger_op;
         Ok(())
     }
 }
@@ -496,7 +459,6 @@ mod tests {
 
     fn env_fixture<'a>(
         ledger: &'a mut Ledger,
-        events: &'a mut Vec<ChainEvent>,
         caches: &'a mut SimCaches,
         now: Time,
     ) -> CallEnv<'a> {
@@ -506,84 +468,46 @@ mod tests {
             PartyId(1),
             now,
             ledger,
-            events,
             // A fresh journal that outlives the env; the leak is per test.
             Box::leak(Box::default()),
             empty_directory(),
             caches,
-            TraceMode::Full,
-            GasSchedule::DEFAULT,
         )
-    }
-
-    #[test]
-    fn trace_off_skips_events_but_moves_funds() {
-        let mut ledger = Ledger::new();
-        let mut events = Vec::new();
-        let mut caches = SimCaches::new();
-        ledger.mint(AccountRef::Party(PartyId(1)), AssetId(0), Amount::new(10));
-        {
-            let mut journal = Vec::new();
-            let mut env = CallEnv::new(
-                ChainId(0),
-                ContractId(7),
-                PartyId(1),
-                Time(2),
-                &mut ledger,
-                &mut events,
-                &mut journal,
-                empty_directory(),
-                &mut caches,
-                TraceMode::Off,
-                GasSchedule::DEFAULT,
-            );
-            env.debit_caller(AssetId(0), Amount::new(4)).unwrap();
-            env.emit_note("invisible");
-            // Gas is metered identically with tracing off.
-            let schedule = GasSchedule::DEFAULT;
-            assert_eq!(env.gas_used(), schedule.call_base + schedule.ledger_op + schedule.note);
-        }
-        assert!(events.is_empty(), "TraceMode::Off must not record events");
-        assert_eq!(ledger.balance(AccountRef::Contract(ContractId(7)), AssetId(0)), Amount::new(4));
     }
 
     #[test]
     fn debit_and_pay_out_move_funds_and_log_events() {
         let mut ledger = Ledger::new();
-        let mut events = Vec::new();
         let mut caches = SimCaches::new();
         ledger.mint(AccountRef::Party(PartyId(1)), AssetId(0), Amount::new(10));
         {
-            let mut env = env_fixture(&mut ledger, &mut events, &mut caches, Time(2));
+            let mut env = env_fixture(&mut ledger, &mut caches, Time(2));
             env.debit_caller(AssetId(0), Amount::new(4)).unwrap();
             assert_eq!(env.contract_balance(AssetId(0)), Amount::new(4));
             assert_eq!(env.caller_balance(AssetId(0)), Amount::new(6));
             env.pay_out(PartyId(2), AssetId(0), Amount::new(1)).unwrap();
-            env.emit_note("escrowed principal");
+            env.charge_note();
+            let schedule = GasSchedule::DEFAULT;
+            assert_eq!(env.gas_used(), schedule.call_base + 2 * schedule.ledger_op + schedule.note);
         }
         assert_eq!(ledger.balance(AccountRef::Party(PartyId(2)), AssetId(0)), Amount::new(1));
-        assert_eq!(events.len(), 3);
-        assert!(matches!(events[0].kind, EventKind::Transfer { .. }));
-        assert!(matches!(events[2].kind, EventKind::Note { .. }));
     }
 
     #[test]
     fn zero_transfers_are_noops() {
         let mut ledger = Ledger::new();
-        let mut events = Vec::new();
         let mut caches = SimCaches::new();
-        let mut env = env_fixture(&mut ledger, &mut events, &mut caches, Time(0));
+        let mut env = env_fixture(&mut ledger, &mut caches, Time(0));
         env.debit_caller(AssetId(0), Amount::ZERO).unwrap();
         env.pay_out(PartyId(2), AssetId(0), Amount::ZERO).unwrap();
-        assert!(events.is_empty());
+        assert_eq!(env.gas_used(), GasSchedule::DEFAULT.call_base, "no ledger op ran");
     }
 
     #[test]
     fn deadline_helpers() {
         let mut ledger = Ledger::new();
-        let mut events = Vec::new();
         let mut caches = SimCaches::new();
-        let env = env_fixture(&mut ledger, &mut events, &mut caches, Time(5));
+        let env = env_fixture(&mut ledger, &mut caches, Time(5));
         assert!(env.ensure_before(Time(6)).is_ok());
         assert!(matches!(env.ensure_before(Time(5)), Err(ContractError::TooLate { .. })));
         assert!(env.ensure_reached(Time(5)).is_ok());
@@ -593,10 +517,9 @@ mod tests {
     #[test]
     fn pay_into_contract_moves_between_contracts() {
         let mut ledger = Ledger::new();
-        let mut events = Vec::new();
         let mut caches = SimCaches::new();
         ledger.mint(AccountRef::Contract(ContractId(7)), AssetId(0), Amount::new(3));
-        let mut env = env_fixture(&mut ledger, &mut events, &mut caches, Time(0));
+        let mut env = env_fixture(&mut ledger, &mut caches, Time(0));
         env.pay_into_contract(ContractId(9), AssetId(0), Amount::new(3)).unwrap();
         assert_eq!(ledger.balance(AccountRef::Contract(ContractId(9)), AssetId(0)), Amount::new(3));
     }
@@ -604,9 +527,8 @@ mod tests {
     #[test]
     fn debit_fails_on_insufficient_funds() {
         let mut ledger = Ledger::new();
-        let mut events = Vec::new();
         let mut caches = SimCaches::new();
-        let mut env = env_fixture(&mut ledger, &mut events, &mut caches, Time(0));
+        let mut env = env_fixture(&mut ledger, &mut caches, Time(0));
         assert!(matches!(
             env.debit_caller(AssetId(0), Amount::new(1)),
             Err(ContractError::Ledger(_))
@@ -616,9 +538,8 @@ mod tests {
     #[test]
     fn env_accessors_and_debug() {
         let mut ledger = Ledger::new();
-        let mut events = Vec::new();
         let mut caches = SimCaches::new();
-        let env = env_fixture(&mut ledger, &mut events, &mut caches, Time(3));
+        let env = env_fixture(&mut ledger, &mut caches, Time(3));
         assert_eq!(env.chain(), ChainId(0));
         assert_eq!(env.contract_id(), ContractId(7));
         assert_eq!(env.caller(), PartyId(1));
@@ -642,50 +563,46 @@ mod tests {
     #[test]
     fn with_transaction_commits_on_ok_and_rolls_back_on_err() {
         let mut ledger = Ledger::new();
-        let mut events = Vec::new();
         let mut caches = SimCaches::new();
         ledger.mint(AccountRef::Party(PartyId(1)), AssetId(0), Amount::new(10));
-        let mut env = env_fixture(&mut ledger, &mut events, &mut caches, Time(2));
+        let mut env = env_fixture(&mut ledger, &mut caches, Time(2));
 
         // Committed frame: effects stay.
         env.with_transaction(|env| {
             env.debit_caller(AssetId(0), Amount::new(4))?;
-            env.emit_note("kept");
+            env.charge_note();
             Ok(())
         })
         .unwrap();
         assert_eq!(env.contract_balance(AssetId(0)), Amount::new(4));
 
-        // Rolled-back frame: the mid-frame transfer and note are withdrawn,
-        // the committed frame above is untouched, gas stays charged.
+        // Rolled-back frame: the mid-frame transfer is reversed, the
+        // committed frame above is untouched, gas stays charged.
         let gas_before = env.gas_used();
         let err = env
             .with_transaction(|env| {
                 env.debit_caller(AssetId(0), Amount::new(5))?;
-                env.emit_note("withdrawn");
+                env.charge_note();
                 Err::<(), _>(ContractError::invalid_state("abort"))
             })
             .unwrap_err();
         assert!(matches!(err, ContractError::InvalidState { .. }));
         assert_eq!(env.contract_balance(AssetId(0)), Amount::new(4));
         assert_eq!(env.caller_balance(AssetId(0)), Amount::new(6));
-        assert!(env.gas_used() > gas_before, "attempted work stays metered");
-        let notes: Vec<String> = events
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Note { .. }))
-            .map(|e| e.to_string())
-            .collect();
-        assert_eq!(notes.len(), 1, "the rolled-back note is withdrawn: {notes:?}");
-        assert!(notes[0].contains("kept"));
+        let schedule = GasSchedule::DEFAULT;
+        assert_eq!(
+            env.gas_used(),
+            gas_before + schedule.ledger_op + schedule.note,
+            "attempted work stays metered"
+        );
     }
 
     #[test]
     fn nested_transactions_roll_back_only_the_inner_frame() {
         let mut ledger = Ledger::new();
-        let mut events = Vec::new();
         let mut caches = SimCaches::new();
         ledger.mint(AccountRef::Party(PartyId(1)), AssetId(0), Amount::new(10));
-        let mut env = env_fixture(&mut ledger, &mut events, &mut caches, Time(2));
+        let mut env = env_fixture(&mut ledger, &mut caches, Time(2));
         env.with_transaction(|env| {
             env.debit_caller(AssetId(0), Amount::new(2))?;
             let inner: Result<(), ContractError> = env.with_transaction(|env| {

@@ -3,10 +3,11 @@
 //! Every contract call burns *gas*: a deterministic count of the work the
 //! chain performed on the caller's behalf. The [`CallEnv`](crate::CallEnv)
 //! charges a base cost when a contract's `handle` is dispatched and a fixed
-//! cost per executed ledger operation (plus a small cost per emitted note),
-//! so gas is a pure function of the call's semantics — it does **not**
-//! depend on the world's [`TraceMode`](crate::TraceMode), on thread counts
-//! or on wall-clock time. Failed calls still burn the gas they consumed
+//! cost per executed ledger operation (plus a small cost per logged outcome,
+//! [`CallEnv::charge_note`](crate::CallEnv::charge_note)), so gas is a pure
+//! function of the call's semantics — it does **not** depend on thread
+//! counts or on wall-clock time. Every chain charges
+//! [`GasSchedule::DEFAULT`]. Failed calls still burn the gas they consumed
 //! before failing, mirroring real chains.
 //!
 //! Gas is *metered*, never deducted from ledger balances: the simulator's
@@ -31,8 +32,8 @@ pub struct GasSchedule {
     /// Charged per executed ledger transfer (debit, payout, contract-to-
     /// contract move). Zero-amount no-op transfers are free.
     pub ledger_op: u64,
-    /// Charged per emitted contract note, whether or not the trace mode
-    /// records it (gas must not depend on tracing).
+    /// Charged per contract outcome a real chain would log (see
+    /// [`CallEnv::charge_note`](crate::CallEnv::charge_note)).
     pub note: u64,
     /// Charged to the publisher when a contract is published on a chain.
     pub publish: u64,

@@ -46,7 +46,6 @@ mod caches;
 mod chain;
 mod contract;
 mod error;
-mod events;
 mod gas;
 mod ids;
 mod ledger;
@@ -60,7 +59,6 @@ pub use caches::SimCaches;
 pub use chain::{Blockchain, FinalityParams, ReorgEvent, ReorgPolicy, ReorgStats};
 pub use contract::{CallEnv, Contract, ContractMessage};
 pub use error::{ChainError, ContractError, LedgerError};
-pub use events::{CallDesc, ChainEvent, EventKind, NoteText, TraceMode};
 pub use gas::{GasMeter, GasSchedule};
 pub use ids::{AssetId, ChainId, ContractAddr, ContractId, Label, PartyId};
 pub use ledger::oracle::MapLedger;
@@ -71,7 +69,7 @@ pub use sim::{
 };
 pub use spec::{Disposition, FundSpec, StateMachine, StateSpec, TimeWindow, TransitionSpec};
 pub use time::{StepSchedule, Time};
-pub use world::{World, WorldSnapshot};
+pub use world::{TraceMode, World, WorldSnapshot};
 
 // Thread-safety contract: simulated worlds, actions and run reports cross
 // worker threads in the parallel model-checking engine, so these types must

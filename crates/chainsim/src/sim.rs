@@ -4,16 +4,14 @@ use std::fmt;
 
 use crate::contract::{Contract, ContractMessage};
 use crate::error::ChainError;
-use crate::events::CallDesc;
 use crate::ids::{ChainId, ContractAddr, Label, PartyId};
 use crate::time::Time;
 use crate::world::World;
 
 /// An action a party may take during one synchronous round.
 ///
-/// Descriptions and labels are structured [`CallDesc`]/[`Label`] values
-/// (rendered only on display) so that emitting an action allocates nothing
-/// beyond the boxed message or contract itself.
+/// Labels are structured [`Label`] values, so emitting an action allocates
+/// nothing beyond the boxed message or contract itself.
 pub enum Action {
     /// Publish a contract on `chain`, registering it under `label` so that
     /// counterparties can discover it.
@@ -31,19 +29,13 @@ pub enum Action {
         addr: ContractAddr,
         /// The message to deliver.
         msg: Box<dyn ContractMessage>,
-        /// Short human-readable description for traces.
-        description: CallDesc,
     },
 }
 
 impl Action {
     /// Convenience constructor for a call action.
-    pub fn call(
-        addr: ContractAddr,
-        msg: impl ContractMessage,
-        description: impl Into<CallDesc>,
-    ) -> Self {
-        Action::Call { addr, msg: Box::new(msg), description: description.into() }
+    pub fn call(addr: ContractAddr, msg: impl ContractMessage) -> Self {
+        Action::Call { addr, msg: Box::new(msg) }
     }
 
     /// Convenience constructor for a publish action.
@@ -61,11 +53,9 @@ impl fmt::Debug for Action {
                 .field("label", label)
                 .field("type", &contract.type_name())
                 .finish(),
-            Action::Call { addr, description, .. } => f
-                .debug_struct("Call")
-                .field("addr", addr)
-                .field("description", description)
-                .finish(),
+            Action::Call { addr, msg } => {
+                f.debug_struct("Call").field("addr", addr).field("msg", msg).finish()
+            }
         }
     }
 }
@@ -109,8 +99,6 @@ impl<A: Actor + ?Sized> Actor for Box<A> {
 pub struct ActionOutcome {
     /// The party that issued the action.
     pub party: PartyId,
-    /// Short description of the action (structured; renders on display).
-    pub description: CallDesc,
     /// The result of applying it.
     pub result: Result<(), ChainError>,
 }
@@ -243,13 +231,11 @@ pub fn run_round_with<A: Actor>(
 fn apply_action(world: &mut World, party: PartyId, action: Action) -> ActionOutcome {
     match action {
         Action::Publish { chain, label, contract } => {
-            let description = CallDesc::Publish { type_name: contract.type_name(), label };
             world.publish_labeled(chain, party, label, contract);
-            ActionOutcome { party, description, result: Ok(()) }
+            ActionOutcome { party, result: Ok(()) }
         }
-        Action::Call { addr, msg, description } => {
-            let result = world.call(party, addr, msg.as_ref(), description);
-            ActionOutcome { party, description, result }
+        Action::Call { addr, msg } => {
+            ActionOutcome { party, result: world.call(party, addr, msg.as_ref()) }
         }
     }
 }
@@ -327,7 +313,7 @@ mod tests {
                 return;
             }
             if let Some(addr) = world.lookup("pot") {
-                actions.push(Action::call(addr, DepositMsg(Amount::new(5)), "Deposit 5"));
+                actions.push(Action::call(addr, DepositMsg(Amount::new(5))));
                 self.deposited = true;
             }
         }
@@ -408,7 +394,6 @@ mod tests {
                     actions.push(Action::call(
                         ContractAddr::new(ChainId(0), crate::ContractId(99)),
                         DepositMsg(Amount::new(1)),
-                        "bad call",
                     ));
                     self.fired = true;
                 }
@@ -431,9 +416,8 @@ mod tests {
         let call = Action::call(
             ContractAddr::new(ChainId(0), crate::ContractId(1)),
             DepositMsg(Amount::new(1)),
-            "deposit",
         );
         assert!(format!("{publish:?}").contains("Publish"));
-        assert!(format!("{call:?}").contains("deposit"));
+        assert!(format!("{call:?}").contains("DepositMsg"));
     }
 }

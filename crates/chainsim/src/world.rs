@@ -11,7 +11,6 @@ use crate::caches::SimCaches;
 use crate::chain::{Blockchain, FinalityParams, ReorgEvent};
 use crate::contract::ContractMessage;
 use crate::error::ChainError;
-use crate::events::{CallDesc, TraceMode};
 #[cfg(test)]
 use crate::ids::ContractId;
 use crate::ids::{AssetId, ChainId, ContractAddr, Label, PartyId};
@@ -32,9 +31,9 @@ use crate::time::{StepSchedule, Time};
 ///
 /// Chains are stored densely, indexed by their sequentially assigned
 /// [`ChainId`]s, and a world can be [`reset`](World::reset) between runs:
-/// retired chains are kept as spare shells whose ledgers, contract stores
-/// and event logs retain their allocations, which is what makes per-worker
-/// world pooling in sweep engines nearly allocation-free.
+/// retired chains are kept as spare shells whose ledgers and contract
+/// stores retain their allocations, which is what makes per-worker world
+/// pooling in sweep engines nearly allocation-free.
 ///
 /// # Examples
 ///
@@ -60,7 +59,6 @@ pub struct World {
     asset_names: Vec<String>,
     delta_blocks: u64,
     started_at: Time,
-    trace: TraceMode,
     /// World rounds completed so far (one per [`World::advance_delta`]);
     /// the clock that [`ReorgEvent::at_round`] schedules against.
     rounds_elapsed: u64,
@@ -80,6 +78,16 @@ pub struct World {
     registry_version: u64,
 }
 
+/// The argument of [`World::with_trace`], which survives only as an alias
+/// of [`World::new`]: chains keep no event log, so there is nothing left to
+/// switch. Both go at the next change to the `perfbench` benchmark, which
+/// still calls the alias.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TraceMode {
+    /// The only mode.
+    Off,
+}
+
 /// Process-global source of registry versions; see
 /// [`World::registry_version`]. Starts at 1 so version 0 never aliases.
 static REGISTRY_VERSIONS: AtomicU64 = AtomicU64::new(1);
@@ -89,22 +97,12 @@ fn next_registry_version() -> u64 {
 }
 
 impl World {
-    /// Creates an empty world whose synchrony bound Δ is `delta_blocks`,
-    /// with full event tracing.
+    /// Creates an empty world whose synchrony bound Δ is `delta_blocks`.
     ///
     /// # Panics
     ///
     /// Panics if `delta_blocks` is zero.
     pub fn new(delta_blocks: u64) -> Self {
-        Self::with_trace(delta_blocks, TraceMode::Full)
-    }
-
-    /// Creates an empty world with an explicit [`TraceMode`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta_blocks` is zero.
-    pub fn with_trace(delta_blocks: u64, trace: TraceMode) -> Self {
         assert!(delta_blocks > 0, "Δ must be at least one block");
         World {
             chains: Vec::new(),
@@ -114,7 +112,6 @@ impl World {
             asset_names: Vec::new(),
             delta_blocks,
             started_at: Time::ZERO,
-            trace,
             rounds_elapsed: 0,
             pending_reorgs: Vec::new(),
             caches: SimCaches::new(),
@@ -122,13 +119,17 @@ impl World {
         }
     }
 
+    /// [`World::new`]; see [`TraceMode`].
+    pub fn with_trace(delta_blocks: u64, _: TraceMode) -> Self {
+        Self::new(delta_blocks)
+    }
+
     /// Clears every chain, label, asset and key registration while keeping
     /// allocated storage, so the world can host a fresh run.
     ///
     /// Retired chains become spare shells that the next
-    /// [`add_chain`](World::add_chain) calls recycle — their ledgers,
-    /// contract stores and event logs keep their capacity. The trace mode is
-    /// preserved.
+    /// [`add_chain`](World::add_chain) calls recycle — their ledgers and
+    /// contract stores keep their capacity.
     ///
     /// # Panics
     ///
@@ -144,11 +145,6 @@ impl World {
         self.started_at = Time::ZERO;
         self.rounds_elapsed = 0;
         self.pending_reorgs.clear();
-    }
-
-    /// The trace mode of this world.
-    pub fn trace_mode(&self) -> TraceMode {
-        self.trace
     }
 
     /// The synchrony bound Δ in blocks.
@@ -168,10 +164,10 @@ impl World {
         };
         let mut chain = match self.spare.pop() {
             Some(mut shell) => {
-                shell.recycle(id, name, native, self.trace);
+                shell.recycle(id, name, native);
                 shell
             }
-            None => Blockchain::new(id, name, native, self.trace),
+            None => Blockchain::new(id, name, native),
         };
         // Keep new chains height-aligned with existing ones.
         chain.advance_blocks(self.now().height());
@@ -356,13 +352,12 @@ impl World {
         caller: PartyId,
         addr: ContractAddr,
         msg: &dyn ContractMessage,
-        call_description: impl Into<CallDesc>,
     ) -> Result<(), ChainError> {
         let World { chains, directory, caches, .. } = self;
         let chain = chains
             .get_mut(addr.chain.0 as usize)
             .ok_or(ChainError::NoSuchChain { chain: addr.chain })?;
-        chain.call(caller, addr.contract, msg, call_description, directory, caches)
+        chain.call(caller, addr.contract, msg, directory, caches)
     }
 
     /// The world's memoisation store (see [`SimCaches`]).
@@ -371,7 +366,7 @@ impl World {
     }
 
     /// Captures the complete observable state of the world — every live
-    /// chain's ledger, contract store, event log and clock, plus the label,
+    /// chain's ledger, contract store, gas meter and clock, plus the label,
     /// asset and key registries — as a [`WorldSnapshot`].
     ///
     /// Retired spare shells (chains recycled by [`World::reset`]) hold no
@@ -387,7 +382,6 @@ impl World {
             asset_names: self.asset_names.clone(),
             delta_blocks: self.delta_blocks,
             started_at: self.started_at,
-            trace: self.trace,
             rounds_elapsed: self.rounds_elapsed,
             pending_reorgs: self.pending_reorgs.clone(),
             registry_version: self.registry_version,
@@ -397,7 +391,7 @@ impl World {
     /// Restores the world to a previously captured [`WorldSnapshot`].
     ///
     /// After the call the world's observable state (chains, ledgers,
-    /// contracts, events, registries, clock, trace mode) is identical to the
+    /// contracts, gas meters, registries, clock) is identical to the
     /// state at [`World::snapshot`] time; a run resumed from the restored
     /// world is indistinguishable from one that replayed every step since.
     /// Restoring reuses the world's existing chain shells and buffer
@@ -413,10 +407,8 @@ impl World {
             self.spare.push(retired);
         }
         while self.chains.len() < snap.chains.len() {
-            let shell = self
-                .spare
-                .pop()
-                .unwrap_or_else(|| Blockchain::new(ChainId(0), "", AssetId(0), snap.trace));
+            let shell =
+                self.spare.pop().unwrap_or_else(|| Blockchain::new(ChainId(0), "", AssetId(0)));
             self.chains.push(shell);
         }
         for (chain, captured) in self.chains.iter_mut().zip(&snap.chains) {
@@ -433,7 +425,6 @@ impl World {
         }
         self.delta_blocks = snap.delta_blocks;
         self.started_at = snap.started_at;
-        self.trace = snap.trace;
         self.rounds_elapsed = snap.rounds_elapsed;
         self.pending_reorgs.clone_from(&snap.pending_reorgs);
     }
@@ -458,7 +449,6 @@ pub struct WorldSnapshot {
     asset_names: Vec<String>,
     delta_blocks: u64,
     started_at: Time,
-    trace: TraceMode,
     rounds_elapsed: u64,
     pending_reorgs: Vec<ReorgEvent>,
     registry_version: u64,
@@ -477,7 +467,6 @@ impl fmt::Debug for WorldSnapshot {
             .field("chains", &self.chains.len())
             .field("labels", &self.labels.len())
             .field("delta_blocks", &self.delta_blocks)
-            .field("trace", &self.trace)
             .finish()
     }
 }
@@ -489,7 +478,6 @@ impl fmt::Debug for World {
             .field("now", &self.now())
             .field("delta_blocks", &self.delta_blocks)
             .field("labels", &self.labels.len())
-            .field("trace", &self.trace)
             .finish()
     }
 }
@@ -557,7 +545,7 @@ mod tests {
         let addr = world.publish_labeled(chain, PartyId(0), "swap/escrow", Box::new(Noop));
         assert_eq!(world.lookup("swap/escrow"), Some(addr));
         assert_eq!(world.lookup("missing"), None);
-        world.call(PartyId(1), addr, &(), "noop").unwrap();
+        world.call(PartyId(1), addr, &()).unwrap();
     }
 
     #[test]
@@ -572,9 +560,8 @@ mod tests {
     #[test]
     fn call_on_missing_chain_errors() {
         let mut world = World::new(1);
-        let err = world
-            .call(PartyId(0), ContractAddr::new(ChainId(7), ContractId(0)), &(), "noop")
-            .unwrap_err();
+        let err =
+            world.call(PartyId(0), ContractAddr::new(ChainId(7), ContractId(0)), &()).unwrap_err();
         assert!(matches!(err, ChainError::NoSuchChain { .. }));
         assert!(world.try_chain(ChainId(7)).is_err());
     }
@@ -682,14 +669,14 @@ mod tests {
         });
 
         world.advance_delta(); // round 0: nothing fires
-        world.call(PartyId(0), addr, &(), "drip").unwrap();
+        world.call(PartyId(0), addr, &()).unwrap();
         world.advance_delta(); // round 1: the round's deposit is dropped
         assert_eq!(world.rounds_elapsed(), 2);
         assert_eq!(world.party_balance(PartyId(0), AssetId(0)), Amount::new(5));
         assert_eq!(world.chain(a).reorg_stats().dropped_calls, 1);
 
         // The event fired exactly once; later rounds are unaffected.
-        world.call(PartyId(0), addr, &(), "drip").unwrap();
+        world.call(PartyId(0), addr, &()).unwrap();
         world.advance_delta();
         assert_eq!(world.party_balance(PartyId(0), AssetId(0)), Amount::new(4));
     }
@@ -720,10 +707,10 @@ mod tests {
             policy: ReorgPolicy::Redeliver,
         });
         world.advance_delta();
-        world.call(PartyId(0), addr, &(), "noop").unwrap();
+        world.call(PartyId(0), addr, &()).unwrap();
 
         let snap = world.snapshot();
-        world.call(PartyId(0), addr, &(), "noop").unwrap();
+        world.call(PartyId(0), addr, &()).unwrap();
         world.advance_delta();
         world.advance_delta();
         world.advance_delta(); // fires the scheduled reorg
@@ -738,16 +725,5 @@ mod tests {
         world.advance_delta();
         world.advance_delta();
         assert_eq!(world.chain(a).reorg_stats().reorgs, 1);
-    }
-
-    #[test]
-    fn reset_preserves_trace_mode() {
-        let mut world = World::with_trace(1, TraceMode::Off);
-        world.add_chain("a");
-        world.reset(1);
-        assert_eq!(world.trace_mode(), TraceMode::Off);
-        let a = world.add_chain("a");
-        world.chain_mut(a).mint(PartyId(0), AssetId(0), Amount::new(1));
-        assert!(world.chain(a).events().is_empty());
     }
 }

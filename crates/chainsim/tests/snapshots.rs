@@ -2,14 +2,14 @@
 //! checkpoint primitive under the model checker's deviation-tree sweeps.
 //!
 //! The determinism contract: a restored world is indistinguishable from the
-//! world at snapshot time — across trace modes, after failed contract
-//! calls, and under repeated restores from the same snapshot.
+//! world at snapshot time — after failed contract calls, and under repeated
+//! restores from the same snapshot.
 
 use std::any::Any;
 
 use chainsim::{
-    AccountRef, Amount, AssetId, CallEnv, ChainError, Contract, ContractError, PartyId, Time,
-    TraceMode, World,
+    AccountRef, Amount, AssetId, CallEnv, ChainError, Contract, ContractError, GasSchedule,
+    PartyId, Time, World,
 };
 
 /// A contract holding a deposit that can also be asked to fail.
@@ -22,7 +22,7 @@ struct Vault {
 #[derive(Clone, Debug)]
 enum VaultMsg {
     Deposit(Amount),
-    /// Debits the caller, emits a note, and *then* fails: a multi-op call
+    /// Debits the caller, charges a note, and *then* fails: a multi-op call
     /// whose partial effects the transactional frame must roll back.
     DepositThenFail(Amount),
     Fail,
@@ -48,7 +48,7 @@ impl Contract for Vault {
                 env.debit_caller(AssetId(0), *amount)?;
                 self.total += *amount;
                 self.calls += 1;
-                env.emit_note("about to fail");
+                env.charge_note();
                 Err(ContractError::invalid_state("asked to fail after depositing"))
             }
             VaultMsg::Fail => {
@@ -62,12 +62,12 @@ impl Contract for Vault {
     }
 }
 
-fn build_world(trace: TraceMode) -> (World, chainsim::ContractAddr) {
-    let mut world = World::with_trace(1, trace);
+fn build_world() -> (World, chainsim::ContractAddr) {
+    let mut world = World::new(1);
     let chain = world.add_chain("apricot");
     world.chain_mut(chain).mint(PartyId(0), AssetId(0), Amount::new(100));
     let addr = world.publish_labeled(chain, PartyId(0), "vault", Box::new(Vault::default()));
-    world.call(PartyId(0), addr, &VaultMsg::Deposit(Amount::new(30)), "deposit").unwrap();
+    world.call(PartyId(0), addr, &VaultMsg::Deposit(Amount::new(30))).unwrap();
     world.advance_delta();
     (world, addr)
 }
@@ -75,7 +75,7 @@ fn build_world(trace: TraceMode) -> (World, chainsim::ContractAddr) {
 fn observable_state(
     world: &World,
     addr: chainsim::ContractAddr,
-) -> (Amount, Amount, u64, Time, usize) {
+) -> (Amount, Amount, u64, Time, u64) {
     let chain = world.chain(addr.chain);
     let vault = chain.contract_as::<Vault>(addr.contract).unwrap();
     (
@@ -83,42 +83,18 @@ fn observable_state(
         chain.balance(AccountRef::Contract(addr.contract), AssetId(0)),
         vault.calls,
         world.now(),
-        chain.events().len(),
+        chain.gas_meter().total(),
     )
 }
 
 #[test]
-fn restore_is_identical_across_trace_modes() {
-    // The same protocol history replayed under Off and Full must restore to
-    // worlds whose balance-visible state agrees; each world's own restore
-    // must be exact, including the event log (empty under Off).
-    let mut states = Vec::new();
-    for trace in [TraceMode::Off, TraceMode::Full] {
-        let (mut world, addr) = build_world(trace);
-        let snap = world.snapshot();
-        // Diverge, then restore.
-        world.call(PartyId(0), addr, &VaultMsg::Deposit(Amount::new(10)), "later").unwrap();
-        world.advance_delta();
-        world.restore(&snap);
-        let state = observable_state(&world, addr);
-        assert_eq!(world.trace_mode(), trace, "restore preserves the snapshot's trace mode");
-        match trace {
-            TraceMode::Off => assert_eq!(state.4, 0, "Off worlds restore with no events"),
-            TraceMode::Full => assert!(state.4 > 0, "Full worlds restore their event log"),
-        }
-        states.push((state.0, state.1, state.2, state.3));
-    }
-    assert_eq!(states[0], states[1], "balance-visible state agrees across trace modes");
-}
-
-#[test]
 fn restore_after_a_failed_call_discards_its_side_effects() {
-    let (mut world, addr) = build_world(TraceMode::Full);
+    let (mut world, addr) = build_world();
     let snap = world.snapshot();
 
-    // A failing call is rolled back transactionally, but it still appends a
-    // CallFailed event (and burns gas) before erroring.
-    let err = world.call(PartyId(0), addr, &VaultMsg::Fail, "fail").unwrap_err();
+    // A failing call is rolled back transactionally, but it still burns gas
+    // before erroring.
+    let err = world.call(PartyId(0), addr, &VaultMsg::Fail).unwrap_err();
     assert!(matches!(err, ChainError::ContractFailed { .. }));
     assert_ne!(observable_state(&world, addr), observable_state_of_snapshot(&snap, addr));
 
@@ -127,10 +103,10 @@ fn restore_after_a_failed_call_discards_its_side_effects() {
 
     // The restored world is fully functional: the same call fails the same
     // way, and a valid call succeeds.
-    let err = world.call(PartyId(0), addr, &VaultMsg::Fail, "fail again").unwrap_err();
+    let err = world.call(PartyId(0), addr, &VaultMsg::Fail).unwrap_err();
     assert!(matches!(err, ChainError::ContractFailed { .. }));
     world.restore(&snap);
-    world.call(PartyId(0), addr, &VaultMsg::Deposit(Amount::new(5)), "retry").unwrap();
+    world.call(PartyId(0), addr, &VaultMsg::Deposit(Amount::new(5))).unwrap();
     let chain = world.chain(addr.chain);
     assert_eq!(chain.balance(AccountRef::Contract(addr.contract), AssetId(0)), Amount::new(35));
 }
@@ -140,7 +116,7 @@ fn restore_after_a_failed_call_discards_its_side_effects() {
 fn observable_state_of_snapshot(
     snap: &chainsim::WorldSnapshot,
     addr: chainsim::ContractAddr,
-) -> (Amount, Amount, u64, Time, usize) {
+) -> (Amount, Amount, u64, Time, u64) {
     let mut probe = World::new(1);
     probe.restore(snap);
     observable_state(&probe, addr)
@@ -148,14 +124,14 @@ fn observable_state_of_snapshot(
 
 #[test]
 fn double_restore_from_the_same_snapshot_is_idempotent() {
-    let (mut world, addr) = build_world(TraceMode::Full);
+    let (mut world, addr) = build_world();
     let snap = world.snapshot();
 
-    world.call(PartyId(0), addr, &VaultMsg::Deposit(Amount::new(7)), "a").unwrap();
+    world.call(PartyId(0), addr, &VaultMsg::Deposit(Amount::new(7))).unwrap();
     world.restore(&snap);
     let first = observable_state(&world, addr);
 
-    world.call(PartyId(0), addr, &VaultMsg::Deposit(Amount::new(22)), "b").unwrap();
+    world.call(PartyId(0), addr, &VaultMsg::Deposit(Amount::new(22))).unwrap();
     world.advance_delta();
     world.advance_delta();
     world.restore(&snap);
@@ -197,29 +173,23 @@ fn snapshots_skip_retired_spare_shells() {
 #[test]
 fn failed_calls_charge_gas_but_leave_zero_residue() {
     // Pin of the transactional-call contract: a multi-op call that debits
-    // the caller, emits a note and then fails must charge gas for the work
-    // attempted while leaving ledger, notes and contract state untouched.
-    let (mut world, addr) = build_world(TraceMode::Full);
+    // the caller, charges a note and then fails must charge gas for the work
+    // attempted while leaving ledger and contract state untouched.
+    let (mut world, addr) = build_world();
     let chain = world.chain(addr.chain);
-    let schedule = chain.gas_schedule();
+    let schedule = GasSchedule::DEFAULT;
     let gas_before = chain.gas_meter().total();
     let party_before = chain.balance(AccountRef::Party(PartyId(0)), AssetId(0));
     let vault_before = chain.balance(AccountRef::Contract(addr.contract), AssetId(0));
     let calls_before = chain.contract_as::<Vault>(addr.contract).unwrap().calls;
-    let notes_before = chain
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, chainsim::EventKind::Note { .. }))
-        .count();
 
-    let err = world
-        .call(PartyId(0), addr, &VaultMsg::DepositThenFail(Amount::new(40)), "doomed")
-        .unwrap_err();
+    let err =
+        world.call(PartyId(0), addr, &VaultMsg::DepositThenFail(Amount::new(40))).unwrap_err();
     assert!(matches!(err, ChainError::ContractFailed { .. }));
 
     let chain = world.chain(addr.chain);
     // Gas is charged for everything the call attempted: dispatch, the
-    // rolled-back transfer, and the withdrawn note.
+    // rolled-back transfer, and the note.
     assert_eq!(
         chain.gas_meter().total() - gas_before,
         schedule.call_base + schedule.ledger_op + schedule.note,
@@ -233,19 +203,13 @@ fn failed_calls_charge_gas_but_leave_zero_residue() {
     assert_eq!(chain.balance(AccountRef::Party(PartyId(0)), AssetId(0)), party_before);
     assert_eq!(chain.balance(AccountRef::Contract(addr.contract), AssetId(0)), vault_before);
     assert_eq!(chain.contract_as::<Vault>(addr.contract).unwrap().calls, calls_before);
-    let notes_after = chain
-        .events()
-        .iter()
-        .filter(|e| matches!(e.kind, chainsim::EventKind::Note { .. }))
-        .count();
-    assert_eq!(notes_after, notes_before, "notes from the failed call are withdrawn");
     // Conservation: total supply of the asset is untouched.
     assert_eq!(chain.ledger().total_supply(AssetId(0)), Amount::new(100));
 }
 
 #[test]
 fn restore_rebuilds_label_and_asset_registries() {
-    let (mut world, addr) = build_world(TraceMode::Off);
+    let (mut world, addr) = build_world();
     let snap = world.snapshot();
 
     world.reset(3);
@@ -267,7 +231,7 @@ fn restore_mutate_restore_reproduces_every_ledger_entry() {
     // A mutation between two restores — a new account, a new asset that
     // widens every row, a contract balance — must leave no trace in the
     // second restore's entries.
-    let (mut world, addr) = build_world(TraceMode::Off);
+    let (mut world, addr) = build_world();
     let chain = addr.chain;
     let entries = |world: &World| world.chain(chain).ledger().iter().collect::<Vec<_>>();
     let snap = world.snapshot();
@@ -278,7 +242,7 @@ fn restore_mutate_restore_reproduces_every_ledger_entry() {
     let token = world.register_asset("late-token");
     world.chain_mut(chain).mint(PartyId(9), token, Amount::new(11));
     world.chain_mut(chain).mint(PartyId(0), AssetId(0), Amount::new(5));
-    world.call(PartyId(0), addr, &VaultMsg::Deposit(Amount::new(3)), "more").unwrap();
+    world.call(PartyId(0), addr, &VaultMsg::Deposit(Amount::new(3))).unwrap();
     assert_ne!(entries(&world), first);
 
     world.restore(&snap);

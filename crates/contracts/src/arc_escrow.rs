@@ -6,8 +6,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use chainsim::{
-    Amount, AssetId, CallEnv, Contract, ContractError, Disposition, NoteText, PartyId,
-    StateMachine, StateSpec, Time, TimeWindow, TransitionSpec,
+    Amount, AssetId, CallEnv, Contract, ContractError, Disposition, PartyId, StateMachine,
+    StateSpec, Time, TimeWindow, TransitionSpec,
 };
 use cryptosim::{Digest, Hashlock, Secret};
 use serde::{Deserialize, Serialize};
@@ -448,7 +448,7 @@ impl ArcEscrow {
         if self.escrow_premium == PremiumSlotState::Held {
             env.pay_out(self.params.sender, self.params.premium_asset, self.params.escrow_premium)?;
             self.escrow_premium = PremiumSlotState::Refunded;
-            env.emit_note("escrow premium refunded: asset escrowed in time");
+            env.charge_note();
         }
         Ok(())
     }
@@ -492,11 +492,7 @@ impl ArcEscrow {
         self.presented.insert(leader, env.now());
         self.presented_hashkeys.insert(leader, hashkey.clone());
         self.revealed_secrets.insert(leader, hashkey.secret().clone());
-        env.emit_note(NoteText::Party {
-            prefix: "hashkey for ",
-            party: leader,
-            suffix: " presented",
-        });
+        env.charge_note();
         // Lemma 1: the receiver's redemption premium for this hashkey is
         // refunded as soon as the hashkey is presented on the arc.
         if let Some(slot) = self.redemption.get_mut(&leader) {
@@ -510,7 +506,7 @@ impl ArcEscrow {
             env.pay_out(self.params.receiver, self.params.asset, self.params.amount)?;
             self.principal = PrincipalState::Redeemed;
             self.settled_at = Some(env.now());
-            env.emit_note("principal redeemed: all hashkeys presented");
+            env.charge_note();
         }
         Ok(())
     }
@@ -531,7 +527,7 @@ impl ArcEscrow {
                     self.params.escrow_premium,
                 )?;
                 self.escrow_premium = PremiumSlotState::PaidToCounterparty;
-                env.emit_note("escrow premium paid to receiver: asset never escrowed");
+                env.charge_note();
             } else {
                 env.pay_out(
                     self.params.sender,
@@ -539,7 +535,7 @@ impl ArcEscrow {
                     self.params.escrow_premium,
                 )?;
                 self.escrow_premium = PremiumSlotState::Refunded;
-                env.emit_note("escrow premium refunded: premium was never activated");
+                env.charge_note();
             }
             acted = true;
         }
@@ -550,11 +546,7 @@ impl ArcEscrow {
                 if slot.state == PremiumSlotState::Held && !self.presented.contains_key(leader) {
                     env.pay_out(self.params.sender, self.params.premium_asset, slot.amount)?;
                     slot.state = PremiumSlotState::PaidToCounterparty;
-                    env.emit_note(NoteText::Party {
-                        prefix: "redemption premium for ",
-                        party: *leader,
-                        suffix: " paid to sender: hashkey never presented",
-                    });
+                    env.charge_note();
                     acted = true;
                 }
             }
@@ -563,7 +555,7 @@ impl ArcEscrow {
                 env.pay_out(self.params.sender, self.params.asset, self.params.amount)?;
                 self.principal = PrincipalState::Refunded;
                 self.settled_at = Some(now);
-                env.emit_note("principal refunded to sender after timeout");
+                env.charge_note();
                 acted = true;
             }
         }
@@ -861,30 +853,25 @@ mod tests {
     fn full_compliant_lifecycle() {
         let mut f = setup();
         // Phase 1: sender B deposits the escrow premium E(B,A) = 5p.
-        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium, "E(B,A)").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium).unwrap();
         assert_eq!(contract(&f).escrow_premium_state(), PremiumSlotState::Held);
         f.world.advance_blocks(2);
         // Phase 2: receiver A deposits the redemption premium R((A), B) = 2p.
         f.world
-            .call(
-                A,
-                f.addr,
-                &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] },
-                "R(A)",
-            )
+            .call(A, f.addr, &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] })
             .unwrap();
         assert_eq!(contract(&f).redemption_premium_amount(A), Amount::new(2));
         assert!(contract(&f).escrow_premium_activated());
         f.world.advance_blocks(2);
         // Phase 3: sender escrows the asset; escrow premium refunded at once.
-        f.world.call(B, f.addr, &ArcEscrowMsg::EscrowAsset, "escrow").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::EscrowAsset).unwrap();
         assert_eq!(contract(&f).escrow_premium_state(), PremiumSlotState::Refunded);
         assert_eq!(balance(&f, B, f.native), Amount::new(20));
         f.world.advance_blocks(2);
         // Phase 4: the leader's hashkey is presented; premium refunded and
         // the principal redeemed.
         let hashkey = leader_hashkey(&f);
-        f.world.call(A, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey }, "k_A").unwrap();
+        f.world.call(A, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey }).unwrap();
         let c = contract(&f);
         assert_eq!(c.principal_state(), PrincipalState::Redeemed);
         assert_eq!(c.redemption_premium_state(A), PremiumSlotState::Refunded);
@@ -897,14 +884,9 @@ mod tests {
     #[test]
     fn redemption_premium_amount_follows_equation_1() {
         let mut f = setup();
-        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium, "E").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium).unwrap();
         f.world
-            .call(
-                A,
-                f.addr,
-                &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] },
-                "R",
-            )
+            .call(A, f.addr, &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] })
             .unwrap();
         // R_A((A), B) = 2p with p = 1.
         assert_eq!(contract(&f).redemption_premium_amount(A), Amount::new(2));
@@ -921,7 +903,6 @@ mod tests {
                 A,
                 f.addr,
                 &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![B, A] },
-                "R",
             )
             .is_err());
         // Path that is not a digraph path.
@@ -931,65 +912,49 @@ mod tests {
                 A,
                 f.addr,
                 &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A, C, A] },
-                "R",
             )
             .is_err());
         // Unknown leader.
         assert!(f
             .world
-            .call(
-                A,
-                f.addr,
-                &ArcEscrowMsg::DepositRedemptionPremium { leader: C, path: vec![A] },
-                "R",
-            )
+            .call(A, f.addr, &ArcEscrowMsg::DepositRedemptionPremium { leader: C, path: vec![A] },)
             .is_err());
         // Wrong depositor.
         assert!(f
             .world
-            .call(
-                B,
-                f.addr,
-                &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] },
-                "R",
-            )
+            .call(B, f.addr, &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] },)
             .is_err());
     }
 
     #[test]
     fn activated_escrow_premium_goes_to_receiver_when_sender_defects() {
         let mut f = setup();
-        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium, "E").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium).unwrap();
         f.world
-            .call(
-                A,
-                f.addr,
-                &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] },
-                "R",
-            )
+            .call(A, f.addr, &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] })
             .unwrap();
         // B never escrows the asset. After the asset-escrow deadline the
         // activated escrow premium is awarded to A.
         f.world.advance_blocks(6);
-        f.world.call(A, f.addr, &ArcEscrowMsg::Settle, "settle").unwrap();
+        f.world.call(A, f.addr, &ArcEscrowMsg::Settle).unwrap();
         assert_eq!(contract(&f).escrow_premium_state(), PremiumSlotState::PaidToCounterparty);
         assert_eq!(balance(&f, A, f.native), Amount::new(18 + 5));
         // A's own redemption premium is still held until the final deadline,
         // then returns to the sender (A never needed to present a hashkey
         // because nothing was escrowed, but the arc-local rule stands).
         f.world.advance_blocks(6);
-        f.world.call(B, f.addr, &ArcEscrowMsg::Settle, "settle").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::Settle).unwrap();
         assert_eq!(contract(&f).redemption_premium_state(A), PremiumSlotState::PaidToCounterparty);
     }
 
     #[test]
     fn unactivated_escrow_premium_is_refunded() {
         let mut f = setup();
-        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium, "E").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium).unwrap();
         // A never deposits the redemption premium, so the escrow premium is
         // never activated; B gets it back after the asset-escrow deadline.
         f.world.advance_blocks(6);
-        f.world.call(B, f.addr, &ArcEscrowMsg::Settle, "settle").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::Settle).unwrap();
         assert_eq!(contract(&f).escrow_premium_state(), PremiumSlotState::Refunded);
         assert_eq!(balance(&f, B, f.native), Amount::new(20));
     }
@@ -997,21 +962,16 @@ mod tests {
     #[test]
     fn unpresented_hashkey_forfeits_redemption_premium_and_refunds_principal() {
         let mut f = setup();
-        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium, "E").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium).unwrap();
         f.world
-            .call(
-                A,
-                f.addr,
-                &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] },
-                "R",
-            )
+            .call(A, f.addr, &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] })
             .unwrap();
         f.world.advance_blocks(4);
-        f.world.call(B, f.addr, &ArcEscrowMsg::EscrowAsset, "escrow").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::EscrowAsset).unwrap();
         // A never presents the hashkey. After the final deadline: principal
         // back to B, A's redemption premium to B.
         f.world.advance_blocks(8);
-        f.world.call(B, f.addr, &ArcEscrowMsg::Settle, "settle").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::Settle).unwrap();
         let c = contract(&f);
         assert_eq!(c.principal_state(), PrincipalState::Refunded);
         assert_eq!(c.redemption_premium_state(A), PremiumSlotState::PaidToCounterparty);
@@ -1023,24 +983,16 @@ mod tests {
     #[test]
     fn hashkey_timeout_depends_on_path_length() {
         let mut f = setup();
-        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium, "E").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium).unwrap();
         f.world
-            .call(
-                A,
-                f.addr,
-                &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] },
-                "R",
-            )
+            .call(A, f.addr, &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] })
             .unwrap();
         f.world.advance_blocks(4);
-        f.world.call(B, f.addr, &ArcEscrowMsg::EscrowAsset, "escrow").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::EscrowAsset).unwrap();
         // A path-length-1 hashkey times out at 6 + 1·Δ = 7; at height 7 it is late.
         f.world.advance_blocks(3);
         let hashkey = leader_hashkey(&f);
-        let err = f
-            .world
-            .call(A, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey }, "late k_A")
-            .unwrap_err();
+        let err = f.world.call(A, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey }).unwrap_err();
         assert!(err.to_string().contains("deadline"));
         assert_eq!(contract(&f).principal_state(), PrincipalState::Held);
     }
@@ -1048,27 +1000,24 @@ mod tests {
     #[test]
     fn forged_or_mismatched_hashkeys_are_rejected() {
         let mut f = setup();
-        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium, "E").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium).unwrap();
         f.world.advance_blocks(4);
-        f.world.call(B, f.addr, &ArcEscrowMsg::EscrowAsset, "escrow").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::EscrowAsset).unwrap();
         // Wrong secret.
         let bogus = Hashkey::from_leader(A, Secret::from_seed(999), &f.pairs[0]);
-        assert!(f
-            .world
-            .call(A, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey: bogus }, "bad")
-            .is_err());
+        assert!(f.world.call(A, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey: bogus }).is_err());
         // Unknown leader.
         let wrong_leader = Hashkey::from_leader(C, f.secret.clone(), &f.pairs[2]);
         assert!(f
             .world
-            .call(A, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey: wrong_leader }, "bad")
+            .call(A, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey: wrong_leader })
             .is_err());
         // Path that does not start at the receiver A: B extends the leader's
         // hashkey, which is valid for arc (A,B) but not for this arc.
         let for_other_arc = leader_hashkey(&f).extend(B, &f.pairs[1]);
         assert!(f
             .world
-            .call(A, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey: for_other_arc }, "bad")
+            .call(A, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey: for_other_arc })
             .is_err());
         assert_eq!(contract(&f).principal_state(), PrincipalState::Held);
     }
@@ -1077,56 +1026,41 @@ mod tests {
     fn escrow_premium_and_asset_deadlines_are_enforced() {
         let mut f = setup();
         f.world.advance_blocks(2);
-        assert!(f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium, "E").is_err());
+        assert!(f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium).is_err());
         f.world.advance_blocks(4);
-        assert!(f.world.call(B, f.addr, &ArcEscrowMsg::EscrowAsset, "escrow").is_err());
+        assert!(f.world.call(B, f.addr, &ArcEscrowMsg::EscrowAsset).is_err());
         // Redemption premium also respects its deadline.
         assert!(f
             .world
-            .call(
-                A,
-                f.addr,
-                &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] },
-                "R",
-            )
+            .call(A, f.addr, &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] },)
             .is_err());
     }
 
     #[test]
     fn settle_with_nothing_due_is_an_error() {
         let mut f = setup();
-        assert!(f.world.call(A, f.addr, &ArcEscrowMsg::Settle, "settle").is_err());
+        assert!(f.world.call(A, f.addr, &ArcEscrowMsg::Settle).is_err());
     }
 
     #[test]
     fn duplicate_deposits_and_presentations_are_rejected() {
         let mut f = setup();
-        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium, "E").unwrap();
-        assert!(f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium, "E").is_err());
+        f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium).unwrap();
+        assert!(f.world.call(B, f.addr, &ArcEscrowMsg::DepositEscrowPremium).is_err());
         f.world
-            .call(
-                A,
-                f.addr,
-                &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] },
-                "R",
-            )
+            .call(A, f.addr, &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] })
             .unwrap();
         assert!(f
             .world
-            .call(
-                A,
-                f.addr,
-                &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] },
-                "R",
-            )
+            .call(A, f.addr, &ArcEscrowMsg::DepositRedemptionPremium { leader: A, path: vec![A] },)
             .is_err());
         f.world.advance_blocks(4);
-        f.world.call(B, f.addr, &ArcEscrowMsg::EscrowAsset, "escrow").unwrap();
+        f.world.call(B, f.addr, &ArcEscrowMsg::EscrowAsset).unwrap();
         f.world.advance_blocks(2);
         let hashkey = leader_hashkey(&f);
-        f.world.call(A, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey }, "k_A").unwrap();
+        f.world.call(A, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey }).unwrap();
         let hashkey = leader_hashkey(&f);
-        assert!(f.world.call(A, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey }, "k_A").is_err());
+        assert!(f.world.call(A, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey }).is_err());
     }
 
     #[test]

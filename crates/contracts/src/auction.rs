@@ -12,8 +12,8 @@ use std::any::Any;
 use std::collections::BTreeMap;
 
 use chainsim::{
-    Amount, AssetId, CallEnv, Contract, ContractError, Disposition, NoteText, PartyId,
-    StateMachine, StateSpec, Time, TimeWindow, TransitionSpec,
+    Amount, AssetId, CallEnv, Contract, ContractError, Disposition, PartyId, StateMachine,
+    StateSpec, Time, TimeWindow, TransitionSpec,
 };
 use cryptosim::{Hashlock, Secret};
 use serde::{Deserialize, Serialize};
@@ -212,11 +212,7 @@ impl AuctionCoinContract {
         env.ensure_reached(self.params.bid_deadline)?;
         env.ensure_before(self.params.challenge_deadline)?;
         self.hashkeys.entry(winner).or_insert_with(|| env.now());
-        env.emit_note(NoteText::Party {
-            prefix: "hashkey naming ",
-            party: winner,
-            suffix: " recorded on the coin chain",
-        });
+        env.charge_note();
         Ok(())
     }
 
@@ -249,11 +245,7 @@ impl AuctionCoinContract {
                 self.premium_settled = true;
             }
             self.outcome = Some(AuctionOutcome::Completed { winner, winning_bid });
-            env.emit_note(NoteText::Party {
-                prefix: "auction completed: ",
-                party: winner,
-                suffix: " wins",
-            });
+            env.charge_note();
         } else {
             // Refund all bids; compensate each bidder with p from the premium.
             for (bidder, amount) in self.bids.iter() {
@@ -266,7 +258,7 @@ impl AuctionCoinContract {
                 self.premium_settled = true;
             }
             self.outcome = Some(AuctionOutcome::Aborted);
-            env.emit_note("auction aborted: bids refunded and premiums paid to bidders");
+            env.charge_note();
         }
         self.premium_held = false;
         Ok(())
@@ -467,11 +459,7 @@ impl AuctionTicketContract {
         env.ensure_reached(self.params.bid_deadline)?;
         env.ensure_before(self.params.challenge_deadline)?;
         self.hashkeys.entry(winner).or_insert_with(|| env.now());
-        env.emit_note(NoteText::Party {
-            prefix: "hashkey naming ",
-            party: winner,
-            suffix: " recorded on the ticket chain",
-        });
+        env.charge_note();
         Ok(())
     }
 
@@ -482,7 +470,7 @@ impl AuctionTicketContract {
         env.ensure_reached(self.params.challenge_deadline)?;
         if !self.tickets_held {
             self.settled = true;
-            env.emit_note("nothing escrowed; nothing to settle");
+            env.charge_note();
             return Ok(());
         }
         let received = self.hashkeys_received();
@@ -490,18 +478,14 @@ impl AuctionTicketContract {
             let winner = received[0];
             env.pay_out(winner, self.params.ticket_asset, self.params.ticket_amount)?;
             self.winner = Some(winner);
-            env.emit_note(NoteText::Party {
-                prefix: "tickets transferred to ",
-                party: winner,
-                suffix: "",
-            });
+            env.charge_note();
         } else {
             env.pay_out(
                 self.params.auctioneer,
                 self.params.ticket_asset,
                 self.params.ticket_amount,
             )?;
-            env.emit_note("tickets refunded to the auctioneer");
+            env.charge_note();
         }
         self.tickets_held = false;
         self.settled = true;
@@ -656,13 +640,13 @@ mod tests {
     }
 
     fn run_honest_setup(f: &mut Fixture) {
-        f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium, "premium").unwrap();
-        f.world.call(ALICE, f.ticket_addr, &AuctionTicketMsg::EscrowTickets, "tickets").unwrap();
+        f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium).unwrap();
+        f.world.call(ALICE, f.ticket_addr, &AuctionTicketMsg::EscrowTickets).unwrap();
         f.world
-            .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(60) }, "bid")
+            .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(60) })
             .unwrap();
         f.world
-            .call(CAROL, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(40) }, "bid")
+            .call(CAROL, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(40) })
             .unwrap();
         f.world.advance_blocks(2);
     }
@@ -678,20 +662,14 @@ mod tests {
                 ALICE,
                 f.coin_addr,
                 &AuctionCoinMsg::SubmitHashkey { winner: BOB, secret: secret.clone() },
-                "declare",
             )
             .unwrap();
         f.world
-            .call(
-                ALICE,
-                f.ticket_addr,
-                &AuctionTicketMsg::SubmitHashkey { winner: BOB, secret },
-                "declare",
-            )
+            .call(ALICE, f.ticket_addr, &AuctionTicketMsg::SubmitHashkey { winner: BOB, secret })
             .unwrap();
         f.world.advance_blocks(5);
-        f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle, "settle").unwrap();
-        f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle, "settle").unwrap();
+        f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle).unwrap();
+        f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle).unwrap();
 
         assert_eq!(
             coin_contract(&f).outcome(),
@@ -719,20 +697,14 @@ mod tests {
                 ALICE,
                 f.coin_addr,
                 &AuctionCoinMsg::SubmitHashkey { winner: CAROL, secret: secret.clone() },
-                "declare",
             )
             .unwrap();
         f.world
-            .call(
-                ALICE,
-                f.ticket_addr,
-                &AuctionTicketMsg::SubmitHashkey { winner: CAROL, secret },
-                "declare",
-            )
+            .call(ALICE, f.ticket_addr, &AuctionTicketMsg::SubmitHashkey { winner: CAROL, secret })
             .unwrap();
         f.world.advance_blocks(5);
-        f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle, "settle").unwrap();
-        f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle, "settle").unwrap();
+        f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle).unwrap();
+        f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle).unwrap();
 
         assert_eq!(coin_contract(&f).outcome(), Some(AuctionOutcome::Aborted));
         // All bids refunded plus p = 2 compensation each; Alice forfeits 2p.
@@ -752,8 +724,8 @@ mod tests {
         let mut f = setup();
         run_honest_setup(&mut f);
         f.world.advance_blocks(5);
-        f.world.call(CAROL, f.coin_addr, &AuctionCoinMsg::Settle, "settle").unwrap();
-        f.world.call(CAROL, f.ticket_addr, &AuctionTicketMsg::Settle, "settle").unwrap();
+        f.world.call(CAROL, f.coin_addr, &AuctionCoinMsg::Settle).unwrap();
+        f.world.call(CAROL, f.ticket_addr, &AuctionTicketMsg::Settle).unwrap();
         assert_eq!(coin_contract(&f).outcome(), Some(AuctionOutcome::Aborted));
         assert_eq!(coin_balance(&f, BOB), Amount::new(102));
         assert_eq!(coin_balance(&f, CAROL), Amount::new(102));
@@ -774,21 +746,15 @@ mod tests {
                     ALICE,
                     f.ticket_addr,
                     &AuctionTicketMsg::SubmitHashkey { winner, secret: secret.clone() },
-                    "declare",
                 )
                 .unwrap();
             f.world
-                .call(
-                    ALICE,
-                    f.coin_addr,
-                    &AuctionCoinMsg::SubmitHashkey { winner, secret },
-                    "declare",
-                )
+                .call(ALICE, f.coin_addr, &AuctionCoinMsg::SubmitHashkey { winner, secret })
                 .unwrap();
         }
         f.world.advance_blocks(5);
-        f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle, "settle").unwrap();
-        f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle, "settle").unwrap();
+        f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle).unwrap();
+        f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle).unwrap();
         assert_eq!(coin_contract(&f).outcome(), Some(AuctionOutcome::Aborted));
         assert_eq!(ticket_balance(&f, ALICE), Amount::new(5));
         assert_eq!(coin_balance(&f, BOB), Amount::new(102));
@@ -800,32 +766,32 @@ mod tests {
         // No bids before the endowment is in place.
         assert!(f
             .world
-            .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(10) }, "bid")
+            .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(10) })
             .is_err());
-        f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium, "premium").unwrap();
+        f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium).unwrap();
         // Alice cannot bid.
         assert!(f
             .world
-            .call(ALICE, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(1) }, "bid")
+            .call(ALICE, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(1) })
             .is_err());
         // Zero bids rejected.
         assert!(f
             .world
-            .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::ZERO }, "bid")
+            .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::ZERO })
             .is_err());
         f.world
-            .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(10) }, "bid")
+            .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(10) })
             .unwrap();
         // Duplicate bid rejected.
         assert!(f
             .world
-            .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(20) }, "bid")
+            .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(20) })
             .is_err());
         // Late bid rejected.
         f.world.advance_blocks(2);
         assert!(f
             .world
-            .call(CAROL, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(20) }, "bid")
+            .call(CAROL, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(20) })
             .is_err());
     }
 
@@ -840,7 +806,6 @@ mod tests {
                 ALICE,
                 f.coin_addr,
                 &AuctionCoinMsg::SubmitHashkey { winner: BOB, secret: f.secret_carol.clone() },
-                "bad",
             )
             .is_err());
         // Unknown winner.
@@ -850,7 +815,6 @@ mod tests {
                 ALICE,
                 f.coin_addr,
                 &AuctionCoinMsg::SubmitHashkey { winner: PartyId(9), secret: f.secret_bob.clone() },
-                "bad",
             )
             .is_err());
         // After the challenge deadline the hashkey is rejected.
@@ -861,7 +825,6 @@ mod tests {
                 ALICE,
                 f.coin_addr,
                 &AuctionCoinMsg::SubmitHashkey { winner: BOB, secret: f.secret_bob.clone() },
-                "late",
             )
             .is_err());
     }
@@ -875,7 +838,6 @@ mod tests {
                 ALICE,
                 f.coin_addr,
                 &AuctionCoinMsg::SubmitHashkey { winner: BOB, secret: f.secret_bob.clone() },
-                "early",
             )
             .is_err());
     }
@@ -884,30 +846,21 @@ mod tests {
     fn settle_rejected_before_challenge_deadline_and_only_once() {
         let mut f = setup();
         run_honest_setup(&mut f);
-        assert!(f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle, "settle").is_err());
+        assert!(f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle).is_err());
         f.world.advance_blocks(5);
-        f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle, "settle").unwrap();
-        assert!(f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle, "settle").is_err());
-        f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle, "settle").unwrap();
-        assert!(f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle, "settle").is_err());
+        f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle).unwrap();
+        assert!(f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle).is_err());
+        f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle).unwrap();
+        assert!(f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle).is_err());
     }
 
     #[test]
     fn premium_and_tickets_require_auctioneer() {
         let mut f = setup();
-        assert!(f
-            .world
-            .call(BOB, f.coin_addr, &AuctionCoinMsg::DepositPremium, "premium")
-            .is_err());
-        assert!(f
-            .world
-            .call(BOB, f.ticket_addr, &AuctionTicketMsg::EscrowTickets, "tickets")
-            .is_err());
-        f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium, "premium").unwrap();
-        assert!(f
-            .world
-            .call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium, "premium")
-            .is_err());
+        assert!(f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::DepositPremium).is_err());
+        assert!(f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::EscrowTickets).is_err());
+        f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium).unwrap();
+        assert!(f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium).is_err());
         assert_eq!(coin_contract(&f).params().total_premium(), Amount::new(4));
         assert!(coin_contract(&f).premium_held());
     }
@@ -915,12 +868,12 @@ mod tests {
     #[test]
     fn high_bidder_tie_breaks_deterministically() {
         let mut f = setup();
-        f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium, "premium").unwrap();
+        f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium).unwrap();
         f.world
-            .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(50) }, "bid")
+            .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(50) })
             .unwrap();
         f.world
-            .call(CAROL, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(50) }, "bid")
+            .call(CAROL, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(50) })
             .unwrap();
         assert_eq!(coin_contract(&f).high_bidder(), Some((BOB, Amount::new(50))));
     }
@@ -928,9 +881,9 @@ mod tests {
     #[test]
     fn settle_with_no_bids_refunds_premium_path() {
         let mut f = setup();
-        f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium, "premium").unwrap();
+        f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium).unwrap();
         f.world.advance_blocks(7);
-        f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::Settle, "settle").unwrap();
+        f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::Settle).unwrap();
         // No bids and no hashkeys: the abort path pays each bidder p.
         assert_eq!(coin_contract(&f).outcome(), Some(AuctionOutcome::Aborted));
         assert_eq!(coin_balance(&f, BOB), Amount::new(102));
@@ -941,7 +894,7 @@ mod tests {
     fn ticket_settle_without_escrow_is_a_noop() {
         let mut f = setup();
         f.world.advance_blocks(7);
-        f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle, "settle").unwrap();
+        f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle).unwrap();
         assert!(ticket_contract(&f).settled());
         assert_eq!(ticket_balance(&f, ALICE), Amount::new(5));
     }

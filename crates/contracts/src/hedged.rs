@@ -213,7 +213,7 @@ impl HedgedEscrow {
             )?;
             self.premium = HedgedPremiumState::Refunded;
         }
-        env.emit_note("principal redeemed; premium refunded to redeemer");
+        env.charge_note();
         Ok(())
     }
 
@@ -231,7 +231,7 @@ impl HedgedEscrow {
                 self.params.premium_amount,
             )?;
             self.premium = HedgedPremiumState::Refunded;
-            env.emit_note("premium refunded: principal was never escrowed");
+            env.charge_note();
             acted = true;
         }
 
@@ -254,7 +254,7 @@ impl HedgedEscrow {
                 )?;
                 self.premium = HedgedPremiumState::PaidToEscrower;
             }
-            env.emit_note("redemption timed out: principal refunded, premium paid to escrower");
+            env.charge_note();
             acted = true;
         }
 
@@ -407,14 +407,14 @@ mod tests {
     #[test]
     fn happy_path_premium_escrow_redeem() {
         let mut f = setup();
-        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
         assert_eq!(contract(&f).premium_state(), HedgedPremiumState::Held);
         f.world.advance_blocks(1);
-        f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal, "escrow").unwrap();
+        f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal).unwrap();
         assert_eq!(contract(&f).principal_state(), HedgedPrincipalState::Held);
         f.world.advance_blocks(1);
         let secret = f.secret.clone();
-        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Redeem { secret }, "redeem").unwrap();
+        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Redeem { secret }).unwrap();
         // Alice has the principal, her premium back, Bob has neither.
         assert_eq!(balance(&f, ALICE, f.token), Amount::new(100));
         assert_eq!(balance(&f, ALICE, f.native), Amount::new(10));
@@ -427,11 +427,11 @@ mod tests {
     fn premium_refunded_if_principal_never_escrowed() {
         // Bob is the sore loser: he never escrows after Alice's premium.
         let mut f = setup();
-        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
         // Cannot settle before the escrow deadline.
-        assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle, "settle").is_err());
+        assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle).is_err());
         f.world.advance_blocks(4);
-        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle, "settle").unwrap();
+        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle).unwrap();
         assert_eq!(contract(&f).premium_state(), HedgedPremiumState::Refunded);
         assert_eq!(balance(&f, ALICE, f.native), Amount::new(10));
     }
@@ -440,11 +440,11 @@ mod tests {
     fn premium_paid_to_escrower_if_redemption_times_out() {
         // Alice is the sore loser: Bob escrows but Alice never reveals.
         let mut f = setup();
-        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
         f.world.advance_blocks(1);
-        f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal, "escrow").unwrap();
+        f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal).unwrap();
         f.world.advance_blocks(4); // now = 5 = redeem deadline
-        f.world.call(BOB, f.addr, &HedgedEscrowMsg::Settle, "settle").unwrap();
+        f.world.call(BOB, f.addr, &HedgedEscrowMsg::Settle).unwrap();
         assert_eq!(contract(&f).principal_state(), HedgedPrincipalState::Refunded);
         assert_eq!(contract(&f).premium_state(), HedgedPremiumState::PaidToEscrower);
         // Bob got his tokens back plus Alice's premium as compensation.
@@ -456,24 +456,20 @@ mod tests {
     #[test]
     fn redeem_rejected_after_deadline_and_settle_still_compensates() {
         let mut f = setup();
-        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
         f.world.advance_blocks(1);
-        f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal, "escrow").unwrap();
+        f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal).unwrap();
         f.world.advance_blocks(4);
         let secret = f.secret.clone();
-        assert!(f
-            .world
-            .call(ALICE, f.addr, &HedgedEscrowMsg::Redeem { secret }, "redeem")
-            .is_err());
-        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle, "settle").unwrap();
+        assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Redeem { secret }).is_err());
+        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle).unwrap();
         assert_eq!(contract(&f).premium_state(), HedgedPremiumState::PaidToEscrower);
     }
 
     #[test]
     fn principal_cannot_be_escrowed_without_premium() {
         let mut f = setup();
-        let err =
-            f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal, "escrow").unwrap_err();
+        let err = f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal).unwrap_err();
         assert!(err.to_string().contains("premium must be deposited"));
     }
 
@@ -481,63 +477,60 @@ mod tests {
     fn premium_deposit_respects_deadline_and_role() {
         let mut f = setup();
         // Wrong party.
-        assert!(f.world.call(BOB, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").is_err());
+        assert!(f.world.call(BOB, f.addr, &HedgedEscrowMsg::DepositPremium).is_err());
         // Too late.
         f.world.advance_blocks(1);
-        assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").is_err());
+        assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).is_err());
         assert_eq!(contract(&f).premium_state(), HedgedPremiumState::NotDeposited);
     }
 
     #[test]
     fn escrow_respects_deadline() {
         let mut f = setup();
-        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
         f.world.advance_blocks(4);
-        assert!(f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal, "escrow").is_err());
+        assert!(f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal).is_err());
     }
 
     #[test]
     fn redeem_rejects_wrong_secret_and_wrong_caller() {
         let mut f = setup();
-        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
         f.world.advance_blocks(1);
-        f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal, "escrow").unwrap();
+        f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal).unwrap();
         let wrong = Secret::from_seed(1);
-        assert!(f
-            .world
-            .call(ALICE, f.addr, &HedgedEscrowMsg::Redeem { secret: wrong }, "redeem")
-            .is_err());
+        assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Redeem { secret: wrong }).is_err());
         let secret = f.secret.clone();
-        assert!(f.world.call(BOB, f.addr, &HedgedEscrowMsg::Redeem { secret }, "redeem").is_err());
+        assert!(f.world.call(BOB, f.addr, &HedgedEscrowMsg::Redeem { secret }).is_err());
     }
 
     #[test]
     fn settle_is_rejected_when_nothing_is_due() {
         let mut f = setup();
-        assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle, "settle").is_err());
+        assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle).is_err());
         // Even after deadlines, settling twice only works once.
-        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
         f.world.advance_blocks(5);
-        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle, "settle").unwrap();
-        assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle, "settle").is_err());
+        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle).unwrap();
+        assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle).is_err());
     }
 
     #[test]
     fn double_premium_deposit_is_rejected() {
         let mut f = setup();
-        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
-        assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").is_err());
+        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
+        assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).is_err());
     }
 
     #[test]
     fn accessors_report_times() {
         let mut f = setup();
-        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
         f.world.advance_blocks(2);
-        f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal, "escrow").unwrap();
+        f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal).unwrap();
         f.world.advance_blocks(1);
         let secret = f.secret.clone();
-        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Redeem { secret }, "redeem").unwrap();
+        f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Redeem { secret }).unwrap();
         let c = contract(&f);
         assert_eq!(c.escrowed_at(), Some(Time(2)));
         assert_eq!(c.principal_settled_at(), Some(Time(3)));

@@ -147,7 +147,7 @@ impl HtlcEscrow {
         self.state = HtlcState::Redeemed;
         self.settled_at = Some(env.now());
         self.revealed_secret = Some(secret.clone());
-        env.emit_note("principal redeemed with matching secret");
+        env.charge_note();
         Ok(())
     }
 
@@ -159,7 +159,7 @@ impl HtlcEscrow {
         env.pay_out(self.sender, self.asset, self.amount)?;
         self.state = HtlcState::Refunded;
         self.settled_at = Some(env.now());
-        env.emit_note("principal refunded after timelock expiry");
+        env.charge_note();
         Ok(())
     }
 }
@@ -261,10 +261,10 @@ mod tests {
     #[test]
     fn happy_path_escrow_then_redeem() {
         let mut f = setup(Time(10));
-        f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "escrow").unwrap();
+        f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).unwrap();
         assert_eq!(state(&f), HtlcState::Escrowed);
         let secret = f.secret.clone();
-        f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }, "redeem").unwrap();
+        f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }).unwrap();
         assert_eq!(state(&f), HtlcState::Redeemed);
         let chain = f.world.chain(f.addr.chain);
         assert_eq!(chain.balance(AccountRef::Party(BOB), f.token), Amount::new(100));
@@ -280,11 +280,11 @@ mod tests {
     #[test]
     fn refund_after_timelock() {
         let mut f = setup(Time(3));
-        f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "escrow").unwrap();
+        f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).unwrap();
         // Too early to refund.
-        assert!(f.world.call(BOB, f.addr, &HtlcMsg::Refund, "refund").is_err());
+        assert!(f.world.call(BOB, f.addr, &HtlcMsg::Refund).is_err());
         f.world.advance_blocks(3);
-        f.world.call(BOB, f.addr, &HtlcMsg::Refund, "refund").unwrap();
+        f.world.call(BOB, f.addr, &HtlcMsg::Refund).unwrap();
         assert_eq!(state(&f), HtlcState::Refunded);
         assert_eq!(
             f.world.chain(f.addr.chain).balance(AccountRef::Party(ALICE), f.token),
@@ -295,10 +295,10 @@ mod tests {
     #[test]
     fn redeem_rejected_after_timelock() {
         let mut f = setup(Time(2));
-        f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "escrow").unwrap();
+        f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).unwrap();
         f.world.advance_blocks(2);
         let secret = f.secret.clone();
-        let err = f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }, "redeem").unwrap_err();
+        let err = f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }).unwrap_err();
         assert!(matches!(err, ChainError::ContractFailed { .. }));
         assert_eq!(state(&f), HtlcState::Escrowed);
     }
@@ -306,27 +306,27 @@ mod tests {
     #[test]
     fn redeem_rejected_with_wrong_secret_or_caller() {
         let mut f = setup(Time(10));
-        f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "escrow").unwrap();
+        f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).unwrap();
         let wrong = Secret::from_seed(1);
-        assert!(f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret: wrong }, "redeem").is_err());
+        assert!(f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret: wrong }).is_err());
         let secret = f.secret.clone();
-        assert!(f.world.call(ALICE, f.addr, &HtlcMsg::Redeem { secret }, "redeem").is_err());
+        assert!(f.world.call(ALICE, f.addr, &HtlcMsg::Redeem { secret }).is_err());
         assert_eq!(state(&f), HtlcState::Escrowed);
     }
 
     #[test]
     fn escrow_requires_sender_and_single_use() {
         let mut f = setup(Time(10));
-        assert!(f.world.call(BOB, f.addr, &HtlcMsg::Escrow, "escrow").is_err());
-        f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "escrow").unwrap();
-        assert!(f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "escrow").is_err());
+        assert!(f.world.call(BOB, f.addr, &HtlcMsg::Escrow).is_err());
+        f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).unwrap();
+        assert!(f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).is_err());
     }
 
     #[test]
     fn escrow_rejected_after_timelock() {
         let mut f = setup(Time(2));
         f.world.advance_blocks(2);
-        assert!(f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "escrow").is_err());
+        assert!(f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).is_err());
         assert_eq!(state(&f), HtlcState::Created);
     }
 
@@ -334,16 +334,16 @@ mod tests {
     fn refund_requires_escrowed_state() {
         let mut f = setup(Time(1));
         f.world.advance_blocks(2);
-        assert!(f.world.call(ALICE, f.addr, &HtlcMsg::Refund, "refund").is_err());
+        assert!(f.world.call(ALICE, f.addr, &HtlcMsg::Refund).is_err());
     }
 
     #[test]
     fn accessors_report_lifecycle() {
         let mut f = setup(Time(10));
-        f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "escrow").unwrap();
+        f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).unwrap();
         let secret = f.secret.clone();
         f.world.advance_blocks(2);
-        f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }, "redeem").unwrap();
+        f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }).unwrap();
         let escrow =
             f.world.chain(f.addr.chain).contract_as::<HtlcEscrow>(f.addr.contract).unwrap();
         assert_eq!(escrow.escrowed_at(), Some(Time(0)));
@@ -358,6 +358,6 @@ mod tests {
         let mut f = setup(Time(10));
         #[derive(Clone, Debug)]
         struct Bogus;
-        assert!(f.world.call(ALICE, f.addr, &Bogus, "bogus").is_err());
+        assert!(f.world.call(ALICE, f.addr, &Bogus).is_err());
     }
 }

@@ -62,40 +62,40 @@ fn htlc_state(f: &HtlcFixture) -> HtlcState {
 fn htlc_escrow_accepts_the_last_tick_and_rejects_the_timelock_tick() {
     let mut f = htlc_fixture();
     f.world.advance_blocks(HTLC_TIMELOCK.height() - 1);
-    f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "edge escrow").unwrap();
+    f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).unwrap();
     assert_eq!(htlc_state(&f), HtlcState::Escrowed);
 
     let mut f = htlc_fixture();
     f.world.advance_blocks(HTLC_TIMELOCK.height());
-    assert!(f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "late escrow").is_err());
+    assert!(f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).is_err());
     assert_eq!(htlc_state(&f), HtlcState::Created);
 }
 
 #[test]
 fn htlc_redeem_accepts_the_last_tick_and_rejects_the_timelock_tick() {
     let mut f = htlc_fixture();
-    f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "escrow").unwrap();
+    f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).unwrap();
     f.world.advance_blocks(HTLC_TIMELOCK.height() - 1);
     let secret = f.secret.clone();
-    f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }, "edge redeem").unwrap();
+    f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }).unwrap();
     assert_eq!(htlc_state(&f), HtlcState::Redeemed);
 
     let mut f = htlc_fixture();
-    f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "escrow").unwrap();
+    f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).unwrap();
     f.world.advance_blocks(HTLC_TIMELOCK.height());
     let secret = f.secret.clone();
-    assert!(f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }, "late redeem").is_err());
+    assert!(f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }).is_err());
     assert_eq!(htlc_state(&f), HtlcState::Escrowed);
 }
 
 #[test]
 fn htlc_refund_rejects_one_tick_early_and_accepts_the_timelock_tick() {
     let mut f = htlc_fixture();
-    f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "escrow").unwrap();
+    f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).unwrap();
     f.world.advance_blocks(HTLC_TIMELOCK.height() - 1);
-    assert!(f.world.call(BOB, f.addr, &HtlcMsg::Refund, "early refund").is_err());
+    assert!(f.world.call(BOB, f.addr, &HtlcMsg::Refund).is_err());
     f.world.advance_blocks(1);
-    f.world.call(BOB, f.addr, &HtlcMsg::Refund, "edge refund").unwrap();
+    f.world.call(BOB, f.addr, &HtlcMsg::Refund).unwrap();
     assert_eq!(htlc_state(&f), HtlcState::Refunded);
 }
 
@@ -146,69 +146,69 @@ fn hedged(f: &HedgedFixture) -> &HedgedEscrow {
 fn hedged_premium_deposit_edges() {
     let mut f = hedged_fixture();
     f.world.advance_blocks(HEDGED_PREMIUM.height() - 1);
-    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "edge premium").unwrap();
+    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
     assert_eq!(hedged(&f).premium_state(), HedgedPremiumState::Held);
 
     let mut f = hedged_fixture();
     f.world.advance_blocks(HEDGED_PREMIUM.height());
-    assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "late").is_err());
+    assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).is_err());
 }
 
 #[test]
 fn hedged_escrow_edges() {
     let mut f = hedged_fixture();
-    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
     f.world.advance_blocks(HEDGED_ESCROW.height() - 1);
-    f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal, "edge escrow").unwrap();
+    f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal).unwrap();
     assert_eq!(hedged(&f).principal_state(), HedgedPrincipalState::Held);
 
     let mut f = hedged_fixture();
-    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
     f.world.advance_blocks(HEDGED_ESCROW.height());
-    assert!(f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal, "late").is_err());
+    assert!(f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal).is_err());
 }
 
 #[test]
 fn hedged_redeem_edges() {
     let mut f = hedged_fixture();
-    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
     f.world.advance_blocks(1);
-    f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal, "escrow").unwrap();
+    f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal).unwrap();
     f.world.advance_blocks(HEDGED_REDEEM.height() - 2);
     let secret = f.secret.clone();
-    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Redeem { secret }, "edge redeem").unwrap();
+    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Redeem { secret }).unwrap();
     assert_eq!(hedged(&f).principal_state(), HedgedPrincipalState::Redeemed);
     assert_eq!(hedged(&f).premium_state(), HedgedPremiumState::Refunded);
 
     let mut f = hedged_fixture();
-    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
     f.world.advance_blocks(1);
-    f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal, "escrow").unwrap();
+    f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal).unwrap();
     f.world.advance_blocks(HEDGED_REDEEM.height() - 1);
     let secret = f.secret.clone();
-    assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Redeem { secret }, "late").is_err());
+    assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Redeem { secret }).is_err());
 }
 
 #[test]
 fn hedged_settle_unlocks_inclusively_at_each_deadline() {
     // Premium refund (principal never escrowed): locked at E − 1, open at E.
     let mut f = hedged_fixture();
-    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
     f.world.advance_blocks(HEDGED_ESCROW.height() - 1);
-    assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle, "early settle").is_err());
+    assert!(f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle).is_err());
     f.world.advance_blocks(1);
-    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle, "edge settle").unwrap();
+    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle).unwrap();
     assert_eq!(hedged(&f).premium_state(), HedgedPremiumState::Refunded);
 
     // Redemption timeout: locked at R − 1, open at R.
     let mut f = hedged_fixture();
-    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
     f.world.advance_blocks(1);
-    f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal, "escrow").unwrap();
+    f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal).unwrap();
     f.world.advance_blocks(HEDGED_REDEEM.height() - 2);
-    assert!(f.world.call(BOB, f.addr, &HedgedEscrowMsg::Settle, "early settle").is_err());
+    assert!(f.world.call(BOB, f.addr, &HedgedEscrowMsg::Settle).is_err());
     f.world.advance_blocks(1);
-    f.world.call(BOB, f.addr, &HedgedEscrowMsg::Settle, "edge settle").unwrap();
+    f.world.call(BOB, f.addr, &HedgedEscrowMsg::Settle).unwrap();
     assert_eq!(hedged(&f).principal_state(), HedgedPrincipalState::Refunded);
     assert_eq!(hedged(&f).premium_state(), HedgedPremiumState::PaidToEscrower);
 }
@@ -292,7 +292,6 @@ fn deposit_own_premium(f: &mut ArcFixture) {
             ALICE,
             f.addr,
             &ArcEscrowMsg::DepositRedemptionPremium { leader: ALICE, path: vec![ALICE] },
-            "R",
         )
         .unwrap();
 }
@@ -301,12 +300,12 @@ fn deposit_own_premium(f: &mut ArcFixture) {
 fn arc_escrow_premium_edges() {
     let mut f = arc_fixture();
     f.world.advance_blocks(ARC_EPD.height() - 1);
-    f.world.call(BOB, f.addr, &ArcEscrowMsg::DepositEscrowPremium, "edge E").unwrap();
+    f.world.call(BOB, f.addr, &ArcEscrowMsg::DepositEscrowPremium).unwrap();
     assert_eq!(arc(&f).escrow_premium_state(), PremiumSlotState::Held);
 
     let mut f = arc_fixture();
     f.world.advance_blocks(ARC_EPD.height());
-    assert!(f.world.call(BOB, f.addr, &ArcEscrowMsg::DepositEscrowPremium, "late E").is_err());
+    assert!(f.world.call(BOB, f.addr, &ArcEscrowMsg::DepositEscrowPremium).is_err());
 }
 
 #[test]
@@ -330,7 +329,6 @@ fn arc_redemption_premium_deadline_scales_with_path_length() {
             ALICE,
             f.addr,
             &ArcEscrowMsg::DepositRedemptionPremium { leader: ALICE, path: vec![ALICE] },
-            "late R",
         )
         .is_err());
 
@@ -346,13 +344,13 @@ fn arc_asset_escrow_edges() {
     let mut f = arc_fixture();
     deposit_own_premium(&mut f);
     f.world.advance_blocks(ARC_AED.height() - 1);
-    f.world.call(BOB, f.addr, &ArcEscrowMsg::EscrowAsset, "edge escrow").unwrap();
+    f.world.call(BOB, f.addr, &ArcEscrowMsg::EscrowAsset).unwrap();
     assert_eq!(arc(&f).principal_state(), PrincipalState::Held);
 
     let mut f = arc_fixture();
     deposit_own_premium(&mut f);
     f.world.advance_blocks(ARC_AED.height());
-    assert!(f.world.call(BOB, f.addr, &ArcEscrowMsg::EscrowAsset, "late escrow").is_err());
+    assert!(f.world.call(BOB, f.addr, &ArcEscrowMsg::EscrowAsset).is_err());
 }
 
 #[test]
@@ -362,22 +360,19 @@ fn arc_hashkey_edges_scale_with_path_length() {
     let mut f = arc_fixture();
     deposit_own_premium(&mut f);
     f.world.advance_blocks(2);
-    f.world.call(BOB, f.addr, &ArcEscrowMsg::EscrowAsset, "escrow").unwrap();
+    f.world.call(BOB, f.addr, &ArcEscrowMsg::EscrowAsset).unwrap();
     f.world.advance_blocks(edge.height() - 3);
     let hashkey = Hashkey::from_leader(ALICE, f.secret.clone(), &f.pairs[0]);
-    f.world.call(ALICE, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey }, "edge k").unwrap();
+    f.world.call(ALICE, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey }).unwrap();
     assert_eq!(arc(&f).principal_state(), PrincipalState::Redeemed);
 
     let mut f = arc_fixture();
     deposit_own_premium(&mut f);
     f.world.advance_blocks(2);
-    f.world.call(BOB, f.addr, &ArcEscrowMsg::EscrowAsset, "escrow").unwrap();
+    f.world.call(BOB, f.addr, &ArcEscrowMsg::EscrowAsset).unwrap();
     f.world.advance_blocks(edge.height() - 2);
     let hashkey = Hashkey::from_leader(ALICE, f.secret.clone(), &f.pairs[0]);
-    assert!(f
-        .world
-        .call(ALICE, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey }, "late k")
-        .is_err());
+    assert!(f.world.call(ALICE, f.addr, &ArcEscrowMsg::PresentHashkey { hashkey }).is_err());
     assert_eq!(arc(&f).principal_state(), PrincipalState::Held);
 }
 
@@ -385,22 +380,22 @@ fn arc_hashkey_edges_scale_with_path_length() {
 fn arc_settle_unlocks_inclusively() {
     // Escrow-premium disposition unlocks at the asset-escrow deadline.
     let mut f = arc_fixture();
-    f.world.call(BOB, f.addr, &ArcEscrowMsg::DepositEscrowPremium, "E").unwrap();
+    f.world.call(BOB, f.addr, &ArcEscrowMsg::DepositEscrowPremium).unwrap();
     f.world.advance_blocks(ARC_AED.height() - 1);
-    assert!(f.world.call(BOB, f.addr, &ArcEscrowMsg::Settle, "early settle").is_err());
+    assert!(f.world.call(BOB, f.addr, &ArcEscrowMsg::Settle).is_err());
     f.world.advance_blocks(1);
-    f.world.call(BOB, f.addr, &ArcEscrowMsg::Settle, "edge settle").unwrap();
+    f.world.call(BOB, f.addr, &ArcEscrowMsg::Settle).unwrap();
     assert_eq!(arc(&f).escrow_premium_state(), PremiumSlotState::Refunded);
 
     // Principal refund and premium forfeiture unlock at the final deadline.
     let mut f = arc_fixture();
     deposit_own_premium(&mut f);
     f.world.advance_blocks(2);
-    f.world.call(BOB, f.addr, &ArcEscrowMsg::EscrowAsset, "escrow").unwrap();
+    f.world.call(BOB, f.addr, &ArcEscrowMsg::EscrowAsset).unwrap();
     f.world.advance_blocks(ARC_FINAL.height() - 3);
-    assert!(f.world.call(BOB, f.addr, &ArcEscrowMsg::Settle, "early settle").is_err());
+    assert!(f.world.call(BOB, f.addr, &ArcEscrowMsg::Settle).is_err());
     f.world.advance_blocks(1);
-    f.world.call(BOB, f.addr, &ArcEscrowMsg::Settle, "edge settle").unwrap();
+    f.world.call(BOB, f.addr, &ArcEscrowMsg::Settle).unwrap();
     assert_eq!(arc(&f).principal_state(), PrincipalState::Refunded);
     assert_eq!(arc(&f).redemption_premium_state(ALICE), PremiumSlotState::PaidToCounterparty);
 }
@@ -463,65 +458,63 @@ fn auction_bid_and_endowment_edges() {
     let mut f = auction_fixture();
     assert!(f
         .world
-        .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(6) }, "naked bid")
+        .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(6) })
         .is_err());
 
     // Endowment and bid at the last tick before the bid deadline.
     let mut f = auction_fixture();
     f.world.advance_blocks(BID_DEADLINE.height() - 1);
-    f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium, "edge endow").unwrap();
-    f.world.call(ALICE, f.ticket_addr, &AuctionTicketMsg::EscrowTickets, "edge escrow").unwrap();
-    f.world
-        .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(6) }, "edge bid")
-        .unwrap();
+    f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium).unwrap();
+    f.world.call(ALICE, f.ticket_addr, &AuctionTicketMsg::EscrowTickets).unwrap();
+    f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(6) }).unwrap();
 
     // All three rejected at exactly the bid deadline.
     let mut f = auction_fixture();
     f.world.advance_blocks(BID_DEADLINE.height());
-    assert!(f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium, "late").is_err());
-    assert!(f.world.call(ALICE, f.ticket_addr, &AuctionTicketMsg::EscrowTickets, "late").is_err());
+    assert!(f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium).is_err());
+    assert!(f.world.call(ALICE, f.ticket_addr, &AuctionTicketMsg::EscrowTickets).is_err());
 }
 
 #[test]
 fn auction_hashkey_window_is_half_open() {
     let mut f = auction_fixture();
-    f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium, "endow").unwrap();
+    f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium).unwrap();
 
     // One tick before the bid deadline: too early on both chains.
     f.world.advance_blocks(BID_DEADLINE.height() - 1);
     let msg = AuctionCoinMsg::SubmitHashkey { winner: BOB, secret: f.secret_bob.clone() };
-    assert!(f.world.call(ALICE, f.coin_addr, &msg, "early k").is_err());
+    assert!(f.world.call(ALICE, f.coin_addr, &msg).is_err());
     let tmsg = AuctionTicketMsg::SubmitHashkey { winner: BOB, secret: f.secret_bob.clone() };
-    assert!(f.world.call(ALICE, f.ticket_addr, &tmsg, "early k").is_err());
+    assert!(f.world.call(ALICE, f.ticket_addr, &tmsg).is_err());
 
     // Exactly at the bid deadline: accepted (inclusive opening edge).
     f.world.advance_blocks(1);
-    f.world.call(ALICE, f.coin_addr, &msg, "edge k").unwrap();
-    f.world.call(ALICE, f.ticket_addr, &tmsg, "edge k").unwrap();
+    f.world.call(ALICE, f.coin_addr, &msg).unwrap();
+    f.world.call(ALICE, f.ticket_addr, &tmsg).unwrap();
 
     // Exactly at the challenge deadline: rejected (exclusive closing edge);
     // one tick earlier is the last legal instant.
     let mut f = auction_fixture();
-    f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium, "endow").unwrap();
+    f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium).unwrap();
     f.world.advance_blocks(CHALLENGE_DEADLINE.height() - 1);
     let msg = AuctionCoinMsg::SubmitHashkey { winner: BOB, secret: f.secret_bob.clone() };
-    f.world.call(ALICE, f.coin_addr, &msg, "last-tick k").unwrap();
+    f.world.call(ALICE, f.coin_addr, &msg).unwrap();
     f.world.advance_blocks(1);
     let tmsg = AuctionTicketMsg::SubmitHashkey { winner: BOB, secret: f.secret_bob.clone() };
-    assert!(f.world.call(ALICE, f.ticket_addr, &tmsg, "late k").is_err());
+    assert!(f.world.call(ALICE, f.ticket_addr, &tmsg).is_err());
 }
 
 #[test]
 fn auction_settle_unlocks_inclusively_at_the_challenge_deadline() {
     let mut f = auction_fixture();
-    f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium, "endow").unwrap();
-    f.world.call(ALICE, f.ticket_addr, &AuctionTicketMsg::EscrowTickets, "tickets").unwrap();
+    f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium).unwrap();
+    f.world.call(ALICE, f.ticket_addr, &AuctionTicketMsg::EscrowTickets).unwrap();
     f.world.advance_blocks(CHALLENGE_DEADLINE.height() - 1);
-    assert!(f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle, "early settle").is_err());
-    assert!(f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle, "early settle").is_err());
+    assert!(f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle).is_err());
+    assert!(f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle).is_err());
     f.world.advance_blocks(1);
-    f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle, "edge settle").unwrap();
-    f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle, "edge settle").unwrap();
+    f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle).unwrap();
+    f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -545,23 +538,23 @@ fn htlc_redeem_survives_a_half_delta_outage_but_refund_recovers_a_crossing_one()
     // Bob means to redeem at T − 2 but goes dark for ½Δ: his recovery tick
     // T − 1 is still strictly before the timelock, so the redeem lands.
     let mut f = htlc_fixture();
-    f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "escrow").unwrap();
+    f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).unwrap();
     f.world.advance_blocks(HTLC_TIMELOCK.height() - 1 - HALF_DELTA);
     f.world.advance_blocks(HALF_DELTA); // the outage: no action emitted
     let secret = f.secret.clone();
-    f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }, "post-outage redeem").unwrap();
+    f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }).unwrap();
     assert_eq!(htlc_state(&f), HtlcState::Redeemed);
 
     // A full-Δ outage from the same intent tick swallows the last legal
     // instant: the redeem is rejected at T, and the refund recovers the
     // principal on that very tick (inclusive opening edge).
     let mut f = htlc_fixture();
-    f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "escrow").unwrap();
+    f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).unwrap();
     f.world.advance_blocks(HTLC_TIMELOCK.height() - FULL_DELTA);
     f.world.advance_blocks(FULL_DELTA);
     let secret = f.secret.clone();
-    assert!(f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }, "late redeem").is_err());
-    f.world.call(ALICE, f.addr, &HtlcMsg::Refund, "recovery refund").unwrap();
+    assert!(f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }).is_err());
+    f.world.call(ALICE, f.addr, &HtlcMsg::Refund).unwrap();
     assert_eq!(htlc_state(&f), HtlcState::Refunded);
 }
 
@@ -570,20 +563,20 @@ fn hedged_escrow_survives_a_half_delta_outage_but_settle_recovers_a_crossing_one
     // Bob means to escrow the principal at E − 2; a ½Δ outage still leaves
     // him the last legal tick E − 1.
     let mut f = hedged_fixture();
-    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
     f.world.advance_blocks(HEDGED_ESCROW.height() - 1 - HALF_DELTA);
     f.world.advance_blocks(HALF_DELTA);
-    f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal, "post-outage escrow").unwrap();
+    f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal).unwrap();
     assert_eq!(hedged(&f).principal_state(), HedgedPrincipalState::Held);
 
     // A Δ-long outage crosses E: the escrow is rejected, and Alice's
     // settle unlocks on the same tick to recover her premium.
     let mut f = hedged_fixture();
-    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "premium").unwrap();
+    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
     f.world.advance_blocks(HEDGED_ESCROW.height() - FULL_DELTA);
     f.world.advance_blocks(FULL_DELTA);
-    assert!(f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal, "late").is_err());
-    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle, "recovery settle").unwrap();
+    assert!(f.world.call(BOB, f.addr, &HedgedEscrowMsg::EscrowPrincipal).is_err());
+    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::Settle).unwrap();
     assert_eq!(hedged(&f).premium_state(), HedgedPremiumState::Refunded);
 }
 
@@ -593,18 +586,18 @@ fn arc_asset_escrow_survives_a_half_delta_outage_but_settle_recovers_a_crossing_
     deposit_own_premium(&mut f);
     f.world.advance_blocks(ARC_AED.height() - 1 - HALF_DELTA);
     f.world.advance_blocks(HALF_DELTA);
-    f.world.call(BOB, f.addr, &ArcEscrowMsg::EscrowAsset, "post-outage escrow").unwrap();
+    f.world.call(BOB, f.addr, &ArcEscrowMsg::EscrowAsset).unwrap();
     assert_eq!(arc(&f).principal_state(), PrincipalState::Held);
 
     // A Δ-long outage crosses the asset-escrow deadline: the escrow is
     // rejected, and Bob's own escrow premium is recoverable by settle on
     // that same tick.
     let mut f = arc_fixture();
-    f.world.call(BOB, f.addr, &ArcEscrowMsg::DepositEscrowPremium, "E").unwrap();
+    f.world.call(BOB, f.addr, &ArcEscrowMsg::DepositEscrowPremium).unwrap();
     f.world.advance_blocks(ARC_AED.height() - FULL_DELTA);
     f.world.advance_blocks(FULL_DELTA);
-    assert!(f.world.call(BOB, f.addr, &ArcEscrowMsg::EscrowAsset, "late escrow").is_err());
-    f.world.call(BOB, f.addr, &ArcEscrowMsg::Settle, "recovery settle").unwrap();
+    assert!(f.world.call(BOB, f.addr, &ArcEscrowMsg::EscrowAsset).is_err());
+    f.world.call(BOB, f.addr, &ArcEscrowMsg::Settle).unwrap();
     assert_eq!(arc(&f).escrow_premium_state(), PremiumSlotState::Refunded);
 }
 
@@ -623,13 +616,13 @@ fn arc_asset_escrow_survives_a_half_delta_outage_but_settle_recovers_a_crossing_
 fn drop_calls_reorg_censors_a_last_tick_redeem_but_refund_recovers() {
     let mut f = htlc_fixture();
     f.world.set_finality(f.addr.chain, FinalityParams { depth: 1, delta: 0 });
-    f.world.call(ALICE, f.addr, &HtlcMsg::Escrow, "escrow").unwrap();
+    f.world.call(ALICE, f.addr, &HtlcMsg::Escrow).unwrap();
     for _ in 0..HTLC_TIMELOCK.height() - 1 {
         f.world.advance_delta();
     }
     // Bob redeems at the last legal tick T − 1…
     let secret = f.secret.clone();
-    f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }, "last-tick redeem").unwrap();
+    f.world.call(BOB, f.addr, &HtlcMsg::Redeem { secret }).unwrap();
     assert_eq!(htlc_state(&f), HtlcState::Redeemed);
     // …but a depth-1 DropCalls reorg at this round's close censors it.
     f.world.schedule_reorg(ReorgEvent {
@@ -644,7 +637,7 @@ fn drop_calls_reorg_censors_a_last_tick_redeem_but_refund_recovers() {
     assert_eq!((stats.reorgs, stats.rewound_calls, stats.dropped_calls), (1, 1, 1));
     // The clock is now at T: the principal is past the redeem window but
     // never stranded — Alice's inclusive refund recovers it.
-    f.world.call(ALICE, f.addr, &HtlcMsg::Refund, "recovery refund").unwrap();
+    f.world.call(ALICE, f.addr, &HtlcMsg::Refund).unwrap();
     assert_eq!(htlc_state(&f), HtlcState::Refunded);
 }
 
@@ -655,7 +648,7 @@ fn redelivered_premium_survives_at_its_height_but_a_deeper_reorg_misses_the_dead
     let mut f = hedged_fixture();
     f.world.set_finality(f.addr.chain, FinalityParams { depth: 1, delta: 0 });
     f.world.advance_delta(); // height 1 = premium deadline − 1
-    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "edge premium").unwrap();
+    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
     f.world.schedule_reorg(ReorgEvent {
         chain: f.addr.chain,
         at_round: f.world.rounds_elapsed(),
@@ -674,7 +667,7 @@ fn redelivered_premium_survives_at_its_height_but_a_deeper_reorg_misses_the_dead
     let native = f.world.chain(f.addr.chain).native_asset();
     f.world.set_finality(f.addr.chain, FinalityParams { depth: 2, delta: 0 });
     f.world.advance_delta(); // height 1
-    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium, "edge premium").unwrap();
+    f.world.call(ALICE, f.addr, &HedgedEscrowMsg::DepositPremium).unwrap();
     f.world.advance_delta(); // height 2 = the premium deadline
     f.world.schedule_reorg(ReorgEvent {
         chain: f.addr.chain,
@@ -697,27 +690,25 @@ fn redelivered_premium_survives_at_its_height_but_a_deeper_reorg_misses_the_dead
 #[test]
 fn auction_bid_survives_a_half_delta_outage_but_settle_recovers_a_crossing_one() {
     let mut f = auction_fixture();
-    f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium, "endow").unwrap();
-    f.world.call(ALICE, f.ticket_addr, &AuctionTicketMsg::EscrowTickets, "tickets").unwrap();
+    f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium).unwrap();
+    f.world.call(ALICE, f.ticket_addr, &AuctionTicketMsg::EscrowTickets).unwrap();
     f.world.advance_blocks(BID_DEADLINE.height() - 1 - HALF_DELTA);
     f.world.advance_blocks(HALF_DELTA);
-    f.world
-        .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(6) }, "bid")
-        .unwrap();
+    f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(6) }).unwrap();
 
     // A Δ-long outage crosses the bid deadline: the bid is rejected, no
     // bidder wins, and both chains' settles recover the endowment and
     // tickets at the challenge deadline.
     let mut f = auction_fixture();
-    f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium, "endow").unwrap();
-    f.world.call(ALICE, f.ticket_addr, &AuctionTicketMsg::EscrowTickets, "tickets").unwrap();
+    f.world.call(ALICE, f.coin_addr, &AuctionCoinMsg::DepositPremium).unwrap();
+    f.world.call(ALICE, f.ticket_addr, &AuctionTicketMsg::EscrowTickets).unwrap();
     f.world.advance_blocks(BID_DEADLINE.height() - FULL_DELTA);
     f.world.advance_blocks(FULL_DELTA);
     assert!(f
         .world
-        .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(6) }, "late bid")
+        .call(BOB, f.coin_addr, &AuctionCoinMsg::PlaceBid { amount: Amount::new(6) })
         .is_err());
     f.world.advance_blocks(CHALLENGE_DEADLINE.height() - BID_DEADLINE.height());
-    f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle, "recovery settle").unwrap();
-    f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle, "recovery settle").unwrap();
+    f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle).unwrap();
+    f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle).unwrap();
 }

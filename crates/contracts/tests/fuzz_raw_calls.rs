@@ -11,14 +11,14 @@
 //!
 //! * **conservation** — the total supply of every asset never changes (the
 //!   test profile's debug assertions additionally enforce per-call
-//!   atomicity inside `chainsim`: a failed call that leaves residue or a
-//!   stray note panics at the call site);
+//!   atomicity inside `chainsim`: a failed call that leaves residue panics
+//!   at the call site);
 //! * **no stranded funds** — after the final deadline has passed and every
 //!   party has run the settle/refund paths, the contract account holds
 //!   nothing;
 //! * **exact rewinds** — a call-dropping reorg leaves its chain exactly as
 //!   the `World::snapshot` taken at the start of the oldest rewound round
-//!   (balances, contract states, gas, event-log length): the finality
+//!   (balances, contract states, gas): the finality
 //!   window's round journal agrees with the snapshot path the deviation
 //!   tree restores from;
 //! * **determinism** — the whole suite is a pure function of `FUZZ_SEED`,
@@ -104,7 +104,6 @@ struct ChainState {
     contracts: Vec<String>,
     gas_total: u64,
     gas_last_call: u64,
-    events: usize,
 }
 
 fn chain_state(world: &World, chain: ChainId) -> ChainState {
@@ -114,7 +113,6 @@ fn chain_state(world: &World, chain: ChainId) -> ChainState {
         contracts: chain.contracts().map(|contract| format!("{contract:?}")).collect(),
         gas_total: chain.gas_meter().total(),
         gas_last_call: chain.gas_meter().last_call(),
-        events: chain.events().len(),
     }
 }
 
@@ -267,19 +265,19 @@ fn fuzz_htlc_once(seed: u64) {
         let caller = any_party(&mut rng);
         match rng.below(5) {
             0 => advance_round(&mut world, &[chain], depth, &mut rng, &mut starts),
-            1 => drop(world.call(caller, addr, &HtlcMsg::Escrow, "fuzz escrow")),
+            1 => drop(world.call(caller, addr, &HtlcMsg::Escrow)),
             2 => {
                 let secret = maybe_secret(&secret, &mut rng);
-                drop(world.call(caller, addr, &HtlcMsg::Redeem { secret }, "fuzz redeem"));
+                drop(world.call(caller, addr, &HtlcMsg::Redeem { secret }));
             }
-            _ => drop(world.call(caller, addr, &HtlcMsg::Refund, "fuzz refund")),
+            _ => drop(world.call(caller, addr, &HtlcMsg::Refund)),
         }
     }
 
     advance_past(&mut world, timelock, delta);
     for p in PARTIES {
-        let _ = world.call(p, addr, &HtlcMsg::Redeem { secret: secret.clone() }, "drain redeem");
-        let _ = world.call(p, addr, &HtlcMsg::Refund, "drain refund");
+        let _ = world.call(p, addr, &HtlcMsg::Redeem { secret: secret.clone() });
+        let _ = world.call(p, addr, &HtlcMsg::Refund);
     }
     world.advance_delta();
 
@@ -329,19 +327,19 @@ fn fuzz_hedged_once(seed: u64) {
         let caller = any_party(&mut rng);
         match rng.below(6) {
             0 => advance_round(&mut world, &[chain], depth, &mut rng, &mut starts),
-            1 => drop(world.call(caller, addr, &HedgedEscrowMsg::DepositPremium, "fuzz premium")),
-            2 => drop(world.call(caller, addr, &HedgedEscrowMsg::EscrowPrincipal, "fuzz escrow")),
+            1 => drop(world.call(caller, addr, &HedgedEscrowMsg::DepositPremium)),
+            2 => drop(world.call(caller, addr, &HedgedEscrowMsg::EscrowPrincipal)),
             3 => {
                 let secret = maybe_secret(&secret, &mut rng);
-                drop(world.call(caller, addr, &HedgedEscrowMsg::Redeem { secret }, "fuzz redeem"));
+                drop(world.call(caller, addr, &HedgedEscrowMsg::Redeem { secret }));
             }
-            _ => drop(world.call(caller, addr, &HedgedEscrowMsg::Settle, "fuzz settle")),
+            _ => drop(world.call(caller, addr, &HedgedEscrowMsg::Settle)),
         }
     }
 
     advance_past(&mut world, redeem_deadline, delta);
     for p in PARTIES {
-        let _ = world.call(p, addr, &HedgedEscrowMsg::Settle, "drain settle");
+        let _ = world.call(p, addr, &HedgedEscrowMsg::Settle);
     }
     world.advance_delta();
 
@@ -412,7 +410,7 @@ fn fuzz_arc_once(seed: u64) {
         let caller = any_party(&mut rng);
         match rng.below(6) {
             0 => advance_round(&mut world, &[chain], depth, &mut rng, &mut starts),
-            1 => drop(world.call(caller, addr, &ArcEscrowMsg::DepositEscrowPremium, "fuzz E")),
+            1 => drop(world.call(caller, addr, &ArcEscrowMsg::DepositEscrowPremium)),
             2 => {
                 // Legal (receiver's own length-1 path) and illegal (no such
                 // hashlock / not a receiver-to-leader path) variants.
@@ -422,24 +420,24 @@ fn fuzz_arc_once(seed: u64) {
                     _ => (P0, vec![P1]),
                 };
                 let msg = ArcEscrowMsg::DepositRedemptionPremium { leader, path };
-                drop(world.call(caller, addr, &msg, "fuzz R"));
+                drop(world.call(caller, addr, &msg));
             }
-            3 => drop(world.call(caller, addr, &ArcEscrowMsg::EscrowAsset, "fuzz escrow")),
+            3 => drop(world.call(caller, addr, &ArcEscrowMsg::EscrowAsset)),
             4 => {
                 // Real leader/signer half the time; wrong secret or wrong
                 // signing key otherwise (an invalid signature path).
                 let secret = maybe_secret(&secret, &mut rng);
                 let pair = &pairs[rng.below(2) as usize];
                 let hashkey = Hashkey::from_leader(P0, secret, pair);
-                drop(world.call(caller, addr, &ArcEscrowMsg::PresentHashkey { hashkey }, "fuzz k"));
+                drop(world.call(caller, addr, &ArcEscrowMsg::PresentHashkey { hashkey }));
             }
-            _ => drop(world.call(caller, addr, &ArcEscrowMsg::Settle, "fuzz settle")),
+            _ => drop(world.call(caller, addr, &ArcEscrowMsg::Settle)),
         }
     }
 
     advance_past(&mut world, final_deadline, delta);
     for p in PARTIES {
-        let _ = world.call(p, addr, &ArcEscrowMsg::Settle, "drain settle");
+        let _ = world.call(p, addr, &ArcEscrowMsg::Settle);
     }
     world.advance_delta();
 
@@ -504,36 +502,34 @@ fn fuzz_auction_once(seed: u64) {
         let bidder = PARTIES[1 + rng.below(2) as usize];
         match rng.below(7) {
             0 => advance_round(&mut world, &chains, depth, &mut rng, &mut starts),
-            1 => drop(world.call(caller, coin_addr, &AuctionCoinMsg::DepositPremium, "fuzz endow")),
+            1 => drop(world.call(caller, coin_addr, &AuctionCoinMsg::DepositPremium)),
             2 => {
                 let amount = Amount::new(1 + rng.below(40) as u128);
                 let msg = AuctionCoinMsg::PlaceBid { amount };
-                drop(world.call(caller, coin_addr, &msg, "fuzz bid"));
+                drop(world.call(caller, coin_addr, &msg));
             }
             3 => {
                 let secret = maybe_secret(&secrets[rng.below(2) as usize], &mut rng);
                 let msg = AuctionCoinMsg::SubmitHashkey { winner: bidder, secret };
-                drop(world.call(caller, coin_addr, &msg, "fuzz coin k"));
+                drop(world.call(caller, coin_addr, &msg));
             }
-            4 => {
-                drop(world.call(caller, ticket_addr, &AuctionTicketMsg::EscrowTickets, "fuzz esc"))
-            }
+            4 => drop(world.call(caller, ticket_addr, &AuctionTicketMsg::EscrowTickets)),
             5 => {
                 let secret = maybe_secret(&secrets[rng.below(2) as usize], &mut rng);
                 let msg = AuctionTicketMsg::SubmitHashkey { winner: bidder, secret };
-                drop(world.call(caller, ticket_addr, &msg, "fuzz ticket k"));
+                drop(world.call(caller, ticket_addr, &msg));
             }
             _ => {
-                let _ = world.call(caller, coin_addr, &AuctionCoinMsg::Settle, "fuzz settle");
-                let _ = world.call(caller, ticket_addr, &AuctionTicketMsg::Settle, "fuzz settle");
+                let _ = world.call(caller, coin_addr, &AuctionCoinMsg::Settle);
+                let _ = world.call(caller, ticket_addr, &AuctionTicketMsg::Settle);
             }
         }
     }
 
     advance_past(&mut world, challenge_deadline, delta);
     for p in PARTIES {
-        let _ = world.call(p, coin_addr, &AuctionCoinMsg::Settle, "drain settle");
-        let _ = world.call(p, ticket_addr, &AuctionTicketMsg::Settle, "drain settle");
+        let _ = world.call(p, coin_addr, &AuctionCoinMsg::Settle);
+        let _ = world.call(p, ticket_addr, &AuctionTicketMsg::Settle);
     }
     world.advance_delta();
 

@@ -69,8 +69,8 @@ impl MarketRun {
 
 /// Runs one market to completion.
 ///
-/// The worker count and trace mode in `cfg` affect only wall-clock time;
-/// the returned report is byte-identical for any values of either.
+/// The worker count in `cfg` affects only wall-clock time; the returned
+/// report is byte-identical for any value of it.
 pub fn run_market(cfg: &MarketConfig) -> MarketRun {
     cfg.validate();
     let start = Instant::now();
@@ -374,7 +374,6 @@ fn build_report(cfg: &MarketConfig, rounds: u32, shards: &[Shard]) -> MarketRepo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chainsim::TraceMode;
 
     fn smoke_cfg() -> MarketConfig {
         MarketConfig {
@@ -384,7 +383,6 @@ mod tests {
             deals: 60,
             deals_per_round: 10,
             workers: 1,
-            trace: TraceMode::Off,
             ..MarketConfig::default()
         }
     }
@@ -422,13 +420,6 @@ mod tests {
             assert_eq!(run.report, base, "workers={workers} diverged");
             assert_eq!(run.report.canonical_string(), base.canonical_string());
         }
-    }
-
-    #[test]
-    fn trace_mode_does_not_change_the_report() {
-        let base = run_market(&smoke_cfg()).report;
-        let cfg = MarketConfig { trace: TraceMode::Full, workers: 2, ..smoke_cfg() };
-        assert_eq!(run_market(&cfg).report.digest(), base.digest());
     }
 
     fn reorg_cfg() -> MarketConfig {

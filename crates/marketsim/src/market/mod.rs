@@ -34,13 +34,12 @@ pub mod shard;
 pub use driver::run_market;
 pub use report::{MarketReport, ShardSummary};
 
-use chainsim::TraceMode;
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one market run.
 ///
-/// Every field except `workers` and `trace` participates in the settlement
-/// report's canonical string; those two are execution knobs the engine
+/// Every field except `workers` participates in the settlement report's
+/// canonical string; the worker count is an execution knob the engine
 /// guarantees cannot change the report.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MarketConfig {
@@ -62,8 +61,6 @@ pub struct MarketConfig {
     pub delta_blocks: u64,
     /// Worker threads executing shard rounds. Must not change the report.
     pub workers: u32,
-    /// Event tracing mode of the shard worlds. Must not change the report.
-    pub trace: TraceMode,
     /// Fee per unit of gas, folded into party payoffs by [`metering`].
     pub gas_price: u64,
     /// Per-account endowment of both the shard token and the shard native
@@ -82,11 +79,12 @@ pub struct MarketConfig {
     #[serde(default)]
     pub reorg_interval: u32,
     /// Finality-window depth of every shard chain, and the depth of each
-    /// injected reorg (0 = instant finality, required when
-    /// `reorg_interval` is 0-free). Depth 1 rewinds and replays only the
-    /// open round — observationally identical settlement with non-zero
-    /// reorg counters; deeper reorgs re-deliver earlier rounds' calls up to
-    /// `depth − 1` rounds late.
+    /// injected reorg (0 = instant finality). Must be non-zero whenever
+    /// `reorg_interval` is non-zero: [`MarketConfig::validate`] rejects
+    /// reorg injection without a window to rewind. Depth 1 rewinds and
+    /// replays only the open round — observationally identical settlement
+    /// with non-zero reorg counters; deeper reorgs re-deliver earlier
+    /// rounds' calls up to `depth − 1` rounds late.
     #[serde(default)]
     pub reorg_depth: u32,
 }
@@ -101,7 +99,6 @@ impl Default for MarketConfig {
             deals_per_round: 16,
             delta_blocks: 2,
             workers: 1,
-            trace: TraceMode::Off,
             gas_price: 3,
             endowment: 1_000_000_000,
             walkaway_percent: 10,
@@ -125,7 +122,8 @@ impl MarketConfig {
     /// # Panics
     ///
     /// Panics on an empty market (zero shards or accounts), a pool too small
-    /// to draw distinct parties from, or a walk-away share above 100%.
+    /// to draw distinct parties from, a walk-away share above 100%, or reorg
+    /// injection (`reorg_interval > 0`) at `reorg_depth` 0.
     pub fn validate(&self) {
         assert!(self.shards > 0, "market needs at least one shard");
         assert!(self.accounts >= 8, "market needs at least 8 pooled accounts");
@@ -192,5 +190,11 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn validate_rejects_zero_shards() {
         MarketConfig { shards: 0, ..MarketConfig::default() }.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "reorg injection needs a non-zero reorg depth")]
+    fn validate_rejects_reorg_injection_without_depth() {
+        MarketConfig { reorg_interval: 4, reorg_depth: 0, ..MarketConfig::default() }.validate();
     }
 }

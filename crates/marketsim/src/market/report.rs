@@ -5,8 +5,8 @@
 //! per-shard accounting. Its [`MarketReport::canonical_string`] is a
 //! line-oriented rendering of every field in a fixed order, and the digest
 //! is FNV-1a 64 over those bytes — so "byte-identical reports" is a single
-//! string (or digest) comparison. Worker count and trace mode are
-//! deliberately absent: the engine promises they cannot change any of this.
+//! string (or digest) comparison. The worker count is deliberately absent:
+//! the engine promises it cannot change any of this.
 
 use std::fmt::Write as _;
 

@@ -50,17 +50,6 @@ pub enum MarketCall {
     Ticket(AuctionTicketMsg),
 }
 
-impl MarketCall {
-    fn desc(&self) -> &'static str {
-        match self {
-            MarketCall::Hedged(_) => "market hedged-escrow call",
-            MarketCall::Htlc(_) => "market htlc call",
-            MarketCall::Coin(_) => "market auction-coin call",
-            MarketCall::Ticket(_) => "market auction-ticket call",
-        }
-    }
-}
-
 /// One unit of work a shard executes on its own chain.
 #[derive(Debug)]
 pub enum MarketMsg {
@@ -127,7 +116,7 @@ impl Shard {
     /// account endowed with both assets. `contract_estimate` pre-allocates
     /// ledger rows for the contracts the run is expected to publish.
     pub fn new(id: u32, cfg: &MarketConfig, contract_estimate: usize) -> Self {
-        let mut world = World::with_trace(cfg.delta_blocks, cfg.trace);
+        let mut world = World::new(cfg.delta_blocks);
         let chain = world.add_chain(format!("shard-{id}"));
         let native = world.chain(chain).native_asset();
         let token = world.register_asset("shard-token");
@@ -352,12 +341,11 @@ impl Shard {
                     return;
                 };
                 self.calls += 1;
-                let desc = call.desc();
                 let result = match &call {
-                    MarketCall::Hedged(m) => self.world.call(caller, addr, m, desc),
-                    MarketCall::Htlc(m) => self.world.call(caller, addr, m, desc),
-                    MarketCall::Coin(m) => self.world.call(caller, addr, m, desc),
-                    MarketCall::Ticket(m) => self.world.call(caller, addr, m, desc),
+                    MarketCall::Hedged(m) => self.world.call(caller, addr, m),
+                    MarketCall::Htlc(m) => self.world.call(caller, addr, m),
+                    MarketCall::Coin(m) => self.world.call(caller, addr, m),
+                    MarketCall::Ticket(m) => self.world.call(caller, addr, m),
                 };
                 if let Err(err) = result {
                     self.record_failure(format!("deal {deal} leg {leg}: {err}"));

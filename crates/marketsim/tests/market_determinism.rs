@@ -3,13 +3,12 @@
 //!
 //! The engine promises two things no other test pins end-to-end:
 //!
-//! * the settlement report is **byte-identical** across worker counts and
-//!   trace modes at the same seed — execution knobs must be unobservable;
+//! * the settlement report is **byte-identical** across worker counts at
+//!   the same seed — execution knobs must be unobservable;
 //! * funds are conserved **fee-adjusted** on every shard: transfers are
 //!   zero-sum on the ledger, gas fees are metered (never deducted), so the
 //!   parties' aggregate fee-adjusted payoff per shard is exactly `-fees`.
 
-use chainsim::TraceMode;
 use marketsim::market::metering::{conservation_violations, meter_shard};
 use marketsim::market::shard::Shard;
 use marketsim::market::{deals, run_market, MarketConfig};
@@ -26,13 +25,12 @@ fn cfg() -> MarketConfig {
         deals: 120,
         deals_per_round: 12,
         workers: 1,
-        trace: TraceMode::Off,
         ..MarketConfig::default()
     }
 }
 
 #[test]
-fn report_is_byte_identical_across_workers_and_trace_modes() {
+fn report_is_byte_identical_across_workers() {
     let base = run_market(&cfg()).report;
     assert_eq!(base.violations, 0, "base run violated: {:?}", base.violation_details);
     assert_eq!(base.settled, cfg().deals, "every deal must settle");
@@ -40,16 +38,14 @@ fn report_is_byte_identical_across_workers_and_trace_modes() {
     let base_canonical = base.canonical_string();
     let base_digest = base.digest();
     for workers in [1u32, 2, 4] {
-        for trace in [TraceMode::Off, TraceMode::Full] {
-            let run = run_market(&MarketConfig { workers, trace, ..cfg() });
-            assert_eq!(run.report, base, "report diverged at workers={workers} trace={trace:?}");
-            assert_eq!(
-                run.report.canonical_string(),
-                base_canonical,
-                "canonical string diverged at workers={workers} trace={trace:?}"
-            );
-            assert_eq!(run.report.digest(), base_digest);
-        }
+        let run = run_market(&MarketConfig { workers, ..cfg() });
+        assert_eq!(run.report, base, "report diverged at workers={workers}");
+        assert_eq!(
+            run.report.canonical_string(),
+            base_canonical,
+            "canonical string diverged at workers={workers}"
+        );
+        assert_eq!(run.report.digest(), base_digest);
     }
 }
 

@@ -15,8 +15,7 @@
 //! Each worker owns a single *scratch* [`chainsim::World`] plus one
 //! [`FamilyScratch`] slot per family, and hands both to every scenario
 //! it runs. The world is reset (or snapshot-restored) rather than rebuilt,
-//! so ledgers, contract stores and trace buffers are allocated once per
-//! worker. Every family runs its scenarios through one entry point,
+//! so ledgers and contract stores are allocated once per worker. Every family runs its scenarios through one entry point,
 //! [`FamilyScratch::run`]: the slot records the family's compliant
 //! [`Prefix`] on first use, and every later scenario resumes from its
 //! checkpoints ([`chainsim::World::snapshot`]) instead of replaying the
@@ -34,12 +33,9 @@
 //! summaries (and reports) between the default runner and
 //! [`ParallelSweep::replay_oracle`] across thread counts.
 //!
-//! Scratch worlds default to [`TraceMode::Off`] — sweeps judge reports and
-//! payoffs, never rendered traces — which skips event construction
-//! entirely; [`ParallelSweep::trace_mode`] can opt back into full traces,
-//! and the summary is identical either way. The only shared state is the
-//! immutable generator and the chunk cursor, which is why the engine needs
-//! no locks and no dependencies beyond `std::thread::scope`.
+//! The only shared state is the immutable generator and the chunk cursor,
+//! which is why the engine needs no locks and no dependencies beyond
+//! `std::thread::scope`.
 
 use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
@@ -47,7 +43,7 @@ use std::fmt;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use chainsim::{TraceMode, World};
+use chainsim::World;
 use protocols::script::{Prefix, Profile, Protocol};
 
 use crate::{CheckSummary, Violation};
@@ -155,7 +151,7 @@ pub trait ScenarioGen: Sync {
     /// runs through `cache` ([`FamilyScratch::run`], which resets or
     /// restores the world) or resets it itself. `cache` is this worker's
     /// [`FamilyScratch`] for this family. The result must be identical for
-    /// any prior state, any cache contents and any [`TraceMode`].
+    /// any prior state and any cache contents.
     fn check(&self, index: usize, scratch: &mut World, cache: &mut FamilyScratch)
         -> Vec<Violation>;
 }
@@ -182,7 +178,6 @@ pub struct ParallelSweep {
     /// Scenarios per steal; `None` auto-tunes per sweep (see
     /// [`ParallelSweep::chunk_size`] for the policy).
     chunk: Option<usize>,
-    trace: TraceMode,
     replay: bool,
 }
 
@@ -210,7 +205,7 @@ impl ParallelSweep {
     /// Panics if `threads` is zero.
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "a sweep needs at least one worker");
-        ParallelSweep { threads, chunk: None, trace: TraceMode::Off, replay: false }
+        ParallelSweep { threads, chunk: None, replay: false }
     }
 
     /// Creates a sweep runner sized to the machine.
@@ -241,16 +236,6 @@ impl ParallelSweep {
     pub fn chunk_size(mut self, chunk: usize) -> Self {
         assert!(chunk > 0, "chunks must hold at least one scenario");
         self.chunk = Some(chunk);
-        self
-    }
-
-    /// Overrides the [`TraceMode`] of the workers' scratch worlds.
-    ///
-    /// Sweeps default to [`TraceMode::Off`]; the summary is bit-for-bit
-    /// identical under both modes (pinned by tests), so [`TraceMode::Full`]
-    /// is only useful when debugging a scenario interactively.
-    pub fn trace_mode(mut self, trace: TraceMode) -> Self {
-        self.trace = trace;
         self
     }
 
@@ -311,7 +296,6 @@ impl ParallelSweep {
         // workers would only pay the scratch-world and prefix-recording
         // setup to then go idle. Results are identical for any pool size.
         let workers = self.threads.min(total.div_ceil(chunk)).max(1);
-        let trace = self.trace;
         let sweep = *self;
         let mut found: Vec<(usize, Vec<Violation>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
@@ -322,7 +306,7 @@ impl ParallelSweep {
                         // One scratch world and one cache slot per family,
                         // per worker: every scenario this worker claims
                         // reuses their allocations and prefix caches.
-                        let mut scratch = World::with_trace(1, trace);
+                        let mut scratch = World::new(1);
                         let mut slots: Vec<FamilyScratch> =
                             gens.iter().map(|_| sweep.scratch()).collect();
                         let mut local: Vec<(usize, Vec<Violation>)> = Vec::new();
@@ -498,14 +482,6 @@ mod tests {
         let summary = ParallelSweep::new(4).run_all(&[]);
         assert_eq!(summary.runs, 0);
         assert!(summary.holds());
-    }
-
-    #[test]
-    fn trace_mode_does_not_change_the_summary() {
-        let gen = Synthetic { total: 50 };
-        let off = ParallelSweep::new(2).run(&gen);
-        let full = ParallelSweep::new(2).trace_mode(TraceMode::Full).run(&gen);
-        assert_eq!(off, full);
     }
 
     #[test]

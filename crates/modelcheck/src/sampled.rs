@@ -12,8 +12,8 @@
 //!
 //! * [`SampledSweep`] is a [`ScenarioGen`] whose scenario `i` is drawn from
 //!   a deterministic RNG keyed only on `(family_seed, i)` — never on thread
-//!   count, chunk size or trace mode — so a sampled sweep keeps the
-//!   engine's bit-for-bit determinism contract, and any violating sample is
+//!   count or chunk size — so a sampled sweep keeps the engine's
+//!   bit-for-bit determinism contract, and any violating sample is
 //!   reproducible forever from the `(seed, index)` pair printed in its
 //!   scenario label. Samples execute through the same shared-prefix
 //!   deviation-tree entry points as the enumerated families, so each costs
@@ -54,9 +54,9 @@ use crate::Violation;
 
 /// Derives the per-sample RNG seed from the family seed and sample index:
 /// a SplitMix64 finalizer over their golden-ratio mix. Depends on nothing
-/// else, so sample `i` of a family is the same profile on every machine,
-/// thread count and trace mode — the reproduction key a violation report
-/// prints is just this pair.
+/// else, so sample `i` of a family is the same profile on every machine
+/// and thread count — the reproduction key a violation report prints is
+/// just this pair.
 fn sample_seed(family_seed: u64, index: usize) -> u64 {
     let mut z = family_seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -412,18 +412,30 @@ impl<P: Checked> SampledSweep<P> {
     /// judges the enumerated tier uses. This is the entry point shrunken
     /// regression tests call.
     pub fn check_scenario(&self, scenario: &SampledScenario) -> Vec<Violation> {
+        self.check_scenario_in(scenario, &mut World::new(1), &mut FamilyScratch::default())
+    }
+
+    /// [`SampledSweep::check_scenario`] through a caller's world and family
+    /// slot, so repeated checks share one recorded prefix.
+    fn check_scenario_in(
+        &self,
+        scenario: &SampledScenario,
+        world: &mut World,
+        cache: &mut FamilyScratch,
+    ) -> Vec<Violation> {
         let (variant, profile, realism) = scenario.parts();
-        let (mut world, mut cache) = (World::new(1), FamilyScratch::default());
         let key = || self.name.clone();
-        self.judge_in(variant, &profile, realism.as_ref(), key, &mut world, &mut cache)
+        self.judge_in(variant, &profile, realism.as_ref(), key, world, cache)
     }
 
     /// The first violating sample index below `limit` (capped at the
     /// family's sample budget), if any. The canary suite uses this with a
-    /// pinned seed and budget to prove detection.
+    /// pinned seed and budget to prove detection. Samples run the way a
+    /// sweep worker runs them: through one world and one family slot.
     pub fn find_violation(&self, limit: usize) -> Option<usize> {
+        let (mut world, mut cache) = (World::new(1), FamilyScratch::default());
         (0..limit.min(self.samples))
-            .find(|&index| !self.check_scenario(&self.scenario_at(index)).is_empty())
+            .find(|&index| !self.check(index, &mut world, &mut cache).is_empty())
     }
 
     /// Greedily minimizes the violating sample at `index` (`None` if that
@@ -431,10 +443,14 @@ impl<P: Checked> SampledSweep<P> {
     /// halved, stop budgets lifted and delay entries zeroed/halved as long
     /// as some original `(party, property)` verdict is preserved. The
     /// result is a locally minimal still-violating profile plus its
-    /// rendered regression test.
+    /// rendered regression test. Every candidate runs through one world and
+    /// one family slot.
     pub fn shrink(&self, index: usize) -> Option<ShrunkViolation> {
+        let (mut world, mut cache) = (World::new(1), FamilyScratch::default());
+        let mut check =
+            |scenario: &SampledScenario| self.check_scenario_in(scenario, &mut world, &mut cache);
         let original = self.scenario_at(index);
-        let original_violations = self.check_scenario(&original);
+        let original_violations = check(&original);
         if original_violations.is_empty() {
             return None;
         }
@@ -444,8 +460,8 @@ impl<P: Checked> SampledSweep<P> {
         let rebuild = |profile: &BTreeMap<PartyId, Strategy>, realism: &Option<SwapRealism>| {
             self.variants[variant].scenario(variant, profile.clone(), realism.clone())
         };
-        let violates = |scenario: SampledScenario| {
-            self.check_scenario(&scenario).iter().any(|v| targets.contains(&(v.party, v.property)))
+        let mut violates = |scenario: SampledScenario| {
+            check(&scenario).iter().any(|v| targets.contains(&(v.party, v.property)))
         };
         // Reorg scenarios shrink their realism overlay first (drop the
         // reorg, then reduce its depth), so the rendered regression carries
@@ -458,7 +474,7 @@ impl<P: Checked> SampledSweep<P> {
         let minimal_profile =
             shrink_profile(&profile, |candidate| violates(rebuild(candidate, &realism)));
         let minimal = rebuild(&minimal_profile, &realism);
-        let violations = self.check_scenario(&minimal);
+        let violations = check(&minimal);
         Some(ShrunkViolation {
             family: self.name.clone(),
             family_seed: self.seed,
@@ -482,9 +498,10 @@ impl<P: Checked> SampledSweep<P> {
         }
         let protocol = &self.variants[0];
         let (_, steps) = protocol.players().into_iter().find(|&(party, _)| party == deviator)?;
-        let evaluate = |strategy: &Strategy| {
+        let mut world = World::new(1);
+        let mut evaluate = |strategy: &Strategy| {
             let profile = |party| if party == deviator { *strategy } else { Strategy::compliant() };
-            protocol.climb_score(&protocol.run(&profile, &mut World::new(1)), deviator)
+            protocol.climb_score(&protocol.run(&profile, &mut world), deviator)
         };
         // Protocols without a per-party margin do not climb.
         evaluate(&Strategy::compliant())?;

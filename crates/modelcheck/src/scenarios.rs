@@ -360,11 +360,9 @@ impl Checked for TwoPartySwap {
     }
 
     fn climb_score(&self, report: &TwoPartyReport, deviator: PartyId) -> Option<(i128, i128)> {
-        let compliant = if deviator == ALICE { BOB } else { ALICE };
-        Some((
-            party_total(&report.payoffs, deviator),
-            hedge_margin(report, &self.config, compliant),
-        ))
+        let compliant_margin =
+            if deviator == ALICE { report.bob_hedge_margin } else { report.alice_hedge_margin };
+        Some((party_total(&report.payoffs, deviator), compliant_margin))
     }
 
     fn scenario(
@@ -379,36 +377,6 @@ impl Checked for TwoPartySwap {
             None => SampledScenario::TwoParty { alice, bob },
             Some(realism) => SampledScenario::TwoPartyReorg { alice, bob, realism },
         }
-    }
-}
-
-/// The hedge margin of one compliant two-party participant: how far above
-/// (or below, negative) the hedged predicate's threshold the run left
-/// them. Mirrors `hedged_check` branch for branch.
-fn hedge_margin(report: &TwoPartyReport, config: &TwoPartyConfig, party: PartyId) -> i128 {
-    let (lockup, counter_gain, expected, premium, compensation) = if party == ALICE {
-        (
-            report.alice_lockup,
-            report.alice_banana_payoff,
-            config.bob_tokens,
-            report.alice_premium_payoff,
-            config.premium_b,
-        )
-    } else {
-        (
-            report.bob_lockup,
-            report.bob_apricot_payoff,
-            config.alice_tokens,
-            report.bob_premium_payoff,
-            config.premium_a,
-        )
-    };
-    if lockup.redeemed {
-        (counter_gain - expected.value() as i128).min(premium)
-    } else if lockup.principal_blocks > 0 {
-        premium - compensation.value() as i128
-    } else {
-        premium
     }
 }
 
@@ -504,14 +472,7 @@ impl Checked for DealConfig {
             .parties
             .iter()
             .filter(|(party, _)| **party != deviator)
-            .map(|(_, outcome)| {
-                let compensation = if outcome.escrowed_unredeemed > 0 {
-                    self.base_premium.value() as i128
-                } else {
-                    0
-                };
-                outcome.premium_payoff - compensation
-            })
+            .map(|(_, outcome)| outcome.hedge_margin)
             .min()
             .unwrap_or(0);
         Some((party_total(&report.payoffs, deviator), margin))

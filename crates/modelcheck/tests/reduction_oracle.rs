@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use chainsim::{PartyId, TraceMode, World};
+use chainsim::{PartyId, World};
 use modelcheck::engine::{ParallelSweep, ScenarioGen};
 use modelcheck::scenarios::DealSweep;
 use protocols::deal::{run_deal_shared, DealConfig, DealPartyOutcome};
@@ -46,7 +46,7 @@ fn assert_reduced_sweep_is_exact(name: &str, config: DealConfig) {
     let unreduced = DealSweep::at_most(name, config.clone(), 2);
     assert_eq!(reduced.strategies(), unreduced.total(), "{name}: documented space");
 
-    let mut world = World::with_trace(1, TraceMode::Off);
+    let mut world = World::new(1);
     let mut cache = None;
     let reps: Vec<RunCore> = (0..reduced.total())
         .map(|index| run_core(&mut world, &config, &reduced.profile(index), &mut cache))

@@ -7,7 +7,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use chainsim::{PartyId, TraceMode, World};
+use chainsim::{PartyId, World};
 use modelcheck::engine::{ParallelSweep, ScenarioGen};
 use modelcheck::scenarios::{AuctionSweep, BootstrapSweep, BrokerSweep, DealSweep, TwoPartySweep};
 use protocols::auction::{AuctionConfig, AuctioneerBehaviour};
@@ -108,8 +108,7 @@ fn replay_mode_records_no_prefix() {
 /// Every single-deviator profile of `config` (the full per-party
 /// `stop_after × timing × faults` space), plus a batch of handcrafted
 /// two-deviator profiles mixing the axes, reports compared field-for-field
-/// between the recorded prefix and from-scratch execution, in both trace
-/// modes.
+/// between the recorded prefix and from-scratch execution.
 fn assert_deal_reports_identical(config: &DealConfig) {
     use protocols::script::Fault;
     let parties = config.parties();
@@ -129,21 +128,15 @@ fn assert_deal_reports_identical(config: &DealConfig) {
             BTreeMap::from([(a, Strategy::compliant().late()), (b, Strategy::compliant().late())]),
         ]
     };
-    for trace in [TraceMode::Off, TraceMode::Full] {
-        let mut tree_world = World::with_trace(1, trace);
-        let mut oracle_world = World::with_trace(1, trace);
-        let mut prefix = Prefix::record(config.clone(), &mut tree_world);
-        let sweep = DealSweep::at_most("diff", config.clone(), 1);
-        let profiles = (0..sweep.total()).map(|i| sweep.profile(i)).chain(mixed_pairs.clone());
-        for strategies in profiles {
-            let tree = prefix.run(&profile(&strategies), &mut tree_world);
-            let oracle = config.run(&profile(&strategies), &mut oracle_world);
-            assert_eq!(
-                format!("{tree:?}"),
-                format!("{oracle:?}"),
-                "profile {strategies:?} under {trace:?}"
-            );
-        }
+    let mut tree_world = World::new(1);
+    let mut oracle_world = World::new(1);
+    let mut prefix = Prefix::record(config.clone(), &mut tree_world);
+    let sweep = DealSweep::at_most("diff", config.clone(), 1);
+    let profiles = (0..sweep.total()).map(|i| sweep.profile(i)).chain(mixed_pairs);
+    for strategies in profiles {
+        let tree = prefix.run(&profile(&strategies), &mut tree_world);
+        let oracle = config.run(&profile(&strategies), &mut oracle_world);
+        assert_eq!(format!("{tree:?}"), format!("{oracle:?}"), "profile {strategies:?}");
     }
 }
 
@@ -158,8 +151,8 @@ fn two_party_reports_are_byte_identical_per_profile() {
     let config = TwoPartyConfig::default();
     for protocol in [SwapProtocol::Hedged, SwapProtocol::Base] {
         let space = two_party::strategy_space_for(protocol);
-        let mut tree_world = World::with_trace(1, TraceMode::Off);
-        let mut oracle_world = World::with_trace(1, TraceMode::Off);
+        let mut tree_world = World::new(1);
+        let mut oracle_world = World::new(1);
         let mut cache = None;
         for &alice in &space {
             for &bob in &space {
@@ -185,8 +178,8 @@ fn auction_reports_are_byte_identical_per_profile() {
         AuctioneerBehaviour::Abandon,
     ] {
         let config = AuctionConfig { auctioneer: behaviour, ..AuctionConfig::default() };
-        let mut tree_world = World::with_trace(1, TraceMode::Off);
-        let mut oracle_world = World::with_trace(1, TraceMode::Off);
+        let mut tree_world = World::new(1);
+        let mut oracle_world = World::new(1);
         let mut prefix = Prefix::record(config.clone(), &mut tree_world);
         for party in 0..3u32 {
             for strategy in protocols::auction::strategy_space() {
@@ -207,8 +200,8 @@ fn auction_reports_are_byte_identical_per_profile() {
 fn bootstrap_reports_are_byte_identical_per_deviation() {
     for rounds in 0..=4u32 {
         let config = BootstrapConfig::new(100_000, 100_000, 10, rounds);
-        let mut tree_world = World::with_trace(1, TraceMode::Off);
-        let mut oracle_world = World::with_trace(1, TraceMode::Off);
+        let mut tree_world = World::new(1);
+        let mut oracle_world = World::new(1);
         let mut prefix = Prefix::record(config, &mut tree_world);
         for deviation in BootstrapDeviation::all(rounds) {
             let profile = deviation.profile(rounds);

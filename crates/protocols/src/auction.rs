@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use chainsim::{Action, Amount, AssetId, CallDesc, ContractAddr, PartyId, Time, World};
+use chainsim::{Action, Amount, AssetId, ContractAddr, PartyId, Time, World};
 use contracts::{
     AuctionCoinContract, AuctionCoinMsg, AuctionOutcome, AuctionParams, AuctionTicketContract,
     AuctionTicketMsg,
@@ -207,16 +207,8 @@ fn auctioneer_steps(config: &AuctionConfig, setup: &AuctionSetup) -> Vec<Step> {
     vec![
         Step::new("auctioneer: endow premium and escrow tickets", move |_world: &World| {
             StepOutcome::Complete(vec![
-                Action::call(
-                    coin_addr,
-                    AuctionCoinMsg::DepositPremium,
-                    "Alice endows n·p premiums",
-                ),
-                Action::call(
-                    ticket_addr,
-                    AuctionTicketMsg::EscrowTickets,
-                    "Alice escrows the tickets",
-                ),
+                Action::call(coin_addr, AuctionCoinMsg::DepositPremium),
+                Action::call(ticket_addr, AuctionTicketMsg::EscrowTickets),
             ])
         })
         // The endowment must leave bidders a full Δ to observe it and still
@@ -252,20 +244,10 @@ fn auctioneer_steps(config: &AuctionConfig, setup: &AuctionSetup) -> Vec<Step> {
                 Action::call(
                     coin_addr,
                     AuctionCoinMsg::SubmitHashkey { winner: declared, secret: secret.clone() },
-                    CallDesc::Party {
-                        prefix: "Alice declares ",
-                        party: declared,
-                        suffix: " on the coin chain",
-                    },
                 ),
                 Action::call(
                     ticket_addr,
                     AuctionTicketMsg::SubmitHashkey { winner: declared, secret },
-                    CallDesc::Party {
-                        prefix: "Alice declares ",
-                        party: declared,
-                        suffix: " on the ticket chain",
-                    },
                 ),
             ])
         })
@@ -276,14 +258,10 @@ fn auctioneer_steps(config: &AuctionConfig, setup: &AuctionSetup) -> Vec<Step> {
             }
             let mut actions = Vec::new();
             if coin_contract(world, coin_addr).outcome().is_none() {
-                actions.push(Action::call(coin_addr, AuctionCoinMsg::Settle, "settle coin chain"));
+                actions.push(Action::call(coin_addr, AuctionCoinMsg::Settle));
             }
             if !ticket_contract(world, ticket_addr).settled() {
-                actions.push(Action::call(
-                    ticket_addr,
-                    AuctionTicketMsg::Settle,
-                    "settle ticket chain",
-                ));
+                actions.push(Action::call(ticket_addr, AuctionTicketMsg::Settle));
             }
             StepOutcome::Complete(actions)
         }),
@@ -317,7 +295,6 @@ fn bidder_steps(config: &AuctionConfig, setup: &AuctionSetup, bidder: PartyId) -
                 StepOutcome::Complete(vec![Action::call(
                     coin_addr,
                     AuctionCoinMsg::PlaceBid { amount },
-                    CallDesc::Amount { party: bidder, verb: "bids", amount },
                 )])
             } else {
                 StepOutcome::WaitUntil(bid_deadline)
@@ -342,12 +319,6 @@ fn bidder_steps(config: &AuctionConfig, setup: &AuctionSetup, bidder: PartyId) -
                             winner: *winner,
                             secret: secrets[winner].clone(),
                         },
-                        CallDesc::Parties {
-                            party: bidder,
-                            mid: " forwards ",
-                            other: *winner,
-                            suffix: "'s hashkey to the ticket chain",
-                        },
                     ));
                 }
             }
@@ -358,12 +329,6 @@ fn bidder_steps(config: &AuctionConfig, setup: &AuctionSetup, bidder: PartyId) -
                         AuctionCoinMsg::SubmitHashkey {
                             winner: *winner,
                             secret: secrets[winner].clone(),
-                        },
-                        CallDesc::Parties {
-                            party: bidder,
-                            mid: " forwards ",
-                            other: *winner,
-                            suffix: "'s hashkey to the coin chain",
                         },
                     ));
                 }
@@ -384,14 +349,10 @@ fn bidder_steps(config: &AuctionConfig, setup: &AuctionSetup, bidder: PartyId) -
             }
             let mut actions = Vec::new();
             if coin_contract(world, coin_addr).outcome().is_none() {
-                actions.push(Action::call(coin_addr, AuctionCoinMsg::Settle, "settle coin chain"));
+                actions.push(Action::call(coin_addr, AuctionCoinMsg::Settle));
             }
             if !ticket_contract(world, ticket_addr).settled() {
-                actions.push(Action::call(
-                    ticket_addr,
-                    AuctionTicketMsg::Settle,
-                    "settle ticket chain",
-                ));
+                actions.push(Action::call(ticket_addr, AuctionTicketMsg::Settle));
             }
             StepOutcome::Complete(actions)
         }),

@@ -249,11 +249,7 @@ impl BootstrapConfig {
                     && theirs.premium_state() != HedgedPremiumState::NotDeposited
                     && (escrowed(own) || mine.premium_state() == HedgedPremiumState::NotDeposited);
                 let claim = above.filter(|_| defaulted).map(|(_, guard)| {
-                    Action::call(
-                        guard,
-                        HedgedEscrowMsg::Redeem { secret: secret.clone() },
-                        "redeem the defaulter's guard deposit",
-                    )
+                    Action::call(guard, HedgedEscrowMsg::Redeem { secret: secret.clone() })
                 });
                 return StepOutcome::Complete(claim.into_iter().collect());
             }
@@ -261,14 +257,10 @@ impl BootstrapConfig {
             if theirs.premium_state() == HedgedPremiumState::NotDeposited
                 && world.now().is_before(premium_deadline)
             {
-                calls.push(Action::call(
-                    counter,
-                    HedgedEscrowMsg::DepositPremium,
-                    "open the counterparty's premium slot",
-                ));
+                calls.push(Action::call(counter, HedgedEscrowMsg::DepositPremium));
             }
             if mine.premium_state() == HedgedPremiumState::Held && !escrowed(own) {
-                calls.push(Action::call(own, HedgedEscrowMsg::EscrowPrincipal, "level deposit"));
+                calls.push(Action::call(own, HedgedEscrowMsg::EscrowPrincipal));
             }
             if calls.is_empty() {
                 StepOutcome::WaitUntil(escrow_deadline)
@@ -292,11 +284,7 @@ impl BootstrapConfig {
                     && hedged_contract(world, counter).principal_state()
                         == HedgedPrincipalState::Held;
                 StepOutcome::Complete(if swapped {
-                    vec![Action::call(
-                        counter,
-                        HedgedEscrowMsg::Redeem { secret: secret.clone() },
-                        "redeem principal",
-                    )]
+                    vec![Action::call(counter, HedgedEscrowMsg::Redeem { secret: secret.clone() })]
                 } else {
                     vec![]
                 })

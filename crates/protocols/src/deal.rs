@@ -13,9 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use chainsim::{
-    Action, Amount, AssetId, CallDesc, ChainId, ContractAddr, Label, PartyId, Time, World,
-};
+use chainsim::{Action, Amount, AssetId, ChainId, ContractAddr, Label, PartyId, Time, World};
 use contracts::{
     ArcDeadlines, ArcEscrow, ArcEscrowMsg, ArcEscrowParams, Hashkey, HashkeyVerifyCache, PartyKeys,
     PremiumSlotState, PrincipalState,
@@ -345,13 +343,17 @@ pub struct DealPartyOutcome {
     pub received: usize,
     /// Number of incoming arcs of this party.
     pub incoming_arcs: usize,
+    /// How far above (or, negative, below) its compensation due the run
+    /// left this party's premium payoff: one base premium `p` if any of its
+    /// escrows was refunded unredeemed, else zero.
+    pub hedge_margin: i128,
     /// Whether the hedged predicate holds for this party (always `true` for
     /// deviating parties, for which the predicate is vacuous): a compliant
     /// party whose swap fails — any escrow refunded unredeemed — nets at
     /// least one base premium `p` in total compensation, and never ends
     /// with a negative premium payoff otherwise (§7's theorem; see the
     /// README theorem notes for why the guarantee is total rather than
-    /// per-arc).
+    /// per-arc). For a compliant party this is `hedge_margin >= 0`.
     pub hedged: bool,
     /// Whether the all-or-nothing safety condition holds for this party: if
     /// any of its escrows was redeemed, it received every incoming asset.
@@ -435,8 +437,7 @@ fn leader_secret(leader: PartyId) -> Secret {
     }
 }
 
-/// Builds the deal's world state inside `world`, which is reset first (its
-/// trace mode is preserved, so pooled sweep worlds stay trace-free).
+/// Builds the deal's world state inside `world`, which is reset first.
 fn build(world: &mut World, config: &DealConfig) -> DealSetup {
     world.reset(1);
     // Pre-warm the configuration's read-only tables (leader hashkeys) so
@@ -638,18 +639,7 @@ fn party_steps(config: &DealConfig, setup: &DealSetup, me: PartyId) -> Vec<Step>
                 let actions = ctx
                     .out_arcs
                     .iter()
-                    .map(|arc| {
-                        Action::call(
-                            ctx.arc_addrs[arc],
-                            ArcEscrowMsg::DepositEscrowPremium,
-                            CallDesc::Arc {
-                                party: arc.0,
-                                verb: "deposits escrow premium on",
-                                from: arc.0,
-                                to: arc.1,
-                            },
-                        )
-                    })
+                    .map(|arc| Action::call(ctx.arc_addrs[arc], ArcEscrowMsg::DepositEscrowPremium))
                     .collect();
                 StepOutcome::Complete(actions)
             })
@@ -689,12 +679,6 @@ fn party_steps(config: &DealConfig, setup: &DealSetup, me: PartyId) -> Vec<Step>
                                     ArcEscrowMsg::DepositRedemptionPremium {
                                         leader,
                                         path: vec![me],
-                                    },
-                                    CallDesc::Arc {
-                                        party: me,
-                                        verb: "deposits own redemption premium on",
-                                        from: arc.0,
-                                        to: arc.1,
                                     },
                                 ));
                             }
@@ -754,14 +738,6 @@ fn party_steps(config: &DealConfig, setup: &DealSetup, me: PartyId) -> Vec<Step>
                         actions.push(Action::call(
                             ctx.arc_addrs[arc],
                             ArcEscrowMsg::DepositRedemptionPremium { leader, path: extended },
-                            CallDesc::SubjectArc {
-                                party: me,
-                                verb: "passes redemption premium for",
-                                subject: leader,
-                                link: "to",
-                                from: arc.0,
-                                to: arc.1,
-                            },
                         ));
                     }
                     done.insert(leader);
@@ -818,18 +794,7 @@ fn party_steps(config: &DealConfig, setup: &DealSetup, me: PartyId) -> Vec<Step>
                     .filter(|arc| {
                         arc_contract(world, ctx.arc_addrs[arc]).escrow_premium_activated()
                     })
-                    .map(|arc| {
-                        Action::call(
-                            ctx.arc_addrs[arc],
-                            ArcEscrowMsg::EscrowAsset,
-                            CallDesc::Arc {
-                                party: arc.0,
-                                verb: "escrows its asset on",
-                                from: arc.0,
-                                to: arc.1,
-                            },
-                        )
-                    })
+                    .map(|arc| Action::call(ctx.arc_addrs[arc], ArcEscrowMsg::EscrowAsset))
                     .collect();
                 StepOutcome::Complete(actions)
             })
@@ -893,14 +858,6 @@ fn party_steps(config: &DealConfig, setup: &DealSetup, me: PartyId) -> Vec<Step>
                             actions.push(Action::call(
                                 ctx.arc_addrs[arc],
                                 ArcEscrowMsg::PresentHashkey { hashkey: hashkey.clone() },
-                                CallDesc::SubjectArc {
-                                    party: me,
-                                    verb: "presents hashkey of",
-                                    subject: leader,
-                                    link: "on",
-                                    from: arc.0,
-                                    to: arc.1,
-                                },
                             ));
                         }
                         done.insert(leader);
@@ -948,13 +905,7 @@ fn party_steps(config: &DealConfig, setup: &DealSetup, me: PartyId) -> Vec<Step>
             }
             let actions: Vec<Action> = unresolved
                 .into_iter()
-                .map(|arc| {
-                    Action::call(
-                        ctx.arc_addrs[arc],
-                        ArcEscrowMsg::Settle,
-                        CallDesc::Arc { party: me, verb: "settles", from: arc.0, to: arc.1 },
-                    )
-                })
+                .map(|arc| Action::call(ctx.arc_addrs[arc], ArcEscrowMsg::Settle))
                 .collect();
             StepOutcome::Complete(actions)
         }));
@@ -1066,7 +1017,8 @@ impl Protocol for DealConfig {
             // `random_config(5, 4, seeds 2 and 4)` pin the boundary case).
             let compensation_due =
                 if outcome.escrowed_unredeemed > 0 { self.base_premium.value() as i128 } else { 0 };
-            outcome.hedged = !strategy.is_compliant() || outcome.premium_payoff >= compensation_due;
+            outcome.hedge_margin = outcome.premium_payoff - compensation_due;
+            outcome.hedged = !strategy.is_compliant() || outcome.hedge_margin >= 0;
             outcome.safety = !strategy.is_compliant()
                 || outcome.escrowed_redeemed == 0
                 || outcome.received == outcome.incoming_arcs;

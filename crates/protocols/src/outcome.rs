@@ -1,10 +1,12 @@
-//! Payoff accounting and the *hedged* predicate.
+//! Payoff accounting.
 //!
 //! After a protocol run, every party's outcome is summarised as the change
 //! in its holdings per asset, summed across chains. The hedged property of
 //! Definition 1 is then a statement about these payoffs: a compliant party
 //! whose escrowed assets were not redeemed must end up with at least its
-//! acceptable compensation in premium (native-currency) terms.
+//! acceptable compensation in premium (native-currency) terms. Each
+//! protocol's judge states it once, as a per-party hedge margin that is
+//! non-negative exactly when the party is hedged.
 
 use std::collections::BTreeMap;
 
@@ -81,27 +83,6 @@ impl Payoffs {
     }
 }
 
-/// Returns `true` if a compliant party's payoffs satisfy the hedged
-/// condition of Definition 1 for a single escrow:
-///
-/// * either its escrowed principal was redeemed as part of a completed
-///   exchange (`principal_redeemed`), in which case no compensation is due,
-/// * or its principal was returned and its net premium payoff is at least
-///   the agreed compensation `acceptable_compensation`.
-pub fn hedged_for_party(
-    principal_redeemed: bool,
-    premium_payoff: Payoff,
-    acceptable_compensation: Amount,
-) -> bool {
-    if principal_redeemed {
-        // The exchange went through for this escrow; premiums must simply
-        // not have been lost.
-        premium_payoff.is_non_negative()
-    } else {
-        premium_payoff.value() >= acceptable_compensation.value() as i128
-    }
-}
-
 /// A convenience record of a party's lock-up: how long its escrowed value
 /// sat in a contract before being redeemed or refunded.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -168,18 +149,5 @@ mod tests {
         assert_eq!(payoffs.of(PartyId(9), AssetId(9)), Payoff::ZERO);
         let snapshot = BalanceSnapshot::default();
         assert_eq!(snapshot.balance(PartyId(9), AssetId(9)), Amount::ZERO);
-    }
-
-    #[test]
-    fn hedged_predicate() {
-        // Redeemed principal: fine as long as premiums were not lost.
-        assert!(hedged_for_party(true, Payoff::ZERO, Amount::new(2)));
-        assert!(!hedged_for_party(true, Payoff::new(-1), Amount::new(2)));
-        // Unredeemed principal: compensation of at least p required.
-        assert!(hedged_for_party(false, Payoff::new(2), Amount::new(2)));
-        assert!(hedged_for_party(false, Payoff::new(3), Amount::new(2)));
-        assert!(!hedged_for_party(false, Payoff::new(1), Amount::new(2)));
-        // The unhedged base protocol fails the predicate on a walk-away.
-        assert!(!hedged_for_party(false, Payoff::ZERO, Amount::new(2)));
     }
 }

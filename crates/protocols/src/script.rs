@@ -456,8 +456,9 @@ impl fmt::Debug for Step {
 pub struct ScriptedParty {
     party: PartyId,
     steps: Vec<Step>,
+    /// The next step to run, which is also the number of steps completed:
+    /// only a [`StepOutcome::Complete`] advances it.
     cursor: usize,
-    completed: usize,
     allowed: usize,
     timing: Timing,
     fault: Fault,
@@ -488,7 +489,6 @@ impl ScriptedParty {
             party,
             steps,
             cursor: 0,
-            completed: 0,
             allowed,
             timing: strategy.timing,
             fault: strategy.fault,
@@ -513,7 +513,7 @@ impl ScriptedParty {
 
     /// The number of steps completed so far.
     pub fn completed_steps(&self) -> usize {
-        self.completed
+        self.cursor
     }
 
     /// The total number of steps in the script.
@@ -550,7 +550,6 @@ impl ScriptedParty {
             party: self.party,
             steps: self.steps.clone(),
             cursor: self.cursor,
-            completed: self.completed,
             allowed,
             timing: strategy.timing,
             fault: strategy.fault,
@@ -672,7 +671,7 @@ impl ScriptedParty {
                 self.garbage_done = true;
                 for action in emitted.iter() {
                     if let Action::Call { addr, .. } = action {
-                        actions.push(Action::call(*addr, GarbageCall, "garbage emission"));
+                        actions.push(Action::call(*addr, GarbageCall));
                     }
                 }
             }
@@ -687,7 +686,7 @@ impl Actor for ScriptedParty {
     }
 
     fn step(&mut self, world: &World, actions: &mut Vec<Action>) {
-        if self.cursor >= self.steps.len() || self.completed >= self.allowed {
+        if self.done() {
             return;
         }
         let now = world.now();
@@ -772,13 +771,12 @@ impl Actor for ScriptedParty {
                 self.wake = None;
                 self.emit(&mut emitted, actions);
                 self.cursor += 1;
-                self.completed += 1;
             }
         }
     }
 
     fn done(&self) -> bool {
-        self.cursor >= self.steps.len() || self.completed >= self.allowed
+        self.cursor >= self.steps.len() || self.cursor >= self.allowed
     }
 }
 
@@ -940,13 +938,13 @@ impl DeviationTree {
             if round >= max_rounds || parties.iter().all(|p| p.done()) {
                 break;
             }
-            let before: Vec<usize> = parties.iter().map(|p| p.completed).collect();
+            let before: Vec<usize> = parties.iter().map(ScriptedParty::completed_steps).collect();
             let trace = run_round_with(world, &mut parties, &mut buffers);
             failures += trace.outcomes.iter().filter(|o| !o.is_ok()).count();
             let mut any_completion = false;
             for (party, was_completed) in parties.iter().zip(before) {
                 let record = records.get_mut(&party.party).expect("records has every party");
-                if party.completed > was_completed {
+                if party.completed_steps() > was_completed {
                     record.completions.push(round);
                     any_completion = true;
                 }
@@ -1191,8 +1189,8 @@ pub trait Protocol {
     /// The protocol's report.
     type Report;
 
-    /// Resets `world` (keeping its trace mode) and builds the protocol's
-    /// chains, endowments and contracts.
+    /// Resets `world` and builds the protocol's chains, endowments and
+    /// contracts.
     fn setup(&self, world: &mut World) -> Self::Setup;
 
     /// Every party's script under `profile`, in party-id order.
@@ -1220,9 +1218,7 @@ pub trait Protocol {
         profile: Profile<'_>,
     ) -> Self::Report;
 
-    /// Runs `profile` from scratch inside `world`, which is reset first (its
-    /// [`chainsim::TraceMode`] is kept, so pooled trace-free worlds stay
-    /// trace-free).
+    /// Runs `profile` from scratch inside `world`, which is reset first.
     fn run(&self, profile: Profile<'_>, world: &mut World) -> Self::Report {
         let setup = self.setup(world);
         let parties = self.script(&setup, profile);
@@ -1516,9 +1512,8 @@ mod tests {
             world
         };
         let addr = chainsim::ContractAddr::new(chainsim::ChainId(0), chainsim::ContractId(7));
-        let steps = vec![Step::new("call", move |_| {
-            StepOutcome::Complete(vec![Action::call(addr, Ping, "real call")])
-        })];
+        let steps =
+            vec![Step::new("call", move |_| StepOutcome::Complete(vec![Action::call(addr, Ping)]))];
         let strategy = Strategy::compliant().with_fault(Fault::Garbage { step: 0 });
         let mut party = ScriptedParty::new(PartyId(0), steps, strategy);
         let mut actions = Vec::new();
@@ -1583,7 +1578,7 @@ mod tests {
                 .map(|i| {
                     Step::new("ping", move |world: &World| {
                         if world.now().has_reached(Time(3 * i)) {
-                            StepOutcome::Complete(vec![Action::call(log, Ping, "ping")])
+                            StepOutcome::Complete(vec![Action::call(log, Ping)])
                         } else {
                             StepOutcome::WaitUntil(Time(3 * i))
                         }

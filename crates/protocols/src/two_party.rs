@@ -224,9 +224,20 @@ pub struct TwoPartyReport {
     pub alice_lockup: Lockup,
     /// Bob's principal lock-up on the banana chain.
     pub bob_lockup: Lockup,
-    /// Whether compliant Alice ended up hedged (vacuously true if she deviated).
+    /// How far above (or, negative, below) the hedged threshold the run
+    /// left Alice. Escrow redeemed: the lesser of her banana surplus over
+    /// `bob_tokens` and her premium payoff; escrow refunded: her premium
+    /// payoff minus the compensation `premium_b`; never escrowed: her
+    /// premium payoff.
+    pub alice_hedge_margin: i128,
+    /// Bob's hedge margin, symmetrically (apricot surplus over
+    /// `alice_tokens`, compensation `premium_a`).
+    pub bob_hedge_margin: i128,
+    /// Whether compliant Alice ended up hedged: `alice_hedge_margin >= 0`
+    /// (vacuously true if she deviated).
     pub hedged_for_alice: bool,
-    /// Whether compliant Bob ended up hedged (vacuously true if he deviated).
+    /// Whether compliant Bob ended up hedged: `bob_hedge_margin >= 0`
+    /// (vacuously true if he deviated).
     pub hedged_for_bob: bool,
     /// Number of rejected actions during the run (protocol noise).
     pub failed_actions: usize,
@@ -404,11 +415,7 @@ fn hedged_alice_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
     let final_deadline = config.padded(sched.redeem_apricot);
     vec![
         Step::new("alice: deposit premium on banana", move |_world: &World| {
-            StepOutcome::Complete(vec![Action::call(
-                banana,
-                HedgedEscrowMsg::DepositPremium,
-                "Alice deposits p_a + p_b on the banana chain",
-            )])
+            StepOutcome::Complete(vec![Action::call(banana, HedgedEscrowMsg::DepositPremium)])
         })
         .with_deadline(premium_give_up),
         Step::new("alice: escrow principal on apricot", move |world: &World| {
@@ -416,11 +423,7 @@ fn hedged_alice_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
                 return StepOutcome::Complete(vec![]);
             }
             if hedged_contract(world, apricot).premium_state() == HedgedPremiumState::Held {
-                StepOutcome::Complete(vec![Action::call(
-                    apricot,
-                    HedgedEscrowMsg::EscrowPrincipal,
-                    "Alice escrows A apricot tokens",
-                )])
+                StepOutcome::Complete(vec![Action::call(apricot, HedgedEscrowMsg::EscrowPrincipal)])
             } else {
                 StepOutcome::WaitUntil(escrow_give_up)
             }
@@ -434,7 +437,6 @@ fn hedged_alice_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
                 StepOutcome::Complete(vec![Action::call(
                     banana,
                     HedgedEscrowMsg::Redeem { secret: secret.clone() },
-                    "Alice redeems B banana tokens, revealing s",
                 )])
             } else {
                 StepOutcome::WaitUntil(redeem_give_up)
@@ -460,11 +462,7 @@ fn hedged_bob_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
                 return StepOutcome::Complete(vec![]);
             }
             if hedged_contract(world, banana).premium_state() == HedgedPremiumState::Held {
-                StepOutcome::Complete(vec![Action::call(
-                    apricot,
-                    HedgedEscrowMsg::DepositPremium,
-                    "Bob deposits p_b on the apricot chain",
-                )])
+                StepOutcome::Complete(vec![Action::call(apricot, HedgedEscrowMsg::DepositPremium)])
             } else {
                 StepOutcome::WaitUntil(premium_give_up)
             }
@@ -475,11 +473,7 @@ fn hedged_bob_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
                 return StepOutcome::Complete(vec![]);
             }
             if hedged_contract(world, apricot).principal_state() == HedgedPrincipalState::Held {
-                StepOutcome::Complete(vec![Action::call(
-                    banana,
-                    HedgedEscrowMsg::EscrowPrincipal,
-                    "Bob escrows B banana tokens",
-                )])
+                StepOutcome::Complete(vec![Action::call(banana, HedgedEscrowMsg::EscrowPrincipal)])
             } else {
                 StepOutcome::WaitUntil(escrow_give_up)
             }
@@ -493,7 +487,6 @@ fn hedged_bob_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
                 StepOutcome::Complete(vec![Action::call(
                     apricot,
                     HedgedEscrowMsg::Redeem { secret: secret.clone() },
-                    "Bob redeems A apricot tokens with the learned secret",
                 )])
             } else {
                 StepOutcome::WaitUntil(redeem_give_up)
@@ -523,7 +516,7 @@ pub(crate) fn settle_step(
         let calls: Vec<Action> = contracts
             .iter()
             .filter(|addr| hedged_needs_settle(hedged_contract(world, **addr), world.now()))
-            .map(|addr| Action::call(*addr, HedgedEscrowMsg::Settle, "settle hedged escrow"))
+            .map(|addr| Action::call(*addr, HedgedEscrowMsg::Settle))
             .collect();
         StepOutcome::Complete(calls)
     })
@@ -544,11 +537,7 @@ fn base_alice_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
     let final_deadline = config.padded(apricot_timelock);
     vec![
         Step::new("alice: escrow principal on apricot", move |_world: &World| {
-            StepOutcome::Complete(vec![Action::call(
-                apricot,
-                HtlcMsg::Escrow,
-                "Alice escrows A apricot tokens",
-            )])
+            StepOutcome::Complete(vec![Action::call(apricot, HtlcMsg::Escrow)])
         })
         .with_deadline(escrow_deadline),
         Step::new("alice: redeem banana principal", move |world: &World| {
@@ -559,7 +548,6 @@ fn base_alice_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
                 StepOutcome::Complete(vec![Action::call(
                     banana,
                     HtlcMsg::Redeem { secret: secret.clone() },
-                    "Alice redeems B banana tokens, revealing s",
                 )])
             } else {
                 StepOutcome::WaitUntil(redeem_give_up)
@@ -602,11 +590,7 @@ fn base_bob_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
                 return StepOutcome::Complete(vec![]);
             }
             if htlc_contract(world, apricot).state() == HtlcState::Escrowed {
-                StepOutcome::Complete(vec![Action::call(
-                    banana,
-                    HtlcMsg::Escrow,
-                    "Bob escrows B banana tokens",
-                )])
+                StepOutcome::Complete(vec![Action::call(banana, HtlcMsg::Escrow)])
             } else {
                 StepOutcome::WaitUntil(escrow_give_up)
             }
@@ -620,7 +604,6 @@ fn base_bob_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
                 StepOutcome::Complete(vec![Action::call(
                     apricot,
                     HtlcMsg::Redeem { secret: secret.clone() },
-                    "Bob redeems A apricot tokens with the learned secret",
                 )])
             } else {
                 StepOutcome::WaitUntil(redeem_give_up)
@@ -652,7 +635,7 @@ fn base_recovery_step(
         let refunds: Vec<Action> = pending
             .iter()
             .filter(|addr| world.now().has_reached(htlc_contract(world, **addr).timelock()))
-            .map(|addr| Action::call(*addr, HtlcMsg::Refund, "refund timed-out escrow"))
+            .map(|addr| Action::call(*addr, HtlcMsg::Refund))
             .collect();
         if refunds.is_empty() {
             // Refunds unlock at the earliest pending timelock.
@@ -882,23 +865,20 @@ impl Protocol for TwoPartySwap {
         let premiums = [setup.apricot_native, setup.banana_native];
         let alice_premium_payoff = payoffs.total_over(ALICE, &premiums).value();
         let bob_premium_payoff = payoffs.total_over(BOB, &premiums).value();
-        // A deviating party's hedge is vacuously true.
-        let hedged_for_alice = !alice.is_compliant()
-            || hedged_check(
-                *alice_lockup,
-                payoffs.of(ALICE, setup.banana_token).value(),
-                config.bob_tokens,
-                alice_premium_payoff,
-                config.premium_b,
-            );
-        let hedged_for_bob = !bob.is_compliant()
-            || hedged_check(
-                *bob_lockup,
-                payoffs.of(BOB, setup.apricot_token).value(),
-                config.alice_tokens,
-                bob_premium_payoff,
-                config.premium_a,
-            );
+        let alice_hedge_margin = hedge_margin(
+            *alice_lockup,
+            payoffs.of(ALICE, setup.banana_token).value(),
+            config.bob_tokens,
+            alice_premium_payoff,
+            config.premium_b,
+        );
+        let bob_hedge_margin = hedge_margin(
+            *bob_lockup,
+            payoffs.of(BOB, setup.apricot_token).value(),
+            config.alice_tokens,
+            bob_premium_payoff,
+            config.premium_a,
+        );
         TwoPartyReport {
             protocol: self.protocol,
             strategies: (alice, bob),
@@ -911,8 +891,11 @@ impl Protocol for TwoPartySwap {
             bob_premium_payoff,
             alice_lockup: *alice_lockup,
             bob_lockup: *bob_lockup,
-            hedged_for_alice,
-            hedged_for_bob,
+            alice_hedge_margin,
+            bob_hedge_margin,
+            // A deviating party's hedge is vacuously true.
+            hedged_for_alice: !alice.is_compliant() || alice_hedge_margin >= 0,
+            hedged_for_bob: !bob.is_compliant() || bob_hedge_margin >= 0,
             failed_actions: capture.failed_actions,
             rounds: capture.rounds,
             payoffs: payoffs.clone(),
@@ -958,23 +941,25 @@ fn lockup_from_times(
     }
 }
 
-/// The hedged condition for one side of the swap: either their escrow was
-/// redeemed and they received the counterparty's principal (and lost no
-/// premium), or their escrow was returned / never made and their premium
-/// payoff covers the agreed compensation (zero when nothing was locked up).
-fn hedged_check(
+/// The hedge margin of one side of the swap: how far above (or, negative,
+/// below) the hedged condition's threshold the run left them. The side is
+/// hedged iff the margin is non-negative: either their escrow was redeemed
+/// and they received the counterparty's principal (and lost no premium),
+/// or their escrow was returned / never made and their premium payoff
+/// covers the agreed compensation (zero when nothing was locked up).
+fn hedge_margin(
     lockup: Lockup,
     counter_asset_gain: i128,
     counter_asset_expected: Amount,
     premium_payoff: i128,
     compensation: Amount,
-) -> bool {
+) -> i128 {
     if lockup.redeemed {
-        counter_asset_gain >= counter_asset_expected.value() as i128 && premium_payoff >= 0
+        (counter_asset_gain - counter_asset_expected.value() as i128).min(premium_payoff)
     } else if lockup.principal_blocks > 0 {
-        premium_payoff >= compensation.value() as i128
+        premium_payoff - compensation.value() as i128
     } else {
-        premium_payoff >= 0
+        premium_payoff
     }
 }
 

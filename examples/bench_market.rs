@@ -22,7 +22,6 @@
 
 use std::fmt::Write as _;
 
-use sore_loser_hedging::chainsim::TraceMode;
 use sore_loser_hedging::marketsim::market::driver::MarketRun;
 use sore_loser_hedging::marketsim::market::{run_market, MarketConfig};
 
@@ -38,7 +37,6 @@ fn config(smoke: bool) -> MarketConfig {
         shards: 8,
         delta_blocks: 2,
         workers: 1,
-        trace: TraceMode::Off,
         gas_price: 3,
         endowment: 1_000_000_000,
         walkaway_percent: 10,

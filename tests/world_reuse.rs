@@ -1,16 +1,14 @@
-//! Trace-mode determinism: `TraceMode::Off` must change observability only.
+//! World-reuse and thread-count determinism.
 //!
-//! The zero-allocation hot path lets sweeps run worlds with event tracing
-//! disabled and reuse pooled worlds across scenarios. Neither may change a
+//! Sweeps reuse pooled worlds across scenarios, which must not change a
 //! single observable outcome: this suite runs all five protocols from
-//! scratch through `TraceMode::Off` and `TraceMode::Full` worlds (both fresh
-//! and deliberately dirty, to exercise `World::reset`) and asserts payoffs
-//! and reports are identical, then pins that `CheckSummary` is bit-for-bit
-//! identical across thread counts *and* trace modes.
+//! scratch through fresh and deliberately dirty worlds (to exercise
+//! `World::reset`) and asserts payoffs and reports are identical, then pins
+//! that `CheckSummary` is bit-for-bit identical across thread counts.
 
 use std::collections::BTreeMap;
 
-use sore_loser_hedging::chainsim::{Amount, PartyId, TraceMode, World};
+use sore_loser_hedging::chainsim::{Amount, PartyId, World};
 use sore_loser_hedging::modelcheck::engine::{FamilyScratch, ParallelSweep, ScenarioGen};
 use sore_loser_hedging::modelcheck::sampled::SampledSweep;
 use sore_loser_hedging::modelcheck::scenarios::{DealSweep, TwoPartySweep};
@@ -24,10 +22,10 @@ use sore_loser_hedging::protocols::two_party::{
     self, SwapProtocol, TwoPartyConfig, TwoPartySwap, SCRIPT_STEPS,
 };
 
-/// A world in the given trace mode that has already hosted an unrelated
-/// run, so every run must prove `World::reset` leaves no residue.
-fn dirty_world(trace: TraceMode) -> World {
-    let mut world = World::with_trace(1, trace);
+/// A world that has already hosted an unrelated run, so every run must
+/// prove `World::reset` leaves no residue.
+fn dirty_world() -> World {
+    let mut world = World::new(1);
     let chain = world.add_chain("leftover");
     let coin = world.register_asset("leftover-coin");
     world.chain_mut(chain).mint(PartyId(9), coin, Amount::new(123));
@@ -36,16 +34,11 @@ fn dirty_world(trace: TraceMode) -> World {
 }
 
 fn worlds() -> Vec<World> {
-    vec![
-        World::with_trace(1, TraceMode::Full),
-        World::with_trace(1, TraceMode::Off),
-        dirty_world(TraceMode::Full),
-        dirty_world(TraceMode::Off),
-    ]
+    vec![World::new(1), dirty_world()]
 }
 
 #[test]
-fn two_party_swaps_are_identical_across_trace_modes_and_world_reuse() {
+fn two_party_swaps_are_identical_across_world_reuse() {
     let config = TwoPartyConfig::default();
     for alice in Strategy::all(SCRIPT_STEPS) {
         for bob in Strategy::all(SCRIPT_STEPS) {
@@ -69,7 +62,7 @@ fn two_party_swaps_are_identical_across_trace_modes_and_world_reuse() {
 }
 
 #[test]
-fn multi_party_swap_is_identical_across_trace_modes_and_world_reuse() {
+fn multi_party_swap_is_identical_across_world_reuse() {
     let config = figure3_config();
     for party in config.parties() {
         for stop in 0..5usize {
@@ -88,7 +81,7 @@ fn multi_party_swap_is_identical_across_trace_modes_and_world_reuse() {
 }
 
 #[test]
-fn brokered_sale_is_identical_across_trace_modes_and_world_reuse() {
+fn brokered_sale_is_identical_across_world_reuse() {
     let config = broker_deal_config(&BrokerConfig::default());
     for party in [PartyId(0), PartyId(1), PartyId(2)] {
         let strategies = BTreeMap::from([(party, Strategy::stop_after(2))]);
@@ -103,7 +96,7 @@ fn brokered_sale_is_identical_across_trace_modes_and_world_reuse() {
 }
 
 #[test]
-fn auction_is_identical_across_trace_modes_and_world_reuse() {
+fn auction_is_identical_across_world_reuse() {
     for behaviour in [
         AuctioneerBehaviour::DeclareHighBidder,
         AuctioneerBehaviour::DeclareLowBidder,
@@ -124,7 +117,7 @@ fn auction_is_identical_across_trace_modes_and_world_reuse() {
 }
 
 #[test]
-fn bootstrap_is_identical_across_trace_modes_and_world_reuse() {
+fn bootstrap_is_identical_across_world_reuse() {
     for deviation in [
         BootstrapDeviation::None,
         BootstrapDeviation::StopAtLevel { party: PartyId(0), level: 1 },
@@ -145,7 +138,7 @@ fn bootstrap_is_identical_across_trace_modes_and_world_reuse() {
 }
 
 #[test]
-fn check_summaries_are_identical_across_threads_and_trace_modes() {
+fn check_summaries_are_identical_across_threads() {
     // Hedged two-party (clean), base two-party (must keep finding the
     // sore-loser violations) and a bounded deal sweep.
     let hedged = TwoPartySweep::hedged(TwoPartyConfig::default());
@@ -160,21 +153,19 @@ fn check_summaries_are_identical_across_threads_and_trace_modes() {
     assert!(reference_deal.holds());
 
     for threads in [1usize, 2, 4] {
-        for trace in [TraceMode::Off, TraceMode::Full] {
-            let sweep = ParallelSweep::new(threads).trace_mode(trace);
-            assert_eq!(sweep.run(&hedged), reference_hedged, "threads={threads}, {trace:?}");
-            assert_eq!(sweep.run(&base), reference_base, "threads={threads}, {trace:?}");
-            assert_eq!(sweep.run(&deal), reference_deal, "threads={threads}, {trace:?}");
-        }
+        let sweep = ParallelSweep::new(threads);
+        assert_eq!(sweep.run(&hedged), reference_hedged, "threads={threads}");
+        assert_eq!(sweep.run(&base), reference_base, "threads={threads}");
+        assert_eq!(sweep.run(&deal), reference_deal, "threads={threads}");
     }
 }
 
 #[test]
-fn sampled_summaries_are_identical_across_threads_and_trace_modes() {
+fn sampled_summaries_are_identical_across_threads() {
     // The sampler's determinism contract: scenario `i` depends only on
     // `(family_seed, i)`, so the whole `CheckSummary` of every sampled
-    // family must be bit-for-bit identical across thread counts and trace
-    // modes — exactly like the enumerated families above.
+    // family must be bit-for-bit identical across thread counts — exactly
+    // like the enumerated families above.
     let families = sampled_families(0x7ACE, 150);
     let refs: Vec<&dyn ScenarioGen> =
         families.iter().map(|family| family.as_ref() as &dyn ScenarioGen).collect();
@@ -183,19 +174,16 @@ fn sampled_summaries_are_identical_across_threads_and_trace_modes() {
     assert_eq!(reference.runs, 6 * 150);
 
     for threads in [1usize, 2, 4] {
-        for trace in [TraceMode::Off, TraceMode::Full] {
-            let summary = ParallelSweep::new(threads).trace_mode(trace).run_all(&refs);
-            assert_eq!(summary, reference, "threads={threads}, {trace:?}");
-        }
+        let summary = ParallelSweep::new(threads).run_all(&refs);
+        assert_eq!(summary, reference, "threads={threads}");
     }
 }
 
 #[test]
-fn sampled_scenarios_are_identical_across_trace_modes_and_world_reuse() {
-    // Single-scenario reproduction must also be trace-mode- and
-    // reuse-insensitive: judging sample `i` through the engine-facing
-    // `check` in a fresh Full-trace world, an Off-trace world or a dirty
-    // reused world yields the same verdicts as the standalone
+fn sampled_scenarios_are_identical_across_world_reuse() {
+    // Single-scenario reproduction must also be reuse-insensitive: judging
+    // sample `i` through the engine-facing `check` in a fresh world or a
+    // dirty reused world yields the same verdicts as the standalone
     // `check_scenario` reproduction entry point (here: all clean).
     let family = SampledSweep::hedged_two_party(TwoPartyConfig::default(), 0x7ACE, 40);
     for index in 0..family.samples() {
