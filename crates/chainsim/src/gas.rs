@@ -57,8 +57,8 @@ impl Default for GasSchedule {
 /// The meter is part of a chain's observable state: it is captured by
 /// [`World::snapshot`](crate::World::snapshot), restored by
 /// [`World::restore`](crate::World::restore), rewound by reorgs and cleared
-/// when a chain shell is recycled, so deviation-tree sweeps that resume runs
-/// mid-way see exactly the gas a full replay would have metered.
+/// when a chain shell is recycled, so a sweep that starts each run from a
+/// restored snapshot sees exactly the gas a fresh setup would have metered.
 #[derive(Clone, Default, Debug, Serialize, Deserialize)]
 pub struct GasMeter {
     total: u64,

@@ -63,15 +63,12 @@ pub use gas::{GasMeter, GasSchedule};
 pub use ids::{AssetId, ChainId, ContractAddr, ContractId, Label, PartyId};
 pub use ledger::oracle::MapLedger;
 pub use ledger::{AccountRef, Ledger};
-pub use sim::{
-    run_round, run_round_with, Action, ActionOutcome, Actor, RoundBuffers, RunReport, Scheduler,
-    StepTrace,
-};
+pub use sim::{run_round, Action, Actor, Scheduler, Tally};
 pub use spec::{Disposition, FundSpec, StateMachine, StateSpec, TimeWindow, TransitionSpec};
 pub use time::{StepSchedule, Time};
 pub use world::{TraceMode, World, WorldSnapshot};
 
-// Thread-safety contract: simulated worlds, actions and run reports cross
+// Thread-safety contract: simulated worlds and actions cross
 // worker threads in the parallel model-checking engine, so these types must
 // stay `Send`. `Contract` and `ContractMessage` carry `Send` as supertraits
 // to make this hold for the boxed trait objects inside `World` and
@@ -82,8 +79,6 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<World>();
     assert_send::<Action>();
-    assert_send::<RunReport>();
-    assert_send::<ActionOutcome>();
     assert_send::<ChainError>();
     assert_send::<Box<dyn Contract>>();
     assert_send::<Box<dyn ContractMessage>>();

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use crate::contract::{Contract, ContractMessage};
-use crate::error::ChainError;
 use crate::ids::{ChainId, ContractAddr, Label, PartyId};
 use crate::time::Time;
 use crate::world::World;
@@ -80,6 +79,15 @@ pub trait Actor {
     fn done(&self) -> bool {
         false
     }
+
+    /// A *pure-wait guarantee* from the most recent [`Actor::step`]:
+    /// `Some(t)` promises that, on a world that differs only by a clock
+    /// strictly before `t`, stepping again emits nothing and changes
+    /// nothing observable. The [`Scheduler`] skips rounds in which every
+    /// actor pure-waits; the default, `None`, gives no guarantee.
+    fn wake_hint(&self) -> Option<Time> {
+        None
+    }
 }
 
 impl<A: Actor + ?Sized> Actor for Box<A> {
@@ -92,60 +100,20 @@ impl<A: Actor + ?Sized> Actor for Box<A> {
     fn done(&self) -> bool {
         (**self).done()
     }
-}
-
-/// The result of applying a single action.
-#[derive(Debug)]
-pub struct ActionOutcome {
-    /// The party that issued the action.
-    pub party: PartyId,
-    /// The result of applying it.
-    pub result: Result<(), ChainError>,
-}
-
-impl ActionOutcome {
-    /// Returns `true` if the action was applied successfully.
-    pub fn is_ok(&self) -> bool {
-        self.result.is_ok()
+    fn wake_hint(&self) -> Option<Time> {
+        (**self).wake_hint()
     }
 }
 
-/// The actions applied during one synchronous round.
-#[derive(Debug)]
-pub struct StepTrace {
-    /// The time at which the round's actions were applied.
-    pub time: Time,
-    /// The outcomes, in application order.
-    pub outcomes: Vec<ActionOutcome>,
-}
-
-/// A record of a complete protocol run.
-#[derive(Debug, Default)]
-pub struct RunReport {
-    /// One trace per synchronous round, in order.
-    pub steps: Vec<StepTrace>,
-}
-
-impl RunReport {
-    /// The number of rounds executed.
-    pub fn rounds(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Iterates over all action outcomes across all rounds.
-    pub fn outcomes(&self) -> impl Iterator<Item = &ActionOutcome> {
-        self.steps.iter().flat_map(|s| s.outcomes.iter())
-    }
-
-    /// The number of successfully applied actions.
-    pub fn successes(&self) -> usize {
-        self.outcomes().filter(|o| o.is_ok()).count()
-    }
-
-    /// The failed actions (useful for asserting that compliant runs are clean).
-    pub fn failures(&self) -> Vec<&ActionOutcome> {
-        self.outcomes().filter(|o| !o.is_ok()).collect()
-    }
+/// What a run of the [`Scheduler`], or one [`run_round`], did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Synchronous rounds closed, skipped pure-wait rounds included.
+    pub rounds: usize,
+    /// Actions applied (publishes and calls).
+    pub actions: usize,
+    /// Applied actions that failed.
+    pub failed: usize,
 }
 
 /// Drives a set of [`Actor`]s against a [`World`] in synchronous rounds.
@@ -160,84 +128,90 @@ impl Scheduler {
         Scheduler { max_rounds }
     }
 
-    /// Runs the actors until they are all done or `max_rounds` is reached.
+    /// Runs the actors until they are all done or `max_rounds` rounds have
+    /// passed. Each round is one [`run_round`].
     ///
-    /// Each round: every actor observes the same world snapshot, all emitted
-    /// actions are applied in emission order (actors are visited in the
-    /// order supplied, which protocol setup keeps sorted by party id), and
-    /// the world advances by Δ.
-    pub fn run(&self, world: &mut World, actors: &mut [Box<dyn Actor>]) -> RunReport {
-        self.run_actors(world, actors)
-    }
-
-    /// [`Scheduler::run`] for any slice of concrete actors (avoiding the
-    /// per-actor box). Semantics are identical: both drive [`run_round`].
-    pub fn run_actors<A: Actor>(&self, world: &mut World, actors: &mut [A]) -> RunReport {
-        let mut report = RunReport::default();
-        let mut buffers = RoundBuffers::default();
-        for _ in 0..self.max_rounds {
-            if actors.iter().all(|a| a.done()) {
-                break;
+    /// After a round that applied no action, if every actor gives a
+    /// [`Actor::wake_hint`], the rounds that start strictly before the
+    /// earliest hint would only tick the clock. They are closed at once
+    /// through [`World::skip_empty_rounds`], which declines when an empty
+    /// round is more than a tick (a scheduled reorg, a finality window, a
+    /// chain with its own Δ); then they run one by one. Either way the
+    /// world and the tally equal those of running every round.
+    pub fn run<A: Actor>(&self, world: &mut World, actors: &mut [A]) -> Tally {
+        let mut tally = Tally::default();
+        let (mut staged, mut batch) = (Vec::new(), Vec::new());
+        while (tally.rounds as u64) < self.max_rounds && !actors.iter().all(Actor::done) {
+            let round = round(world, actors, &mut staged, &mut batch);
+            tally.rounds += 1;
+            tally.actions += round.actions;
+            tally.failed += round.failed;
+            if round.actions == 0 && !actors.iter().all(Actor::done) {
+                let budget = self.max_rounds - tally.rounds as u64;
+                tally.rounds += skip_pure_waits(world, actors, budget) as usize;
             }
-            report.steps.push(run_round_with(world, actors, &mut buffers));
         }
-        report
+        tally
     }
 }
 
-/// Reusable staging buffers for [`run_round_with`]: most rounds emit no
-/// actions, and the ones that do reuse one allocation across a whole run
-/// instead of allocating per round.
-#[derive(Debug, Default)]
-pub struct RoundBuffers {
-    staged: Vec<Action>,
-    batch: Vec<(PartyId, Action)>,
+/// Skips the pure-wait rounds ahead: the rounds that start strictly before
+/// the earliest wake hint, at most `budget` of them. Returns how many were
+/// skipped; none when some actor gives no hint or the world declines.
+fn skip_pure_waits<A: Actor>(world: &mut World, actors: &[A], budget: u64) -> u64 {
+    let Some(wake) =
+        actors.iter().try_fold(Time::MAX, |wake, actor| actor.wake_hint().map(|t| wake.min(t)))
+    else {
+        return 0;
+    };
+    let now = world.now();
+    if wake <= now {
+        return 0;
+    }
+    let rounds = ((wake - now - 1) / world.delta_blocks()).min(budget);
+    if rounds > 0 && world.skip_empty_rounds(rounds) {
+        rounds
+    } else {
+        0
+    }
 }
 
 /// Executes exactly one synchronous round: every actor observes the world
 /// as of the end of the previous round, all emitted actions are applied in
-/// emission order (actors visited in slice order), and the clock advances
-/// by Δ.
-///
-/// This is the single round primitive behind [`Scheduler::run`] *and* the
-/// protocol crates' checkpoint-and-resume runners; sharing it is what makes
-/// a resumed run bit-for-bit identical to a replayed one.
-pub fn run_round<A: Actor>(world: &mut World, actors: &mut [A]) -> StepTrace {
-    run_round_with(world, actors, &mut RoundBuffers::default())
+/// emission order (actors visited in slice order), and the world closes the
+/// round ([`World::advance_delta`]). This is the round the [`Scheduler`]
+/// runs.
+pub fn run_round<A: Actor>(world: &mut World, actors: &mut [A]) -> Tally {
+    round(world, actors, &mut Vec::new(), &mut Vec::new())
 }
 
-/// [`run_round`] with caller-owned staging buffers (see [`RoundBuffers`]).
-pub fn run_round_with<A: Actor>(
+/// [`run_round`] with caller-owned staging buffers, so that a run's rounds
+/// share one allocation.
+fn round<A: Actor>(
     world: &mut World,
     actors: &mut [A],
-    buffers: &mut RoundBuffers,
-) -> StepTrace {
-    let RoundBuffers { staged, batch } = buffers;
+    staged: &mut Vec<Action>,
+    batch: &mut Vec<(PartyId, Action)>,
+) -> Tally {
     for actor in actors.iter_mut() {
         staged.clear();
         actor.step(world, staged);
         let party = actor.party();
         batch.extend(staged.drain(..).map(|a| (party, a)));
     }
-    let mut outcomes = Vec::with_capacity(batch.len());
+    let mut tally = Tally { rounds: 1, actions: batch.len(), failed: 0 };
     for (party, action) in batch.drain(..) {
-        outcomes.push(apply_action(world, party, action));
+        let applied = match action {
+            Action::Publish { chain, label, contract } => {
+                world.publish_labeled(chain, party, label, contract);
+                Ok(())
+            }
+            Action::Call { addr, msg } => world.call(party, addr, msg.as_ref()),
+        };
+        tally.failed += usize::from(applied.is_err());
     }
-    let trace = StepTrace { time: world.now(), outcomes };
     world.advance_delta();
-    trace
-}
-
-fn apply_action(world: &mut World, party: PartyId, action: Action) -> ActionOutcome {
-    match action {
-        Action::Publish { chain, label, contract } => {
-            world.publish_labeled(chain, party, label, contract);
-            ActionOutcome { party, result: Ok(()) }
-        }
-        Action::Call { addr, msg } => {
-            ActionOutcome { party, result: world.call(party, addr, msg.as_ref()) }
-        }
-    }
+    tally
 }
 
 #[cfg(test)]
@@ -332,13 +306,13 @@ mod tests {
             Box::new(Publisher { party: PartyId(0), chain, published: false }),
             Box::new(Depositor { party: PartyId(1), deposited: false }),
         ];
-        let report = Scheduler::new(10).run(&mut world, &mut actors);
+        let tally = Scheduler::new(10).run(&mut world, &mut actors);
 
         // Publication and deposit happen in the same round here because the
         // publisher is visited first; what matters is that all actions
         // succeeded and the pot holds the deposit.
-        assert!(report.failures().is_empty());
-        assert!(report.rounds() <= 10);
+        assert_eq!(tally.failed, 0);
+        assert!(tally.rounds <= 10);
         let addr = world.lookup("pot").unwrap();
         assert_eq!(
             world.chain(chain).balance(AccountRef::Contract(addr.contract), AssetId(0)),
@@ -356,9 +330,8 @@ mod tests {
         let chain = world.add_chain("apricot");
         let mut actors: Vec<Box<dyn Actor>> =
             vec![Box::new(Publisher { party: PartyId(0), chain, published: false })];
-        let report = Scheduler::new(100).run(&mut world, &mut actors);
-        assert_eq!(report.rounds(), 1);
-        assert_eq!(report.successes(), 1);
+        let tally = Scheduler::new(100).run(&mut world, &mut actors);
+        assert_eq!(tally, Tally { rounds: 1, actions: 1, failed: 0 });
         // Time advanced once (one round was executed).
         assert_eq!(world.now(), Time(1));
     }
@@ -375,9 +348,65 @@ mod tests {
         let mut world = World::new(1);
         world.add_chain("a");
         let mut actors: Vec<Box<dyn Actor>> = vec![Box::new(Forever)];
-        let report = Scheduler::new(4).run(&mut world, &mut actors);
-        assert_eq!(report.rounds(), 4);
+        let tally = Scheduler::new(4).run(&mut world, &mut actors);
+        assert_eq!(tally.rounds, 4);
         assert_eq!(world.now(), Time(4));
+    }
+
+    /// Pure-waits until `at`, then publishes a pot; counts its steps.
+    struct Sleeper {
+        at: Time,
+        published: bool,
+        steps: usize,
+    }
+
+    impl Actor for Sleeper {
+        fn party(&self) -> PartyId {
+            PartyId(0)
+        }
+        fn step(&mut self, world: &World, actions: &mut Vec<Action>) {
+            self.steps += 1;
+            if !self.published && world.now().has_reached(self.at) {
+                actions.push(Action::publish(ChainId(0), "pot", Box::new(Pot::default())));
+                self.published = true;
+            }
+        }
+        fn done(&self) -> bool {
+            self.published
+        }
+        fn wake_hint(&self) -> Option<Time> {
+            (!self.published).then_some(self.at)
+        }
+    }
+
+    #[test]
+    fn skipped_pure_wait_rounds_end_where_running_them_does() {
+        // Without a window the waits are skipped; with one they are run.
+        for depth in [0, 1] {
+            let build = || {
+                let mut world = World::new(2);
+                let chain = world.add_chain("a");
+                world.set_finality(chain, crate::FinalityParams { depth, delta: 0 });
+                world
+            };
+            let sleeper = || [Sleeper { at: Time(9), published: false, steps: 0 }];
+            let mut scheduled = build();
+            let mut skipping = sleeper();
+            let tally = Scheduler::new(20).run(&mut scheduled, &mut skipping);
+            let mut stepped = build();
+            let mut stepping = sleeper();
+            let mut rounds = 0;
+            while !stepping[0].done() {
+                run_round(&mut stepped, &mut stepping);
+                rounds += 1;
+            }
+            assert_eq!(tally, Tally { rounds, actions: 1, failed: 0 }, "depth {depth}");
+            assert_eq!(rounds, 6, "waits at heights 0–8, publishes at 10");
+            // Without a window the rounds at heights 2, 4 and 6 are skipped.
+            assert_eq!(skipping[0].steps, if depth == 0 { 3 } else { 6 });
+            assert_eq!(scheduled.now(), stepped.now());
+            assert_eq!(scheduled.rounds_elapsed(), stepped.rounds_elapsed());
+        }
     }
 
     #[test]
@@ -405,9 +434,8 @@ mod tests {
         let mut world = World::new(1);
         world.add_chain("a");
         let mut actors: Vec<Box<dyn Actor>> = vec![Box::new(BadCaller { fired: false })];
-        let report = Scheduler::new(5).run(&mut world, &mut actors);
-        assert_eq!(report.failures().len(), 1);
-        assert!(!report.failures()[0].is_ok());
+        let tally = Scheduler::new(5).run(&mut world, &mut actors);
+        assert_eq!(tally, Tally { rounds: 1, actions: 1, failed: 1 });
     }
 
     #[test]

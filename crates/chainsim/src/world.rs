@@ -73,8 +73,8 @@ pub struct World {
     /// versions imply identical registry contents, which lets
     /// [`World::restore`] skip re-cloning registries when a world restores
     /// a snapshot of its own current registry state — the common case in
-    /// deviation-tree sweeps, where every checkpoint of a run shares the
-    /// registries built at setup.
+    /// sweeps, where every profile restores the same post-setup snapshot
+    /// and runs leave the registries as setup built them.
     registry_version: u64,
 }
 
@@ -294,6 +294,27 @@ impl World {
         }
     }
 
+    /// Closes `rounds` rounds in which nothing happens, exactly as that
+    /// many [`World::advance_delta`] calls with no action in between would:
+    /// heights and [`World::rounds_elapsed`] advance together. It does so
+    /// only where an empty round is a pure clock tick — no reorg is
+    /// scheduled, and every chain runs at the world Δ with no finality
+    /// window — and returns whether it did; otherwise the world is left
+    /// untouched and the rounds must be run one by one.
+    pub fn skip_empty_rounds(&mut self, rounds: u64) -> bool {
+        let delta = self.delta_blocks;
+        let ticks_only = self.pending_reorgs.is_empty()
+            && self.chains.iter().all(|chain| {
+                let FinalityParams { depth, delta: own } = chain.finality();
+                depth == 0 && (own == 0 || own == delta)
+            });
+        if ticks_only {
+            self.advance_blocks(rounds * delta);
+            self.rounds_elapsed += rounds;
+        }
+        ticks_only
+    }
+
     /// World rounds completed so far (one per [`World::advance_delta`]).
     pub fn rounds_elapsed(&self) -> u64 {
         self.rounds_elapsed
@@ -397,7 +418,7 @@ impl World {
     /// Restoring reuses the world's existing chain shells and buffer
     /// allocations where possible (surplus live chains are retired to the
     /// spare pool, missing ones are recycled from it), so restoring in a
-    /// loop — the sweep engines' deviation-tree pattern — allocates little
+    /// loop — how the sweep engines start every profile — allocates little
     /// beyond fresh contract boxes. The same snapshot can be restored any
     /// number of times, into any world.
     pub fn restore(&mut self, snap: &WorldSnapshot) {
@@ -679,6 +700,52 @@ mod tests {
         world.call(PartyId(0), addr, &()).unwrap();
         world.advance_delta();
         assert_eq!(world.party_balance(PartyId(0), AssetId(0)), Amount::new(4));
+    }
+
+    #[test]
+    fn skipping_empty_rounds_equals_advance_delta_or_skips_nothing() {
+        use crate::chain::ReorgPolicy;
+        let build = || {
+            let mut world = World::new(2);
+            world.add_chain("a");
+            world.add_chain("b");
+            world.advance_delta();
+            world
+        };
+        let (mut skipped, mut stepped) = (build(), build());
+        // A chain that names the world Δ as its own still ticks in step.
+        skipped.set_finality(ChainId(1), FinalityParams { depth: 0, delta: 2 });
+        stepped.set_finality(ChainId(1), FinalityParams { depth: 0, delta: 2 });
+        assert!(skipped.skip_empty_rounds(5));
+        for _ in 0..5 {
+            stepped.advance_delta();
+        }
+        for chain in [ChainId(0), ChainId(1)] {
+            assert_eq!(skipped.chain(chain).height(), stepped.chain(chain).height());
+        }
+        assert_eq!(skipped.now(), Time(12));
+        assert_eq!(skipped.rounds_elapsed(), stepped.rounds_elapsed());
+
+        // An empty round that is more than a clock tick is not skipped.
+        let overlays: [fn(&mut World); 3] = [
+            |world| {
+                world.schedule_reorg(ReorgEvent {
+                    chain: ChainId(0),
+                    at_round: 9,
+                    depth: 1,
+                    policy: ReorgPolicy::Redeliver,
+                })
+            },
+            |world| world.set_finality(ChainId(1), FinalityParams { depth: 2, delta: 0 }),
+            |world| world.set_finality(ChainId(1), FinalityParams { depth: 0, delta: 3 }),
+        ];
+        for overlay in overlays {
+            let mut world = build();
+            overlay(&mut world);
+            assert!(!world.skip_empty_rounds(5));
+            assert_eq!(world.now(), Time(2));
+            assert_eq!(world.rounds_elapsed(), 1);
+        }
     }
 
     #[test]

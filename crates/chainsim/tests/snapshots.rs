@@ -1,5 +1,5 @@
 //! Edge-case coverage for `World::snapshot` / `World::restore`: the
-//! checkpoint primitive under the model checker's deviation-tree sweeps.
+//! primitive the model checker's sweeps start every profile from.
 //!
 //! The determinism contract: a restored world is indistinguishable from the
 //! world at snapshot time — after failed contract calls, and under repeated

@@ -15,20 +15,22 @@
 //! Each worker owns a single *scratch* [`chainsim::World`] plus one
 //! [`FamilyScratch`] slot per family, and hands both to every scenario
 //! it runs. The world is reset (or snapshot-restored) rather than rebuilt,
-//! so ledgers and contract stores are allocated once per worker. Every family runs its scenarios through one entry point,
-//! [`FamilyScratch::run`]: the slot records the family's compliant
-//! [`Prefix`] on first use, and every later scenario resumes from its
-//! checkpoints ([`chainsim::World::snapshot`]) instead of replaying the
-//! shared prefix.
+//! so ledgers and contract stores are allocated once per worker. Every
+//! family runs its scenarios through one entry point,
+//! [`FamilyScratch::run`]: the slot records the family's [`Prefix`] on
+//! first use — the world right after setup
+//! ([`chainsim::World::snapshot`]) and the compliant scripts — and every
+//! later scenario restores that world instead of setting the protocol up
+//! again.
 //!
 //! # Determinism contract
 //!
 //! `check(i, ..)` must depend only on `i`, `&self` and — for performance,
 //! never for results — the worker-local scratch state. Snapshots restore
-//! bit-identical world state, checkpointed scripts fork from recorded
-//! positions, and every cache entry memoises a pure function, so a
-//! scenario's violations are identical whether its prefix was shared or
-//! replayed, whatever worker ran it, in whatever order. This is pinned by
+//! bit-identical world state, every profile's scripts fork from the
+//! compliant ones at their start, and every cache entry memoises a pure
+//! function, so a scenario's violations are identical whether its prefix
+//! was shared or replayed, whatever worker ran it, in whatever order. This is pinned by
 //! the differential tests in `tests/replay_oracle.rs`, which diff whole
 //! summaries (and reports) between the default runner and
 //! [`ParallelSweep::replay_oracle`] across thread counts.
@@ -190,7 +192,7 @@ impl Default for ParallelSweep {
 /// With auto-tuned chunks, each worker steals about this many chunks over a
 /// sweep: enough steals that an unlucky worker can shed load to idle ones,
 /// few enough that cursor traffic stays negligible and consecutive indices
-/// (which share a family's deviation-tree prefix) stay on one worker.
+/// (which share a family's recorded prefix) stay on one worker.
 const TARGET_STEALS_PER_WORKER: usize = 8;
 
 /// Auto-tuned chunks never exceed this, so even enormous families keep
@@ -225,7 +227,7 @@ impl ParallelSweep {
     ///
     /// Smaller chunks balance unequal scenario costs better; larger chunks
     /// reduce cursor contention and keep index-adjacent scenarios (which
-    /// share a deviation-tree prefix) on one worker. By default the chunk
+    /// share a recorded prefix) on one worker. By default the chunk
     /// is auto-tuned per sweep to `total / (threads × 8)`, clamped to
     /// `1..=64` — about eight steals per worker. The result of the sweep is
     /// identical for every chunk size.

@@ -15,9 +15,9 @@
 //!   count or chunk size — so a sampled sweep keeps the engine's
 //!   bit-for-bit determinism contract, and any violating sample is
 //!   reproducible forever from the `(seed, index)` pair printed in its
-//!   scenario label. Samples execute through the same shared-prefix
-//!   deviation-tree entry points as the enumerated families, so each costs
-//!   a divergence tail, not a full run.
+//!   scenario label. Samples run through the same recorded prefixes as
+//!   the enumerated families, so each restores the post-setup world
+//!   instead of setting the protocol up again.
 //! * [`SampledSweep::shrink`] greedily minimizes a violating sample —
 //!   dropping deviators, clearing faults, halving outages, zeroing delay
 //!   entries — while preserving at least one of the original
@@ -287,9 +287,8 @@ impl SampledSweep<TwoPartySwap> {
     /// `MAX_REORG_DEPTH − 1`, a deviator's outage can still break the
     /// compliant party's hedge; see [`MAX_REORG_DEPTH`].
     ///
-    /// Reorg scenarios rewind speculative rounds from the very first
-    /// round, so no recorded prefix is sound here: every sample runs from
-    /// scratch.
+    /// Each sample's overlay makes a protocol of its own, with nothing to
+    /// share a recorded prefix with, so every sample runs from scratch.
     pub fn hedged_two_party_reorgs(config: TwoPartyConfig, seed: u64, samples: usize) -> Self {
         let name = format!(
             "sampled hedged two-party swap under reorgs (margin {})",
@@ -574,8 +573,8 @@ impl<P: Checked> SampledSweep<P> {
         let protocol = &self.variants[variant];
         let profile = &script::profile(profile);
         let report = match realism {
-            // Always from scratch: reorgs rewind speculative rounds from
-            // round one, so no recorded prefix is sound here.
+            // Always from scratch: the overlay makes a protocol of its
+            // own, which no other sample shares a prefix with.
             Some(realism) => {
                 let overlay = self.overlay.expect("only reorg families draw realism overlays");
                 overlay(protocol.clone(), realism.clone()).run(profile, scratch)

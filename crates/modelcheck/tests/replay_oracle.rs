@@ -128,15 +128,15 @@ fn assert_deal_reports_identical(config: &DealConfig) {
             BTreeMap::from([(a, Strategy::compliant().late()), (b, Strategy::compliant().late())]),
         ]
     };
-    let mut tree_world = World::new(1);
+    let mut prefix_world = World::new(1);
     let mut oracle_world = World::new(1);
-    let mut prefix = Prefix::record(config.clone(), &mut tree_world);
+    let mut prefix = Prefix::record(config.clone(), &mut prefix_world);
     let sweep = DealSweep::at_most("diff", config.clone(), 1);
     let profiles = (0..sweep.total()).map(|i| sweep.profile(i)).chain(mixed_pairs);
     for strategies in profiles {
-        let tree = prefix.run(&profile(&strategies), &mut tree_world);
+        let shared = prefix.run(&profile(&strategies), &mut prefix_world);
         let oracle = config.run(&profile(&strategies), &mut oracle_world);
-        assert_eq!(format!("{tree:?}"), format!("{oracle:?}"), "profile {strategies:?}");
+        assert_eq!(format!("{shared:?}"), format!("{oracle:?}"), "profile {strategies:?}");
     }
 }
 
@@ -151,17 +151,17 @@ fn two_party_reports_are_byte_identical_per_profile() {
     let config = TwoPartyConfig::default();
     for protocol in [SwapProtocol::Hedged, SwapProtocol::Base] {
         let space = two_party::strategy_space_for(protocol);
-        let mut tree_world = World::new(1);
+        let mut prefix_world = World::new(1);
         let mut oracle_world = World::new(1);
         let mut cache = None;
         for &alice in &space {
             for &bob in &space {
-                let tree =
-                    run_swap_shared(&mut tree_world, &config, protocol, alice, bob, &mut cache);
+                let shared =
+                    run_swap_shared(&mut prefix_world, &config, protocol, alice, bob, &mut cache);
                 let oracle = TwoPartySwap::new(config.clone(), protocol)
                     .run(&two_party::profile(alice, bob), &mut oracle_world);
                 assert_eq!(
-                    format!("{tree:?}"),
+                    format!("{shared:?}"),
                     format!("{oracle:?}"),
                     "{protocol:?} alice={alice} bob={bob}"
                 );
@@ -178,16 +178,16 @@ fn auction_reports_are_byte_identical_per_profile() {
         AuctioneerBehaviour::Abandon,
     ] {
         let config = AuctionConfig { auctioneer: behaviour, ..AuctionConfig::default() };
-        let mut tree_world = World::new(1);
+        let mut prefix_world = World::new(1);
         let mut oracle_world = World::new(1);
-        let mut prefix = Prefix::record(config.clone(), &mut tree_world);
+        let mut prefix = Prefix::record(config.clone(), &mut prefix_world);
         for party in 0..3u32 {
             for strategy in protocols::auction::strategy_space() {
                 let strategies = BTreeMap::from([(PartyId(party), strategy)]);
-                let tree = prefix.run(&profile(&strategies), &mut tree_world);
+                let shared = prefix.run(&profile(&strategies), &mut prefix_world);
                 let oracle = config.run(&profile(&strategies), &mut oracle_world);
                 assert_eq!(
-                    format!("{tree:?}"),
+                    format!("{shared:?}"),
                     format!("{oracle:?}"),
                     "{behaviour:?}, {party} plays {strategy}"
                 );
@@ -200,30 +200,35 @@ fn auction_reports_are_byte_identical_per_profile() {
 fn bootstrap_reports_are_byte_identical_per_deviation() {
     for rounds in 0..=4u32 {
         let config = BootstrapConfig::new(100_000, 100_000, 10, rounds);
-        let mut tree_world = World::new(1);
+        let mut prefix_world = World::new(1);
         let mut oracle_world = World::new(1);
-        let mut prefix = Prefix::record(config, &mut tree_world);
+        let mut prefix = Prefix::record(config, &mut prefix_world);
         for deviation in BootstrapDeviation::all(rounds) {
             let profile = deviation.profile(rounds);
-            let tree = prefix.run(&profile, &mut tree_world);
+            let shared = prefix.run(&profile, &mut prefix_world);
             let oracle = config.run(&profile, &mut oracle_world);
-            assert_eq!(format!("{tree:?}"), format!("{oracle:?}"), "rounds={rounds} {deviation:?}");
+            assert_eq!(
+                format!("{shared:?}"),
+                format!("{oracle:?}"),
+                "rounds={rounds} {deviation:?}"
+            );
         }
     }
 }
 
-/// The deviation tree must not mask the violations the engine exists to
-/// find: the base two-party sweep's sore-loser hits survive prefix sharing.
+/// Prefix sharing must not mask the violations the engine exists to find:
+/// the base two-party sweep's sore-loser hits survive the shared setup.
 #[test]
-fn deviation_tree_still_finds_base_protocol_violations() {
+fn shared_prefixes_still_find_base_protocol_violations() {
     let summary = ParallelSweep::new(2).run(&TwoPartySweep::base(TwoPartyConfig::default()));
     assert!(!summary.holds());
     assert!(summary.violations.iter().all(|v| v.property == "hedged"));
 }
 
 /// Deal profile decoding must agree between the materialised and the
-/// arithmetic paths (guards the deviation tree's profile → divergence map).
-/// The arithmetic decode also serves the two-party sweeps.
+/// arithmetic paths, so a profile means the same deviators in the product
+/// and the deviator-bounded sweeps. The arithmetic decode also serves the
+/// two-party sweeps.
 #[test]
 fn deal_profile_spaces_agree_between_budgets() {
     let full = DealSweep::full("f", figure3_config());

@@ -175,12 +175,12 @@ fn rational_climber_respects_deal_hedges_and_skips_auctions() {
     }
 }
 
-/// The find → shrink → render loop on a deal family, at ROADMAP item 6's
+/// The find → shrink → render loop on a deal family, at ROADMAP item 4's
 /// open finding: on the seed-33 random digraph, sample 153 shrinks to
 /// party 3 stopping after its escrow step, which leaves compliant party 4
 /// unhedged. Pinned at today's verdict like
 /// `multi_party::tests::random_digraph_seed_33_leaves_a_compliant_party_unhedged`:
-/// once item 6 is fixed the family holds and this test fails — flip it
+/// once item 4 is settled the family holds and this test fails — flip it
 /// then.
 #[test]
 fn deal_violation_is_found_shrunk_and_rendered_on_the_seed_33_digraph() {

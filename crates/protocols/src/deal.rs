@@ -71,7 +71,7 @@ pub struct ArcSpec {
 /// read lock-free ever after) or **per-worker** (the hashkey-verification
 /// memo lives in each world's [`chainsim::SimCaches`]; party-side hashkey
 /// *extensions*, which depend on run dynamics and cannot be pre-warmed, live
-/// in per-step [`StepMemo`]s that deviation-tree forks carry and merge).
+/// in per-step [`StepMemo`]s that a [`Prefix`]'s forks carry and merge back).
 /// Earlier revisions shared an `Arc<Mutex<BTreeMap<..>>>` hashkey memo
 /// across every worker thread; that lock was the single contended object in
 /// an otherwise share-nothing sweep and flattened 1→2-thread scaling.
@@ -142,7 +142,7 @@ impl DealCaches {
     /// `base` extended by `party`, signed once per (base, party) *per
     /// worker*: extensions depend on which hashkey a party observed first,
     /// so they cannot be pre-warmed; the memo is per-step state, carried
-    /// across scenario forks by the deviation tree.
+    /// from one scenario's forks to the next by the [`Prefix`].
     fn extend_hashkey(
         &self,
         base: &Hashkey,
@@ -915,8 +915,7 @@ fn party_steps(config: &DealConfig, setup: &DealSetup, me: PartyId) -> Vec<Step>
 }
 
 /// The final state of a deal run: the payoffs and each arc's principal
-/// state. Capturing it is the per-scenario cost floor, so a [`Prefix`]
-/// keeps one per zero-tail checkpoint.
+/// state.
 #[derive(Clone, Debug)]
 pub struct DealCapture {
     payoffs: Payoffs,

@@ -1,5 +1,5 @@
-//! Scripted parties, deviation strategies, and the checkpoint/resume
-//! machinery behind prefix-sharing sweeps.
+//! Scripted parties, deviation strategies, and the one way a protocol
+//! runs them.
 //!
 //! A protocol role is expressed as an ordered list of [`Step`]s. In every
 //! synchronous round the party examines the world; the current step either
@@ -9,35 +9,24 @@
 //! participating entirely — exactly the deviation class the paper's threat
 //! model allows, since contracts reject malformed or mistimed calls anyway.
 //!
-//! # Deviation trees
-//!
-//! `StopAfter` deviations share long identical prefixes: a party that
-//! stops after `k` steps behaves *identically* to a compliant party until
-//! the first round it would have emitted an action past its budget. A
-//! [`DeviationTree`] exploits this: it executes the all-compliant run
-//! once, snapshots the world and every party's script state at each
-//! executed round (compressing provably pure-wait stretches into clock
-//! offsets), and then [`DeviationTree::resume`]s any deviation profile
-//! from the snapshot at its divergence round instead of replaying the
-//! shared prefix from scratch. Because the resumed tail is driven by the
-//! exact same round primitive ([`chainsim::run_round`]) over forked
-//! copies of the exact same party state, the resumed run is bit-for-bit
-//! identical to a from-scratch execution of the profile — pinned by
-//! `modelcheck`'s differential tests against its replay-oracle sweeps.
-//!
 //! # Protocols
 //!
 //! A scripted protocol implements [`Protocol`] once: setup, scripts, round
-//! budget, final-state capture and judgement. [`Protocol::run`] runs a
-//! profile from scratch; a [`Prefix`] records the compliant run once and
-//! resumes every profile from its [`DeviationTree`] checkpoint. Both paths
-//! share the capture and the judge, so their reports are identical.
+//! budget, final-state capture and judgement. [`Protocol::run`] sets a
+//! profile up from scratch; a [`Prefix`] sets the protocol up once,
+//! snapshots the world right after setup, and starts every profile from
+//! that snapshot, with the compliant scripts forked under the profile's
+//! strategies. Both then drive the rounds with the same loop
+//! ([`chainsim::Scheduler`], which skips rounds in which every party
+//! pure-waits) and share the capture and the judge, so their reports are
+//! identical — pinned by `modelcheck`'s differential tests against its
+//! replay-oracle sweeps.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use chainsim::{run_round_with, Action, Actor, PartyId, RoundBuffers, Time, World, WorldSnapshot};
+use chainsim::{Action, Actor, PartyId, Scheduler, Tally, Time, World, WorldSnapshot};
 use contracts::Hashkey;
 use cryptosim::Digest;
 
@@ -113,16 +102,6 @@ pub enum Timing {
 }
 
 impl Timing {
-    /// Returns `true` if this profile can delay at least one emission, i.e.
-    /// behaves differently from [`Timing::Eager`] on some script.
-    pub fn may_delay_any(&self) -> bool {
-        match self {
-            Timing::Eager => false,
-            Timing::Procrastinate => true,
-            Timing::Delay(vector) => !vector.is_zero(),
-        }
-    }
-
     /// Returns `true` if this profile delays emissions of script step
     /// `step` in particular.
     fn delays_step(&self, step: usize) -> bool {
@@ -343,11 +322,11 @@ pub enum StepOutcome {
     /// Like [`StepOutcome::Wait`], with a *pure-wait guarantee*: on any
     /// world identical except for a clock strictly before the given time,
     /// re-evaluating this step yields the same outcome and the same (or
-    /// idempotent) memo effects. Resume tails use the hint to fast-forward
-    /// the clock over rounds in which **every** actor pure-waits and
-    /// nothing was emitted — rounds whose only observable effect is the
-    /// clock tick. Steps unsure of the guarantee must return plain `Wait`,
-    /// which disables fast-forwarding for that round.
+    /// idempotent) memo effects. The scheduler uses the hint
+    /// ([`Actor::wake_hint`]) to skip rounds in which **every** actor
+    /// pure-waits and nothing was emitted — rounds whose only observable
+    /// effect is the clock tick. Steps unsure of the guarantee must return
+    /// plain `Wait`, which disables skipping for that round.
     WaitUntil(Time),
     /// Emit these actions and stay on the same step (partial progress).
     Progress(Vec<Action>),
@@ -386,8 +365,8 @@ type StepLogic = Arc<dyn Fn(&mut StepMemo, &World) -> StepOutcome + Send + Sync>
 /// One step of a party's protocol script.
 ///
 /// The step's decision logic is immutable and shared (`Arc`) between the
-/// clones a deviation tree forks; its mutable state is an explicit
-/// [`StepMemo`] that clones with the step.
+/// forks a [`Prefix`] makes; its mutable state is an explicit [`StepMemo`]
+/// that clones with the step.
 #[derive(Clone)]
 pub struct Step {
     /// Human-readable name used in traces and reports.
@@ -541,9 +520,8 @@ impl ScriptedParty {
     /// strategy budget.
     ///
     /// Step logic is shared; step memos and the script cursor are cloned, so
-    /// the fork continues from exactly this party's current position. Used
-    /// by [`DeviationTree::resume`] to turn a recorded compliant party
-    /// into the deviating (or still-compliant) party of a tail run.
+    /// the fork continues from exactly this party's current position. A
+    /// [`Prefix`] forks its compliant scripts into each profile's parties.
     pub fn fork(&self, strategy: Strategy) -> ScriptedParty {
         let allowed = strategy.steps_executed(self.steps.len());
         ScriptedParty {
@@ -558,17 +536,6 @@ impl ScriptedParty {
             crash_until: None,
             garbage_done: false,
             wake: None,
-        }
-    }
-
-    /// The wake hint of this party's most recent evaluation (see
-    /// [`ScriptedParty::wake`]); the clock cannot change its behaviour
-    /// strictly before the returned time.
-    fn wake_hint(&self) -> Option<Time> {
-        if self.done() {
-            Some(Time::MAX)
-        } else {
-            self.wake
         }
     }
 
@@ -778,380 +745,91 @@ impl Actor for ScriptedParty {
     fn done(&self) -> bool {
         self.cursor >= self.steps.len() || self.cursor >= self.allowed
     }
+
+    /// The wake time of the most recent evaluation's
+    /// [`StepOutcome::WaitUntil`], crash outage or emission hold, or
+    /// [`Time::MAX`] once the party is done.
+    fn wake_hint(&self) -> Option<Time> {
+        if self.done() {
+            Some(Time::MAX)
+        } else {
+            self.wake
+        }
+    }
 }
 
-/// Runs a set of scripted parties to quiescence.
-///
-/// This is a thin wrapper over [`chainsim::Scheduler`] with a generous round
-/// budget: protocols define absolute deadlines, so `max_rounds` only needs
-/// to exceed the final deadline.
-pub fn run_parties(
+/// Restores `world` to `snapshot`, forks `parties` under `profile` and
+/// drives the forks with the [`Scheduler`]. The forks' hashkey memos go
+/// back into `parties`, so the next profile does not sign them again.
+fn resume(
+    snapshot: &WorldSnapshot,
+    parties: &mut [ScriptedParty],
     world: &mut World,
-    mut parties: Vec<ScriptedParty>,
+    profile: Profile<'_>,
     max_rounds: u64,
-) -> chainsim::RunReport {
-    chainsim::Scheduler::new(max_rounds).run_actors(world, &mut parties)
-}
-
-// ---------------------------------------------------------------------------
-// Deviation-tree recording and resumption.
-// ---------------------------------------------------------------------------
-
-/// A recorded checkpoint of the compliant run at the start of one round.
-struct PrefixCheckpoint {
-    /// The world state at the start of that round.
-    world: WorldSnapshot,
-    /// Every party's script state at the start of that round.
-    parties: Vec<ScriptedParty>,
-    /// Failed actions accumulated over the rounds before this checkpoint.
-    failures: usize,
-}
-
-/// What the compliant run observed about one party, for divergence
-/// computation.
-#[derive(Clone, Debug, Default)]
-struct PartyRecord {
-    /// Round of each step completion (`completions[c]` = round of the
-    /// `c+1`-th completion).
-    completions: Vec<u64>,
-    /// `(round, completed-count at round start)` for every round in which
-    /// the party emitted at least one action.
-    emissions: Vec<(u64, usize)>,
-    /// First round at whose start the party reported `done()`, if any.
-    done_round: Option<u64>,
-}
-
-/// Totals of a run resumed from a [`DeviationTree`]: prefix rounds and
-/// failures plus the live tail's. Identical to what a from-scratch
-/// [`run_parties`] of the same profile reports.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ResumedRun {
-    /// Synchronous rounds executed (prefix + tail).
-    pub rounds: usize,
-    /// Rejected actions (prefix + tail).
-    pub failed_actions: usize,
-    /// The divergence round this resume forked from. Two zero-tail resumes
-    /// with the same key end in bit-identical final states, which protocol
-    /// layers exploit to cache derived outcomes per checkpoint.
-    pub state_key: u64,
-    /// `true` when the resume executed zero tail rounds: the final state
-    /// is exactly the forked checkpoint, a pure function of `state_key`.
-    pub zero_tail: bool,
-}
-
-/// Advances the clock over the pure-wait rounds ahead: if every live actor
-/// guarantees pure waiting until some wake time, skips (and returns the
-/// count of) the rounds that start strictly before the earliest wake,
-/// bounded by `budget`. Returns `None` (and leaves the world untouched)
-/// when any actor withholds the guarantee or no round is skippable.
-fn pure_wait_rounds(actors: &[ScriptedParty], world: &mut World, budget: u64) -> Option<u64> {
-    let earliest_wake = actors
-        .iter()
-        .try_fold(Time::MAX, |wake, actor| actor.wake_hint().map(|hint| wake.min(hint)))?;
-    let delta = world.delta_blocks().max(1);
-    let now = world.now();
-    if earliest_wake <= now {
-        return None;
+) -> Tally {
+    world.restore(snapshot);
+    let mut forks: Vec<ScriptedParty> = parties.iter().map(|p| p.fork(profile(p.party))).collect();
+    let tally = Scheduler::new(max_rounds).run(world, &mut forks);
+    for (party, fork) in parties.iter_mut().zip(&forks) {
+        party.absorb_hashkey_memos(fork);
     }
-    // Rounds starting strictly before the wake time are pure waits.
-    let skippable = (earliest_wake - now).saturating_sub(1) / delta;
-    let skip = skippable.min(budget);
-    if skip == 0 {
-        return None;
-    }
-    world.advance_blocks(skip * delta);
-    Some(skip)
+    tally
 }
 
-/// The recorded all-compliant execution of one protocol configuration,
-/// checkpointed at the start of every *executed* round (compressed
-/// pure-wait stretches borrow the checkpoint that precedes them).
+/// A world right after setup and the compliant scripts, from which
+/// [`DeviationTree::resume`] runs any profile: the mechanism of a
+/// [`Prefix`], without a protocol to capture and judge the result.
 ///
-/// A `StopAfter(k)` deviator behaves identically to its compliant self
-/// until it has completed `k` steps; after that it emits nothing and
-/// reports `done()`. The **world** trajectory of a deviation profile
-/// therefore diverges from the compliant one only at the earliest of:
-///
-/// * the first round in which some deviator, already past its budget,
-///   would have emitted an action (the action is withheld), or
-/// * the first round at which *every* party of the profile is done —
-///   deviators are done earlier than their compliant selves, so the
-///   scheduler may stop the run while the compliant one kept idling.
-///
-/// [`DeviationTree::resume`] restores the snapshot at that round, forks
-/// every recorded party under its profile strategy, and drives the tail
-/// with the shared round primitive ([`chainsim::run_round`]) — making the
-/// resumed run bit-for-bit identical to a from-scratch execution (pinned by
-/// the replay-oracle differential tests in `modelcheck`). Profiles whose
-/// stop-points are never observably hit resume at the terminal checkpoint
-/// and execute zero tail rounds; protocol layers cache their derived
-/// outcomes per checkpoint via [`ResumedRun::state_key`].
+/// The name is historical. The type once kept a checkpoint per round of the
+/// compliant run and resumed each profile from the round it diverged at;
+/// the names stay while the `perfbench` benchmark calls them.
 pub struct DeviationTree {
-    /// Checkpoints keyed by the round whose start they capture; the first
-    /// is round 0, the last the terminal state. Rounds inside a compressed
-    /// pure-wait stretch have no entry of their own: their state is the
-    /// preceding checkpoint plus clock ticks (see
-    /// [`DeviationTree::record`]).
-    checkpoints: BTreeMap<u64, PrefixCheckpoint>,
-    records: BTreeMap<PartyId, PartyRecord>,
-    /// Rounds the compliant run executed.
-    rounds: u64,
-    /// The compliant run's round budget; resumed tails inherit the rest.
+    world: WorldSnapshot,
+    parties: Vec<ScriptedParty>,
     max_rounds: u64,
 }
 
 impl fmt::Debug for DeviationTree {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DeviationTree")
-            .field("checkpoints", &self.checkpoints.len())
-            .field("rounds", &self.rounds)
-            .finish()
+        f.debug_struct("DeviationTree").field("parties", &self.parties.len()).finish()
     }
 }
 
+/// Totals of a [`DeviationTree::resume`]: the same rounds and rejected
+/// actions as a [`Protocol::run`] of the profile.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ResumedRun {
+    /// Synchronous rounds run, skipped pure-wait rounds included.
+    pub rounds: usize,
+    /// Rejected actions.
+    pub failed_actions: usize,
+    /// Always 0: every profile starts from the one post-setup snapshot.
+    pub state_key: u64,
+    /// `true` when no round ran, so the final state is the snapshot's.
+    pub zero_tail: bool,
+}
+
 impl DeviationTree {
-    /// Executes and records the all-compliant run of `parties` (which must
-    /// have been built with [`Strategy::compliant()`] budgets) inside
-    /// `world`, checkpointing the start of every round.
-    ///
-    /// On return, `world` holds the compliant run's final state.
+    /// Snapshots `world`, which setup has just built, and keeps `parties`,
+    /// the compliant scripts, and the round budget of each resume.
     pub fn record(world: &mut World, parties: Vec<ScriptedParty>, max_rounds: u64) -> Self {
-        let mut parties = parties;
-        let mut records: BTreeMap<PartyId, PartyRecord> =
-            parties.iter().map(|p| (p.party, PartyRecord::default())).collect();
-        let mut checkpoints: BTreeMap<u64, PrefixCheckpoint> = BTreeMap::new();
-        let mut buffers = RoundBuffers::default();
-        let mut failures = 0usize;
-        let mut round = 0u64;
-        loop {
-            for party in &parties {
-                let record = records.get_mut(&party.party).expect("records has every party");
-                if party.done() && record.done_round.is_none() {
-                    record.done_round = Some(round);
-                }
-            }
-            checkpoints.entry(round).or_insert_with(|| PrefixCheckpoint {
-                world: world.snapshot(),
-                parties: parties.clone(),
-                failures,
-            });
-            if round >= max_rounds || parties.iter().all(|p| p.done()) {
-                break;
-            }
-            let before: Vec<usize> = parties.iter().map(ScriptedParty::completed_steps).collect();
-            let trace = run_round_with(world, &mut parties, &mut buffers);
-            failures += trace.outcomes.iter().filter(|o| !o.is_ok()).count();
-            let mut any_completion = false;
-            for (party, was_completed) in parties.iter().zip(before) {
-                let record = records.get_mut(&party.party).expect("records has every party");
-                if party.completed_steps() > was_completed {
-                    record.completions.push(round);
-                    any_completion = true;
-                }
-                if trace.outcomes.iter().any(|o| o.party == party.party) {
-                    record.emissions.push((round, was_completed));
-                }
-            }
-            round += 1;
-            // Compress pure-wait stretches: when the round changed nothing
-            // but the clock (no actions, no step completions) and every
-            // live actor guarantees pure waiting, the coming rounds are all
-            // `this checkpoint + k clock ticks` — skip executing (and
-            // snapshotting) them. `restore_at` reconstructs any of them
-            // exactly by advancing the clock from the last checkpoint.
-            if trace.outcomes.is_empty() && !any_completion && !parties.iter().all(|p| p.done()) {
-                if let Some(skip) = pure_wait_rounds(&parties, world, max_rounds - round) {
-                    round += skip;
-                }
-            }
-        }
-        DeviationTree { checkpoints, records, rounds: round, max_rounds }
+        DeviationTree { world: world.snapshot(), parties, max_rounds }
     }
 
-    /// Rounds the compliant run executed.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// The number of recorded checkpoints: one per *executed* round of the
-    /// compliant run (compressed pure-wait stretches share the checkpoint
-    /// that precedes them).
-    pub fn checkpoints(&self) -> usize {
-        self.checkpoints.len()
-    }
-
-    /// The first round at which the profile's trajectory can differ from
-    /// the compliant one — the profile's earliest *non-compliant action*,
-    /// not merely its first withheld emission — clamped to the terminal
-    /// round, plus whether the resumed run would execute zero tail rounds
-    /// there (see [`ResumedRun::zero_tail`]).
-    ///
-    /// Per party, the earliest possible effect of each deviation axis:
-    ///
-    /// * `stop_after(k)` — the first recorded emission at or past the
-    ///   budget (the withheld action), plus an earlier all-done round;
-    /// * `Procrastinate` / non-zero `Delay` vectors — the party's first
-    ///   recorded emission at a step the profile delays (the delaying party
-    ///   may hold exactly that action; before it, the party acts eagerly,
-    ///   since a zero entry skips both the peek and the hold);
-    /// * `Garbage { step }` — the step's first recorded emission (the
-    ///   garbage volley rides on it; the party's own progress is
-    ///   unchanged);
-    /// * `Crash { step }` / `Outage { step, .. }` — the round the party
-    ///   first reaches the crash step (the outage starts there).
-    ///
-    /// Procrastination and crashes alter the party's *later* behaviour in
-    /// ways the compliant record cannot predict, so they also disable the
-    /// all-done shortcut for the profile (conservative: the tail is simply
-    /// executed).
-    fn divergence_of(&self, strategy_of: &dyn Fn(PartyId) -> Strategy) -> (u64, bool) {
-        let mut divergence = self.rounds;
-        // The deviating run ends once every party is done; deviators are
-        // done earlier than their compliant selves, so the run may stop at
-        // a round the compliant run idled through.
-        let mut all_done_from = 0u64;
-        let mut every_party_finishes = true;
-        for (party, record) in &self.records {
-            let strategy = strategy_of(*party);
-            // Axes whose downstream effect the compliant record cannot
-            // predict: resume from their first possible effect and skip the
-            // all-done shortcut.
-            let mut unpredictable = false;
-            if strategy.timing.may_delay_any() && !record.emissions.is_empty() {
-                if let Some(&(round, _)) =
-                    record.emissions.iter().find(|(_, step)| strategy.timing.delays_step(*step))
-                {
-                    divergence = divergence.min(round);
-                }
-                unpredictable = true;
-            }
-            match strategy.fault {
-                Fault::None => {}
-                Fault::Garbage { step } => {
-                    if let Some(&(round, _)) =
-                        record.emissions.iter().find(|(_, completed)| *completed == step)
-                    {
-                        divergence = divergence.min(round);
-                    }
-                }
-                Fault::Crash { step } | Fault::Outage { step, .. } => {
-                    let reached = if step == 0 {
-                        Some(0)
-                    } else if step <= record.completions.len() {
-                        Some(record.completions[step - 1] + 1)
-                    } else {
-                        // The compliant run never completed the step before
-                        // the crash point: the outage never starts.
-                        None
-                    };
-                    if let Some(round) = reached {
-                        divergence = divergence.min(round);
-                        unpredictable = true;
-                    }
-                }
-            }
-            let done_from = match strategy.stop_after {
-                None => record.done_round,
-                Some(k) => {
-                    // First withheld emission: the earliest round where the
-                    // compliant party, with `k` or more steps already
-                    // completed, emitted an action the deviator would not.
-                    if let Some(&(round, _)) =
-                        record.emissions.iter().find(|(_, completed)| *completed >= k)
-                    {
-                        divergence = divergence.min(round);
-                    }
-                    if k == 0 {
-                        Some(0)
-                    } else if k <= record.completions.len() {
-                        Some(record.completions[k - 1] + 1)
-                    } else {
-                        // Budget above everything the compliant run ever
-                        // completed: the deviator never hits it.
-                        record.done_round
-                    }
-                }
-            };
-            if unpredictable {
-                every_party_finishes = false;
-            } else {
-                match done_from {
-                    Some(round) => all_done_from = all_done_from.max(round),
-                    None => every_party_finishes = false,
-                }
-            }
-        }
-        if every_party_finishes {
-            divergence = divergence.min(all_done_from);
-        }
-        let zero_tail =
-            (every_party_finishes && divergence == all_done_from) || divergence >= self.max_rounds;
-        (divergence, zero_tail)
-    }
-
-    /// Resumes the profile described by `strategy_of` from its divergence
-    /// checkpoint: restores the world, forks every recorded party under its
-    /// profile strategy, and drives the tail with the shared round
-    /// primitive.
-    ///
-    /// The resulting world state, rounds and failure counts are identical
-    /// to a from-scratch run of the same profile. Hashkey memos computed by
-    /// the tail are absorbed back into the checkpoint (a pure cache), so
-    /// later scenarios resuming from the same checkpoint skip re-signing.
+    /// Runs the profile `strategy_of` inside `world` from the recorded
+    /// snapshot.
     pub fn resume(
         &mut self,
         world: &mut World,
         strategy_of: &dyn Fn(PartyId) -> Strategy,
     ) -> ResumedRun {
-        let (divergence, zero_tail) = self.divergence_of(strategy_of);
-        let (&checkpoint_round, checkpoint) = self
-            .checkpoints
-            .range(..=divergence)
-            .next_back()
-            .expect("round 0 is always checkpointed");
-        world.restore(&checkpoint.world);
-        if divergence > checkpoint_round {
-            // The divergence round lies inside a compressed pure-wait
-            // stretch: its state is the checkpoint plus clock ticks.
-            world.advance_blocks((divergence - checkpoint_round) * world.delta_blocks());
-        }
-        let mut actors: Vec<ScriptedParty> =
-            checkpoint.parties.iter().map(|p| p.fork(strategy_of(p.party))).collect();
-        let mut failures = checkpoint.failures;
-        let mut buffers = RoundBuffers::default();
-        let mut rounds = divergence;
-        while rounds < self.max_rounds {
-            if actors.iter().all(|a| a.done()) {
-                break;
-            }
-            let trace = run_round_with(world, &mut actors, &mut buffers);
-            failures += trace.outcomes.iter().filter(|o| !o.is_ok()).count();
-            rounds += 1;
-            // Fast-forward: when the round emitted nothing and every live
-            // actor gave a pure-wait hint, the coming rounds change only
-            // the clock — jump it to the earliest wake time. The skipped
-            // rounds still count (a from-scratch run executes them as
-            // empty rounds), so reports stay byte-identical.
-            if trace.outcomes.is_empty() && !actors.iter().all(|a| a.done()) {
-                if let Some(skip) =
-                    pure_wait_rounds(&actors, world, self.max_rounds.saturating_sub(rounds))
-                {
-                    rounds += skip;
-                }
-            }
-        }
-        let checkpoint = self
-            .checkpoints
-            .get_mut(&checkpoint_round)
-            .expect("checkpoint existence checked above");
-        for (stored, ran) in checkpoint.parties.iter_mut().zip(&actors) {
-            stored.absorb_hashkey_memos(ran);
-        }
+        let tally = resume(&self.world, &mut self.parties, world, strategy_of, self.max_rounds);
         ResumedRun {
-            rounds: rounds as usize,
-            failed_actions: failures,
-            state_key: divergence,
-            zero_tail,
+            rounds: tally.rounds,
+            failed_actions: tally.failed,
+            state_key: 0,
+            zero_tail: tally.rounds == 0,
         }
     }
 }
@@ -1173,18 +851,18 @@ pub fn profile(strategies: &BTreeMap<PartyId, Strategy>) -> impl Fn(PartyId) -> 
 /// A scripted protocol, defined once: its world, its scripts, its round
 /// budget, the final state a run leaves and the report judged from it.
 ///
-/// Every scripted run goes through one of two paths built on these methods:
-/// [`Protocol::run`] executes a profile from scratch (the one-off path and
-/// the replay oracle), and a [`Prefix`] resumes it from the recorded
-/// compliant run. Both capture the final state with [`Protocol::capture`]
-/// and judge it with [`Protocol::judge`], so their reports are identical.
+/// Every scripted run starts in one of two ways: [`Protocol::run`] sets the
+/// protocol up for the profile (the one-off path and the replay oracle),
+/// and a [`Prefix`] restores the world it snapshotted right after setup.
+/// Both drive the rounds with the [`Scheduler`], capture the final state
+/// with [`Protocol::capture`] and judge it with [`Protocol::judge`], so
+/// their reports are identical.
 pub trait Protocol {
     /// What setup leaves for scripting, capture and judging: contract
     /// addresses, asset ids, pre-run balances.
     type Setup;
-    /// The final state a report is judged from. A capture must not depend
-    /// on the strategies: a [`Prefix`] judges every profile whose run ends
-    /// in the same state from one capture.
+    /// The final state a report is judged from; the profile enters only
+    /// through [`Protocol::judge`].
     type Capture;
     /// The protocol's report.
     type Report;
@@ -1221,9 +899,9 @@ pub trait Protocol {
     /// Runs `profile` from scratch inside `world`, which is reset first.
     fn run(&self, profile: Profile<'_>, world: &mut World) -> Self::Report {
         let setup = self.setup(world);
-        let parties = self.script(&setup, profile);
-        let report = run_parties(world, parties, self.max_rounds());
-        let capture = self.capture(world, &setup, report.rounds(), report.failures().len());
+        let mut parties = self.script(&setup, profile);
+        let tally = Scheduler::new(self.max_rounds()).run(world, &mut parties);
+        let capture = self.capture(world, &setup, tally.rounds, tally.failed);
         self.judge(&setup, &capture, profile)
     }
 
@@ -1238,50 +916,40 @@ pub trait Protocol {
     }
 }
 
-/// The recorded compliant run of one [`Protocol`], shared by every profile
-/// run through it: each resumes from its divergence checkpoint of a
-/// [`DeviationTree`], and profiles that run no tail share one capture per
-/// checkpoint. Reports are identical to [`Protocol::run`]'s.
+/// One [`Protocol`] set up once and shared by every profile run through it:
+/// the world as setup left it and the compliant scripts. Each profile
+/// restores that world and forks the scripts under its strategies, so it
+/// skips the setup [`Protocol::run`] repeats; the reports are identical.
 pub struct Prefix<P: Protocol> {
     protocol: P,
     setup: P::Setup,
-    tree: DeviationTree,
-    /// Captures of zero-tail resumes, keyed by divergence round: such a
-    /// run ends exactly in its checkpoint's state (see
-    /// [`ResumedRun::zero_tail`]), so the capture is a pure function of the
-    /// key.
-    zero_tail: BTreeMap<u64, P::Capture>,
+    /// The world right after setup.
+    world: WorldSnapshot,
+    /// The compliant scripts, which also carry the hashkey memos every
+    /// profile's run has filled in so far.
+    parties: Vec<ScriptedParty>,
 }
 
 impl<P: Protocol> fmt::Debug for Prefix<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Prefix")
-            .field("tree", &self.tree)
-            .field("zero_tail", &self.zero_tail.len())
-            .finish()
+        f.debug_struct("Prefix").field("parties", &self.parties.len()).finish()
     }
 }
 
 impl<P: Protocol> Prefix<P> {
-    /// Sets `protocol` up inside `world` and records its all-compliant run.
+    /// Sets `protocol` up inside `world` and snapshots the result.
     pub fn record(protocol: P, world: &mut World) -> Self {
         let setup = protocol.setup(world);
         let parties = protocol.script(&setup, &|_| Strategy::compliant());
-        let tree = DeviationTree::record(world, parties, protocol.max_rounds());
-        Prefix { protocol, setup, tree, zero_tail: BTreeMap::new() }
+        Prefix { world: world.snapshot(), protocol, setup, parties }
     }
 
-    /// Runs `profile` inside `world` by resuming the recorded run.
+    /// Runs `profile` inside `world` from the post-setup snapshot.
     pub fn run(&mut self, profile: Profile<'_>, world: &mut World) -> P::Report {
-        let Prefix { protocol, setup, tree, zero_tail } = self;
-        let resumed = tree.resume(world, profile);
-        let capture =
-            |world: &World| protocol.capture(world, setup, resumed.rounds, resumed.failed_actions);
-        if resumed.zero_tail {
-            let cached = zero_tail.entry(resumed.state_key).or_insert_with(|| capture(world));
-            return protocol.judge(setup, cached, profile);
-        }
-        protocol.judge(setup, &capture(world), profile)
+        let Prefix { protocol, setup, world: snapshot, parties } = self;
+        let tally = resume(snapshot, parties, world, profile, protocol.max_rounds());
+        let capture = protocol.capture(world, setup, tally.rounds, tally.failed);
+        protocol.judge(setup, &capture, profile)
     }
 }
 
@@ -1611,7 +1279,7 @@ mod tests {
     }
 
     #[test]
-    fn delaying_one_step_resumes_at_that_steps_first_emission() {
+    fn delaying_one_step_holds_only_that_step_on_every_runner() {
         let mut delays = DelayVector::ZERO;
         delays.set(2, u8::MAX);
         let late = |_| Strategy::compliant().with_delays(delays);
@@ -1623,7 +1291,6 @@ mod tests {
         let parties = Beacons.script(&log, &|_| Strategy::compliant());
         let mut tree = DeviationTree::record(&mut world, parties, Beacons.max_rounds());
         let resumed = tree.resume(&mut world, &late);
-        assert_eq!(resumed.state_key, 6, "eager until step 2 first emits, in round 6");
         assert_eq!(Beacons.capture(&world, &log, resumed.rounds, 0), from_scratch);
         assert_eq!(Prefix::record(Beacons, &mut world).run(&late, &mut world), from_scratch);
     }
@@ -1700,16 +1367,16 @@ mod tests {
     }
 
     #[test]
-    fn run_parties_terminates() {
+    fn scheduled_parties_stop_once_their_scripts_are_done() {
         let mut world = World::new(1);
         world.add_chain("a");
-        let parties = vec![ScriptedParty::new(
+        let mut parties = vec![ScriptedParty::new(
             PartyId(0),
             vec![Step::new("noop", |_| StepOutcome::Complete(vec![]))],
             Strategy::compliant(),
         )];
-        let report = run_parties(&mut world, parties, 10);
-        assert!(report.rounds() <= 10);
+        let tally = Scheduler::new(10).run(&mut world, &mut parties);
+        assert_eq!(tally.rounds, 1);
     }
 
     #[test]
@@ -1726,80 +1393,5 @@ mod tests {
         assert!(fork.done(), "fork adopts the new budget");
         assert!(fork.steps[0].memo.done.contains(&PartyId(9)), "fork carries the memo");
         assert!(format!("{:?}", fork.steps[0]).contains("memo"));
-    }
-
-    /// A three-step script against a counter world: the prefix recorder's
-    /// checkpoints land on round 0, each post-completion round, and the
-    /// terminal round; resumption reproduces from-scratch runs exactly.
-    #[test]
-    fn compliant_prefix_resumes_identically_to_scratch_runs() {
-        fn build_parties() -> Vec<ScriptedParty> {
-            // Party 0 completes a step every round; party 1 waits one round
-            // between completions (so completions land on distinct rounds).
-            let fast = vec![
-                Step::new("f0", |_| StepOutcome::Complete(vec![])),
-                Step::new("f1", |_| StepOutcome::Complete(vec![])),
-            ];
-            let slow = vec![
-                Step::new("s0", |w| {
-                    if w.now().height() >= 1 {
-                        StepOutcome::Complete(vec![])
-                    } else {
-                        StepOutcome::Wait
-                    }
-                }),
-                Step::new("s1", |w| {
-                    if w.now().height() >= 3 {
-                        StepOutcome::Complete(vec![])
-                    } else {
-                        StepOutcome::Wait
-                    }
-                }),
-            ];
-            vec![
-                ScriptedParty::new(PartyId(0), fast, Strategy::compliant()),
-                ScriptedParty::new(PartyId(1), slow, Strategy::compliant()),
-            ]
-        }
-        fn fresh_world() -> World {
-            let mut world = World::new(1);
-            world.add_chain("a");
-            world
-        }
-
-        let mut world = fresh_world();
-        let mut prefix = DeviationTree::record(&mut world, build_parties(), 10);
-        assert!(prefix.checkpoints() >= 3, "round 0, post-completion rounds, terminal");
-
-        for stop in 0..=2usize {
-            for deviator in [PartyId(0), PartyId(1)] {
-                let strategy_of = move |p: PartyId| {
-                    if p == deviator {
-                        Strategy::stop_after(stop)
-                    } else {
-                        Strategy::compliant()
-                    }
-                };
-                let resumed = prefix.resume(&mut world, &strategy_of);
-
-                // From-scratch oracle with the same strategies.
-                let mut scratch = fresh_world();
-                let parties: Vec<ScriptedParty> = build_parties()
-                    .into_iter()
-                    .map(|p| {
-                        let s = strategy_of(p.party);
-                        p.fork(s)
-                    })
-                    .collect();
-                let oracle = run_parties(&mut scratch, parties, 10);
-                assert_eq!(
-                    resumed.rounds,
-                    oracle.rounds(),
-                    "deviator {deviator} stop {stop}: rounds diverged"
-                );
-                assert_eq!(resumed.failed_actions, oracle.failures().len());
-                assert_eq!(world.now(), scratch.now(), "clock must match after resume");
-            }
-        }
     }
 }

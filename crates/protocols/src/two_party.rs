@@ -659,10 +659,10 @@ fn base_recovery_step(
 /// first protocol round. The default overlay (zero depths, no reorgs)
 /// changes nothing.
 ///
-/// Reorgs rewind speculative rounds from the very first round, so a swap
-/// with a non-default overlay must run from scratch
-/// ([`Protocol::run`]), never through a
-/// [`Prefix`]. With [`TwoPartyConfig::finality_margin`] at least
+/// The overlay is part of the swap, so a [`Prefix`] of one swap serves
+/// only its own overlay; the sampled reorg family, which draws an overlay
+/// per sample, runs each from scratch ([`Protocol::run`]). With
+/// [`TwoPartyConfig::finality_margin`] at least
 /// [`min_finality_margin`], re-delivering reorgs are absorbed by the padded
 /// contract deadlines; below it they can push a party's last-tick call past
 /// its deadline.
@@ -1186,6 +1186,72 @@ mod tests {
             let overlay =
                 run_with_realism(&config(), Strategy::compliant(), Strategy::compliant(), &realism);
             assert_eq!(format!("{plain:?}"), format!("{overlay:?}"));
+        }
+    }
+
+    /// Runs `swap` under `profile` in a bare round loop that skips no round.
+    fn run_every_round(swap: &TwoPartySwap, profile: Profile<'_>) -> TwoPartyReport {
+        let mut world = World::new(1);
+        let setup = swap.setup(&mut world);
+        let mut parties = swap.script(&setup, profile);
+        let (mut rounds, mut failed) = (0, 0);
+        while rounds < swap.max_rounds() as usize && !parties.iter().all(chainsim::Actor::done) {
+            failed += chainsim::run_round(&mut world, &mut parties).failed;
+            rounds += 1;
+        }
+        let capture = swap.capture(&world, &setup, rounds, failed);
+        swap.judge(&setup, &capture, profile)
+    }
+
+    #[test]
+    fn skipped_pure_wait_rounds_change_no_report_under_windows_or_reorgs() {
+        let space: Vec<Strategy> = strategy_space().into_iter().step_by(13).collect();
+        // A skip that ignored the reorg schedule turned this swap (margin 0,
+        // a depth-2 reorg of the apricot chain at round 5) into an
+        // incomplete 13-round run with Bob 100 below his hedge.
+        let crash = Strategy::stop_after(3).with_fault(crate::script::Fault::Crash { step: 1 });
+        assert!(space.contains(&crash));
+        let reorg = |chain, at_round, depth| chainsim::ReorgEvent {
+            chain,
+            at_round,
+            depth,
+            policy: chainsim::ReorgPolicy::Redeliver,
+        };
+        let windows = SwapRealism { apricot_depth: 2, banana_depth: 2, reorgs: Vec::new() };
+        let pinned = TwoPartySwap::hedged(config())
+            .with_realism(SwapRealism { reorgs: vec![reorg(APRICOT, 5, 2)], ..windows.clone() })
+            .run(&profile(crash, Strategy::compliant()), &mut World::new(1));
+        assert!(pinned.swap_completed);
+        assert_eq!((pinned.rounds, pinned.failed_actions, pinned.bob_hedge_margin), (10, 0, 0));
+
+        let mut world = World::new(1);
+        for margin in 0..=2 {
+            let config = TwoPartyConfig { finality_margin: margin, ..config() };
+            // No overlay, where rounds are skipped, then windows with no
+            // reorg or one, where none may be.
+            let mut overlays = vec![SwapRealism::default(), windows.clone()];
+            for chain in [APRICOT, BANANA] {
+                for at_round in 1..swap_max_rounds(&config) {
+                    for depth in 1..=2 {
+                        let reorgs = vec![reorg(chain, at_round, depth)];
+                        overlays.push(SwapRealism { reorgs, ..windows.clone() });
+                    }
+                }
+            }
+            for realism in overlays {
+                let swap = TwoPartySwap::hedged(config.clone()).with_realism(realism);
+                for &alice in &space {
+                    for &bob in &space {
+                        let profile = profile(alice, bob);
+                        assert_eq!(
+                            format!("{:?}", swap.run(&profile, &mut world)),
+                            format!("{:?}", run_every_round(&swap, &profile)),
+                            "margin {margin}, {:?}, {alice} vs {bob}",
+                            swap.realism
+                        );
+                    }
+                }
+            }
         }
     }
 
