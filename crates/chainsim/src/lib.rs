@@ -65,7 +65,7 @@ pub use ledger::oracle::MapLedger;
 pub use ledger::{AccountRef, Ledger};
 pub use sim::{run_round, Action, Actor, Scheduler, Tally};
 pub use spec::{Disposition, FundSpec, StateMachine, StateSpec, TimeWindow, TransitionSpec};
-pub use time::{StepSchedule, Time};
+pub use time::Time;
 pub use world::{TraceMode, World, WorldSnapshot};
 
 // Thread-safety contract: simulated worlds and actions cross

@@ -9,8 +9,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// All chains in a [`crate::World`] advance their heights in lock-step, so a
 /// single `Time` value describes the global state of the clock. The paper's
-/// synchrony bound Δ is a number of blocks; timeouts such as `3Δ` are
-/// computed with [`StepSchedule`].
+/// synchrony bound Δ is a number of blocks, so a timeout such as `3Δ` is
+/// a height `3Δ` blocks after the protocol start.
 #[derive(
     Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
 )]
@@ -69,58 +69,6 @@ impl Sub<Time> for Time {
     }
 }
 
-/// Converts protocol steps (multiples of Δ) into absolute [`Time`] values.
-///
-/// The paper expresses every timeout as `k·Δ` after the protocol start; a
-/// `StepSchedule` fixes the start time and the value of Δ so those timeouts
-/// can be computed uniformly.
-///
-/// # Examples
-///
-/// ```
-/// use chainsim::{StepSchedule, Time};
-///
-/// let schedule = StepSchedule::new(Time::ZERO, 12);
-/// assert_eq!(schedule.deadline(3), Time(36)); // 3Δ with Δ = 12 blocks
-/// ```
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct StepSchedule {
-    start: Time,
-    delta_blocks: u64,
-}
-
-impl StepSchedule {
-    /// Creates a schedule starting at `start` with Δ equal to `delta_blocks`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delta_blocks` is zero.
-    pub fn new(start: Time, delta_blocks: u64) -> Self {
-        assert!(delta_blocks > 0, "Δ must be at least one block");
-        StepSchedule { start, delta_blocks }
-    }
-
-    /// The protocol start time.
-    pub fn start(&self) -> Time {
-        self.start
-    }
-
-    /// The synchrony bound Δ in blocks.
-    pub fn delta_blocks(&self) -> u64 {
-        self.delta_blocks
-    }
-
-    /// Returns the absolute deadline `steps · Δ` after the start.
-    pub fn deadline(&self, steps: u64) -> Time {
-        self.start.plus(steps * self.delta_blocks)
-    }
-
-    /// Returns how many whole Δ-steps have elapsed at time `now`.
-    pub fn steps_elapsed(&self, now: Time) -> u64 {
-        (now - self.start) / self.delta_blocks
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,23 +85,5 @@ mod tests {
         assert_eq!(Time(9) - Time(4), 5);
         assert_eq!(Time(4) - Time(9), 0);
         assert_eq!(t.to_string(), "t=5");
-    }
-
-    #[test]
-    fn schedule_deadlines() {
-        let s = StepSchedule::new(Time(10), 4);
-        assert_eq!(s.deadline(0), Time(10));
-        assert_eq!(s.deadline(3), Time(22));
-        assert_eq!(s.steps_elapsed(Time(10)), 0);
-        assert_eq!(s.steps_elapsed(Time(21)), 2);
-        assert_eq!(s.steps_elapsed(Time(22)), 3);
-        assert_eq!(s.start(), Time(10));
-        assert_eq!(s.delta_blocks(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "Δ must be at least one block")]
-    fn schedule_rejects_zero_delta() {
-        let _ = StepSchedule::new(Time::ZERO, 0);
     }
 }

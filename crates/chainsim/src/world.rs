@@ -14,7 +14,7 @@ use crate::error::ChainError;
 #[cfg(test)]
 use crate::ids::ContractId;
 use crate::ids::{AssetId, ChainId, ContractAddr, Label, PartyId};
-use crate::time::{StepSchedule, Time};
+use crate::time::Time;
 
 /// A collection of blockchains that advance in lock-step.
 ///
@@ -58,7 +58,6 @@ pub struct World {
     /// `asset_names[i]` is the registered name of `AssetId(i)`.
     asset_names: Vec<String>,
     delta_blocks: u64,
-    started_at: Time,
     /// World rounds completed so far (one per [`World::advance_delta`]);
     /// the clock that [`ReorgEvent::at_round`] schedules against.
     rounds_elapsed: u64,
@@ -111,7 +110,6 @@ impl World {
             labels: BTreeMap::new(),
             asset_names: Vec::new(),
             delta_blocks,
-            started_at: Time::ZERO,
             rounds_elapsed: 0,
             pending_reorgs: Vec::new(),
             caches: SimCaches::new(),
@@ -142,7 +140,6 @@ impl World {
         self.asset_names.clear();
         self.registry_version = next_registry_version();
         self.delta_blocks = delta_blocks;
-        self.started_at = Time::ZERO;
         self.rounds_elapsed = 0;
         self.pending_reorgs.clear();
     }
@@ -240,16 +237,6 @@ impl World {
     /// The current global time (all chains share the same height).
     pub fn now(&self) -> Time {
         self.chains.first().map(Blockchain::height).unwrap_or(Time::ZERO)
-    }
-
-    /// A [`StepSchedule`] anchored at the protocol start time.
-    pub fn schedule(&self) -> StepSchedule {
-        StepSchedule::new(self.started_at, self.delta_blocks)
-    }
-
-    /// Marks the current time as the protocol start for timeout computation.
-    pub fn mark_protocol_start(&mut self) {
-        self.started_at = self.now();
     }
 
     /// Ends the current round: fires any reorg scheduled for it, then
@@ -402,7 +389,6 @@ impl World {
             labels: self.labels.clone(),
             asset_names: self.asset_names.clone(),
             delta_blocks: self.delta_blocks,
-            started_at: self.started_at,
             rounds_elapsed: self.rounds_elapsed,
             pending_reorgs: self.pending_reorgs.clone(),
             registry_version: self.registry_version,
@@ -445,7 +431,6 @@ impl World {
             self.registry_version = snap.registry_version;
         }
         self.delta_blocks = snap.delta_blocks;
-        self.started_at = snap.started_at;
         self.rounds_elapsed = snap.rounds_elapsed;
         self.pending_reorgs.clone_from(&snap.pending_reorgs);
     }
@@ -469,7 +454,6 @@ pub struct WorldSnapshot {
     labels: BTreeMap<Label, ContractAddr>,
     asset_names: Vec<String>,
     delta_blocks: u64,
-    started_at: Time,
     rounds_elapsed: u64,
     pending_reorgs: Vec<ReorgEvent>,
     registry_version: u64,
@@ -599,16 +583,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_tracks_protocol_start() {
-        let mut world = World::new(5);
-        let _ = world.add_chain("a");
-        world.advance_delta();
-        world.mark_protocol_start();
-        assert_eq!(world.schedule().start(), Time(5));
-        assert_eq!(world.schedule().deadline(2), Time(15));
-    }
-
-    #[test]
     #[should_panic(expected = "no such chain")]
     fn chain_accessor_panics_on_missing() {
         let world = World::new(1);
@@ -633,14 +607,12 @@ mod tests {
         world.chain_mut(a).mint(PartyId(0), coin, Amount::new(5));
         world.publish_labeled(a, PartyId(0), "escrow", Box::new(Noop));
         world.advance_delta();
-        world.mark_protocol_start();
 
         world.reset(3);
         assert_eq!(world.chain_count(), 0);
         assert_eq!(world.now(), Time::ZERO);
         assert_eq!(world.delta_blocks(), 3);
         assert_eq!(world.lookup("escrow"), None);
-        assert_eq!(world.schedule().start(), Time::ZERO);
         assert!(world.directory().is_empty());
 
         // Replaying the same setup yields the same ids and a clean slate.

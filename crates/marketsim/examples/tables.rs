@@ -1,4 +1,5 @@
-//! Prints the C7/C8 tables (used to cross-check EXPERIMENTS.md).
+//! Prints experiment C7, the fair lock-up premium (CRR, principal 100,
+//! blocks are hours), and C8, swap success with a rational counterparty.
 use marketsim::adequacy::premium_grid;
 use marketsim::rational::{compare_protocols, RationalExperiment};
 
@@ -7,6 +8,13 @@ fn main() {
     let min = rows.iter().map(|r| r.premium).fold(f64::MAX, f64::min);
     let max = rows.iter().map(|r| r.premium).fold(0.0f64, f64::max);
     println!("premium range: {min:.2} .. {max:.2}");
+    println!("lockup (blocks) | volatility | premium | fraction of principal");
+    for r in &rows {
+        println!(
+            "{} | {:.2} | {:.3} | {:.4}",
+            r.lockup_blocks, r.volatility, r.premium, r.premium_fraction
+        );
+    }
     for volatility in [0.2, 0.5, 1.0, 2.0] {
         let c =
             compare_protocols(&RationalExperiment { volatility, ..RationalExperiment::default() });

@@ -1205,36 +1205,56 @@ mod tests {
 
     #[test]
     fn skipped_pure_wait_rounds_change_no_report_under_windows_or_reorgs() {
+        use chainsim::ReorgPolicy::{DropCalls, Redeliver};
         let space: Vec<Strategy> = strategy_space().into_iter().step_by(13).collect();
-        // A skip that ignored the reorg schedule turned this swap (margin 0,
-        // a depth-2 reorg of the apricot chain at round 5) into an
-        // incomplete 13-round run with Bob 100 below his hedge.
         let crash = Strategy::stop_after(3).with_fault(crate::script::Fault::Crash { step: 1 });
         assert!(space.contains(&crash));
-        let reorg = |chain, at_round, depth| chainsim::ReorgEvent {
+        let reorg = |chain, at_round, depth, policy| chainsim::ReorgEvent {
             chain,
             at_round,
             depth,
-            policy: chainsim::ReorgPolicy::Redeliver,
+            policy,
         };
         let windows = SwapRealism { apricot_depth: 2, banana_depth: 2, reorgs: Vec::new() };
-        let pinned = TwoPartySwap::hedged(config())
-            .with_realism(SwapRealism { reorgs: vec![reorg(APRICOT, 5, 2)], ..windows.clone() })
-            .run(&profile(crash, Strategy::compliant()), &mut World::new(1));
-        assert!(pinned.swap_completed);
-        assert_eq!((pinned.rounds, pinned.failed_actions, pinned.bob_hedge_margin), (10, 0, 0));
+        let deep = SwapRealism { apricot_depth: 3, banana_depth: 3, reorgs: Vec::new() };
+        let pinned = |realism: &SwapRealism, reorg| {
+            let realism = SwapRealism { reorgs: vec![reorg], ..realism.clone() };
+            TwoPartySwap::hedged(config())
+                .with_realism(realism)
+                .run(&profile(crash, Strategy::compliant()), &mut World::new(1))
+        };
+        // A skip that ignored the reorg schedule turned this swap (margin 0,
+        // a depth-2 reorg of the apricot chain at round 5) into an
+        // incomplete 13-round run with Bob 100 below his hedge.
+        let redelivered = pinned(&windows, reorg(APRICOT, 5, 2, Redeliver));
+        assert!(redelivered.swap_completed);
+        let outcome =
+            (redelivered.rounds, redelivered.failed_actions, redelivered.bob_hedge_margin);
+        assert_eq!(outcome, (10, 0, 0));
+        // A skip that ignored its guards but still counted rounds jumped
+        // over this depth-3 reorg, which drops calls, and completed the
+        // swap in 10 rounds.
+        let dropped = pinned(&deep, reorg(APRICOT, 3, 3, DropCalls));
+        assert!(!dropped.swap_completed);
+        assert_eq!((dropped.rounds, dropped.failed_actions), (14, 0));
 
         let mut world = World::new(1);
         for margin in 0..=2 {
             let config = TwoPartyConfig { finality_margin: margin, ..config() };
             // No overlay, where rounds are skipped, then windows with no
-            // reorg or one, where none may be.
+            // reorg or one, where none may be: depth-2 windows with a
+            // redelivering reorg of depth 1 or 2, and depth-3 windows with
+            // a depth-3 reorg under either policy.
             let mut overlays = vec![SwapRealism::default(), windows.clone()];
             for chain in [APRICOT, BANANA] {
                 for at_round in 1..swap_max_rounds(&config) {
                     for depth in 1..=2 {
-                        let reorgs = vec![reorg(chain, at_round, depth)];
+                        let reorgs = vec![reorg(chain, at_round, depth, Redeliver)];
                         overlays.push(SwapRealism { reorgs, ..windows.clone() });
+                    }
+                    for policy in [Redeliver, DropCalls] {
+                        let reorgs = vec![reorg(chain, at_round, 3, policy)];
+                        overlays.push(SwapRealism { reorgs, ..deep.clone() });
                     }
                 }
             }

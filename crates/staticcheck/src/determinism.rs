@@ -38,8 +38,8 @@ use std::path::{Path, PathBuf};
 use crate::{codes, Finding};
 
 /// The crates whose sources must be deterministic. Vendored stand-ins are
-/// exempt (they are dependency shims, not semantics), as is the `bench`
-/// crate (its wall-clock timing is its purpose).
+/// exempt (they are dependency shims, not semantics), and so are examples,
+/// which live outside `src` and may time themselves.
 pub const SEMANTIC_CRATES: &[&str] = &[
     "chainsim",
     "contracts",

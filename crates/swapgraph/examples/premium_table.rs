@@ -1,4 +1,6 @@
-//! Prints the C3 premium-scaling table (used to cross-check EXPERIMENTS.md).
+//! Prints experiment C3: the leader's redemption premium on cycles (linear)
+//! and complete digraphs (exponential), and the bootstrap rounds that bring
+//! the complete digraph's premium back to about n·p.
 use swapgraph::bootstrap::rounds_needed;
 use swapgraph::{premiums, Digraph};
 

@@ -23,4 +23,11 @@ fn main() {
         );
         println!();
     }
+
+    // Setup endows the auctioneer with one premium per bidder.
+    let premium = AuctionConfig::default().premium;
+    println!("== auctioneer premium endowment n·p by bidder count n (p = {premium}) ==");
+    for n in 2..=6u128 {
+        println!("  n = {n}: {}", premium.scaled(n));
+    }
 }

@@ -4,7 +4,7 @@
 use sore_loser_hedging::chainsim::World;
 use sore_loser_hedging::protocols::bootstrap::{BootstrapConfig, BootstrapDeviation, ALICE};
 use sore_loser_hedging::protocols::script::Protocol;
-use sore_loser_hedging::swapgraph::bootstrap::{bootstrap_plan, rounds_needed};
+use sore_loser_hedging::swapgraph::bootstrap::{bootstrap_plan, lockup_durations, rounds_needed};
 
 fn main() {
     let (a, b, ratio, risk) = (500_000u128, 500_000u128, 100u128, 4u128);
@@ -30,4 +30,16 @@ fn main() {
         "  Alice payoff {:+}, Bob payoff {:+}, compliant loss bounded: {}",
         report.alice_payoff, report.bob_payoff, report.loss_bounded_by_initial_risk
     );
+
+    println!("\nRounds needed at {}% premiums and ${risk} initial risk:", 100 / ratio);
+    for value in [1_000u128, 10_000, 100_000, 1_000_000, 10_000_000] {
+        println!("  ${value}: {}", rounds_needed(value, risk, ratio));
+    }
+
+    println!("\nLock-up risk duration is independent of rounds (steps of Δ):");
+    println!("{:<7} {:>15} {:>15}", "rounds", "risk duration", "whole protocol");
+    for rounds in 0..=5u32 {
+        let (exposure, total) = lockup_durations(6, rounds);
+        println!("{rounds:<7} {exposure:>15} {total:>15}");
+    }
 }

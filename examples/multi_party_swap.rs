@@ -1,6 +1,6 @@
 //! The three-party swap of Figure 3a, compliant and with Carol defecting.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use sore_loser_hedging::chainsim::{PartyId, World};
 use sore_loser_hedging::protocols::multi_party::figure3_config;
@@ -13,6 +13,12 @@ fn main() {
     println!("  leader premium R(A) = {}", premiums::leader_redemption_premium(&g, 0, 1));
     for entry in premiums::redemption_premium_table(&g, 0, 1) {
         println!("  arc {:?} path {:?}: {}p", entry.arc, entry.path, entry.amount);
+    }
+    println!("Figure 3a escrow premiums E(u, v) (Eq. 2, p = 1):");
+    let escrow_premiums = premiums::escrow_premium_table(&g, &BTreeSet::from([0]), 1)
+        .expect("Alice alone is a leader set of Figure 3a");
+    for (arc, premium) in escrow_premiums {
+        println!("  arc {arc:?}: {premium}p");
     }
 
     println!("\n== Compliant three-party swap ==");

@@ -6,10 +6,12 @@
 # A code line is a non-blank line of a `.rs` file under `crates/*/src` or
 # the facade's `src` that does not start with `//` (after indentation), so
 # comments and doc comments do not count. A file's test code starts at its
-# first `#[cfg(test)]` in column 0, and nothing from there on counts; an
-# indented `#[cfg(test)]` (a test-only item inside non-test code) does not
-# end the count. The vendored stand-ins under `crates/vendored` are not
-# counted. Prints one line per crate, then the workspace total.
+# first column-0 `#[cfg(test)]` whose next line starts with `mod `, and
+# nothing from there on counts. Any other `#[cfg(test)]` (on a test-only
+# `use`, or indented on an item inside non-test code) does not end the
+# count, and it and its item count as code. The vendored stand-ins under
+# `crates/vendored` are not counted. Prints one line per crate, then the
+# workspace total.
 set -euo pipefail
 
 cd "$(git rev-parse --show-toplevel)"
@@ -17,9 +19,11 @@ cd "$(git rev-parse --show-toplevel)"
 # Prints the code lines of the `.rs` files under directory $1.
 count() {
     find "$1" -name '*.rs' -print0 | sort -z | xargs -0 -r awk '
-        FNR == 1 { in_tests = 0 }
-        /^#\[cfg\(test\)\]/ { in_tests = 1 }
-        !in_tests && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { lines++ }
+        FNR == 1 { in_tests = 0; held = 0 }
+        in_tests { next }
+        held { held = 0; if (/^mod /) { in_tests = 1; next } lines++ }
+        /^#\[cfg\(test\)\]/ { held = 1; next }
+        !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { lines++ }
         END { print lines + 0 }'
 }
 
