@@ -11,7 +11,7 @@ use crate::contract::{unwind, CallEnv, Contract, ContractMessage, UndoOp};
 use crate::error::ChainError;
 #[cfg(test)]
 use crate::error::ContractError;
-use crate::gas::{GasMeter, GasSchedule};
+use crate::gas::GasSchedule;
 use crate::ids::{AssetId, ChainId, ContractId, PartyId};
 use crate::ledger::{AccountRef, Ledger};
 use crate::time::Time;
@@ -105,15 +105,13 @@ struct SpecRound {
     /// The height the round opened at. Heights never rewind; the restore
     /// integrity checks read it.
     height: Time,
-    /// Contract count and gas `last_call` at the start.
+    /// Contract count and gas total at the start.
     contracts: usize,
-    last_call: u64,
+    gas_total: u64,
     /// Ledger transfers and mints, in execution order.
     undo: Vec<UndoOp>,
     /// Each committed call's pre-call contract state, in call order.
     backups: Vec<(usize, Box<dyn Contract>)>,
-    /// Every gas charge: publishes and calls, failed calls included.
-    gas: Vec<(PartyId, u64)>,
     actions: Vec<RecordedAction>,
 }
 
@@ -142,7 +140,7 @@ impl Clone for RecordedAction {
 ///
 /// Chains are created through [`crate::World::add_chain`] and advance their
 /// heights in lock-step with the rest of the world. All state is public:
-/// any party may read the ledger, the gas meter and the state of any
+/// any party may read the ledger, the gas total and the state of any
 /// contract (via [`Blockchain::contract_as`]), mirroring the transparency
 /// assumption of the paper.
 ///
@@ -161,7 +159,8 @@ pub struct Blockchain {
     /// Slot `i` holds the contract with `ContractId(i)`; a slot is `None`
     /// only transiently while its contract is executing a call.
     contracts: Vec<Option<Box<dyn Contract>>>,
-    gas: GasMeter,
+    /// Gas burned on this chain; see the `gas` module.
+    gas_total: u64,
     finality: FinalityParams,
     /// The speculative window: one journal per revertible round, oldest
     /// first. Empty whenever `finality.depth == 0`.
@@ -182,7 +181,7 @@ impl Blockchain {
             height: Time::ZERO,
             ledger: Ledger::new(),
             contracts: Vec::new(),
-            gas: GasMeter::new(),
+            gas_total: 0,
             finality: FinalityParams::INSTANT,
             window: VecDeque::new(),
             reorg_stats: ReorgStats::default(),
@@ -201,7 +200,7 @@ impl Blockchain {
         self.height = Time::ZERO;
         self.ledger.clear();
         self.contracts.clear();
-        self.gas.clear();
+        self.gas_total = 0;
         self.finality = FinalityParams::INSTANT;
         self.window.clear();
         self.reorg_stats = ReorgStats::default();
@@ -257,10 +256,10 @@ impl Blockchain {
         self.ledger.mint(account, asset, amount);
     }
 
-    /// The chain's gas meter: total burned, per-party attribution and the
-    /// cost of the most recent call.
-    pub fn gas_meter(&self) -> &GasMeter {
-        &self.gas
+    /// The gas burned on this chain by every publish and call, failed
+    /// calls included, since creation or the last recycle.
+    pub fn gas_total(&self) -> u64 {
+        self.gas_total
     }
 
     /// The chain's finality parameters (instant finality by default).
@@ -288,13 +287,12 @@ impl Blockchain {
         self.reorg_stats
     }
 
-    /// Publishes a new contract and returns its id.
+    /// Publishes a new contract on behalf of `publisher` and returns its id.
     ///
-    /// Publishing burns [`GasSchedule::publish`] gas, charged to the
-    /// publisher.
+    /// Publishing burns [`GasSchedule::publish`] gas.
     pub fn publish(&mut self, publisher: PartyId, contract: Box<dyn Contract>) -> ContractId {
         let id = ContractId(self.contracts.len() as u64);
-        self.charge(publisher, GasSchedule::DEFAULT.publish);
+        self.gas_total += GasSchedule::DEFAULT.publish;
         if let Some(round) = self.window.back_mut() {
             // Record the contract's initial state: a re-delivered publish
             // replays later calls on top, reproducing the rewound history.
@@ -308,8 +306,7 @@ impl Blockchain {
 
     /// Calls contract `id` with the typed message `msg` on behalf of `caller`.
     ///
-    /// Calls are transactional: the dispatch runs inside an implicit
-    /// commit/rollback frame. On success every effect commits; on failure
+    /// Calls are transactional. On success every effect commits; on failure
     /// the ledger operations the contract performed before failing are
     /// rolled back and the contract's pre-call state is restored, so a
     /// failed call leaves **zero residue** — except gas, which stays charged
@@ -381,7 +378,7 @@ impl Blockchain {
         }
         self.undo.clear();
         // Failed calls still burn the gas they consumed before failing.
-        self.charge(caller, gas_used);
+        self.gas_total += gas_used;
         match result {
             Ok(()) => {
                 self.contracts[slot] = Some(contract);
@@ -451,24 +448,14 @@ impl Blockchain {
         self.height = self.height.plus(blocks);
     }
 
-    /// Meters `gas` to `party`, journaled in the open round (if any) so a
-    /// reorg takes it back.
-    fn charge(&mut self, party: PartyId, gas: u64) {
-        self.gas.charge(party, gas);
-        if let Some(round) = self.window.back_mut() {
-            round.gas.push((party, gas));
-        }
-    }
-
     /// An empty round journal opening at the chain's current state.
     fn open_round(&self) -> SpecRound {
         SpecRound {
             height: self.height,
             contracts: self.contracts.len(),
-            last_call: self.gas.last_call(),
+            gas_total: self.gas_total,
             undo: Vec::new(),
             backups: Vec::new(),
-            gas: Vec::new(),
             actions: Vec::new(),
         }
     }
@@ -490,8 +477,8 @@ impl Blockchain {
 
     /// Executes a reorg of `depth` rounds (clamped to the speculative
     /// window) at the current height: unwinds the rewound rounds' journals
-    /// newest-first back to the start of the oldest — heights never move
-    /// backwards — then re-delivers the rewound publishes and, per `policy`,
+    /// newest-first back to the start of the oldest, whose opening gas total
+    /// it restores — heights never move backwards — then re-delivers the rewound publishes and, per `policy`,
     /// the rewound calls, in their original order at the current height.
     /// Returns the number of rounds actually rewound.
     pub(crate) fn reorg(
@@ -512,7 +499,7 @@ impl Blockchain {
                 self.contracts[slot] = Some(backup);
             }
             self.contracts.truncate(round.contracts);
-            self.gas.unwind(&round.gas, round.last_call);
+            self.gas_total = round.gas_total;
         }
         // Re-open the current round on top of the rewound state; re-delivered
         // actions are recorded into it like any other call of this round.
@@ -559,7 +546,7 @@ impl Blockchain {
         self.height = snap.height;
         self.ledger.clone_from(&snap.ledger);
         self.contracts.clone_from(&snap.contracts);
-        self.gas.restore_from(&snap.gas);
+        self.gas_total = snap.gas_total;
         self.finality = snap.finality;
         self.window.clone_from(&snap.window);
         self.reorg_stats = snap.reorg_stats;
@@ -686,13 +673,14 @@ mod tests {
     fn failed_calls_are_logged_and_propagated() {
         let mut chain = chain_fixture();
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let gas = chain.gas_total();
         let err = chain.call(PartyId(0), id, &CounterMsg::Fail, &dir(), &mut caches()).unwrap_err();
         assert!(matches!(
             &err,
             ChainError::ContractFailed { source, .. } if source.to_string().contains("always fails")
         ));
-        // The gas meter records the rejected call.
-        assert_eq!(chain.gas_meter().last_call(), GasSchedule::DEFAULT.call_base);
+        // The gas total meters the rejected call.
+        assert_eq!(chain.gas_total() - gas, GasSchedule::DEFAULT.call_base);
         // The contract survives a failed call.
         assert!(chain.contract(id).is_some());
     }
@@ -767,22 +755,18 @@ mod tests {
         let mut chain = chain_fixture();
         chain.mint(PartyId(0), AssetId(0), Amount::new(10));
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
-        assert_eq!(chain.gas_meter().total(), schedule.publish);
+        assert_eq!(chain.gas_total(), schedule.publish);
 
         chain.call(PartyId(1), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
-        assert_eq!(chain.gas_meter().last_call(), schedule.call_base);
+        assert_eq!(chain.gas_total(), schedule.publish + schedule.call_base);
         chain
             .call(PartyId(0), id, &CounterMsg::Deposit(Amount::new(6)), &dir(), &mut caches())
             .unwrap();
-        assert_eq!(chain.gas_meter().last_call(), schedule.call_base + schedule.ledger_op);
+        let gas = chain.gas_total();
+        assert_eq!(gas, schedule.publish + 2 * schedule.call_base + schedule.ledger_op);
         // Failed calls still burn their base gas.
         let _ = chain.call(PartyId(1), id, &CounterMsg::Fail, &dir(), &mut caches()).unwrap_err();
-        assert_eq!(chain.gas_meter().last_call(), schedule.call_base);
-        assert_eq!(chain.gas_meter().spent_by(PartyId(1)), 2 * schedule.call_base);
-        assert_eq!(
-            chain.gas_meter().total(),
-            schedule.publish + 3 * schedule.call_base + schedule.ledger_op
-        );
+        assert_eq!(chain.gas_total() - gas, schedule.call_base);
     }
 
     #[test]
@@ -790,10 +774,9 @@ mod tests {
         let mut chain = chain_fixture();
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
         chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
-        assert!(chain.gas_meter().total() > 0);
+        assert!(chain.gas_total() > 0);
         chain.recycle(ChainId(1), "fresh", AssetId(0));
-        assert_eq!(chain.gas_meter().total(), 0);
-        assert_eq!(chain.gas_meter().last_call(), 0);
+        assert_eq!(chain.gas_total(), 0);
     }
 
     #[test]
@@ -850,11 +833,14 @@ mod tests {
             .unwrap();
         chain.end_round(1);
         chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
+        let gas = chain.gas_total();
 
         let rewound = chain.reorg(2, ReorgPolicy::Redeliver, &dir(), &mut caches());
         assert_eq!(rewound, 2);
         // Pure re-delivery of deadline-free calls is observationally
-        // identical: balances and contract state land where they started.
+        // identical: balances, contract state and gas land where they
+        // started.
+        assert_eq!(chain.gas_total(), gas);
         assert_eq!(chain.balance(AccountRef::Contract(id), AssetId(0)), Amount::new(6));
         assert_eq!(chain.balance(AccountRef::Party(PartyId(0)), AssetId(0)), Amount::new(4));
         let counter = chain.contract_as::<Counter>(id).unwrap();
@@ -876,19 +862,31 @@ mod tests {
         chain.mint(PartyId(0), AssetId(0), Amount::new(10));
         chain.set_finality(FinalityParams { depth: 2, delta: 0 });
         chain.end_round(1);
+        let opening_gas = chain.gas_total();
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
         chain
             .call(PartyId(0), id, &CounterMsg::Deposit(Amount::new(6)), &dir(), &mut caches())
             .unwrap();
+        chain.end_round(1);
+        // A second speculative round of calls, which opens at a higher gas
+        // total than the first.
+        chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
+        chain
+            .call(PartyId(0), id, &CounterMsg::Deposit(Amount::new(1)), &dir(), &mut caches())
+            .unwrap();
 
-        let rewound = chain.reorg(1, ReorgPolicy::DropCalls, &dir(), &mut caches());
-        assert_eq!(rewound, 1);
-        // The publish re-landed (same id), the deposit vanished.
-        assert!(chain.contract_as::<Counter>(id).is_some());
+        let rewound = chain.reorg(2, ReorgPolicy::DropCalls, &dir(), &mut caches());
+        assert_eq!(rewound, 2);
+        // The publish re-landed (same id), the calls of both rounds vanished.
+        let counter = chain.contract_as::<Counter>(id).unwrap();
+        assert_eq!((counter.count, counter.deposited), (0, Amount::ZERO));
         assert_eq!(chain.balance(AccountRef::Contract(id), AssetId(0)), Amount::ZERO);
         assert_eq!(chain.balance(AccountRef::Party(PartyId(0)), AssetId(0)), Amount::new(10));
+        // Gas is back at the oldest rewound round's opening total, plus the
+        // re-landed publish.
+        assert_eq!(chain.gas_total(), opening_gas + GasSchedule::DEFAULT.publish);
         let stats = chain.reorg_stats();
-        assert_eq!(stats.dropped_calls, 1);
+        assert_eq!(stats.dropped_calls, 3);
         assert_eq!(stats.redelivered_calls, 0);
     }
 
@@ -899,7 +897,7 @@ mod tests {
         chain.set_finality(FinalityParams { depth: 2, delta: 0 });
         let id = chain.publish(PartyId(0), Box::new(Counter::default()));
         chain.end_round(1);
-        let gas = chain.gas_meter().total();
+        let gas = chain.gas_total();
         // A speculative mint, a deposit spending it, and a mint of an asset
         // the ledger has never held.
         chain.mint(PartyId(0), AssetId(0), Amount::new(5));
@@ -914,7 +912,7 @@ mod tests {
         assert_eq!(chain.ledger().total_supply(AssetId(0)), Amount::new(10));
         assert_eq!(chain.ledger().total_supply(AssetId(7)), Amount::ZERO);
         assert_eq!(chain.contract_as::<Counter>(id).unwrap().deposited, Amount::ZERO);
-        assert_eq!(chain.gas_meter().total(), gas);
+        assert_eq!(chain.gas_total(), gas);
     }
 
     #[test]

@@ -120,9 +120,9 @@ pub struct CallEnv<'a> {
     gas_used: u64,
     /// The chain's undo journal: this call appends its applied ledger
     /// transfers, in execution order, past `undo_floor`. A failed `handle`
-    /// unwinds them (and [`CallEnv::with_transaction`] unwinds its own
-    /// suffix), so multi-op contract steps commit or roll back atomically;
-    /// inside a finality window committed entries stay for a reorg.
+    /// unwinds them, so multi-op contract steps commit or roll back
+    /// atomically; inside a finality window committed entries stay for a
+    /// reorg.
     undo: &'a mut Vec<UndoOp>,
     /// Journal length at call entry: where a failed call unwinds to.
     undo_floor: usize,
@@ -159,7 +159,7 @@ impl UndoOp {
 
 /// Reverse-applies the `journal` entries past `mark`, newest first, and
 /// truncates the journal to `mark`: the one rollback routine behind failed
-/// calls, [`CallEnv::with_transaction`] frames and, round by round, reorgs.
+/// calls and, round by round, reorgs.
 /// A transfer is reversed by the opposite transfer and a mint by burning
 /// what it created.
 pub(crate) fn unwind(ledger: &mut Ledger, journal: &mut Vec<UndoOp>, mark: usize) {
@@ -225,37 +225,6 @@ impl<'a> CallEnv<'a> {
     /// metered is deliberately left charged.
     pub(crate) fn rollback_all(self) {
         unwind(self.ledger, self.undo, self.undo_floor);
-    }
-
-    /// Runs `f` inside an explicit commit/rollback frame.
-    ///
-    /// On `Ok` the frame commits: every ledger operation `f` performed stays
-    /// applied. On `Err` the frame rolls back: transfers are reverse-applied
-    /// in reverse order, leaving the chain exactly as it was at frame entry
-    /// — except gas, which stays charged for the work actually attempted.
-    /// Frames nest: an inner rollback leaves the outer frame's effects
-    /// intact.
-    ///
-    /// [`crate::Blockchain::call`] wraps every `handle` dispatch in an
-    /// implicit outer frame, so plain contracts are transactional without
-    /// opting in; `with_transaction` is for contracts that want to attempt a
-    /// compound sub-step and fall back without failing the whole call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `f`'s error after rolling the frame back.
-    pub fn with_transaction<T>(
-        &mut self,
-        f: impl FnOnce(&mut CallEnv<'a>) -> Result<T, ContractError>,
-    ) -> Result<T, ContractError> {
-        let undo_mark = self.undo.len();
-        match f(self) {
-            Ok(value) => Ok(value),
-            Err(err) => {
-                unwind(self.ledger, self.undo, undo_mark);
-                Err(err)
-            }
-        }
     }
 
     /// The public-key directory used to verify signatures on hashkey paths.
@@ -558,64 +527,5 @@ mod tests {
         // Cloning through the trait object preserves the concrete type.
         let cloned = msg.as_ref().clone_message();
         assert!(cloned.as_ref().as_any().downcast_ref::<Ping>().is_some());
-    }
-
-    #[test]
-    fn with_transaction_commits_on_ok_and_rolls_back_on_err() {
-        let mut ledger = Ledger::new();
-        let mut caches = SimCaches::new();
-        ledger.mint(AccountRef::Party(PartyId(1)), AssetId(0), Amount::new(10));
-        let mut env = env_fixture(&mut ledger, &mut caches, Time(2));
-
-        // Committed frame: effects stay.
-        env.with_transaction(|env| {
-            env.debit_caller(AssetId(0), Amount::new(4))?;
-            env.charge_note();
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(env.contract_balance(AssetId(0)), Amount::new(4));
-
-        // Rolled-back frame: the mid-frame transfer is reversed, the
-        // committed frame above is untouched, gas stays charged.
-        let gas_before = env.gas_used();
-        let err = env
-            .with_transaction(|env| {
-                env.debit_caller(AssetId(0), Amount::new(5))?;
-                env.charge_note();
-                Err::<(), _>(ContractError::invalid_state("abort"))
-            })
-            .unwrap_err();
-        assert!(matches!(err, ContractError::InvalidState { .. }));
-        assert_eq!(env.contract_balance(AssetId(0)), Amount::new(4));
-        assert_eq!(env.caller_balance(AssetId(0)), Amount::new(6));
-        let schedule = GasSchedule::DEFAULT;
-        assert_eq!(
-            env.gas_used(),
-            gas_before + schedule.ledger_op + schedule.note,
-            "attempted work stays metered"
-        );
-    }
-
-    #[test]
-    fn nested_transactions_roll_back_only_the_inner_frame() {
-        let mut ledger = Ledger::new();
-        let mut caches = SimCaches::new();
-        ledger.mint(AccountRef::Party(PartyId(1)), AssetId(0), Amount::new(10));
-        let mut env = env_fixture(&mut ledger, &mut caches, Time(2));
-        env.with_transaction(|env| {
-            env.debit_caller(AssetId(0), Amount::new(2))?;
-            let inner: Result<(), ContractError> = env.with_transaction(|env| {
-                env.debit_caller(AssetId(0), Amount::new(3))?;
-                Err(ContractError::invalid_state("inner abort"))
-            });
-            assert!(inner.is_err());
-            // The outer frame's transfer survived the inner rollback.
-            assert_eq!(env.contract_balance(AssetId(0)), Amount::new(2));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(env.contract_balance(AssetId(0)), Amount::new(2));
-        assert_eq!(env.caller_balance(AssetId(0)), Amount::new(8));
     }
 }

@@ -75,51 +75,6 @@ impl fmt::Display for AssetId {
     }
 }
 
-/// A contract discovery label: the agreed name under which a protocol step
-/// publishes a contract so counterparties can find it.
-///
-/// Labels used to be `String`s, which meant every scenario of a sweep
-/// re-`format!`ed the same per-arc and per-level names. A `Label` is a small
-/// `Copy` value — a static name, optionally parameterised by an arc or an
-/// index — rendered only on `Display`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum Label {
-    /// A fixed label, e.g. `"two-party/apricot-escrow"`.
-    Static(&'static str),
-    /// `"{ns}-{from}-{to}"` — per-arc labels, e.g. `"deal/arc-0-1"`.
-    Arc {
-        /// The namespace prefix (without the trailing separator).
-        ns: &'static str,
-        /// The arc's sender vertex.
-        from: u32,
-        /// The arc's receiver vertex.
-        to: u32,
-    },
-    /// `"{ns}-{index}"` — per-level labels, e.g. `"bootstrap/banana-2"`.
-    Indexed {
-        /// The namespace prefix (without the trailing separator).
-        ns: &'static str,
-        /// The instance index.
-        index: u64,
-    },
-}
-
-impl fmt::Display for Label {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Label::Static(name) => f.write_str(name),
-            Label::Arc { ns, from, to } => write!(f, "{ns}-{from}-{to}"),
-            Label::Indexed { ns, index } => write!(f, "{ns}-{index}"),
-        }
-    }
-}
-
-impl From<&'static str> for Label {
-    fn from(name: &'static str) -> Self {
-        Label::Static(name)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,20 +93,6 @@ mod tests {
         let a = ContractAddr::new(ChainId(0), ContractId(9));
         let b = ContractAddr::new(ChainId(1), ContractId(0));
         assert!(a < b);
-    }
-
-    #[test]
-    fn label_display_matches_the_old_string_forms() {
-        assert_eq!(
-            Label::Static("two-party/apricot-escrow").to_string(),
-            "two-party/apricot-escrow"
-        );
-        assert_eq!(Label::Arc { ns: "deal/arc", from: 0, to: 1 }.to_string(), "deal/arc-0-1");
-        assert_eq!(
-            Label::Indexed { ns: "bootstrap/banana", index: 2 }.to_string(),
-            "bootstrap/banana-2"
-        );
-        assert_eq!(Label::from("pot"), Label::Static("pot"));
     }
 
     #[test]

@@ -59,8 +59,8 @@ pub use caches::SimCaches;
 pub use chain::{Blockchain, FinalityParams, ReorgEvent, ReorgPolicy, ReorgStats};
 pub use contract::{CallEnv, Contract, ContractMessage};
 pub use error::{ChainError, ContractError, LedgerError};
-pub use gas::{GasMeter, GasSchedule};
-pub use ids::{AssetId, ChainId, ContractAddr, ContractId, Label, PartyId};
+pub use gas::GasSchedule;
+pub use ids::{AssetId, ChainId, ContractAddr, ContractId, PartyId};
 pub use ledger::oracle::MapLedger;
 pub use ledger::{AccountRef, Ledger};
 pub use sim::{run_round, Action, Actor, Scheduler, Tally};

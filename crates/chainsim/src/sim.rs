@@ -1,61 +1,24 @@
 //! The synchronous scheduler that drives actors (parties) against the world.
 
-use std::fmt;
-
-use crate::contract::{Contract, ContractMessage};
-use crate::ids::{ChainId, ContractAddr, Label, PartyId};
+use crate::contract::ContractMessage;
+use crate::ids::{ContractAddr, PartyId};
 use crate::time::Time;
 use crate::world::World;
 
-/// An action a party may take during one synchronous round.
-///
-/// Labels are structured [`Label`] values, so emitting an action allocates
-/// nothing beyond the boxed message or contract itself.
-pub enum Action {
-    /// Publish a contract on `chain`, registering it under `label` so that
-    /// counterparties can discover it.
-    Publish {
-        /// The chain to publish on.
-        chain: ChainId,
-        /// The agreed discovery label.
-        label: Label,
-        /// The contract to publish.
-        contract: Box<dyn Contract>,
-    },
-    /// Call the contract at `addr` with a typed message.
-    Call {
-        /// The contract address.
-        addr: ContractAddr,
-        /// The message to deliver.
-        msg: Box<dyn ContractMessage>,
-    },
+/// An action a party may take during one synchronous round: a call of the
+/// contract at `addr` with a typed message.
+#[derive(Debug)]
+pub struct Action {
+    /// The contract address.
+    pub addr: ContractAddr,
+    /// The message to deliver.
+    pub msg: Box<dyn ContractMessage>,
 }
 
 impl Action {
-    /// Convenience constructor for a call action.
+    /// A call of the contract at `addr` with `msg`.
     pub fn call(addr: ContractAddr, msg: impl ContractMessage) -> Self {
-        Action::Call { addr, msg: Box::new(msg) }
-    }
-
-    /// Convenience constructor for a publish action.
-    pub fn publish(chain: ChainId, label: impl Into<Label>, contract: Box<dyn Contract>) -> Self {
-        Action::Publish { chain, label: label.into(), contract }
-    }
-}
-
-impl fmt::Debug for Action {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Action::Publish { chain, label, contract } => f
-                .debug_struct("Publish")
-                .field("chain", chain)
-                .field("label", label)
-                .field("type", &contract.type_name())
-                .finish(),
-            Action::Call { addr, msg } => {
-                f.debug_struct("Call").field("addr", addr).field("msg", msg).finish()
-            }
-        }
+        Action { addr, msg: Box::new(msg) }
     }
 }
 
@@ -110,7 +73,7 @@ impl<A: Actor + ?Sized> Actor for Box<A> {
 pub struct Tally {
     /// Synchronous rounds closed, skipped pure-wait rounds included.
     pub rounds: usize,
-    /// Actions applied (publishes and calls).
+    /// Actions (calls) applied.
     pub actions: usize,
     /// Applied actions that failed.
     pub failed: usize,
@@ -200,15 +163,8 @@ fn round<A: Actor>(
         batch.extend(staged.drain(..).map(|a| (party, a)));
     }
     let mut tally = Tally { rounds: 1, actions: batch.len(), failed: 0 };
-    for (party, action) in batch.drain(..) {
-        let applied = match action {
-            Action::Publish { chain, label, contract } => {
-                world.publish_labeled(chain, party, label, contract);
-                Ok(())
-            }
-            Action::Call { addr, msg } => world.call(party, addr, msg.as_ref()),
-        };
-        tally.failed += usize::from(applied.is_err());
+    for (party, Action { addr, msg }) in batch.drain(..) {
+        tally.failed += usize::from(world.call(party, addr, msg.as_ref()).is_err());
     }
     world.advance_delta();
     tally
@@ -218,9 +174,9 @@ fn round<A: Actor>(
 mod tests {
     use super::*;
     use crate::amount::Amount;
-    use crate::contract::CallEnv;
+    use crate::contract::{CallEnv, Contract};
     use crate::error::ContractError;
-    use crate::ids::AssetId;
+    use crate::ids::{AssetId, ChainId};
     use crate::ledger::AccountRef;
     use std::any::Any;
 
@@ -251,43 +207,29 @@ mod tests {
         }
     }
 
-    /// Alice publishes a pot in round 0; Bob deposits into it once he sees it.
-    struct Publisher {
-        party: PartyId,
-        chain: ChainId,
-        published: bool,
+    /// A world at Δ = `delta` whose one chain holds a pot published at
+    /// setup, with 10 of asset 0 minted to `PartyId(1)`.
+    fn pot_world(delta: u64) -> (World, ContractAddr) {
+        let mut world = World::new(delta);
+        let chain = world.add_chain("apricot");
+        world.chain_mut(chain).mint(PartyId(1), AssetId(0), Amount::new(10));
+        let pot = world.publish(chain, PartyId(0), Box::new(Pot::default()));
+        (world, pot)
     }
 
-    impl Actor for Publisher {
-        fn party(&self) -> PartyId {
-            self.party
-        }
-        fn step(&mut self, _world: &World, actions: &mut Vec<Action>) {
-            if !self.published {
-                actions.push(Action::publish(self.chain, "pot", Box::new(Pot::default())));
-                self.published = true;
-            }
-        }
-        fn done(&self) -> bool {
-            self.published
-        }
-    }
-
+    /// Deposits 5 into the pot once.
     struct Depositor {
-        party: PartyId,
+        pot: ContractAddr,
         deposited: bool,
     }
 
     impl Actor for Depositor {
         fn party(&self) -> PartyId {
-            self.party
+            PartyId(1)
         }
-        fn step(&mut self, world: &World, actions: &mut Vec<Action>) {
-            if self.deposited {
-                return;
-            }
-            if let Some(addr) = world.lookup("pot") {
-                actions.push(Action::call(addr, DepositMsg(Amount::new(5))));
+        fn step(&mut self, _world: &World, actions: &mut Vec<Action>) {
+            if !self.deposited {
+                actions.push(Action::call(self.pot, DepositMsg(Amount::new(5))));
                 self.deposited = true;
             }
         }
@@ -298,38 +240,21 @@ mod tests {
 
     #[test]
     fn scheduler_runs_publish_then_deposit() {
-        let mut world = World::new(1);
-        let chain = world.add_chain("apricot");
-        world.chain_mut(chain).mint(PartyId(1), AssetId(0), Amount::new(10));
-
-        let mut actors: Vec<Box<dyn Actor>> = vec![
-            Box::new(Publisher { party: PartyId(0), chain, published: false }),
-            Box::new(Depositor { party: PartyId(1), deposited: false }),
-        ];
+        let (mut world, pot) = pot_world(1);
+        let mut actors: Vec<Box<dyn Actor>> = vec![Box::new(Depositor { pot, deposited: false })];
         let tally = Scheduler::new(10).run(&mut world, &mut actors);
 
-        // Publication and deposit happen in the same round here because the
-        // publisher is visited first; what matters is that all actions
-        // succeeded and the pot holds the deposit.
         assert_eq!(tally.failed, 0);
         assert!(tally.rounds <= 10);
-        let addr = world.lookup("pot").unwrap();
-        assert_eq!(
-            world.chain(chain).balance(AccountRef::Contract(addr.contract), AssetId(0)),
-            Amount::new(5)
-        );
-        assert_eq!(
-            world.chain(chain).contract_as::<Pot>(addr.contract).unwrap().total,
-            Amount::new(5)
-        );
+        let chain = world.chain(pot.chain);
+        assert_eq!(chain.balance(AccountRef::Contract(pot.contract), AssetId(0)), Amount::new(5));
+        assert_eq!(chain.contract_as::<Pot>(pot.contract).unwrap().total, Amount::new(5));
     }
 
     #[test]
     fn scheduler_stops_when_all_actors_done() {
-        let mut world = World::new(1);
-        let chain = world.add_chain("apricot");
-        let mut actors: Vec<Box<dyn Actor>> =
-            vec![Box::new(Publisher { party: PartyId(0), chain, published: false })];
+        let (mut world, pot) = pot_world(1);
+        let mut actors: Vec<Box<dyn Actor>> = vec![Box::new(Depositor { pot, deposited: false })];
         let tally = Scheduler::new(100).run(&mut world, &mut actors);
         assert_eq!(tally, Tally { rounds: 1, actions: 1, failed: 0 });
         // Time advanced once (one round was executed).
@@ -353,29 +278,30 @@ mod tests {
         assert_eq!(world.now(), Time(4));
     }
 
-    /// Pure-waits until `at`, then publishes a pot; counts its steps.
+    /// Pure-waits until `at`, then deposits into the pot; counts its steps.
     struct Sleeper {
         at: Time,
-        published: bool,
+        pot: ContractAddr,
+        deposited: bool,
         steps: usize,
     }
 
     impl Actor for Sleeper {
         fn party(&self) -> PartyId {
-            PartyId(0)
+            PartyId(1)
         }
         fn step(&mut self, world: &World, actions: &mut Vec<Action>) {
             self.steps += 1;
-            if !self.published && world.now().has_reached(self.at) {
-                actions.push(Action::publish(ChainId(0), "pot", Box::new(Pot::default())));
-                self.published = true;
+            if !self.deposited && world.now().has_reached(self.at) {
+                actions.push(Action::call(self.pot, DepositMsg(Amount::new(5))));
+                self.deposited = true;
             }
         }
         fn done(&self) -> bool {
-            self.published
+            self.deposited
         }
         fn wake_hint(&self) -> Option<Time> {
-            (!self.published).then_some(self.at)
+            (!self.deposited).then_some(self.at)
         }
     }
 
@@ -384,24 +310,21 @@ mod tests {
         // Without a window the waits are skipped; with one they are run.
         for depth in [0, 1] {
             let build = || {
-                let mut world = World::new(2);
-                let chain = world.add_chain("a");
-                world.set_finality(chain, crate::FinalityParams { depth, delta: 0 });
-                world
+                let (mut world, pot) = pot_world(2);
+                world.set_finality(pot.chain, crate::FinalityParams { depth, delta: 0 });
+                let sleeper = [Sleeper { at: Time(9), pot, deposited: false, steps: 0 }];
+                (world, sleeper)
             };
-            let sleeper = || [Sleeper { at: Time(9), published: false, steps: 0 }];
-            let mut scheduled = build();
-            let mut skipping = sleeper();
+            let (mut scheduled, mut skipping) = build();
             let tally = Scheduler::new(20).run(&mut scheduled, &mut skipping);
-            let mut stepped = build();
-            let mut stepping = sleeper();
+            let (mut stepped, mut stepping) = build();
             let mut rounds = 0;
             while !stepping[0].done() {
                 run_round(&mut stepped, &mut stepping);
                 rounds += 1;
             }
             assert_eq!(tally, Tally { rounds, actions: 1, failed: 0 }, "depth {depth}");
-            assert_eq!(rounds, 6, "waits at heights 0–8, publishes at 10");
+            assert_eq!(rounds, 6, "waits at heights 0–8, deposits at 10");
             // Without a window the rounds at heights 2, 4 and 6 are skipped.
             assert_eq!(skipping[0].steps, if depth == 0 { 3 } else { 6 });
             assert_eq!(scheduled.now(), stepped.now());
@@ -440,12 +363,10 @@ mod tests {
 
     #[test]
     fn action_debug_formats() {
-        let publish = Action::publish(ChainId(0), "x", Box::new(Pot::default()));
         let call = Action::call(
             ContractAddr::new(ChainId(0), crate::ContractId(1)),
             DepositMsg(Amount::new(1)),
         );
-        assert!(format!("{publish:?}").contains("Publish"));
         assert!(format!("{call:?}").contains("DepositMsg"));
     }
 }

@@ -1,6 +1,5 @@
-//! The multi-chain world: chains, assets, labels and the global clock.
+//! The multi-chain world: chains, assets and the global clock.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -13,7 +12,7 @@ use crate::contract::ContractMessage;
 use crate::error::ChainError;
 #[cfg(test)]
 use crate::ids::ContractId;
-use crate::ids::{AssetId, ChainId, ContractAddr, Label, PartyId};
+use crate::ids::{AssetId, ChainId, ContractAddr, PartyId};
 use crate::time::Time;
 
 /// A collection of blockchains that advance in lock-step.
@@ -22,12 +21,10 @@ use crate::time::Time;
 /// assumptions of the paper:
 ///
 /// * the [`KeyDirectory`] (every party's public key is known to all);
-/// * an asset registry (named token classes);
-/// * a contract label registry. When a party publishes a contract as a
-///   protocol step, it registers the contract under an agreed [`Label`] (for
-///   example `"swap/apricot-escrow"`); counterparties discover the contract
-///   by looking the label up, which models "within Δ, Bob sees Alice's
-///   escrow contract on the apricot blockchain".
+/// * an asset registry (named token classes).
+///
+/// Contracts are public: [`World::publish`] returns a contract's address,
+/// and every party reads and calls it by that address.
 ///
 /// Chains are stored densely, indexed by their sequentially assigned
 /// [`ChainId`]s, and a world can be [`reset`](World::reset) between runs:
@@ -54,7 +51,6 @@ pub struct World {
     /// Retired chain shells kept for reuse across [`World::reset`] cycles.
     spare: Vec<Blockchain>,
     directory: KeyDirectory,
-    labels: BTreeMap<Label, ContractAddr>,
     /// `asset_names[i]` is the registered name of `AssetId(i)`.
     asset_names: Vec<String>,
     delta_blocks: u64,
@@ -67,7 +63,7 @@ pub struct World {
     /// Per-world memo store (see [`SimCaches`]): survives [`World::reset`]
     /// and [`World::restore`], and is deliberately excluded from snapshots.
     caches: SimCaches,
-    /// Version of the three registries (labels, assets, key directory),
+    /// Version of the two registries (assets, key directory),
     /// drawn from a process-global counter on every mutation. Two equal
     /// versions imply identical registry contents, which lets
     /// [`World::restore`] skip re-cloning registries when a world restores
@@ -107,7 +103,6 @@ impl World {
             chains: Vec::new(),
             spare: Vec::new(),
             directory: KeyDirectory::new(),
-            labels: BTreeMap::new(),
             asset_names: Vec::new(),
             delta_blocks,
             rounds_elapsed: 0,
@@ -122,7 +117,7 @@ impl World {
         Self::new(delta_blocks)
     }
 
-    /// Clears every chain, label, asset and key registration while keeping
+    /// Clears every chain, asset and key registration while keeping
     /// allocated storage, so the world can host a fresh run.
     ///
     /// Retired chains become spare shells that the next
@@ -136,7 +131,6 @@ impl World {
         assert!(delta_blocks > 0, "Δ must be at least one block");
         self.spare.append(&mut self.chains);
         self.directory.clear();
-        self.labels.clear();
         self.asset_names.clear();
         self.registry_version = next_registry_version();
         self.delta_blocks = delta_blocks;
@@ -323,31 +317,19 @@ impl World {
         self.pending_reorgs.push(event);
     }
 
-    /// Publishes `contract` on `chain` under `label` and returns its address.
+    /// Publishes `contract` on `chain` on behalf of `publisher` and returns
+    /// its address; see [`Blockchain::publish`].
     ///
     /// # Panics
     ///
-    /// Panics if the chain does not exist or the label is already taken
-    /// (labels are agreed protocol constants, so a collision is a bug).
-    pub fn publish_labeled(
+    /// Panics if the chain does not exist.
+    pub fn publish(
         &mut self,
         chain: ChainId,
         publisher: PartyId,
-        label: impl Into<Label>,
         contract: Box<dyn crate::Contract>,
     ) -> ContractAddr {
-        let label = label.into();
-        assert!(!self.labels.contains_key(&label), "contract label \"{label}\" already registered");
-        let id = self.chain_mut(chain).publish(publisher, contract);
-        let addr = ContractAddr::new(chain, id);
-        self.labels.insert(label, addr);
-        self.registry_version = next_registry_version();
-        addr
-    }
-
-    /// Looks up a contract address by its agreed label.
-    pub fn lookup(&self, label: impl Into<Label>) -> Option<ContractAddr> {
-        self.labels.get(&label.into()).copied()
+        ContractAddr::new(chain, self.chain_mut(chain).publish(publisher, contract))
     }
 
     /// Calls the contract at `addr` with a typed message.
@@ -374,8 +356,8 @@ impl World {
     }
 
     /// Captures the complete observable state of the world — every live
-    /// chain's ledger, contract store, gas meter and clock, plus the label,
-    /// asset and key registries — as a [`WorldSnapshot`].
+    /// chain's ledger, contract store, gas total and clock, plus the asset
+    /// and key registries — as a [`WorldSnapshot`].
     ///
     /// Retired spare shells (chains recycled by [`World::reset`]) hold no
     /// balances and are **not** captured: a snapshot's size is proportional
@@ -386,7 +368,6 @@ impl World {
         WorldSnapshot {
             chains: self.chains.clone(),
             directory: self.directory.clone(),
-            labels: self.labels.clone(),
             asset_names: self.asset_names.clone(),
             delta_blocks: self.delta_blocks,
             rounds_elapsed: self.rounds_elapsed,
@@ -398,7 +379,7 @@ impl World {
     /// Restores the world to a previously captured [`WorldSnapshot`].
     ///
     /// After the call the world's observable state (chains, ledgers,
-    /// contracts, gas meters, registries, clock) is identical to the
+    /// contracts, gas totals, registries, clock) is identical to the
     /// state at [`World::snapshot`] time; a run resumed from the restored
     /// world is indistinguishable from one that replayed every step since.
     /// Restoring reuses the world's existing chain shells and buffer
@@ -426,7 +407,6 @@ impl World {
         // versions are process-globally unique per mutation).
         if self.registry_version != snap.registry_version {
             self.directory.clone_from(&snap.directory);
-            self.labels.clone_from(&snap.labels);
             self.asset_names.clone_from(&snap.asset_names);
             self.registry_version = snap.registry_version;
         }
@@ -451,7 +431,6 @@ impl World {
 pub struct WorldSnapshot {
     chains: Vec<Blockchain>,
     directory: KeyDirectory,
-    labels: BTreeMap<Label, ContractAddr>,
     asset_names: Vec<String>,
     delta_blocks: u64,
     rounds_elapsed: u64,
@@ -470,7 +449,6 @@ impl fmt::Debug for WorldSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("WorldSnapshot")
             .field("chains", &self.chains.len())
-            .field("labels", &self.labels.len())
             .field("delta_blocks", &self.delta_blocks)
             .finish()
     }
@@ -482,7 +460,6 @@ impl fmt::Debug for World {
             .field("chains", &self.chains.len())
             .field("now", &self.now())
             .field("delta_blocks", &self.delta_blocks)
-            .field("labels", &self.labels.len())
             .finish()
     }
 }
@@ -544,25 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn labels_resolve_to_published_contracts() {
-        let mut world = World::new(1);
-        let chain = world.add_chain("apricot");
-        let addr = world.publish_labeled(chain, PartyId(0), "swap/escrow", Box::new(Noop));
-        assert_eq!(world.lookup("swap/escrow"), Some(addr));
-        assert_eq!(world.lookup("missing"), None);
-        world.call(PartyId(1), addr, &()).unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "already registered")]
-    fn duplicate_labels_panic() {
-        let mut world = World::new(1);
-        let chain = world.add_chain("apricot");
-        world.publish_labeled(chain, PartyId(0), "dup", Box::new(Noop));
-        world.publish_labeled(chain, PartyId(0), "dup", Box::new(Noop));
-    }
-
-    #[test]
     fn call_on_missing_chain_errors() {
         let mut world = World::new(1);
         let err =
@@ -605,14 +563,13 @@ mod tests {
         let a = world.add_chain("a");
         let coin = world.register_asset("coin");
         world.chain_mut(a).mint(PartyId(0), coin, Amount::new(5));
-        world.publish_labeled(a, PartyId(0), "escrow", Box::new(Noop));
+        world.publish(a, PartyId(0), Box::new(Noop));
         world.advance_delta();
 
         world.reset(3);
         assert_eq!(world.chain_count(), 0);
         assert_eq!(world.now(), Time::ZERO);
         assert_eq!(world.delta_blocks(), 3);
-        assert_eq!(world.lookup("escrow"), None);
         assert!(world.directory().is_empty());
 
         // Replaying the same setup yields the same ids and a clean slate.
@@ -623,7 +580,7 @@ mod tests {
         assert_eq!(world.party_balance(PartyId(0), coin2), Amount::ZERO);
         assert_eq!(world.asset_name(coin2), Some("coin"));
         // The recycled chain starts its contract ids over.
-        let addr = world.publish_labeled(a2, PartyId(0), "escrow", Box::new(Noop));
+        let addr = world.publish(a2, PartyId(0), Box::new(Noop));
         assert_eq!(addr.contract, ContractId(0));
     }
 
@@ -653,7 +610,7 @@ mod tests {
         let a = world.add_chain("a");
         world.chain_mut(a).mint(PartyId(0), AssetId(0), Amount::new(5));
         world.set_finality(a, FinalityParams { depth: 2, delta: 0 });
-        let addr = world.publish_labeled(a, PartyId(0), "sink", Box::new(Sink));
+        let addr = world.publish(a, PartyId(0), Box::new(Sink));
         world.schedule_reorg(ReorgEvent {
             chain: a,
             at_round: 1,
@@ -738,7 +695,7 @@ mod tests {
         let mut world = World::new(1);
         let a = world.add_chain("a");
         world.set_finality(a, FinalityParams { depth: 2, delta: 0 });
-        let addr = world.publish_labeled(a, PartyId(0), "noop", Box::new(Noop));
+        let addr = world.publish(a, PartyId(0), Box::new(Noop));
         world.schedule_reorg(ReorgEvent {
             chain: a,
             at_round: 3,

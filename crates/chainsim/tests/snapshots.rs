@@ -66,7 +66,7 @@ fn build_world() -> (World, chainsim::ContractAddr) {
     let mut world = World::new(1);
     let chain = world.add_chain("apricot");
     world.chain_mut(chain).mint(PartyId(0), AssetId(0), Amount::new(100));
-    let addr = world.publish_labeled(chain, PartyId(0), "vault", Box::new(Vault::default()));
+    let addr = world.publish(chain, PartyId(0), Box::new(Vault::default()));
     world.call(PartyId(0), addr, &VaultMsg::Deposit(Amount::new(30))).unwrap();
     world.advance_delta();
     (world, addr)
@@ -83,7 +83,7 @@ fn observable_state(
         chain.balance(AccountRef::Contract(addr.contract), AssetId(0)),
         vault.calls,
         world.now(),
-        chain.gas_meter().total(),
+        chain.gas_total(),
     )
 }
 
@@ -178,7 +178,7 @@ fn failed_calls_charge_gas_but_leave_zero_residue() {
     let (mut world, addr) = build_world();
     let chain = world.chain(addr.chain);
     let schedule = GasSchedule::DEFAULT;
-    let gas_before = chain.gas_meter().total();
+    let gas_before = chain.gas_total();
     let party_before = chain.balance(AccountRef::Party(PartyId(0)), AssetId(0));
     let vault_before = chain.balance(AccountRef::Contract(addr.contract), AssetId(0));
     let calls_before = chain.contract_as::<Vault>(addr.contract).unwrap().calls;
@@ -191,13 +191,9 @@ fn failed_calls_charge_gas_but_leave_zero_residue() {
     // Gas is charged for everything the call attempted: dispatch, the
     // rolled-back transfer, and the note.
     assert_eq!(
-        chain.gas_meter().total() - gas_before,
+        chain.gas_total() - gas_before,
         schedule.call_base + schedule.ledger_op + schedule.note,
         "failed calls still pay for the work attempted"
-    );
-    assert_eq!(
-        chain.gas_meter().last_call(),
-        schedule.call_base + schedule.ledger_op + schedule.note
     );
     // ...but zero residue remains.
     assert_eq!(chain.balance(AccountRef::Party(PartyId(0)), AssetId(0)), party_before);
@@ -208,20 +204,20 @@ fn failed_calls_charge_gas_but_leave_zero_residue() {
 }
 
 #[test]
-fn restore_rebuilds_label_and_asset_registries() {
+fn restore_rebuilds_asset_registry_and_contract_store() {
     let (mut world, addr) = build_world();
     let snap = world.snapshot();
 
     world.reset(3);
-    assert_eq!(world.lookup("vault"), None);
+    assert_eq!(world.asset_name(AssetId(0)), None);
 
     world.restore(&snap);
-    assert_eq!(world.lookup("vault"), Some(addr));
     assert_eq!(world.delta_blocks(), 1);
     assert_eq!(world.asset_name(AssetId(0)), Some("apricot-native"));
+    let vault = world.chain(addr.chain).contract_as::<Vault>(addr.contract).unwrap();
+    assert_eq!(vault.total, Amount::new(30));
     // Publishing after a restore continues from the snapshot's contract ids.
-    let chain = addr.chain;
-    let next = world.publish_labeled(chain, PartyId(0), "vault2", Box::new(Vault::default()));
+    let next = world.publish(addr.chain, PartyId(0), Box::new(Vault::default()));
     assert_eq!(next.contract.0, addr.contract.0 + 1);
 }
 

@@ -832,7 +832,7 @@ mod tests {
             verify_cache: HashkeyVerifyCache::new(),
             premium_evaluator: Arc::default(),
         });
-        let addr = world.publish_labeled(chain, B, "arc-ba", Box::new(escrow));
+        let addr = world.publish(chain, B, Box::new(escrow));
         Fixture { world, addr, token, native, secret, pairs }
     }
 

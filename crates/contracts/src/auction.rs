@@ -602,18 +602,10 @@ mod tests {
             bid_deadline: Time(2),
             challenge_deadline: Time(7),
         };
-        let coin_addr = world.publish_labeled(
-            coin_chain,
-            ALICE,
-            "auction-coin",
-            Box::new(AuctionCoinContract::new(params.clone())),
-        );
-        let ticket_addr = world.publish_labeled(
-            ticket_chain,
-            ALICE,
-            "auction-ticket",
-            Box::new(AuctionTicketContract::new(params)),
-        );
+        let coin_addr =
+            world.publish(coin_chain, ALICE, Box::new(AuctionCoinContract::new(params.clone())));
+        let ticket_addr =
+            world.publish(ticket_chain, ALICE, Box::new(AuctionTicketContract::new(params)));
         Fixture { world, coin_addr, ticket_addr, coin, ticket, secret_bob, secret_carol }
     }
 

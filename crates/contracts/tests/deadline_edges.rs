@@ -50,7 +50,7 @@ fn htlc_fixture() -> HtlcFixture {
     let secret = Secret::from_seed(42);
     let escrow =
         HtlcEscrow::new(ALICE, BOB, token, Amount::new(100), secret.hashlock(), HTLC_TIMELOCK);
-    let addr = world.publish_labeled(chain, ALICE, "htlc", Box::new(escrow));
+    let addr = world.publish(chain, ALICE, Box::new(escrow));
     HtlcFixture { world, addr, secret }
 }
 
@@ -134,7 +134,7 @@ fn hedged_fixture() -> HedgedFixture {
         escrow_deadline: HEDGED_ESCROW,
         redeem_deadline: HEDGED_REDEEM,
     });
-    let addr = world.publish_labeled(chain, BOB, "hedged", Box::new(escrow));
+    let addr = world.publish(chain, BOB, Box::new(escrow));
     HedgedFixture { world, addr, secret }
 }
 
@@ -278,7 +278,7 @@ fn arc_fixture() -> ArcFixture {
         verify_cache: HashkeyVerifyCache::new(),
         premium_evaluator: Arc::default(),
     });
-    let addr = world.publish_labeled(chain, BOB, "arc", Box::new(escrow));
+    let addr = world.publish(chain, BOB, Box::new(escrow));
     ArcFixture { world, addr, secret, pairs }
 }
 
@@ -437,18 +437,10 @@ fn auction_fixture() -> AuctionFixture {
         bid_deadline: BID_DEADLINE,
         challenge_deadline: CHALLENGE_DEADLINE,
     };
-    let coin_addr = world.publish_labeled(
-        coin_chain,
-        ALICE,
-        "auction-coin",
-        Box::new(AuctionCoinContract::new(params.clone())),
-    );
-    let ticket_addr = world.publish_labeled(
-        ticket_chain,
-        ALICE,
-        "auction-ticket",
-        Box::new(AuctionTicketContract::new(params)),
-    );
+    let coin_addr =
+        world.publish(coin_chain, ALICE, Box::new(AuctionCoinContract::new(params.clone())));
+    let ticket_addr =
+        world.publish(ticket_chain, ALICE, Box::new(AuctionTicketContract::new(params)));
     AuctionFixture { world, coin_addr, ticket_addr, secret_bob }
 }
 

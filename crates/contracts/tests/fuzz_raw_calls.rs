@@ -103,7 +103,6 @@ struct ChainState {
     balances: Vec<(AccountRef, AssetId, Amount)>,
     contracts: Vec<String>,
     gas_total: u64,
-    gas_last_call: u64,
 }
 
 fn chain_state(world: &World, chain: ChainId) -> ChainState {
@@ -111,8 +110,7 @@ fn chain_state(world: &World, chain: ChainId) -> ChainState {
     ChainState {
         balances: chain.ledger().iter().collect(),
         contracts: chain.contracts().map(|contract| format!("{contract:?}")).collect(),
-        gas_total: chain.gas_meter().total(),
-        gas_last_call: chain.gas_meter().last_call(),
+        gas_total: chain.gas_total(),
     }
 }
 
@@ -254,7 +252,7 @@ fn fuzz_htlc_once(seed: u64) {
     let secret = Secret::from_seed(rng.next_u64());
     let amount = Amount::new(1 + rng.below(900) as u128);
     let escrow = HtlcEscrow::new(P0, P1, token, amount, secret.hashlock(), timelock);
-    let addr = world.publish_labeled(chain, P0, "fuzz-htlc", Box::new(escrow));
+    let addr = world.publish(chain, P0, Box::new(escrow));
     let depth = rng.below(3) as u32;
     if depth > 0 {
         world.set_finality(chain, FinalityParams { depth, delta: 0 });
@@ -316,7 +314,7 @@ fn fuzz_hedged_once(seed: u64) {
         escrow_deadline,
         redeem_deadline,
     });
-    let addr = world.publish_labeled(chain, P1, "fuzz-hedged", Box::new(escrow));
+    let addr = world.publish(chain, P1, Box::new(escrow));
     let depth = rng.below(3) as u32;
     if depth > 0 {
         world.set_finality(chain, FinalityParams { depth, delta: 0 });
@@ -399,7 +397,7 @@ fn fuzz_arc_once(seed: u64) {
         verify_cache: HashkeyVerifyCache::new(),
         premium_evaluator: Arc::default(),
     });
-    let addr = world.publish_labeled(chain, P1, "fuzz-arc", Box::new(escrow));
+    let addr = world.publish(chain, P1, Box::new(escrow));
     let depth = rng.below(3) as u32;
     if depth > 0 {
         world.set_finality(chain, FinalityParams { depth, delta: 0 });
@@ -476,18 +474,9 @@ fn fuzz_auction_once(seed: u64) {
         bid_deadline,
         challenge_deadline,
     };
-    let coin_addr = world.publish_labeled(
-        coin_chain,
-        P0,
-        "fuzz-auction-coin",
-        Box::new(AuctionCoinContract::new(params.clone())),
-    );
-    let ticket_addr = world.publish_labeled(
-        ticket_chain,
-        P0,
-        "fuzz-auction-ticket",
-        Box::new(AuctionTicketContract::new(params)),
-    );
+    let coin_addr =
+        world.publish(coin_chain, P0, Box::new(AuctionCoinContract::new(params.clone())));
+    let ticket_addr = world.publish(ticket_chain, P0, Box::new(AuctionTicketContract::new(params)));
     let chains = [coin_chain, ticket_chain];
     let depth = rng.below(3) as u32;
     if depth > 0 {

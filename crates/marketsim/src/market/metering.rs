@@ -62,7 +62,7 @@ impl ShardMetering {
 pub fn meter_shard(shard: &Shard, _endowment: u128, gas_price: u64) -> ShardMetering {
     let chain = shard.chain();
     let ledger = chain.ledger();
-    let gas = chain.gas_meter().total();
+    let gas = chain.gas_total();
     let minted = shard.minted_per_asset() as i128;
 
     // One strided walk of each asset's party column: the supply, and the

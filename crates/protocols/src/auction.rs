@@ -164,16 +164,11 @@ fn build(world: &mut World, config: &AuctionConfig) -> AuctionSetup {
         bid_deadline,
         challenge_deadline,
     };
-    let coin_addr = world.publish_labeled(
-        coin_chain,
-        AUCTIONEER,
-        "auction/coin",
-        Box::new(AuctionCoinContract::new(params.clone())),
-    );
-    let ticket_addr = world.publish_labeled(
+    let coin_addr =
+        world.publish(coin_chain, AUCTIONEER, Box::new(AuctionCoinContract::new(params.clone())));
+    let ticket_addr = world.publish(
         ticket_chain,
         AUCTIONEER,
-        "auction/ticket",
         Box::new(AuctionTicketContract::new(params.clone())),
     );
     let mut parties = vec![AUCTIONEER];

@@ -9,7 +9,7 @@
 //! deposit to the counterparty; otherwise every premium level is refunded
 //! after the horizon and only the level-0 principals change hands.
 
-use chainsim::{Action, Amount, AssetId, ContractAddr, Label, PartyId, Time, World};
+use chainsim::{Action, Amount, AssetId, ContractAddr, PartyId, Time, World};
 use contracts::{
     HedgedEscrow, HedgedEscrowMsg, HedgedEscrowParams, HedgedPremiumState, HedgedPrincipalState,
 };
@@ -205,7 +205,7 @@ impl BootstrapConfig {
     }
 
     /// The blocks of one level's slot: `6·Δ`.
-    fn level_blocks(&self) -> u64 {
+    pub fn level_blocks(&self) -> u64 {
         6 * self.delta_blocks()
     }
 
@@ -363,10 +363,10 @@ impl Protocol for BootstrapConfig {
         // premium slots carry no value: they only order the deposits.
         let secret = Secret::from_seed(0xB00757);
         let mut publish = |level: u32, escrower: PartyId, amount: u128| {
-            let (chain, ns, redeemer, asset) = if escrower == ALICE {
-                (banana, "bootstrap/banana", BOB, natives[1])
+            let (chain, redeemer, asset) = if escrower == ALICE {
+                (banana, BOB, natives[1])
             } else {
-                (apricot, "bootstrap/apricot", ALICE, natives[0])
+                (apricot, ALICE, natives[0])
             };
             let (premium_deadline, escrow_deadline) = self.level_deadlines(level);
             let params = HedgedEscrowParams {
@@ -381,8 +381,7 @@ impl Protocol for BootstrapConfig {
                 escrow_deadline,
                 redeem_deadline: self.horizon(),
             };
-            let label = Label::Indexed { ns, index: u64::from(level) };
-            world.publish_labeled(chain, escrower, label, Box::new(HedgedEscrow::new(params)))
+            world.publish(chain, escrower, Box::new(HedgedEscrow::new(params)))
         };
         let escrows = plan
             .levels

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use chainsim::{Action, Amount, AssetId, ChainId, ContractAddr, Label, PartyId, Time, World};
+use chainsim::{Action, Amount, AssetId, ChainId, ContractAddr, PartyId, Time, World};
 use contracts::{
     ArcDeadlines, ArcEscrow, ArcEscrowMsg, ArcEscrowParams, Hashkey, HashkeyVerifyCache, PartyKeys,
     PremiumSlotState, PrincipalState,
@@ -403,10 +403,6 @@ impl fmt::Debug for DealSetup {
     }
 }
 
-fn arc_label(from: PartyId, to: PartyId) -> Label {
-    Label::Arc { ns: "deal/arc", from: from.0, to: to.0 }
-}
-
 /// Key pairs and leader secrets are derived from fixed per-party seeds, and
 /// sweeps replay the same setup thousands of times — so the small-id range
 /// is derived once and cached. Results are identical to computing them
@@ -530,12 +526,7 @@ fn build(world: &mut World, config: &DealConfig) -> DealSetup {
             verify_cache: verify_cache.clone(),
             premium_evaluator: Arc::clone(&config.caches.premium_evaluator),
         };
-        let addr = world.publish_labeled(
-            chain_id,
-            arc.from,
-            arc_label(arc.from, arc.to),
-            Box::new(ArcEscrow::new(params)),
-        );
+        let addr = world.publish(chain_id, arc.from, Box::new(ArcEscrow::new(params)));
         arc_addrs.insert((arc.from, arc.to), addr);
     }
 

@@ -217,23 +217,24 @@ mod tests {
     #[test]
     fn legs_mirror_the_two_party_schedule() {
         use crate::two_party::{swap_static_setup, SwapProtocol, TwoPartyConfig, ALICE, BOB};
+        use chainsim::{ChainId, ContractAddr, ContractId};
         use contracts::HedgedEscrow;
 
-        // The contracts the two-party hedged setup publishes, apricot
-        // (Alice's) then banana (Bob's).
+        // The contracts the two-party hedged setup publishes: Alice's is the
+        // only one on the apricot chain, Bob's the only one on banana.
         let config = TwoPartyConfig::default();
         let (world, _) = swap_static_setup(&config, SwapProtocol::Hedged);
-        let published = |label: &'static str| {
-            let addr = world.lookup(label).expect("two-party escrow published");
-            let chain = world.chain(addr.chain);
-            chain
+        let published = |chain: u32| {
+            let addr = ContractAddr::new(ChainId(chain), ContractId(0));
+            assert_eq!(world.chain(addr.chain).contract_count(), 1);
+            world
+                .chain(addr.chain)
                 .contract_as::<HedgedEscrow>(addr.contract)
                 .expect("hedged escrow")
                 .params()
                 .clone()
         };
-        let apricot = published("two-party/apricot-escrow");
-        let banana = published("two-party/banana-escrow");
+        let (apricot, banana) = (published(0), published(1));
         let spec = HedgedSwapSpec {
             leader: ALICE,
             follower: BOB,

@@ -637,9 +637,7 @@ impl ScriptedParty {
             if !self.garbage_done && self.cursor == step {
                 self.garbage_done = true;
                 for action in emitted.iter() {
-                    if let Action::Call { addr, .. } = action {
-                        actions.push(Action::call(*addr, GarbageCall));
-                    }
+                    actions.push(Action::call(action.addr, GarbageCall));
                 }
             }
         }
@@ -1033,11 +1031,7 @@ mod tests {
         let mut world = World::new(1);
         world.add_chain("a");
         let steps = vec![Step::new("emit", |_| {
-            StepOutcome::Complete(vec![Action::publish(
-                chainsim::ChainId(0),
-                "x",
-                Box::new(NoopContract),
-            )])
+            StepOutcome::Complete(vec![Action::call(ping_addr(), Ping)])
         })
         .with_deadline(Time(4))];
         let mut party =
@@ -1143,11 +1137,7 @@ mod tests {
     fn delay_vector_party_matches_the_procrastinator_at_full_delay() {
         let make_party = |timing: Timing| {
             let steps = vec![Step::new("emit", |_| {
-                StepOutcome::Complete(vec![Action::publish(
-                    chainsim::ChainId(0),
-                    "x",
-                    Box::new(NoopContract),
-                )])
+                StepOutcome::Complete(vec![Action::call(ping_addr(), Ping)])
             })
             .with_deadline(Time(4))];
             let strategy = Strategy { stop_after: None, timing, fault: Fault::None };
@@ -1187,18 +1177,9 @@ mod tests {
         let mut actions = Vec::new();
         party.step(&world, &mut actions);
         assert_eq!(actions.len(), 2, "garbage volley precedes the real call");
-        match &actions[0] {
-            Action::Call { msg, .. } => {
-                assert!(msg.as_ref().as_any().downcast_ref::<GarbageCall>().is_some());
-            }
-            other => panic!("expected a garbage call, got {other:?}"),
-        }
-        match &actions[1] {
-            Action::Call { msg, .. } => {
-                assert!(msg.as_ref().as_any().downcast_ref::<Ping>().is_some());
-            }
-            other => panic!("expected the real call, got {other:?}"),
-        }
+        assert!(actions[0].msg.as_ref().as_any().downcast_ref::<GarbageCall>().is_some());
+        assert!(actions[1].msg.as_ref().as_any().downcast_ref::<Ping>().is_some());
+        assert!(actions.iter().all(|action| action.addr == addr));
     }
 
     /// A contract that logs the height of every call it accepts.
@@ -1238,7 +1219,7 @@ mod tests {
         fn setup(&self, world: &mut World) -> chainsim::ContractAddr {
             world.reset(1);
             let chain = world.add_chain("a");
-            world.publish_labeled(chain, PartyId(0), "log", Box::new(Log::default()))
+            world.publish(chain, PartyId(0), Box::new(Log::default()))
         }
         fn script(&self, log: &chainsim::ContractAddr, profile: Profile<'_>) -> Vec<ScriptedParty> {
             let log = *log;
@@ -1295,30 +1276,14 @@ mod tests {
         assert_eq!(Prefix::record(Beacons, &mut world).run(&late, &mut world), from_scratch);
     }
 
-    /// Minimal contract/message fixtures for the fault tests.
+    /// Minimal message fixture for the fault tests.
     #[derive(Clone, Debug)]
     struct Ping;
 
-    #[derive(Clone, Debug)]
-    struct NoopContract;
-
-    impl chainsim::Contract for NoopContract {
-        fn type_name(&self) -> &'static str {
-            "Noop"
-        }
-        fn clone_box(&self) -> Box<dyn chainsim::Contract> {
-            Box::new(self.clone())
-        }
-        fn handle(
-            &mut self,
-            _env: &mut chainsim::CallEnv<'_>,
-            _msg: &dyn std::any::Any,
-        ) -> Result<(), chainsim::ContractError> {
-            Ok(())
-        }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
+    /// The address the emission tests call; the parties are stepped by
+    /// hand, so nothing is published there.
+    fn ping_addr() -> chainsim::ContractAddr {
+        chainsim::ContractAddr::new(chainsim::ChainId(0), chainsim::ContractId(0))
     }
 
     #[test]

@@ -265,11 +265,6 @@ impl SwapSetup {
     }
 }
 
-/// Labels under which the two escrow contracts are registered.
-const APRICOT_LABEL: &str = "two-party/apricot-escrow";
-/// See [`APRICOT_LABEL`].
-const BANANA_LABEL: &str = "two-party/banana-escrow";
-
 /// The apricot and banana chains of a two-party world.
 const APRICOT: ChainId = ChainId(0);
 /// See [`APRICOT`].
@@ -324,18 +319,8 @@ fn publish(
             let (anchor, schedule) = (Time(config.finality_margin), config.hedged_schedule());
             let apricot = spec.leader_leg(anchor, &schedule);
             let banana = spec.follower_leg(anchor, &schedule);
-            let banana = world.publish_labeled(
-                BANANA,
-                BOB,
-                BANANA_LABEL,
-                Box::new(HedgedEscrow::new(banana)),
-            );
-            let apricot = world.publish_labeled(
-                APRICOT,
-                ALICE,
-                APRICOT_LABEL,
-                Box::new(HedgedEscrow::new(apricot)),
-            );
+            let banana = world.publish(BANANA, BOB, Box::new(HedgedEscrow::new(banana)));
+            let apricot = world.publish(APRICOT, ALICE, Box::new(HedgedEscrow::new(apricot)));
             (apricot, banana)
         }
         SwapProtocol::Base => {
@@ -344,10 +329,9 @@ fn publish(
             // with the finality margin, like the hedged contracts).
             let [apricot_token, banana_token, ..] = assets;
             let (banana_timelock, apricot_timelock) = config.base_timelocks();
-            let apricot = world.publish_labeled(
+            let apricot = world.publish(
                 APRICOT,
                 ALICE,
-                APRICOT_LABEL,
                 Box::new(HtlcEscrow::new(
                     ALICE,
                     BOB,
@@ -357,10 +341,9 @@ fn publish(
                     config.padded(apricot_timelock),
                 )),
             );
-            let banana = world.publish_labeled(
+            let banana = world.publish(
                 BANANA,
                 BOB,
-                BANANA_LABEL,
                 Box::new(HtlcEscrow::new(
                     BOB,
                     ALICE,

@@ -138,20 +138,6 @@ pub fn bootstrap_plan(
     BootstrapPlan { alice_principal, bob_principal, ratio, levels }
 }
 
-/// The lock-up risk duration in Δ-steps for a bootstrapped swap.
-///
-/// §6 observes that the *duration* of premium lock-up risk is one atomic
-/// swap execution plus Δ, independent of the number of bootstrapping
-/// rounds; only the total protocol length grows with `rounds`. This helper
-/// returns `(risk_duration_steps, total_protocol_steps)` for a swap whose
-/// un-bootstrapped hedged execution takes `base_steps` Δ-steps.
-pub fn lockup_durations(base_steps: u64, rounds: u32) -> (u64, u64) {
-    let risk_duration = base_steps + 1;
-    // Each bootstrapping round adds one premium-deposit exchange (2 steps).
-    let total = base_steps + 2 * u64::from(rounds);
-    (risk_duration, total)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,14 +219,6 @@ mod tests {
         );
         assert!(plan.alice_total_exposure() >= 100);
         assert!(plan.bob_total_exposure() >= 200);
-    }
-
-    #[test]
-    fn risk_duration_is_independent_of_rounds() {
-        let (risk0, total0) = lockup_durations(6, 0);
-        let (risk5, total5) = lockup_durations(6, 5);
-        assert_eq!(risk0, risk5, "lock-up risk duration does not grow with rounds");
-        assert!(total5 > total0, "total protocol length does grow with rounds");
     }
 
     #[test]

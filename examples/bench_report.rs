@@ -386,7 +386,9 @@ fn main() {
     json.push_str("  \"families\": [\n");
 
     let sets = family_sets();
-    let mut violations: Vec<String> = Vec::new();
+    // Large families whose first 2-thread efficiency read below the gate,
+    // with every read taken: `(set index, reads)`.
+    let mut low_scaling: Vec<(usize, Vec<f64>)> = Vec::new();
     let mut sampled_profiles: u64 = 0;
     println!("\n=== model-checking throughput (scenarios/sec) ===");
     println!("family set | scenarios | threads | scenarios/sec | efficiency");
@@ -419,29 +421,8 @@ fn main() {
         }
         if runs >= LARGE_FAMILY_MIN && effective >= 2 {
             let two_thread_eff = efficiencies.iter().find(|(t, _)| *t == 2).map(|(_, e)| *e);
-            if let Some(mut eff) = two_thread_eff {
-                // A genuine contention regression keeps *every* sample low;
-                // scheduler noise only dents some. Before declaring a
-                // violation, re-measure the 1/2-thread pair a couple more
-                // times and judge the best efficiency observed, so a single
-                // noisy-neighbour hiccup cannot fail CI.
-                let mut retries = 0;
-                while eff < MIN_TWO_THREAD_EFFICIENCY && retries < 2 {
-                    let (r1, _, single_rate, s1) = measure(&set.gens, 1, must_hold);
-                    let (r2, _, pair_rate, s2) = measure(&set.gens, 2, must_hold);
-                    if must_hold {
-                        sampled_profiles += r1 as u64 * s1 + r2 as u64 * s2;
-                    }
-                    eff = eff.max(finite_or_zero(pair_rate / (single_rate * 2.0)));
-                    retries += 1;
-                }
-                if eff < MIN_TWO_THREAD_EFFICIENCY {
-                    violations.push(format!(
-                        "{}: 2-thread efficiency {eff:.2} < {MIN_TWO_THREAD_EFFICIENCY}                          (best of {} measurements)",
-                        set.name,
-                        retries + 1
-                    ));
-                }
+            if let Some(eff) = two_thread_eff.filter(|eff| *eff < MIN_TWO_THREAD_EFFICIENCY) {
+                low_scaling.push((i, vec![eff]));
             }
         }
         let comma = if i + 1 < sets.len() { "," } else { "" };
@@ -486,6 +467,43 @@ fn main() {
         let _ = writeln!(json, "    }}{comma}");
     }
     json.push_str("  ],\n");
+
+    // A genuine contention regression keeps *every* sample low; scheduler
+    // noise only dents some. Before declaring a violation, re-measure each
+    // low family's 1/2-thread pair twice more and judge the best efficiency
+    // observed. The re-measurements start only once every family set has
+    // had its first read, one pass over the low families at a time, so
+    // they sample later phases of a shared box than the read that tripped
+    // them.
+    for _ in 0..2 {
+        for (i, reads) in &mut low_scaling {
+            if reads.iter().any(|eff| *eff >= MIN_TWO_THREAD_EFFICIENCY) {
+                continue;
+            }
+            let set = &sets[*i];
+            let must_hold = set.sampled.is_some();
+            let (r1, _, single_rate, s1) = measure(&set.gens, 1, must_hold);
+            let (r2, _, pair_rate, s2) = measure(&set.gens, 2, must_hold);
+            if must_hold {
+                sampled_profiles += r1 as u64 * s1 + r2 as u64 * s2;
+            }
+            reads.push(finite_or_zero(pair_rate / (single_rate * 2.0)));
+        }
+    }
+    let mut violations: Vec<String> = Vec::new();
+    for (i, reads) in &low_scaling {
+        let shown: Vec<String> = reads.iter().map(|eff| format!("{eff:.2}")).collect();
+        println!("scaling re-measured: {} 2-thread efficiency {}", sets[*i].name, shown.join(", "));
+        let best = reads.iter().copied().fold(0.0, f64::max);
+        if best < MIN_TWO_THREAD_EFFICIENCY {
+            violations.push(format!(
+                "{}: 2-thread efficiency {best:.3} < {MIN_TWO_THREAD_EFFICIENCY} \
+                 (best of {} measurements)",
+                sets[*i].name,
+                reads.len()
+            ));
+        }
+    }
 
     // Sampled-tier accounting: every sampled sweep above already asserted
     // it holds, so reaching this point means zero hedged-theorem

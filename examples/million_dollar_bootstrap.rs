@@ -4,7 +4,7 @@
 use sore_loser_hedging::chainsim::World;
 use sore_loser_hedging::protocols::bootstrap::{BootstrapConfig, BootstrapDeviation, ALICE};
 use sore_loser_hedging::protocols::script::Protocol;
-use sore_loser_hedging::swapgraph::bootstrap::{bootstrap_plan, lockup_durations, rounds_needed};
+use sore_loser_hedging::swapgraph::bootstrap::{bootstrap_plan, rounds_needed};
 
 fn main() {
     let (a, b, ratio, risk) = (500_000u128, 500_000u128, 100u128, 4u128);
@@ -36,10 +36,13 @@ fn main() {
         println!("  ${value}: {}", rounds_needed(value, risk, ratio));
     }
 
-    println!("\nLock-up risk duration is independent of rounds (steps of Δ):");
-    println!("{:<7} {:>15} {:>15}", "rounds", "risk duration", "whole protocol");
+    println!("\nCascade schedule in steps of Δ: each level's slot, and the horizon");
+    println!("where every escrow's redeem deadline sits:");
+    println!("{:<7} {:>15} {:>15}", "rounds", "level slot", "horizon");
     for rounds in 0..=5u32 {
-        let (exposure, total) = lockup_durations(6, rounds);
-        println!("{rounds:<7} {exposure:>15} {total:>15}");
+        let config = BootstrapConfig::new(a, b, ratio, rounds);
+        let delta = config.delta_blocks();
+        let (slot, horizon) = (config.level_blocks() / delta, config.horizon().height() / delta);
+        println!("{rounds:<7} {slot:>15} {horizon:>15}");
     }
 }
