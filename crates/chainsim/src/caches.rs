@@ -1,19 +1,22 @@
 //! The per-world memoisation store.
 //!
 //! Model-checking sweeps give each worker thread one pooled [`crate::World`]
-//! that runs thousands of scenarios back to back. Earlier revisions shared
-//! memo tables across *all* workers behind `Arc<Mutex<..>>`, which put a
-//! contended lock on the hottest verification path and capped thread
-//! scaling. A [`SimCaches`] replaces that: one type-erased store per world —
-//! and therefore per worker — that contracts reach through
-//! [`crate::CallEnv::caches`]. No locks, no sharing, no contention; each
-//! worker warms its own tables as it sweeps.
+//! that runs thousands of scenarios back to back, and every memo of the
+//! simulation lives in that world's [`SimCaches`]: contracts reach it
+//! through [`crate::CallEnv::caches`], and party scripts, which see only
+//! `&World`, through [`crate::World::caches`]. One store per world is one
+//! store per worker: no locks, no sharing and no process-global state.
+//! Earlier revisions shared memo tables across *all* workers behind
+//! `Arc<Mutex<..>>`, which put a contended lock on the hottest verification
+//! path and capped thread scaling.
 //!
-//! Entries deliberately survive [`crate::World::reset`] and snapshot
-//! restores: they memoise *pure* computations (signature-chain verification,
-//! derived tables) whose results are identical every time, so keeping them
-//! across scenario runs changes performance only, never outcomes. Anything
-//! whose value could differ between runs must not be stored here.
+//! Entries survive [`crate::World::reset`] and snapshot restores, and one
+//! world runs many protocols and configurations, so every table is keyed by
+//! what it memoises: the key determines the value of a pure computation (a
+//! signature, a key pair, a verification verdict), whichever run or
+//! configuration first computed it. Keeping such entries changes
+//! performance only, never outcomes. Anything whose value could differ
+//! under the same key must not be stored here.
 
 use std::any::{Any, TypeId};
 use std::collections::BTreeMap;

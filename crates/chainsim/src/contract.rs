@@ -237,8 +237,9 @@ impl<'a> CallEnv<'a> {
     /// Contracts may use it to skip recomputing work whose result is a pure
     /// function of already-validated inputs (e.g. signature-chain
     /// verification). Entries live for the lifetime of the [`crate::World`],
-    /// across [`crate::World::reset`] and snapshot restores, so anything
-    /// stored here must affect *performance only* — never outcomes.
+    /// across [`crate::World::reset`], snapshot restores and every protocol
+    /// the world runs, so an entry must be keyed by everything its value
+    /// depends on and affect *performance only* — never outcomes.
     pub fn caches(&mut self) -> &mut SimCaches {
         self.caches
     }

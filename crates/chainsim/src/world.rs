@@ -1,7 +1,8 @@
 //! The multi-chain world: chains, assets and the global clock.
 
+use std::cell::{RefCell, RefMut};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use cryptosim::KeyDirectory;
 
@@ -32,6 +33,11 @@ use crate::time::Time;
 /// stores retain their allocations, which is what makes per-worker world
 /// pooling in sweep engines nearly allocation-free.
 ///
+/// The world also owns the [`SimCaches`] memo store. It sits in a
+/// `RefCell`, so a party's script, which sees only `&World`, can memoise
+/// through [`World::caches`] as well as a contract can through
+/// [`crate::CallEnv::caches`].
+///
 /// # Examples
 ///
 /// ```
@@ -50,9 +56,12 @@ pub struct World {
     chains: Vec<Blockchain>,
     /// Retired chain shells kept for reuse across [`World::reset`] cycles.
     spare: Vec<Blockchain>,
-    directory: KeyDirectory,
+    /// The key and asset registries, shared with the snapshots taken since
+    /// their last change: setup writes them, runs only read them, so a
+    /// restore clones two `Arc`s.
+    directory: Arc<KeyDirectory>,
     /// `asset_names[i]` is the registered name of `AssetId(i)`.
-    asset_names: Vec<String>,
+    asset_names: Arc<Vec<String>>,
     delta_blocks: u64,
     /// World rounds completed so far (one per [`World::advance_delta`]);
     /// the clock that [`ReorgEvent::at_round`] schedules against.
@@ -62,15 +71,7 @@ pub struct World {
     pending_reorgs: Vec<ReorgEvent>,
     /// Per-world memo store (see [`SimCaches`]): survives [`World::reset`]
     /// and [`World::restore`], and is deliberately excluded from snapshots.
-    caches: SimCaches,
-    /// Version of the two registries (assets, key directory),
-    /// drawn from a process-global counter on every mutation. Two equal
-    /// versions imply identical registry contents, which lets
-    /// [`World::restore`] skip re-cloning registries when a world restores
-    /// a snapshot of its own current registry state — the common case in
-    /// sweeps, where every profile restores the same post-setup snapshot
-    /// and runs leave the registries as setup built them.
-    registry_version: u64,
+    caches: RefCell<SimCaches>,
 }
 
 /// The argument of [`World::with_trace`], which survives only as an alias
@@ -83,12 +84,13 @@ pub enum TraceMode {
     Off,
 }
 
-/// Process-global source of registry versions; see
-/// [`World::registry_version`]. Starts at 1 so version 0 never aliases.
-static REGISTRY_VERSIONS: AtomicU64 = AtomicU64::new(1);
-
-fn next_registry_version() -> u64 {
-    REGISTRY_VERSIONS.fetch_add(1, Ordering::Relaxed)
+/// Empties a registry in place, or swaps in a fresh one while a snapshot
+/// still shares it.
+fn clear_registry<T: Default>(registry: &mut Arc<T>, clear: fn(&mut T)) {
+    match Arc::get_mut(registry) {
+        Some(owned) => clear(owned),
+        None => *registry = Arc::default(),
+    }
 }
 
 impl World {
@@ -102,13 +104,12 @@ impl World {
         World {
             chains: Vec::new(),
             spare: Vec::new(),
-            directory: KeyDirectory::new(),
-            asset_names: Vec::new(),
+            directory: Arc::default(),
+            asset_names: Arc::default(),
             delta_blocks,
             rounds_elapsed: 0,
             pending_reorgs: Vec::new(),
-            caches: SimCaches::new(),
-            registry_version: next_registry_version(),
+            caches: RefCell::default(),
         }
     }
 
@@ -130,9 +131,8 @@ impl World {
     pub fn reset(&mut self, delta_blocks: u64) {
         assert!(delta_blocks > 0, "Δ must be at least one block");
         self.spare.append(&mut self.chains);
-        self.directory.clear();
-        self.asset_names.clear();
-        self.registry_version = next_registry_version();
+        clear_registry(&mut self.directory, KeyDirectory::clear);
+        clear_registry(&mut self.asset_names, Vec::clear);
         self.delta_blocks = delta_blocks;
         self.rounds_elapsed = 0;
         self.pending_reorgs.clear();
@@ -169,8 +169,7 @@ impl World {
     /// Registers a new named asset class and returns its id.
     pub fn register_asset(&mut self, name: impl Into<String>) -> AssetId {
         let id = AssetId(self.asset_names.len() as u32);
-        self.asset_names.push(name.into());
-        self.registry_version = next_registry_version();
+        Arc::make_mut(&mut self.asset_names).push(name.into());
         id
     }
 
@@ -224,8 +223,7 @@ impl World {
 
     /// Mutable access to the public-key directory (used during setup).
     pub fn directory_mut(&mut self) -> &mut KeyDirectory {
-        self.registry_version = next_registry_version();
-        &mut self.directory
+        Arc::make_mut(&mut self.directory)
     }
 
     /// The current global time (all chains share the same height).
@@ -249,7 +247,7 @@ impl World {
                     let event = self.pending_reorgs.remove(i);
                     let World { chains, directory, caches, .. } = self;
                     if let Some(chain) = chains.get_mut(event.chain.0 as usize) {
-                        chain.reorg(event.depth, event.policy, directory, caches);
+                        chain.reorg(event.depth, event.policy, directory, caches.get_mut());
                     }
                 } else {
                     i += 1;
@@ -347,17 +345,24 @@ impl World {
         let chain = chains
             .get_mut(addr.chain.0 as usize)
             .ok_or(ChainError::NoSuchChain { chain: addr.chain })?;
-        chain.call(caller, addr.contract, msg, directory, caches)
+        chain.call(caller, addr.contract, msg, directory, caches.get_mut())
     }
 
-    /// The world's memoisation store (see [`SimCaches`]).
-    pub fn caches(&mut self) -> &mut SimCaches {
-        &mut self.caches
+    /// The world's memoisation store (see [`SimCaches`]), borrowed from a
+    /// shared reference so that a script step can memoise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the store is already borrowed: release the guard before
+    /// borrowing again.
+    pub fn caches(&self) -> RefMut<'_, SimCaches> {
+        self.caches.borrow_mut()
     }
 
     /// Captures the complete observable state of the world — every live
     /// chain's ledger, contract store, gas total and clock, plus the asset
-    /// and key registries — as a [`WorldSnapshot`].
+    /// and key registries, which the snapshot shares with the world until
+    /// either changes them — as a [`WorldSnapshot`].
     ///
     /// Retired spare shells (chains recycled by [`World::reset`]) hold no
     /// balances and are **not** captured: a snapshot's size is proportional
@@ -367,12 +372,11 @@ impl World {
     pub fn snapshot(&self) -> WorldSnapshot {
         WorldSnapshot {
             chains: self.chains.clone(),
-            directory: self.directory.clone(),
-            asset_names: self.asset_names.clone(),
+            directory: Arc::clone(&self.directory),
+            asset_names: Arc::clone(&self.asset_names),
             delta_blocks: self.delta_blocks,
             rounds_elapsed: self.rounds_elapsed,
             pending_reorgs: self.pending_reorgs.clone(),
-            registry_version: self.registry_version,
         }
     }
 
@@ -402,14 +406,8 @@ impl World {
         for (chain, captured) in self.chains.iter_mut().zip(&snap.chains) {
             chain.restore_from(captured);
         }
-        // Registries only need re-cloning when the world's current ones
-        // differ from the snapshot's (equal versions imply equal contents;
-        // versions are process-globally unique per mutation).
-        if self.registry_version != snap.registry_version {
-            self.directory.clone_from(&snap.directory);
-            self.asset_names.clone_from(&snap.asset_names);
-            self.registry_version = snap.registry_version;
-        }
+        self.directory = Arc::clone(&snap.directory);
+        self.asset_names = Arc::clone(&snap.asset_names);
         self.delta_blocks = snap.delta_blocks;
         self.rounds_elapsed = snap.rounds_elapsed;
         self.pending_reorgs.clone_from(&snap.pending_reorgs);
@@ -430,12 +428,11 @@ impl World {
 /// scenarios out from the same mid-run state.
 pub struct WorldSnapshot {
     chains: Vec<Blockchain>,
-    directory: KeyDirectory,
-    asset_names: Vec<String>,
+    directory: Arc<KeyDirectory>,
+    asset_names: Arc<Vec<String>>,
     delta_blocks: u64,
     rounds_elapsed: u64,
     pending_reorgs: Vec<ReorgEvent>,
-    registry_version: u64,
 }
 
 impl WorldSnapshot {

@@ -2,14 +2,13 @@
 
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use chainsim::{
     Amount, AssetId, CallEnv, Contract, ContractError, Disposition, PartyId, StateMachine,
     StateSpec, Time, TimeWindow, TransitionSpec,
 };
-use cryptosim::{Digest, Hashlock, Secret};
+use cryptosim::{sha256, Digest, Hashlock, Secret};
 use serde::{Deserialize, Serialize};
 use swapgraph::{premiums, Digraph};
 
@@ -92,54 +91,53 @@ impl ArcDeadlines {
     }
 }
 
-/// A memo of hashkey presentations that have already been fully verified,
-/// shared by every [`ArcEscrow`] of one deal.
+/// The tag under which a deal's verified hashkey presentations are
+/// memoised, shared by every [`ArcEscrow`] of one deal.
 ///
 /// A party presents the same extended hashkey on each of its incoming arcs,
 /// and each arc contract must verify it independently — chain-signature
 /// verification is the hottest cryptographic work in a sweep. The memo key
-/// `(deal, receiver, leader, chain tag)` is sound: the chain tag binds the
-/// whole signature chain, its path and its secret under collision
-/// resistance (see [`Hashkey::chain_tag`]), and the deal tag pins the
-/// remaining verification inputs (key table, digraph, hashlocks), which are
-/// shared constants of the deal that created the cache. On a memo hit the
-/// contract still re-binds the carried secret to its hashlock and applies
-/// its own deadline checks.
+/// `(deal tag, receiver, leader, chain tag)` is sound: the chain tag binds
+/// the whole signature chain, its path and its secret under collision
+/// resistance (see [`Hashkey::chain_tag`]), and the deal tag is a SHA-256
+/// digest of the only other verification inputs, the deal's digraph arcs
+/// and key table. Two deals that agree on both accept exactly the same
+/// presentations, so they may share entries; deals that differ in either,
+/// such as the same leaders over different digraphs, where a path may be
+/// valid in one digraph only, never satisfy each other's verifications. On
+/// a memo hit the contract still re-binds the carried secret to its
+/// hashlock and applies its own deadline checks.
 ///
 /// The verified set itself lives in the **per-world** memo store
-/// ([`chainsim::SimCaches`]), not here: sweep engines give each worker
-/// thread its own pooled world, so every worker warms a private, lock-free
-/// table. Earlier revisions shared one `Arc<Mutex<BTreeSet<..>>>` across
-/// all workers, and that lock sat on the hottest verification path — flat
-/// 1→2-thread scaling was the measurable result. This handle now carries
-/// only the deal tag that namespaces the per-world entries; it stays `Sync`
-/// without any locking.
+/// ([`chainsim::SimCaches`]), keyed by that content: sweep engines give
+/// each worker thread its own pooled world, so every worker warms a
+/// private, lock-free table. Earlier revisions shared one
+/// `Arc<Mutex<BTreeSet<..>>>` across all workers, and that lock sat on the
+/// hottest verification path — flat 1→2-thread scaling was the measurable
+/// result.
 #[derive(Clone, Debug)]
 pub struct HashkeyVerifyCache {
-    /// Discriminates this deal's entries in the per-world verified set.
-    /// Unique per cache instance (clones share it, fresh caches never
-    /// collide), so two deals with colliding chain tags — e.g. the same
-    /// leaders over different digraphs, where a path may be valid in one
-    /// digraph only — can never satisfy each other's verifications.
-    deal_tag: u64,
-}
-
-impl Default for HashkeyVerifyCache {
-    fn default() -> Self {
-        Self::new()
-    }
+    deal_tag: Digest,
 }
 
 /// The per-world verified set: `(deal tag, receiver, leader, chain tag)`.
 #[derive(Debug, Default)]
-struct VerifiedHashkeys(BTreeSet<(u64, PartyId, PartyId, Digest)>);
+struct VerifiedHashkeys(BTreeSet<(Digest, PartyId, PartyId, Digest)>);
 
 impl HashkeyVerifyCache {
-    /// Creates a cache handle with a fresh deal tag, to be shared (cloned)
-    /// across one deal's arc escrows.
-    pub fn new() -> Self {
-        static NEXT_DEAL_TAG: AtomicU64 = AtomicU64::new(0);
-        HashkeyVerifyCache { deal_tag: NEXT_DEAL_TAG.fetch_add(1, Ordering::Relaxed) }
+    /// The tag of the deal over `digraph` whose parties sign with `keys`.
+    pub fn for_deal(digraph: &Digraph, keys: &PartyKeys) -> Self {
+        let mut bytes = b"arc-escrow/verify".to_vec();
+        bytes.extend_from_slice(&(digraph.arc_count() as u64).to_be_bytes());
+        for (u, v) in digraph.arcs() {
+            bytes.extend_from_slice(&u.to_be_bytes());
+            bytes.extend_from_slice(&v.to_be_bytes());
+        }
+        for (party, key) in keys.iter() {
+            bytes.extend_from_slice(&party.0.to_be_bytes());
+            bytes.extend_from_slice(key.digest().as_bytes());
+        }
+        HashkeyVerifyCache { deal_tag: sha256(&bytes) }
     }
 
     fn key(
@@ -147,7 +145,7 @@ impl HashkeyVerifyCache {
         receiver: PartyId,
         leader: PartyId,
         chain_tag: Digest,
-    ) -> (u64, PartyId, PartyId, Digest) {
+    ) -> (Digest, PartyId, PartyId, Digest) {
         (self.deal_tag, receiver, leader, chain_tag)
     }
 }
@@ -183,14 +181,14 @@ pub struct ArcEscrowParams {
     pub keys: Arc<PartyKeys>,
     /// Phase deadlines.
     pub deadlines: ArcDeadlines,
-    /// Deal-wide memo of verified hashkey presentations (default: a fresh,
-    /// unshared cache — sharing it across a deal's arcs is an optimisation,
-    /// never a semantic requirement).
+    /// The tag of the deal's verified hashkey presentations, built from
+    /// [`digraph`](ArcEscrowParams::digraph) and
+    /// [`keys`](ArcEscrowParams::keys).
     pub verify_cache: HashkeyVerifyCache,
-    /// Lazily built Equation-(1) evaluator, shared across the deal's arcs
-    /// so its compact adjacency tables are derived from the digraph once
-    /// rather than on every premium deposit.
-    pub premium_evaluator: Arc<OnceLock<premiums::RedemptionPremiumEvaluator>>,
+    /// The Equation-(1) evaluator of [`digraph`](ArcEscrowParams::digraph),
+    /// shared across the deal's arcs so its compact adjacency tables are
+    /// derived once rather than on every premium deposit.
+    pub premium_evaluator: Arc<premiums::RedemptionPremiumEvaluator>,
 }
 
 /// Messages accepted by an [`ArcEscrow`].
@@ -418,11 +416,12 @@ impl ArcEscrow {
                 "redemption premium path is not a simple path of the swap digraph",
             ));
         }
-        let units = self
-            .params
-            .premium_evaluator
-            .get_or_init(|| premiums::RedemptionPremiumEvaluator::new(&self.params.digraph))
-            .premium(&self.params.digraph, 1, &vertices, self.params.sender.0);
+        let units = self.params.premium_evaluator.premium(
+            &self.params.digraph,
+            1,
+            &vertices,
+            self.params.sender.0,
+        );
         let amount = self.params.base_premium.scaled(units);
         env.debit_caller(self.params.premium_asset, amount)?;
         self.redemption.insert(
@@ -810,6 +809,7 @@ mod tests {
         }
 
         let secret = Secret::from_seed(11);
+        let digraph = Digraph::figure3();
         let escrow = ArcEscrow::new(ArcEscrowParams {
             sender: B,
             receiver: A,
@@ -819,7 +819,9 @@ mod tests {
             base_premium: Amount::new(1),
             escrow_premium: Amount::new(5),
             hashlocks: Arc::new(vec![(A, secret.hashlock())]),
-            digraph: Arc::new(Digraph::figure3()),
+            verify_cache: HashkeyVerifyCache::for_deal(&digraph, &keys),
+            premium_evaluator: Arc::new(premiums::RedemptionPremiumEvaluator::new(&digraph)),
+            digraph: Arc::new(digraph),
             keys: Arc::new(keys),
             deadlines: ArcDeadlines {
                 escrow_premium_deadline: Time(2),
@@ -829,8 +831,6 @@ mod tests {
                 delta_blocks: 1,
                 final_deadline: Time(12),
             },
-            verify_cache: HashkeyVerifyCache::new(),
-            premium_evaluator: Arc::default(),
         });
         let addr = world.publish(chain, B, Box::new(escrow));
         Fixture { world, addr, token, native, secret, pairs }

@@ -51,6 +51,11 @@ impl PartyKeys {
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
+
+    /// The registered keys in ascending party order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (PartyId, PublicKey)> + '_ {
+        self.keys.iter().map(|(party, key)| (*party, *key))
+    }
 }
 
 impl FromIterator<(PartyId, PublicKey)> for PartyKeys {

@@ -24,6 +24,7 @@ use contracts::{
     HtlcEscrow, HtlcMsg, HtlcState, PartyKeys, PremiumSlotState, PrincipalState,
 };
 use cryptosim::{KeyPair, Secret};
+use swapgraph::premiums::RedemptionPremiumEvaluator;
 use swapgraph::Digraph;
 
 const ALICE: PartyId = PartyId(0);
@@ -264,6 +265,8 @@ fn arc_fixture() -> ArcFixture {
         premium_asset: native,
         base_premium: Amount::new(1),
         escrow_premium: Amount::new(5),
+        verify_cache: HashkeyVerifyCache::for_deal(&digraph, &keys),
+        premium_evaluator: Arc::new(RedemptionPremiumEvaluator::new(&digraph)),
         hashlocks: Arc::new(vec![(ALICE, secret.hashlock())]),
         digraph: Arc::new(digraph),
         keys: Arc::new(keys),
@@ -275,8 +278,6 @@ fn arc_fixture() -> ArcFixture {
             delta_blocks: ARC_DELTA,
             final_deadline: ARC_FINAL,
         },
-        verify_cache: HashkeyVerifyCache::new(),
-        premium_evaluator: Arc::default(),
     });
     let addr = world.publish(chain, BOB, Box::new(escrow));
     ArcFixture { world, addr, secret, pairs }

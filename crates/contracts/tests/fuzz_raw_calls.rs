@@ -18,14 +18,14 @@
 //!   nothing;
 //! * **exact rewinds** — a call-dropping reorg leaves its chain exactly as
 //!   the `World::snapshot` taken at the start of the oldest rewound round
-//!   (balances, contract states, gas): the finality
-//!   window's round journal agrees with the snapshot path the deviation
-//!   tree restores from;
+//!   (balances, contract states, gas): the finality window's round journal
+//!   agrees with the snapshot path that every `Prefix` restores its
+//!   post-setup snapshot through;
 //! * **determinism** — the whole suite is a pure function of `FUZZ_SEED`,
 //!   so any failure reproduces from the printed iteration seed alone.
 //!
 //! `FUZZ_ITERS` overrides the per-family iteration count (default 300; CI
-//! runs the same pinned budget).
+//! runs `FUZZ_ITERS=1000` from the same pinned seed).
 
 use std::rc::Rc;
 use std::sync::Arc;
@@ -40,6 +40,7 @@ use contracts::{
     HedgedEscrow, HedgedEscrowMsg, HedgedEscrowParams, HtlcEscrow, HtlcMsg, PartyKeys,
 };
 use cryptosim::{KeyPair, Secret};
+use swapgraph::premiums::RedemptionPremiumEvaluator;
 use swapgraph::Digraph;
 
 /// The pinned seed of the committed fuzz budget.
@@ -383,6 +384,8 @@ fn fuzz_arc_once(seed: u64) {
         premium_asset: native,
         base_premium: Amount::new(1),
         escrow_premium: Amount::new(5),
+        verify_cache: HashkeyVerifyCache::for_deal(&digraph, &keys),
+        premium_evaluator: Arc::new(RedemptionPremiumEvaluator::new(&digraph)),
         hashlocks: Arc::new(vec![(P0, secret.hashlock())]),
         digraph: Arc::new(digraph),
         keys: Arc::new(keys),
@@ -394,8 +397,6 @@ fn fuzz_arc_once(seed: u64) {
             delta_blocks: delta,
             final_deadline,
         },
-        verify_cache: HashkeyVerifyCache::new(),
-        premium_evaluator: Arc::default(),
     });
     let addr = world.publish(chain, P1, Box::new(escrow));
     let depth = rng.below(3) as u32;

@@ -43,6 +43,8 @@ use std::any::{Any, TypeId};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::num::NonZeroUsize;
+// staticcheck: allow(SC304) — the per-sweep chunk cursor below, the only
+// state the workers share; results merge in index order.
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use chainsim::World;
@@ -292,6 +294,9 @@ impl ParallelSweep {
             strategies += gen.strategies();
         }
 
+        // Workers claim chunks of one sweep's index space; the merge is in
+        // index order, so no result depends on which worker claimed what.
+        // staticcheck: allow(SC304) — the per-sweep chunk cursor.
         let cursor = AtomicUsize::new(0);
         let chunk = self.effective_chunk(total);
         // Never spawn more workers than there are chunks of work: surplus

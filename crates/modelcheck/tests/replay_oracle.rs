@@ -130,7 +130,7 @@ fn assert_deal_reports_identical(config: &DealConfig) {
     };
     let mut prefix_world = World::new(1);
     let mut oracle_world = World::new(1);
-    let mut prefix = Prefix::record(config.clone(), &mut prefix_world);
+    let prefix = Prefix::record(config.clone(), &mut prefix_world);
     let sweep = DealSweep::at_most("diff", config.clone(), 1);
     let profiles = (0..sweep.total()).map(|i| sweep.profile(i)).chain(mixed_pairs);
     for strategies in profiles {
@@ -180,7 +180,7 @@ fn auction_reports_are_byte_identical_per_profile() {
         let config = AuctionConfig { auctioneer: behaviour, ..AuctionConfig::default() };
         let mut prefix_world = World::new(1);
         let mut oracle_world = World::new(1);
-        let mut prefix = Prefix::record(config.clone(), &mut prefix_world);
+        let prefix = Prefix::record(config.clone(), &mut prefix_world);
         for party in 0..3u32 {
             for strategy in protocols::auction::strategy_space() {
                 let strategies = BTreeMap::from([(PartyId(party), strategy)]);
@@ -202,7 +202,7 @@ fn bootstrap_reports_are_byte_identical_per_deviation() {
         let config = BootstrapConfig::new(100_000, 100_000, 10, rounds);
         let mut prefix_world = World::new(1);
         let mut oracle_world = World::new(1);
-        let mut prefix = Prefix::record(config, &mut prefix_world);
+        let prefix = Prefix::record(config, &mut prefix_world);
         for deviation in BootstrapDeviation::all(rounds) {
             let profile = deviation.profile(rounds);
             let shared = prefix.run(&profile, &mut prefix_world);

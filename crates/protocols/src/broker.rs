@@ -141,7 +141,6 @@ pub fn broker_deal_config(config: &BrokerConfig) -> DealConfig {
         delta_blocks: config.delta_blocks,
         endowments,
         premium_float,
-        caches: Default::default(),
     }
 }
 

@@ -11,21 +11,20 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use chainsim::{Action, Amount, AssetId, ChainId, ContractAddr, PartyId, Time, World};
 use contracts::{
     ArcDeadlines, ArcEscrow, ArcEscrowMsg, ArcEscrowParams, Hashkey, HashkeyVerifyCache, PartyKeys,
     PremiumSlotState, PrincipalState,
 };
-use cryptosim::{KeyPair, Secret};
+use cryptosim::{Digest, Hashlock, KeyPair, Secret};
 use swapgraph::premiums::RedemptionPremiumEvaluator;
 use swapgraph::Digraph;
 
 use crate::outcome::{BalanceSnapshot, Payoffs};
 use crate::script::{
-    profile, HashkeyMemo, Prefix, Profile, Protocol, ScriptedParty, Step, StepMemo, StepOutcome,
-    Strategy,
+    profile, Prefix, Profile, Protocol, ScriptedParty, Step, StepOutcome, Strategy,
 };
 
 /// The number of scripted steps in each deal-engine role: escrow premiums,
@@ -60,102 +59,6 @@ pub struct ArcSpec {
     pub escrow_premium: Amount,
 }
 
-/// Cross-run caches shared by every execution of one deal configuration.
-///
-/// Everything a deal's contracts verify and its compliant parties sign is a
-/// pure function of the configuration (seeded keys and secrets, a fixed
-/// digraph and key table), so sweeps that execute the same configuration
-/// thousands of times memoise these artefacts. Every table here is either
-/// **pre-warmed once and then read-only** (leader hashkeys, deadlines, the
-/// Equation-(1) evaluator — `OnceLock`s initialised on the first run and
-/// read lock-free ever after) or **per-worker** (the hashkey-verification
-/// memo lives in each world's [`chainsim::SimCaches`]; party-side hashkey
-/// *extensions*, which depend on run dynamics and cannot be pre-warmed, live
-/// in per-step [`StepMemo`]s that a [`Prefix`]'s forks carry and merge back).
-/// Earlier revisions shared an `Arc<Mutex<BTreeMap<..>>>` hashkey memo
-/// across every worker thread; that lock was the single contended object in
-/// an otherwise share-nothing sweep and flattened 1→2-thread scaling.
-///
-/// The caches affect performance only: every cached value is bit-for-bit
-/// what recomputation would produce, so reports and sweep summaries are
-/// unchanged (pinned by the determinism tests).
-#[derive(Clone, Debug, Default)]
-pub struct DealCaches {
-    verify: HashkeyVerifyCache,
-    /// The leaders' initial hashkeys, signed once per configuration when
-    /// the first run's setup pre-warms the table; read-only afterwards.
-    leader_hashkeys: Arc<OnceLock<BTreeMap<PartyId, Hashkey>>>,
-    /// The phase deadlines, which require the digraph diameter (an
-    /// all-pairs BFS) — computed once per configuration instead of several
-    /// times per run.
-    deadlines: Arc<OnceLock<ArcDeadlines>>,
-    /// Each party's depth in the wait-for-incoming dependency DAG (leaders
-    /// and other non-waiting parties are depth 0), computed once per
-    /// configuration; drives the staggered per-sender asset-escrow
-    /// deadlines.
-    escrow_depths: Arc<OnceLock<BTreeMap<PartyId, u64>>>,
-    /// Compact Equation-(1) adjacency tables, built once per configuration
-    /// and shared with every arc escrow the configuration publishes.
-    premium_evaluator: Arc<OnceLock<RedemptionPremiumEvaluator>>,
-}
-
-impl DealCaches {
-    /// Creates empty caches for one deal configuration.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Pre-warms the read-only leader-hashkey table. Called by the deal
-    /// setup; the first caller signs, everyone after reads lock-free.
-    fn ensure_leader_hashkeys(&self, leaders: &BTreeSet<PartyId>) {
-        self.leader_hashkeys.get_or_init(|| {
-            leaders
-                .iter()
-                .map(|&leader| {
-                    let hashkey =
-                        Hashkey::from_leader(leader, leader_secret(leader), &party_keypair(leader));
-                    (leader, hashkey)
-                })
-                .collect()
-        });
-    }
-
-    /// The leader's initial hashkey: from the pre-warmed table when
-    /// available, else computed into the caller's per-worker memo.
-    /// Always signed from the canonical seeded material
-    /// ([`leader_secret`]/[`party_keypair`]) — the same derivation the deal
-    /// setup uses — so the pre-warmed table and the fallback can never
-    /// disagree.
-    fn leader_hashkey(&self, leader: PartyId, memo: &mut HashkeyMemo) -> Hashkey {
-        if let Some(table) = self.leader_hashkeys.get() {
-            if let Some(hashkey) = table.get(&leader) {
-                return hashkey.clone();
-            }
-        }
-        memo.entry((leader, None))
-            .or_insert_with(|| {
-                Hashkey::from_leader(leader, leader_secret(leader), &party_keypair(leader))
-            })
-            .clone()
-    }
-
-    /// `base` extended by `party`, signed once per (base, party) *per
-    /// worker*: extensions depend on which hashkey a party observed first,
-    /// so they cannot be pre-warmed; the memo is per-step state, carried
-    /// from one scenario's forks to the next by the [`Prefix`].
-    fn extend_hashkey(
-        &self,
-        base: &Hashkey,
-        party: PartyId,
-        keys: &KeyPair,
-        memo: &mut HashkeyMemo,
-    ) -> Hashkey {
-        memo.entry((party, Some(base.chain_tag())))
-            .or_insert_with(|| base.extend(party, keys))
-            .clone()
-    }
-}
-
 /// Configuration of a hedged deal.
 #[derive(Clone, Debug)]
 pub struct DealConfig {
@@ -180,11 +83,9 @@ pub struct DealConfig {
     pub endowments: Vec<(PartyId, String, String, Amount)>,
     /// Native-currency float minted per party per chain to fund premiums.
     /// Size it with [`DealConfig::premium_float_for`]; it is computed once
-    /// at configuration time because sweeps re-run the same config
-    /// thousands of times.
+    /// at configuration time because it walks every simple path of every
+    /// leader, which would cost a clique-6 setup about 10 ms.
     pub premium_float: Amount,
-    /// Cross-run caches (see [`DealCaches`]); fresh per configuration.
-    pub caches: DealCaches,
 }
 
 impl DealConfig {
@@ -237,74 +138,22 @@ impl DealConfig {
     /// checks (the `staticcheck` crate) can verify the ladder against the
     /// digraph without building a deal.
     pub fn arc_deadlines(&self) -> ArcDeadlines {
-        self.deadlines()
+        let d = self.delta_blocks;
+        let n = self.n();
+        let diam = self.digraph.diameter().unwrap_or(n);
+        ArcDeadlines {
+            escrow_premium_deadline: Time(n * d),
+            redemption_premium_deadline: Time(2 * n * d),
+            asset_escrow_deadline: Time(3 * n * d),
+            hashkey_timeout_base: Time(3 * n * d),
+            delta_blocks: d,
+            final_deadline: Time((4 * n + diam + 1) * d),
+        }
     }
 
-    fn deadlines(&self) -> ArcDeadlines {
-        self.caches
-            .deadlines
-            .get_or_init(|| {
-                let d = self.delta_blocks;
-                let n = self.n();
-                let diam = self.digraph.diameter().unwrap_or(n);
-                ArcDeadlines {
-                    escrow_premium_deadline: Time(n * d),
-                    redemption_premium_deadline: Time(2 * n * d),
-                    asset_escrow_deadline: Time(3 * n * d),
-                    hashkey_timeout_base: Time(3 * n * d),
-                    delta_blocks: d,
-                    final_deadline: Time((4 * n + diam + 1) * d),
-                }
-            })
-            .clone()
-    }
-
-    fn final_deadline(&self) -> Time {
-        self.deadlines().final_deadline
-    }
-
-    /// Each party's depth in the wait-for-incoming dependency DAG: parties
-    /// that escrow unconditionally (leaders) are depth 0; a waiting party
-    /// sits one level below the deepest sender it waits on. The leader set
-    /// is a feedback vertex set, so the waiting sub-digraph is acyclic and
-    /// the fixed point below converges within `n` sweeps; anything left
-    /// unassigned (an invalid configuration) is capped at `n`.
-    fn escrow_depths(&self) -> &BTreeMap<PartyId, u64> {
-        self.caches.escrow_depths.get_or_init(|| {
-            let parties = self.parties();
-            let mut depths: BTreeMap<PartyId, u64> = parties
-                .iter()
-                .filter(|p| !self.wait_for_incoming.contains(p))
-                .map(|&p| (p, 0))
-                .collect();
-            for _ in 0..parties.len() {
-                let mut changed = false;
-                for &v in parties.iter().filter(|p| self.wait_for_incoming.contains(p)) {
-                    if depths.contains_key(&v) {
-                        continue;
-                    }
-                    let senders: Vec<PartyId> =
-                        self.digraph.in_arcs(v.0).into_iter().map(|(u, _)| PartyId(u)).collect();
-                    if let Some(depth) =
-                        senders.iter().map(|u| depths.get(u).copied()).collect::<Option<Vec<_>>>()
-                    {
-                        depths.insert(v, 1 + depth.into_iter().max().unwrap_or(0));
-                        changed = true;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-            }
-            for &p in &parties {
-                depths.entry(p).or_insert(parties.len() as u64);
-            }
-            depths
-        })
-    }
-
-    /// The staggered asset-escrow deadline of `sender`'s outgoing arcs:
-    /// `redemption_premium_deadline + (depth + 1)·Δ`.
+    /// Each sender's staggered asset-escrow deadline under `deadlines`:
+    /// `redemption_premium_deadline + (depth + 1)·Δ`, where `depth` is the
+    /// sender's depth in the wait-for-incoming dependency DAG.
     ///
     /// The escrow phase chains through waiting parties — a follower escrows
     /// only after observing every incoming asset — so a single shared
@@ -315,12 +164,53 @@ impl DealConfig {
     /// §7 schedule: every hop — including a last-instant one — leaves the
     /// next a full Δ, and the deepest party's deadline is still at most the
     /// phase end `3nΔ`.
-    pub fn asset_escrow_deadline_of(&self, sender: PartyId) -> Time {
-        let deadlines = self.deadlines();
-        let depth = self.escrow_depths().get(&sender).copied().unwrap_or(0);
-        deadlines
-            .asset_escrow_deadline
-            .min(deadlines.redemption_premium_deadline.plus((depth + 1) * self.delta_blocks))
+    fn asset_escrow_deadlines(&self, deadlines: &ArcDeadlines) -> BTreeMap<PartyId, Time> {
+        self.escrow_depths()
+            .into_iter()
+            .map(|(party, depth)| {
+                let staggered =
+                    deadlines.redemption_premium_deadline.plus((depth + 1) * self.delta_blocks);
+                (party, deadlines.asset_escrow_deadline.min(staggered))
+            })
+            .collect()
+    }
+
+    /// Each party's depth in the wait-for-incoming dependency DAG: parties
+    /// that escrow unconditionally (leaders) are depth 0; a waiting party
+    /// sits one level below the deepest sender it waits on. The leader set
+    /// is a feedback vertex set, so the waiting sub-digraph is acyclic and
+    /// the fixed point below converges within `n` sweeps; anything left
+    /// unassigned (an invalid configuration) is capped at `n`.
+    fn escrow_depths(&self) -> BTreeMap<PartyId, u64> {
+        let parties = self.parties();
+        let mut depths: BTreeMap<PartyId, u64> = parties
+            .iter()
+            .filter(|p| !self.wait_for_incoming.contains(p))
+            .map(|&p| (p, 0))
+            .collect();
+        for _ in 0..parties.len() {
+            let mut changed = false;
+            for &v in parties.iter().filter(|p| self.wait_for_incoming.contains(p)) {
+                if depths.contains_key(&v) {
+                    continue;
+                }
+                let senders: Vec<PartyId> =
+                    self.digraph.in_arcs(v.0).into_iter().map(|(u, _)| PartyId(u)).collect();
+                if let Some(depth) =
+                    senders.iter().map(|u| depths.get(u).copied()).collect::<Option<Vec<_>>>()
+                {
+                    depths.insert(v, 1 + depth.into_iter().max().unwrap_or(0));
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        for &p in &parties {
+            depths.entry(p).or_insert(parties.len() as u64);
+        }
+        depths
     }
 }
 
@@ -385,7 +275,11 @@ impl DealReport {
 }
 
 /// What a deal's setup leaves behind: the arc escrows, the parties' keys
-/// and secrets, and the balances before the first round.
+/// and secrets, the deadlines the scripts act by, and the balances before
+/// the first round.
+///
+/// Setup derives everything from the configuration it is given, so an
+/// edited clone of a configuration runs on its own deadlines.
 pub struct DealSetup {
     arc_addrs: Arc<BTreeMap<(PartyId, PartyId), ContractAddr>>,
     parties: Vec<PartyId>,
@@ -394,6 +288,10 @@ pub struct DealSetup {
     all_assets: Vec<AssetId>,
     secrets: BTreeMap<PartyId, Secret>,
     keypairs: BTreeMap<PartyId, KeyPair>,
+    /// The phase deadlines of every arc escrow.
+    deadlines: ArcDeadlines,
+    /// Each sender's staggered asset-escrow deadline.
+    escrow_deadlines: BTreeMap<PartyId, Time>,
     before: BalanceSnapshot,
 }
 
@@ -403,42 +301,56 @@ impl fmt::Debug for DealSetup {
     }
 }
 
-/// Key pairs and leader secrets are derived from fixed per-party seeds, and
-/// sweeps replay the same setup thousands of times — so the small-id range
-/// is derived once and cached. Results are identical to computing them
-/// per run.
-const CACHED_IDS: u64 = 64;
+/// Key pairs by seed, in the world's memo store.
+#[derive(Default)]
+struct SeededKeyPairs(BTreeMap<u64, KeyPair>);
 
-fn party_keypair(party: PartyId) -> KeyPair {
-    static CACHE: OnceLock<Vec<KeyPair>> = OnceLock::new();
+/// Leaders' initial hashkeys by (signer, hashlock), in the world's memo
+/// store. A party's key pair is a function of its id
+/// ([`party_keypair`]) and a hashlock binds its secret, so the key
+/// determines the signed hashkey.
+#[derive(Default)]
+struct LeaderHashkeys(BTreeMap<(PartyId, Hashlock), Hashkey>);
+
+/// Hashkey extensions by (signer, chain tag of the base), in the world's
+/// memo store. The chain tag binds the base's whole signature chain, path
+/// and secret (see [`Hashkey::chain_tag`]), so the key determines the
+/// extension.
+#[derive(Default)]
+struct ExtendedHashkeys(BTreeMap<(PartyId, Digest), Hashkey>);
+
+/// `party`'s key pair, derived from a fixed per-party seed once per world.
+fn party_keypair(world: &World, party: PartyId) -> KeyPair {
     let seed = 1000 + u64::from(party.0);
-    if u64::from(party.0) < CACHED_IDS {
-        CACHE.get_or_init(|| (0..CACHED_IDS).map(|i| KeyPair::from_seed(1000 + i)).collect())
-            [party.0 as usize]
-            .clone()
-    } else {
-        KeyPair::from_seed(seed)
-    }
+    let mut caches = world.caches();
+    let pairs = &mut caches.get_or_default::<SeededKeyPairs>().0;
+    pairs.entry(seed).or_insert_with(|| KeyPair::from_seed(seed)).clone()
 }
 
 fn leader_secret(leader: PartyId) -> Secret {
-    static CACHE: OnceLock<Vec<Secret>> = OnceLock::new();
-    let seed = 7000 + u64::from(leader.0);
-    if u64::from(leader.0) < CACHED_IDS {
-        CACHE.get_or_init(|| (0..CACHED_IDS).map(|i| Secret::from_seed(7000 + i)).collect())
-            [leader.0 as usize]
-            .clone()
-    } else {
-        Secret::from_seed(seed)
-    }
+    Secret::from_seed(7000 + u64::from(leader.0))
+}
+
+/// `leader`'s initial hashkey over `secret`, signed once per world.
+fn leader_hashkey(world: &World, leader: PartyId, secret: &Secret, keys: &KeyPair) -> Hashkey {
+    let mut caches = world.caches();
+    let signed = &mut caches.get_or_default::<LeaderHashkeys>().0;
+    signed
+        .entry((leader, secret.hashlock()))
+        .or_insert_with(|| Hashkey::from_leader(leader, secret.clone(), keys))
+        .clone()
+}
+
+/// `base` extended by `party`, signed once per world.
+fn extended_hashkey(world: &World, base: &Hashkey, party: PartyId, keys: &KeyPair) -> Hashkey {
+    let mut caches = world.caches();
+    let signed = &mut caches.get_or_default::<ExtendedHashkeys>().0;
+    signed.entry((party, base.chain_tag())).or_insert_with(|| base.extend(party, keys)).clone()
 }
 
 /// Builds the deal's world state inside `world`, which is reset first.
 fn build(world: &mut World, config: &DealConfig) -> DealSetup {
     world.reset(1);
-    // Pre-warm the configuration's read-only tables (leader hashkeys) so
-    // every later access — from any worker — is a lock-free read.
-    config.caches.ensure_leader_hashkeys(&config.leaders);
     // Setup tables borrow their keys from the config: a sweep re-runs the
     // same config thousands of times and must not re-clone its strings.
     let mut chain_ids: BTreeMap<&str, ChainId> = BTreeMap::new();
@@ -458,12 +370,11 @@ fn build(world: &mut World, config: &DealConfig) -> DealSetup {
     let mut keys = PartyKeys::new();
     let mut keypairs = BTreeMap::new();
     for &party in &parties {
-        let pair = party_keypair(party);
+        let pair = party_keypair(world, party);
         world.directory_mut().register(&pair);
         keys.insert(party, pair.public());
         keypairs.insert(party, pair);
     }
-    let keys = Arc::new(keys);
 
     // Endowments: traded assets per the config, plus generous native
     // balances on every chain for premiums.
@@ -495,22 +406,19 @@ fn build(world: &mut World, config: &DealConfig) -> DealSetup {
         secrets.insert(leader, secret);
     }
     let hashlocks = Arc::new(hashlocks);
-    let digraph = Arc::new(config.digraph.clone());
 
-    // One ArcEscrow per arc. All arcs (and, through the config-level
-    // caches, all runs of this config) share the hashkey-verification memo.
-    let verify_cache = config.caches.verify.clone();
-    let deadlines = config.deadlines();
+    // One ArcEscrow per arc. All arcs share the digraph, the key table, the
+    // Equation-(1) evaluator and the tag of the deal's verified hashkeys.
+    let verify_cache = HashkeyVerifyCache::for_deal(&config.digraph, &keys);
+    let premium_evaluator = Arc::new(RedemptionPremiumEvaluator::new(&config.digraph));
+    let digraph = Arc::new(config.digraph.clone());
+    let keys = Arc::new(keys);
+    let deadlines = config.arc_deadlines();
+    let escrow_deadlines = config.asset_escrow_deadlines(&deadlines);
     let mut arc_addrs = BTreeMap::new();
     for arc in &config.arcs {
         let chain_id = chain_ids[arc.chain.as_str()];
         let native = world.chain(chain_id).native_asset();
-        // Per-arc deadlines: the asset-escrow deadline is staggered by the
-        // sender's dependency depth (see `asset_escrow_deadline_of`).
-        let arc_deadlines = ArcDeadlines {
-            asset_escrow_deadline: config.asset_escrow_deadline_of(arc.from),
-            ..deadlines.clone()
-        };
         let params = ArcEscrowParams {
             sender: arc.from,
             receiver: arc.to,
@@ -522,9 +430,12 @@ fn build(world: &mut World, config: &DealConfig) -> DealSetup {
             hashlocks: Arc::clone(&hashlocks),
             digraph: Arc::clone(&digraph),
             keys: Arc::clone(&keys),
-            deadlines: arc_deadlines,
+            deadlines: ArcDeadlines {
+                asset_escrow_deadline: escrow_deadlines[&arc.from],
+                ..deadlines.clone()
+            },
             verify_cache: verify_cache.clone(),
-            premium_evaluator: Arc::clone(&config.caches.premium_evaluator),
+            premium_evaluator: Arc::clone(&premium_evaluator),
         };
         let addr = world.publish(chain_id, arc.from, Box::new(ArcEscrow::new(params)));
         arc_addrs.insert((arc.from, arc.to), addr);
@@ -540,6 +451,8 @@ fn build(world: &mut World, config: &DealConfig) -> DealSetup {
         all_assets,
         secrets,
         keypairs,
+        deadlines,
+        escrow_deadlines,
         before,
     }
 }
@@ -600,11 +513,11 @@ fn party_steps(config: &DealConfig, setup: &DealSetup, me: PartyId) -> Vec<Step>
             .collect(),
         leader_list: config.leaders.iter().copied().collect(),
     });
-    let deadlines = config.deadlines();
+    let deadlines = &setup.deadlines;
     let wait_for_incoming = config.wait_for_incoming.contains(&me);
     let my_secret = setup.secrets.get(&me).cloned();
     let my_keys = setup.keypairs[&me].clone();
-    let final_deadline = config.final_deadline();
+    let final_deadline = deadlines.final_deadline;
 
     let mut steps = Vec::new();
 
@@ -752,7 +665,7 @@ fn party_steps(config: &DealConfig, setup: &DealSetup, me: PartyId) -> Vec<Step>
     {
         let ctx = Arc::clone(&ctx);
         let phase_start = deadlines.redemption_premium_deadline;
-        let give_up = config.asset_escrow_deadline_of(me);
+        let give_up = setup.escrow_deadlines[&me];
         steps.push(
             Step::new("escrow assets", move |world: &World| {
                 let now = world.now();
@@ -796,12 +709,11 @@ fn party_steps(config: &DealConfig, setup: &DealSetup, me: PartyId) -> Vec<Step>
     // Phase 4: release and propagate hashkeys.
     {
         let ctx = Arc::clone(&ctx);
-        let caches = config.caches.clone();
         let give_up = final_deadline;
         let asset_escrow_deadline = deadlines.asset_escrow_deadline;
         steps.push(
             Step::stateful("release and propagate hashkeys", move |memo, world: &World| {
-                let StepMemo { done, hashkeys } = memo;
+                let done = &mut memo.done;
                 let now = world.now();
                 let mut actions = Vec::new();
                 for &leader in &ctx.leader_list {
@@ -832,7 +744,9 @@ fn party_steps(config: &DealConfig, setup: &DealSetup, me: PartyId) -> Vec<Step>
                         });
                         let past_escrow_phase = now.has_reached(asset_escrow_deadline);
                         if all_in || (escrowed_nothing && past_escrow_phase) {
-                            my_secret.as_ref().map(|_| caches.leader_hashkey(me, hashkeys))
+                            my_secret
+                                .as_ref()
+                                .map(|secret| leader_hashkey(world, me, secret, &my_keys))
                         } else {
                             None
                         }
@@ -841,7 +755,7 @@ fn party_steps(config: &DealConfig, setup: &DealSetup, me: PartyId) -> Vec<Step>
                         ctx.out_arcs.iter().find_map(|arc| {
                             arc_contract(world, ctx.arc_addrs[arc])
                                 .presented_hashkey(leader)
-                                .map(|k| caches.extend_hashkey(k, me, &my_keys, hashkeys))
+                                .map(|k| extended_hashkey(world, k, me, &my_keys))
                         })
                     };
                     if let Some(hashkey) = hashkey {
@@ -944,7 +858,7 @@ impl Protocol for DealConfig {
 
     /// Past the final deadline plus slack for the settlement steps.
     fn max_rounds(&self) -> u64 {
-        self.final_deadline().height() + 3 * self.delta_blocks + 4
+        self.arc_deadlines().final_deadline.height() + 3 * self.delta_blocks + 4
     }
 
     fn capture(
@@ -1049,7 +963,7 @@ pub fn run_deal_shared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multi_party::figure3_config;
+    use crate::multi_party::{figure3_config, swap_config};
 
     #[test]
     fn compliant_figure3_deal_completes() {
@@ -1062,5 +976,28 @@ mod tests {
             assert_eq!(outcome.premium_payoff, 0, "premiums refunded in a compliant run");
         }
         assert!(report.payoffs.conserved());
+    }
+
+    #[test]
+    fn an_edited_clone_runs_on_its_own_deadlines() {
+        // The original runs first, so anything it derived and a clone could
+        // share is in place before the clone is edited.
+        let original = figure3_config();
+        let mut world = World::new(1);
+        let _ = original.run(&|_| Strategy::compliant(), &mut world);
+        let mut edited = original.clone();
+        edited.delta_blocks = 3;
+        let fresh = swap_config(
+            &Digraph::figure3(),
+            &BTreeSet::from([0]),
+            Amount::new(100),
+            Amount::new(1),
+            3,
+        );
+        assert_eq!(edited.arc_deadlines(), fresh.arc_deadlines());
+        let edited_report = edited.run(&|_| Strategy::compliant(), &mut world);
+        let fresh_report = fresh.run(&|_| Strategy::compliant(), &mut World::new(1));
+        assert_eq!(edited_report.rounds, 24);
+        assert_eq!(format!("{edited_report:?}"), format!("{fresh_report:?}"));
     }
 }

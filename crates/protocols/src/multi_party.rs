@@ -75,7 +75,6 @@ pub fn swap_config(
         delta_blocks,
         endowments,
         premium_float,
-        caches: Default::default(),
     }
 }
 

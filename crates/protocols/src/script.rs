@@ -27,8 +27,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use chainsim::{Action, Actor, PartyId, Scheduler, Tally, Time, World, WorldSnapshot};
-use contracts::Hashkey;
-use cryptosim::Digest;
 
 /// The maximum script length a [`DelayVector`] can address. Every bundled
 /// script has at most six steps; the fixed size keeps [`Strategy`] `Copy`.
@@ -334,29 +332,18 @@ pub enum StepOutcome {
     Complete(Vec<Action>),
 }
 
-/// Memoised hashkey constructions, keyed by the signer and the
-/// collision-resistant chain tag of the base being extended (`None` for a
-/// leader's initial hashkey).
-///
-/// Values are pure functions of their key within one deal configuration
-/// (fixed seeds, keys and secrets), so carrying a memo across forks and
-/// scenarios changes performance only, never outcomes.
-pub type HashkeyMemo = BTreeMap<(PartyId, Option<Digest>), Hashkey>;
-
 /// The explicit mutable state of a [`Step`].
 ///
 /// Earlier revisions let step closures capture `mut` state (`FnMut`), which
 /// made a mid-run script impossible to snapshot. All per-step state now
 /// lives here, where [`ScriptedParty::fork`] can clone it: `done` tracks
-/// per-leader sub-tasks a multi-leader phase has finished; `hashkeys`
-/// memoises signature constructions (a cache, not semantic state — entries
-/// may be shared across runs of the same configuration).
+/// per-leader sub-tasks a multi-leader phase has finished. A step memoises
+/// pure computations, such as signatures, in the world's memo store
+/// ([`World::caches`]), not here.
 #[derive(Clone, Debug, Default)]
 pub struct StepMemo {
     /// Parties (typically leaders) whose sub-task this step has completed.
     pub done: BTreeSet<PartyId>,
-    /// Memoised hashkey constructions (see [`HashkeyMemo`]).
-    pub hashkeys: HashkeyMemo,
 }
 
 /// The shared decision logic of a [`Step`].
@@ -536,19 +523,6 @@ impl ScriptedParty {
             crash_until: None,
             garbage_done: false,
             wake: None,
-        }
-    }
-
-    /// Merges the hashkey memos another fork of this party accumulated.
-    ///
-    /// Memo values are pure functions of their keys, so absorbing a sibling
-    /// fork's entries only saves future recomputation; `done` state is *not*
-    /// merged (it is semantic, per-run state).
-    fn absorb_hashkey_memos(&mut self, other: &ScriptedParty) {
-        for (mine, theirs) in self.steps.iter_mut().zip(&other.steps) {
-            for (key, value) in &theirs.memo.hashkeys {
-                mine.memo.hashkeys.entry(*key).or_insert_with(|| value.clone());
-            }
         }
     }
 }
@@ -757,22 +731,17 @@ impl Actor for ScriptedParty {
 }
 
 /// Restores `world` to `snapshot`, forks `parties` under `profile` and
-/// drives the forks with the [`Scheduler`]. The forks' hashkey memos go
-/// back into `parties`, so the next profile does not sign them again.
+/// drives the forks with the [`Scheduler`].
 fn resume(
     snapshot: &WorldSnapshot,
-    parties: &mut [ScriptedParty],
+    parties: &[ScriptedParty],
     world: &mut World,
     profile: Profile<'_>,
     max_rounds: u64,
 ) -> Tally {
     world.restore(snapshot);
     let mut forks: Vec<ScriptedParty> = parties.iter().map(|p| p.fork(profile(p.party))).collect();
-    let tally = Scheduler::new(max_rounds).run(world, &mut forks);
-    for (party, fork) in parties.iter_mut().zip(&forks) {
-        party.absorb_hashkey_memos(fork);
-    }
-    tally
+    Scheduler::new(max_rounds).run(world, &mut forks)
 }
 
 /// A world right after setup and the compliant scripts, from which
@@ -818,11 +787,11 @@ impl DeviationTree {
     /// Runs the profile `strategy_of` inside `world` from the recorded
     /// snapshot.
     pub fn resume(
-        &mut self,
+        &self,
         world: &mut World,
         strategy_of: &dyn Fn(PartyId) -> Strategy,
     ) -> ResumedRun {
-        let tally = resume(&self.world, &mut self.parties, world, strategy_of, self.max_rounds);
+        let tally = resume(&self.world, &self.parties, world, strategy_of, self.max_rounds);
         ResumedRun {
             rounds: tally.rounds,
             failed_actions: tally.failed,
@@ -915,17 +884,21 @@ pub trait Protocol {
 }
 
 /// One [`Protocol`] set up once and shared by every profile run through it:
-/// the world as setup left it and the compliant scripts. Each profile
-/// restores that world and forks the scripts under its strategies, so it
-/// skips the setup [`Protocol::run`] repeats; the reports are identical.
+/// the world as setup left it, the compliant scripts and the round budget.
+/// Each profile restores that world and forks the scripts under its
+/// strategies, so it skips the setup [`Protocol::run`] repeats; the reports
+/// are identical. A prefix holds no memo: what a run signs or verifies is
+/// memoised in the world's store ([`World::caches`]).
 pub struct Prefix<P: Protocol> {
     protocol: P,
     setup: P::Setup,
     /// The world right after setup.
     world: WorldSnapshot,
-    /// The compliant scripts, which also carry the hashkey memos every
-    /// profile's run has filled in so far.
+    /// The compliant scripts.
     parties: Vec<ScriptedParty>,
+    /// [`Protocol::max_rounds`], which a deal derives from its digraph's
+    /// diameter.
+    max_rounds: u64,
 }
 
 impl<P: Protocol> fmt::Debug for Prefix<P> {
@@ -939,13 +912,14 @@ impl<P: Protocol> Prefix<P> {
     pub fn record(protocol: P, world: &mut World) -> Self {
         let setup = protocol.setup(world);
         let parties = protocol.script(&setup, &|_| Strategy::compliant());
-        Prefix { world: world.snapshot(), protocol, setup, parties }
+        let max_rounds = protocol.max_rounds();
+        Prefix { world: world.snapshot(), protocol, setup, parties, max_rounds }
     }
 
     /// Runs `profile` inside `world` from the post-setup snapshot.
-    pub fn run(&mut self, profile: Profile<'_>, world: &mut World) -> P::Report {
-        let Prefix { protocol, setup, world: snapshot, parties } = self;
-        let tally = resume(snapshot, parties, world, profile, protocol.max_rounds());
+    pub fn run(&self, profile: Profile<'_>, world: &mut World) -> P::Report {
+        let Prefix { protocol, setup, world: snapshot, parties, max_rounds } = self;
+        let tally = resume(snapshot, parties, world, profile, *max_rounds);
         let capture = protocol.capture(world, setup, tally.rounds, tally.failed);
         protocol.judge(setup, &capture, profile)
     }
@@ -1270,7 +1244,7 @@ mod tests {
         let mut world = World::new(1);
         let log = Beacons.setup(&mut world);
         let parties = Beacons.script(&log, &|_| Strategy::compliant());
-        let mut tree = DeviationTree::record(&mut world, parties, Beacons.max_rounds());
+        let tree = DeviationTree::record(&mut world, parties, Beacons.max_rounds());
         let resumed = tree.resume(&mut world, &late);
         assert_eq!(Beacons.capture(&world, &log, resumed.rounds, 0), from_scratch);
         assert_eq!(Prefix::record(Beacons, &mut world).run(&late, &mut world), from_scratch);

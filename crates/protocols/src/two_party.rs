@@ -78,17 +78,6 @@ pub struct TwoPartyConfig {
     pub premium_b: Amount,
     /// The synchrony bound Δ, in blocks.
     pub delta_blocks: u64,
-    /// Per-chain Δ override for the apricot chain, in blocks (zero inherits
-    /// [`delta_blocks`](TwoPartyConfig::delta_blocks)). Heterogeneous
-    /// per-chain Δ stretches the deadline ladder: each step's deadline
-    /// extends the previous one by the Δ of the chain that step's action
-    /// must propagate on.
-    #[serde(default)]
-    pub delta_apricot: u64,
-    /// Per-chain Δ override for the banana chain; see
-    /// [`delta_apricot`](TwoPartyConfig::delta_apricot).
-    #[serde(default)]
-    pub delta_banana: u64,
     /// Finality margin in blocks, padded into every *contract* deadline but
     /// never into the compliant scripts' give-up times. From
     /// [`min_finality_margin`] up, re-delivering reorgs are observationally
@@ -107,15 +96,12 @@ impl Default for TwoPartyConfig {
             premium_a: Amount::new(2),
             premium_b: Amount::new(2),
             delta_blocks: 2,
-            delta_apricot: 0,
-            delta_banana: 0,
             finality_margin: 0,
         }
     }
 }
 
-/// The hedged swap's six-deadline ladder (§5.2), generalized over per-chain
-/// Δ. With both chains at the global Δ this is exactly the paper's
+/// The hedged swap's six-deadline ladder (§5.2): the paper's
 /// `1Δ, 2Δ, …, 6Δ`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HedgedSchedule {
@@ -134,50 +120,25 @@ pub struct HedgedSchedule {
 }
 
 impl TwoPartyConfig {
-    /// The apricot chain's effective Δ in blocks.
-    pub fn delta_a(&self) -> u64 {
-        if self.delta_apricot == 0 {
-            self.delta_blocks
-        } else {
-            self.delta_apricot
-        }
-    }
-
-    /// The banana chain's effective Δ in blocks.
-    pub fn delta_b(&self) -> u64 {
-        if self.delta_banana == 0 {
-            self.delta_blocks
-        } else {
-            self.delta_banana
-        }
-    }
-
-    /// The hedged deadline ladder for this configuration: cumulative sums
-    /// where each step adds the Δ of the chain its action propagates on.
+    /// The hedged deadline ladder for this configuration: each step's
+    /// deadline is one Δ past the previous one's.
     pub fn hedged_schedule(&self) -> HedgedSchedule {
-        let (da, db) = (self.delta_a(), self.delta_b());
-        let t1 = db; // Alice's premium is on banana
-        let t2 = t1 + da; // Bob's premium is on apricot
-        let t3 = t2 + da; // Alice's escrow is on apricot
-        let t4 = t3 + db; // Bob's escrow is on banana
-        let t5 = t4 + db; // Alice's redeem is on banana
-        let t6 = t5 + da; // Bob's redeem is on apricot
+        let rung = |k: u64| Time(k * self.delta_blocks);
         HedgedSchedule {
-            premium_banana: Time(t1),
-            premium_apricot: Time(t2),
-            escrow_apricot: Time(t3),
-            escrow_banana: Time(t4),
-            redeem_banana: Time(t5),
-            redeem_apricot: Time(t6),
+            premium_banana: rung(1),
+            premium_apricot: rung(2),
+            escrow_apricot: rung(3),
+            escrow_banana: rung(4),
+            redeem_banana: rung(5),
+            redeem_apricot: rung(6),
         }
     }
 
     /// The base (§5.1) HTLC timelocks `(banana, apricot)`: the banana leg
-    /// times out after `Δ_a + Δ_b` (the paper's `2Δ`), the apricot leg one
-    /// apricot-propagation later (`2Δ_a + Δ_b`, the paper's `3Δ`).
+    /// times out after a cross-chain round trip (`2Δ`), the apricot leg one
+    /// propagation later (`3Δ`).
     pub fn base_timelocks(&self) -> (Time, Time) {
-        let (da, db) = (self.delta_a(), self.delta_b());
-        (Time(da + db), Time(2 * da + db))
+        (Time(2 * self.delta_blocks), Time(3 * self.delta_blocks))
     }
 
     /// Pads a contract-side deadline with the finality margin. Compliant
@@ -325,8 +286,8 @@ fn publish(
         }
         SwapProtocol::Base => {
             // §5.1: Alice's apricot escrow with timelock 3Δ, Bob's banana
-            // escrow with 2Δ (both generalized over per-chain Δ and padded
-            // with the finality margin, like the hedged contracts).
+            // escrow with 2Δ (both padded with the finality margin, like the
+            // hedged contracts).
             let [apricot_token, banana_token, ..] = assets;
             let (banana_timelock, apricot_timelock) = config.base_timelocks();
             let apricot = world.publish(
@@ -517,7 +478,6 @@ fn base_alice_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
     let (banana_timelock, apricot_timelock) = config.base_timelocks();
     let escrow_deadline = apricot_timelock;
     let redeem_give_up = banana_timelock;
-    let final_deadline = config.padded(apricot_timelock);
     vec![
         Step::new("alice: escrow principal on apricot", move |_world: &World| {
             StepOutcome::Complete(vec![Action::call(apricot, HtlcMsg::Escrow)])
@@ -537,11 +497,7 @@ fn base_alice_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
             }
         })
         .with_deadline(redeem_give_up),
-        base_recovery_step(
-            "alice: refund timed-out escrows",
-            vec![apricot, banana],
-            final_deadline,
-        ),
+        base_recovery_step("alice: refund timed-out escrows", vec![apricot, banana]),
     ]
 }
 
@@ -549,7 +505,7 @@ fn base_alice_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
 fn base_bob_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
     let apricot = setup.apricot_contract;
     let banana = setup.banana_contract;
-    let (banana_timelock, apricot_timelock) = config.base_timelocks();
+    let (banana_timelock, _) = config.base_timelocks();
     let escrow_give_up = banana_timelock;
     // The secret can only *appear* strictly before the banana timelock
     // (2Δ), but Bob observes the chain with a one-round lag and can legally
@@ -566,7 +522,6 @@ fn base_bob_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
     let redeem_give_up = banana_timelock.plus(1);
     #[cfg(feature = "canary-bugs")]
     let redeem_give_up = banana_timelock;
-    let final_deadline = config.padded(apricot_timelock);
     vec![
         Step::new("bob: escrow principal on banana", move |world: &World| {
             if world.now().has_reached(escrow_give_up) {
@@ -597,15 +552,11 @@ fn base_bob_steps(setup: &SwapSetup, config: &TwoPartyConfig) -> Vec<Step> {
         // procrastinator's hold land on the give-up tick and silently drop
         // a legal redemption (the with_deadline stability contract).
         .with_deadline(redeem_give_up),
-        base_recovery_step("bob: refund timed-out escrows", vec![apricot, banana], final_deadline),
+        base_recovery_step("bob: refund timed-out escrows", vec![apricot, banana]),
     ]
 }
 
-fn base_recovery_step(
-    name: &'static str,
-    contracts: Vec<ContractAddr>,
-    _final_deadline: Time,
-) -> Step {
+fn base_recovery_step(name: &'static str, contracts: Vec<ContractAddr>) -> Step {
     Step::new(name, move |world: &World| {
         let pending: Vec<ContractAddr> = contracts
             .iter()
@@ -901,12 +852,8 @@ pub fn swap_static_setup(
 /// Also the horizon for [`SwapRealism`] reorg schedules — a reorg at or
 /// beyond this round can never fire within the run.
 pub fn swap_max_rounds(config: &TwoPartyConfig) -> u64 {
-    // Reduces to the long-standing `8Δ + 4` bound when both chains share
-    // the global Δ and the margin is zero, keeping homogeneous runs
-    // bit-identical.
-    config.padded(config.hedged_schedule().redeem_apricot).0
-        + 2 * config.delta_a().max(config.delta_b())
-        + 4
+    // The long-standing `8Δ + 4` bound when the margin is zero.
+    config.padded(config.hedged_schedule().redeem_apricot).0 + 2 * config.delta_blocks + 4
 }
 
 fn lockup_from_times(
@@ -1109,45 +1056,6 @@ mod tests {
         assert_eq!(sched.redeem_banana, Time(5 * d));
         assert_eq!(sched.redeem_apricot, Time(6 * d));
         assert_eq!(config().base_timelocks(), (Time(2 * d), Time(3 * d)));
-    }
-
-    #[test]
-    fn heterogeneous_delta_stretches_the_ladder_per_chain() {
-        let cfg = TwoPartyConfig { delta_apricot: 1, delta_banana: 3, ..config() };
-        let sched = cfg.hedged_schedule();
-        // t1 = Δ_b, then +Δ_a, +Δ_a, +Δ_b, +Δ_b, +Δ_a.
-        assert_eq!(sched.premium_banana, Time(3));
-        assert_eq!(sched.premium_apricot, Time(4));
-        assert_eq!(sched.escrow_apricot, Time(5));
-        assert_eq!(sched.escrow_banana, Time(8));
-        assert_eq!(sched.redeem_banana, Time(11));
-        assert_eq!(sched.redeem_apricot, Time(12));
-        assert_eq!(cfg.base_timelocks(), (Time(4), Time(5)));
-    }
-
-    #[test]
-    fn heterogeneous_delta_swaps_complete_and_stay_hedged() {
-        for (da, db) in [(1, 3), (3, 1), (2, 5)] {
-            let cfg = TwoPartyConfig { delta_apricot: da, delta_banana: db, ..config() };
-            let report = TwoPartySwap::hedged(cfg.clone())
-                .run(&profile(Strategy::compliant(), Strategy::compliant()), &mut World::new(1));
-            assert!(report.swap_completed, "compliant hedged swap completes at Δ=({da},{db})");
-            assert!(report.hedged_for_alice && report.hedged_for_bob);
-            assert!(report.payoffs.conserved());
-            // Unilateral walk-aways stay compensated under skewed Δ too.
-            for k in 0..4 {
-                let r = TwoPartySwap::hedged(cfg.clone()).run(
-                    &profile(Strategy::compliant(), Strategy::stop_after(k)),
-                    &mut World::new(1),
-                );
-                assert!(r.hedged_for_alice, "Alice hedged at Δ=({da},{db}), Bob stops after {k}");
-                let r = TwoPartySwap::hedged(cfg.clone()).run(
-                    &profile(Strategy::stop_after(k), Strategy::compliant()),
-                    &mut World::new(1),
-                );
-                assert!(r.hedged_for_bob, "Bob hedged at Δ=({da},{db}), Alice stops after {k}");
-            }
-        }
     }
 
     #[test]

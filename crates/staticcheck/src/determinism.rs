@@ -4,7 +4,7 @@
 //! Every tier of the project — enumerated model checking, seed-pinned
 //! sampling, the fuzz harness, the byte-identical bench reports and this
 //! crate's own output — relies on the simulator being a pure function of
-//! its inputs. Three classes of construct silently break that:
+//! its inputs. Four classes of construct silently break that:
 //!
 //! * **Wall clocks** (`SC301`): `SystemTime`, `Instant`, `UNIX_EPOCH`.
 //! * **Unordered collections** (`SC302`): `HashMap`/`HashSet` iteration
@@ -13,11 +13,17 @@
 //!   uses are fine but must be waived explicitly with a justification.
 //! * **Ambient randomness** (`SC303`): `thread_rng`, `from_entropy`,
 //!   `OsRng` — every random choice must flow from a pinned seed.
+//! * **Shared mutable state** (`SC304`): `Mutex`, `RwLock` and every
+//!   `Atomic*` type. A process-global memo or counter needs one of them,
+//!   and either makes a run's cost, or its values, depend on what other
+//!   runs and threads did before it; memos belong in the world's
+//!   `chainsim::SimCaches`, keyed by what they memoise.
 //!
 //! The scanner needs no parser dependencies: a small state machine strips
 //! comments, string literals and char literals (so a token *named* in a
 //! doc comment or message does not fire), then matches the deny-list on
-//! identifier boundaries.
+//! identifier boundaries; a token ending in `*` matches every identifier
+//! it starts.
 //!
 //! # Waivers
 //!
@@ -51,10 +57,12 @@ pub const SEMANTIC_CRATES: &[&str] = &[
     "swapgraph",
 ];
 
-const DENY: &[(&str, &[&str])] = &[
-    (codes::WALL_CLOCK, &["SystemTime", "Instant", "UNIX_EPOCH"]),
-    (codes::UNORDERED_COLLECTION, &["HashMap", "HashSet"]),
-    (codes::AMBIENT_RNG, &["thread_rng", "from_entropy", "OsRng"]),
+/// Each denied class: its code, what it is, and its tokens.
+const DENY: &[(&str, &str, &[&str])] = &[
+    (codes::WALL_CLOCK, "nondeterminism source", &["SystemTime", "Instant", "UNIX_EPOCH"]),
+    (codes::UNORDERED_COLLECTION, "nondeterminism source", &["HashMap", "HashSet"]),
+    (codes::AMBIENT_RNG, "nondeterminism source", &["thread_rng", "from_entropy", "OsRng"]),
+    (codes::SHARED_STATE, "shared mutable state", &["Mutex", "RwLock", "Atomic*"]),
 ];
 
 /// The result of a determinism scan.
@@ -109,18 +117,16 @@ pub fn scan_source(label: &str, source: &str, report: &mut ScanReport) {
     let stripped = strip_non_code(source);
     let raw_lines: Vec<&str> = source.lines().collect();
     for (idx, line) in stripped.lines().enumerate() {
-        for (code, tokens) in DENY {
+        for (code, what, tokens) in DENY {
             for token in *tokens {
-                if !contains_identifier(line, token) {
-                    continue;
-                }
+                let Some(found) = find_identifier(line, token) else { continue };
                 if is_waived(&raw_lines, idx, code) {
                     report.waivers += 1;
                 } else {
                     report.findings.push(Finding::new(
                         code,
                         format!("{label}:{}", idx + 1),
-                        format!("nondeterminism source `{token}` in a semantic crate"),
+                        format!("{what} `{found}` in a semantic crate"),
                     ));
                 }
             }
@@ -137,22 +143,32 @@ fn is_waived(raw_lines: &[&str], idx: usize, code: &str) -> bool {
     raw_lines[idx.saturating_sub(2)..=idx].iter().any(|l| l.contains(&line_marker))
 }
 
-/// Whether `line` contains `token` delimited by non-identifier characters.
-fn contains_identifier(line: &str, token: &str) -> bool {
+/// The first identifier of `line` that is `token`, or, for a token ending
+/// in `*`, that starts with the rest of it.
+fn find_identifier<'a>(line: &'a str, token: &str) -> Option<&'a str> {
+    let (stem, prefix) = match token.strip_suffix('*') {
+        Some(stem) => (stem, true),
+        None => (token, false),
+    };
     let bytes = line.as_bytes();
     let is_ident = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
     let mut start = 0;
-    while let Some(pos) = line[start..].find(token) {
+    while let Some(pos) = line[start..].find(stem) {
         let at = start + pos;
+        let mut end = at + stem.len();
+        if prefix {
+            while end < bytes.len() && is_ident(bytes[end]) {
+                end += 1;
+            }
+        }
         let before_ok = at == 0 || !is_ident(bytes[at - 1]);
-        let end = at + token.len();
         let after_ok = end >= bytes.len() || !is_ident(bytes[end]);
         if before_ok && after_ok {
-            return true;
+            return Some(&line[at..end]);
         }
         start = at + 1;
     }
-    false
+    None
 }
 
 /// Replaces comments, string literals and char literals with spaces,
@@ -309,6 +325,63 @@ mod tests {
             vec![codes::WALL_CLOCK, codes::UNORDERED_COLLECTION, codes::AMBIENT_RNG]
         );
         assert_eq!(report.findings[0].subject, "test.rs:1");
+    }
+
+    /// The codes `source` raises, in order.
+    fn codes_of(source: &str) -> Vec<&'static str> {
+        scan(source).findings.iter().map(|f| f.code).collect()
+    }
+
+    #[test]
+    fn flags_mutexes() {
+        let source = concat!("static MEMO: std::sync::", "Mutex<u64> = ", "Mutex::new(0);\n");
+        assert_eq!(codes_of(source), vec![codes::SHARED_STATE]);
+        assert_eq!(
+            scan(source).findings[0].message,
+            "shared mutable state `Mutex` in a semantic crate"
+        );
+        assert!(codes_of(concat!("let m = My", "Mutex::new();\n")).is_empty());
+    }
+
+    #[test]
+    fn flags_rwlocks() {
+        let source = concat!("use std::sync::", "RwLock;\n");
+        assert_eq!(codes_of(source), vec![codes::SHARED_STATE]);
+        assert!(codes_of(concat!("let l = ", "RwLockish;\n")).is_empty());
+    }
+
+    #[test]
+    fn flags_every_atomic_type_by_prefix() {
+        for atomic in ["AtomicU64", "AtomicUsize", "AtomicBool", "AtomicPtr"] {
+            let source = format!("static NEXT: {atomic} = {atomic}::new(0);\n");
+            let report = scan(&source);
+            assert_eq!(report.findings.len(), 1, "{atomic}");
+            assert_eq!(report.findings[0].code, codes::SHARED_STATE);
+            assert!(report.findings[0].message.contains(&format!("`{atomic}`")));
+        }
+        // The module path and identifiers that merely contain the word do
+        // not fire.
+        assert!(codes_of("use std::sync::atomic::Ordering;\nlet non_atomic = 1;\n").is_empty());
+        assert!(codes_of(concat!("let x = Non", "AtomicU64;\n")).is_empty());
+    }
+
+    #[test]
+    fn shared_state_waivers_suppress_and_are_counted() {
+        let waived = concat!(
+            "// staticcheck: allow(SC304) — per-sweep work cursor\n",
+            "let cursor = ",
+            "AtomicUsize::new(0);\n",
+        );
+        let report = scan(waived);
+        assert!(report.findings.is_empty());
+        assert_eq!(report.waivers, 1);
+        let elsewhere = concat!(
+            "// staticcheck: allow(SC304) — per-sweep work cursor\n",
+            "\n\n",
+            "let cursor = ",
+            "AtomicUsize::new(0);\n",
+        );
+        assert_eq!(codes_of(elsewhere), vec![codes::SHARED_STATE]);
     }
 
     #[test]

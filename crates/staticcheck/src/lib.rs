@@ -21,8 +21,9 @@
 //!   `SC201`–`SC202`);
 //! * [`determinism`] — a self-contained source scanner that denies
 //!   nondeterminism sources (wall clocks, unordered hash collections,
-//!   ambient RNG) in the semantic crates, codifying the byte-identity
-//!   invariant every tier relies on (codes `SC301`–`SC303`).
+//!   ambient RNG, shared mutable state) in the semantic crates, codifying
+//!   the byte-identity invariant every tier relies on (codes
+//!   `SC301`–`SC304`).
 //!
 //! Findings are structured ([`Finding`]), deterministically ordered and
 //! rendered with stable codes; [`analyze_default_suite`] runs all three
@@ -93,8 +94,8 @@ pub mod codes {
     pub const MALFORMED_SPEC: &str = "SC004";
     /// The §7 arc-deadline ladder violates the staggered schedule.
     pub const ARC_SCHEDULE: &str = "SC101";
-    /// The §5.2 two-party ladder or base timelocks violate the per-chain
-    /// Δ-window schedule.
+    /// The §5.2 two-party ladder or base timelocks violate the Δ-window
+    /// schedule.
     pub const HEDGED_SCHEDULE: &str = "SC102";
     /// A configured finality margin is smaller than `(depth − 1) + (Δ − 1)`.
     pub const FINALITY_MARGIN: &str = "SC103";
@@ -112,6 +113,10 @@ pub mod codes {
     pub const UNORDERED_COLLECTION: &str = "SC302";
     /// A semantic crate uses ambient (unseeded) randomness.
     pub const AMBIENT_RNG: &str = "SC303";
+    /// A semantic crate uses a lock or an atomic (`Mutex`, `RwLock`,
+    /// `Atomic*`), the shared mutable state a process-global memo or
+    /// counter needs.
+    pub const SHARED_STATE: &str = "SC304";
 }
 
 /// The aggregate result of [`analyze_default_suite`].
@@ -184,16 +189,11 @@ pub fn tier1_deal_configs() -> Vec<(String, DealConfig)> {
     configs
 }
 
-/// The tier-1 two-party configurations: the homogeneous default, the
-/// heterogeneous per-chain Δ overrides the sweeps exercise, and the
+/// The tier-1 two-party configurations: the default and the
 /// finality-margin pairing of the reorg tier.
 pub fn tier1_two_party_configs() -> Vec<(String, TwoPartyConfig)> {
     vec![
         ("default".to_string(), TwoPartyConfig::default()),
-        (
-            "hetero-delta".to_string(),
-            TwoPartyConfig { delta_apricot: 1, delta_banana: 3, ..TwoPartyConfig::default() },
-        ),
         (
             "finality-margin".to_string(),
             TwoPartyConfig {

@@ -82,19 +82,19 @@ pub fn check_deal(label: &str, config: &DealConfig) -> Vec<Finding> {
 }
 
 /// Checks a §5.2 hedged two-party ladder: each rung must extend the
-/// previous by the Δ of the chain that rung's action propagates on.
-pub fn check_hedged_schedule(label: &str, s: &HedgedSchedule, da: u64, db: u64) -> Vec<Finding> {
+/// previous by Δ, the time one action takes to propagate.
+pub fn check_hedged_schedule(label: &str, s: &HedgedSchedule, delta: u64) -> Vec<Finding> {
     let subject = format!("two-party/{label}");
     let mut findings = Vec::new();
     let rungs = [
-        ("premium on banana", s.premium_banana.height(), 0, db),
-        ("premium on apricot", s.premium_apricot.height(), s.premium_banana.height(), da),
-        ("escrow on apricot", s.escrow_apricot.height(), s.premium_apricot.height(), da),
-        ("escrow on banana", s.escrow_banana.height(), s.escrow_apricot.height(), db),
-        ("redeem on banana", s.redeem_banana.height(), s.escrow_banana.height(), db),
-        ("redeem on apricot", s.redeem_apricot.height(), s.redeem_banana.height(), da),
+        ("premium on banana", s.premium_banana.height(), 0),
+        ("premium on apricot", s.premium_apricot.height(), s.premium_banana.height()),
+        ("escrow on apricot", s.escrow_apricot.height(), s.premium_apricot.height()),
+        ("escrow on banana", s.escrow_banana.height(), s.escrow_apricot.height()),
+        ("redeem on banana", s.redeem_banana.height(), s.escrow_banana.height()),
+        ("redeem on apricot", s.redeem_apricot.height(), s.redeem_banana.height()),
     ];
-    for (name, rung, prev, delta) in rungs {
+    for (name, rung, prev) in rungs {
         require(&mut findings, codes::HEDGED_SCHEDULE, &subject, rung >= prev + delta, || {
             format!("{name} deadline {rung} is less than Δ = {delta} past its predecessor ({prev})")
         });
@@ -103,32 +103,25 @@ pub fn check_hedged_schedule(label: &str, s: &HedgedSchedule, da: u64, db: u64) 
 }
 
 /// Checks the §5.1 base-swap HTLC timelocks: the banana leg must fit a
-/// full cross-chain round trip and the apricot leg one apricot
-/// propagation more.
-pub fn check_base_timelocks(
-    label: &str,
-    banana: Time,
-    apricot: Time,
-    da: u64,
-    db: u64,
-) -> Vec<Finding> {
+/// full cross-chain round trip and the apricot leg one propagation more.
+pub fn check_base_timelocks(label: &str, banana: Time, apricot: Time, delta: u64) -> Vec<Finding> {
     let subject = format!("two-party/{label}");
     let mut findings = Vec::new();
-    require(&mut findings, codes::HEDGED_SCHEDULE, &subject, banana.height() >= da + db, || {
+    require(&mut findings, codes::HEDGED_SCHEDULE, &subject, banana.height() >= 2 * delta, || {
         format!(
-            "banana timelock {} is shorter than a cross-chain round trip Δa + Δb = {}",
+            "banana timelock {} is shorter than a cross-chain round trip 2Δ = {}",
             banana.height(),
-            da + db
+            2 * delta
         )
     });
     require(
         &mut findings,
         codes::HEDGED_SCHEDULE,
         &subject,
-        apricot.height() >= banana.height() + da,
+        apricot.height() >= banana.height() + delta,
         || {
             format!(
-                "apricot timelock {} is less than Δa = {da} past the banana timelock ({})",
+                "apricot timelock {} is less than Δ = {delta} past the banana timelock ({})",
                 apricot.height(),
                 banana.height()
             )
@@ -141,15 +134,15 @@ pub fn check_base_timelocks(
 /// sanity, the hedged ladder, and the base timelocks.
 pub fn check_two_party(label: &str, config: &TwoPartyConfig) -> Vec<Finding> {
     let subject = format!("two-party/{label}");
-    let (da, db) = (config.delta_a(), config.delta_b());
+    let delta = config.delta_blocks;
     let mut findings = Vec::new();
-    require(&mut findings, codes::HEDGED_SCHEDULE, &subject, da >= 1 && db >= 1, || {
-        "per-chain synchrony bounds must be at least one block".to_string()
+    require(&mut findings, codes::HEDGED_SCHEDULE, &subject, delta >= 1, || {
+        "synchrony bound Δ must be at least one block".to_string()
     });
-    if da >= 1 && db >= 1 {
-        findings.extend(check_hedged_schedule(label, &config.hedged_schedule(), da, db));
+    if delta >= 1 {
+        findings.extend(check_hedged_schedule(label, &config.hedged_schedule(), delta));
         let (banana, apricot) = config.base_timelocks();
-        findings.extend(check_base_timelocks(label, banana, apricot, da, db));
+        findings.extend(check_base_timelocks(label, banana, apricot, delta));
     }
     findings
 }
@@ -298,7 +291,6 @@ mod tests {
         assert!(check_two_party("default", &config).is_empty());
 
         // …and every hedged rung is tight: one tick earlier trips SC102.
-        let (da, db) = (config.delta_a(), config.delta_b());
         let base = config.hedged_schedule();
         for field in 0..6 {
             let mut s = base;
@@ -314,7 +306,7 @@ mod tests {
             .nth(field)
             .unwrap();
             *slot = Time(slot.height() - 1);
-            let findings = check_hedged_schedule("perturbed", &s, da, db);
+            let findings = check_hedged_schedule("perturbed", &s, config.delta_blocks);
             assert!(!findings.is_empty(), "rung {field} was not tight");
         }
     }

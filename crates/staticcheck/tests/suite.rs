@@ -80,7 +80,7 @@ fn arc_ladders_are_tight_under_one_tick_perturbation() {
 #[test]
 fn hedged_ladders_are_tight_under_one_tick_perturbation() {
     for (label, config) in tier1_two_party_configs() {
-        let (da, db) = (config.delta_a(), config.delta_b());
+        let delta = config.delta_blocks;
         let base = config.hedged_schedule();
         for field in 0..6 {
             let mut s = base;
@@ -94,7 +94,7 @@ fn hedged_ladders_are_tight_under_one_tick_perturbation() {
             ];
             let slot = slots.into_iter().nth(field).unwrap();
             *slot = back(*slot);
-            let findings = schedule::check_hedged_schedule(&label, &s, da, db);
+            let findings = schedule::check_hedged_schedule(&label, &s, delta);
             assert!(
                 findings.iter().any(|f| f.code == codes::HEDGED_SCHEDULE),
                 "{label}: rung {field} one tick earlier was not flagged"
@@ -103,7 +103,7 @@ fn hedged_ladders_are_tight_under_one_tick_perturbation() {
 
         let (banana, apricot) = config.base_timelocks();
         for (tag, b, a) in [("banana", back(banana), apricot), ("apricot", banana, back(apricot))] {
-            let findings = schedule::check_base_timelocks(&label, b, a, da, db);
+            let findings = schedule::check_base_timelocks(&label, b, a, delta);
             assert!(
                 findings.iter().any(|f| f.code == codes::HEDGED_SCHEDULE),
                 "{label}: base {tag} timelock one tick earlier was not flagged"
@@ -144,7 +144,6 @@ fn auction_bootstrap_and_finality_are_tight() {
 #[test]
 fn degenerate_two_party_delta_is_flagged() {
     let config = TwoPartyConfig { delta_blocks: 0, ..TwoPartyConfig::default() };
-    // delta_a()/delta_b() fall back to delta_blocks, here zero.
     let findings = schedule::check_two_party("zero-delta", &config);
     assert!(findings.iter().any(|f| f.code == codes::HEDGED_SCHEDULE));
 }

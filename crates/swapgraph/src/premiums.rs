@@ -57,8 +57,8 @@ pub fn redemption_premium(g: &Digraph, p: u128, q: &[Vertex], v: Vertex) -> u128
 /// Contracts evaluate the redemption premium on every deposit of a sweep;
 /// the evaluator hoists the `O(V + E)` index/adjacency setup out of the
 /// per-call path so the recursion itself runs allocation-free over a path
-/// bitmask. Build it once per digraph (e.g. cached per deal configuration)
-/// and call [`premium`](Self::premium) per deposit.
+/// bitmask. Build it once per digraph (once per deal setup, or once per
+/// premium table) and call [`premium`](Self::premium) per evaluation.
 #[derive(Clone, Debug)]
 pub struct RedemptionPremiumEvaluator {
     /// All vertices, ascending (binary-searchable).
@@ -156,7 +156,17 @@ pub fn leader_arc_premium(g: &Digraph, leader: Vertex, u: Vertex, p: u128) -> u1
 /// The leader's total redemption premium `R(L_i)`: the sum of the premiums
 /// it deposits on its incoming arcs.
 pub fn leader_redemption_premium(g: &Digraph, leader: Vertex, p: u128) -> u128 {
-    g.in_neighbors(leader).into_iter().map(|u| leader_arc_premium(g, leader, u, p)).sum()
+    leader_premium(&RedemptionPremiumEvaluator::new(g), g, leader, p)
+}
+
+/// [`leader_redemption_premium`] through an evaluator built for `g`.
+fn leader_premium(
+    evaluator: &RedemptionPremiumEvaluator,
+    g: &Digraph,
+    leader: Vertex,
+    p: u128,
+) -> u128 {
+    g.in_neighbors(leader).into_iter().map(|u| evaluator.premium(g, p, &[leader], u)).sum()
 }
 
 /// Enumerates every redemption-premium obligation that can arise for the
@@ -166,10 +176,11 @@ pub fn leader_redemption_premium(g: &Digraph, leader: Vertex, p: u128) -> u128 {
 /// This reproduces Figure 3b of the paper: the set of paths carried by
 /// hashkey `k_A` on each arc, together with the premium each path implies.
 pub fn redemption_premium_table(g: &Digraph, leader: Vertex, p: u128) -> Vec<RedemptionEntry> {
+    let evaluator = RedemptionPremiumEvaluator::new(g);
     let mut entries = Vec::new();
     for (u, v) in g.arcs() {
         for path in g.simple_paths(v, leader) {
-            let amount = redemption_premium(g, p, &path, u);
+            let amount = evaluator.premium(g, p, &path, u);
             entries.push(RedemptionEntry { arc: (u, v), leader, path, amount });
         }
     }
@@ -194,10 +205,12 @@ pub fn escrow_premium(
     p: u128,
 ) -> Result<u128, GraphError> {
     g.validate_leaders(leaders)?;
-    Ok(escrow_premium_unchecked(g, leaders, u, v, p))
+    Ok(escrow_premium_unchecked(&RedemptionPremiumEvaluator::new(g), g, leaders, u, v, p))
 }
 
+/// [`escrow_premium`] through an evaluator built for `g`.
 fn escrow_premium_unchecked(
+    evaluator: &RedemptionPremiumEvaluator,
     g: &Digraph,
     leaders: &BTreeSet<Vertex>,
     _u: Vertex,
@@ -205,9 +218,12 @@ fn escrow_premium_unchecked(
     p: u128,
 ) -> u128 {
     if leaders.contains(&v) {
-        return leader_redemption_premium(g, v, p);
+        return leader_premium(evaluator, g, v, p);
     }
-    g.out_arcs(v).into_iter().map(|(vv, w)| escrow_premium_unchecked(g, leaders, vv, w, p)).sum()
+    g.out_arcs(v)
+        .into_iter()
+        .map(|(vv, w)| escrow_premium_unchecked(evaluator, g, leaders, vv, w, p))
+        .sum()
 }
 
 /// Computes the escrow premium for every arc of the digraph.
@@ -221,7 +237,10 @@ pub fn escrow_premium_table(
     p: u128,
 ) -> Result<BTreeMap<(Vertex, Vertex), u128>, GraphError> {
     g.validate_leaders(leaders)?;
-    Ok(g.arcs().map(|(u, v)| ((u, v), escrow_premium_unchecked(g, leaders, u, v, p))).collect())
+    let evaluator = RedemptionPremiumEvaluator::new(g);
+    Ok(g.arcs()
+        .map(|(u, v)| ((u, v), escrow_premium_unchecked(&evaluator, g, leaders, u, v, p)))
+        .collect())
 }
 
 /// Aggregate premium statistics for one digraph and leader set.
@@ -302,8 +321,9 @@ pub fn broker_premiums(
     for &leader in g.vertices().collect::<Vec<_>>().iter() {
         redemption.extend(redemption_premium_table(g, leader, p));
     }
+    let evaluator = RedemptionPremiumEvaluator::new(g);
     let trading: BTreeMap<(Vertex, Vertex), u128> =
-        trading_arcs.iter().map(|&(v, w)| ((v, w), leader_redemption_premium(g, w, p))).collect();
+        trading_arcs.iter().map(|&(v, w)| ((v, w), leader_premium(&evaluator, g, w, p))).collect();
     let escrow: BTreeMap<(Vertex, Vertex), u128> = escrow_arcs
         .iter()
         .map(|&(u, v)| {

@@ -4,7 +4,9 @@
 //! single observable outcome: this suite runs all five protocols from
 //! scratch through fresh and deliberately dirty worlds (to exercise
 //! `World::reset`) and asserts payoffs and reports are identical, then pins
-//! that `CheckSummary` is bit-for-bit identical across thread counts.
+//! that `CheckSummary` is bit-for-bit identical across thread counts. The
+//! dirty world of a deal has first run another deal, so its memo store
+//! already holds that deal's signed and verified hashkeys.
 
 use std::collections::BTreeMap;
 
@@ -16,6 +18,7 @@ use sore_loser_hedging::modelcheck::{check_auction, check_bootstrap, sampled_fam
 use sore_loser_hedging::protocols::auction::{AuctionConfig, AuctioneerBehaviour};
 use sore_loser_hedging::protocols::bootstrap::{BootstrapConfig, BootstrapDeviation};
 use sore_loser_hedging::protocols::broker::{broker_deal_config, BrokerConfig};
+use sore_loser_hedging::protocols::deal::DealConfig;
 use sore_loser_hedging::protocols::multi_party::figure3_config;
 use sore_loser_hedging::protocols::script::{profile, Protocol, Strategy};
 use sore_loser_hedging::protocols::two_party::{
@@ -35,6 +38,14 @@ fn dirty_world() -> World {
 
 fn worlds() -> Vec<World> {
     vec![World::new(1), dirty_world()]
+}
+
+/// A fresh world and a dirty one in which `other` has run first.
+fn worlds_after(other: &DealConfig) -> Vec<World> {
+    let mut dirty = dirty_world();
+    let report = other.run(&|_| Strategy::compliant(), &mut dirty);
+    assert!(report.completed, "the deal run first must complete");
+    vec![World::new(1), dirty]
 }
 
 #[test]
@@ -64,11 +75,13 @@ fn two_party_swaps_are_identical_across_world_reuse() {
 #[test]
 fn multi_party_swap_is_identical_across_world_reuse() {
     let config = figure3_config();
+    let brokered_sale = broker_deal_config(&BrokerConfig::default());
     for party in config.parties() {
         for stop in 0..5usize {
             let strategies = BTreeMap::from([(party, Strategy::stop_after(stop))]);
-            let mut reports =
-                worlds().into_iter().map(|mut world| config.run(&profile(&strategies), &mut world));
+            let mut reports = worlds_after(&brokered_sale)
+                .into_iter()
+                .map(|mut world| config.run(&profile(&strategies), &mut world));
             let reference = reports.next().unwrap();
             for report in reports {
                 assert_eq!(report.payoffs, reference.payoffs, "{party} stops@{stop}");
@@ -85,8 +98,9 @@ fn brokered_sale_is_identical_across_world_reuse() {
     let config = broker_deal_config(&BrokerConfig::default());
     for party in [PartyId(0), PartyId(1), PartyId(2)] {
         let strategies = BTreeMap::from([(party, Strategy::stop_after(2))]);
-        let mut reports =
-            worlds().into_iter().map(|mut world| config.run(&profile(&strategies), &mut world));
+        let mut reports = worlds_after(&figure3_config())
+            .into_iter()
+            .map(|mut world| config.run(&profile(&strategies), &mut world));
         let reference = reports.next().unwrap();
         for report in reports {
             assert_eq!(report.payoffs, reference.payoffs, "{party}");
