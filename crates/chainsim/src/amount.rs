@@ -72,16 +72,6 @@ impl Amount {
         Amount(self.0.checked_mul(factor).expect("amount overflow in scaled"))
     }
 
-    /// Integer division (floor), used when splitting premiums across rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor` is zero.
-    pub fn divided_by(self, divisor: u128) -> Amount {
-        assert!(divisor != 0, "division of Amount by zero");
-        Amount(self.0 / divisor)
-    }
-
     /// Converts to a signed [`Payoff`].
     pub fn as_payoff(self) -> Payoff {
         Payoff(self.0 as i128)
@@ -163,28 +153,6 @@ impl Payoff {
     pub const fn value(self) -> i128 {
         self.0
     }
-
-    /// Returns `true` if the payoff is negative (a net loss).
-    pub const fn is_loss(self) -> bool {
-        self.0 < 0
-    }
-
-    /// Returns `true` if the payoff is non-negative.
-    pub const fn is_non_negative(self) -> bool {
-        self.0 >= 0
-    }
-
-    /// Adds a credited amount.
-    #[must_use]
-    pub fn credit(self, amount: Amount) -> Payoff {
-        Payoff(self.0 + amount.value() as i128)
-    }
-
-    /// Subtracts a debited amount.
-    #[must_use]
-    pub fn debit(self, amount: Amount) -> Payoff {
-        Payoff(self.0 - amount.value() as i128)
-    }
 }
 
 impl Add for Payoff {
@@ -244,19 +212,12 @@ mod tests {
         assert_eq!(a.checked_sub(Amount::new(11)), None);
         assert_eq!(a.saturating_sub(Amount::new(11)), Amount::ZERO);
         assert_eq!(a.scaled(4), Amount::new(40));
-        assert_eq!(a.divided_by(3), Amount::new(3));
     }
 
     #[test]
     #[should_panic(expected = "underflow")]
     fn amount_sub_panics_on_underflow() {
         let _ = Amount::new(1) - Amount::new(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "division of Amount by zero")]
-    fn amount_divide_by_zero_panics() {
-        let _ = Amount::new(1).divided_by(0);
     }
 
     #[test]
@@ -278,12 +239,8 @@ mod tests {
     }
 
     #[test]
-    fn payoff_credit_debit() {
-        let p = Payoff::ZERO.credit(Amount::new(5)).debit(Amount::new(8));
-        assert_eq!(p, Payoff::new(-3));
-        assert!(p.is_loss());
-        assert!(!p.is_non_negative());
-        assert_eq!(p.to_string(), "-3");
+    fn payoff_display_shows_the_sign() {
+        assert_eq!(Payoff::new(-3).to_string(), "-3");
         assert_eq!(Payoff::new(3).to_string(), "+3");
     }
 

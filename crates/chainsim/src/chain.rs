@@ -117,16 +117,14 @@ struct SpecRound {
 
 /// An action recorded in the speculative window for possible re-delivery.
 enum RecordedAction {
-    Publish { publisher: PartyId, contract: Box<dyn Contract> },
+    Publish(Box<dyn Contract>),
     Call { caller: PartyId, contract: ContractId, msg: Box<dyn ContractMessage> },
 }
 
 impl Clone for RecordedAction {
     fn clone(&self) -> RecordedAction {
         match self {
-            RecordedAction::Publish { publisher, contract } => {
-                RecordedAction::Publish { publisher: *publisher, contract: contract.clone_box() }
-            }
+            RecordedAction::Publish(contract) => RecordedAction::Publish(contract.clone_box()),
             RecordedAction::Call { caller, contract, msg } => RecordedAction::Call {
                 caller: *caller,
                 contract: *contract,
@@ -287,18 +285,16 @@ impl Blockchain {
         self.reorg_stats
     }
 
-    /// Publishes a new contract on behalf of `publisher` and returns its id.
+    /// Publishes a new contract and returns its id.
     ///
     /// Publishing burns [`GasSchedule::publish`] gas.
-    pub fn publish(&mut self, publisher: PartyId, contract: Box<dyn Contract>) -> ContractId {
+    pub fn publish(&mut self, contract: Box<dyn Contract>) -> ContractId {
         let id = ContractId(self.contracts.len() as u64);
         self.gas_total += GasSchedule::DEFAULT.publish;
         if let Some(round) = self.window.back_mut() {
             // Record the contract's initial state: a re-delivered publish
             // replays later calls on top, reproducing the rewound history.
-            round
-                .actions
-                .push(RecordedAction::Publish { publisher, contract: contract.clone_box() });
+            round.actions.push(RecordedAction::Publish(contract.clone_box()));
         }
         self.contracts.push(Some(contract));
         id
@@ -508,11 +504,11 @@ impl Blockchain {
         for round in drained {
             for action in round.actions {
                 match action {
-                    RecordedAction::Publish { publisher, contract } => {
+                    RecordedAction::Publish(contract) => {
                         // Publishes always re-land: contract ids are
                         // sequential, so dropping one would orphan every
                         // later id on the chain.
-                        self.publish(publisher, contract);
+                        self.publish(contract);
                     }
                     RecordedAction::Call { caller, contract, msg } => {
                         self.reorg_stats.rewound_calls += 1;
@@ -652,7 +648,7 @@ mod tests {
     #[test]
     fn publish_and_call_contract() {
         let mut chain = chain_fixture();
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
         chain.call(PartyId(1), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
         let counter = chain.contract_as::<Counter>(id).unwrap();
@@ -672,7 +668,7 @@ mod tests {
     #[test]
     fn failed_calls_are_logged_and_propagated() {
         let mut chain = chain_fixture();
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         let gas = chain.gas_total();
         let err = chain.call(PartyId(0), id, &CounterMsg::Fail, &dir(), &mut caches()).unwrap_err();
         assert!(matches!(
@@ -688,7 +684,7 @@ mod tests {
     #[test]
     fn unsupported_message_is_rejected() {
         let mut chain = chain_fixture();
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         #[derive(Clone, Debug)]
         struct Bogus;
         let err = chain.call(PartyId(0), id, &Bogus, &dir(), &mut caches()).unwrap_err();
@@ -702,7 +698,7 @@ mod tests {
     fn deposits_move_funds_into_contract_account() {
         let mut chain = chain_fixture();
         chain.mint(PartyId(0), AssetId(0), Amount::new(10));
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         chain
             .call(PartyId(0), id, &CounterMsg::Deposit(Amount::new(6)), &dir(), &mut caches())
             .unwrap();
@@ -715,7 +711,7 @@ mod tests {
     fn heights_advance_and_contract_ids_start_at_zero() {
         let mut chain = chain_fixture();
         chain.advance_blocks(5);
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         assert_eq!(chain.height(), Time(5));
         assert_eq!(id, ContractId(0));
     }
@@ -733,7 +729,7 @@ mod tests {
     fn recycle_resets_state_and_keeps_nothing_visible() {
         let mut chain = chain_fixture();
         chain.mint(PartyId(0), AssetId(0), Amount::new(10));
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
         chain.advance_blocks(7);
 
@@ -745,7 +741,7 @@ mod tests {
         assert_eq!(chain.contract_count(), 0);
         assert_eq!(chain.balance(AccountRef::Party(PartyId(0)), AssetId(0)), Amount::ZERO);
         // Fresh publishes start over at contract id 0.
-        let id = chain.publish(PartyId(1), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         assert_eq!(id, ContractId(0));
     }
 
@@ -754,7 +750,7 @@ mod tests {
         let schedule = GasSchedule::DEFAULT;
         let mut chain = chain_fixture();
         chain.mint(PartyId(0), AssetId(0), Amount::new(10));
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         assert_eq!(chain.gas_total(), schedule.publish);
 
         chain.call(PartyId(1), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
@@ -772,7 +768,7 @@ mod tests {
     #[test]
     fn gas_meter_is_cleared_by_recycle() {
         let mut chain = chain_fixture();
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
         assert!(chain.gas_total() > 0);
         chain.recycle(ChainId(1), "fresh", AssetId(0));
@@ -798,7 +794,7 @@ mod tests {
             }
         }
         let mut chain = chain_fixture();
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         assert!(chain.contract_as::<Other>(id).is_none());
         assert!(chain.contract_as::<Counter>(ContractId(99)).is_none());
     }
@@ -808,7 +804,7 @@ mod tests {
         let mut chain = chain_fixture();
         chain.set_finality(FinalityParams { depth: 2, delta: 0 });
         assert_eq!(chain.finality(), FinalityParams { depth: 2, delta: 0 });
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         for _ in 0..5 {
             chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
             chain.end_round(1);
@@ -826,7 +822,7 @@ mod tests {
         let mut chain = chain_fixture();
         chain.mint(PartyId(0), AssetId(0), Amount::new(10));
         chain.set_finality(FinalityParams { depth: 3, delta: 0 });
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         chain.end_round(1);
         chain
             .call(PartyId(0), id, &CounterMsg::Deposit(Amount::new(6)), &dir(), &mut caches())
@@ -863,7 +859,7 @@ mod tests {
         chain.set_finality(FinalityParams { depth: 2, delta: 0 });
         chain.end_round(1);
         let opening_gas = chain.gas_total();
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         chain
             .call(PartyId(0), id, &CounterMsg::Deposit(Amount::new(6)), &dir(), &mut caches())
             .unwrap();
@@ -895,7 +891,7 @@ mod tests {
         let mut chain = chain_fixture();
         chain.mint(PartyId(0), AssetId(0), Amount::new(10));
         chain.set_finality(FinalityParams { depth: 2, delta: 0 });
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         chain.end_round(1);
         let gas = chain.gas_total();
         // A speculative mint, a deposit spending it, and a mint of an asset
@@ -933,7 +929,7 @@ mod tests {
     fn redelivered_failures_are_counted_not_propagated() {
         let mut chain = chain_fixture();
         chain.set_finality(FinalityParams { depth: 2, delta: 0 });
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         // Round 0: a last-tick bump that is only valid while now <= 0.
         chain
             .call(PartyId(0), id, &CounterMsg::BumpBefore(Time(0)), &dir(), &mut caches())
@@ -963,7 +959,7 @@ mod tests {
         let mut chain = chain_fixture();
         chain.mint(PartyId(0), AssetId(0), Amount::new(10));
         chain.set_finality(FinalityParams { depth: 2, delta: 3 });
-        let id = chain.publish(PartyId(0), Box::new(Counter::default()));
+        let id = chain.publish(Box::new(Counter::default()));
         chain.end_round(1);
         chain.call(PartyId(0), id, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
         chain.reorg(1, ReorgPolicy::Redeliver, &dir(), &mut caches());

@@ -249,11 +249,6 @@ impl<'a> CallEnv<'a> {
         self.chain
     }
 
-    /// This contract's id.
-    pub fn contract_id(&self) -> ContractId {
-        self.contract
-    }
-
     /// The party making the call.
     pub fn caller(&self) -> PartyId {
         self.caller
@@ -293,28 +288,10 @@ impl<'a> CallEnv<'a> {
     /// The gas this call has burned so far (base dispatch cost included).
     ///
     /// Gas is a pure function of the call's semantics — ledger operations
-    /// performed, [`CallEnv::charge_note`] and explicit
-    /// [`CallEnv::charge_gas`] charges — and is independent of threading
-    /// and wall-clock time.
+    /// performed and [`CallEnv::charge_note`] charges — and is independent
+    /// of threading and wall-clock time.
     pub fn gas_used(&self) -> u64 {
         self.gas_used
-    }
-
-    /// Charges `extra` gas for contract-specific work (signature-chain
-    /// verification, bid comparisons, …) beyond the per-ledger-op charges
-    /// the environment applies automatically.
-    pub fn charge_gas(&mut self, extra: u64) {
-        self.gas_used += extra;
-    }
-
-    /// Returns the balance this contract holds in `asset`.
-    pub fn contract_balance(&self, asset: AssetId) -> Amount {
-        self.ledger.balance(AccountRef::Contract(self.contract), asset)
-    }
-
-    /// Returns the caller's balance in `asset`.
-    pub fn caller_balance(&self, asset: AssetId) -> Amount {
-        self.ledger.balance(AccountRef::Party(self.caller), asset)
     }
 
     /// Moves `amount` of `asset` from the caller into this contract.
@@ -453,13 +430,13 @@ mod tests {
         {
             let mut env = env_fixture(&mut ledger, &mut caches, Time(2));
             env.debit_caller(AssetId(0), Amount::new(4)).unwrap();
-            assert_eq!(env.contract_balance(AssetId(0)), Amount::new(4));
-            assert_eq!(env.caller_balance(AssetId(0)), Amount::new(6));
             env.pay_out(PartyId(2), AssetId(0), Amount::new(1)).unwrap();
             env.charge_note();
             let schedule = GasSchedule::DEFAULT;
             assert_eq!(env.gas_used(), schedule.call_base + 2 * schedule.ledger_op + schedule.note);
         }
+        assert_eq!(ledger.balance(AccountRef::Contract(ContractId(7)), AssetId(0)), Amount::new(3));
+        assert_eq!(ledger.balance(AccountRef::Party(PartyId(1)), AssetId(0)), Amount::new(6));
         assert_eq!(ledger.balance(AccountRef::Party(PartyId(2)), AssetId(0)), Amount::new(1));
     }
 
@@ -511,7 +488,6 @@ mod tests {
         let mut caches = SimCaches::new();
         let env = env_fixture(&mut ledger, &mut caches, Time(3));
         assert_eq!(env.chain(), ChainId(0));
-        assert_eq!(env.contract_id(), ContractId(7));
         assert_eq!(env.caller(), PartyId(1));
         assert_eq!(env.now(), Time(3));
         assert!(format!("{env:?}").contains("CallEnv"));

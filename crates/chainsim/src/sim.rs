@@ -213,7 +213,7 @@ mod tests {
         let mut world = World::new(delta);
         let chain = world.add_chain("apricot");
         world.chain_mut(chain).mint(PartyId(1), AssetId(0), Amount::new(10));
-        let pot = world.publish(chain, PartyId(0), Box::new(Pot::default()));
+        let pot = world.publish(chain, Box::new(Pot::default()));
         (world, pot)
     }
 

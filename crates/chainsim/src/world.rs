@@ -197,15 +197,6 @@ impl World {
         self.chains.get_mut(id.0 as usize).unwrap_or_else(|| panic!("no such chain {id}"))
     }
 
-    /// Fallible chain lookup.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChainError::NoSuchChain`] if the chain does not exist.
-    pub fn try_chain(&self, id: ChainId) -> Result<&Blockchain, ChainError> {
-        self.chains.get(id.0 as usize).ok_or(ChainError::NoSuchChain { chain: id })
-    }
-
     /// Iterates over all chains.
     pub fn chains(&self) -> impl Iterator<Item = &Blockchain> {
         self.chains.iter()
@@ -315,19 +306,16 @@ impl World {
         self.pending_reorgs.push(event);
     }
 
-    /// Publishes `contract` on `chain` on behalf of `publisher` and returns
-    /// its address; see [`Blockchain::publish`].
+    /// Publishes `contract` on `chain` and returns its address; see
+    /// [`Blockchain::publish`]. No party is named: the chain meters the
+    /// publish's gas in its one total, and a reorg re-delivers the
+    /// contract as it was published.
     ///
     /// # Panics
     ///
     /// Panics if the chain does not exist.
-    pub fn publish(
-        &mut self,
-        chain: ChainId,
-        publisher: PartyId,
-        contract: Box<dyn crate::Contract>,
-    ) -> ContractAddr {
-        ContractAddr::new(chain, self.chain_mut(chain).publish(publisher, contract))
+    pub fn publish(&mut self, chain: ChainId, contract: Box<dyn crate::Contract>) -> ContractAddr {
+        ContractAddr::new(chain, self.chain_mut(chain).publish(contract))
     }
 
     /// Calls the contract at `addr` with a typed message.
@@ -523,7 +511,6 @@ mod tests {
         let err =
             world.call(PartyId(0), ContractAddr::new(ChainId(7), ContractId(0)), &()).unwrap_err();
         assert!(matches!(err, ChainError::NoSuchChain { .. }));
-        assert!(world.try_chain(ChainId(7)).is_err());
     }
 
     #[test]
@@ -560,7 +547,7 @@ mod tests {
         let a = world.add_chain("a");
         let coin = world.register_asset("coin");
         world.chain_mut(a).mint(PartyId(0), coin, Amount::new(5));
-        world.publish(a, PartyId(0), Box::new(Noop));
+        world.publish(a, Box::new(Noop));
         world.advance_delta();
 
         world.reset(3);
@@ -577,7 +564,7 @@ mod tests {
         assert_eq!(world.party_balance(PartyId(0), coin2), Amount::ZERO);
         assert_eq!(world.asset_name(coin2), Some("coin"));
         // The recycled chain starts its contract ids over.
-        let addr = world.publish(a2, PartyId(0), Box::new(Noop));
+        let addr = world.publish(a2, Box::new(Noop));
         assert_eq!(addr.contract, ContractId(0));
     }
 
@@ -607,7 +594,7 @@ mod tests {
         let a = world.add_chain("a");
         world.chain_mut(a).mint(PartyId(0), AssetId(0), Amount::new(5));
         world.set_finality(a, FinalityParams { depth: 2, delta: 0 });
-        let addr = world.publish(a, PartyId(0), Box::new(Sink));
+        let addr = world.publish(a, Box::new(Sink));
         world.schedule_reorg(ReorgEvent {
             chain: a,
             at_round: 1,
@@ -692,7 +679,7 @@ mod tests {
         let mut world = World::new(1);
         let a = world.add_chain("a");
         world.set_finality(a, FinalityParams { depth: 2, delta: 0 });
-        let addr = world.publish(a, PartyId(0), Box::new(Noop));
+        let addr = world.publish(a, Box::new(Noop));
         world.schedule_reorg(ReorgEvent {
             chain: a,
             at_round: 3,

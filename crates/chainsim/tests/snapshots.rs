@@ -66,7 +66,7 @@ fn build_world() -> (World, chainsim::ContractAddr) {
     let mut world = World::new(1);
     let chain = world.add_chain("apricot");
     world.chain_mut(chain).mint(PartyId(0), AssetId(0), Amount::new(100));
-    let addr = world.publish(chain, PartyId(0), Box::new(Vault::default()));
+    let addr = world.publish(chain, Box::new(Vault::default()));
     world.call(PartyId(0), addr, &VaultMsg::Deposit(Amount::new(30))).unwrap();
     world.advance_delta();
     (world, addr)
@@ -217,7 +217,7 @@ fn restore_rebuilds_asset_registry_and_contract_store() {
     let vault = world.chain(addr.chain).contract_as::<Vault>(addr.contract).unwrap();
     assert_eq!(vault.total, Amount::new(30));
     // Publishing after a restore continues from the snapshot's contract ids.
-    let next = world.publish(addr.chain, PartyId(0), Box::new(Vault::default()));
+    let next = world.publish(addr.chain, Box::new(Vault::default()));
     assert_eq!(next.contract.0, addr.contract.0 + 1);
 }
 

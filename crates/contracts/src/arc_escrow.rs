@@ -237,17 +237,16 @@ struct RedemptionSlot {
 ///   (all redemption premiums were deposited), refunded to `u` otherwise,
 /// * one **redemption premium** per leader, deposited by `v`, refunded when
 ///   `v` presents that leader's hashkey in time and awarded to `u` otherwise.
+///
+/// Besides the three slots' states it keeps only the hashkey presented for
+/// each leader, from which parties read the revealed secret.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ArcEscrow {
     params: ArcEscrowParams,
     escrow_premium: PremiumSlotState,
     redemption: BTreeMap<PartyId, RedemptionSlot>,
     principal: PrincipalState,
-    presented: BTreeMap<PartyId, Time>,
-    presented_hashkeys: BTreeMap<PartyId, Hashkey>,
-    revealed_secrets: BTreeMap<PartyId, Secret>,
-    escrowed_at: Option<Time>,
-    settled_at: Option<Time>,
+    presented: BTreeMap<PartyId, Hashkey>,
 }
 
 impl ArcEscrow {
@@ -259,10 +258,6 @@ impl ArcEscrow {
             redemption: BTreeMap::new(),
             principal: PrincipalState::NotEscrowed,
             presented: BTreeMap::new(),
-            presented_hashkeys: BTreeMap::new(),
-            revealed_secrets: BTreeMap::new(),
-            escrowed_at: None,
-            settled_at: None,
         }
     }
 
@@ -315,7 +310,7 @@ impl ArcEscrow {
     /// This is how secrets propagate: a party reads them from the public
     /// state of contracts on its outgoing arcs.
     pub fn revealed_secret(&self, leader: PartyId) -> Option<&Secret> {
-        self.revealed_secrets.get(&leader)
+        self.presented.get(&leader).map(Hashkey::secret)
     }
 
     /// The full hashkey presented for `leader`, if any.
@@ -324,17 +319,7 @@ impl ArcEscrow {
     /// arcs, extend the path with their own signature, and present the
     /// extension on their incoming arcs.
     pub fn presented_hashkey(&self, leader: PartyId) -> Option<&Hashkey> {
-        self.presented_hashkeys.get(&leader)
-    }
-
-    /// The height at which the principal was escrowed.
-    pub fn escrowed_at(&self) -> Option<Time> {
-        self.escrowed_at
-    }
-
-    /// The height at which the principal was redeemed or refunded.
-    pub fn settled_at(&self) -> Option<Time> {
-        self.settled_at
+        self.presented.get(&leader)
     }
 
     /// Returns `true` if the escrow premium has been *activated*: every
@@ -441,7 +426,6 @@ impl ArcEscrow {
         env.ensure_before(self.params.deadlines.asset_escrow_deadline)?;
         env.debit_caller(self.params.asset, self.params.amount)?;
         self.principal = PrincipalState::Held;
-        self.escrowed_at = Some(env.now());
         // Lemma 1: the sender's escrow premium is refunded as soon as the
         // asset is escrowed on the arc.
         if self.escrow_premium == PremiumSlotState::Held {
@@ -488,9 +472,7 @@ impl ArcEscrow {
             )?;
             env.caches().get_or_default::<VerifiedHashkeys>().0.insert(memo_key);
         }
-        self.presented.insert(leader, env.now());
-        self.presented_hashkeys.insert(leader, hashkey.clone());
-        self.revealed_secrets.insert(leader, hashkey.secret().clone());
+        self.presented.insert(leader, hashkey.clone());
         env.charge_note();
         // Lemma 1: the receiver's redemption premium for this hashkey is
         // refunded as soon as the hashkey is presented on the arc.
@@ -504,7 +486,6 @@ impl ArcEscrow {
         if self.principal == PrincipalState::Held && self.all_hashkeys_presented() {
             env.pay_out(self.params.receiver, self.params.asset, self.params.amount)?;
             self.principal = PrincipalState::Redeemed;
-            self.settled_at = Some(env.now());
             env.charge_note();
         }
         Ok(())
@@ -553,7 +534,6 @@ impl ArcEscrow {
             if self.principal == PrincipalState::Held {
                 env.pay_out(self.params.sender, self.params.asset, self.params.amount)?;
                 self.principal = PrincipalState::Refunded;
-                self.settled_at = Some(now);
                 env.charge_note();
                 acted = true;
             }
@@ -832,7 +812,7 @@ mod tests {
                 final_deadline: Time(12),
             },
         });
-        let addr = world.publish(chain, B, Box::new(escrow));
+        let addr = world.publish(chain, Box::new(escrow));
         Fixture { world, addr, token, native, secret, pairs }
     }
 

@@ -9,7 +9,7 @@
 //! the bidders if she walks away or cheats.
 
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use chainsim::{
     Amount, AssetId, CallEnv, Contract, ContractError, Disposition, PartyId, StateMachine,
@@ -56,6 +56,29 @@ impl AuctionParams {
     fn is_bidder(&self, party: PartyId) -> bool {
         self.bidders.contains(&party)
     }
+
+    /// Both contracts' `SubmitHashkey` handler: records `winner` in
+    /// `received` once `secret` opens its hashlock inside the challenge
+    /// window. A repeat is accepted and changes nothing.
+    fn submit_hashkey(
+        &self,
+        env: &mut CallEnv<'_>,
+        received: &mut BTreeSet<PartyId>,
+        winner: PartyId,
+        secret: &Secret,
+    ) -> Result<(), ContractError> {
+        let hashlock = self
+            .hashlock_for(winner)
+            .ok_or_else(|| ContractError::invalid_state(format!("{winner} is not a bidder")))?;
+        if !hashlock.matches(secret) {
+            return Err(ContractError::HashlockMismatch);
+        }
+        env.ensure_reached(self.bid_deadline)?;
+        env.ensure_before(self.challenge_deadline)?;
+        received.insert(winner);
+        env.charge_note();
+        Ok(())
+    }
 }
 
 /// How the coin-chain contract settled.
@@ -101,9 +124,8 @@ pub enum AuctionCoinMsg {
 pub struct AuctionCoinContract {
     params: AuctionParams,
     premium_held: bool,
-    premium_settled: bool,
     bids: BTreeMap<PartyId, Amount>,
-    hashkeys: BTreeMap<PartyId, Time>,
+    hashkeys: BTreeSet<PartyId>,
     outcome: Option<AuctionOutcome>,
 }
 
@@ -113,9 +135,8 @@ impl AuctionCoinContract {
         AuctionCoinContract {
             params,
             premium_held: false,
-            premium_settled: false,
             bids: BTreeMap::new(),
-            hashkeys: BTreeMap::new(),
+            hashkeys: BTreeSet::new(),
             outcome: None,
         }
     }
@@ -132,7 +153,7 @@ impl AuctionCoinContract {
 
     /// The bidders whose hashkeys have been submitted here.
     pub fn hashkeys_received(&self) -> Vec<PartyId> {
-        self.hashkeys.keys().copied().collect()
+        self.hashkeys.iter().copied().collect()
     }
 
     /// The settlement outcome, if the auction has been settled.
@@ -196,26 +217,6 @@ impl AuctionCoinContract {
         Ok(())
     }
 
-    fn submit_hashkey(
-        &mut self,
-        env: &mut CallEnv<'_>,
-        winner: PartyId,
-        secret: &Secret,
-    ) -> Result<(), ContractError> {
-        let hashlock = self
-            .params
-            .hashlock_for(winner)
-            .ok_or_else(|| ContractError::invalid_state(format!("{winner} is not a bidder")))?;
-        if !hashlock.matches(secret) {
-            return Err(ContractError::HashlockMismatch);
-        }
-        env.ensure_reached(self.params.bid_deadline)?;
-        env.ensure_before(self.params.challenge_deadline)?;
-        self.hashkeys.entry(winner).or_insert_with(|| env.now());
-        env.charge_note();
-        Ok(())
-    }
-
     fn settle(&mut self, env: &mut CallEnv<'_>) -> Result<(), ContractError> {
         if self.outcome.is_some() {
             return Err(ContractError::invalid_state("auction already settled"));
@@ -242,7 +243,6 @@ impl AuctionCoinContract {
                     self.params.coin_asset,
                     self.params.total_premium(),
                 )?;
-                self.premium_settled = true;
             }
             self.outcome = Some(AuctionOutcome::Completed { winner, winning_bid });
             env.charge_note();
@@ -255,7 +255,6 @@ impl AuctionCoinContract {
                 for bidder in &self.params.bidders {
                     env.pay_out(*bidder, self.params.coin_asset, self.params.premium_per_bidder)?;
                 }
-                self.premium_settled = true;
             }
             self.outcome = Some(AuctionOutcome::Aborted);
             env.charge_note();
@@ -280,7 +279,7 @@ impl Contract for AuctionCoinContract {
             AuctionCoinMsg::DepositPremium => self.deposit_premium(env),
             AuctionCoinMsg::PlaceBid { amount } => self.place_bid(env, *amount),
             AuctionCoinMsg::SubmitHashkey { winner, secret } => {
-                self.submit_hashkey(env, *winner, secret)
+                self.params.submit_hashkey(env, &mut self.hashkeys, *winner, secret)
             }
             AuctionCoinMsg::Settle => self.settle(env),
         }
@@ -388,7 +387,7 @@ pub enum AuctionTicketMsg {
 pub struct AuctionTicketContract {
     params: AuctionParams,
     tickets_held: bool,
-    hashkeys: BTreeMap<PartyId, Time>,
+    hashkeys: BTreeSet<PartyId>,
     winner: Option<PartyId>,
     settled: bool,
 }
@@ -399,7 +398,7 @@ impl AuctionTicketContract {
         AuctionTicketContract {
             params,
             tickets_held: false,
-            hashkeys: BTreeMap::new(),
+            hashkeys: BTreeSet::new(),
             winner: None,
             settled: false,
         }
@@ -417,7 +416,7 @@ impl AuctionTicketContract {
 
     /// The bidders whose hashkeys have been submitted here.
     pub fn hashkeys_received(&self) -> Vec<PartyId> {
-        self.hashkeys.keys().copied().collect()
+        self.hashkeys.iter().copied().collect()
     }
 
     /// The bidder the tickets were awarded to, if any.
@@ -440,26 +439,6 @@ impl AuctionTicketContract {
         env.ensure_before(self.params.bid_deadline)?;
         env.debit_caller(self.params.ticket_asset, self.params.ticket_amount)?;
         self.tickets_held = true;
-        Ok(())
-    }
-
-    fn submit_hashkey(
-        &mut self,
-        env: &mut CallEnv<'_>,
-        winner: PartyId,
-        secret: &Secret,
-    ) -> Result<(), ContractError> {
-        let hashlock = self
-            .params
-            .hashlock_for(winner)
-            .ok_or_else(|| ContractError::invalid_state(format!("{winner} is not a bidder")))?;
-        if !hashlock.matches(secret) {
-            return Err(ContractError::HashlockMismatch);
-        }
-        env.ensure_reached(self.params.bid_deadline)?;
-        env.ensure_before(self.params.challenge_deadline)?;
-        self.hashkeys.entry(winner).or_insert_with(|| env.now());
-        env.charge_note();
         Ok(())
     }
 
@@ -508,7 +487,7 @@ impl Contract for AuctionTicketContract {
         match msg {
             AuctionTicketMsg::EscrowTickets => self.escrow_tickets(env),
             AuctionTicketMsg::SubmitHashkey { winner, secret } => {
-                self.submit_hashkey(env, *winner, secret)
+                self.params.submit_hashkey(env, &mut self.hashkeys, *winner, secret)
             }
             AuctionTicketMsg::Settle => self.settle(env),
         }
@@ -562,7 +541,7 @@ impl Contract for AuctionTicketContract {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chainsim::{AccountRef, ContractAddr, World};
+    use chainsim::{AccountRef, ContractAddr, ContractMessage, GasSchedule, World};
 
     const ALICE: PartyId = PartyId(0);
     const BOB: PartyId = PartyId(1);
@@ -603,9 +582,8 @@ mod tests {
             challenge_deadline: Time(7),
         };
         let coin_addr =
-            world.publish(coin_chain, ALICE, Box::new(AuctionCoinContract::new(params.clone())));
-        let ticket_addr =
-            world.publish(ticket_chain, ALICE, Box::new(AuctionTicketContract::new(params)));
+            world.publish(coin_chain, Box::new(AuctionCoinContract::new(params.clone())));
+        let ticket_addr = world.publish(ticket_chain, Box::new(AuctionTicketContract::new(params)));
         Fixture { world, coin_addr, ticket_addr, coin, ticket, secret_bob, secret_carol }
     }
 
@@ -675,6 +653,39 @@ mod tests {
         assert_eq!(coin_balance(&f, BOB), Amount::new(40));
         assert_eq!(ticket_balance(&f, BOB), Amount::new(5));
         assert_eq!(ticket_balance(&f, ALICE), Amount::ZERO);
+    }
+
+    #[test]
+    fn repeated_hashkey_is_idempotent_on_both_contracts() {
+        let mut f = setup();
+        run_honest_setup(&mut f);
+        let secret = f.secret_bob.clone();
+        let coin_msg = AuctionCoinMsg::SubmitHashkey { winner: BOB, secret: secret.clone() };
+        let ticket_msg = AuctionTicketMsg::SubmitHashkey { winner: BOB, secret };
+        // A repeat is accepted and charges the dispatch plus one note, as
+        // the first submission does.
+        let per_submit = GasSchedule::DEFAULT.call_base + GasSchedule::DEFAULT.note;
+        for (addr, msg) in [
+            (f.coin_addr, &coin_msg as &dyn ContractMessage),
+            (f.coin_addr, &coin_msg),
+            (f.ticket_addr, &ticket_msg),
+            (f.ticket_addr, &ticket_msg),
+        ] {
+            let before = f.world.chain(addr.chain).gas_total();
+            f.world.call(ALICE, addr, msg).unwrap();
+            assert_eq!(f.world.chain(addr.chain).gas_total() - before, per_submit);
+        }
+        assert_eq!(coin_contract(&f).hashkeys_received(), vec![BOB]);
+        assert_eq!(ticket_contract(&f).hashkeys_received(), vec![BOB]);
+        f.world.advance_blocks(5);
+        f.world.call(BOB, f.coin_addr, &AuctionCoinMsg::Settle).unwrap();
+        f.world.call(BOB, f.ticket_addr, &AuctionTicketMsg::Settle).unwrap();
+        assert_eq!(
+            coin_contract(&f).outcome(),
+            Some(AuctionOutcome::Completed { winner: BOB, winning_bid: Amount::new(60) })
+        );
+        assert_eq!(ticket_contract(&f).winner(), Some(BOB));
+        assert_eq!(ticket_balance(&f, BOB), Amount::new(5));
     }
 
     #[test]

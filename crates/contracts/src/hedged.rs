@@ -392,7 +392,7 @@ mod tests {
             escrow_deadline: Time(4),
             redeem_deadline: Time(5),
         });
-        let addr = world.publish(chain, BOB, Box::new(escrow));
+        let addr = world.publish(chain, Box::new(escrow));
         Fixture { world, addr, token, native, secret }
     }
 

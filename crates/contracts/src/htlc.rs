@@ -250,7 +250,7 @@ mod tests {
         let secret = Secret::from_seed(42);
         let escrow =
             HtlcEscrow::new(ALICE, BOB, token, Amount::new(100), secret.hashlock(), timelock);
-        let addr = world.publish(chain, ALICE, Box::new(escrow));
+        let addr = world.publish(chain, Box::new(escrow));
         Fixture { world, addr, token, secret }
     }
 

@@ -51,7 +51,7 @@ fn htlc_fixture() -> HtlcFixture {
     let secret = Secret::from_seed(42);
     let escrow =
         HtlcEscrow::new(ALICE, BOB, token, Amount::new(100), secret.hashlock(), HTLC_TIMELOCK);
-    let addr = world.publish(chain, ALICE, Box::new(escrow));
+    let addr = world.publish(chain, Box::new(escrow));
     HtlcFixture { world, addr, secret }
 }
 
@@ -135,7 +135,7 @@ fn hedged_fixture() -> HedgedFixture {
         escrow_deadline: HEDGED_ESCROW,
         redeem_deadline: HEDGED_REDEEM,
     });
-    let addr = world.publish(chain, BOB, Box::new(escrow));
+    let addr = world.publish(chain, Box::new(escrow));
     HedgedFixture { world, addr, secret }
 }
 
@@ -279,7 +279,7 @@ fn arc_fixture() -> ArcFixture {
             final_deadline: ARC_FINAL,
         },
     });
-    let addr = world.publish(chain, BOB, Box::new(escrow));
+    let addr = world.publish(chain, Box::new(escrow));
     ArcFixture { world, addr, secret, pairs }
 }
 
@@ -438,10 +438,8 @@ fn auction_fixture() -> AuctionFixture {
         bid_deadline: BID_DEADLINE,
         challenge_deadline: CHALLENGE_DEADLINE,
     };
-    let coin_addr =
-        world.publish(coin_chain, ALICE, Box::new(AuctionCoinContract::new(params.clone())));
-    let ticket_addr =
-        world.publish(ticket_chain, ALICE, Box::new(AuctionTicketContract::new(params)));
+    let coin_addr = world.publish(coin_chain, Box::new(AuctionCoinContract::new(params.clone())));
+    let ticket_addr = world.publish(ticket_chain, Box::new(AuctionTicketContract::new(params)));
     AuctionFixture { world, coin_addr, ticket_addr, secret_bob }
 }
 

@@ -253,7 +253,7 @@ fn fuzz_htlc_once(seed: u64) {
     let secret = Secret::from_seed(rng.next_u64());
     let amount = Amount::new(1 + rng.below(900) as u128);
     let escrow = HtlcEscrow::new(P0, P1, token, amount, secret.hashlock(), timelock);
-    let addr = world.publish(chain, P0, Box::new(escrow));
+    let addr = world.publish(chain, Box::new(escrow));
     let depth = rng.below(3) as u32;
     if depth > 0 {
         world.set_finality(chain, FinalityParams { depth, delta: 0 });
@@ -315,7 +315,7 @@ fn fuzz_hedged_once(seed: u64) {
         escrow_deadline,
         redeem_deadline,
     });
-    let addr = world.publish(chain, P1, Box::new(escrow));
+    let addr = world.publish(chain, Box::new(escrow));
     let depth = rng.below(3) as u32;
     if depth > 0 {
         world.set_finality(chain, FinalityParams { depth, delta: 0 });
@@ -398,7 +398,7 @@ fn fuzz_arc_once(seed: u64) {
             final_deadline,
         },
     });
-    let addr = world.publish(chain, P1, Box::new(escrow));
+    let addr = world.publish(chain, Box::new(escrow));
     let depth = rng.below(3) as u32;
     if depth > 0 {
         world.set_finality(chain, FinalityParams { depth, delta: 0 });
@@ -475,9 +475,8 @@ fn fuzz_auction_once(seed: u64) {
         bid_deadline,
         challenge_deadline,
     };
-    let coin_addr =
-        world.publish(coin_chain, P0, Box::new(AuctionCoinContract::new(params.clone())));
-    let ticket_addr = world.publish(ticket_chain, P0, Box::new(AuctionTicketContract::new(params)));
+    let coin_addr = world.publish(coin_chain, Box::new(AuctionCoinContract::new(params.clone())));
+    let ticket_addr = world.publish(ticket_chain, Box::new(AuctionTicketContract::new(params)));
     let chains = [coin_chain, ticket_chain];
     let depth = rng.below(3) as u32;
     if depth > 0 {

@@ -92,11 +92,6 @@ impl fmt::Debug for Secret {
 pub struct Hashlock(Digest);
 
 impl Hashlock {
-    /// Creates a hashlock directly from a digest.
-    pub const fn from_digest(digest: Digest) -> Self {
-        Hashlock(digest)
-    }
-
     /// Returns the underlying digest.
     pub fn digest(&self) -> Digest {
         self.0
@@ -139,11 +134,6 @@ impl Nonce {
     #[must_use]
     pub fn next(self) -> Nonce {
         Nonce(self.0.wrapping_add(1))
-    }
-
-    /// Returns the nonce encoded as big-endian bytes for signing.
-    pub fn to_bytes(self) -> [u8; 8] {
-        self.0.to_be_bytes()
     }
 }
 

@@ -272,13 +272,12 @@ impl Plan {
         target: u32,
         deal: u32,
         leg: u8,
-        publisher: PartyId,
         contract: Box<dyn chainsim::Contract>,
     ) {
         self.actions.push(PlannedAction {
             offset: emit_offset(self.home, target, exec),
             target,
-            msg: MarketMsg::Publish { deal, leg, publisher, contract },
+            msg: MarketMsg::Publish { deal, leg, contract },
         });
     }
 
@@ -364,11 +363,11 @@ fn build_hedged(
     let mut plan = Plan::new(home);
     // Leader (home) leg: publish at spawn, follower's premium at 1, leader's
     // escrow at 2.
-    plan.publish(0, home, id, 0, leader, Box::new(HedgedEscrow::new(leader_leg)));
+    plan.publish(0, home, id, 0, Box::new(HedgedEscrow::new(leader_leg)));
     plan.call(1, home, id, 0, follower, MarketCall::Hedged(HedgedEscrowMsg::DepositPremium));
     plan.call(2, home, id, 0, leader, MarketCall::Hedged(HedgedEscrowMsg::EscrowPrincipal));
     // Follower (remote) leg: publish + leader's premium execute at 1.
-    plan.publish(1, remote, id, 1, follower, Box::new(HedgedEscrow::new(follower_leg)));
+    plan.publish(1, remote, id, 1, Box::new(HedgedEscrow::new(follower_leg)));
     plan.call(1, remote, id, 1, leader, MarketCall::Hedged(HedgedEscrowMsg::DepositPremium));
 
     let settle_offset = match deviation {
@@ -491,7 +490,7 @@ fn build_ring(
         );
         // Home legs publish + escrow at spawn; remote legs at offset 1.
         let exec = if leg.shard == home { 0 } else { 1 };
-        plan.publish(exec, leg.shard, id, i as u8, leg.sender, Box::new(contract));
+        plan.publish(exec, leg.shard, id, i as u8, Box::new(contract));
         plan.call(exec, leg.shard, id, i as u8, leg.sender, MarketCall::Htlc(HtlcMsg::Escrow));
     }
     for (p, leg_idx) in redeem_order.iter().enumerate() {
@@ -635,9 +634,9 @@ fn build_auction(
     };
 
     let mut plan = Plan::new(home);
-    plan.publish(0, home, id, 0, auctioneer, Box::new(AuctionCoinContract::new(params.clone())));
+    plan.publish(0, home, id, 0, Box::new(AuctionCoinContract::new(params.clone())));
     plan.call(0, home, id, 0, auctioneer, MarketCall::Coin(AuctionCoinMsg::DepositPremium));
-    plan.publish(1, remote, id, 1, auctioneer, Box::new(AuctionTicketContract::new(params)));
+    plan.publish(1, remote, id, 1, Box::new(AuctionTicketContract::new(params)));
     plan.call(1, remote, id, 1, auctioneer, MarketCall::Ticket(AuctionTicketMsg::EscrowTickets));
     for (bidder, amount) in &bids {
         plan.call(

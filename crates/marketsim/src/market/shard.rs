@@ -59,8 +59,6 @@ pub enum MarketMsg {
         deal: u32,
         /// The leg index within the deal.
         leg: u8,
-        /// The publishing party.
-        publisher: PartyId,
         /// The contract instance to publish.
         contract: Box<dyn Contract>,
     },
@@ -329,8 +327,8 @@ impl Shard {
 
     fn apply(&mut self, msg: MarketMsg) {
         match msg {
-            MarketMsg::Publish { deal, leg, publisher, contract } => {
-                let id = self.world.chain_mut(self.chain).publish(publisher, contract);
+            MarketMsg::Publish { deal, leg, contract } => {
+                let id = self.world.chain_mut(self.chain).publish(contract);
                 let replaced =
                     self.leg_addrs.insert((deal, leg), ContractAddr::new(self.chain, id));
                 debug_assert!(replaced.is_none(), "deal {deal} leg {leg} published twice");

@@ -86,7 +86,6 @@ impl FamilyScratch {
     where
         P: Protocol + Clone + Send + 'static,
         P::Setup: Send + 'static,
-        P::Capture: Send + 'static,
     {
         if self.replay {
             return protocol.run(profile, world);
@@ -361,7 +360,7 @@ impl ParallelSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chainsim::PartyId;
+    use chainsim::{PartyId, Tally};
     use protocols::script::{ScriptedParty, Step, StepOutcome, Strategy};
 
     /// A one-party protocol of `STEPS` empty steps; its report is the
@@ -371,7 +370,6 @@ mod tests {
 
     impl<const STEPS: usize> Protocol for Ticks<STEPS> {
         type Setup = ();
-        type Capture = usize;
         type Report = usize;
 
         fn setup(&self, world: &mut World) {
@@ -382,14 +380,11 @@ mod tests {
             let steps = (0..STEPS).map(|_| Step::new("tick", |_| StepOutcome::Complete(vec![])));
             vec![ScriptedParty::new(PartyId(0), steps.collect(), profile(PartyId(0)))]
         }
-        fn max_rounds(&self) -> u64 {
+        fn max_rounds(&self, _: &()) -> u64 {
             16
         }
-        fn capture(&self, _: &World, _: &(), rounds: usize, _: usize) -> usize {
-            rounds
-        }
-        fn judge(&self, _: &(), rounds: &usize, _: Profile<'_>) -> usize {
-            *rounds
+        fn report(&self, _: &World, _: &(), tally: Tally, _: Profile<'_>) -> usize {
+            tally.rounds
         }
     }
 

@@ -261,9 +261,13 @@ pub struct SampledSweep<P> {
     /// Whether samples draw the timing axis alone.
     conforming_only: bool,
     /// Reorg families only: puts a sample's drawn chain-realism overlay on
-    /// the protocol.
-    overlay: Option<fn(P, SwapRealism) -> P>,
+    /// the protocol, and the horizon the overlay's reorgs are drawn below
+    /// ([`two_party::swap_max_rounds`]).
+    overlay: Option<(Overlay<P>, u64)>,
 }
+
+/// Puts a chain-realism overlay on a protocol.
+type Overlay<P> = fn(P, SwapRealism) -> P;
 
 impl SampledSweep<TwoPartySwap> {
     /// Samples the hedged two-party swap (§5.2) over the full
@@ -294,9 +298,10 @@ impl SampledSweep<TwoPartySwap> {
             "sampled hedged two-party swap under reorgs (margin {})",
             config.finality_margin
         );
+        let horizon = two_party::swap_max_rounds(&config);
         let swap = TwoPartySwap::hedged(config);
         SampledSweep {
-            overlay: Some(TwoPartySwap::with_realism),
+            overlay: Some((TwoPartySwap::with_realism, horizon)),
             ..Self::of(name, vec![swap], seed, samples, 2, false)
         }
     }
@@ -395,7 +400,7 @@ impl<P: Checked> SampledSweep<P> {
             if self.variants.len() > 1 { rng.gen_range(0..self.variants.len()) } else { 0 };
         let protocol = &self.variants[variant];
         let profile = protocol.draw(&mut rng, self.max_deviators, self.conforming_only);
-        let realism = self.overlay.map(|_| sample_realism(&mut rng, protocol.max_rounds()));
+        let realism = self.overlay.map(|(_, horizon)| sample_realism(&mut rng, horizon));
         (variant, profile, realism)
     }
 
@@ -541,9 +546,8 @@ impl<P: Checked> SampledSweep<P> {
         match self.overlay {
             // The realism axis: no reorg, or one redelivering reorg with a
             // free chain (2), round (1..horizon) and depth.
-            Some(_) => {
-                space
-                    * (1.0 + 2.0 * f64::from(MAX_REORG_DEPTH) * (protocol.max_rounds() - 1) as f64)
+            Some((_, horizon)) => {
+                space * (1.0 + 2.0 * f64::from(MAX_REORG_DEPTH) * (horizon - 1) as f64)
             }
             None => space,
         }
@@ -576,7 +580,7 @@ impl<P: Checked> SampledSweep<P> {
             // Always from scratch: the overlay makes a protocol of its
             // own, which no other sample shares a prefix with.
             Some(realism) => {
-                let overlay = self.overlay.expect("only reorg families draw realism overlays");
+                let (overlay, _) = self.overlay.expect("only reorg families draw realism overlays");
                 overlay(protocol.clone(), realism.clone()).run(profile, scratch)
             }
             None => cache.run(protocol, variant, profile, scratch),

@@ -47,10 +47,11 @@ pub const WHOLE_RUN: PartyId = PartyId(u32::MAX);
 /// trait, so a protocol joins both tiers by implementing it. Three facts
 /// are required; the defaults cover protocols whose scripts all have the
 /// same length and whose parties all deviate on the
-/// `stop_after × timing × faults` axes.
-pub trait Checked:
-    Protocol<Setup: Send + 'static, Capture: Send + 'static> + Clone + Send + Sync + 'static
-{
+/// `stop_after × timing × faults` axes. Each run's
+/// [`Protocol::report`] is judged by [`Checked::violations`]; the setup is
+/// `Send` because a worker's family slot keeps the protocol's
+/// [`Prefix`](protocols::script::Prefix).
+pub trait Checked: Protocol<Setup: Send + 'static> + Clone + Send + Sync + 'static {
     /// Every party in id order, with the number of steps of its script.
     fn players(&self) -> Vec<(PartyId, usize)>;
 

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use chainsim::{Action, Amount, AssetId, ContractAddr, PartyId, Time, World};
+use chainsim::{Action, Amount, AssetId, ContractAddr, PartyId, Tally, Time, World};
 use contracts::{
     AuctionCoinContract, AuctionCoinMsg, AuctionOutcome, AuctionParams, AuctionTicketContract,
     AuctionTicketMsg,
@@ -164,13 +164,9 @@ fn build(world: &mut World, config: &AuctionConfig) -> AuctionSetup {
         bid_deadline,
         challenge_deadline,
     };
-    let coin_addr =
-        world.publish(coin_chain, AUCTIONEER, Box::new(AuctionCoinContract::new(params.clone())));
-    let ticket_addr = world.publish(
-        ticket_chain,
-        AUCTIONEER,
-        Box::new(AuctionTicketContract::new(params.clone())),
-    );
+    let coin_addr = world.publish(coin_chain, Box::new(AuctionCoinContract::new(params.clone())));
+    let ticket_addr =
+        world.publish(ticket_chain, Box::new(AuctionTicketContract::new(params.clone())));
     let mut parties = vec![AUCTIONEER];
     parties.extend(bidders);
     let before = BalanceSnapshot::capture(world, &parties, &[coin, ticket]);
@@ -354,16 +350,6 @@ fn bidder_steps(config: &AuctionConfig, setup: &AuctionSetup, bidder: PartyId) -
     ]
 }
 
-/// The final state of an auction run.
-#[derive(Clone, Debug)]
-pub struct AuctionCapture {
-    payoffs: Payoffs,
-    outcome: Option<AuctionOutcome>,
-    ticket_winner: Option<PartyId>,
-    failed_actions: usize,
-    rounds: usize,
-}
-
 /// An auction configuration is the auction's [`Protocol`]. The
 /// auctioneer's *declaration content* (honest, low-bidder, abandon) is part
 /// of the configuration, so each behaviour records its own [`Prefix`].
@@ -371,7 +357,6 @@ pub struct AuctionCapture {
 /// [`Prefix`]: crate::script::Prefix
 impl Protocol for AuctionConfig {
     type Setup = AuctionSetup;
-    type Capture = AuctionCapture;
     type Report = AuctionReport;
 
     fn setup(&self, world: &mut World) -> AuctionSetup {
@@ -398,34 +383,20 @@ impl Protocol for AuctionConfig {
         actors
     }
 
-    fn max_rounds(&self) -> u64 {
+    fn max_rounds(&self, _: &AuctionSetup) -> u64 {
         8 * self.delta_blocks + 4
     }
 
-    fn capture(
+    fn report(
         &self,
         world: &World,
         setup: &AuctionSetup,
-        rounds: usize,
-        failed_actions: usize,
-    ) -> AuctionCapture {
-        let after = BalanceSnapshot::capture(world, &setup.parties, &[setup.coin, setup.ticket]);
-        AuctionCapture {
-            payoffs: Payoffs::between(&setup.before, &after),
-            outcome: coin_contract(world, setup.coin_addr).outcome(),
-            ticket_winner: ticket_contract(world, setup.ticket_addr).winner(),
-            failed_actions,
-            rounds,
-        }
-    }
-
-    fn judge(
-        &self,
-        setup: &AuctionSetup,
-        capture: &AuctionCapture,
+        tally: Tally,
         profile: Profile<'_>,
     ) -> AuctionReport {
-        let payoffs = &capture.payoffs;
+        let after = BalanceSnapshot::capture(world, &setup.parties, &[setup.coin, setup.ticket]);
+        let payoffs = Payoffs::between(&setup.before, &after);
+        let outcome = coin_contract(world, setup.coin_addr).outcome();
         let mut bidder_coin_payoffs = BTreeMap::new();
         let mut bidder_ticket_payoffs = BTreeMap::new();
         let mut no_bid_stolen = true;
@@ -441,7 +412,7 @@ impl Protocol for AuctionConfig {
                     no_bid_stolen = false;
                 }
                 if bid.is_some()
-                    && matches!(capture.outcome, Some(AuctionOutcome::Aborted))
+                    && matches!(outcome, Some(AuctionOutcome::Aborted))
                     && coin_payoff < self.premium.value() as i128
                 {
                     bidders_compensated = false;
@@ -449,16 +420,16 @@ impl Protocol for AuctionConfig {
             }
         }
         AuctionReport {
-            outcome: capture.outcome,
-            ticket_winner: capture.ticket_winner,
+            outcome,
+            ticket_winner: ticket_contract(world, setup.ticket_addr).winner(),
             bidder_coin_payoffs,
             bidder_ticket_payoffs,
             auctioneer_coin_payoff: payoffs.of(AUCTIONEER, setup.coin).value(),
             no_bid_stolen,
             bidders_compensated,
-            payoffs: payoffs.clone(),
-            failed_actions: capture.failed_actions,
-            rounds: capture.rounds,
+            payoffs,
+            failed_actions: tally.failed,
+            rounds: tally.rounds,
         }
     }
 }

@@ -9,7 +9,7 @@
 //! deposit to the counterparty; otherwise every premium level is refunded
 //! after the horizon and only the level-0 principals change hands.
 
-use chainsim::{Action, Amount, AssetId, ContractAddr, PartyId, Time, World};
+use chainsim::{Action, Amount, AssetId, ContractAddr, PartyId, Tally, Time, World};
 use contracts::{
     HedgedEscrow, HedgedEscrowMsg, HedgedEscrowParams, HedgedPremiumState, HedgedPrincipalState,
 };
@@ -332,17 +332,8 @@ fn holdings(world: &World, natives: &[AssetId; 2]) -> [i128; 2] {
     })
 }
 
-/// The final state of a cascade run.
-#[derive(Clone, Debug)]
-pub struct BootstrapCapture {
-    alice_payoff: i128,
-    bob_payoff: i128,
-    deepest_completed_level: u32,
-}
-
 impl Protocol for BootstrapConfig {
     type Setup = BootstrapSetup;
-    type Capture = BootstrapCapture;
     type Report = BootstrapRunReport;
 
     fn setup(&self, world: &mut World) -> BootstrapSetup {
@@ -381,7 +372,7 @@ impl Protocol for BootstrapConfig {
                 escrow_deadline,
                 redeem_deadline: self.horizon(),
             };
-            world.publish(chain, escrower, Box::new(HedgedEscrow::new(params)))
+            world.publish(chain, Box::new(HedgedEscrow::new(params)))
         };
         let escrows = plan
             .levels
@@ -403,37 +394,24 @@ impl Protocol for BootstrapConfig {
             .collect()
     }
 
-    fn max_rounds(&self) -> u64 {
+    fn max_rounds(&self, _: &BootstrapSetup) -> u64 {
         self.horizon().height() + 2 * self.delta_blocks() + 4
     }
 
-    fn capture(
+    fn report(
         &self,
         world: &World,
         setup: &BootstrapSetup,
-        _rounds: usize,
-        _failed_actions: usize,
-    ) -> BootstrapCapture {
+        _: Tally,
+        profile: Profile<'_>,
+    ) -> BootstrapRunReport {
         let [alice, bob] = holdings(world, &setup.natives);
+        let (alice_payoff, bob_payoff) = (alice - setup.before[0], bob - setup.before[1]);
         let both_in = |escrows: &&[ContractAddr; 2]| {
             escrows.iter().all(|addr| hedged_contract(world, *addr).escrowed_at().is_some())
         };
         // Levels complete from the outermost inwards until the first miss.
         let completed = setup.escrows.iter().rev().take_while(both_in).count();
-        BootstrapCapture {
-            alice_payoff: alice - setup.before[0],
-            bob_payoff: bob - setup.before[1],
-            deepest_completed_level: self.rounds + 1 - completed as u32,
-        }
-    }
-
-    fn judge(
-        &self,
-        setup: &BootstrapSetup,
-        capture: &BootstrapCapture,
-        profile: Profile<'_>,
-    ) -> BootstrapRunReport {
-        let BootstrapCapture { alice_payoff, bob_payoff, deepest_completed_level } = *capture;
         // Each side's payoff when the principals change hands.
         let trade = self.b as i128 - self.a as i128;
         let parties = [(profile(ALICE), alice_payoff, trade), (profile(BOB), bob_payoff, -trade)];
@@ -455,7 +433,7 @@ impl Protocol for BootstrapConfig {
             plan: setup.plan.clone(),
             alice_payoff,
             bob_payoff,
-            deepest_completed_level,
+            deepest_completed_level: self.rounds + 1 - completed as u32,
             loss_bounded_by_initial_risk,
         }
     }

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use chainsim::{Action, Amount, AssetId, ChainId, ContractAddr, PartyId, Time, World};
+use chainsim::{Action, Amount, AssetId, ChainId, ContractAddr, PartyId, Tally, Time, World};
 use contracts::{
     ArcDeadlines, ArcEscrow, ArcEscrowMsg, ArcEscrowParams, Hashkey, HashkeyVerifyCache, PartyKeys,
     PremiumSlotState, PrincipalState,
@@ -437,7 +437,7 @@ fn build(world: &mut World, config: &DealConfig) -> DealSetup {
             verify_cache: verify_cache.clone(),
             premium_evaluator: Arc::clone(&premium_evaluator),
         };
-        let addr = world.publish(chain_id, arc.from, Box::new(ArcEscrow::new(params)));
+        let addr = world.publish(chain_id, Box::new(ArcEscrow::new(params)));
         arc_addrs.insert((arc.from, arc.to), addr);
     }
 
@@ -819,21 +819,10 @@ fn party_steps(config: &DealConfig, setup: &DealSetup, me: PartyId) -> Vec<Step>
     steps
 }
 
-/// The final state of a deal run: the payoffs and each arc's principal
-/// state.
-#[derive(Clone, Debug)]
-pub struct DealCapture {
-    payoffs: Payoffs,
-    arc_states: Vec<((PartyId, PartyId), PrincipalState)>,
-    failed_actions: usize,
-    rounds: usize,
-}
-
 /// A deal configuration is the deal engine's [`Protocol`]: multi-party
 /// swaps (§7) and brokered sales (§8) are both run through it.
 impl Protocol for DealConfig {
     type Setup = DealSetup;
-    type Capture = DealCapture;
     type Report = DealReport;
 
     fn setup(&self, world: &mut World) -> DealSetup {
@@ -857,32 +846,24 @@ impl Protocol for DealConfig {
     }
 
     /// Past the final deadline plus slack for the settlement steps.
-    fn max_rounds(&self) -> u64 {
-        self.arc_deadlines().final_deadline.height() + 3 * self.delta_blocks + 4
+    fn max_rounds(&self, setup: &DealSetup) -> u64 {
+        setup.deadlines.final_deadline.height() + 3 * self.delta_blocks + 4
     }
 
-    fn capture(
+    fn report(
         &self,
         world: &World,
         setup: &DealSetup,
-        rounds: usize,
-        failed_actions: usize,
-    ) -> DealCapture {
+        tally: Tally,
+        profile: Profile<'_>,
+    ) -> DealReport {
         let after = BalanceSnapshot::capture(world, &setup.parties, &setup.all_assets);
-        DealCapture {
-            payoffs: Payoffs::between(&setup.before, &after),
-            arc_states: setup
-                .arc_addrs
-                .iter()
-                .map(|(arc, addr)| (*arc, arc_contract(world, *addr).principal_state()))
-                .collect(),
-            failed_actions,
-            rounds,
-        }
-    }
-
-    fn judge(&self, setup: &DealSetup, capture: &DealCapture, profile: Profile<'_>) -> DealReport {
-        let payoffs = &capture.payoffs;
+        let payoffs = Payoffs::between(&setup.before, &after);
+        let arc_states: Vec<((PartyId, PartyId), PrincipalState)> = setup
+            .arc_addrs
+            .iter()
+            .map(|(arc, addr)| (*arc, arc_contract(world, *addr).principal_state()))
+            .collect();
         let mut outcomes: BTreeMap<PartyId, DealPartyOutcome> = BTreeMap::new();
         let mut completed = true;
         for &party in &setup.parties {
@@ -891,7 +872,7 @@ impl Protocol for DealConfig {
                 premium_payoff: payoffs.total_over(party, &setup.native_assets).value(),
                 ..DealPartyOutcome::default()
             };
-            for (arc, principal_state) in &capture.arc_states {
+            for (arc, principal_state) in &arc_states {
                 if *principal_state != PrincipalState::Redeemed {
                     completed = false;
                 }
@@ -932,9 +913,9 @@ impl Protocol for DealConfig {
             strategies: setup.parties.iter().map(|&party| (party, profile(party))).collect(),
             completed,
             parties: outcomes,
-            payoffs: payoffs.clone(),
-            failed_actions: capture.failed_actions,
-            rounds: capture.rounds,
+            payoffs,
+            failed_actions: tally.failed,
+            rounds: tally.rounds,
         }
     }
 }

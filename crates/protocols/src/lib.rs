@@ -23,8 +23,9 @@
 //! [`deal::DealConfig`] (multi-party swaps and the brokered sale) or an
 //! [`auction::AuctionConfig`]. It runs one of two ways with identical
 //! reports: from scratch with [`Protocol::run`](script::Protocol::run), or
-//! resumed from a recorded compliant run through a
-//! [`Prefix`](script::Prefix).
+//! from the world a [`Prefix`](script::Prefix) snapshotted right after
+//! setup. Both end in the same
+//! [`Protocol::report`](script::Protocol::report).
 //!
 //! # Examples
 //!

@@ -5,8 +5,9 @@
 //! Definition 1 is then a statement about these payoffs: a compliant party
 //! whose escrowed assets were not redeemed must end up with at least its
 //! acceptable compensation in premium (native-currency) terms. Each
-//! protocol's judge states it once, as a per-party hedge margin that is
-//! non-negative exactly when the party is hedged.
+//! protocol's [`Protocol::report`](crate::script::Protocol::report) states
+//! it once, as a per-party hedge margin that is non-negative exactly when
+//! the party is hedged.
 
 use std::collections::BTreeMap;
 

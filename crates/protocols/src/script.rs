@@ -12,15 +12,14 @@
 //! # Protocols
 //!
 //! A scripted protocol implements [`Protocol`] once: setup, scripts, round
-//! budget, final-state capture and judgement. [`Protocol::run`] sets a
-//! profile up from scratch; a [`Prefix`] sets the protocol up once,
-//! snapshots the world right after setup, and starts every profile from
-//! that snapshot, with the compliant scripts forked under the profile's
-//! strategies. Both then drive the rounds with the same loop
-//! ([`chainsim::Scheduler`], which skips rounds in which every party
-//! pure-waits) and share the capture and the judge, so their reports are
-//! identical — pinned by `modelcheck`'s differential tests against its
-//! replay-oracle sweeps.
+//! budget and report. [`Protocol::run`] sets a profile up from scratch; a
+//! [`Prefix`] sets the protocol up once, snapshots the world right after
+//! setup, and starts every profile from that snapshot, with the compliant
+//! scripts forked under the profile's strategies. Both then drive the
+//! rounds with the same loop ([`chainsim::Scheduler`], which skips rounds
+//! in which every party pure-waits) and end in the same
+//! [`Protocol::report`], so their reports are identical — pinned by
+//! `modelcheck`'s differential tests against its replay-oracle sweeps.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -746,7 +745,7 @@ fn resume(
 
 /// A world right after setup and the compliant scripts, from which
 /// [`DeviationTree::resume`] runs any profile: the mechanism of a
-/// [`Prefix`], without a protocol to capture and judge the result.
+/// [`Prefix`], without a protocol to report on the result.
 ///
 /// The name is historical. The type once kept a checkpoint per round of the
 /// compliant run and resumed each profile from the round it diverged at;
@@ -816,21 +815,17 @@ pub fn profile(strategies: &BTreeMap<PartyId, Strategy>) -> impl Fn(PartyId) -> 
 }
 
 /// A scripted protocol, defined once: its world, its scripts, its round
-/// budget, the final state a run leaves and the report judged from it.
+/// budget and the report on the state a run leaves.
 ///
 /// Every scripted run starts in one of two ways: [`Protocol::run`] sets the
 /// protocol up for the profile (the one-off path and the replay oracle),
 /// and a [`Prefix`] restores the world it snapshotted right after setup.
-/// Both drive the rounds with the [`Scheduler`], capture the final state
-/// with [`Protocol::capture`] and judge it with [`Protocol::judge`], so
-/// their reports are identical.
+/// Both drive the rounds with the [`Scheduler`] and end in
+/// [`Protocol::report`], so their reports are identical.
 pub trait Protocol {
-    /// What setup leaves for scripting, capture and judging: contract
-    /// addresses, asset ids, pre-run balances.
+    /// What setup leaves for scripting and reporting: contract addresses,
+    /// asset ids, deadlines, pre-run balances.
     type Setup;
-    /// The final state a report is judged from; the profile enters only
-    /// through [`Protocol::judge`].
-    type Capture;
     /// The protocol's report.
     type Report;
 
@@ -841,25 +836,17 @@ pub trait Protocol {
     /// Every party's script under `profile`, in party-id order.
     fn script(&self, setup: &Self::Setup, profile: Profile<'_>) -> Vec<ScriptedParty>;
 
-    /// The round budget of one run.
-    fn max_rounds(&self) -> u64;
+    /// The round budget of one run of `setup`.
+    fn max_rounds(&self, setup: &Self::Setup) -> u64;
 
-    /// Captures the final state of a run that executed `rounds` rounds and
-    /// saw `failed_actions` rejected actions.
-    fn capture(
+    /// Reports on `world` as a run under `profile` left it, after the
+    /// rounds and rejected actions `tally` counts: payoffs, lock-ups and
+    /// the hedged predicates of the parties `profile` leaves compliant.
+    fn report(
         &self,
         world: &World,
         setup: &Self::Setup,
-        rounds: usize,
-        failed_actions: usize,
-    ) -> Self::Capture;
-
-    /// Judges `capture` under `profile`: payoffs, lock-ups and the hedged
-    /// predicates of the parties `profile` leaves compliant.
-    fn judge(
-        &self,
-        setup: &Self::Setup,
-        capture: &Self::Capture,
+        tally: Tally,
         profile: Profile<'_>,
     ) -> Self::Report;
 
@@ -867,9 +854,8 @@ pub trait Protocol {
     fn run(&self, profile: Profile<'_>, world: &mut World) -> Self::Report {
         let setup = self.setup(world);
         let mut parties = self.script(&setup, profile);
-        let tally = Scheduler::new(self.max_rounds()).run(world, &mut parties);
-        let capture = self.capture(world, &setup, tally.rounds, tally.failed);
-        self.judge(&setup, &capture, profile)
+        let tally = Scheduler::new(self.max_rounds(&setup)).run(world, &mut parties);
+        self.report(world, &setup, tally, profile)
     }
 
     /// The protocol's world and compliant parties, without executing a
@@ -884,11 +870,12 @@ pub trait Protocol {
 }
 
 /// One [`Protocol`] set up once and shared by every profile run through it:
-/// the world as setup left it, the compliant scripts and the round budget.
-/// Each profile restores that world and forks the scripts under its
-/// strategies, so it skips the setup [`Protocol::run`] repeats; the reports
-/// are identical. A prefix holds no memo: what a run signs or verifies is
-/// memoised in the world's store ([`World::caches`]).
+/// the protocol, what its setup returned, the world as setup left it and
+/// the compliant scripts. Each profile restores that world, forks the
+/// scripts under its strategies and ends in [`Protocol::report`], so it
+/// skips the setup [`Protocol::run`] repeats and reports identically. A
+/// prefix holds no memo: what a run signs or verifies is memoised in the
+/// world's store ([`World::caches`]).
 pub struct Prefix<P: Protocol> {
     protocol: P,
     setup: P::Setup,
@@ -896,9 +883,6 @@ pub struct Prefix<P: Protocol> {
     world: WorldSnapshot,
     /// The compliant scripts.
     parties: Vec<ScriptedParty>,
-    /// [`Protocol::max_rounds`], which a deal derives from its digraph's
-    /// diameter.
-    max_rounds: u64,
 }
 
 impl<P: Protocol> fmt::Debug for Prefix<P> {
@@ -912,16 +896,14 @@ impl<P: Protocol> Prefix<P> {
     pub fn record(protocol: P, world: &mut World) -> Self {
         let setup = protocol.setup(world);
         let parties = protocol.script(&setup, &|_| Strategy::compliant());
-        let max_rounds = protocol.max_rounds();
-        Prefix { world: world.snapshot(), protocol, setup, parties, max_rounds }
+        Prefix { world: world.snapshot(), protocol, setup, parties }
     }
 
     /// Runs `profile` inside `world` from the post-setup snapshot.
     pub fn run(&self, profile: Profile<'_>, world: &mut World) -> P::Report {
-        let Prefix { protocol, setup, world: snapshot, parties, max_rounds } = self;
-        let tally = resume(snapshot, parties, world, profile, *max_rounds);
-        let capture = protocol.capture(world, setup, tally.rounds, tally.failed);
-        protocol.judge(setup, &capture, profile)
+        let Prefix { protocol, setup, world: snapshot, parties } = self;
+        let tally = resume(snapshot, parties, world, profile, protocol.max_rounds(setup));
+        protocol.report(world, setup, tally, profile)
     }
 }
 
@@ -1187,13 +1169,12 @@ mod tests {
 
     impl Protocol for Beacons {
         type Setup = chainsim::ContractAddr;
-        type Capture = Vec<u64>;
         type Report = Vec<u64>;
 
         fn setup(&self, world: &mut World) -> chainsim::ContractAddr {
             world.reset(1);
             let chain = world.add_chain("a");
-            world.publish(chain, PartyId(0), Box::new(Log::default()))
+            world.publish(chain, Box::new(Log::default()))
         }
         fn script(&self, log: &chainsim::ContractAddr, profile: Profile<'_>) -> Vec<ScriptedParty> {
             let log = *log;
@@ -1211,25 +1192,17 @@ mod tests {
                 .collect();
             vec![ScriptedParty::new(PartyId(0), steps, profile(PartyId(0))).with_delta(3)]
         }
-        fn max_rounds(&self) -> u64 {
+        fn max_rounds(&self, _: &chainsim::ContractAddr) -> u64 {
             16
         }
-        fn capture(
+        fn report(
             &self,
             world: &World,
             log: &chainsim::ContractAddr,
-            _: usize,
-            _: usize,
-        ) -> Vec<u64> {
-            world.chain(log.chain).contract_as::<Log>(log.contract).expect("log").0.clone()
-        }
-        fn judge(
-            &self,
-            _: &chainsim::ContractAddr,
-            heights: &Vec<u64>,
+            _: Tally,
             _: Profile<'_>,
         ) -> Vec<u64> {
-            heights.clone()
+            world.chain(log.chain).contract_as::<Log>(log.contract).expect("log").0.clone()
         }
     }
 
@@ -1244,9 +1217,9 @@ mod tests {
         let mut world = World::new(1);
         let log = Beacons.setup(&mut world);
         let parties = Beacons.script(&log, &|_| Strategy::compliant());
-        let tree = DeviationTree::record(&mut world, parties, Beacons.max_rounds());
-        let resumed = tree.resume(&mut world, &late);
-        assert_eq!(Beacons.capture(&world, &log, resumed.rounds, 0), from_scratch);
+        let tree = DeviationTree::record(&mut world, parties, Beacons.max_rounds(&log));
+        tree.resume(&mut world, &late);
+        assert_eq!(Beacons.report(&world, &log, Tally::default(), &late), from_scratch);
         assert_eq!(Prefix::record(Beacons, &mut world).run(&late, &mut world), from_scratch);
     }
 

@@ -9,7 +9,7 @@
 //! schedule, after which every unilateral walk-away costs the deviator a
 //! premium that compensates the victim.
 
-use chainsim::{Action, Amount, AssetId, ChainId, ContractAddr, PartyId, Time, World};
+use chainsim::{Action, Amount, AssetId, ChainId, ContractAddr, PartyId, Tally, Time, World};
 use contracts::{
     HedgedEscrow, HedgedEscrowMsg, HedgedPremiumState, HedgedPrincipalState, HtlcEscrow, HtlcMsg,
     HtlcState,
@@ -280,8 +280,8 @@ fn publish(
             let (anchor, schedule) = (Time(config.finality_margin), config.hedged_schedule());
             let apricot = spec.leader_leg(anchor, &schedule);
             let banana = spec.follower_leg(anchor, &schedule);
-            let banana = world.publish(BANANA, BOB, Box::new(HedgedEscrow::new(banana)));
-            let apricot = world.publish(APRICOT, ALICE, Box::new(HedgedEscrow::new(apricot)));
+            let banana = world.publish(BANANA, Box::new(HedgedEscrow::new(banana)));
+            let apricot = world.publish(APRICOT, Box::new(HedgedEscrow::new(apricot)));
             (apricot, banana)
         }
         SwapProtocol::Base => {
@@ -292,7 +292,6 @@ fn publish(
             let (banana_timelock, apricot_timelock) = config.base_timelocks();
             let apricot = world.publish(
                 APRICOT,
-                ALICE,
                 Box::new(HtlcEscrow::new(
                     ALICE,
                     BOB,
@@ -304,7 +303,6 @@ fn publish(
             );
             let banana = world.publish(
                 BANANA,
-                BOB,
                 Box::new(HtlcEscrow::new(
                     BOB,
                     ALICE,
@@ -684,19 +682,8 @@ pub fn profile(alice: Strategy, bob: Strategy) -> impl Fn(PartyId) -> Strategy {
     move |party| if party == ALICE { alice } else { bob }
 }
 
-/// The final state of a two-party swap run.
-#[derive(Clone, Debug)]
-pub struct SwapCapture {
-    payoffs: Payoffs,
-    alice_lockup: Lockup,
-    bob_lockup: Lockup,
-    rounds: usize,
-    failed_actions: usize,
-}
-
 impl Protocol for TwoPartySwap {
     type Setup = SwapSetup;
-    type Capture = SwapCapture;
     type Report = TwoPartyReport;
 
     fn setup(&self, world: &mut World) -> SwapSetup {
@@ -739,18 +726,20 @@ impl Protocol for TwoPartySwap {
         ]
     }
 
-    fn max_rounds(&self) -> u64 {
+    fn max_rounds(&self, _: &SwapSetup) -> u64 {
         swap_max_rounds(&self.config)
     }
 
-    fn capture(
+    fn report(
         &self,
         world: &World,
         setup: &SwapSetup,
-        rounds: usize,
-        failed_actions: usize,
-    ) -> SwapCapture {
+        tally: Tally,
+        profile: Profile<'_>,
+    ) -> TwoPartyReport {
+        let config = &self.config;
         let after = BalanceSnapshot::capture(world, &[ALICE, BOB], &setup.assets());
+        let payoffs = Payoffs::between(&setup.before, &after);
         let now = world.now();
         let (alice_lockup, bob_lockup) = match self.protocol {
             SwapProtocol::Hedged => {
@@ -778,36 +767,19 @@ impl Protocol for TwoPartySwap {
                 (lockup(setup.apricot_contract), lockup(setup.banana_contract))
             }
         };
-        SwapCapture {
-            payoffs: Payoffs::between(&setup.before, &after),
-            alice_lockup,
-            bob_lockup,
-            rounds,
-            failed_actions,
-        }
-    }
-
-    fn judge(
-        &self,
-        setup: &SwapSetup,
-        capture: &SwapCapture,
-        profile: Profile<'_>,
-    ) -> TwoPartyReport {
-        let config = &self.config;
-        let SwapCapture { payoffs, alice_lockup, bob_lockup, .. } = capture;
         let (alice, bob) = (profile(ALICE), profile(BOB));
         let premiums = [setup.apricot_native, setup.banana_native];
         let alice_premium_payoff = payoffs.total_over(ALICE, &premiums).value();
         let bob_premium_payoff = payoffs.total_over(BOB, &premiums).value();
         let alice_hedge_margin = hedge_margin(
-            *alice_lockup,
+            alice_lockup,
             payoffs.of(ALICE, setup.banana_token).value(),
             config.bob_tokens,
             alice_premium_payoff,
             config.premium_b,
         );
         let bob_hedge_margin = hedge_margin(
-            *bob_lockup,
+            bob_lockup,
             payoffs.of(BOB, setup.apricot_token).value(),
             config.alice_tokens,
             bob_premium_payoff,
@@ -823,16 +795,16 @@ impl Protocol for TwoPartySwap {
             bob_banana_payoff: payoffs.of(BOB, setup.banana_token).value(),
             alice_premium_payoff,
             bob_premium_payoff,
-            alice_lockup: *alice_lockup,
-            bob_lockup: *bob_lockup,
+            alice_lockup,
+            bob_lockup,
             alice_hedge_margin,
             bob_hedge_margin,
             // A deviating party's hedge is vacuously true.
             hedged_for_alice: !alice.is_compliant() || alice_hedge_margin >= 0,
             hedged_for_bob: !bob.is_compliant() || bob_hedge_margin >= 0,
-            failed_actions: capture.failed_actions,
-            rounds: capture.rounds,
-            payoffs: payoffs.clone(),
+            failed_actions: tally.failed,
+            rounds: tally.rounds,
+            payoffs,
         }
     }
 }
@@ -1085,13 +1057,14 @@ mod tests {
         let mut world = World::new(1);
         let setup = swap.setup(&mut world);
         let mut parties = swap.script(&setup, profile);
-        let (mut rounds, mut failed) = (0, 0);
-        while rounds < swap.max_rounds() as usize && !parties.iter().all(chainsim::Actor::done) {
-            failed += chainsim::run_round(&mut world, &mut parties).failed;
-            rounds += 1;
+        let mut tally = Tally::default();
+        while (tally.rounds as u64) < swap.max_rounds(&setup)
+            && !parties.iter().all(chainsim::Actor::done)
+        {
+            tally.failed += chainsim::run_round(&mut world, &mut parties).failed;
+            tally.rounds += 1;
         }
-        let capture = swap.capture(&world, &setup, rounds, failed);
-        swap.judge(&setup, &capture, profile)
+        swap.report(&world, &setup, tally, profile)
     }
 
     #[test]
