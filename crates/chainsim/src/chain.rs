@@ -110,7 +110,9 @@ struct SpecRound {
     gas_total: u64,
     /// Ledger transfers and mints, in execution order.
     undo: Vec<UndoOp>,
-    /// Each committed call's pre-call contract state, in call order.
+    /// Each committed call's pre-call contract state, in call order. A
+    /// reorg restores them newest-first, so every contract the round called
+    /// lands at its round-start state.
     backups: Vec<(usize, Box<dyn Contract>)>,
     actions: Vec<RecordedAction>,
 }
@@ -304,10 +306,18 @@ impl Blockchain {
     ///
     /// Calls are transactional. On success every effect commits; on failure
     /// the ledger operations the contract performed before failing are
-    /// rolled back and the contract's pre-call state is restored, so a
+    /// rolled back, and the contract's own state is untouched because a
+    /// handler checks before it writes (see [`Contract::handle`]), so a
     /// failed call leaves **zero residue** — except gas, which stays charged
-    /// for the work attempted (debug builds assert the residue-free
-    /// property after every rollback).
+    /// for the work attempted.
+    ///
+    /// The chain copies a contract only for a reorg: inside a finality
+    /// window, each committed call keeps the contract's pre-call clone in
+    /// the round's journal. Outside a window a call clones nothing. Debug
+    /// builds and the `strict-rollback` feature clone the contract before
+    /// every call and, after a failed one, assert that its `Debug` form
+    /// still equals the clone's and that the caller's and the contract's
+    /// balances are back where they started.
     ///
     /// # Errors
     ///
@@ -331,15 +341,15 @@ impl Blockchain {
             .get_mut(slot)
             .and_then(Option::take)
             .ok_or(ChainError::NoSuchContract { chain: self.id, contract: id })?;
-        // The rollback target: a failed call must restore the contract's
-        // internal state along with the ledger, and inside a finality window
-        // a committed call leaves it in the round's journal for a reorg.
-        let backup = contract.clone_box();
+        // Inside a finality window a committed call leaves its pre-call
+        // state in the round's journal for a reorg.
+        let backup = (!self.window.is_empty()).then(|| contract.clone_box());
         #[cfg(any(debug_assertions, feature = "strict-rollback"))]
-        let balances_probe = {
+        let (pre_call, balances_probe) = {
             let contract_account = AccountRef::Contract(id);
             let caller_account = AccountRef::Party(caller);
-            self.ledger
+            let balances = self
+                .ledger
                 .assets()
                 .into_iter()
                 .map(|asset| {
@@ -349,7 +359,8 @@ impl Blockchain {
                         self.ledger.balance(caller_account, asset),
                     )
                 })
-                .collect::<Vec<_>>()
+                .collect::<Vec<_>>();
+            (contract.clone_box(), balances)
         };
         // Inside a finality window the call journals into the open round,
         // where its committed transfers stay reversible.
@@ -379,7 +390,7 @@ impl Blockchain {
             Ok(()) => {
                 self.contracts[slot] = Some(contract);
                 if let Some(round) = self.window.back_mut() {
-                    round.backups.push((slot, backup));
+                    round.backups.extend(backup.map(|backup| (slot, backup)));
                     round.actions.push(RecordedAction::Call {
                         caller,
                         contract: id,
@@ -389,11 +400,16 @@ impl Blockchain {
                 Ok(())
             }
             Err(err) => {
-                // Rollback frame: the ledger was unwound above; discard the
-                // half-mutated contract for its pre-call state.
-                self.contracts[slot] = Some(backup);
+                // The audit: the ledger was unwound above, and the handler
+                // must have left its own state as it found it.
                 #[cfg(any(debug_assertions, feature = "strict-rollback"))]
                 {
+                    assert_eq!(
+                        format!("{contract:?}"),
+                        format!("{pre_call:?}"),
+                        "failed call changed the contract's state: a handler must check \
+                         before it writes"
+                    );
                     for (asset, contract_before, caller_before) in balances_probe {
                         assert_eq!(
                             self.ledger.balance(AccountRef::Contract(id), asset),
@@ -407,6 +423,7 @@ impl Blockchain {
                         );
                     }
                 }
+                self.contracts[slot] = Some(contract);
                 Err(ChainError::ContractFailed { contract: id, source: err })
             }
         }
@@ -594,6 +611,10 @@ mod tests {
         BumpBefore(Time),
         Deposit(Amount),
         Fail,
+        /// Bumps and then fails: a handler that writes before it fails,
+        /// which the rollback audit must catch.
+        #[cfg_attr(not(any(debug_assertions, feature = "strict-rollback")), allow(dead_code))]
+        BumpThenFail,
     }
 
     impl Contract for Counter {
@@ -625,6 +646,10 @@ mod tests {
                     Ok(())
                 }
                 CounterMsg::Fail => Err(ContractError::invalid_state("always fails")),
+                CounterMsg::BumpThenFail => {
+                    self.count += 1;
+                    Err(ContractError::invalid_state("fails after bumping"))
+                }
             }
         }
 
@@ -679,6 +704,15 @@ mod tests {
         assert_eq!(chain.gas_total() - gas, GasSchedule::DEFAULT.call_base);
         // The contract survives a failed call.
         assert!(chain.contract(id).is_some());
+    }
+
+    #[test]
+    #[cfg(any(debug_assertions, feature = "strict-rollback"))]
+    #[should_panic(expected = "a handler must check before it writes")]
+    fn the_audit_catches_a_handler_that_writes_before_it_fails() {
+        let mut chain = chain_fixture();
+        let id = chain.publish(Box::new(Counter::default()));
+        let _ = chain.call(PartyId(0), id, &CounterMsg::BumpThenFail, &dir(), &mut caches());
     }
 
     #[test]
@@ -884,6 +918,36 @@ mod tests {
         let stats = chain.reorg_stats();
         assert_eq!(stats.dropped_calls, 3);
         assert_eq!(stats.redelivered_calls, 0);
+    }
+
+    #[test]
+    fn a_reorg_lands_a_window_round_at_its_round_start_state() {
+        let mut chain = chain_fixture();
+        chain.set_finality(FinalityParams { depth: 2, delta: 0 });
+        let (a, b) = (
+            chain.publish(Box::new(Counter::default())),
+            chain.publish(Box::new(Counter::default())),
+        );
+        chain.call(PartyId(0), a, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
+        chain.end_round(1);
+
+        // Three calls to `a`, a call to `c` in the round that publishes it,
+        // and a failed call to `b`.
+        for _ in 0..3 {
+            chain.call(PartyId(0), a, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
+        }
+        let c = chain.publish(Box::new(Counter::default()));
+        chain.call(PartyId(0), c, &CounterMsg::Bump, &dir(), &mut caches()).unwrap();
+        chain.call(PartyId(0), b, &CounterMsg::Fail, &dir(), &mut caches()).unwrap_err();
+        assert_eq!(chain.window.back().unwrap().actions.len(), 5, "four calls and the publish");
+
+        // A depth-1 reorg lands `a` at its round-start state and re-lands
+        // `c` as published.
+        assert_eq!(chain.reorg(1, ReorgPolicy::DropCalls, &dir(), &mut caches()), 1);
+        assert_eq!(chain.contract_as::<Counter>(a).unwrap().count, 1);
+        assert_eq!(chain.contract_as::<Counter>(b).unwrap().count, 0);
+        assert_eq!(chain.contract_as::<Counter>(c).unwrap().count, 0);
+        assert_eq!(chain.contract_count(), 3);
     }
 
     #[test]

@@ -57,10 +57,12 @@ pub trait Contract: fmt::Debug + Send {
 
     /// Clones the contract into a fresh box, preserving its full state.
     ///
-    /// Calls keep a pre-call clone to roll back to, and snapshots
-    /// ([`crate::World::snapshot`]) clone every live contract, so every
-    /// contract must be cloneable; concrete contracts derive [`Clone`] and
-    /// implement this as `Box::new(self.clone())`.
+    /// Snapshots ([`crate::World::snapshot`]) clone every live contract, a
+    /// finality window keeps each committed call's pre-call clone (see
+    /// [`crate::Blockchain::call`]), and debug builds clone before every
+    /// call for the rollback audit, so every contract must be cloneable;
+    /// concrete contracts derive [`Clone`] and implement this as
+    /// `Box::new(self.clone())`.
     fn clone_box(&self) -> Box<dyn Contract>;
 
     /// Handles a call from `env.caller()` carrying the typed message `msg`.
@@ -71,10 +73,17 @@ pub trait Contract: fmt::Debug + Send {
     /// malformed, unauthorised, too early, too late, or inconsistent with
     /// the contract's current state. Calls are *transactional*: when
     /// `handle` returns an error, [`crate::Blockchain::call`] rolls back
-    /// every ledger operation the implementation performed before failing
-    /// and restores the contract's pre-call state, so a failed call
-    /// can never half-apply. Gas consumed up to the failure stays charged,
-    /// mirroring real chains.
+    /// every ledger operation the implementation performed before failing,
+    /// so a failed call can never half-apply. Gas consumed up to the
+    /// failure stays charged, mirroring real chains.
+    ///
+    /// The chain does not restore the contract's own state: a handler
+    /// checks before it writes. Every state write comes after the last
+    /// operation that can fail (a guard, a `debit_caller`, a `pay_out`), so
+    /// a handler that returns an error leaves `self` untouched. Debug
+    /// builds and the `strict-rollback` feature audit the rule: after a
+    /// failed call they assert that the contract's `Debug` form equals that
+    /// of a clone taken before the call.
     fn handle(&mut self, env: &mut CallEnv<'_>, msg: &dyn Any) -> Result<(), ContractError>;
 
     /// Upcasts to [`Any`] so observers can downcast to the concrete type and

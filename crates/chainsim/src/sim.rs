@@ -73,9 +73,7 @@ impl<A: Actor + ?Sized> Actor for Box<A> {
 pub struct Tally {
     /// Synchronous rounds closed, skipped pure-wait rounds included.
     pub rounds: usize,
-    /// Actions (calls) applied.
-    pub actions: usize,
-    /// Applied actions that failed.
+    /// Applied actions (calls) that failed.
     pub failed: usize,
 }
 
@@ -105,11 +103,10 @@ impl Scheduler {
         let mut tally = Tally::default();
         let (mut staged, mut batch) = (Vec::new(), Vec::new());
         while (tally.rounds as u64) < self.max_rounds && !actors.iter().all(Actor::done) {
-            let round = round(world, actors, &mut staged, &mut batch);
+            let (applied, failed) = round(world, actors, &mut staged, &mut batch);
             tally.rounds += 1;
-            tally.actions += round.actions;
-            tally.failed += round.failed;
-            if round.actions == 0 && !actors.iter().all(Actor::done) {
+            tally.failed += failed;
+            if applied == 0 && !actors.iter().all(Actor::done) {
                 let budget = self.max_rounds - tally.rounds as u64;
                 tally.rounds += skip_pure_waits(world, actors, budget) as usize;
             }
@@ -145,29 +142,32 @@ fn skip_pure_waits<A: Actor>(world: &mut World, actors: &[A], budget: u64) -> u6
 /// round ([`World::advance_delta`]). This is the round the [`Scheduler`]
 /// runs.
 pub fn run_round<A: Actor>(world: &mut World, actors: &mut [A]) -> Tally {
-    round(world, actors, &mut Vec::new(), &mut Vec::new())
+    let (_, failed) = round(world, actors, &mut Vec::new(), &mut Vec::new());
+    Tally { rounds: 1, failed }
 }
 
 /// [`run_round`] with caller-owned staging buffers, so that a run's rounds
-/// share one allocation.
+/// share one allocation. Returns how many actions the round applied and
+/// how many of them failed.
 fn round<A: Actor>(
     world: &mut World,
     actors: &mut [A],
     staged: &mut Vec<Action>,
     batch: &mut Vec<(PartyId, Action)>,
-) -> Tally {
+) -> (usize, usize) {
     for actor in actors.iter_mut() {
         staged.clear();
         actor.step(world, staged);
         let party = actor.party();
         batch.extend(staged.drain(..).map(|a| (party, a)));
     }
-    let mut tally = Tally { rounds: 1, actions: batch.len(), failed: 0 };
+    let applied = batch.len();
+    let mut failed = 0;
     for (party, Action { addr, msg }) in batch.drain(..) {
-        tally.failed += usize::from(world.call(party, addr, msg.as_ref()).is_err());
+        failed += usize::from(world.call(party, addr, msg.as_ref()).is_err());
     }
     world.advance_delta();
-    tally
+    (applied, failed)
 }
 
 #[cfg(test)]
@@ -256,7 +256,7 @@ mod tests {
         let (mut world, pot) = pot_world(1);
         let mut actors: Vec<Box<dyn Actor>> = vec![Box::new(Depositor { pot, deposited: false })];
         let tally = Scheduler::new(100).run(&mut world, &mut actors);
-        assert_eq!(tally, Tally { rounds: 1, actions: 1, failed: 0 });
+        assert_eq!(tally, Tally { rounds: 1, failed: 0 });
         // Time advanced once (one round was executed).
         assert_eq!(world.now(), Time(1));
     }
@@ -323,7 +323,7 @@ mod tests {
                 run_round(&mut stepped, &mut stepping);
                 rounds += 1;
             }
-            assert_eq!(tally, Tally { rounds, actions: 1, failed: 0 }, "depth {depth}");
+            assert_eq!(tally, Tally { rounds, failed: 0 }, "depth {depth}");
             assert_eq!(rounds, 6, "waits at heights 0–8, deposits at 10");
             // Without a window the rounds at heights 2, 4 and 6 are skipped.
             assert_eq!(skipping[0].steps, if depth == 0 { 3 } else { 6 });
@@ -358,7 +358,7 @@ mod tests {
         world.add_chain("a");
         let mut actors: Vec<Box<dyn Actor>> = vec![Box::new(BadCaller { fired: false })];
         let tally = Scheduler::new(5).run(&mut world, &mut actors);
-        assert_eq!(tally, Tally { rounds: 1, actions: 1, failed: 1 });
+        assert_eq!(tally, Tally { rounds: 1, failed: 1 });
     }
 
     #[test]

@@ -46,15 +46,10 @@ impl Contract for Vault {
             }
             VaultMsg::DepositThenFail(amount) => {
                 env.debit_caller(AssetId(0), *amount)?;
-                self.total += *amount;
-                self.calls += 1;
                 env.charge_note();
                 Err(ContractError::invalid_state("asked to fail after depositing"))
             }
-            VaultMsg::Fail => {
-                self.calls += 1;
-                Err(ContractError::invalid_state("asked to fail"))
-            }
+            VaultMsg::Fail => Err(ContractError::invalid_state("asked to fail")),
         }
     }
     fn as_any(&self) -> &dyn Any {

@@ -300,11 +300,6 @@ impl ArcEscrow {
         self.presented.contains_key(&leader)
     }
 
-    /// Returns `true` once every leader's hashkey has been presented.
-    pub fn all_hashkeys_presented(&self) -> bool {
-        self.params.hashlocks.iter().all(|(leader, _)| self.presented.contains_key(leader))
-    }
-
     /// The secret revealed for `leader`, if its hashkey has been presented.
     ///
     /// This is how secrets propagate: a party reads them from the public
@@ -425,7 +420,6 @@ impl ArcEscrow {
         }
         env.ensure_before(self.params.deadlines.asset_escrow_deadline)?;
         env.debit_caller(self.params.asset, self.params.amount)?;
-        self.principal = PrincipalState::Held;
         // Lemma 1: the sender's escrow premium is refunded as soon as the
         // asset is escrowed on the arc.
         if self.escrow_premium == PremiumSlotState::Held {
@@ -433,6 +427,7 @@ impl ArcEscrow {
             self.escrow_premium = PremiumSlotState::Refunded;
             env.charge_note();
         }
+        self.principal = PrincipalState::Held;
         Ok(())
     }
 
@@ -472,78 +467,100 @@ impl ArcEscrow {
             )?;
             env.caches().get_or_default::<VerifiedHashkeys>().0.insert(memo_key);
         }
-        self.presented.insert(leader, hashkey.clone());
         env.charge_note();
         // Lemma 1: the receiver's redemption premium for this hashkey is
         // refunded as soon as the hashkey is presented on the arc.
-        if let Some(slot) = self.redemption.get_mut(&leader) {
-            if slot.state == PremiumSlotState::Held {
-                env.pay_out(self.params.receiver, self.params.premium_asset, slot.amount)?;
-                slot.state = PremiumSlotState::Refunded;
-            }
+        let refund =
+            self.redemption.get(&leader).filter(|slot| slot.state == PremiumSlotState::Held);
+        if let Some(slot) = refund {
+            env.pay_out(self.params.receiver, self.params.premium_asset, slot.amount)?;
         }
-        // Redeem the principal once every leader's hashkey has arrived.
-        if self.principal == PrincipalState::Held && self.all_hashkeys_presented() {
+        // Redeem the principal once every leader's hashkey has arrived,
+        // this one included.
+        let redeem = self.principal == PrincipalState::Held
+            && self
+                .params
+                .hashlocks
+                .iter()
+                .all(|(l, _)| *l == leader || self.presented.contains_key(l));
+        if redeem {
             env.pay_out(self.params.receiver, self.params.asset, self.params.amount)?;
-            self.principal = PrincipalState::Redeemed;
             env.charge_note();
         }
+        // Every payout landed: record the presentation and its effects.
+        if refund.is_some() {
+            self.redemption.get_mut(&leader).expect("refunded above").state =
+                PremiumSlotState::Refunded;
+        }
+        if redeem {
+            self.principal = PrincipalState::Redeemed;
+        }
+        self.presented.insert(leader, hashkey.clone());
         Ok(())
     }
 
     fn settle(&mut self, env: &mut CallEnv<'_>) -> Result<(), ContractError> {
-        let mut acted = false;
         let now = env.now();
+        let p = &self.params;
 
-        // Escrow premium disposition once the asset-escrow deadline passed.
-        if self.escrow_premium == PremiumSlotState::Held
-            && now.has_reached(self.params.deadlines.asset_escrow_deadline)
-            && self.principal == PrincipalState::NotEscrowed
-        {
-            if self.escrow_premium_activated() {
-                env.pay_out(
-                    self.params.receiver,
-                    self.params.premium_asset,
-                    self.params.escrow_premium,
-                )?;
-                self.escrow_premium = PremiumSlotState::PaidToCounterparty;
-                env.charge_note();
-            } else {
-                env.pay_out(
-                    self.params.sender,
-                    self.params.premium_asset,
-                    self.params.escrow_premium,
-                )?;
-                self.escrow_premium = PremiumSlotState::Refunded;
-                env.charge_note();
-            }
-            acted = true;
+        // Escrow premium disposition once the asset-escrow deadline passed:
+        // to the receiver if activated, else back to the sender.
+        let premium = (self.escrow_premium == PremiumSlotState::Held
+            && now.has_reached(p.deadlines.asset_escrow_deadline)
+            && self.principal == PrincipalState::NotEscrowed)
+            .then(|| {
+                if self.escrow_premium_activated() {
+                    (p.receiver, PremiumSlotState::PaidToCounterparty)
+                } else {
+                    (p.sender, PremiumSlotState::Refunded)
+                }
+            });
+        if let Some((to, _)) = premium {
+            env.pay_out(to, p.premium_asset, p.escrow_premium)?;
+            env.charge_note();
         }
 
-        if now.has_reached(self.params.deadlines.final_deadline) {
-            // Redemption premiums for hashkeys that never arrived go to the sender.
+        // After the final deadline, redemption premiums for hashkeys that
+        // never arrived go to the sender, and so does a principal that was
+        // never redeemed.
+        let final_due = now.has_reached(p.deadlines.final_deadline);
+        let forfeit = |leader: &PartyId, slot: &RedemptionSlot| {
+            final_due
+                && slot.state == PremiumSlotState::Held
+                && !self.presented.contains_key(leader)
+        };
+        let mut forfeits = false;
+        for (leader, slot) in &self.redemption {
+            if forfeit(leader, slot) {
+                env.pay_out(p.sender, p.premium_asset, slot.amount)?;
+                env.charge_note();
+                forfeits = true;
+            }
+        }
+        let refund_principal = final_due && self.principal == PrincipalState::Held;
+        if refund_principal {
+            env.pay_out(p.sender, p.asset, p.amount)?;
+            env.charge_note();
+        }
+
+        if premium.is_none() && !forfeits && !refund_principal {
+            return Err(ContractError::invalid_state("nothing to settle yet"));
+        }
+        // Every payout landed: record the dispositions.
+        if let Some((_, state)) = premium {
+            self.escrow_premium = state;
+        }
+        if forfeits {
             for (leader, slot) in self.redemption.iter_mut() {
-                if slot.state == PremiumSlotState::Held && !self.presented.contains_key(leader) {
-                    env.pay_out(self.params.sender, self.params.premium_asset, slot.amount)?;
+                if forfeit(leader, slot) {
                     slot.state = PremiumSlotState::PaidToCounterparty;
-                    env.charge_note();
-                    acted = true;
                 }
             }
-            // The principal returns to the sender if it was never redeemed.
-            if self.principal == PrincipalState::Held {
-                env.pay_out(self.params.sender, self.params.asset, self.params.amount)?;
-                self.principal = PrincipalState::Refunded;
-                env.charge_note();
-                acted = true;
-            }
         }
-
-        if acted {
-            Ok(())
-        } else {
-            Err(ContractError::invalid_state("nothing to settle yet"))
+        if refund_principal {
+            self.principal = PrincipalState::Refunded;
         }
+        Ok(())
     }
 }
 
@@ -855,7 +872,7 @@ mod tests {
         let c = contract(&f);
         assert_eq!(c.principal_state(), PrincipalState::Redeemed);
         assert_eq!(c.redemption_premium_state(A), PremiumSlotState::Refunded);
-        assert!(c.all_hashkeys_presented());
+        assert!(c.hashkey_presented(A), "A is the only leader");
         assert!(c.revealed_secret(A).is_some());
         assert_eq!(balance(&f, A, f.token), Amount::new(50));
         assert_eq!(balance(&f, A, f.native), Amount::new(20));

@@ -202,9 +202,6 @@ impl HedgedEscrow {
             self.params.principal_asset,
             self.params.principal_amount,
         )?;
-        self.principal = HedgedPrincipalState::Redeemed;
-        self.principal_settled_at = Some(env.now());
-        self.revealed_secret = Some(secret.clone());
         if self.premium == HedgedPremiumState::Held {
             env.pay_out(
                 self.params.redeemer,
@@ -213,6 +210,9 @@ impl HedgedEscrow {
             )?;
             self.premium = HedgedPremiumState::Refunded;
         }
+        self.principal = HedgedPrincipalState::Redeemed;
+        self.principal_settled_at = Some(env.now());
+        self.revealed_secret = Some(secret.clone());
         env.charge_note();
         Ok(())
     }
@@ -236,6 +236,8 @@ impl HedgedEscrow {
         }
 
         // Redemption timeout: principal refunded, premium compensates escrower.
+        // The refund above needs a never-escrowed principal, so at most one
+        // branch runs and each writes after its own last payout.
         if self.principal == HedgedPrincipalState::Held
             && env.now().has_reached(self.params.redeem_deadline)
         {
@@ -244,8 +246,6 @@ impl HedgedEscrow {
                 self.params.principal_asset,
                 self.params.principal_amount,
             )?;
-            self.principal = HedgedPrincipalState::Refunded;
-            self.principal_settled_at = Some(env.now());
             if self.premium == HedgedPremiumState::Held {
                 env.pay_out(
                     self.params.escrower,
@@ -254,6 +254,8 @@ impl HedgedEscrow {
                 )?;
                 self.premium = HedgedPremiumState::PaidToEscrower;
             }
+            self.principal = HedgedPrincipalState::Refunded;
+            self.principal_settled_at = Some(env.now());
             env.charge_note();
             acted = true;
         }

@@ -10,9 +10,10 @@
 //! What must survive any such sequence:
 //!
 //! * **conservation** — the total supply of every asset never changes (the
-//!   test profile's debug assertions additionally enforce per-call
-//!   atomicity inside `chainsim`: a failed call that leaves residue panics
-//!   at the call site);
+//!   test profile's debug assertions, or the `strict-rollback` feature,
+//!   additionally enforce per-call atomicity inside `chainsim`: a failed
+//!   call that leaves residue in the ledger, or a handler that changed its
+//!   own state before failing, panics at the call site);
 //! * **no stranded funds** — after the final deadline has passed and every
 //!   party has run the settle/refund paths, the contract account holds
 //!   nothing;

@@ -15,7 +15,20 @@
 # Fails unless every run is correct with `failed: 0` and both sides print
 # the same `inputs` note for each seed. Prints each side's median and
 # quartiles of every end-to-end metric in BENCHMARK.json, the ratio of the
-# medians, and how many pairs REV_B won.
+# medians, how many pairs REV_B won, and a verdict per metric, taken in
+# this order (the rules of a same-box A/B in a small sandbox):
+#
+#   gain          at least ten pairs ran, REV_B won at least 9/10 of
+#                 them, and the medians differ in the better direction by
+#                 more than REV_A's q3 - q1;
+#   worse         REV_B's median is worse than REV_A's by more than the
+#                 metric's bound (a share of REV_A's median);
+#   unresolved    REV_A's q3 - q1 exceeds the bound's share of its median,
+#                 and not every REV_B run beats every REV_A run;
+#   within bound  everything else.
+#
+# The verdict is a report: it changes neither the exit status nor the
+# failure conditions.
 set -euo pipefail
 
 usage() {
@@ -116,12 +129,30 @@ for seed in seeds:
         problems.append(f"seed {seed}: inputs differ: {inputs_a} != {inputs_b}")
 
 
-def summary(values):
-    """The median and quartiles of `values`, as `median [q1, q3]`."""
-    q1, median, q3 = values * 3 if len(values) < 2 else statistics.quantiles(
-        values, n=4, method="inclusive"
-    )
+def quartiles(values):
+    """The first quartile, median and third quartile of `values`."""
+    if len(values) < 2:
+        return values * 3
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def summary(q1, median, q3):
+    """Quartiles as `median [q1, q3]`."""
     return f"{number(median)} [{number(q1)}, {number(q3)}]"
+
+
+def verdict(a_values, b_values, a_quartiles, b_median, won, higher, bound):
+    """The verdict on B against A for one metric (see the script header)."""
+    a_q1, a_median, a_q3 = a_quartiles
+    gain = (b_median - a_median) if higher else (a_median - b_median)
+    if len(a_values) >= 10 and won * 10 >= 9 * len(a_values) and gain > a_q3 - a_q1:
+        return "gain"
+    if -gain > bound * abs(a_median):
+        return "worse"
+    b_beats_all = min(b_values) > max(a_values) if higher else max(b_values) < min(a_values)
+    if a_q3 - a_q1 > bound * abs(a_median) and not b_beats_all:
+        return "unresolved"
+    return "within bound"
 
 
 def number(value):
@@ -130,7 +161,10 @@ def number(value):
 
 print(f"A = {label_a}, B = {label_b}")
 print(f"workload {workload}, {len(seeds)} pairs of {seconds} s runs, seeds {seeds[0]}-{seeds[-1]}")
-print(f"{'metric':<16} {'unit':<5} {'A median [q1, q3]':>30} {'B median [q1, q3]':>30} {'B/A':>7} {'B won':>7}")
+print(
+    f"{'metric':<16} {'unit':<5} {'A median [q1, q3]':>30} {'B median [q1, q3]':>30} "
+    f"{'B/A':>7} {'B won':>7}  verdict"
+)
 for metric in metrics:
     name, higher = metric["name"], metric["better"] == "higher"
     pairs = [(runs["a", s].get(name), runs["b", s].get(name)) for s in seeds]
@@ -140,12 +174,14 @@ for metric in metrics:
     if not pairs:
         continue
     a_values, b_values = [a for a, _ in pairs], [b for _, b in pairs]
+    a_quartiles, b_quartiles = quartiles(a_values), quartiles(b_values)
+    a_median, b_median = a_quartiles[1], b_quartiles[1]
     won = sum((b > a) if higher else (b < a) for a, b in pairs)
-    a_median = statistics.median(a_values)
-    ratio = statistics.median(b_values) / a_median if a_median else float("nan")
+    ratio = b_median / a_median if a_median else float("nan")
+    call = verdict(a_values, b_values, a_quartiles, b_median, won, higher, metric["bound"])
     print(
-        f"{name:<16} {metric['unit']:<5} {summary(a_values):>30} {summary(b_values):>30} "
-        f"{ratio:>7.3f} {won:>4}/{len(pairs)}"
+        f"{name:<16} {metric['unit']:<5} {summary(*a_quartiles):>30} {summary(*b_quartiles):>30} "
+        f"{ratio:>7.3f} {won:>4}/{len(pairs)}  {call}"
     )
 
 for problem in problems:
